@@ -15,7 +15,11 @@
 # must agree with `repro obs health` over the same run's exports) + a
 # compare smoke (2-protocol 40-node seeded tournament via `repro
 # compare`; must exit 0 and produce a schema-valid `repro.compare`
-# scorecard JSON).
+# scorecard JSON) + a ledger smoke (one --quick traced pass of the
+# detailed_churn and detailed_ring benchmark workloads: the tracer's
+# trace points must still resolve under src/, the workload's output
+# checks must pass, and the traced run must end on the untraced run's
+# fingerprint).
 #
 #   scripts/check.sh             # everything below
 #   scripts/check.sh --lint      # ruff + mypy only
@@ -30,6 +34,7 @@
 #   scripts/check.sh --live      # live swarm smoke only
 #   scripts/check.sh --watch     # streaming telemetry smoke only
 #   scripts/check.sh --compare   # tournament scorecard smoke only
+#   scripts/check.sh --ledger    # benchmark ledger smoke only
 set -u
 cd "$(dirname "$0")/.."
 
@@ -43,19 +48,21 @@ run_health=1
 run_live=1
 run_watch=1
 run_compare=1
+run_ledger=1
 case "${1:-}" in
-  --lint) run_analysis=0; run_tests=0; run_chaos=0; run_byzantine=0; run_obs=0; run_health=0; run_live=0; run_watch=0; run_compare=0 ;;
-  --analysis) run_lint=0; run_tests=0; run_chaos=0; run_byzantine=0; run_obs=0; run_health=0; run_live=0; run_watch=0; run_compare=0 ;;
-  --tests) run_lint=0; run_analysis=0; run_chaos=0; run_byzantine=0; run_obs=0; run_health=0; run_live=0; run_watch=0; run_compare=0 ;;
-  --chaos) run_lint=0; run_analysis=0; run_tests=0; run_byzantine=0; run_obs=0; run_health=0; run_live=0; run_watch=0; run_compare=0 ;;
-  --byzantine) run_lint=0; run_analysis=0; run_tests=0; run_chaos=0; run_obs=0; run_health=0; run_live=0; run_watch=0; run_compare=0 ;;
-  --obs) run_lint=0; run_analysis=0; run_tests=0; run_chaos=0; run_byzantine=0; run_health=0; run_live=0; run_watch=0; run_compare=0 ;;
-  --health) run_lint=0; run_analysis=0; run_tests=0; run_chaos=0; run_byzantine=0; run_obs=0; run_live=0; run_watch=0; run_compare=0 ;;
-  --live) run_lint=0; run_analysis=0; run_tests=0; run_chaos=0; run_byzantine=0; run_obs=0; run_health=0; run_watch=0; run_compare=0 ;;
-  --watch) run_lint=0; run_analysis=0; run_tests=0; run_chaos=0; run_byzantine=0; run_obs=0; run_health=0; run_live=0; run_compare=0 ;;
-  --compare) run_lint=0; run_analysis=0; run_tests=0; run_chaos=0; run_byzantine=0; run_obs=0; run_health=0; run_live=0; run_watch=0 ;;
+  --lint) run_analysis=0; run_tests=0; run_chaos=0; run_byzantine=0; run_obs=0; run_health=0; run_live=0; run_watch=0; run_compare=0; run_ledger=0 ;;
+  --analysis) run_lint=0; run_tests=0; run_chaos=0; run_byzantine=0; run_obs=0; run_health=0; run_live=0; run_watch=0; run_compare=0; run_ledger=0 ;;
+  --tests) run_lint=0; run_analysis=0; run_chaos=0; run_byzantine=0; run_obs=0; run_health=0; run_live=0; run_watch=0; run_compare=0; run_ledger=0 ;;
+  --chaos) run_lint=0; run_analysis=0; run_tests=0; run_byzantine=0; run_obs=0; run_health=0; run_live=0; run_watch=0; run_compare=0; run_ledger=0 ;;
+  --byzantine) run_lint=0; run_analysis=0; run_tests=0; run_chaos=0; run_obs=0; run_health=0; run_live=0; run_watch=0; run_compare=0; run_ledger=0 ;;
+  --obs) run_lint=0; run_analysis=0; run_tests=0; run_chaos=0; run_byzantine=0; run_health=0; run_live=0; run_watch=0; run_compare=0; run_ledger=0 ;;
+  --health) run_lint=0; run_analysis=0; run_tests=0; run_chaos=0; run_byzantine=0; run_obs=0; run_live=0; run_watch=0; run_compare=0; run_ledger=0 ;;
+  --live) run_lint=0; run_analysis=0; run_tests=0; run_chaos=0; run_byzantine=0; run_obs=0; run_health=0; run_watch=0; run_compare=0; run_ledger=0 ;;
+  --watch) run_lint=0; run_analysis=0; run_tests=0; run_chaos=0; run_byzantine=0; run_obs=0; run_health=0; run_live=0; run_compare=0; run_ledger=0 ;;
+  --compare) run_lint=0; run_analysis=0; run_tests=0; run_chaos=0; run_byzantine=0; run_obs=0; run_health=0; run_live=0; run_watch=0; run_ledger=0 ;;
+  --ledger) run_lint=0; run_analysis=0; run_tests=0; run_chaos=0; run_byzantine=0; run_obs=0; run_health=0; run_live=0; run_watch=0; run_compare=0 ;;
   "") ;;
-  *) echo "usage: scripts/check.sh [--lint|--analysis|--tests|--chaos|--byzantine|--obs|--health|--live|--watch|--compare]" >&2; exit 2 ;;
+  *) echo "usage: scripts/check.sh [--lint|--analysis|--tests|--chaos|--byzantine|--obs|--health|--live|--watch|--compare|--ledger]" >&2; exit 2 ;;
 esac
 
 status=0
@@ -321,6 +328,23 @@ sys.exit(1 if problems else 0)
 PY
   else
     echo "== numpy not installed; skipping compare smoke =="
+  fi
+fi
+
+if [ "$run_ledger" = 1 ]; then
+  if PYTHONPATH=src python -c "import numpy" >/dev/null 2>&1; then
+    echo "== ledger smoke (traced --quick pass: trace points, output checks, fingerprint) =="
+    for workload in detailed_churn detailed_ring; do
+      if command -v timeout >/dev/null 2>&1; then
+        timeout 120 python3 benchmarks/ledger/run.py --workload "$workload" \
+          --seed 0 --seconds 1 --quick --trace 1 >/dev/null || status=1
+      else
+        python3 benchmarks/ledger/run.py --workload "$workload" \
+          --seed 0 --seconds 1 --quick --trace 1 >/dev/null || status=1
+      fi
+    done
+  else
+    echo "== numpy not installed; skipping ledger smoke =="
   fi
 fi
 

@@ -34,12 +34,13 @@ This module has two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import nsmallest
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.events import EventRecord
 from repro.core.nodeid import NodeId
-from repro.core.peerlist import PeerList
+from repro.core.peerlist import PeerList, strength
 from repro.core.pointer import Pointer
 
 
@@ -136,8 +137,9 @@ class MulticastForwarder:
     """The per-node runtime half of the multicast protocol.
 
     The owner node calls :meth:`forward` when it originates or relays an
-    event.  For every bit position the forwarder picks the strongest
-    candidate from the owner's peer list and performs a reliable send:
+    event.  One pass over the owner's peer list files the audience under
+    bit positions; for every position that has a candidate the forwarder
+    picks the strongest and performs a reliable send:
     up to ``config.multicast_attempts`` tries, each with an ack timeout;
     exhaustion removes the pointer (*"turn back to line (3)"*) and redirects
     to a freshly chosen candidate for the same bit position.
@@ -185,11 +187,14 @@ class MulticastForwarder:
         send, stale-removal, and redirect so the owner can attribute them
         to the multicast's causal tree.  It never influences forwarding.
         """
+        by_bit = self.peer_list.audience_by_bit(
+            self.local_id, event.subject_id, start_bit
+        )
         out_degree = 0
         excluded: set = set()
-        for bit in range(start_bit, self.local_id.bits):
-            for target in self._choose_n(
-                event, bit, excluded, self.config.multicast_redundancy
+        for bit in sorted(by_bit):
+            for target in nsmallest(
+                self.config.multicast_redundancy, by_bit[bit], key=strength
             ):
                 out_degree += 1
                 excluded.add(target.node_id.value)
@@ -200,22 +205,15 @@ class MulticastForwarder:
 
     # -- internals -----------------------------------------------------------
 
-    def _candidates(self, event: EventRecord, bit: int, excluded: set) -> List[Pointer]:
+    def _choose(self, event: EventRecord, bit: int, excluded: set) -> Optional[Pointer]:
+        """The strongest not-yet-tried candidate for one bit position (the
+        redirect after a stale removal)."""
         candidates = self.peer_list.multicast_candidates(
             self.local_id, event.subject_id, bit
         )
-        return [c for c in candidates if c.node_id.value not in excluded]
-
-    def _choose(self, event: EventRecord, bit: int, excluded: set) -> Optional[Pointer]:
-        return self.peer_list.strongest(self._candidates(event, bit, excluded))
-
-    def _choose_n(
-        self, event: EventRecord, bit: int, excluded: set, n: int
-    ) -> List[Pointer]:
-        """The ``n`` strongest distinct candidates for one bit position."""
-        pool = self._candidates(event, bit, excluded)
-        pool.sort(key=lambda p: (p.level, p.node_id.value))
-        return pool[:n]
+        return self.peer_list.strongest(
+            [c for c in candidates if c.node_id.value not in excluded]
+        )
 
     def _reliable_send(
         self,

@@ -1,28 +1,42 @@
 """The peer list: a node's collection of pointers.
 
 Backing structure: a dict (id value -> :class:`~repro.core.pointer.Pointer`)
-for O(1) lookup plus a bisect-maintained sorted id array for the two
-order-dependent queries the protocol makes:
+for O(1) lookup plus a bisect-maintained sorted id array for the one
+order-dependent query the protocol makes, the failure-detection ring
+successor — *"the node whose nodeId is just larger"* within the owner's
+eigenstring group (§4.1, figure 3) — and for id-ordered iteration.
 
-* the failure-detection ring successor — *"the node whose nodeId is just
-  larger"* within the owner's eigenstring group (§4.1, figure 3);
-* deterministic iteration for multicast candidate scans.
+Costs, with n = ``len(peer_list)``:
 
-Inserts/deletes are O(n) array moves; peer lists in the detailed engine
-are at most a few thousand entries and churn events are comparatively
-rare, so this beats tree structures in practice (see the engine benchmark
-``bench_peerlist_ops``).
+* a multicast forward is one O(n) pass over the dict
+  (:meth:`PeerList.audience_by_bit`), whatever the id width; the targets
+  are deterministic because they are chosen by the total
+  ``(level, id)`` key, not by iteration order;
+* the ring successor is O(log n + gap): a bisect, then a walk over the
+  ids between the owner and its next group member;
+* add/remove are an O(1) dict update plus an O(n) array move (a
+  ``memmove`` of machine words: cheap next to a tree at these sizes).
+
+No per-bit or per-prefix index is stored, so writes pay nothing for the
+reads.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import Iterator, List, Optional
+from bisect import bisect_left, bisect_right, insort
+from itertools import chain
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.audience import in_peer_list
-from repro.core.errors import MembershipError
+from repro.core.errors import MembershipError, NodeIdError
 from repro.core.nodeid import NodeId
 from repro.core.pointer import Pointer
+
+
+def strength(pointer: Pointer) -> tuple:
+    """Sort key, strongest first: the highest level (minimum level value),
+    ties broken by the smaller id for determinism."""
+    return pointer.level, pointer.node_id.value
 
 
 class PeerList:
@@ -123,15 +137,52 @@ class PeerList:
         """The failure-detection target: the group member whose id is
         *just larger* than ``of_id``, wrapping around (§4.1).  Returns None
         when the group has no other member."""
-        group = self.group_members()
-        candidates = [p for p in group if p.node_id.value != of_id.value]
-        if not candidates:
-            return None
-        larger = [p for p in candidates if p.node_id.value > of_id.value]
-        pool = larger if larger else candidates
-        return min(pool, key=lambda p: p.node_id.value)
+        ids, by_id, level = self._sorted_ids, self._by_id, self.owner_level
+        start = bisect_right(ids, of_id.value)
+        for i in chain(range(start, len(ids)), range(start)):
+            p = by_id[ids[i]]
+            if p.level == level and ids[i] != of_id.value:
+                return p
+        return None
 
     # -- multicast candidate scan ---------------------------------------------
+
+    def audience_by_bit(
+        self,
+        local_id: NodeId,
+        subject_id: NodeId,
+        start_bit: int = 0,
+    ) -> Dict[int, List[Pointer]]:
+        """The §4.2 candidates of every step ``>= start_bit``, in one pass.
+
+        A pointer is a candidate at step ``b`` iff it is in the audience
+        of ``subject_id`` (its first ``level`` bits are the subject's),
+        shares the local node's first ``b`` bits and differs at bit ``b``
+        — so each audience member belongs to exactly one step, the first
+        bit at which its id differs from ``local_id``.  Returns step ->
+        candidates; steps with no candidate are absent.  The subject
+        itself and the local node are excluded.
+        """
+        bits = local_id.bits
+        if subject_id.bits != bits:
+            raise NodeIdError("cannot compare ids of different widths")
+        if start_bit < 0:
+            raise NodeIdError(f"prefix length {start_bit} out of range")
+        local_value, subject_value = local_id.value, subject_id.value
+        by_bit: Dict[int, List[Pointer]] = {}
+        for p in self._by_id.values():
+            pid = p.node_id
+            if pid.bits != bits:
+                raise NodeIdError("cannot compare ids of different widths")
+            value = pid.value
+            if value == local_value or value == subject_value:
+                continue
+            if (value ^ subject_value) >> (bits - p.level):
+                continue
+            bit = bits - (value ^ local_value).bit_length()
+            if bit >= start_bit:
+                by_bit.setdefault(bit, []).append(p)
+        return by_bit
 
     def multicast_candidates(
         self,
@@ -139,32 +190,10 @@ class PeerList:
         subject_id: NodeId,
         bit: int,
     ) -> List[Pointer]:
-        """Candidates for multicast step ``bit`` (§4.2, figure 4):
-        audience members of ``subject_id`` in this peer list whose ids share
-        the local node's first ``bit`` bits and differ at bit ``bit``.
-
-        The subject itself and the local node are excluded.
-        """
-        out: List[Pointer] = []
-        local_value = local_id.value
-        subject_value = subject_id.value
-        for p in self._by_id.values():
-            pid = p.node_id
-            if pid.value == local_value or pid.value == subject_value:
-                continue
-            if not pid.shares_prefix(local_id, bit):
-                continue
-            if pid.bit(bit) == local_id.bit(bit):
-                continue
-            # Audience membership: p's eigenstring is a prefix of subject.
-            if not pid.shares_prefix(subject_id, p.level):
-                continue
-            out.append(p)
-        return out
+        """Candidates for the single multicast step ``bit`` (the redirect
+        path's query; see :meth:`audience_by_bit`)."""
+        return self.audience_by_bit(local_id, subject_id, bit).get(bit, [])
 
     def strongest(self, pointers: List[Pointer]) -> Optional[Pointer]:
-        """Highest-level (minimum level value) pointer; ties broken by the
-        smaller id for determinism.  None for an empty list."""
-        if not pointers:
-            return None
-        return min(pointers, key=lambda p: (p.level, p.node_id.value))
+        """The first pointer by :func:`strength`; None for an empty list."""
+        return min(pointers, key=strength, default=None)

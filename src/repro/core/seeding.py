@@ -11,10 +11,11 @@ protocol would converge to.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.analytic import CostModel
-from repro.core.errors import JoinError
+from repro.core.errors import JoinError, NodeIdError
 from repro.core.nodeid import NodeId, eigenstring
 
 #: A seed spec: a bare threshold, or (threshold, node_id), or a full dict.
@@ -84,13 +85,18 @@ def seed_network(
 
     rng = net.streams.get("seeding")
     pointer_of = {nd.node_id.value: nd.self_pointer() for nd in created}
+    # A node's peers are one contiguous run of the id-sorted population
+    # (everything under its eigenstring; install() skips the node itself),
+    # handed over in spec order, the order the peer list keeps them in.
+    if len({nd.node_id.bits for nd in created}) > 1:
+        raise NodeIdError("cannot compare ids of different widths")
+    rank = {nd.node_id.value: k for k, nd in enumerate(created)}
+    values = sorted(rank)
     for nd in created:
-        peers = [
-            pointer_of[other.node_id.value]
-            for other in created
-            if other.node_id.shares_prefix(nd.node_id, nd.level)
-            and other.node_id.value != nd.node_id.value
-        ]
+        shift = nd.node_id.bits - nd.level
+        low = nd.node_id.value >> shift << shift
+        run = values[bisect_left(values, low) : bisect_left(values, low + (1 << shift))]
+        peers = [pointer_of[v] for v in sorted(run, key=rank.__getitem__)]
         part_prefix = part_of[nd.node_id.value]
         tops = tops_by_part[part_prefix]
         pool = [pointer_of[t.node_id.value] for t in tops]
