@@ -16,8 +16,8 @@
 # compare smoke (2-protocol 40-node seeded tournament via `repro
 # compare`; must exit 0 and produce a schema-valid `repro.compare`
 # scorecard JSON) + a ledger smoke (one --quick traced pass of the
-# detailed_churn and detailed_ring benchmark workloads: the tracer's
-# trace points must still resolve under src/, the workload's output
+# detailed_churn, detailed_ring and scalable_paper benchmark workloads:
+# the tracer's trace points must still resolve under src/, the output
 # checks must pass, and the traced run must end on the untraced run's
 # fingerprint).
 #
@@ -334,7 +334,7 @@ fi
 if [ "$run_ledger" = 1 ]; then
   if PYTHONPATH=src python -c "import numpy" >/dev/null 2>&1; then
     echo "== ledger smoke (traced --quick pass: trace points, output checks, fingerprint) =="
-    for workload in detailed_churn detailed_ring; do
+    for workload in detailed_churn detailed_ring scalable_paper; do
       if command -v timeout >/dev/null 2>&1; then
         timeout 120 python3 benchmarks/ledger/run.py --workload "$workload" \
           --seed 0 --seconds 1 --quick --trace 1 >/dev/null || status=1

@@ -14,7 +14,9 @@ number of live nodes sharing its l-bit prefix, maintained in per-level
 prefix population counters (``_counts[l]``, one ``int32`` cell per l-bit
 prefix).  Per-level *membership* counters (``_level_counts[l]``) count only
 the level-l nodes per prefix; they give audience compositions for the
-error and bandwidth accounting.
+error and bandwidth accounting.  Each family is one flat table (cell of
+``(l, prefix)`` = ``2^l - 1 + prefix``, the per-level arrays are views), so
+one event reads or updates its ``max_level + 1`` cells with one gather.
 
 Dynamics
 --------
@@ -40,7 +42,16 @@ report leg, and the multicast tree depth at level l times the per-hop
 cost (1 s processing + mean underlay latency).  Per-level tree depths and
 sender out-degrees are *measured*, not assumed: the engine periodically
 runs the exact §4.2 binomial dissemination over the real audience of a
-random subject (vectorized; see :func:`binomial_broadcast`).
+random subject (see :func:`binomial_broadcast`).  That tree is fixed by
+the id trie and the strongest-first rule, so it is built bit-synchronously:
+
+* the groups still waiting at bit ``b`` are the id-trie nodes of depth ``b``;
+* one vector step per bit splits every group at once and re-roots each
+  split-off half under its strongest member;
+* "strongest" is a segmented minimum over the ``(level, id)`` rank.
+
+Cost: at most ``id_bits`` steps of O(n) array work (about 40 ms for the
+60,000-member audiences of the paper-scale run).
 
 Dividing by the integrated entry-seconds (sampled each measurement tick)
 gives exactly the paper's per-level peer-list error rate (figures 7, 10,
@@ -80,6 +91,11 @@ def binomial_broadcast(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run the §4.2 dissemination over an explicit audience.
 
+    Every node holding the event handles bit ``b`` in the same vector step:
+    the members it must still reach that differ from it at ``b`` get the
+    event through their strongest one (lowest level, then lowest id), who
+    serves them from bit ``b + 1`` on.  At most ``id_bits`` steps, each O(n).
+
     Parameters
     ----------
     ids, levels:
@@ -104,45 +120,55 @@ def binomial_broadcast(
     if n == 0:
         return depths, sender_counts
     depths[root_pos] = 0
-    all_idx = np.arange(n)
-    rest = all_idx[all_idx != root_pos]
-    # Work stack: (root position, depth, start bit, member positions)
-    stack: List[Tuple[int, int, int, np.ndarray]] = [(root_pos, 0, 0, rest)]
-    while stack:
-        rpos, depth, start_bit, members = stack.pop()
-        rid = ids[rpos]
-        idx = members
-        for b in range(start_bit, id_bits):
-            if idx.size == 0:
-                break
-            shift = np.uint64(id_bits - 1 - b)
-            bits = (ids[idx] >> shift) & np.uint64(1)
-            rbit = (rid >> shift) & np.uint64(1)
-            diff_mask = bits != rbit
-            if not diff_mask.any():
-                continue
-            diff = idx[diff_mask]
-            idx = idx[~diff_mask]
-            # Choose the strongest candidate (min level, then min id).
-            lv = levels[diff]
-            strongest = lv == lv.min()
-            cand = diff[strongest]
-            target = cand[np.argmin(ids[cand])]
-            depths[target] = depth + 1
-            sender_counts[rpos] += 1
-            rest_members = diff[diff != target]
-            if rest_members.size:
-                stack.append((int(target), depth + 1, b + 1, rest_members))
-            else:
-                depths[target] = depth + 1
-        # Members left in idx share every bit with the root — duplicates
-        # cannot occur (ids are unique), so idx must be empty here.
+    # Strongest-first rank (min level, then min id) and its inverse.
+    by_strength = np.lexsort((ids, levels))
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_strength] = np.arange(n)
+    # Undelivered members in id order, each beside the node that must
+    # reach it.  A root's members share its first ``b`` bits at bit ``b``
+    # (they are one node of the id trie), so they are one contiguous run.
+    members = np.argsort(ids, kind="stable")
+    members = members[members != root_pos]
+    roots = np.full(members.size, root_pos, dtype=np.intp)
+    one = np.uint64(1)
+    for b in range(id_bits):
+        if members.size == 0:
+            break
+        shift = np.uint64(id_bits - 1 - b)
+        split = np.flatnonzero(((ids[members] ^ ids[roots]) >> shift) & one)
+        if split.size == 0:
+            continue
+        # One run per root whose group splits at this bit: the root sends
+        # once, to the strongest member of the half it is not in, and that
+        # member takes the half over.
+        split_roots = roots[split]
+        new_run = np.concatenate(([True], split_roots[1:] != split_roots[:-1]))
+        run_starts = np.flatnonzero(new_run)
+        split_rank = rank[members[split]]
+        best = np.minimum.reduceat(split_rank, run_starts)
+        targets = by_strength[best]
+        senders = split_roots[run_starts]
+        depths[targets] = depths[senders] + 1
+        sender_counts[senders] += 1  # a root has one group: no repeats
+        run_of = np.cumsum(new_run) - 1
+        roots[split] = targets[run_of]
+        undelivered = np.ones(members.size, dtype=bool)
+        undelivered[split[split_rank == best[run_of]]] = False
+        members = members[undelivered]
+        roots = roots[undelivered]
+    # Anything still in ``members`` equals its root in every bit: a
+    # duplicate id, which a well-formed audience does not have.
     return depths, sender_counts
 
 
 # ---------------------------------------------------------------------------
 # Parameters and reports
 # ---------------------------------------------------------------------------
+
+
+#: Most cells one prefix-counter table may have (``2^(max_level+1) - 1``
+#: ``int32`` cells, two tables per simulation): 64 MiB each, max_level <= 23.
+COUNTER_TABLE_CELL_BUDGET = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -179,6 +205,22 @@ class ScalableParams:
             raise ValueError("lifetime_rate must be positive")
         if self.max_level < 1 or self.max_level > self.id_bits:
             raise ValueError("max_level must be in [1, id_bits]")
+        cells = (2 << self.max_level) - 1
+        if cells > COUNTER_TABLE_CELL_BUDGET:
+            raise ValueError(
+                f"max_level={self.max_level} needs {cells:,} cells per counter "
+                f"table; the budget is {COUNTER_TABLE_CELL_BUDGET:,}"
+            )
+        # A periodic tick with a non-positive period reschedules itself at
+        # the same simulated instant forever.
+        for name in (
+            "relevel_interval_s", "measure_interval_s", "tree_sample_interval_s",
+            "rate_window_s", "duration_s",
+        ):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not self.warmup_s >= 0:
+            raise ValueError("warmup_s must be non-negative")
 
 
 @dataclass
@@ -274,11 +316,17 @@ class ScalableSim:
         self._slot_of: Dict[int, int] = {}  # id value -> slot
 
         # Prefix population counters -----------------------------------
+        # One flat table each; the cell of (l, prefix) is 2^l - 1 + prefix,
+        # and ``_counts[l]`` / ``_level_counts[l]`` are views of level l.
         L = self.p.max_level
-        self._counts = [np.zeros(1 << min(l, L), dtype=np.int32) for l in range(L + 1)]
-        self._level_counts = [
-            np.zeros(1 << min(l, L), dtype=np.int32) for l in range(L + 1)
-        ]
+        self._cell_base = (1 << np.arange(L + 1, dtype=np.int64)) - 1
+        self._cell_shift = np.uint64(self.p.id_bits) - np.arange(L + 1, dtype=np.uint64)
+        self._counts_flat = np.zeros((2 << L) - 1, dtype=np.int32)
+        self._level_counts_flat = np.zeros((2 << L) - 1, dtype=np.int32)
+        self._counts, self._level_counts = (
+            [flat[(1 << l) - 1 : (2 << l) - 1] for l in range(L + 1)]
+            for flat in (self._counts_flat, self._level_counts_flat)
+        )
 
         # Measurement accumulators -------------------------------------
         self.stale_seconds = np.zeros(L + 1)
@@ -325,6 +373,26 @@ class ScalableSim:
             if value not in self._slot_of:
                 return value
 
+    def _random_ids(self, n: int) -> np.ndarray:
+        """What ``n`` calls of :meth:`_random_id` would return, in order.
+
+        One ``integers(size=k)`` call yields the values of k scalar calls
+        (pinned by ``test_batch_draw_is_scalar_draws``), and each round
+        draws exactly as many values as are still missing, so the stream is
+        consumed to the same point as by the scalar loop.
+        """
+        taken = np.fromiter(self._slot_of, dtype=np.uint64, count=len(self._slot_of))
+        values = np.empty(0, dtype=np.uint64)
+        while values.size < n:
+            draw = self._rng_ids.integers(
+                0, 1 << self.p.id_bits, size=n - values.size, dtype=np.uint64
+            )
+            values = np.concatenate([values, draw[~np.isin(draw, taken)]])
+            first = np.unique(values, return_index=True)[1]
+            if first.size < values.size:  # keep first occurrences, in draw order
+                values = values[np.sort(first)]
+        return values
+
     def _affordable_level(self, threshold: float) -> int:
         """§2 stationary level for the measured event rate."""
         rate = self._rate_estimate
@@ -338,11 +406,12 @@ class ScalableSim:
     def _prefix(self, value: int, l: int) -> int:
         return value >> (self.p.id_bits - min(l, self.p.max_level)) if l else 0
 
+    def _cells(self, value: int) -> np.ndarray:
+        """Flat-table cells of one id's prefixes, for l = 0..max_level."""
+        return (np.uint64(value) >> self._cell_shift).astype(np.int64) + self._cell_base
+
     def _counts_update(self, value: int, delta: int) -> None:
-        bits = self.p.id_bits
-        for l in range(1, self.p.max_level + 1):
-            self._counts[l][value >> (bits - l)] += delta
-        self._counts[0][0] += delta
+        self._counts_flat[self._cells(value)] += delta  # one cell per level
 
     def _add_node(self, value: int, level: int, threshold: float, now: float) -> int:
         slot = self._free.pop()
@@ -380,45 +449,43 @@ class ScalableSim:
 
     # -- error/bandwidth accounting ---------------------------------------------
 
-    def _delay_at_level(self, l: int, detection: float) -> float:
-        """Expected event-propagation delay to level-l audience members."""
-        if self._depth_samples[l] > 0:
-            depth = self._depth_by_level[l] / self._depth_samples[l]
-        else:
-            depth = max(1.0, math.log2(max(self.population, 2)) * 0.5)
+    def _delays(self, detection: float) -> np.ndarray:
+        """Expected event-propagation delay to the level-l audience members,
+        for l = 0..max_level."""
+        sampled = self._depth_samples > 0
+        depth = np.full(
+            sampled.size, max(1.0, math.log2(max(self.population, 2)) * 0.5)
+        )
+        np.divide(self._depth_by_level, self._depth_samples, out=depth, where=sampled)
         report_leg = self.mean_link_latency + self.p.processing_delay_s
         return detection + report_leg + depth * self._hop_delay
+
+    def _audience(self, subject_value: int) -> np.ndarray:
+        """How many level-l nodes hear about the subject, l = 0..max_level."""
+        return self._level_counts_flat[self._cells(subject_value)].astype(np.int64)
 
     def _account_event(self, subject_value: int, detection: float, stale: bool) -> None:
         """Charge one join/leave event's staleness/absence plus traffic."""
         if not self._measuring:
             return
-        bits = self.p.id_bits
-        for l in range(0, self.p.max_level + 1):
-            prefix = subject_value >> (bits - l) if l else 0
-            audience_l = int(self._level_counts[l][prefix])
-            if audience_l == 0:
-                continue
-            delay = self._delay_at_level(l, detection)
-            if stale:
-                self.stale_seconds[l] += delay * audience_l
-            else:
-                self.absent_seconds[l] += delay * audience_l
-        self._account_traffic(subject_value)
+        audience = self._audience(subject_value)
+        # A level nobody listens at is charged ``delay * 0``: nothing.
+        charge = self._delays(detection) * audience
+        if stale:
+            self.stale_seconds += charge
+        else:
+            self.absent_seconds += charge
+        self._charge_traffic(audience)
 
     def _account_traffic(self, subject_value: int) -> None:
         """Charge one multicast's bandwidth (any event kind)."""
-        if not self._measuring:
-            return
-        bits = self.p.id_bits
-        for l in range(0, self.p.max_level + 1):
-            prefix = subject_value >> (bits - l) if l else 0
-            audience_l = int(self._level_counts[l][prefix])
-            if audience_l == 0:
-                continue
-            # Each audience member receives the 1000-bit event and acks it.
-            self.bits_in[l] += audience_l * self.p.event_bits
-            self.bits_out[l] += audience_l * self.p.ack_bits
+        if self._measuring:
+            self._charge_traffic(self._audience(subject_value))
+
+    def _charge_traffic(self, audience: np.ndarray) -> None:
+        # Each audience member receives the 1000-bit event and acks it.
+        self.bits_in += audience * self.p.event_bits
+        self.bits_out += audience * self.p.ack_bits
         # Sender side of the multicast: distribute the tree's sends over
         # levels using the calibrated per-level out-degree profile.
         if self._send_samples > 0:
@@ -605,13 +672,30 @@ class ScalableSim:
         # Residual (stationary) lifetimes, so the population neither dips
         # nor surges after seeding.
         lifetimes = self.lifetimes.sample_residual(self._rng_life, n)
-        for i in range(n):
-            value = self._random_id()
-            level = self._affordable_level(float(thresholds[i]))
-            self._add_node(value, level, float(thresholds[i]), 0.0)
-            self.sim.schedule(float(lifetimes[i]), self._do_leave, value)
-            refresh_period = 2.0 * self.lifetimes.mean
-            if lifetimes[i] > refresh_period:
+        values = self._random_ids(n)
+        levels = np.fromiter(
+            (self._affordable_level(t) for t in thresholds.tolist()),
+            dtype=np.int16, count=n,
+        )
+        slots = self._free[: -n - 1 : -1]  # what n pops would return
+        del self._free[-n:]
+        self._slot_of.update(zip(values.tolist(), slots))
+        at = np.asarray(slots)
+        self.ids[at] = values
+        self.levels[at] = levels
+        self.thresholds[at] = thresholds
+        self.alive[at] = True
+        self.join_times[at] = 0.0
+        bits = self.p.id_bits
+        own = np.minimum(levels, self.p.max_level)
+        for l in range(self.p.max_level + 1):
+            prefixes = (values >> np.uint64(bits - l)).astype(np.int64)
+            self._counts[l] += np.bincount(prefixes, minlength=1 << l)
+            self._level_counts[l] += np.bincount(prefixes[own == l], minlength=1 << l)
+        refresh_period = 2.0 * self.lifetimes.mean
+        for value, lifetime in zip(values.tolist(), lifetimes.tolist()):
+            self.sim.schedule(lifetime, self._do_leave, value)
+            if lifetime > refresh_period:
                 self.sim.schedule(refresh_period, self._do_refresh, value, refresh_period)
 
     def run(self) -> ScalableResult:

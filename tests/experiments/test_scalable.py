@@ -1,11 +1,16 @@
 """Scalable-engine tests: bookkeeping invariants and physical sanity."""
 
+import json
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.scalable import (
+    COUNTER_TABLE_CELL_BUDGET,
     ScalableParams,
     ScalableSim,
     binomial_broadcast,
@@ -156,3 +161,122 @@ class TestValidation:
             ScalableParams(lifetime_rate=0.0)
         with pytest.raises(ValueError):
             ScalableParams(max_level=0)
+        ScalableParams(warmup_s=0.0)  # no warm-up is a valid choice
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            # A zero period used to reschedule its tick at one simulated
+            # instant forever: run() never returned.
+            ("measure_interval_s", 0.0),
+            ("relevel_interval_s", 0.0),
+            ("tree_sample_interval_s", -1.0),
+            ("rate_window_s", 0.0),
+            ("duration_s", 0.0),
+            ("warmup_s", -1.0),
+            ("measure_interval_s", float("nan")),
+        ],
+    )
+    def test_time_fields_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScalableParams(**{field: value})
+
+    def test_counter_tables_have_a_cell_budget(self):
+        """``max_level`` sizes two 2^(max_level+1)-cell tables; 40 would ask
+        NumPy for terabytes from inside ``ScalableSim.__init__``."""
+        with pytest.raises(ValueError, match=r"2,199,023,255,551 cells"):
+            ScalableParams(max_level=40)
+        deepest = COUNTER_TABLE_CELL_BUDGET.bit_length() - 2
+        ScalableParams(max_level=deepest)
+        with pytest.raises(ValueError, match="cells"):
+            ScalableParams(max_level=deepest + 1)
+
+
+class TestBatchSeeding:
+    """``seed_population`` draws its ids in one call; these pin the two facts
+    that make that the scalar loop's stream."""
+
+    @pytest.mark.parametrize("bits", [8, 32, 33, 48, 62])
+    def test_batch_draw_is_scalar_draws(self, bits):
+        k = 257
+        batch = np.random.default_rng(99).integers(0, 1 << bits, size=k, dtype=np.uint64)
+        rng = np.random.default_rng(99)
+        scalars = [int(rng.integers(0, 1 << bits, dtype=np.uint64)) for _ in range(k)]
+        assert batch.tolist() == scalars
+
+    @pytest.mark.parametrize("already", [0, 40])
+    def test_random_ids_is_random_id_repeated(self, already):
+        """With 200 of 256 possible ids wanted, most rounds collide: same
+        ids in the same order, and the stream left at the same draw."""
+        params = ScalableParams(n_target=200, id_bits=8, max_level=4, seed=5)
+        batch_sim, loop_sim = ScalableSim(params), ScalableSim(params)
+        for sim in (batch_sim, loop_sim):
+            for value in range(already):
+                sim._slot_of[value] = value
+        batch = batch_sim._random_ids(200 - already).tolist()
+        loop = []
+        for _ in range(200 - already):
+            loop.append(loop_sim._random_id())
+            loop_sim._slot_of[loop[-1]] = 0
+        assert batch == loop
+        assert batch_sim._rng_ids.integers(1 << 30) == loop_sim._rng_ids.integers(1 << 30)
+
+
+# ---------------------------------------------------------------------------
+# Golden: the whole result, to the last bit
+# ---------------------------------------------------------------------------
+
+GOLDEN_PATH = Path(__file__).with_name("golden_scalable.json")
+_SMALL = dict(n_target=2000, warmup_s=60.0, duration_s=120.0)
+GOLDEN_CASES = {
+    f"seed={seed},transit_stub={stub}": dict(_SMALL, seed=seed, use_transit_stub=stub)
+    for seed in (0, 7)
+    for stub in (True, False)
+}
+# The four above stay at level 0.  This one churns 50x faster and caps the
+# levels: seven populated levels, level changes, refreshes, the level cap.
+GOLDEN_CASES["seed=7,fast_churn"] = dict(
+    _SMALL, seed=7, lifetime_rate=0.02, duration_s=600.0, max_level=6
+)
+
+
+def golden_snapshot(**params) -> dict:
+    """Every number one small run reports, floats as ``repr`` strings."""
+    sim = ScalableSim(ScalableParams(**params))
+    res = sim.run()
+    scalars = {
+        name: getattr(res, name)
+        for name in (
+            "final_population", "measured_event_rate", "mean_error_rate",
+            "joins", "leaves", "level_changes", "refreshes",
+            "mean_tree_depth", "max_tree_depth", "mean_root_out_degree",
+        )
+    }
+    scalars["events_executed"] = sim.sim.events_executed
+    rows = [asdict(row) for row in res.rows]
+    return {
+        "scalars": {k: repr(v) for k, v in scalars.items()},
+        "rows": [{k: repr(v) for k, v in row.items()} for row in rows],
+    }
+
+
+class TestGolden:
+    """The tier-1 counterpart of the benchmark ledger's fingerprint: any
+    change to a draw, an event order or one float operation shows here.
+    Regenerate (only for an intended behaviour change) with
+    ``PYTHONPATH=src python tests/experiments/test_scalable.py``."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_result_is_bit_identical(self, case):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        assert golden_snapshot(**GOLDEN_CASES[case]) == golden[case]
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(
+        json.dumps(
+            {case: golden_snapshot(**kw) for case, kw in GOLDEN_CASES.items()},
+            indent=1,
+        )
+        + "\n"
+    )
