@@ -13,7 +13,6 @@ Usage (from the repo root)::
     python scripts/bench_trajectory.py            # rewrite BENCH_health.json
     python scripts/bench_trajectory.py --check    # compare, don't write
     python scripts/bench_trajectory.py --quick    # smoke cells only
-    python scripts/bench_trajectory.py --perf     # also print perf rows
     python scripts/bench_trajectory.py --baselines  # also BENCH_baselines.json
 
 ``--baselines`` regenerates (or, with ``--check``, byte-compares)
@@ -23,23 +22,12 @@ over one identical churn workload.  Like the health trajectory it is a
 pure function of its seed matrix, so the committed file is
 byte-identical across reruns and engines.
 
-``--perf`` measures machine-dependent engine-cost rows (wall-clock ns
-per simulator event and the process's peak RSS) for fixed reference
-workloads and writes them to ``BENCH_perf.json``.  Those numbers never
-go into BENCH_health.json — the committed trajectory stays a pure
-byte-identical function of the seed matrix — they live in their own
-document with an explicit comparison tolerance, because wall-clock cost
-is reproducible only *approximately* on the machine that produced it.
-
-``--perf --check`` compares a fresh measurement against the committed
-``BENCH_perf.json``: event counts must match exactly (they are
-deterministic), while ``ns_per_event`` and ``peak_rss_mb`` may regress
-by at most the file's own ``tolerance`` fractions (default 0.50 — CI
-machines are noisy; the point is to flag order-of-magnitude cost
-regressions, not jitter).  Improvements never fail the check.
+Engine cost (wall clock, RSS, per-layer breakdown) is not measured here:
+that is ``benchmarks/ledger/``, whose numbers are machine-dependent and
+therefore kept out of the byte-identical documents this script owns.
 
 Exit status: 0 when every cell is healthy (and, under ``--check``, the
-file matches / perf is within tolerance); 1 otherwise.
+file matches); 1 otherwise.
 """
 
 from __future__ import annotations
@@ -47,9 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import resource
 import sys
-import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -64,132 +50,6 @@ from benchmarks.bench_health import (  # noqa: E402
 
 def render(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-#: (n_nodes, sim duration) of the ``--perf`` reference workloads: a
-#: staggered-join network under the paper-scale default config.
-PERF_MATRIX = ((40, 120.0), (100, 120.0))
-
-#: Where the engine-cost point lives (repo root, next to BENCH_health).
-PERF_PATH = os.path.join(ROOT, "BENCH_perf.json")
-
-#: Allowed *regression* fractions for ``--perf --check``: a fresh
-#: measurement may be up to ``(1 + tolerance)`` times the committed
-#: value before the check fails.  Wall clock and RSS wobble with CPU
-#: contention and allocator state, but repeated same-machine runs stay
-#: well inside these bands; the gate exists to catch real engine-cost
-#: regressions (a hot-path slip, a leak that grows peak memory), not
-#: scheduler noise.  The check takes the *tighter* of this constant and
-#: the committed file's own ``tolerance``, so a stale committed file can
-#: never loosen the gate below what the current tree demands.
-PERF_TOLERANCE = {"ns_per_event": 0.35, "peak_rss_mb": 0.30}
-
-
-def run_perf_cell(n_nodes: int, duration: float, seed: int = 0) -> dict:
-    """One engine-cost row: wall ns/event and peak RSS for a sequential
-    run of ``n_nodes`` over ``duration`` simulated seconds.
-
-    Peak RSS is process-wide and monotone (``ru_maxrss``), so later rows
-    inherit earlier rows' high-water mark; the first row is the cleanest
-    memory reading.
-    """
-    from repro.core.config import ProtocolConfig
-    from repro.core.protocol import PeerWindowNetwork
-    from repro.net.latency import PairwiseLatencyModel
-
-    t0 = time.perf_counter()
-    net = PeerWindowNetwork(
-        config=ProtocolConfig(),
-        topology=PairwiseLatencyModel(),
-        master_seed=seed,
-    )
-    bootstrap = net.add_first_node(4000.0)
-    for i in range(1, n_nodes):
-        net.sim.schedule(1.0 * i, net.add_node, 4000.0, bootstrap)
-    net.run(until=duration)
-    wall = time.perf_counter() - t0
-    events = net.sim._events_executed
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {
-        "n_nodes": n_nodes,
-        "duration": duration,
-        "events": events,
-        "wall_s": wall,
-        "ns_per_event": 1e9 * wall / max(1, events),
-        "peak_rss_mb": peak_kb / 1024.0,
-    }
-
-
-def build_perf_doc() -> dict:
-    """Measure every reference workload and wrap the rows in the
-    BENCH_perf.json document (schema + the comparison tolerance that
-    future checks of this file must honour)."""
-    return {
-        "schema": "repro.bench.perf",
-        "schema_version": 1,
-        "tolerance": dict(PERF_TOLERANCE),
-        "cells": [run_perf_cell(n, duration) for n, duration in PERF_MATRIX],
-    }
-
-
-def print_perf_rows(doc: dict) -> None:
-    print("\nengine cost (machine-dependent; see BENCH_perf.json):")
-    print(f"  {'n':>4} {'sim-dur':>8} {'events':>9} {'wall':>8} "
-          f"{'ns/event':>9} {'peak-RSS':>9}")
-    for row in doc["cells"]:
-        print(f"  {row['n_nodes']:>4} {row['duration']:>7.0f}s "
-              f"{row['events']:>9} {row['wall_s']:>7.2f}s "
-              f"{row['ns_per_event']:>9.0f} {row['peak_rss_mb']:>7.1f}MB")
-
-
-def check_perf(fresh: dict, path: str) -> list:
-    """Compare a fresh measurement against the committed perf point.
-
-    Returns a list of problem strings (empty when the check passes).
-    Event counts are deterministic and must match exactly; the cost
-    axes may exceed the committed value by at most the committed file's
-    own ``tolerance`` fraction.  Getting *faster* never fails.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            committed = json.load(fh)
-    except OSError:
-        return [f"missing {path}; run --perf without --check to create it"]
-    problems = []
-    committed_tol = committed.get("tolerance", {})
-    old_cells = {(c["n_nodes"], c["duration"]): c
-                 for c in committed.get("cells", [])}
-    for cell in fresh["cells"]:
-        key = (cell["n_nodes"], cell["duration"])
-        old = old_cells.get(key)
-        label = f"n={cell['n_nodes']} dur={cell['duration']:.0f}"
-        if old is None:
-            problems.append(f"{label}: no committed cell (file is stale)")
-            continue
-        if cell["events"] != old["events"]:
-            problems.append(
-                f"{label}: events {cell['events']} != committed "
-                f"{old['events']} (engine behaviour changed; regenerate)"
-            )
-        for axis in ("ns_per_event", "peak_rss_mb"):
-            # Tighter of the current constant and the committed file's
-            # own band: regenerating with an old script can't widen it.
-            tol = min(
-                PERF_TOLERANCE[axis],
-                float(committed_tol.get(axis, PERF_TOLERANCE[axis])),
-            )
-            limit = old[axis] * (1.0 + tol)
-            if cell[axis] > limit:
-                problems.append(
-                    f"{label}: {axis} regressed — measured {cell[axis]:.1f}"
-                    f" > limit {limit:.1f} (committed {old[axis]:.1f}"
-                    f" + {100 * tol:.0f}% tolerance).  If this tree is"
-                    f" intentionally more expensive (new instrumentation,"
-                    f" bigger state), re-baseline on a quiet machine with"
-                    f" `python scripts/bench_trajectory.py --perf`;"
-                    f" otherwise profile the regression before merging."
-                )
-    return problems
 
 
 def run_baselines(check: bool, out: str) -> int:
@@ -233,14 +93,6 @@ def main(argv=None) -> int:
                         help="compare against the existing file instead of writing")
     parser.add_argument("--quick", action="store_true",
                         help="run only the smoke cells (fast sanity pass)")
-    parser.add_argument("--perf", action="store_true",
-                        help="also measure ns/event + peak-RSS for the fixed "
-                             "reference workloads and write (or, with "
-                             "--check, compare within tolerance) "
-                             "BENCH_perf.json")
-    parser.add_argument("--perf-out", default=PERF_PATH,
-                        help="perf output path (default: repo-root "
-                             "BENCH_perf.json)")
     parser.add_argument("--baselines", action="store_true",
                         help="also regenerate (or --check) the committed "
                              "protocol-tournament scorecard "
@@ -280,21 +132,6 @@ def main(argv=None) -> int:
             fh.write(text)
         print(f"wrote {args.out} ({doc['summary']['cells']} cells)")
     status = 0 if doc["summary"]["healthy"] else 1
-    if args.perf:
-        perf_doc = build_perf_doc()
-        print_perf_rows(perf_doc)
-        if args.check:
-            problems = check_perf(perf_doc, args.perf_out)
-            for problem in problems:
-                print(f"perf: {problem}")
-            if problems:
-                status = 1
-            else:
-                print(f"{args.perf_out} is within tolerance")
-        else:
-            with open(args.perf_out, "w", encoding="utf-8") as fh:
-                fh.write(render(perf_doc))
-            print(f"wrote {args.perf_out} ({len(perf_doc['cells'])} cells)")
     if args.baselines:
         print("tournament scorecard:")
         rc = run_baselines(args.check, args.baselines_out)

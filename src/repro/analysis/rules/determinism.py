@@ -83,7 +83,7 @@ class WallClockRule(Rule):
     rationale = (
         "Timestamps must come from the simulated clock (runtime.now); a "
         "host-clock read makes output depend on machine speed, breaking "
-        "bit-identical sequential/partitioned/threaded replays.  Only "
+        "bit-identical sequential/partitioned replays.  Only "
         "repro.obs.profile (whose whole job is wall-clock attribution), "
         "repro.live.clock (the realtime backend's one sanctioned time "
         "source — everything else in repro.live must go through its "

@@ -8,8 +8,9 @@ Public surface:
 * the protocol — :class:`PeerWindowNode` (one participant, a thin
   coordinator over the join/levelshift/failure/dissemination/maintenance
   services) and :class:`PeerWindowNetwork` (a whole simulated deployment);
-* execution — :class:`NodeRuntime` with the sequential :class:`SimRuntime`
-  and the conservative-parallel :class:`PartitionedRuntime`;
+* execution — the sequential :class:`SimRuntime` and the
+  conservative-parallel :class:`PartitionedRuntime`, the two simulated
+  instantiations of :class:`repro.kernel.runtime.NodeRuntime`;
 * the §2 analytic model — :class:`CostModel`, :func:`estimate_join_level`;
 * configuration — :class:`ProtocolConfig`.
 """
@@ -52,7 +53,7 @@ from repro.core.peerlist import PeerList
 from repro.core.pointer import Pointer
 from repro.core.protocol import LevelReport, PeerWindowNetwork
 from repro.core.refresh import LifetimeEstimator, RefreshManager
-from repro.core.runtime import NodeRuntime, PartitionedRuntime, SimRuntime
+from repro.core.runtime import PartitionedRuntime, SimRuntime
 from repro.core.topnodes import CrossPartTopList, TopNodeList
 
 __all__ = [
@@ -76,7 +77,6 @@ __all__ = [
     "NodeContext",
     "NodeId",
     "NodeIdError",
-    "NodeRuntime",
     "NodeStats",
     "NotAliveError",
     "PAPER_COMMON_CONFIG",

@@ -23,8 +23,8 @@ from repro.core.nodeid import NodeId, eigenstring
 from repro.core.peerlist import PeerList
 from repro.core.pointer import Pointer
 from repro.core.refresh import LifetimeEstimator, RefreshManager
-from repro.core.runtime import NodeRuntime
 from repro.core.topnodes import CrossPartTopList, TopNodeList
+from repro.kernel.runtime import NodeRuntime
 from repro.obs.trace import NodeObs
 from repro.sim.engine import EventHandle
 

@@ -13,7 +13,7 @@ One service instance per node, owning:
 * applying received events to the shared peer list and top-node list.
 
 The service is runtime-agnostic: it talks to the network exclusively
-through :class:`~repro.core.runtime.NodeRuntime`.
+through :class:`~repro.kernel.runtime.NodeRuntime`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.core.context import NodeContext
 from repro.core.events import EventKind, EventRecord, apply_event
 from repro.core.multicast import MulticastForwarder
 from repro.core.pointer import Pointer
-from repro.core.runtime import NodeRuntime
+from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
 from repro.obs import metrics as m
 from repro.obs.trace import Span, SpanRef

@@ -19,7 +19,7 @@ from typing import Optional
 from repro.core.context import NodeContext
 from repro.core.events import EventKind, EventRecord
 from repro.core.pointer import Pointer
-from repro.core.runtime import NodeRuntime
+from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
 from repro.obs import metrics as m
 from repro.obs.trace import Span

@@ -29,7 +29,7 @@ from repro.core.events import EventKind
 from repro.core.levelshift import LevelShiftService
 from repro.core.nodeid import NodeId
 from repro.core.pointer import Pointer
-from repro.core.runtime import NodeRuntime
+from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
 from repro.obs import metrics as m
 from repro.obs.trace import Span

@@ -19,7 +19,7 @@ from repro.core.events import EventKind
 from repro.core.levels import LevelDecision
 from repro.core.nodeid import eigenstring
 from repro.core.pointer import Pointer
-from repro.core.runtime import NodeRuntime
+from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
 from repro.obs import metrics as m
 from repro.obs.trace import Span

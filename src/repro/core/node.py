@@ -16,9 +16,8 @@ machinery, each concern implemented by a dedicated service sharing one
 
 The coordinator itself owns only lifecycle (bootstrap / install / join /
 leave / crash), message dispatch, and the public accessors the harness
-and tests use.  It runs against a :class:`~repro.core.runtime.NodeRuntime`
-— pass ``runtime=`` directly, or the classic ``sim=``/``transport=`` pair
-which is wrapped in a :class:`~repro.core.runtime.SimRuntime`.
+and tests use.  It runs against whatever
+:class:`~repro.kernel.runtime.NodeRuntime` it is handed as ``runtime=``.
 
 Part handling (§4.4): each node tracks whether it believes itself a *top
 node* (no stronger node in its part).  Top nodes answer reports with
@@ -45,10 +44,8 @@ from repro.core.levelshift import LevelShiftService
 from repro.core.maintenance import MaintenanceService
 from repro.core.nodeid import NodeId
 from repro.core.pointer import Pointer
-from repro.core.runtime import NodeRuntime, SimRuntime
+from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
-from repro.net.transport import Transport
-from repro.sim.engine import Simulator
 
 __all__ = ["PeerWindowNode", "NodeStats"]
 
@@ -64,8 +61,6 @@ class PeerWindowNode:
 
     def __init__(
         self,
-        sim: Optional[Simulator] = None,
-        transport: Optional[Transport] = None,
         config: Optional[ProtocolConfig] = None,
         node_id: Optional[NodeId] = None,
         address: Hashable = None,
@@ -76,19 +71,9 @@ class PeerWindowNode:
         runtime: Optional[NodeRuntime] = None,
         obs: Any = None,
     ):
-        if runtime is None:
-            if sim is None or transport is None:
-                raise ValueError(
-                    "PeerWindowNode needs either runtime= or both sim= and transport="
-                )
-            runtime = SimRuntime(sim, transport)
-        if config is None or node_id is None or rng is None:
-            raise ValueError("config, node_id and rng are required")
+        if runtime is None or config is None or node_id is None or rng is None:
+            raise ValueError("runtime, config, node_id and rng are required")
         self.runtime = runtime
-        #: Kept for the sequential-harness/test surface; ``None`` when the
-        #: runtime does not expose them (it always does for SimRuntime).
-        self.sim = getattr(runtime, "sim", None)
-        self.transport = getattr(runtime, "transport", None)
         self._on_left = on_left
 
         self.ctx = NodeContext(

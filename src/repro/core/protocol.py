@@ -67,7 +67,6 @@ class PeerWindowNetwork:
         sim: Optional[Simulator] = None,
         parallel: Optional[int] = None,
         lookahead: Optional[float] = None,
-        threads: bool = False,
         observability: bool = False,
     ):
         """``sim`` lets a caller embed the network in an externally-owned
@@ -84,8 +83,7 @@ class PeerWindowNetwork:
         a fixed-seed run produces bit-for-bit the same results as the
         sequential engine — including under ``loss_rate > 0``, whose drop
         decisions are hash-derived per message rather than RNG-drawn.  ``lookahead`` defaults to the
-        topology's minimum latency; ``threads=True`` runs each epoch's LPs
-        on a thread pool."""
+        topology's minimum latency."""
         self.config = config if config is not None else ProtocolConfig()
         self.streams = RandomStreams(master_seed)
         self.parallel = parallel
@@ -107,7 +105,6 @@ class PeerWindowNetwork:
                 parallel,
                 self.topology,
                 lookahead=lookahead,
-                threads=threads,
                 loss_rate=loss_rate,
                 loss_seed=master_seed,
             )
@@ -415,40 +412,6 @@ class PeerWindowNetwork:
 
             prof = PhaseProfiler()
         return prof.snapshot()
-
-    # -- live monitoring --------------------------------------------------
-
-    def enable_monitoring(self, interval: float = 30.0) -> Dict[str, Any]:
-        """Record population / error-rate / level-count time series every
-        ``interval`` simulated seconds.  Returns the dict of
-        :class:`~repro.sim.monitor.TimeSeries` (live — it fills as the
-        simulation runs); calling again replaces the previous monitor.
-        """
-        from repro.sim.monitor import TimeSeries
-
-        if self.parallel is not None:
-            raise NotImplementedError(
-                "monitoring samples the whole network from one event queue; "
-                "in partitioned mode take snapshots between run() calls instead"
-            )
-        series = {
-            "population": TimeSeries("population"),
-            "mean_error_rate": TimeSeries("mean_error_rate"),
-            "n_levels": TimeSeries("n_levels"),
-        }
-
-        def sample() -> None:
-            now = self.sim.now
-            live = self.live_nodes()
-            series["population"].record(now, float(len(live)))
-            series["mean_error_rate"].record(now, self.mean_error_rate())
-            series["n_levels"].record(now, float(len(self.level_histogram())))
-
-        if getattr(self, "_monitor_task", None) is not None:
-            self._monitor_task.cancel()
-        self._monitor_task = self.sim.every(interval, sample, start_delay=0.0)
-        self.monitor_series = series
-        return series
 
     def parts(self) -> Dict[str, int]:
         """Current part structure (prefix -> population), from the oracle

@@ -3,8 +3,8 @@
 The PeerWindow services (join, failure detection, dissemination,
 maintenance) never touch a simulator or a transport directly; they are
 written against :class:`repro.kernel.runtime.NodeRuntime` — a clock,
-timers, and a message fabric (re-exported here for compatibility).
-This module provides the two discrete-event instantiations (the third,
+timers, and a message fabric.  This module provides the two
+discrete-event instantiations (the third,
 :class:`repro.live.runtime.RealtimeRuntime`, runs over real sockets):
 
 * :class:`SimRuntime` — the classic pairing of one sequential
@@ -26,7 +26,7 @@ correctness property conservative parallel DES must preserve, verified by
 ``tests/integration/test_parallel_equivalence.py``):
 
 * per-LP transports keep private counters, pending-request maps and
-  endpoint tables, so threaded epochs never race on shared state;
+  endpoint tables, so no LP reads or writes another LP's state;
 * message delays come from the topology's **pure** ``pair_latency``
   function — computing a delay never reads shared liveness state, and the
   destination-dead check happens at delivery time inside the destination
@@ -51,7 +51,7 @@ from repro.net.transport import Endpoint, PartitionedTransport, Transport
 from repro.sim.engine import EventHandle, PeriodicTask, Simulator
 from repro.sim.parallel import ParallelSimulator
 
-__all__ = ["NodeRuntime", "PartitionedRuntime", "SimRuntime"]
+__all__ = ["PartitionedRuntime", "SimRuntime"]
 
 
 class SimRuntime(NodeRuntime):
@@ -130,9 +130,6 @@ class PartitionedRuntime:
         Conservative window width; defaults to ``topology.min_latency()``.
         Must not exceed it — a cross-LP message below the lookahead is a
         contract violation the LP refuses.
-    threads:
-        Run each epoch's LPs on a thread pool.  Results are identical
-        either way; per-LP state isolation is what makes that safe.
     loss_rate:
         Independent message loss.  Drop decisions are hash-derived from
         ``(loss_seed, source, per-source send sequence)`` — not drawn from
@@ -149,7 +146,6 @@ class PartitionedRuntime:
         nranks: int,
         topology: Topology,
         lookahead: Optional[float] = None,
-        threads: bool = False,
         ewma_tau: float = 120.0,
         loss_rate: float = 0.0,
         loss_seed: int = 0,
@@ -167,7 +163,7 @@ class PartitionedRuntime:
                 "conservative contract"
             )
         self.topology = topology
-        self.psim = ParallelSimulator(nranks=nranks, lookahead=lookahead, threads=threads)
+        self.psim = ParallelSimulator(nranks=nranks, lookahead=lookahead)
         self.transports: List[PartitionedTransport] = [
             PartitionedTransport(
                 lp.sim,
@@ -183,7 +179,7 @@ class PartitionedRuntime:
             SimRuntime(lp.sim, tr) for lp, tr in zip(self.psim.lps, self.transports)
         ]
         #: address -> owning rank; written only between epochs (node
-        #: creation happens outside ``run``), read from any LP thread.
+        #: creation happens outside ``run``), read from any LP.
         self._directory: Dict[Hashable, int] = {}
 
     # -- partitioning ------------------------------------------------------
@@ -253,8 +249,8 @@ class PartitionedRuntime:
 
     def enable_profiling(self) -> None:
         """Attach wall-clock phase profilers: one per LP (event dispatch +
-        transport delivery, thread-confined to that LP's worker) plus a
-        coordinator profiler for epoch orchestration (LP run vs barrier).
+        transport delivery) plus a coordinator profiler for epoch
+        orchestration (LP run vs barrier).
 
         Wall-clock numbers are diagnostics only — they never feed back
         into the simulation, so determinism is unaffected."""

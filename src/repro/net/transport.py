@@ -462,8 +462,9 @@ class PartitionedTransport(Transport):
     """One logical process's share of a partitioned transport fabric.
 
     Each LP owns one instance: a private endpoint map, pending-request map,
-    and counter set, all mutated only from its own event queue — which is
-    what makes threaded epoch execution race-free.  Differences from the
+    and counter set, all mutated only from its own event queue, so no LP
+    can observe another's progress outside the message fabric.
+    Differences from the
     sequential :class:`Transport`:
 
     * routing uses the router's *pure* pairwise latency, so computing a

@@ -467,9 +467,8 @@ class LiveHealthMonitor:
     ``halt_on_breach`` the simulator is stopped on the first breach so
     long experiments fail fast.
 
-    Sequential-engine only, like
-    :meth:`~repro.core.protocol.PeerWindowNetwork.enable_monitoring` —
-    partitioned runs evaluate the same spec post-hoc instead.
+    Sequential-engine only (it samples the whole network from one event
+    queue) — partitioned runs evaluate the same spec post-hoc instead.
     """
 
     def __init__(

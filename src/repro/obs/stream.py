@@ -15,7 +15,8 @@ on:
   untouched, so merged exports stay byte-identical with or without a
   bus attached.  With no subscriber the hooks are a ``sink is None``
   check behind the existing ``enabled`` guard — the disabled hot path
-  stays one ``if`` (see ``benchmarks/bench_obs_overhead.py``).
+  stays one ``if`` (ledger rows ``obs.disabled_guard_ns`` /
+  ``obs.run_overhead_ratio``).
 * :class:`StreamWindower` drives ``net.run`` in fixed sim-clock window
   strides and closes one :class:`frame <WindowAggregator>` per window.
   Events are bucketed by the stride that published them; both engines
@@ -85,9 +86,8 @@ class NodeTap:
 
     Installed in the ``sink`` slot of one node's :class:`NodeObs` and
     :class:`MetricsRegistry`; only ever written from that node's own
-    event queue (race-free under threaded epochs, same ownership
-    argument as the span buffers).  Drained between simulation strides
-    from the coordinating thread.
+    event queue (same ownership argument as the span buffers).  Drained
+    between simulation strides.
     """
 
     __slots__ = ("node", "spans", "counts")
@@ -438,9 +438,12 @@ def load_frames(lines: Sequence[str]) -> Tuple[List[Dict[str, Any]], int, int]:
 
     Malformed or truncated lines — a node killed mid-write leaves a
     partial tail — are skipped and counted, mirroring the span loader's
-    contract.  A header from a *newer* schema version still raises
-    :class:`SchemaError`: silently misreading frames from a future
-    writer is worse than refusing."""
+    contract; so is a frame whose ``window`` is not an int or whose
+    ``t1`` is not a number, which the merge and the renderers index and
+    compare without looking again.  A header whose schema version is
+    *newer*, or not an int at all, still raises :class:`SchemaError`:
+    silently misreading frames from a future writer is worse than
+    refusing."""
     frames: List[Dict[str, Any]] = []
     version = TELEMETRY_SCHEMA_VERSION
     skipped = 0
@@ -457,14 +460,17 @@ def load_frames(lines: Sequence[str]) -> Tuple[List[Dict[str, Any]], int, int]:
             skipped += 1
             continue
         if obj.get("schema") == TELEMETRY_SCHEMA and "window" not in obj:
-            version = int(obj.get("schema_version", 0))
-            if version > TELEMETRY_SCHEMA_VERSION:
+            declared = obj.get("schema_version", 0)
+            if not isinstance(declared, int) or declared > TELEMETRY_SCHEMA_VERSION:
                 raise SchemaError(
-                    f"telemetry schema_version {version} is newer than "
-                    f"supported version {TELEMETRY_SCHEMA_VERSION}"
+                    f"telemetry schema_version {declared!r} is not a version "
+                    f"this build reads (<= {TELEMETRY_SCHEMA_VERSION})"
                 )
+            version = declared
             continue
-        if "window" not in obj or "t1" not in obj:
+        if not isinstance(obj.get("window"), int) or not isinstance(
+            obj.get("t1"), (int, float)
+        ):
             skipped += 1
             continue
         frames.append(obj)

@@ -15,14 +15,14 @@ the same seed must emit byte-identical span logs):
   every execution mode;
 * timestamps are **simulated** seconds, never wall clock;
 * spans are buffered per node (one :class:`NodeObs` per node, touched
-  only by the node's own logical process — race-free under threaded
-  epochs) and merged in sorted node order at export time;
+  only by the node's own logical process) and merged in sorted node
+  order at export time;
 * tracing draws nothing from any RNG and sends no extra messages, so an
   enabled tracer cannot perturb the protocol it observes.
 
 With ``enabled=False`` (the default everywhere) every hook is a single
-attribute check; see ``benchmarks/bench_obs_overhead.py`` for the
-measured cost.
+attribute check; the ledger rows ``obs.disabled_guard_ns`` and
+``obs.run_overhead_ratio`` (``benchmarks/ledger/``) are the measured cost.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ class Observability:
 
     Views are created only between simulation runs (node construction
     happens outside ``run()`` in partitioned mode), so the views dict is
-    never written from LP threads.
+    never written while an LP runs.
     """
 
     def __init__(self, enabled: bool = False):

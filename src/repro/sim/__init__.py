@@ -9,37 +9,31 @@ execution model in pure Python:
   processes.
 * :class:`~repro.sim.parallel.ParallelSimulator` — a conservative
   (lookahead-synchronized) logical-process engine mirroring ONSP's
-  parallel-DES design, runnable deterministically on a single host.
+  parallel-DES design, run deterministically in rank order on a single
+  host: a determinism and LP-isolation oracle, not a speed-up.
 * :mod:`~repro.sim.rng` — named, reproducible random streams derived from a
   single master seed (one stream per model component, so adding a component
   never perturbs another component's draws).
-* :mod:`~repro.sim.monitor` — time-weighted statistics, counters and
-  histograms for instrumentation.
-* :mod:`~repro.sim.queues` — an alternative calendar-queue scheduler with
-  the same interface as the heap scheduler.
+* :mod:`~repro.sim.queues` — the heap pending-event set every simulator
+  uses (and the calendar queue the benchmark ledger still times against it).
+
+Observation lives in :mod:`repro.obs` (spans, metrics, telemetry frames,
+``PhaseProfiler``), not here.
 """
 
 from repro.sim.engine import Event, EventHandle, Simulator, SimulationError
-from repro.sim.monitor import Counter, Histogram, TimeSeries, TimeWeightedStat
 from repro.sim.parallel import LogicalProcess, ParallelSimulator
 from repro.sim.queues import CalendarQueue, HeapQueue
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import SimTracer, TraceRecord
 
 __all__ = [
     "CalendarQueue",
-    "Counter",
     "Event",
     "EventHandle",
     "HeapQueue",
-    "Histogram",
     "LogicalProcess",
     "ParallelSimulator",
     "RandomStreams",
-    "SimTracer",
     "SimulationError",
     "Simulator",
-    "TraceRecord",
-    "TimeSeries",
-    "TimeWeightedStat",
 ]

@@ -1,9 +1,9 @@
 """Sequential discrete-event simulation core.
 
 The engine is deliberately small and fast: events are ``(time, seq,
-callback)`` triples in a pending-event set (heap by default, calendar queue
-optionally), with *lazy cancellation* — cancelling marks the handle dead and
-the dispatcher drops dead entries on pop, which avoids O(n) heap surgery.
+callback)`` triples in a binary-heap pending-event set, with *lazy
+cancellation* — cancelling marks the handle dead and the dispatcher drops
+dead entries on pop, which avoids O(n) heap surgery.
 
 Two programming styles are supported:
 
@@ -20,9 +20,9 @@ event orders, which the test suite relies on.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Union
+from typing import Any, Callable, Generator, List, Optional
 
-from repro.sim.queues import CalendarQueue, HeapQueue
+from repro.sim.queues import HeapQueue
 
 
 class SimulationError(RuntimeError):
@@ -160,18 +160,10 @@ class Simulator:
     ----------
     start_time:
         Initial simulation clock value (seconds).
-    queue:
-        ``"heap"`` (default) or ``"calendar"`` — the pending-event set
-        implementation.
     """
 
-    def __init__(self, start_time: float = 0.0, queue: str = "heap"):
-        if queue == "heap":
-            self._queue: Union[HeapQueue, CalendarQueue] = HeapQueue()
-        elif queue == "calendar":
-            self._queue = CalendarQueue()
-        else:
-            raise ValueError(f"unknown queue kind {queue!r}")
+    def __init__(self, start_time: float = 0.0):
+        self._queue = HeapQueue()
         self._now = float(start_time)
         self._seq = 0
         self._events_executed = 0
@@ -295,20 +287,18 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None``.
 
-        Dead (cancelled) heads are dropped; the first live head is popped
-        and reinserted with its original sequence number, so FIFO ties are
-        preserved.  (No ``peek_time`` pre-check: for the calendar queue
-        that is an O(n) scan, which would make run() quadratic.)
+        Dead (cancelled) heads are discarded; the first live head is read
+        in place, so ``(time, seq)`` order — FIFO ties included — is
+        untouched.
         """
+        queue = self._queue
         while True:
-            try:
-                entry = self._queue.pop()
-            except IndexError:
+            head = queue.peek()
+            if head is None:
                 return None
-            if entry[2].cancelled:
-                continue
-            self._queue.push(*entry)
-            return entry[0]
+            if not head[2].cancelled:
+                return head[0]
+            queue.pop()
 
     def stop(self) -> None:
         """Request that the current (or next) :meth:`run` return after the

@@ -16,19 +16,24 @@ reproduces that execution model on a single host:
   scheme, the same safety argument as null-message (Chandy–Misra–Bryant)
   protocols with uniform lookahead.
 
-Epochs run LPs sequentially in rank order by default, which is fully
-deterministic; ``threads=True`` runs each epoch's LPs on a thread pool
-(CPython's GIL limits speedup, but the mode demonstrates — and the test
-suite verifies — that the partitioned execution produces results identical
-to sequential execution, which is the correctness property parallel DES
-must preserve).
+Each epoch runs the LPs one after another in rank order, which is fully
+deterministic.  What this engine is for is *correctness*, not speed: it is
+a determinism and LP-isolation oracle.  A fixed-seed partitioned run must
+be bit-for-bit the sequential run — the property parallel DES has to
+preserve, and the one the test suite verifies — so any state one LP can
+see of another outside the message fabric shows up as a divergence (it
+found the shared-``Pointer`` and the boundary-settlement bugs).  In CPython
+partitioning is not a speed-up: the ledger's ``sim.parallel.lp2_wall_ratio``
+— two LPs against one queue on the same ring — reads about 1 (single
+readings scatter 0.85–1.3; 1.25 is the one ISSUE 14 quotes), and a thread
+pool on top measured 1.35× the sequential wall time under the GIL, so
+there is none.
 """
 
 from __future__ import annotations
 
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.sim.engine import SimulationError, Simulator
 
@@ -90,25 +95,20 @@ class ParallelSimulator:
     lookahead:
         Minimum cross-LP message latency, in simulated seconds.  Epoch
         length equals the lookahead.
-    threads:
-        Execute each epoch's LPs on a thread pool instead of sequentially.
-        Results are identical either way (that property is tested).
     """
 
-    def __init__(self, nranks: int, lookahead: float, threads: bool = False):
+    def __init__(self, nranks: int, lookahead: float):
         if nranks < 1:
             raise ValueError("nranks must be >= 1")
         if lookahead <= 0:
             raise ValueError("lookahead must be > 0")
         self.lookahead = float(lookahead)
         self.lps = [LogicalProcess(rank, self) for rank in range(nranks)]
-        self.threads = threads
         self._now = 0.0
         self.epochs_run = 0
         #: Optional :class:`repro.obs.profile.PhaseProfiler` attributing
-        #: wall time to LP execution vs. barrier synchronization.  Only
-        #: touched from the coordinating thread (per-LP dispatch timing
-        #: lives on each LP's own ``sim.profiler``).
+        #: wall time to LP execution vs. barrier synchronization (per-LP
+        #: dispatch timing lives on each LP's own ``sim.profiler``).
         self.profiler = None
 
     @property
@@ -130,59 +130,45 @@ class ParallelSimulator:
         """Run all LPs to simulated time ``until`` in lookahead-wide epochs."""
         if until < self._now:
             raise SimulationError("cannot run backwards")
-        pool: Optional[ThreadPoolExecutor] = None
-        if self.threads and len(self.lps) > 1:
-            pool = ThreadPoolExecutor(max_workers=len(self.lps))
-        try:
-            while self._now < until:
-                epoch_end = min(self._now + self.lookahead, until)
-                # Wall-clock reads below feed the PhaseProfiler only —
-                # they never touch simulated state or outputs.
-                t0 = _time.perf_counter() if self.profiler is not None else 0.0  # detlint: ignore[DET001]
-                if pool is not None:
-                    futures = [
-                        pool.submit(lp._run_epoch, epoch_end) for lp in self.lps
-                    ]
-                    for fut in futures:
-                        fut.result()
-                else:
-                    for lp in self.lps:
-                        lp._run_epoch(epoch_end)
-                if self.profiler is not None:
-                    t1 = _time.perf_counter()  # detlint: ignore[DET001]
-                    self.profiler.add("parallel.lp_run", t1 - t0)
-                    t0 = t1
-                # Barrier: exchange cross-LP messages.  Deterministic order:
-                # by source rank, then send order (outbox is FIFO).
-                for src in self.lps:
-                    for dest_rank, t, handler, args in src._drain_outbox():
-                        dest = self.lps[dest_rank]
-                        dest.messages_received += 1
-                        dest.sim.schedule_at(max(t, epoch_end), handler, *args)
-                if self.profiler is not None:
-                    self.profiler.add("parallel.barrier",
-                                      _time.perf_counter() - t0)  # detlint: ignore[DET001]
-                self._now = epoch_end
-                self.epochs_run += 1
-            # Boundary settlement: cross-LP deliveries landing exactly at
-            # `until` were scheduled during the final barrier above and
-            # would otherwise only execute on the *next* run() call.  The
-            # sequential engine runs events at exactly t == until within
-            # the same call, and windowed telemetry strides
-            # (repro.obs.stream) rely on both engines agreeing on which
-            # stride a boundary event belongs to.  Any sends these events
-            # produce land at least one lookahead past `until`, so a
-            # single extra pass settles the boundary.
+        while self._now < until:
+            epoch_end = min(self._now + self.lookahead, until)
+            # Wall-clock reads below feed the PhaseProfiler only —
+            # they never touch simulated state or outputs.
+            t0 = _time.perf_counter() if self.profiler is not None else 0.0  # detlint: ignore[DET001]
             for lp in self.lps:
-                lp._run_epoch(until)
+                lp._run_epoch(epoch_end)
+            if self.profiler is not None:
+                t1 = _time.perf_counter()  # detlint: ignore[DET001]
+                self.profiler.add("parallel.lp_run", t1 - t0)
+                t0 = t1
+            # Barrier: exchange cross-LP messages.  Deterministic order:
+            # by source rank, then send order (outbox is FIFO).
             for src in self.lps:
                 for dest_rank, t, handler, args in src._drain_outbox():
                     dest = self.lps[dest_rank]
                     dest.messages_received += 1
-                    dest.sim.schedule_at(max(t, until), handler, *args)
-        finally:
-            if pool is not None:
-                pool.shutdown()
+                    dest.sim.schedule_at(max(t, epoch_end), handler, *args)
+            if self.profiler is not None:
+                self.profiler.add("parallel.barrier",
+                                  _time.perf_counter() - t0)  # detlint: ignore[DET001]
+            self._now = epoch_end
+            self.epochs_run += 1
+        # Boundary settlement: cross-LP deliveries landing exactly at
+        # `until` were scheduled during the final barrier above and
+        # would otherwise only execute on the *next* run() call.  The
+        # sequential engine runs events at exactly t == until within
+        # the same call, and windowed telemetry strides
+        # (repro.obs.stream) rely on both engines agreeing on which
+        # stride a boundary event belongs to.  Any sends these events
+        # produce land at least one lookahead past `until`, so a
+        # single extra pass settles the boundary.
+        for lp in self.lps:
+            lp._run_epoch(until)
+        for src in self.lps:
+            for dest_rank, t, handler, args in src._drain_outbox():
+                dest = self.lps[dest_rank]
+                dest.messages_received += 1
+                dest.sim.schedule_at(max(t, until), handler, *args)
         return self._now
 
     def total_messages(self) -> Dict[str, int]:

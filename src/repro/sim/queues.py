@@ -1,15 +1,15 @@
-"""Pending-event set implementations for the discrete-event engine.
+"""Pending-event sets for the discrete-event engine.
 
-Two interchangeable schedulers are provided:
-
-* :class:`HeapQueue` — a binary heap (``heapq``) with lazy deletion.  This
-  is the default; it is O(log n) per operation and has excellent constant
-  factors in CPython.
+* :class:`HeapQueue` — a binary heap (``heapq``) with lazy deletion,
+  O(log n) per operation.  This is the engine's scheduler: every
+  :class:`~repro.sim.engine.Simulator` builds one.
 * :class:`CalendarQueue` — the classic Brown (1988) calendar queue, O(1)
-  amortized when the event-time distribution is stable.  Discrete-event
-  simulators for large overlays (ONSP included) traditionally use calendar
-  queues; we keep one here both for fidelity and as a cross-check of the
-  heap scheduler (the engine's test suite runs both).
+  amortized when the event-time distribution is stable.  No simulator
+  uses it: on the ledger's hold model it does about 1.0 M ops/s against
+  the heap's 2.6 M (``sim.queues.calendar_ops_per_s`` / ``heap_ops_per_s``;
+  0.83 M against 1.82 M on ISSUE 14's host).  The class remains only as
+  the subject of that ledger row and of the ``tests/sim/test_queues.py``
+  cross-check; it goes when the row does (ROADMAP item 3a).
 
 Both store ``(time, seq, item)`` triples; ``seq`` is a monotonically
 increasing tie-breaker so that events scheduled earlier run earlier at
@@ -44,6 +44,10 @@ class HeapQueue:
         Raises :class:`IndexError` when empty.
         """
         return heapq.heappop(self._heap)
+
+    def peek(self) -> Optional[Entry]:
+        """The earliest entry, left in place, or ``None`` when empty."""
+        return self._heap[0] if self._heap else None
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the earliest entry, or ``None`` when empty."""

@@ -54,12 +54,6 @@ class TestObservedEquivalence:
             observed_sequential.spans()
         )
 
-    def test_threaded_spans_byte_identical(self, observed_sequential):
-        thr = run_scenario(parallel=3, threads=True, observability=True)
-        assert spans_to_jsonl(thr.spans()) == spans_to_jsonl(
-            observed_sequential.spans()
-        )
-
     def test_partitioned_metrics_byte_identical(self, observed_sequential):
         par = run_scenario(parallel=4, observability=True)
         assert snapshot_json(par) == snapshot_json(observed_sequential)

@@ -2,7 +2,7 @@
 
 A fixed-seed :class:`~repro.core.protocol.PeerWindowNetwork` run on the
 sequential engine and the same run partitioned across logical processes
-(``parallel=N``, threads off and on) must produce *bit-for-bit* identical
+(``parallel=N``) must produce *bit-for-bit* identical
 results — identical protocol counters, transport totals, and level
 histograms.  This is the correctness property conservative parallel DES
 must preserve (results cannot depend on the partitioning), and it is the
@@ -68,11 +68,6 @@ class TestEquivalence:
         assert par.stats_summary() == sequential.stats_summary()
         assert par.level_histogram() == sequential.level_histogram()
 
-    def test_threaded_partitions_match_sequential(self, sequential):
-        thr = run_scenario(parallel=4, threads=True)
-        assert thr.stats_summary() == sequential.stats_summary()
-        assert thr.level_histogram() == sequential.level_histogram()
-
     def test_rank_count_does_not_matter(self, sequential):
         two = run_scenario(parallel=2)
         assert two.stats_summary() == sequential.stats_summary()
@@ -94,7 +89,7 @@ class TestEquivalence:
 class TestLossEquivalence:
     """Message loss is hash-derived per message (loss seed + per-source
     sequence), not RNG-drawn, so the bit-for-bit guarantee must hold with
-    ``loss_rate > 0`` — in every partitioning, threaded or not."""
+    ``loss_rate > 0`` — in every partitioning."""
 
     @pytest.fixture(scope="class")
     def lossy_sequential(self):
@@ -107,10 +102,6 @@ class TestLossEquivalence:
         par = run_scenario(loss_rate=0.05, parallel=4)
         assert par.stats_summary() == lossy_sequential.stats_summary()
         assert par.level_histogram() == lossy_sequential.level_histogram()
-
-    def test_threaded_matches_sequential_under_loss(self, lossy_sequential):
-        thr = run_scenario(loss_rate=0.05, parallel=3, threads=True)
-        assert thr.stats_summary() == lossy_sequential.stats_summary()
 
     def test_loss_pattern_tracks_master_seed(self, lossy_sequential):
         """Different master seed -> different hashed drop pattern (the
@@ -161,13 +152,6 @@ class TestPartitionedModeGuards:
         net.seed_nodes([1e9] * 4)
         with pytest.raises(ValueError, match="until"):
             net.run()
-
-    def test_monitoring_unsupported(self):
-        net = PeerWindowNetwork(
-            config=CONFIG, topology=PairwiseLatencyModel(), parallel=2
-        )
-        with pytest.raises(NotImplementedError):
-            net.enable_monitoring()
 
     def test_now_property_tracks_partitioned_clock(self):
         net = PeerWindowNetwork(

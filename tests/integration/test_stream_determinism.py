@@ -3,7 +3,7 @@
 The acceptance property of the streaming pipeline: driving the same
 seeded churn scenario through a :class:`StreamWindower` produces a
 byte-identical ``--snapshot-jsonl`` file on the sequential engine and
-under any partitioning (``parallel=4``, threads on or off).  Events are
+under any partitioning (``parallel=4``).  Events are
 bucketed by the window stride that published them, which is only
 deterministic because the parallel engine settles cross-LP deliveries
 landing exactly on the stride boundary before ``run`` returns.
@@ -78,12 +78,6 @@ class TestStreamEquivalence:
     ):
         par = run_streamed(tmp_path / "par.jsonl", parallel=4)
         assert par == sequential_frames
-
-    def test_threaded_frames_byte_identical(
-        self, sequential_frames, tmp_path
-    ):
-        thr = run_streamed(tmp_path / "thr.jsonl", parallel=3, threads=True)
-        assert thr == sequential_frames
 
     def test_replay_frames_byte_identical(self, sequential_frames, tmp_path):
         again = run_streamed(tmp_path / "again.jsonl")

@@ -48,22 +48,12 @@ def test_sim_clock_every_validations_mirror_the_kernel_contract():
         clock.every(1.0, lambda: None, jitter=0.1)  # jitter needs an rng
 
 
-def test_core_runtime_reexports_the_kernel_abc():
-    # Pre-refactor importers of repro.core.runtime.NodeRuntime must keep
-    # getting the one true ABC, not a diverging copy.
-    from repro.core import runtime as core_runtime
-    from repro.kernel import runtime as kernel_runtime
-
-    assert core_runtime.NodeRuntime is kernel_runtime.NodeRuntime
-    assert core_runtime.NodeRuntime is NodeRuntime
-    assert issubclass(NodeRuntime, Clock)
-
-
 def test_all_backends_implement_the_kernel_abc():
     from repro.core.runtime import PartitionedRuntime, SimRuntime
     from repro.live.runtime import RealtimeRuntime
     from repro.net.latency import PairwiseLatencyModel
 
+    assert issubclass(NodeRuntime, Clock)
     assert issubclass(SimRuntime, NodeRuntime)
     assert issubclass(RealtimeRuntime, NodeRuntime)
     # The partitioned coordinator hands each node a NodeRuntime view of

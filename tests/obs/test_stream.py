@@ -255,15 +255,22 @@ class TestFrameIO:
             "{truncated",
             json.dumps(["not", "a", "frame"]),
             json.dumps({"no": "window"}),
+            json.dumps({"window": "zero", "t1": 15.0}),
+            json.dumps({"window": None, "t1": 15.0}),
+            json.dumps({"window": 0, "t1": "late"}),
         ]
         frames, version, skipped = load_frames(lines)
-        assert (len(frames), version, skipped) == (1, 1, 3)
+        assert (len(frames), version, skipped) == (1, 1, 6)
+        # What the loader lets through is what the merge can index.
+        assert len(merge_node_frames([("n0", frames)])) == 2
 
     def test_future_schema_version_is_rejected(self):
-        header = json.dumps({"schema": "repro.telemetry",
-                             "schema_version": 99})
-        with pytest.raises(SchemaError, match="schema_version"):
-            load_frames([header])
+        # Newer, and not an int at all: both unreadable, both SchemaError.
+        for declared in (99, "two", None, 1.5):
+            header = json.dumps({"schema": "repro.telemetry",
+                                 "schema_version": declared})
+            with pytest.raises(SchemaError, match="schema_version"):
+                load_frames([header])
 
     def test_merge_node_frames_folds_by_window_index(self):
         def node_frames(node, probes):

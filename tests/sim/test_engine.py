@@ -133,17 +133,32 @@ class TestRunBounds:
     def test_cancelled_head_does_not_leak_past_until(self):
         """Regression: with a cancelled entry at the queue head inside the
         window and a live event beyond ``until``, run(until) must NOT
-        execute the live event."""
+        execute the live event — for every shape of dead head peek() has
+        to discard: several in a row, and one tied at equal time between
+        a live event scheduled earlier and one scheduled later."""
         sim = Simulator()
         ran = []
-        dead = sim.schedule(5.0, ran.append, "dead")
-        sim.schedule(50.0, ran.append, "far")
-        dead.cancel()
+        dead = [sim.schedule(t, ran.append, "dead") for t in (3.0, 5.0, 5.0)]
+        sim.schedule(50.0, ran.append, "far-a")
+        dead.append(sim.schedule(50.0, ran.append, "dead"))
+        sim.schedule(50.0, ran.append, "far-b")
+        for handle in dead:
+            handle.cancel()
         sim.run(until=10.0)
         assert ran == []
         assert sim.now == 10.0
+        # Repeated peeks read the head in place: equal-time FIFO ties
+        # still run in schedule order afterwards.
+        assert [sim.peek() for _ in range(3)] == [50.0] * 3
+        assert len(sim) == 3
         sim.run(until=60.0)
-        assert ran == ["far"]
+        assert ran == ["far-a", "far-b"]
+        # An all-cancelled queue peeks as empty and is left empty.
+        for handle in [sim.schedule(1.0, ran.append, "dead") for _ in range(3)]:
+            handle.cancel()
+        assert len(sim) == 3
+        assert sim.peek() is None
+        assert len(sim) == 0
 
     def test_reentrant_run_rejected(self):
         sim = Simulator()
@@ -241,24 +256,3 @@ class TestProcesses:
         sim.process(proc())
         with pytest.raises(SimulationError):
             sim.run()
-
-
-class TestCalendarBackend:
-    def test_same_results_as_heap(self):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        delays = rng.exponential(1.0, size=200)
-        results = {}
-        for queue in ("heap", "calendar"):
-            sim = Simulator(queue=queue)
-            order = []
-            for i, d in enumerate(delays):
-                sim.schedule(float(d), order.append, i)
-            sim.run()
-            results[queue] = order
-        assert results["heap"] == results["calendar"]
-
-    def test_unknown_queue_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(queue="skiplist")

@@ -52,10 +52,10 @@ class TestParallelSimulator:
         ranks = [r for _, r, _ in trace]
         assert ranks == [0, 1, 0, 1, 0]
 
-    def test_threads_match_sequential(self):
-        results = {}
-        for threads in (False, True):
-            psim = ParallelSimulator(4, lookahead=0.5, threads=threads)
+    def test_replay_is_deterministic(self):
+        results = []
+        for _ in range(2):
+            psim = ParallelSimulator(4, lookahead=0.5)
             trace = []
 
             def make_handler(psim=psim, trace=trace):
@@ -70,8 +70,8 @@ class TestParallelSimulator:
             handler = make_handler()
             psim.lps[0].schedule_local(0.0, handler, 0, 0)
             psim.run(until=20.0)
-            results[threads] = trace
-        assert results[False] == results[True]
+            results.append(trace)
+        assert results[0] and results[0] == results[1]
 
     def test_message_counters(self):
         psim = ParallelSimulator(2, lookahead=1.0)

@@ -28,8 +28,8 @@ class TestPeek:
         assert sim.peek() is None
 
     def test_peek_preserves_fifo_ties(self):
-        """peek() reinserts the inspected head; same-time events must
-        still run in schedule order afterwards."""
+        """peek() discards the dead head and reads the live one in place;
+        same-time events must still run in schedule order afterwards."""
         sim = Simulator()
         order = []
         dead = sim.schedule(1.0, lambda: None)

@@ -54,32 +54,6 @@ class TestPeriodicTask:
             Simulator().every(0.0, lambda: None)
 
 
-class TestNetworkMonitoring:
-    def test_series_fill_during_run(self):
-        from tests.conftest import build_network
-
-        net, keys = build_network(12, settle=0.0)
-        series = net.enable_monitoring(interval=10.0)
-        net.run(until=35.0)
-        assert len(series["population"]) == 4  # t=0,10,20,30
-        assert series["population"].last() == 12.0
-        assert series["mean_error_rate"].last() == 0.0
-        assert series["n_levels"].last() >= 1.0
-
-    def test_series_track_churn(self):
-        from tests.conftest import build_network
-
-        net, keys = build_network(12, settle=0.0)
-        series = net.enable_monitoring(interval=5.0)
-        net.run(until=10.0)
-        net.crash(keys[0])
-        net.leave(keys[1])
-        net.run(until=60.0)
-        pops = series["population"].values
-        assert pops[0] == 12.0
-        assert pops[-1] == 10.0
-
-
 class TestJitteredPeriod:
     def test_zero_jitter_fires_on_exact_grid(self):
         sim = Simulator()
