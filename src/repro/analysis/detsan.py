@@ -62,7 +62,7 @@ _CTX_INFRA_ATTRS = {
     "attached_info",
     "report_event",
     "confirm_dead",
-    "loop_handles",
+    "loop_timers",
 }
 #: Service attributes skipped for the same reason.
 _SERVICE_INFRA_ATTRS = {"ctx", "runtime", "sim", "transport", "obs"}

@@ -24,9 +24,9 @@ from repro.core.peerlist import PeerList
 from repro.core.pointer import Pointer
 from repro.core.refresh import LifetimeEstimator, RefreshManager
 from repro.core.topnodes import CrossPartTopList, TopNodeList
+from repro.kernel.clock import TimerHandle
 from repro.kernel.runtime import NodeRuntime
 from repro.obs.trace import NodeObs
-from repro.sim.engine import EventHandle
 
 
 @dataclass
@@ -114,7 +114,9 @@ class NodeContext:
         #: forwarding — black-holing the subtree routed through us.
         self.relayed_reports: Dict[int, int] = {}
         self.endpoint = None  # set by the coordinator after registration
-        self.loop_handles: List[EventHandle] = []
+        #: The pending timer of each periodic loop, by loop name — one
+        #: slot per loop, see :meth:`track`.
+        self.loop_timers: Dict[str, TimerHandle] = {}
         #: Dissemination entry point, wired by the coordinator.  Accepts
         #: an optional ``trace=`` keyword (a span context) so the caller's
         #: operation — an obituary, a join, a level shift — continues as
@@ -177,17 +179,24 @@ class NodeContext:
 
     # -- timer bookkeeping -------------------------------------------------
 
-    def track(self, handle: EventHandle) -> None:
-        """Track a loop timer for cancellation at departure, pruning dead
-        handles so long sessions do not accumulate them."""
-        self.loop_handles.append(handle)
-        if len(self.loop_handles) > 64:
-            self.loop_handles = [h for h in self.loop_handles if h.active]
+    def track(self, loop: str, handle: TimerHandle) -> None:
+        """Remember ``handle`` as the pending timer of the periodic loop
+        named ``loop`` (probe, refresh, sweep, audit, level), for
+        cancellation at departure.
+
+        One slot per loop: a loop re-arms itself from its own tick, so
+        the handle it overwrites has always fired, and a node never holds
+        more handles than it runs loops.  (An append-and-prune list kept
+        dozens of fired handles and their bound methods per node alive
+        long enough to be promoted to the collector's oldest generation —
+        see :mod:`repro.sim.engine`.)
+        """
+        self.loop_timers[loop] = handle
 
     def cancel_loops(self) -> None:
-        for handle in self.loop_handles:
+        for handle in self.loop_timers.values():
             handle.cancel()
-        self.loop_handles.clear()
+        self.loop_timers.clear()
 
     def jittered(self, delay: float) -> float:
         """Apply the configured timer jitter (``config.timer_jitter``, a

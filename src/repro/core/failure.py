@@ -43,7 +43,9 @@ class FailureDetector:
     # -- probe loop --------------------------------------------------------
 
     def _schedule_probe(self, delay: float) -> None:
-        self.ctx.track(self.runtime.schedule(self.ctx.jittered(delay), self._probe_tick))
+        self.ctx.track(
+            "probe", self.runtime.schedule(self.ctx.jittered(delay), self._probe_tick)
+        )
 
     def _probe_tick(self) -> None:
         ctx = self.ctx

@@ -34,7 +34,8 @@ class LevelShiftService:
 
     def start_level_loop(self) -> None:
         self.ctx.track(
-            self.runtime.schedule(self.ctx.config.level_check_interval, self.level_tick)
+            "level",
+            self.runtime.schedule(self.ctx.config.level_check_interval, self.level_tick),
         )
 
     def level_tick(self) -> None:

@@ -46,19 +46,22 @@ class MaintenanceService:
     def start(self) -> None:
         ctx = self.ctx
         ctx.track(
+            "refresh",
             self.runtime.schedule(
                 ctx.jittered(ctx.refresh_mgr.refresh_due_interval(ctx.level)),
                 self.refresh_tick,
-            )
+            ),
         )
         ctx.track(
-            self.runtime.schedule(ctx.config.level_check_interval, self.sweep_tick)
+            "sweep",
+            self.runtime.schedule(ctx.config.level_check_interval, self.sweep_tick),
         )
         if ctx.config.claim_audit_interval > 0:
             ctx.track(
+                "audit",
                 self.runtime.schedule(
                     ctx.jittered(ctx.config.claim_audit_interval), self.audit_tick
-                )
+                ),
             )
 
     def refresh_tick(self) -> None:
@@ -76,10 +79,11 @@ class MaintenanceService:
             trace=root.ref() if root is not None else None,
         )
         ctx.track(
+            "refresh",
             self.runtime.schedule(
                 ctx.jittered(ctx.refresh_mgr.refresh_due_interval(ctx.level)),
                 self.refresh_tick,
-            )
+            ),
         )
 
     def sweep_tick(self) -> None:
@@ -94,7 +98,8 @@ class MaintenanceService:
                 # Never expire ourselves.
                 ctx.peer_list.add(ctx.self_pointer())
         ctx.track(
-            self.runtime.schedule(ctx.config.level_check_interval, self.sweep_tick)
+            "sweep",
+            self.runtime.schedule(ctx.config.level_check_interval, self.sweep_tick),
         )
 
     # -- claim auditing (DESIGN §16) ---------------------------------------
@@ -107,9 +112,10 @@ class MaintenanceService:
         if suspect is not None:
             self._audit(suspect)
         ctx.track(
+            "audit",
             self.runtime.schedule(
                 ctx.jittered(ctx.config.claim_audit_interval), self.audit_tick
-            )
+            ),
         )
 
     def _strongest_claim(self) -> Optional[Pointer]:

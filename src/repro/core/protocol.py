@@ -123,7 +123,6 @@ class PeerWindowNetwork:
                 self.sim,
                 self.topology,
                 loss_rate=loss_rate,
-                rng=self.streams.get("transport"),
                 loss_seed=master_seed,
             )
             self.runtime = SimRuntime(self.sim, self.transport)

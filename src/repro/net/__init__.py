@@ -11,8 +11,9 @@ processing delay at each multicast relay.  This package provides:
 * :class:`~repro.net.transport.Transport` — message delivery over a
   :class:`~repro.sim.engine.Simulator` with latency, optional loss, and
   per-endpoint bandwidth metering.
-* :class:`~repro.net.bandwidth.BandwidthMeter` — sliding-window bit-rate
-  accounting used for the autonomic level controller and figure 8.
+* :class:`~repro.net.bandwidth.BandwidthMeter` — cumulative per-node bit
+  accounting (figure 8); the autonomic level controller reads the
+  :class:`~repro.net.bandwidth.EwmaRateMeter` next to it.
 """
 
 from repro.net.bandwidth import BandwidthMeter

@@ -2,8 +2,9 @@
 
 Two meters are provided:
 
-* :class:`BandwidthMeter` — cumulative bits with windowed rate queries;
-  cheap enough to attach one (in + out) to every simulated node.
+* :class:`BandwidthMeter` — cumulative bits and the lifetime rate; two
+  floats, cheap enough to attach one (in + out) to every simulated node
+  and bill on every message.
 * :class:`EwmaRateMeter` — exponentially-weighted moving average of the
   bit rate; this is what the autonomic level controller (§2, §4.3) reads:
   *"its current bandwidth cost ... that is dynamically measured"*.
@@ -12,47 +13,25 @@ Two meters are provided:
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Deque, Tuple
 
 
 class BandwidthMeter:
-    """Cumulative + sliding-window bit accounting.
+    """Cumulative bit accounting.
 
-    ``record(now, bits)`` on every send/receive; ``rate(now)`` returns the
-    average bit rate over the trailing ``window`` seconds (events older
-    than the window are evicted lazily).
+    ``record(now, bits)`` on every send/receive; ``total_bits`` is the
+    running sum and ``lifetime_rate(now)`` its average since ``t0``.
     """
 
-    __slots__ = ("window", "total_bits", "t0", "_events")
+    __slots__ = ("total_bits", "t0")
 
-    def __init__(self, window: float = 60.0, t0: float = 0.0):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = float(window)
+    def __init__(self, t0: float = 0.0):
         self.total_bits = 0.0
         self.t0 = t0
-        self._events: Deque[Tuple[float, float]] = deque()
 
     def record(self, now: float, bits: float) -> None:
         if bits < 0:
             raise ValueError("bits must be non-negative")
         self.total_bits += bits
-        self._events.append((now, bits))
-        self._evict(now)
-
-    def _evict(self, now: float) -> None:
-        cutoff = now - self.window
-        events = self._events
-        while events and events[0][0] < cutoff:
-            events.popleft()
-
-    def rate(self, now: float) -> float:
-        """Bits per second over the trailing window."""
-        self._evict(now)
-        if not self._events:
-            return 0.0
-        return sum(b for _, b in self._events) / self.window
 
     def lifetime_rate(self, now: float) -> float:
         """Bits per second averaged since construction."""

@@ -102,10 +102,12 @@ class PairwiseLatencyModel(Topology):
         self.base = float(base)
         self.spread = float(spread)
         self.loopback = float(loopback)
-        self._attached: Dict[Hashable, None] = {}
+        #: attached key -> ``repr(key)``, the text the pair hash is taken
+        #: over (formatted once per key, not three times per message).
+        self._attached: Dict[Hashable, str] = {}
 
     def attach(self, key: Hashable) -> None:
-        self._attached[key] = None
+        self._attached[key] = repr(key)
 
     def detach(self, key: Hashable) -> None:
         self._attached.pop(key, None)
@@ -116,14 +118,23 @@ class PairwiseLatencyModel(Topology):
     def pair_latency(self, a: Hashable, b: Hashable) -> float:
         if a == b:
             return self.loopback
-        pair = (a, b) if repr(a) <= repr(b) else (b, a)
-        h = zlib.crc32(repr(pair).encode("utf-8"))
-        return self.base + self.spread * ((h % 9973) / 9973.0)
+        return self._hashed(repr(a), repr(b))
+
+    def _hashed(self, ra: str, rb: str) -> float:
+        """The latency of the unordered pair whose keys print as ``ra``
+        and ``rb``: CRC-32 over ``repr((lo, hi))``."""
+        text = f"({ra}, {rb})" if ra <= rb else f"({rb}, {ra})"
+        return self.base + self.spread * ((zlib.crc32(text.encode("utf-8")) % 9973) / 9973.0)
 
     def latency(self, a: Hashable, b: Hashable) -> float:
-        if a not in self._attached or b not in self._attached:
-            raise KeyError(f"latency query for unattached key: {a!r} or {b!r}")
-        return self.pair_latency(a, b)
+        attached = self._attached
+        try:
+            ra, rb = attached[a], attached[b]
+        except KeyError:
+            raise KeyError(f"latency query for unattached key: {a!r} or {b!r}") from None
+        if a == b:
+            return self.loopback
+        return self._hashed(ra, rb)
 
     def min_latency(self) -> float:
         return self.base

@@ -33,8 +33,6 @@ from __future__ import annotations
 import zlib
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
-import numpy as np
-
 from repro.net.bandwidth import BandwidthMeter, EwmaRateMeter
 from repro.net.message import Message
 from repro.net.topology import Topology
@@ -101,7 +99,6 @@ class Transport:
         sim: Simulator,
         topology: Optional[Topology],
         loss_rate: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
         ewma_tau: float = 120.0,
         loss_seed: int = 0,
     ):
@@ -110,9 +107,6 @@ class Transport:
         self.sim = sim
         self.topology = topology
         self.loss_rate = float(loss_rate)
-        #: Kept for API compatibility; loss decisions are hash-derived
-        #: from ``loss_seed`` (see module docstring), not drawn from here.
-        self._rng = rng if rng is not None else np.random.default_rng(0)
         self.loss_seed = int(loss_seed)
         self.ewma_tau = ewma_tau
         self._endpoints: Dict[Hashable, Endpoint] = {}
@@ -486,7 +480,6 @@ class PartitionedTransport(Transport):
         rank: int,
         router: PartitionRouter,
         loss_rate: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
         ewma_tau: float = 120.0,
         loss_seed: int = 0,
     ):
@@ -494,7 +487,6 @@ class PartitionedTransport(Transport):
             sim,
             topology=None,
             loss_rate=loss_rate,
-            rng=rng,
             ewma_tau=ewma_tau,
             loss_seed=loss_seed,
         )

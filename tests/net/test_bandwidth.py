@@ -9,24 +9,13 @@ from repro.net.bandwidth import BandwidthMeter, EwmaRateMeter
 
 class TestBandwidthMeter:
     def test_total_accumulates(self):
-        m = BandwidthMeter(window=10.0)
+        m = BandwidthMeter()
         m.record(0.0, 100)
         m.record(1.0, 200)
         assert m.total_bits == 300
 
-    def test_windowed_rate(self):
-        m = BandwidthMeter(window=10.0)
-        m.record(0.0, 1000)
-        assert m.rate(now=5.0) == pytest.approx(100.0)
-
-    def test_old_events_evicted(self):
-        m = BandwidthMeter(window=10.0)
-        m.record(0.0, 1000)
-        assert m.rate(now=20.0) == 0.0
-        assert m.total_bits == 1000  # lifetime total unaffected
-
     def test_lifetime_rate(self):
-        m = BandwidthMeter(window=1.0, t0=0.0)
+        m = BandwidthMeter(t0=0.0)
         m.record(0.0, 500)
         m.record(50.0, 500)
         assert m.lifetime_rate(now=100.0) == pytest.approx(10.0)
@@ -34,10 +23,6 @@ class TestBandwidthMeter:
     def test_negative_bits_rejected(self):
         with pytest.raises(ValueError):
             BandwidthMeter().record(0.0, -1)
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            BandwidthMeter(window=0.0)
 
 
 class TestEwmaRateMeter:

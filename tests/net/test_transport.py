@@ -1,6 +1,5 @@
 """Simulated transport tests: latency, loss, death, request/response."""
 
-import numpy as np
 import pytest
 
 from repro.net.latency import UniformLatencyModel
@@ -9,10 +8,10 @@ from repro.net.transport import Transport
 from repro.sim.engine import Simulator
 
 
-def make_transport(latency=0.1, loss_rate=0.0, seed=0):
+def make_transport(latency=0.1, loss_rate=0.0):
     sim = Simulator()
     topo = UniformLatencyModel(latency=latency)
-    return sim, Transport(sim, topo, loss_rate=loss_rate, rng=np.random.default_rng(seed))
+    return sim, Transport(sim, topo, loss_rate=loss_rate)
 
 
 class TestDelivery:
@@ -96,7 +95,7 @@ class TestLoss:
         assert len(got) == 50
 
     def test_loss_rate_drops_fraction(self):
-        sim, tr = make_transport(loss_rate=0.5, seed=7)
+        sim, tr = make_transport(loss_rate=0.5)
         got = []
         tr.register("a", lambda m: None)
         tr.register("b", got.append)
@@ -113,8 +112,8 @@ class TestLoss:
 
 
 class TestRequestResponse:
-    def _echo_pair(self, loss_rate=0.0, seed=0):
-        sim, tr = make_transport(loss_rate=loss_rate, seed=seed)
+    def _echo_pair(self, loss_rate=0.0):
+        sim, tr = make_transport(loss_rate=loss_rate)
         tr.register("client", lambda m: None)
 
         def server(msg):

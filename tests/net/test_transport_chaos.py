@@ -2,7 +2,6 @@
 partition validation, asymmetric pair loss, duplication, latency
 scaling, slow endpoints and zombies."""
 
-import numpy as np
 import pytest
 
 from repro.net.latency import UniformLatencyModel
@@ -11,12 +10,10 @@ from repro.net.transport import Transport
 from repro.sim.engine import Simulator
 
 
-def make_transport(latency=0.1, loss_rate=0.0, seed=0):
+def make_transport(latency=0.1, loss_rate=0.0):
     sim = Simulator()
     topo = UniformLatencyModel(latency=latency)
-    return sim, Transport(
-        sim, topo, loss_rate=loss_rate, rng=np.random.default_rng(seed)
-    )
+    return sim, Transport(sim, topo, loss_rate=loss_rate)
 
 
 def registered(tr, *keys):

@@ -91,3 +91,15 @@ class TestWireAccounting:
         # a sent one probe (500) and acked one probe (100).
         assert a.bw_out.total_bits == config.heartbeat_bits + config.ack_bits
         assert a.bw_in.total_bits == config.heartbeat_bits + config.ack_bits
+
+    def test_lifetime_rate_is_total_over_elapsed(self, quiet_net):
+        """The cumulative meter's rate is its total over the node's
+        lifetime (seeded at t = 0), whatever the traffic's timing."""
+        net, keys = quiet_net
+        net.node(keys[0]).update_attached_info({"v": 3})
+        net.run(until=net.sim.now + 30.0)
+        now = net.sim.now
+        for k in keys:
+            bw_in = net.node(k).endpoint.bw_in
+            assert bw_in.total_bits > 0
+            assert bw_in.lifetime_rate(now) == bw_in.total_bits / now
