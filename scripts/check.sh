@@ -19,20 +19,27 @@
 #   scripts/check.sh --watch     # streaming telemetry smoke only
 #   scripts/check.sh --compare   # tournament scorecard smoke only
 #   scripts/check.sh --ledger    # benchmark ledger smoke only
+#   scripts/check.sh --scale     # NOT in the default run (~10 s, 0.5 GB):
+#                                # a 10^4-node detailed run fits in 1 GB
 set -u
 cd "$(dirname "$0")/.."
 
 # The sections, in run order: `--<name>` runs only check_<name>.
 SECTIONS="lint analysis tests chaos byzantine obs health live watch compare ledger"
+# Sections that run only when asked for by name.
+ON_REQUEST="scale"
 # Sections skipped whole when numpy is missing.
-NEEDS_NUMPY="chaos byzantine obs health live watch compare ledger"
+NEEDS_NUMPY="chaos byzantine obs health live watch compare ledger scale"
 
 selected="$SECTIONS"
 if [ -n "${1:-}" ]; then
   selected=""
-  for section in $SECTIONS; do [ "$1" = "--$section" ] && selected="$section"; done
+  for section in $SECTIONS $ON_REQUEST; do
+    [ "$1" = "--$section" ] && selected="$section"
+  done
   [ -n "$selected" ] || {
-    echo "usage: scripts/check.sh [--${SECTIONS// /|--}]" >&2; exit 2; }
+    all="$SECTIONS $ON_REQUEST"
+    echo "usage: scripts/check.sh [--${all// /|--}]" >&2; exit 2; }
 fi
 
 status=0
@@ -224,6 +231,48 @@ check_ledger() {
     with_timeout 120 python3 benchmarks/ledger/run.py --workload "$workload" \
       --seed 0 --seconds 1 --quick --trace 1 >/dev/null || status=1
   done
+}
+
+check_scale() {
+  echo "== scale (10^4 nodes seeded at levels 3/4/4/5, 60 sim-s: no false detection, error 0, < 1 GB) =="
+  with_timeout 600 $PY - <<'PY' || status=1
+import resource, sys, time
+from repro.core.config import ProtocolConfig
+from repro.core.protocol import PeerWindowNetwork
+from repro.net.latency import PairwiseLatencyModel
+
+n, levels, limit_mb = 10_000, (3, 4, 4, 5), 1024
+net = PeerWindowNetwork(config=ProtocolConfig(level_check_interval=1e6),
+                        topology=PairwiseLatencyModel(), master_seed=0)
+started = time.perf_counter()
+net.seed_nodes([{"threshold_bps": 1e9, "level": levels[i % len(levels)]}
+                for i in range(n)])
+build_s = time.perf_counter() - started
+started = time.perf_counter()
+net.run(until=60.0)
+run_s = time.perf_counter() - started
+live = net.live_nodes()
+rows = sum(len(node.peer_list) for node in live)
+failures = sum(node.stats.failures_detected + node.stats.reports_failed for node in live)
+probes = sum(node.stats.probes_sent for node in live)
+error = net.mean_error_rate()
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+print(f"scale: {len(live)} nodes, {rows} peer-list rows, build {build_s:.1f} s, "
+      f"60 sim-s in {run_s:.1f} s ({probes} probes), {failures} failure detection(s), "
+      f"mean error {error}, peak RSS {rss_mb:.0f} MB")
+problems = []
+if len(live) != n or probes < n:
+    problems.append(f"{len(live)} live nodes sent {probes} probes (want {n} and >= {n})")
+if failures:
+    problems.append(f"{failures} failure detection(s) in a churn-free ring")
+if error != 0:
+    problems.append(f"mean_error_rate() = {error} (want 0)")
+if rss_mb >= limit_mb:
+    problems.append(f"peak RSS {rss_mb:.0f} MB >= {limit_mb} MB")
+for p in problems:
+    print("scale:", p)
+sys.exit(1 if problems else 0)
+PY
 }
 
 for section in $selected; do

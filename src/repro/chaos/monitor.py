@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.core.audience import in_peer_list
+from repro.core.audience import in_peer_list, prefix_range
 from repro.core.config import ProtocolConfig
 
 
@@ -185,13 +185,15 @@ class InvariantMonitor:
 
     def _check_convergence(self, out: List[Violation]) -> None:
         live = self.net.live_nodes()
-        population = [(n.node_id, n.node_id.value, n.level) for n in live]
+        population = sorted((n.node_id.value, n.level) for n in live)
+        values = [value for value, _lvl in population]
         for node in live:
-            oracle = {
-                value
-                for nid, value, _lvl in population
-                if nid.shares_prefix(node.node_id, node.level)
-            }
+            # Everyone under the node's eigenstring: one run of the
+            # id-sorted population.
+            start, stop = prefix_range(
+                values, node.node_id.value, node.node_id.bits, node.level
+            )
+            oracle = set(values[start:stop])
             actual = set(node.peer_list.ids())
             for value in sorted(actual - oracle):
                 self._record(out, "stale-pointer", node.address,
@@ -199,17 +201,14 @@ class InvariantMonitor:
             for value in sorted(oracle - actual):
                 self._record(out, "missing-peer", node.address,
                              f"live audience member {value:#x} absent")
-            self._check_ring(out, node, population)
+            self._check_ring(out, node, population[start:stop])
 
-    def _check_ring(self, out: List[Violation], node, population) -> None:
+    def _check_ring(self, out: List[Violation], node, covered) -> None:
         """Ring closure: the §4.1 ring runs over the node's eigenstring
         group (same level, same prefix); its successor must be the next
-        live group member in id order, wrapping."""
-        group = sorted(
-            value
-            for nid, value, lvl in population
-            if lvl == node.level and nid.shares_prefix(node.node_id, node.level)
-        )
+        live group member in id order, wrapping.  ``covered`` is the
+        id-sorted ``(id, level)`` of the live nodes under its prefix."""
+        group = [value for value, lvl in covered if lvl == node.level]
         successor = node.peer_list.ring_successor(node.node_id)
         if len(group) <= 1:
             if successor is not None and successor.node_id.value not in group:

@@ -139,9 +139,10 @@ class _PeerWindowRun(ContestantRun):
         import numpy as np
 
         live = [self.net.nodes[k] for k in self.live_keys()]
+        live_ids = self.net.live_ids()
         vals = []
         for node in live:
-            correct = self.net.oracle_peer_ids(node)
+            correct = self.net.oracle_peer_ids(node, live_ids)
             if not correct:
                 continue
             actual = set(node.peer_list.ids())

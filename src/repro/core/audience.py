@@ -14,7 +14,8 @@ checker, the multicast planner, and the worked figure-1/figure-2 examples.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from bisect import bisect_left
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.core.nodeid import NodeId
 from repro.core.errors import NodeIdError
@@ -39,6 +40,23 @@ def in_peer_list(owner_id: NodeId, owner_level: int, other_id: NodeId) -> bool:
     sites read in the direction they mean.
     """
     return covers(owner_id, owner_level, other_id)
+
+
+def prefix_range(
+    sorted_values: Sequence[int], value: int, bits: int, length: int
+) -> Tuple[int, int]:
+    """``(start, stop)`` of the run of ascending ``bits``-wide id values
+    that share the first ``length`` bits of ``value``.
+
+    Sharing a prefix is an interval of the id space, so everything
+    :func:`covers` selects from a sorted population is one slice of it —
+    two bisects instead of one predicate call per member.
+    """
+    if length < 0 or length > bits:
+        raise NodeIdError(f"prefix length {length} out of range")
+    shift = bits - length
+    low = value >> shift << shift
+    return bisect_left(sorted_values, low), bisect_left(sorted_values, low + (1 << shift))
 
 
 def same_eigenstring(

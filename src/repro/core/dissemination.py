@@ -642,9 +642,7 @@ class MulticastService:
         # Piggyback t-1 pointers to top nodes of the reporter's part (§4.5):
         # our own group members (we are a top node of that part).
         piggyback = [
-            p.copy()
-            for p in ctx.peer_list.group_members()
-            if p.node_id.value != ctx.node_id.value
+            p for p in ctx.peer_list.group_members() if p.node_id.value != ctx.node_id.value
         ][: ctx.config.top_list_size - 1] + [ctx.self_pointer()]
         self.runtime.send(
             msg.make_reply(

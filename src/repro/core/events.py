@@ -102,10 +102,15 @@ def apply_event(
         peer_list.add(pointer)
         return True
 
-    existing.level = event.subject_level
-    existing.attached_info = event.attached_info
-    existing.last_refresh = now
-    existing.last_event_seq = event.seq
-    if event.kind is EventKind.JOIN and existing.seen_join_time is None:
-        existing.seen_join_time = now
+    joined = existing.seen_join_time
+    if event.kind is EventKind.JOIN and joined is None:
+        joined = now
+    peer_list.update(
+        subject,
+        level=event.subject_level,
+        attached_info=event.attached_info,
+        seen_join_time=joined,
+        last_refresh=now,
+        last_event_seq=event.seq,
+    )
     return True

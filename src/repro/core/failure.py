@@ -129,6 +129,9 @@ class FailureDetector:
         departed = ctx.peer_list.remove(target.node_id)
         if departed is not None:
             ctx.estimator.observe_departure(departed, self.runtime.now)
+            # ``target`` is the entry as it was when probing began; the
+            # obituary must outrun every event heard about it since.
+            target = departed
         event = EventRecord(
             kind=EventKind.LEAVE,
             subject_id=target.node_id,

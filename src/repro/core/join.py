@@ -442,7 +442,7 @@ class JoinService:
         ]
         if ctx.is_top:
             piggyback = [
-                p.copy()
+                p
                 for p in ctx.peer_list.group_members()
                 if p.node_id.value != ctx.node_id.value
             ][: ctx.config.top_list_size - 1]
@@ -479,14 +479,12 @@ class JoinService:
             # otherwise miss it (it is in nobody's audience yet).
             ctx.recent_downloads.append((msg.src, self.runtime.now))
         matching = [
-            p.copy()
-            for p in ctx.peer_list
-            if p.node_id.shares_prefix(requester_id, prefix_len)
+            p for p in ctx.peer_list if p.node_id.shares_prefix(requester_id, prefix_len)
         ]
         tops = [p.copy() for p in ctx.top_list.pointers()]
         if ctx.is_top:
             tops = [
-                p.copy()
+                p
                 for p in ctx.peer_list.group_members()
                 if p.node_id.value != ctx.node_id.value
             ][: ctx.config.top_list_size - 1] + [ctx.self_pointer()]

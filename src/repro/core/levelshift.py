@@ -105,9 +105,7 @@ class LevelShiftService:
                 sibling_prefix,
                 [p.copy(last_refresh=self.runtime.now) for p in siblings],
             )
-        own = ctx.peer_list.get(ctx.node_id)
-        if own is not None:
-            own.level = ctx.level
+        ctx.peer_list.update(ctx.node_id, level=ctx.level)
         ctx.report_event(
             ctx.make_event(EventKind.LEVEL_CHANGE),
             trace=shift.ref() if shift is not None else None,
@@ -203,9 +201,7 @@ class LevelShiftService:
             ):
                 if ctx.peer_list.get(p.node_id) is None:
                     ctx.peer_list.add(p.copy(last_refresh=self.runtime.now))
-        own = ctx.peer_list.get(ctx.node_id)
-        if own is not None:
-            own.level = ctx.level
+        ctx.peer_list.update(ctx.node_id, level=ctx.level)
         ctx.stats.level_raises += 1
         ctx.obs.registry.inc(m.LEVEL_RAISE)
         part_level = ctx.top_list.min_level()

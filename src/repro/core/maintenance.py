@@ -20,7 +20,7 @@ against observed behavior — a genuinely level-``c`` node (``c`` below
 our own ``l``) covers a strictly wider prefix, so downloading its list
 at its claimed level must return meaningfully more pointers than we hold
 and include members outside our own level-``l`` prefix.  Liars are
-demoted in place (their stored pointer's level reset to ours, and
+demoted (their peer-list row's level reset to ours, and the pointer
 dropped from the top-node list) so the ring/audience geometry heals.
 """
 
@@ -198,9 +198,7 @@ class MaintenanceService:
                 ctx.obs.end(span, self.runtime.now, "pass")
             return
         ctx.obs.registry.inc(m.AUDIT_DEMOTIONS)
-        held = ctx.peer_list.get(claim.node_id)
-        if held is not None:
-            held.level = ctx.level
+        ctx.peer_list.update(claim.node_id, level=ctx.level)
         ctx.top_list.remove(claim.node_id)
         if span is not None:
             span.attrs["demoted_to"] = ctx.level

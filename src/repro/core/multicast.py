@@ -34,13 +34,12 @@ This module has two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import nsmallest
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import ProtocolConfig
 from repro.core.events import EventRecord
 from repro.core.nodeid import NodeId
-from repro.core.peerlist import PeerList, strength
+from repro.core.peerlist import PeerList
 from repro.core.pointer import Pointer
 
 
@@ -138,8 +137,8 @@ class MulticastForwarder:
 
     The owner node calls :meth:`forward` when it originates or relays an
     event.  One pass over the owner's peer list files the audience under
-    bit positions; for every position that has a candidate the forwarder
-    picks the strongest and performs a reliable send:
+    bit positions and picks the strongest of every position that has a
+    candidate; the forwarder performs a reliable send to each:
     up to ``config.multicast_attempts`` tries, each with an ack timeout;
     exhaustion removes the pointer (*"turn back to line (3)"*) and redirects
     to a freshly chosen candidate for the same bit position.
@@ -187,21 +186,18 @@ class MulticastForwarder:
         send, stale-removal, and redirect so the owner can attribute them
         to the multicast's causal tree.  It never influences forwarding.
         """
-        by_bit = self.peer_list.audience_by_bit(
-            self.local_id, event.subject_id, start_bit
+        # Chosen before the first send: a send that fails at once edits
+        # the list, and the choice is of this moment's rows.
+        targets = self.peer_list.strongest_by_bit(
+            self.local_id, event.subject_id, start_bit, self.config.multicast_redundancy
         )
-        out_degree = 0
         excluded: set = set()
-        for bit in sorted(by_bit):
-            for target in nsmallest(
-                self.config.multicast_redundancy, by_bit[bit], key=strength
-            ):
-                out_degree += 1
-                excluded.add(target.node_id.value)
-                self._reliable_send(
-                    event, bit, target, self.config.multicast_attempts, excluded, trace
-                )
-        return out_degree
+        for bit, target in targets:
+            excluded.add(target.node_id.value)
+            self._reliable_send(
+                event, bit, target, self.config.multicast_attempts, excluded, trace
+            )
+        return len(targets)
 
     # -- internals -----------------------------------------------------------
 

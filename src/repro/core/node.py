@@ -43,6 +43,7 @@ from repro.core.join import JoinService
 from repro.core.levelshift import LevelShiftService
 from repro.core.maintenance import MaintenanceService
 from repro.core.nodeid import NodeId
+from repro.core.peerlist import PeerList
 from repro.core.pointer import Pointer
 from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
@@ -269,22 +270,20 @@ class PeerWindowNode:
     def install(
         self,
         level: int,
-        pointers: List[Pointer],
+        population: PeerList,
         top_pointers: List[Pointer],
         is_top: bool,
     ) -> None:
         """Direct state installation (the harness's initial seeding —
-        the paper likewise *creates* its 100,000 nodes before churning)."""
+        the paper likewise *creates* its 100,000 nodes before churning):
+        the peer list becomes this node's slice of ``population``, the
+        id-sorted table of every seeded node's own pointer."""
         ctx = self.ctx
         ctx.level = level
         ctx.peer_list.retarget(level)
-        ctx.peer_list.add(ctx.self_pointer())
-        # Copy: peer-list entries are updated in place by apply_event, so
-        # a Pointer object must never be shared between nodes — shared
-        # state would leak event ordering across logical processes.
-        for p in pointers:
-            if p.node_id.value != ctx.node_id.value:
-                ctx.peer_list.add(p.copy())
+        ctx.peer_list.load_sorted(population)
+        if ctx.node_id not in ctx.peer_list:
+            ctx.peer_list.add(ctx.self_pointer())
         ctx.top_list.merge(top_pointers)
         ctx.is_top = is_top
         ctx.alive = True
@@ -305,9 +304,7 @@ class PeerWindowNode:
         if not ctx.alive:
             raise NotAliveError(f"{ctx.address!r} is not alive")
         ctx.attached_info = info
-        own = ctx.peer_list.get(ctx.node_id)
-        if own is not None:
-            own.attached_info = info
+        ctx.peer_list.update(ctx.node_id, attached_info=info)
         ctx.report_event(ctx.make_event(EventKind.INFO_CHANGE))
 
     def leave(self) -> None:

@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
+from repro.core.audience import prefix_range
 from repro.core.config import ProtocolConfig
 from repro.core.node import PeerWindowNode
 from repro.core.nodeid import NodeId
@@ -270,18 +271,26 @@ class PeerWindowNetwork:
     # ground-truth measurement
     # ------------------------------------------------------------------
 
-    def oracle_peer_ids(self, node: PeerWindowNode) -> set:
-        """The correct peer list of ``node``: ids of all live nodes sharing
-        its first ``level`` bits (including itself)."""
-        return {
-            other.node_id.value
-            for other in self.live_nodes()
-            if other.node_id.shares_prefix(node.node_id, node.level)
-        }
+    def live_ids(self) -> List[int]:
+        """Id values of the live nodes, ascending — what the oracle
+        queries slice; sort once and pass it to a batch of them."""
+        return sorted(n.node_id.value for n in self.live_nodes())
 
-    def node_error_rate(self, node: PeerWindowNode) -> float:
+    def oracle_peer_ids(
+        self, node: PeerWindowNode, live_ids: Optional[List[int]] = None
+    ) -> set:
+        """The correct peer list of ``node``: ids of all live nodes sharing
+        its first ``level`` bits (including itself) — one run of the
+        sorted live ids."""
+        ids = self.live_ids() if live_ids is None else live_ids
+        start, stop = prefix_range(ids, node.node_id.value, node.node_id.bits, node.level)
+        return set(ids[start:stop])
+
+    def node_error_rate(
+        self, node: PeerWindowNode, live_ids: Optional[List[int]] = None
+    ) -> float:
         """(stale + absent) / correct for one node's peer list."""
-        correct = self.oracle_peer_ids(node)
+        correct = self.oracle_peer_ids(node, live_ids)
         actual = set(node.peer_list.ids())
         stale = len(actual - correct)
         absent = len(correct - actual)
@@ -293,12 +302,13 @@ class PeerWindowNetwork:
         """Figures 5-8 at detailed-engine scale: per-level population,
         peer-list size, error rate, and in/out bandwidth."""
         now = self.now
+        live_ids = self.live_ids()
         reports: Dict[int, LevelReport] = {}
         for node in self.live_nodes():
             rep = reports.setdefault(node.level, LevelReport(node.level))
             rep.count += 1
             rep.peer_list_sizes.append(len(node.peer_list))
-            rep.error_rates.append(self.node_error_rate(node))
+            rep.error_rates.append(self.node_error_rate(node, live_ids))
             rep.in_bps.append(node.endpoint.bw_in.lifetime_rate(now))
             rep.out_bps.append(node.endpoint.bw_out.lifetime_rate(now))
         return dict(sorted(reports.items()))
@@ -313,7 +323,8 @@ class PeerWindowNetwork:
         live = self.live_nodes()
         if not live:
             return 0.0
-        return float(np.mean([self.node_error_rate(n) for n in live]))
+        live_ids = self.live_ids()
+        return float(np.mean([self.node_error_rate(n, live_ids) for n in live]))
 
     def stats_summary(self) -> Dict[str, float]:
         """Network-wide protocol counters summed over live nodes, plus

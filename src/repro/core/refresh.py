@@ -91,11 +91,8 @@ class RefreshManager:
         them *"directly ... without explicit probing"*.)
         """
         expired = [
-            p
-            for p in peer_list
-            if now - p.last_refresh > self.expiry_age(p.level)
+            peer_list.remove(node_id)
+            for node_id in peer_list.unrefreshed(now, self.expiry_age)
         ]
-        for p in expired:
-            peer_list.remove(p.node_id)
         self.expired_removed += len(expired)
         return expired

@@ -33,10 +33,11 @@ correctness property conservative parallel DES must preserve, verified by
   LP where it is correctly ordered against the departure;
 * every per-node random stream is keyed by the node, so draw order within
   a node is the node's own event order, which partitioning preserves;
-* no :class:`~repro.core.pointer.Pointer` object is ever shared between
-  nodes (insertion boundaries copy) — event application updates pointers
-  in place, and a shared object would be a covert channel that leaks one
-  LP's progress into another outside the message fabric.
+* no mutable protocol state is ever shared between nodes — a peer list
+  stores columns, copying a :class:`~repro.core.pointer.Pointer` in and
+  building a fresh one out, and the top-node lists copy at ``merge`` —
+  since a shared object would be a covert channel that leaks one LP's
+  progress into another outside the message fabric.
 """
 
 from __future__ import annotations

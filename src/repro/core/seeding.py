@@ -11,12 +11,12 @@ protocol would converge to.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.analytic import CostModel
-from repro.core.errors import JoinError, NodeIdError
+from repro.core.errors import JoinError
 from repro.core.nodeid import NodeId, eigenstring
+from repro.core.peerlist import PeerList
 
 #: A seed spec: a bare threshold, or (threshold, node_id), or a full dict.
 SeedSpec = Union[float, Tuple[float, NodeId], Dict[str, Any]]
@@ -84,38 +84,35 @@ def seed_network(
     }
 
     rng = net.streams.get("seeding")
+    if not created:
+        return []
+    # Every seeded node's own pointer, once, in one id-sorted table (a
+    # level-0 list takes any id of its width and refuses another width);
+    # a node's peers are the contiguous run of it under its eigenstring,
+    # which install() copies out column by column.
     pointer_of = {nd.node_id.value: nd.self_pointer() for nd in created}
-    # A node's peers are one contiguous run of the id-sorted population
-    # (everything under its eigenstring; install() skips the node itself),
-    # handed over in spec order, the order the peer list keeps them in.
-    if len({nd.node_id.bits for nd in created}) > 1:
-        raise NodeIdError("cannot compare ids of different widths")
-    rank = {nd.node_id.value: k for k, nd in enumerate(created)}
-    values = sorted(rank)
+    population = PeerList(created[0].node_id, 0)
+    for value in sorted(pointer_of):
+        population.add(pointer_of[value])
+    top_pools = {
+        prefix: [pointer_of[t.node_id.value] for t in tops]
+        for prefix, tops in tops_by_part.items()
+    }
+    size = net.config.top_list_size
     for nd in created:
-        shift = nd.node_id.bits - nd.level
-        low = nd.node_id.value >> shift << shift
-        run = values[bisect_left(values, low) : bisect_left(values, low + (1 << shift))]
-        peers = [pointer_of[v] for v in sorted(run, key=rank.__getitem__)]
         part_prefix = part_of[nd.node_id.value]
-        tops = tops_by_part[part_prefix]
-        pool = [pointer_of[t.node_id.value] for t in tops]
+        pool = top_pools[part_prefix]
         chosen = (
-            list(pool)
-            if len(pool) <= net.config.top_list_size
-            else [
-                pool[i]
-                for i in rng.choice(len(pool), net.config.top_list_size, replace=False)
-            ]
+            pool
+            if len(pool) <= size
+            else [pool[i] for i in rng.choice(len(pool), size, replace=False)]
         )
         is_top = nd.level == len(part_prefix)
-        nd.install(nd.level, peers, chosen, is_top)
+        nd.install(nd.level, population, chosen, is_top)
         if is_top:
-            for other_prefix, other_tops in tops_by_part.items():
-                if other_prefix == part_prefix or not other_tops:
+            for other_prefix, other_pool in top_pools.items():
+                if other_prefix == part_prefix or not other_pool:
                     continue
-                other_pool = [pointer_of[t.node_id.value] for t in other_tops]
-                take = min(len(other_pool), net.config.top_list_size)
-                idx = rng.choice(len(other_pool), take, replace=False)
+                idx = rng.choice(len(other_pool), min(len(other_pool), size), replace=False)
                 nd.cross_parts.merge(other_prefix, [other_pool[i] for i in idx])
     return [nd.address for nd in created]

@@ -46,10 +46,10 @@ class TopNodeList:
         Returns how many new ids were added.
 
         Entries are stored as copies: with an in-memory transport the
-        pointers arriving here are often another node's live peer-list
-        objects, and those are updated in place by event application —
-        sharing them would couple two nodes' state outside the message
-        fabric."""
+        pointers arriving here are often the objects another node's
+        top-node list holds (a peer list hands out fresh values, this
+        list keeps objects), and sharing one would couple two nodes'
+        state outside the message fabric."""
         added = 0
         for p in pointers:
             existing = self._pointers.get(p.node_id.value)

@@ -522,8 +522,9 @@ class LiveHealthMonitor:
             return {}
         worst_key = None
         worst = -1.0
+        live_ids = self.net.live_ids()
         for node in self.net.live_nodes():
-            rate = self.net.node_error_rate(node)
+            rate = self.net.node_error_rate(node, live_ids)
             if rate > worst:
                 worst, worst_key = rate, node.address
         if worst_key is None:

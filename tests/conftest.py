@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
+from repro.net.latency import PairwiseLatencyModel
 
 
 @pytest.fixture
@@ -27,6 +28,22 @@ def small_config() -> ProtocolConfig:
         level_check_interval=10.0,
         multicast_processing_delay=0.1,
     )
+
+
+def seeded_ring(n: int) -> PeerWindowNetwork:
+    """The ledger's ``detailed_ring`` population: ``n`` paper-default
+    (128-bit) nodes at pinned levels 3/4/4/5, level controller parked,
+    §4.1 probing only."""
+    net = PeerWindowNetwork(
+        config=ProtocolConfig(level_check_interval=1e6),
+        topology=PairwiseLatencyModel(),
+        master_seed=0,
+    )
+    levels = [3, 4, 4, 5]
+    net.seed_nodes(
+        [{"threshold_bps": 1e9, "level": levels[i % 4]} for i in range(n)]
+    )
+    return net
 
 
 def build_network(

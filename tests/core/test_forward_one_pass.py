@@ -7,8 +7,9 @@ it replaced, written straight from the §4.2 sentence (*"the same first s
 bits and a different (s+1)-th bit ... the highest level"*) on the
 ``NodeId`` predicates.  ``PeerList.ring_successor`` and ``seed_network``
 got the same integer arithmetic and are held to their old list-building
-definitions the same way.  The cost guard counts peer-list passes, not
-seconds: one per forward, whatever the id width.
+definitions the same way.  The cost guard counts ``Pointer`` objects
+built, not seconds: a forward reads two columns and builds one pointer
+per target it sends to, whatever the id width.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import peerlist
 from repro.core.config import ProtocolConfig
 from repro.core.errors import NodeIdError
 from repro.core.events import EventKind, EventRecord
@@ -133,14 +135,13 @@ class TestForwardMatchesThePerBitDefinition:
     @given(populations(), st.data())
     def test_single_bit_query_matches_the_definition(self, population, data):
         """``multicast_candidates`` (the redirect path's query) returns
-        the reference's candidates for one bit, in insertion order."""
+        the reference's candidates for one bit, in id order."""
         bits, local_value, subject_value, members = population
         local, subject = NodeId(local_value, bits), NodeId(subject_value, bits)
         bit = data.draw(st.integers(0, bits - 1))
         pl = peer_list_of(local, members)
-        by_insertion = list(pl._by_id.values())
         assert pl.multicast_candidates(local, subject, bit) == reference_candidates(
-            by_insertion, local, subject, bit
+            list(pl), local, subject, bit
         )
 
     @settings(max_examples=120, deadline=None)
@@ -214,11 +215,20 @@ class TestForwardKeepsItsChecks:
         assert sends.sent == []
 
     def test_pointer_of_another_width_is_refused(self):
-        self.pl.add(Pointer(NodeId(0b10000000, 8), "wide", 0), strict=False)
+        """At the write, not mid-forward: one width per list is what makes
+        the id column comparable."""
         fwd, sends = forwarder_over(self.pl)
+        before = list(self.pl)
         with pytest.raises(NodeIdError):
-            fwd.forward(event_about(NodeId.from_bitstring("0011")), 0)
-        assert sends.sent == []
+            self.pl.add(Pointer(NodeId(0b10000000, 8), "wide", 0), strict=False)
+        with pytest.raises(NodeIdError):
+            self.pl.update(NodeId(0b00001000, 8), level=1)
+        with pytest.raises(NodeIdError):
+            PeerList(NodeId(0, 8), 0).load_sorted(self.pl)
+        assert list(self.pl) == before and sends.sent == []
+        # ... so the forward that used to trip over the row goes through.
+        assert fwd.forward(event_about(NodeId.from_bitstring("0011")), 0) == 3
+        assert [value for value, _ in sends.sent] == [0b1000, 0b0100, 0b0010]
 
     def test_negative_start_bit_is_refused(self):
         fwd, _ = forwarder_over(self.pl)
@@ -226,24 +236,27 @@ class TestForwardKeepsItsChecks:
             fwd.forward(event_about(NodeId.from_bitstring("0011")), -1)
 
 
-# -- cost guard: passes over the peer list, not seconds -------------------------
+# -- cost guard: pointers built per forward, not seconds ------------------------
 
 
-class CountingDict(dict):
-    """Counts full passes (``values()``) and pointers handed out."""
+@pytest.fixture
+def pointers_built(monkeypatch):
+    """Counts every ``Pointer`` that comes to exist, by either road: the
+    validating constructor or a peer list's row materialiser."""
+    built = []
+    init, from_row = Pointer.__init__, peerlist.pointer_from_row
 
-    passes = 0
-    fetched = 0
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
 
-    def values(self):
-        self.passes += 1
-        for pointer in super().values():
-            self.fetched += 1
-            yield pointer
+    def counting_from_row(*fields):
+        built.append(1)
+        return from_row(*fields)
 
-    def __getitem__(self, key):
-        self.fetched += 1
-        return super().__getitem__(key)
+    monkeypatch.setattr(Pointer, "__init__", counting_init)
+    monkeypatch.setattr(peerlist, "pointer_from_row", counting_from_row)
+    return built
 
 
 class TestForwardCostIsOnePass:
@@ -252,22 +265,25 @@ class TestForwardCostIsOnePass:
         (0x8000 | v, 0) for v in range(16, 56)
     ]
 
-    def _forward(self, bits: int):
+    def _forward(self, bits: int, built: list):
         widen = bits - 16  # the same prefixes at the top of a wider id
         local = NodeId(0, bits)
         pl = peer_list_of(local, [(v << widen, lvl) for v, lvl in self.POPULATION])
-        pl._by_id = counter = CountingDict(pl._by_id)
         fwd, sends = forwarder_over(pl)
-        fwd.forward(event_about(NodeId(0x0003 << widen, bits)), 0)
-        return counter, [(v >> widen, nxt) for v, nxt in sends.sent]
+        event = event_about(NodeId(0x0003 << widen, bits))
+        del built[:]
+        out_degree = fwd.forward(event, 0)
+        return len(built), out_degree, [(v >> widen, nxt) for v, nxt in sends.sent]
 
-    def test_one_pass_whatever_the_id_width(self):
-        narrow, narrow_sends = self._forward(16)
-        wide, wide_sends = self._forward(128)
+    def test_one_pass_whatever_the_id_width(self, pointers_built):
+        """No pointer per row scanned: at most one per target sent to."""
+        narrow_built, narrow_degree, narrow_sends = self._forward(16, pointers_built)
+        wide_built, wide_degree, wide_sends = self._forward(128, pointers_built)
         assert narrow_sends == wide_sends and len(narrow_sends) >= 10
-        for counter in (narrow, wide):
-            assert counter.passes == 1
-            assert counter.fetched == len(self.POPULATION)
+        assert narrow_degree == wide_degree == len(narrow_sends)
+        assert narrow_degree < len(self.POPULATION) / 2
+        assert 0 < narrow_built <= narrow_degree
+        assert 0 < wide_built <= wide_degree
 
 
 # -- ring successor ---------------------------------------------------------------
@@ -306,7 +322,7 @@ class TestRingSuccessorMatchesTheGroupDefinition:
             else st.integers(0, (1 << RING_BITS) - 1)
         )
         of_id = NodeId(of_value, RING_BITS)
-        assert pl.ring_successor(of_id) is reference_ring_successor(pl, of_id)
+        assert pl.ring_successor(of_id) == reference_ring_successor(pl, of_id)
 
     def test_one_member_group_has_no_successor(self):
         pl = peer_list_of(NodeId(5, RING_BITS), [(5, 0), (9, 1), (700, 2)])
@@ -322,8 +338,8 @@ class TestRingSuccessorMatchesTheGroupDefinition:
 
 
 def test_seed_network_builds_the_peer_lists_of_the_n_squared_definition():
-    """Same ids and the same ``_by_id`` insertion order (own pointer, then
-    the others in spec order) as comparing every pair of nodes."""
+    """Same ids as comparing every pair of nodes, held in id order, each
+    entry the seeded node's own pointer."""
     config = ProtocolConfig(id_bits=16, level_check_interval=1e6)
     net = PeerWindowNetwork(config=config, master_seed=3)
     levels = (0, 1, 2, 3, 3, 5, 16)
@@ -333,11 +349,10 @@ def test_seed_network_builds_the_peer_lists_of_the_n_squared_definition():
     nodes = [net.node(key) for key in keys]
     assert {nd.level for nd in nodes} == set(levels)
     for nd in nodes:
-        expected = [nd.node_id.value] + [
-            other.node_id.value
+        expected = sorted(
+            (other.node_id.value, other.self_pointer())
             for other in nodes
             if other.node_id.shares_prefix(nd.node_id, nd.level)
-            and other.node_id.value != nd.node_id.value
-        ]
-        assert list(nd.peer_list._by_id) == expected
-        assert nd.peer_list.ids() == sorted(expected)
+        )
+        assert nd.peer_list.ids() == [value for value, _ in expected]
+        assert list(nd.peer_list) == [pointer for _, pointer in expected]

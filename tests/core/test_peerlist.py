@@ -27,7 +27,8 @@ class TestBasicContainer:
     def test_add_and_get(self, owner_list):
         p = ptr("1001", level=2)
         assert owner_list.add(p)
-        assert owner_list.get(nid("1001")) is p
+        assert owner_list.get(nid("1001")) == p
+        assert owner_list.get(nid("1001")) is not p  # a value, not the row
         assert nid("1001") in owner_list
         assert len(owner_list) == 1
 

@@ -52,3 +52,14 @@ class TestPointer:
         original = make(info=info)
         clone = original.copy()
         assert clone.attached_info is info
+
+    def test_copy_refuses_an_unknown_field_and_still_validates(self):
+        with pytest.raises(TypeError):
+            make().copy(levle=2)
+        with pytest.raises(NodeIdError):
+            make().copy(level=9)
+        tampered = make()
+        tampered.level = 9  # past __post_init__
+        with pytest.raises(NodeIdError):
+            tampered.copy()
+        assert make().copy() == make() and make().copy() is not make()

@@ -11,12 +11,11 @@ entries, and the per-node loop-timer bookkeeping.
 import gc
 import weakref
 
-from repro.core.config import ProtocolConfig
-from repro.core.protocol import PeerWindowNetwork
 from repro.net.latency import PairwiseLatencyModel
 from repro.net.message import Message
 from repro.net.transport import Transport
 from repro.sim.engine import Simulator
+from tests.conftest import seeded_ring
 
 
 def _request_with_closure(tr, fired):
@@ -69,24 +68,9 @@ def test_pending_heap_entries_are_untracked_after_a_young_pass():
     assert not any(gc.is_tracked(entry) for entry in sim._queue._heap)
 
 
-def _ring(n):
-    """The ledger's ``detailed_ring --quick`` population: ``n`` nodes at
-    pinned levels, level controller parked, §4.1 probing only."""
-    net = PeerWindowNetwork(
-        config=ProtocolConfig(level_check_interval=1e6),
-        topology=PairwiseLatencyModel(),
-        master_seed=0,
-    )
-    levels = [3, 4, 4, 5]
-    net.seed_nodes(
-        [{"threshold_bps": 1e9, "level": levels[i % 4]} for i in range(n)]
-    )
-    return net
-
-
 def test_ring_steady_state_accumulates_nothing():
     n = 200
-    net = _ring(n)
+    net = seeded_ring(n)
     net.run(until=60.0)
     gc.collect()
     before = len(gc.get_objects())
@@ -102,7 +86,7 @@ def test_ring_steady_state_accumulates_nothing():
 
 
 def test_departure_cancels_every_loop_timer():
-    net = _ring(40)
+    net = seeded_ring(40)
     net.run(until=45.0)
     keys = list(net.nodes)
     for depart, key in ((net.crash, keys[3]), (net.leave, keys[8])):
