@@ -773,9 +773,16 @@ def cmd_live_swarm(args) -> int:
     )
     if summary.get("telemetry"):
         print(f"telemetry frames merged to {summary['telemetry']}")
+    runtime = summary["runtime"]
+    print("runtimes: " + " ".join(f"{stat}={runtime[stat]}" for stat in runtime))
     rc = 0
     if summary["joined"] < summary["n"]:
         print(f"WARNING: {summary['n'] - summary['joined']} node(s) failed to join")
+        rc = 1
+    if runtime["malformed"] or runtime["socket_errors"]:
+        # Datagrams that left one node and reached no handler: version
+        # skew or a codec bug, whether or not an SLO happens to breach.
+        print("WARNING: the swarm dropped datagrams (malformed / socket_errors)")
         rc = 1
     live_signals = None
     if args.health or args.compare_sim:

@@ -16,9 +16,13 @@ Two consumers rely on that purity:
   never drift apart silently.
 
 The shapes themselves are fixed by the §4 handshakes (PROTOCOL.md "Wire
-format") and versioned by ``codec.WIRE_SCHEMA_VERSION`` — changing a
-schema here without bumping the version is a wire-compat break, and the
-codec cross-check plus ``tests/kernel/test_schema.py`` will say so.
+format") and versioned by ``codec.WIRE_SCHEMA_VERSION``.  This registry
+describes construction sites, not bytes: how the codec lays a
+``Pointer`` out on the wire is the codec's business (version 2 made the
+rows positional without touching a line here).  Changing the kinds or
+their payload shapes trips the codec cross-check and
+``tests/kernel/test_schema.py``; changing the bytes under an unchanged
+version trips the golden frames in ``tests/kernel/golden_wire_v2.json``.
 """
 
 from __future__ import annotations

@@ -204,6 +204,7 @@ def launch_swarm(
         "spans": spans_path,
         "metrics": metrics_path,
         "telemetry": telemetry_path,
+        "runtime": runtime_totals(results),
         "results": results,
     }
 
@@ -333,6 +334,24 @@ def merge_spans(outdir: str, specs: Sequence[LiveNodeSpec]) -> str:
     return out_path
 
 
+#: ``RealtimeRuntime.stats()`` counter -> the swarm-wide metric it sums
+#: into.  The last two are what a codec or version mismatch looks like
+#: from outside: datagrams that left one node and reached no handler.
+RUNTIME_COUNTERS = {
+    "retransmit_giveups": m.LIVE_RETRANSMIT_GIVEUP,
+    "malformed": m.LIVE_MALFORMED,
+    "socket_errors": m.LIVE_SOCKET_ERRORS,
+}
+
+
+def runtime_totals(results: Sequence[Dict[str, Any]]) -> Dict[str, int]:
+    """Each :data:`RUNTIME_COUNTERS` counter summed over the swarm."""
+    return {
+        stat: sum(int(r["transport"].get(stat, 0)) for r in results)
+        for stat in RUNTIME_COUNTERS
+    }
+
+
 def merge_metrics(
     outdir: str,
     results: Sequence[Dict[str, Any]],
@@ -348,16 +367,15 @@ def merge_metrics(
     snapshot = aggregate_snapshots(r["registry"] for r in ordered)
     by_kind: Dict[str, int] = {}
     bits_by_kind: Dict[str, int] = {}
-    giveups = 0
     for result in ordered:
         stats = result["transport"]
         for kind, count in stats.get("by_kind", {}).items():
             by_kind[kind] = by_kind.get(kind, 0) + count
         for kind, bits in stats.get("bytes_by_kind", {}).items():
             bits_by_kind[kind] = bits_by_kind.get(kind, 0) + bits
-        giveups += int(stats.get("retransmit_giveups", 0))
     counters = snapshot["counters"]
-    counters[m.LIVE_RETRANSMIT_GIVEUP] = giveups
+    for stat, total in runtime_totals(ordered).items():
+        counters[RUNTIME_COUNTERS[stat]] = total
     for kind in sorted(by_kind):
         counters[f"{m.TRANSPORT_MSGS}.{kind}"] = by_kind[kind]
     for kind in sorted(bits_by_kind):

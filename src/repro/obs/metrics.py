@@ -172,6 +172,12 @@ AUDIT_DEMOTIONS = declare_metric(
 LIVE_RETRANSMIT_GIVEUP = declare_metric(
     "live.retransmit_giveup", "counter",
     "live requests that exhausted every datagram retransmit and timed out")
+LIVE_MALFORMED = declare_metric(
+    "live.malformed", "counter",
+    "datagrams a live runtime refused as wire-schema violations and dropped")
+LIVE_SOCKET_ERRORS = declare_metric(
+    "live.socket_errors", "counter",
+    "live sends that hit a closed socket or an error the OS reported back")
 DETECT_LATENCY = declare_metric(
     "detect.latency", "dist",
     "seconds from a member's death to a detector noticing it "

@@ -67,6 +67,81 @@ def test_malformed_datagrams_are_counted_and_dropped():
     asyncio.run(scenario())
 
 
+async def _until(condition, seconds=2.0):
+    """Yield to the loop until ``condition()`` holds (or ``seconds`` pass)."""
+    for _ in range(int(seconds / 0.01)):
+        if condition():
+            return
+        await asyncio.sleep(0.01)
+
+
+def test_every_hostile_datagram_is_one_malformed_and_nothing_else():
+    """Each hostile class, through a real socket: counted once, handed to
+    no handler, raised into no loop exception handler — and the runtime
+    answers the next valid request as if nothing had happened."""
+    from tests.kernel.test_codec_hostile import HOSTILE
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        escaped = []
+        loop.set_exception_handler(lambda _, context: escaped.append(context))
+        rt = await RealtimeRuntime.create(port=0)
+        client = await RealtimeRuntime.create(port=0)
+        inbox, replies = [], []
+
+        def serve(msg):
+            inbox.append(msg)
+            rt.send(msg.make_reply("probe-ack"))
+
+        rt.register(rt.address, serve)
+        client.register(client.address, lambda msg: None)
+        sock, _ = await loop.create_datagram_endpoint(
+            asyncio.DatagramProtocol, local_addr=("127.0.0.1", 0)
+        )
+        try:
+            for count, name in enumerate(sorted(HOSTILE), start=1):
+                sock.sendto(HOSTILE[name], parse_address(rt.address))
+                await _until(lambda count=count: rt.malformed >= count or escaped)
+                assert rt.malformed == count, name
+                assert not escaped, (name, escaped)
+            assert inbox == [] and rt.delivered == 0 and rt.sent == 0
+            client.request(
+                Message(src=client.address, dst=rt.address, kind="probe"),
+                2.0, on_reply=replies.append, on_timeout=lambda: replies.append(None),
+            )
+            await _until(lambda: replies)
+            assert [r.kind for r in replies] == ["probe-ack"]
+            assert len(inbox) == 1 and rt.malformed == len(HOSTILE) and not escaped
+        finally:
+            sock.close()
+            await client.close()
+            await rt.close()
+
+    asyncio.run(scenario())
+
+
+def test_a_600_pointer_download_is_one_datagram():
+    """The §4.3 download is one unchunked datagram; v2's pointer rows
+    carry 600 of them where v1's ``sendto`` failed past 461."""
+    from tests.kernel.test_codec import download_data
+
+    async def scenario():
+        rt = await RealtimeRuntime.create(port=0)
+        inbox = []
+        try:
+            rt.register(rt.address, inbox.append)
+            big = download_data(600)
+            big.src = big.dst = rt.address
+            rt.send(big)
+            await _until(lambda: inbox)
+            assert inbox == [big]
+            assert rt.socket_errors == 0 and rt.malformed == 0
+        finally:
+            await rt.close()
+
+    asyncio.run(scenario())
+
+
 def test_message_to_unknown_endpoint_counts_dropped_dead():
     async def scenario():
         rt = await RealtimeRuntime.create(port=0)

@@ -1,21 +1,26 @@
-"""Live telemetry sidecars: argv plumbing + the swarm-side merge.
+"""Live telemetry sidecars: argv plumbing + the swarm-side merges.
 
 Exercises the merge path with synthetic per-node sidecar files —
 the real UDP swarm is covered by the (slower) mini-swarm test — so the
 ordering and tolerance rules are pinned without spawning processes.
 """
 
+import json
 import os
 
 import pytest
 
+from repro.live.node import live_config
 from repro.live.swarm import (
     _node_argv,
     _settled_frames,
     launch_swarm,
+    merge_metrics,
     merge_telemetry,
     swarm_specs,
 )
+from repro.obs import metrics as m
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import (
     WindowAggregator,
     WindowBucket,
@@ -111,3 +116,24 @@ def test_settled_frames_empty_until_all_sidecars_exist(tmp_path):
     specs = _specs()
     _write_sidecar(str(tmp_path), specs[0], [1])
     assert _settled_frames(str(tmp_path), specs) == []
+
+
+def test_merge_metrics_keeps_what_the_runtimes_dropped(tmp_path):
+    """A datagram that left one node and reached no handler must show in
+    the swarm's ``metrics.json``: it is how version skew or a codec bug
+    looks from outside, whether or not any SLO breaches."""
+    def result(address, **transport):
+        return {"address": address, "registry": MetricsRegistry().snapshot(),
+                "transport": {"by_kind": {"probe": 2}, "bytes_by_kind": {"probe": 1000},
+                              **transport}}
+
+    results = [
+        result("127.0.0.1:2", malformed=3, socket_errors=0, retransmit_giveups=1),
+        result("127.0.0.1:1", malformed=1, socket_errors=2, retransmit_giveups=0),
+    ]
+    path = merge_metrics(str(tmp_path), results, live_config(), 2, 0, 5.0)
+    counters = json.load(open(path))["counters"]
+    assert counters[m.LIVE_MALFORMED] == 4
+    assert counters[m.LIVE_SOCKET_ERRORS] == 2
+    assert counters[m.LIVE_RETRANSMIT_GIVEUP] == 1
+    assert counters[f"{m.TRANSPORT_MSGS}.probe"] == 4
