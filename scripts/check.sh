@@ -11,6 +11,7 @@
 #                                # detlint-baseline.json, JSON report
 #                                # artifact) + DetSan chaos smoke
 #   scripts/check.sh --tests     # tests only
+#   scripts/check.sh --coldstart # import budget + what a cold start costs
 #   scripts/check.sh --chaos     # chaos smoke only
 #   scripts/check.sh --byzantine # byzantine smoke only
 #   scripts/check.sh --obs       # obs smoke only
@@ -25,11 +26,11 @@ set -u
 cd "$(dirname "$0")/.."
 
 # The sections, in run order: `--<name>` runs only check_<name>.
-SECTIONS="lint analysis tests chaos byzantine obs health live watch compare ledger"
+SECTIONS="lint analysis tests coldstart chaos byzantine obs health live watch compare ledger"
 # Sections that run only when asked for by name.
 ON_REQUEST="scale"
 # Sections skipped whole when numpy is missing.
-NEEDS_NUMPY="chaos byzantine obs health live watch compare ledger scale"
+NEEDS_NUMPY="coldstart chaos byzantine obs health live watch compare ledger scale"
 
 selected="$SECTIONS"
 if [ -n "${1:-}" ]; then
@@ -94,6 +95,31 @@ PY
 check_tests() {
   echo "== tier-1 tests =="
   $PY -m pytest -x -q || status=1
+}
+
+check_coldstart() {
+  echo "== coldstart (entry points load numpy + repro only; no scipy/networkx needed off the transit-stub path) =="
+  $PY -m pytest -q tests/test_import_budget.py tests/test_missing_libraries.py || status=1
+  # Information for the eye, never judged: timings drift with the host.
+  $PY - <<'PY' || status=1
+import subprocess, sys, time
+
+REPORT = ("import resource, sys; print(len(sys.modules), "
+          "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024, file=sys.stderr)")
+HELP = ("import contextlib, runpy, sys; sys.argv = ['repro', '--help']\n"
+        "with contextlib.suppress(SystemExit):\n"
+        "    runpy.run_module('repro', run_name='__main__')")
+for title, body in (("python -m repro --help", HELP),
+                    ('python -c "import repro.compare"', "import repro.compare")):
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", body + "\n" + REPORT],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    wall = time.perf_counter() - started
+    if proc.returncode:
+        sys.exit(f"coldstart: {title} exited {proc.returncode}: {proc.stderr}")
+    modules, rss_mb = proc.stderr.split()[-2:]
+    print(f"coldstart: {title}: {wall:.2f} s, {modules} modules, {rss_mb} MB peak RSS")
+PY
 }
 
 check_chaos() {

@@ -15,12 +15,14 @@ the scheme's second inefficiency).
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional, Set
 
-import networkx as nx
 import numpy as np
 
 from repro.baselines.common import CollectionScheme
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def small_world_graph(n: int, k: int = 8, rewire_p: float = 0.2, seed: int = 0) -> nx.Graph:
@@ -31,6 +33,10 @@ def small_world_graph(n: int, k: int = 8, rewire_p: float = 0.2, seed: int = 0) 
     if k % 2:
         k -= 1
     k = max(k, 2)
+    # Here, not at module scope: the tournament imports this package for
+    # its closed-form schemes and never builds an overlay graph.
+    import networkx as nx
+
     return nx.connected_watts_strogatz_graph(n, k, rewire_p, tries=200, seed=seed)
 
 

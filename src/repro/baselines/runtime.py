@@ -28,7 +28,7 @@ keys, so a seed reproduces frames and spans byte-for-byte.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -339,9 +339,12 @@ class BaselineNetwork:
 
     # -- oracle measurement -------------------------------------------------
 
-    def member_error_rate(self, member: BaselineMember) -> float:
-        """(stale + absent) / correct, against the live-population oracle."""
-        correct = set(self.live_keys())
+    def member_error_rate(
+        self, member: BaselineMember, correct: Optional[Set[int]] = None
+    ) -> float:
+        """(stale + absent) / correct, against the live-population oracle
+        (``correct``: its key set, when the caller already built it)."""
+        correct = set(self.live_keys()) if correct is None else correct
         actual = set(member.known)
         actual.add(member.key)
         if not correct:
@@ -350,22 +353,28 @@ class BaselineNetwork:
         absent = len(correct - actual)
         return (stale + absent) / len(correct)
 
-    def member_completeness(self, member: BaselineMember) -> float:
+    def member_completeness(
+        self, member: BaselineMember, correct: Optional[Set[int]] = None
+    ) -> float:
         """|known ∩ live| / |live| — the collection-coverage fraction."""
-        correct = set(self.live_keys())
+        correct = set(self.live_keys()) if correct is None else correct
         if not correct:
             return 1.0
         actual = set(member.known)
         actual.add(member.key)
         return len(actual & correct) / len(correct)
 
+    def _mean_over_live(self, measure, empty: float) -> float:
+        live = self.live_keys()
+        correct = set(live)  # one oracle set per measurement, not per member
+        vals = [measure(self.nodes[k], correct) for k in live]
+        return float(np.mean(vals)) if vals else empty
+
     def mean_error_rate(self) -> float:
-        rates = [self.member_error_rate(mem) for mem in self.live_nodes()]
-        return float(np.mean(rates)) if rates else 0.0
+        return self._mean_over_live(self.member_error_rate, 0.0)
 
     def mean_completeness(self) -> float:
-        vals = [self.member_completeness(mem) for mem in self.live_nodes()]
-        return float(np.mean(vals)) if vals else 1.0
+        return self._mean_over_live(self.member_completeness, 1.0)
 
     # -- StreamWindower surface --------------------------------------------
 

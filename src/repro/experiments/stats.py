@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.experiments.scalable import ScalableParams, ScalableResult, ScalableSim
 from repro.workloads.lifetime import GnutellaLifetimeDistribution
@@ -59,6 +58,10 @@ def summarize_metric(
     mean = float(arr.mean())
     if arr.size == 1:
         return MetricSummary(name, 1, mean, 0.0, mean, mean, confidence)
+    # Here, not at module scope: the CLI imports this module for every
+    # command, and loading scipy.stats (0.7 s, 70 MB) buys one quantile.
+    from scipy import stats as sps
+
     std = float(arr.std(ddof=1))
     sem = std / np.sqrt(arr.size)
     t = float(sps.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
@@ -134,5 +137,7 @@ def compare(
     if np.allclose(arr, arr[0]):
         p_value = 0.0 if arr[0] != 0 else 1.0
     else:
+        from scipy import stats as sps  # deferred as in summarize_metric
+
         p_value = float(sps.ttest_1samp(arr, 0.0).pvalue)
     return summary, p_value

@@ -35,10 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from repro.net.topology import Topology
 
@@ -101,6 +98,39 @@ class TransitStubParams:
 StubPos = Tuple[int, int, int]
 
 
+def _domain_edges(
+    p: TransitStubParams, rng: np.random.Generator
+) -> List[Tuple[int, int]]:
+    """The top-level domain graph's edges: a ring plus random chords
+    (connected by construction, like GT-ITM's random top-level graph
+    conditioned on connectivity).
+
+    The caller draws from ``rng`` once per edge, so their order is part of
+    the topology.  It is the order ``networkx.Graph.edges()`` walks the
+    same graph in: nodes, then each node's neighbours, by insertion, an
+    edge reported from the endpoint visited first.
+    """
+    n_domains = p.transit_domains
+    adj: Dict[int, Dict[int, None]] = {d: {} for d in range(n_domains)}
+
+    def link(a: int, b: int) -> None:
+        adj[a][b] = None
+        adj[b][a] = None
+
+    if n_domains > 1:
+        for d in range(n_domains):
+            link(d, (d + 1) % n_domains)
+        added = attempts = 0
+        while added < p.extra_domain_edges and attempts < p.extra_domain_edges * 20:
+            attempts += 1
+            a, b = (int(x) for x in rng.integers(0, n_domains, size=2))
+            if a != b and b not in adj[a]:
+                link(a, b)
+                added += 1
+    # Domains were inserted in index order, so "visited first" is "smaller".
+    return [(a, b) for a, nbrs in adj.items() for b in nbrs if a < b]
+
+
 class TransitStubTopology(Topology):
     """The GT-ITM transit-stub latency oracle.
 
@@ -123,28 +153,16 @@ class TransitStubTopology(Topology):
     # -- construction -----------------------------------------------------
 
     def _build(self) -> None:
+        # Here, not at module scope: only a process that builds a
+        # transit-stub pays for loading scipy.sparse (0.2 s, 35 MB).
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
         p = self.params
         rng = self._rng
         n_domains = p.transit_domains
         tn_per = p.transit_nodes_per_domain
         n_tn = p.n_transit_nodes
-
-        # Top-level domain graph: ring + random chords (connected by
-        # construction, like GT-ITM's random top-level graph conditioned on
-        # connectivity).
-        self.domain_graph = nx.Graph()
-        self.domain_graph.add_nodes_from(range(n_domains))
-        if n_domains > 1:
-            for d in range(n_domains):
-                self.domain_graph.add_edge(d, (d + 1) % n_domains)
-            added = 0
-            attempts = 0
-            while added < p.extra_domain_edges and attempts < p.extra_domain_edges * 20:
-                attempts += 1
-                a, b = rng.integers(0, n_domains, size=2)
-                if a != b and not self.domain_graph.has_edge(int(a), int(b)):
-                    self.domain_graph.add_edge(int(a), int(b))
-                    added += 1
 
         # Transit-node graph: intra-domain ring + one inter-domain edge per
         # domain-graph edge, endpoints chosen uniformly.
@@ -162,7 +180,7 @@ class TransitStubTopology(Topology):
             if tn_per > 1:
                 for i in range(tn_per):
                     add_edge(base + i, base + (i + 1) % tn_per)
-        for a, b in self.domain_graph.edges():
+        for a, b in _domain_edges(p, rng):
             u = a * tn_per + int(rng.integers(0, tn_per))
             v = b * tn_per + int(rng.integers(0, tn_per))
             add_edge(u, v)

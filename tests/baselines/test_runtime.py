@@ -126,3 +126,23 @@ class TestBehavior:
         member = net.nodes[key]
         assert member.alive
         assert len(member.known) >= 11
+
+
+class TestOracleMeasurement:
+    def test_one_live_set_per_measurement(self, monkeypatch):
+        """``mean_*`` build the oracle's live set once, not once per
+        member (counted, not timed), and agree with the per-member
+        methods an outside caller uses."""
+        net = GossipNetwork(300, master_seed=1, observability=False)
+        net.run(until=10.0)
+        net.crash(net.live_keys()[0])
+        members = net.live_nodes()
+        error = sum(net.member_error_rate(mem) for mem in members) / len(members)
+        complete = sum(net.member_completeness(mem) for mem in members) / len(members)
+
+        calls = []
+        live_keys = net.live_keys
+        monkeypatch.setattr(net, "live_keys", lambda: calls.append(1) or live_keys())
+        assert net.mean_error_rate() == pytest.approx(error, rel=1e-12)
+        assert net.mean_completeness() == pytest.approx(complete, rel=1e-12)
+        assert len(calls) == 2

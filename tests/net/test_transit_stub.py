@@ -1,8 +1,13 @@
 """GT-ITM transit-stub topology tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.net import transit_stub
 from repro.net.transit_stub import TransitStubParams, TransitStubTopology
 
 
@@ -128,3 +133,61 @@ class TestSampling:
         a = TransitStubTopology(TransitStubParams.small(), seed=42)
         b = TransitStubTopology(TransitStubParams.small(), seed=42)
         assert np.array_equal(a._transit_hops, b._transit_hops)
+
+
+class TestSameGraph:
+    """The domain graph was a ``networkx.Graph`` until the module stopped
+    importing networkx; every ``rng`` draw after it depends on the order
+    its edges are walked in."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        domains=st.integers(1, 12),
+        nodes_per_domain=st.integers(1, 4),
+        extra_edges=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_edge_walk_is_networkx_edge_order(
+        self, domains, nodes_per_domain, extra_edges, seed
+    ):
+        nx = pytest.importorskip("networkx")
+        p = TransitStubParams(
+            transit_domains=domains,
+            transit_nodes_per_domain=nodes_per_domain,
+            extra_domain_edges=extra_edges,
+        )
+        rng = np.random.default_rng(seed)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(domains))
+        if domains > 1:
+            for d in range(domains):
+                graph.add_edge(d, (d + 1) % domains)
+            added = attempts = 0
+            while added < extra_edges and attempts < extra_edges * 20:
+                attempts += 1
+                a, b = rng.integers(0, domains, size=2)
+                if a != b and not graph.has_edge(int(a), int(b)):
+                    graph.add_edge(int(a), int(b))
+                    added += 1
+        walked_rng = np.random.default_rng(seed)
+        assert transit_stub._domain_edges(p, walked_rng) == list(graph.edges())
+        # ... having drawn the same numbers on the way.
+        assert walked_rng.integers(0, 2**32) == rng.integers(0, 2**32)
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "d5aa8d38c482d469976553efacf0e8155c5a405c0694a263f811a38bd06c0df8"),
+        (1, "bb706744a5eabde91e4cd2de1144fb92963d8151c5fd4e7c62e41ab624da17b8"),
+        (2, "c0aa65eae455c46524514cb57a336ebd53641425ec30c4e023f211bd9c617776"),
+    ])
+    def test_paper_topology_bytes_pinned(self, seed, digest):
+        """Recorded with the networkx build (commit 70d5dba)."""
+        topo = TransitStubTopology(TransitStubParams(), seed=seed)
+        got = hashlib.sha256(
+            topo._transit_hops.tobytes() + topo.sample_stub_indices(64).tobytes()
+        ).hexdigest()
+        assert got == digest
+
+    def test_unreachable_graph_raises(self, monkeypatch):
+        monkeypatch.setattr(transit_stub, "_domain_edges", lambda p, rng: [])
+        with pytest.raises(RuntimeError, match="not connected"):
+            TransitStubTopology(TransitStubParams.small(), seed=0)
