@@ -12,6 +12,8 @@
 #                                # artifact) + DetSan chaos smoke
 #   scripts/check.sh --tests     # tests only
 #   scripts/check.sh --coldstart # import budget + what a cold start costs
+#   scripts/check.sh --paper     # scalable engine: `repro common` smoke +
+#                                # its block-draw and golden tests
 #   scripts/check.sh --chaos     # chaos smoke only
 #   scripts/check.sh --byzantine # byzantine smoke only
 #   scripts/check.sh --obs       # obs smoke only
@@ -26,11 +28,11 @@ set -u
 cd "$(dirname "$0")/.."
 
 # The sections, in run order: `--<name>` runs only check_<name>.
-SECTIONS="lint analysis tests coldstart chaos byzantine obs health live watch compare ledger"
+SECTIONS="lint analysis tests coldstart paper chaos byzantine obs health live watch compare ledger"
 # Sections that run only when asked for by name.
 ON_REQUEST="scale"
 # Sections skipped whole when numpy is missing.
-NEEDS_NUMPY="coldstart chaos byzantine obs health live watch compare ledger scale"
+NEEDS_NUMPY="coldstart paper chaos byzantine obs health live watch compare ledger scale"
 
 selected="$SECTIONS"
 if [ -n "${1:-}" ]; then
@@ -120,6 +122,53 @@ for title, body in (("python -m repro --help", HELP),
     modules, rss_mb = proc.stderr.split()[-2:]
     print(f"coldstart: {title}: {wall:.2f} s, {modules} modules, {rss_mb} MB peak RSS")
 PY
+}
+
+check_paper() {
+  echo "== paper smoke (repro common -n 20000 twice: level rows, error in (0, 0.05), same bytes; scalable-engine tests) =="
+  with_timeout 300 $PY - <<'PY' || status=1
+import contextlib, io, re, subprocess, sys, time
+
+COMMON = ["common", "-n", "20000", "--seed", "1"]
+problems, outputs = [], []
+for _ in range(2):
+    proc = subprocess.run([sys.executable, "-m", "repro", *COMMON],
+                          capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"paper: repro {' '.join(COMMON)} exited {proc.returncode}: {proc.stderr}")
+    outputs.append(proc.stdout)
+level_rows = re.findall(r"^ *\d+ \|", outputs[0], flags=re.M)
+if len(level_rows) < 3:
+    problems.append(f"{len(level_rows)} level row(s) (want >= 3)")
+error = re.search(r"^mean error rate: ([0-9.]+)", outputs[0], flags=re.M)
+error = error.group(1) if error else "missing"
+if error == "missing" or not 0 < float(error) < 0.05:
+    problems.append(f"mean error rate {error} (want in (0, 0.05))")
+if outputs[0] != outputs[1]:
+    problems.append("two runs of one seed printed different bytes")
+
+# Information for the eye, never judged: the same command once more, in
+# this process, where the engine's event count can be read.
+from repro import cli
+from repro.experiments.scalable import ScalableSim
+
+timed, run = [], ScalableSim.run
+def timed_run(self):
+    started = time.perf_counter()
+    result = run(self)
+    timed.append((time.perf_counter() - started, self.sim.events_executed))
+    return result
+ScalableSim.run = timed_run
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(COMMON)
+wall, events = timed[0]
+print(f"paper: {len(level_rows)} level rows, mean error rate {error}; "
+      f"{events} events in {wall:.2f} s ({events / wall:,.0f} events per host-second)")
+for p in problems:
+    print("paper:", p)
+sys.exit(1 if problems else 0)
+PY
+  $PY -m pytest -q tests/workloads/test_block_draws.py tests/experiments/test_scalable.py || status=1
 }
 
 check_chaos() {

@@ -170,6 +170,11 @@ def binomial_broadcast(
 #: ``int32`` cells, two tables per simulation): 64 MiB each, max_level <= 23.
 COUNTER_TABLE_CELL_BUDGET = 1 << 24
 
+#: Joins whose threshold and lifetime one refill draws ahead (the
+#: ``bandwidth`` and ``lifetime`` streams have no other reader once the
+#: population is seeded).  No result depends on it.
+JOIN_DRAW_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class ScalableParams:
@@ -205,6 +210,11 @@ class ScalableParams:
             raise ValueError("lifetime_rate must be positive")
         if self.max_level < 1 or self.max_level > self.id_bits:
             raise ValueError("max_level must be in [1, id_bits]")
+        if self.n_target > 1 << self.id_bits:
+            raise ValueError(
+                f"n_target={self.n_target} needs more distinct ids than "
+                f"id_bits={self.id_bits} has"
+            )
         cells = (2 << self.max_level) - 1
         if cells > COUNTER_TABLE_CELL_BUDGET:
             raise ValueError(
@@ -212,15 +222,20 @@ class ScalableParams:
                 f"table; the budget is {COUNTER_TABLE_CELL_BUDGET:,}"
             )
         # A periodic tick with a non-positive period reschedules itself at
-        # the same simulated instant forever.
+        # the same simulated instant forever; probe traffic divides by its
+        # interval; ``threshold_from_bandwidth`` refuses the last.
         for name in (
             "relevel_interval_s", "measure_interval_s", "tree_sample_interval_s",
-            "rate_window_s", "duration_s",
+            "rate_window_s", "duration_s", "probe_interval_s", "threshold_fraction",
         ):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if not self.warmup_s >= 0:
-            raise ValueError("warmup_s must be non-negative")
+        # A negative delay would charge negative staleness.
+        for name in (
+            "warmup_s", "probe_timeout_s", "processing_delay_s", "threshold_floor_bps",
+        ):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass
@@ -295,6 +310,7 @@ class ScalableSim:
         self.bandwidths = (
             bandwidth_dist if bandwidth_dist is not None else GnutellaBandwidthDistribution()
         )
+        self._mean_lifetime = self.lifetimes.mean
         # Underlay latency: mean pairwise latency over the transit-stub
         # model (or the paper's 0.5 s/step assumption when disabled).
         if self.p.use_transit_stub:
@@ -343,6 +359,11 @@ class ScalableSim:
         self._depth_samples = np.zeros(L + 1)
         self._sends_by_level = np.zeros(L + 1)
         self._send_samples = 0
+        # What ``_delays`` / ``_charge_traffic`` read, derived from the four
+        # above where ``_sample_tree`` writes them.
+        self._depth_sampled = np.zeros(L + 1, dtype=bool)
+        self._depth_delay = np.zeros(L + 1)  # depth * hop delay where sampled
+        self._send_bits: Optional[np.ndarray] = None
         self._tree_depths_all: List[float] = []
         self._tree_max_depth = 0
         self._root_out_degrees: List[int] = []
@@ -360,6 +381,8 @@ class ScalableSim:
         self._rng_bw = self.streams.get("bandwidth")
         self._rng_ids = self.streams.get("ids")
         self._rng_misc = self.streams.get("misc")
+        # (threshold, lifetime) of the joins to come, next one last.
+        self._join_draws: List[Tuple[float, float]] = []
 
     # -- population mechanics ------------------------------------------------
 
@@ -368,6 +391,11 @@ class ScalableSim:
         return len(self._slot_of)
 
     def _random_id(self) -> int:
+        if len(self._slot_of) >= 1 << self.p.id_bits:
+            raise RuntimeError(
+                f"all 2**{self.p.id_bits} ids are live; id_bits is too small "
+                f"for n_target={self.p.n_target}"
+            )
         while True:
             value = int(self._rng_ids.integers(0, 1 << self.p.id_bits, dtype=np.uint64))
             if value not in self._slot_of:
@@ -410,10 +438,9 @@ class ScalableSim:
         """Flat-table cells of one id's prefixes, for l = 0..max_level."""
         return (np.uint64(value) >> self._cell_shift).astype(np.int64) + self._cell_base
 
-    def _counts_update(self, value: int, delta: int) -> None:
-        self._counts_flat[self._cells(value)] += delta  # one cell per level
-
-    def _add_node(self, value: int, level: int, threshold: float, now: float) -> int:
+    def _add_node(
+        self, value: int, level: int, threshold: float, now: float, cells: np.ndarray
+    ) -> int:
         slot = self._free.pop()
         self.ids[slot] = value
         self.levels[slot] = level
@@ -421,15 +448,15 @@ class ScalableSim:
         self.alive[slot] = True
         self.join_times[slot] = now
         self._slot_of[value] = slot
-        self._counts_update(value, +1)
+        self._counts_flat[cells] += 1  # one cell per level
         l = min(level, self.p.max_level)
         self._level_counts[l][self._prefix(value, l)] += 1
         return slot
 
-    def _remove_node(self, value: int) -> None:
+    def _remove_node(self, value: int, cells: np.ndarray) -> None:
         slot = self._slot_of.pop(value)
         self.alive[slot] = False
-        self._counts_update(value, -1)
+        self._counts_flat[cells] -= 1
         l = min(int(self.levels[slot]), self.p.max_level)
         self._level_counts[l][self._prefix(value, l)] -= 1
         self._free.append(slot)
@@ -452,23 +479,23 @@ class ScalableSim:
     def _delays(self, detection: float) -> np.ndarray:
         """Expected event-propagation delay to the level-l audience members,
         for l = 0..max_level."""
-        sampled = self._depth_samples > 0
-        depth = np.full(
-            sampled.size, max(1.0, math.log2(max(self.population, 2)) * 0.5)
+        # A level no tree sample has reached yet gets the log2(N)/2 guess.
+        unsampled_depth = max(1.0, math.log2(max(self.population, 2)) * 0.5)
+        tree = np.where(
+            self._depth_sampled, self._depth_delay, unsampled_depth * self._hop_delay
         )
-        np.divide(self._depth_by_level, self._depth_samples, out=depth, where=sampled)
-        report_leg = self.mean_link_latency + self.p.processing_delay_s
-        return detection + report_leg + depth * self._hop_delay
+        return detection + self._hop_delay + tree  # the report leg is one hop
 
-    def _audience(self, subject_value: int) -> np.ndarray:
-        """How many level-l nodes hear about the subject, l = 0..max_level."""
-        return self._level_counts_flat[self._cells(subject_value)].astype(np.int64)
+    def _audience(self, cells: np.ndarray) -> np.ndarray:
+        """How many level-l nodes hear about the subject whose
+        :meth:`_cells` these are, l = 0..max_level."""
+        return self._level_counts_flat[cells].astype(np.int64)
 
-    def _account_event(self, subject_value: int, detection: float, stale: bool) -> None:
+    def _account_event(self, cells: np.ndarray, detection: float, stale: bool) -> None:
         """Charge one join/leave event's staleness/absence plus traffic."""
         if not self._measuring:
             return
-        audience = self._audience(subject_value)
+        audience = self._audience(cells)
         # A level nobody listens at is charged ``delay * 0``: nothing.
         charge = self._delays(detection) * audience
         if stale:
@@ -480,7 +507,7 @@ class ScalableSim:
     def _account_traffic(self, subject_value: int) -> None:
         """Charge one multicast's bandwidth (any event kind)."""
         if self._measuring:
-            self._charge_traffic(self._audience(subject_value))
+            self._charge_traffic(self._audience(self._cells(subject_value)))
 
     def _charge_traffic(self, audience: np.ndarray) -> None:
         # Each audience member receives the 1000-bit event and acks it.
@@ -488,48 +515,54 @@ class ScalableSim:
         self.bits_out += audience * self.p.ack_bits
         # Sender side of the multicast: distribute the tree's sends over
         # levels using the calibrated per-level out-degree profile.
-        if self._send_samples > 0:
-            self.bits_out += (
-                self._sends_by_level / self._send_samples * self.p.event_bits
-            )
+        if self._send_bits is not None:
+            self.bits_out += self._send_bits
 
     # -- simulation events ---------------------------------------------------------
 
     def _schedule_join(self) -> None:
-        rate = self.p.n_target / self.lifetimes.mean
+        rate = self.p.n_target / self._mean_lifetime
         gap = float(self._rng_misc.exponential(1.0 / rate))
         self.sim.schedule(gap, self._do_join)
 
     def _do_join(self) -> None:
         now = self.sim.now
         value = self._random_id()
-        bw = float(self.bandwidths.sample(self._rng_bw))
-        threshold = float(
-            threshold_from_bandwidth(
-                bw, self.p.threshold_fraction, self.p.threshold_floor_bps
-            )
-        )
+        if not self._join_draws:
+            self._refill_join_draws()
+        threshold, lifetime = self._join_draws.pop()
         level = self._affordable_level(threshold)
-        self._add_node(value, level, threshold, now)
-        lifetime = float(self.lifetimes.sample(self._rng_life))
+        cells = self._cells(value)
+        self._add_node(value, level, threshold, now, cells)
         self.sim.schedule(lifetime, self._do_leave, value)
         self.joins += 1
         self._record_event()
         # Join events create *absent* pointers until delivery.
-        self._account_event(value, detection=0.0, stale=False)
+        self._account_event(cells, detection=0.0, stale=False)
         # §4.6 refresh: only nodes outliving twice the average lifetime
         # ever refresh (most never do).
-        refresh_period = 2.0 * self.lifetimes.mean
+        refresh_period = 2.0 * self._mean_lifetime
         if lifetime > refresh_period:
             self.sim.schedule(refresh_period, self._do_refresh, value, refresh_period)
         self._schedule_join()
+
+    def _refill_join_draws(self) -> None:
+        """Draw the next ``JOIN_DRAW_BLOCK`` joins' values: what that many
+        scalar ``sample(rng)`` calls on each stream would return."""
+        thresholds = threshold_from_bandwidth(
+            self.bandwidths.sample_each(self._rng_bw, JOIN_DRAW_BLOCK),
+            self.p.threshold_fraction, self.p.threshold_floor_bps,
+        )
+        lifetimes = self.lifetimes.sample(self._rng_life, JOIN_DRAW_BLOCK)
+        self._join_draws = list(zip(thresholds.tolist(), lifetimes.tolist()))[::-1]
 
     def _do_leave(self, value: int) -> None:
         if value not in self._slot_of:
             return
         detection = self.p.probe_interval_s / 2.0 + self.p.probe_timeout_s
-        self._account_event(value, detection=detection, stale=True)
-        self._remove_node(value)
+        cells = self._cells(value)
+        self._account_event(cells, detection=detection, stale=True)
+        self._remove_node(value, cells)
         self.leaves += 1
         self._record_event()
 
@@ -654,6 +687,13 @@ class ScalableSim:
             sends_l = senders[np.minimum(levels, self.p.max_level) == l].sum()
             self._sends_by_level[l] += float(sends_l)
         self._send_samples += 1
+        self._depth_sampled = self._depth_samples > 0
+        np.divide(
+            self._depth_by_level, self._depth_samples,
+            out=self._depth_delay, where=self._depth_sampled,
+        )
+        self._depth_delay *= self._hop_delay
+        self._send_bits = self._sends_by_level / self._send_samples * self.p.event_bits
         self._tree_depths_all.append(float(depths[reached].mean()))
         self._tree_max_depth = max(self._tree_max_depth, int(depths.max()))
         self._root_out_degrees.append(int(senders[root_pos]))
@@ -664,7 +704,7 @@ class ScalableSim:
         """Create the initial ``n_target`` nodes (the paper's step one)."""
         n = self.p.n_target
         # Analytic initial rate: joins + leaves ≈ 2N/L.
-        self._rate_estimate = 2.0 * n / self.lifetimes.mean
+        self._rate_estimate = 2.0 * n / self._mean_lifetime
         bws = np.asarray(self.bandwidths.sample(self._rng_bw, n))
         thresholds = threshold_from_bandwidth(
             bws, self.p.threshold_fraction, self.p.threshold_floor_bps
@@ -692,14 +732,18 @@ class ScalableSim:
             prefixes = (values >> np.uint64(bits - l)).astype(np.int64)
             self._counts[l] += np.bincount(prefixes, minlength=1 << l)
             self._level_counts[l] += np.bincount(prefixes[own == l], minlength=1 << l)
-        refresh_period = 2.0 * self.lifetimes.mean
+        refresh_period = 2.0 * self._mean_lifetime
         for value, lifetime in zip(values.tolist(), lifetimes.tolist()):
             self.sim.schedule(lifetime, self._do_leave, value)
             if lifetime > refresh_period:
                 self.sim.schedule(refresh_period, self._do_refresh, value, refresh_period)
 
     def run(self) -> ScalableResult:
-        """Seed, warm up, measure, and report."""
+        """Seed, warm up, measure, and report.  Once per ``ScalableSim``."""
+        if self.sim.now > 0 or self.sim.events_executed:
+            raise RuntimeError(
+                "this ScalableSim has already run; build a new one per run"
+            )
         self.seed_population()
         self._schedule_join()
         self.sim.schedule(self.p.relevel_interval_s, self._relevel_tick)

@@ -82,19 +82,40 @@ class GnutellaBandwidthDistribution:
             raise ValueError("total weight must be positive")
         self.categories = cats
         self._probs = np.array([c.weight / total for c in cats])
+        # ``Generator.choice(n, p=p)`` is a search of this table with one
+        # uniform double per draw (``test_block_draws`` holds it to that).
+        self._cdf = self._probs.cumsum()
+        self._cdf /= self._cdf[-1]
         self._log_low = np.log(np.array([c.low_bps for c in cats]))
         self._log_high = np.log(np.array([c.high_bps for c in cats]))
 
+    def _from_uniforms(self, category_u: np.ndarray, jitter_u: np.ndarray) -> np.ndarray:
+        idx = self._cdf.searchsorted(category_u, side="right")
+        return np.exp(
+            self._log_low[idx] + jitter_u * (self._log_high[idx] - self._log_low[idx])
+        )
+
     def sample(self, rng: np.random.Generator, n: Optional[int] = None):
-        """Sample available bandwidth in bps (scalar when ``n`` is None)."""
-        scalar = n is None
-        size = 1 if scalar else int(n)
+        """Sample available bandwidth in bps (scalar when ``n`` is None).
+
+        Draw order with ``n``: all ``n`` category doubles, then all ``n``
+        jitter doubles.  Without it: one :meth:`sample_each` draw (category,
+        then jitter).  The two orders read the stream differently — ``n``
+        scalar calls are ``sample_each(rng, n)``, not ``sample(rng, n)``.
+        """
+        if n is None:
+            return float(self.sample_each(rng, 1)[0])
+        size = int(n)
         if size < 0:
             raise ValueError("n must be non-negative")
-        idx = rng.choice(len(self.categories), size=size, p=self._probs)
-        u = rng.random(size)
-        out = np.exp(self._log_low[idx] + u * (self._log_high[idx] - self._log_low[idx]))
-        return float(out[0]) if scalar else out
+        return self._from_uniforms(rng.random(size), rng.random(size))
+
+    def sample_each(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """What ``k`` scalar ``sample(rng)`` calls return, in order, leaving
+        ``rng`` where they would: ``2k`` doubles, category and jitter
+        alternating."""
+        u = rng.random(2 * k)
+        return self._from_uniforms(u[0::2], u[1::2])
 
     def fraction_below(self, bps: float) -> float:
         """Exact model probability that a node's bandwidth is < ``bps``."""

@@ -59,7 +59,13 @@ class LifetimeDistribution(abc.ABC):
         return self._base_mean() * self.lifetime_rate
 
     def sample(self, rng: np.random.Generator, n: Optional[int] = None):
-        """Sample lifetimes (seconds).  Scalar when ``n`` is None."""
+        """Sample lifetimes (seconds).  Scalar when ``n`` is None.
+
+        ``sample(rng, n)`` is ``n`` scalar calls, in order, and leaves
+        ``rng`` where they would (NumPy fills a sized draw one variate at a
+        time); ``tests/workloads/test_block_draws.py`` holds every subclass
+        to that, and the scalable engine pre-draws its joins on it.
+        """
         if n is None:
             return float(self._base_sample(rng, 1)[0] * self.lifetime_rate)
         if n < 0:

@@ -1,6 +1,7 @@
 """Scalable-engine tests: bookkeeping invariants and physical sanity."""
 
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -9,12 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import scalable
 from repro.experiments.scalable import (
     COUNTER_TABLE_CELL_BUDGET,
+    JOIN_DRAW_BLOCK,
     ScalableParams,
     ScalableSim,
     binomial_broadcast,
 )
+from repro.workloads.lifetime import ExponentialLifetime
 
 
 def fast_params(**kw):
@@ -175,11 +179,37 @@ class TestValidation:
             ("duration_s", 0.0),
             ("warmup_s", -1.0),
             ("measure_interval_s", float("nan")),
+            # ZeroDivisionError at the first measure tick.
+            ("probe_interval_s", 0.0),
+            # Ran, and charged negative staleness.
+            ("probe_timeout_s", -3.0),
+            ("processing_delay_s", -0.5),
+            # A ValueError from inside seed_population that named neither.
+            ("threshold_fraction", 0.0),
+            ("threshold_floor_bps", -1.0),
         ],
     )
     def test_time_fields_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=field):
             ScalableParams(**{field: value})
+
+    def test_more_nodes_than_ids_rejected(self):
+        """300 distinct ids out of 256: ``run()`` never returned."""
+        with pytest.raises(ValueError, match="n_target=300.*id_bits=8"):
+            ScalableParams(n_target=300, id_bits=8, max_level=4)
+        ScalableParams(n_target=256, id_bits=8, max_level=4)
+
+    def test_join_into_a_full_id_space_raises(self):
+        sim = ScalableSim(ScalableParams(n_target=256, id_bits=8, max_level=4))
+        sim._slot_of.update((value, value) for value in range(256))
+        with pytest.raises(RuntimeError, match="id_bits"):
+            sim._random_id()
+
+    def test_second_run_refused(self):
+        sim = ScalableSim(fast_params(n_target=100, duration_s=30.0, warmup_s=0.0))
+        sim.run()
+        with pytest.raises(RuntimeError, match="already run"):
+            sim.run()
 
     def test_counter_tables_have_a_cell_budget(self):
         """``max_level`` sizes two 2^(max_level+1)-cell tables; 40 would ask
@@ -240,9 +270,22 @@ GOLDEN_CASES["seed=7,fast_churn"] = dict(
 )
 
 
-def golden_snapshot(**params) -> dict:
+# Cases that cross join-draw blocks (the four level-0 ones make ~45 joins
+# and never leave the first), recorded at the commit before block draws
+# existed: 2,153 joins each, and 5,914 from another lifetime class.
+_CHURNY = dict(_SMALL, seed=3, lifetime_rate=0.02)
+for _stub in (True, False):
+    GOLDEN_CASES[f"seed=3,churny,transit_stub={_stub}"] = dict(
+        _CHURNY, use_transit_stub=_stub
+    )
+GOLDEN_CASES["seed=1,exponential60"] = dict(
+    _SMALL, seed=1, lifetime_dist=ExponentialLifetime(mean=60.0)
+)
+
+
+def golden_snapshot(lifetime_dist=None, **params) -> dict:
     """Every number one small run reports, floats as ``repr`` strings."""
-    sim = ScalableSim(ScalableParams(**params))
+    sim = ScalableSim(ScalableParams(**params), lifetime_dist)
     res = sim.run()
     scalars = {
         name: getattr(res, name)
@@ -270,6 +313,58 @@ class TestGolden:
     def test_result_is_bit_identical(self, case):
         golden = json.loads(GOLDEN_PATH.read_text())
         assert golden_snapshot(**GOLDEN_CASES[case]) == golden[case]
+
+
+class CountingRng:
+    """A generator that counts the draw calls made on it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestJoinDrawBlocks:
+    """The ``bandwidth`` and ``lifetime`` streams are read a block of joins
+    ahead, and an event's prefix cells are computed once."""
+
+    def test_result_does_not_depend_on_block_length(self, monkeypatch):
+        committed = ScalableSim(ScalableParams(**_CHURNY)).run()
+        assert committed.joins > 2 * JOIN_DRAW_BLOCK  # blocks were crossed
+        for block in (1, 7):
+            monkeypatch.setattr(scalable, "JOIN_DRAW_BLOCK", block)
+            assert ScalableSim(ScalableParams(**_CHURNY)).run() == committed
+
+    def test_draw_calls_and_cell_vectors_are_counted(self, monkeypatch):
+        """Counted, not timed.  Before blocks: two draw calls per join on
+        the bandwidth stream, one on the lifetime stream, and two cell
+        vectors per measured join or leave."""
+        sim = ScalableSim(ScalableParams(**dict(_CHURNY, warmup_s=0.0, duration_s=250.0)))
+        seed_population = sim.seed_population
+
+        def seed_then_count():  # seeding reads both streams too: not counted
+            seed_population()
+            sim._rng_bw, sim._rng_life = CountingRng(sim._rng_bw), CountingRng(sim._rng_life)
+
+        monkeypatch.setattr(sim, "seed_population", seed_then_count)
+        cell_calls = []
+        cells = sim._cells
+        monkeypatch.setattr(sim, "_cells", lambda value: cell_calls.append(value) or cells(value))
+        res = sim.run()
+        assert res.joins >= 3000
+        most = math.ceil(res.joins / JOIN_DRAW_BLOCK) + 1
+        assert 0 < sim._rng_bw.calls <= most and 0 < sim._rng_life.calls <= most
+        # No warm-up: every event is measured, so every one needs its cells.
+        assert res.level_changes > 0
+        assert len(cell_calls) == res.joins + res.leaves + res.refreshes + res.level_changes
 
 
 if __name__ == "__main__":
