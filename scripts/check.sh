@@ -22,8 +22,10 @@
 #   scripts/check.sh --watch     # streaming telemetry smoke only
 #   scripts/check.sh --compare   # tournament scorecard smoke only
 #   scripts/check.sh --ledger    # benchmark ledger smoke only
-#   scripts/check.sh --scale     # NOT in the default run (~10 s, 0.5 GB):
-#                                # a 10^4-node detailed run fits in 1 GB
+#   scripts/check.sh --scale     # NOT in the default run (~1 min, 2 GB):
+#                                # a 10^4-node detailed run fits in 1 GB;
+#                                # the n=1,000 six-contestant tournament
+#                                # keeps its champion healthy in < 4 GB
 set -u
 cd "$(dirname "$0")/.."
 
@@ -263,12 +265,17 @@ PY
 }
 
 check_compare() {
-  echo "== compare smoke (2-protocol seeded tournament -> scorecard) =="
-  with_timeout 300 $PY -m repro compare --contestants peerwindow gossip \
-    -n 40 --duration 120 --window 30 --seed 0 \
-    --json "$dir/scorecard.json" >/dev/null || status=1
-  $PY - "$dir/scorecard.json" <<'PY' || status=1
+  echo "== compare smoke (all six contestants, n=40 x 120 sim-s, twice -> scorecard schema, six rows, same bytes) =="
+  for run in 1 2; do
+    with_timeout 300 $PY -m repro compare \
+      -n 40 --duration 120 --window 30 --seed 0 \
+      --json "$dir/scorecard$run.json" >/dev/null || status=1
+  done
+  cmp "$dir/scorecard1.json" "$dir/scorecard2.json" || {
+    echo "compare smoke: two runs of one seed wrote different scorecards"; status=1; }
+  $PY - "$dir/scorecard1.json" <<'PY' || status=1
 import json, sys
+from repro.compare import contestant_names
 
 doc = json.load(open(sys.argv[1]))
 problems = []
@@ -286,9 +293,9 @@ for row in rows:
     missing = [key for key in required if key not in row]
     if missing:
         problems.append(f"row {row.get('contestant')}: missing {missing}")
-names = sorted({row.get("contestant") for row in rows})
-if names != ["gossip", "peerwindow"]:
-    problems.append(f"contestants {names} (want gossip+peerwindow)")
+names = sorted(row.get("contestant") for row in rows)
+if len(names) != 6 or names != sorted(contestant_names()):
+    problems.append(f"rows for {names} (want one each of {sorted(contestant_names())})")
 if not isinstance(doc.get("champion_healthy"), bool):
     problems.append("champion_healthy is not a bool")
 if not doc.get("aggregates"):
@@ -342,6 +349,39 @@ if failures:
     problems.append(f"{failures} failure detection(s) in a churn-free ring")
 if error != 0:
     problems.append(f"mean_error_rate() = {error} (want 0)")
+if rss_mb >= limit_mb:
+    problems.append(f"peak RSS {rss_mb:.0f} MB >= {limit_mb} MB")
+for p in problems:
+    print("scale:", p)
+sys.exit(1 if problems else 0)
+PY
+  echo "== scale (six-contestant tournament, n=1,000 x 130 sim-s, one contestant at a time: champion healthy, < 4 GB) =="
+  with_timeout 900 $PY - <<'PY' || status=1
+import resource, sys, time
+from dataclasses import replace
+from repro.compare import TournamentConfig, contestant_names, run_tournament
+from repro.compare.contestants import CHAMPION
+
+limit_mb = 4096
+cfg = TournamentConfig(contestants=tuple(contestant_names()), n_nodes=1000,
+                       duration=130.0, window=30.0, seeds=(0,))
+# Every contestant owns its network, so a tournament of one gives the
+# row the full tournament would, and a host time that is its own.
+# Timings are printed for the eye, never judged.
+rows = []
+for name in cfg.contestants:
+    started = time.perf_counter()
+    (row,) = run_tournament(replace(cfg, contestants=(name,)))["rows"]
+    host_s = time.perf_counter() - started
+    rows.append(row)
+    print(f"scale: {name:<17} {host_s:6.1f} host-s  {row['spans_total']:>9,} spans  "
+          f"error {row['error_rate']:.4f}  {row['bandwidth_bps_per_node']:>9.1f} bps/node  "
+          f"healthy={row['healthy']}")
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+print(f"scale: peak RSS {rss_mb:.0f} MB")
+problems = []
+if not all(row["healthy"] for row in rows if row["contestant"] == CHAMPION):
+    problems.append(f"champion {CHAMPION} breached its health bands")
 if rss_mb >= limit_mb:
     problems.append(f"peak RSS {rss_mb:.0f} MB >= {limit_mb} MB")
 for p in problems:

@@ -28,7 +28,7 @@ keys, so a seed reproduces frames and spans byte-for-byte.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -225,11 +225,29 @@ class BaselineNetwork:
     # -- failure detection -------------------------------------------------
 
     def _detector_tick(self, key: int) -> None:
+        """Probe every target of this tick; the positive ones share one
+        ack event (their acks would hold consecutive sequence numbers at
+        one instant, so nothing could run between them)."""
         member = self.nodes.get(key)
         if member is None or not member.alive:
             return
+        now = self.sim.now
+        nodes, send, schedule = self.nodes, self._send, self.sim.schedule
+        heartbeat_bits, ack_bits = self.config.heartbeat_bits, self.config.ack_bits
+        probe_timeout = self.config.probe_timeout
+        start = member.obs.start if member.obs.enabled else None
+        acked: List[Tuple[int, Optional[Span]]] = []
         for target in self._probe_targets(member):
-            self._probe(member, target)
+            send("probe", heartbeat_bits)
+            span = start("probe", now, target=target) if start else None
+            peer = nodes.get(target)
+            if peer is not None and peer.alive:
+                send("ack", ack_bits)
+                acked.append((target, span))
+            else:
+                schedule(probe_timeout, self._probe_timeout, key, target, span)
+        if acked:
+            schedule(2 * self.hop_delay, self._probes_ok, key, acked)
 
     def _probe_targets(self, member: BaselineMember) -> List[int]:
         """Default detector: one uniformly random known peer per tick."""
@@ -238,34 +256,22 @@ class BaselineNetwork:
             return []
         return [known[int(member.rng.integers(0, len(known)))]]
 
-    def _probe(self, member: BaselineMember, target: int) -> None:
-        now = self.sim.now
-        self._send("probe", self.config.heartbeat_bits)
-        span = None
-        if member.obs.enabled:
-            span = member.obs.start("probe", now, target=target)
-        peer = self.nodes.get(target)
-        if peer is not None and peer.alive:
-            self._send("ack", self.config.ack_bits)
-            self.sim.schedule(
-                2 * self.hop_delay, self._probe_ok, member.key, target, span
-            )
-        else:
-            self.sim.schedule(
-                self.config.probe_timeout,
-                self._probe_timeout, member.key, target, span,
-            )
-
-    def _probe_ok(self, key: int, target: int, span: Optional[Span]) -> None:
+    def _probes_ok(
+        self, key: int, acked: List[Tuple[int, Optional[Span]]]
+    ) -> None:
         member = self.nodes.get(key)
         if member is None:
             return
         now = self.sim.now
-        if span is not None:
-            member.obs.end(span, now, status="ok")
-        member.obs.registry.observe(m.PROBE_RTT, 2 * self.hop_delay)
-        if member.alive and target in member.known:
-            member.known[target] = now
+        rtt = 2 * self.hop_delay
+        end, observe = member.obs.end, member.obs.registry.observe
+        alive, known = member.alive, member.known
+        for target, span in acked:
+            if span is not None:
+                end(span, now, status="ok")
+            observe(m.PROBE_RTT, rtt)
+            if alive and target in known:
+                known[target] = now
 
     def _probe_timeout(self, key: int, target: int, span: Optional[Span]) -> None:
         member = self.nodes.get(key)

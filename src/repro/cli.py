@@ -610,23 +610,18 @@ def cmd_compare(args) -> int:
         _emit(args, "tournament contestants", ["contestant"],
               [[name] for name in known])
         return 0
-    names = tuple(args.contestants) if args.contestants else tuple(known)
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        print(
-            f"error: unknown contestant(s): {', '.join(unknown)} "
-            f"(known: {', '.join(known)})",
-            file=sys.stderr,
+    try:
+        cfg = TournamentConfig(
+            contestants=tuple(args.contestants or known),
+            n_nodes=args.nodes,
+            duration=args.duration,
+            window=args.window,
+            seeds=tuple(range(args.seed, args.seed + args.seeds)),
+            parallel=args.parallel,
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    cfg = TournamentConfig(
-        contestants=names,
-        n_nodes=args.nodes,
-        duration=args.duration,
-        window=args.window,
-        seeds=tuple(range(args.seed, args.seed + args.seeds)),
-        parallel=args.parallel,
-    )
     on_window = None
     if args.watch:
         from repro.obs.dashboard import ComparisonDashboard

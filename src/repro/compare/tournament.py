@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.compare.contestants import CHAMPION, CONTESTANTS, build_contestant
 from repro.compare.scorecard import build_doc
 from repro.compare.workload import CompareWorkload
-from repro.obs.analyze import analyze_spans
+from repro.obs.analyze import multicast_trees
 from repro.obs.stream import SnapshotWriter, StreamWindower
 
 __all__ = ["TournamentConfig", "run_tournament"]
@@ -44,10 +44,21 @@ class TournamentConfig:
             raise ValueError("at least one contestant required")
         unknown = [c for c in self.contestants if c not in CONTESTANTS]
         if unknown:
-            known = ", ".join(CONTESTANTS)
             raise ValueError(
-                f"unknown contestant(s) {unknown} (known: {known})"
+                f"unknown contestant(s): {', '.join(unknown)} "
+                f"(known: {', '.join(CONTESTANTS)})"
             )
+        # One network per (contestant, seed): a repeated contestant would
+        # have its network driven twice, a repeated seed counted twice.
+        for what, values in (("contestants", self.contestants), ("seeds", self.seeds)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(
+                    f"{what} must be distinct; listed more than once: "
+                    f"{', '.join(map(str, repeated))}"
+                )
+        if not self.seeds:
+            raise ValueError("seeds must not be empty: nothing would run")
 
 
 @dataclass
@@ -148,10 +159,11 @@ def _measure(
     run = entry.run
     net = run.net
     snapshot = net.metrics_snapshot()
-    report = analyze_spans(net.spans())
+    spans = net.spans()
+    trees = multicast_trees(spans)
     latencies = [
         t.completion_latency
-        for t in report.trees
+        for t in trees
         if t.completion_latency is not None
     ]
     live = len(run.live_keys())
@@ -173,9 +185,9 @@ def _measure(
         "join_latency_s": _dist_mean(snapshot, "join.latency"),
         "detect_latency_s": _dist_mean(snapshot, "detect.latency"),
         "collection_latency_s": _mean(latencies),
-        "mcast_trees": len(report.trees),
-        "mcast_max_depth": report.max_depth,
-        "spans_total": len(net.spans()),
+        "mcast_trees": len(trees),
+        "mcast_max_depth": max((t.depth for t in trees), default=0),
+        "spans_total": len(spans),
         "windows": sum(1 for f in entry.frames if not f.get("final")),
         "window_breaches": breaches_windows,
         "final_breaches": [v["slo"] for v in final.get("breaches", ())],

@@ -47,6 +47,7 @@ __all__ = [
     "analyze_spans",
     "load_metrics",
     "load_spans",
+    "multicast_trees",
 ]
 
 #: Span names that participate in a multicast dissemination tree.
@@ -149,23 +150,19 @@ def load_metrics(path: str) -> Dict[str, Any]:
 
 
 class TraceForest:
-    """Index over a span log: by id, by trace, parent -> children."""
+    """Index over a span log: by id, parent -> children."""
 
     def __init__(self, spans: Iterable[Span]):
         self.spans: List[Span] = list(spans)
         self.by_id: Dict[str, Span] = {}
         self.children: Dict[str, List[Span]] = {}
-        self.by_trace: Dict[str, List[Span]] = {}
         for span in self.spans:
             self.by_id[span.span_id] = span
-            self.by_trace.setdefault(span.trace_id, []).append(span)
             if span.parent_id is not None:
                 self.children.setdefault(span.parent_id, []).append(span)
         # Deterministic traversal order regardless of input order.
         for kids in self.children.values():
             kids.sort(key=lambda s: (s.start, s.span_id))
-        for group in self.by_trace.values():
-            group.sort(key=lambda s: (s.start, s.span_id))
 
     def descendants(self, root: Span) -> List[Span]:
         """``root`` plus everything reachable through ``parent_id`` links,
@@ -227,6 +224,35 @@ class MulticastTree:
             float(s.attrs["fanout"]) for s in self.members
             if "fanout" in s.attrs
         ]
+
+
+def multicast_trees(spans: Iterable[Span]) -> List[MulticastTree]:
+    """Every §4.2 tree in ``spans``: what ``parent_id`` links reach from
+    an ``mcast.root``, roots in ``(start, span_id)`` order.
+
+    Besides a root, only a span that has a parent can be in a tree, so
+    those are all that is indexed — a few per cent of a probe-heavy log.
+    Trace ids are not consulted: a loaded log may be inconsistent.
+    """
+    forest = TraceForest(
+        s for s in spans if s.parent_id is not None or s.name == "mcast.root"
+    )
+    roots = sorted(
+        (s for s in forest.spans if s.name == "mcast.root"),
+        key=lambda s: (s.start, s.span_id),
+    )
+    trees = []
+    for root in roots:
+        reached = forest.descendants(root)
+        trees.append(
+            MulticastTree(
+                root=root,
+                members=[s for s in reached if s.name in _MCAST_NAMES],
+                redirects=sum(1 for s in reached if s.name == "mcast.redirect"),
+                kind=str(root.attrs.get("kind", "?")),
+            )
+        )
+    return trees
 
 
 def _dist_of(values: Iterable[float]) -> Dist:
@@ -457,27 +483,8 @@ def analyze_spans(spans: List[Span], schema_version: int = SPAN_SCHEMA_VERSION
     # -- multicast trees --------------------------------------------------
     mcast = [s for s in forest.spans if s.name in _MCAST_NAMES]
     report.mcast_spans_total = len(mcast)
-    roots = sorted(
-        (s for s in mcast if s.name == "mcast.root"),
-        key=lambda s: (s.start, s.span_id),
-    )
-    claimed: set = set()
-    for root in roots:
-        members = [
-            s for s in forest.descendants(root) if s.name in _MCAST_NAMES
-        ]
-        redirects = sum(
-            1 for s in forest.descendants(root) if s.name == "mcast.redirect"
-        )
-        claimed.update(s.span_id for s in members)
-        report.trees.append(
-            MulticastTree(
-                root=root,
-                members=members,
-                redirects=redirects,
-                kind=str(root.attrs.get("kind", "?")),
-            )
-        )
+    report.trees = multicast_trees(forest.spans)
+    claimed = {s.span_id for t in report.trees for s in t.members}
     report.redirects_total = sum(t.redirects for t in report.trees)
     for span in mcast:
         if forest.resolves_to_root(span, ("mcast.root",)):

@@ -57,6 +57,49 @@ class TestConfig:
             TournamentConfig(contestants=("no-such-protocol",), n_nodes=24)
 
 
+    @pytest.mark.parametrize("field, kwargs, listed", [
+        ("contestants", {"contestants": ("gossip", "onehop", "gossip")}, "gossip"),
+        ("seeds", {"seeds": ()}, "empty"),
+        ("seeds", {"seeds": (3, 1, 3)}, "3"),
+    ])
+    def test_refuses_what_it_cannot_run_by_name(self, field, kwargs, listed):
+        """A repeated contestant is one network driven twice (every
+        churn op applied twice, ``StreamWindower.finish`` twice); no seed
+        is a scorecard whose champion passes on nothing run."""
+        args = {"contestants": ("gossip",), "n_nodes": 24, **kwargs}
+        with pytest.raises(ValueError, match=rf"{field}.*{listed}"):
+            TournamentConfig(**args)
+
+    def test_one_non_champion_contestant_is_a_tournament(self):
+        doc = run_tournament(TournamentConfig(
+            contestants=("explicit-probe",), n_nodes=12, duration=60.0))
+        assert [r["contestant"] for r in doc["rows"]] == ["explicit-probe"]
+        assert doc["champion_healthy"] is True  # vacuous: it did not run
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv, named", [
+        (["--contestants", "gossip", "gossip"], "contestants"),
+        (["--seeds", "0"], "seeds"),
+        (["--contestants", "carrier-pigeon"], "carrier-pigeon"),
+        (["--duration", "-1"], "duration"),
+    ])
+    def test_unrunnable_tournament_is_exit_2_before_anything_runs(
+        self, argv, named, monkeypatch, capsys
+    ):
+        import repro.compare
+        from repro.cli import main
+
+        def never(*args, **kwargs):
+            raise AssertionError("the tournament ran")
+
+        monkeypatch.setattr(repro.compare, "run_tournament", never)
+        assert main(["compare", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert captured.out == ""
+
+
 class TestScorecard:
     def test_doc_shape(self, small_doc):
         assert small_doc["schema"] == "repro.compare"

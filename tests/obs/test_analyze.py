@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from repro.obs import analyze
 from repro.obs.analyze import (
     SchemaError,
     analyze_spans,
     load_metrics,
     load_span_lines,
     load_spans,
+    multicast_trees,
 )
 from repro.obs.export import (
     SPAN_SCHEMA_VERSION,
@@ -78,6 +80,56 @@ def test_golden_eight_node_tree_reconstruction():
     kinds = report.per_kind()
     assert kinds["JOIN"]["trees"] == 1
     assert kinds["JOIN"]["depth"]["mean"] == 3.0
+
+
+def test_multicast_trees_is_the_reports_tree_list():
+    spans = golden_tree_spans()
+    trees = multicast_trees(spans)
+    assert trees == analyze_spans(spans).trees
+    assert [s.span_id for s in trees[0].members] == [
+        "s0", "s1", "s4", "s7", "s5", "s2", "s6", "s3",
+    ]
+    assert (trees[0].redirects, trees[0].kind) == (1, "JOIN")
+    # any iterable, in any order: roots and children are sorted inside
+    assert multicast_trees(reversed(spans)) == trees
+    assert multicast_trees(iter(())) == []
+
+
+def test_trees_follow_parent_links_not_trace_ids():
+    """A loaded log may be inconsistent: a hop whose trace id differs
+    from its root's is still the root's child, and a span that shares the
+    root's trace id but has no parent link is not in its tree."""
+    spans = golden_tree_spans()
+    spans[4].trace_id = "t-rewritten"  # s4, parent s1; s7 hangs under it
+    spans.append(_span("t-golden", "s9", None, "mcast.hop", "n8", 10.3, 10.4,
+                       attrs={"depth": 1}))
+    trees = multicast_trees(spans)
+    assert trees == analyze_spans(spans).trees
+    assert [s.span_id for s in trees[0].members] == [
+        "s0", "s1", "s4", "s7", "s5", "s2", "s6", "s3",
+    ]
+
+
+def test_tree_index_holds_only_spans_that_can_be_in_a_tree(monkeypatch):
+    """Probe-heavy logs are nearly all parentless spans: the index built
+    to find trees holds the roots and the spans with a parent, nothing
+    else (counted: what ``multicast_trees`` hands its forest)."""
+    indexed = []
+
+    class Recording(analyze.TraceForest):
+        def __init__(self, spans):
+            super().__init__(spans)
+            indexed.append(self)
+
+    spans = golden_tree_spans() + [
+        _span(f"tp{i}", f"p{i}", None, "probe", "n3", float(i), i + 0.1)
+        for i in range(200)
+    ]
+    monkeypatch.setattr(analyze, "TraceForest", Recording)
+    assert len(multicast_trees(spans)) == 1
+    (forest,) = indexed
+    assert [s.span_id for s in forest.spans] == [f"s{i}" for i in range(9)]
+    assert not hasattr(forest, "by_trace")
 
 
 def test_golden_tree_round_trips_through_jsonl():
