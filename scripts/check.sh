@@ -24,6 +24,8 @@
 #   scripts/check.sh --ledger    # benchmark ledger smoke only
 #   scripts/check.sh --scale     # NOT in the default run (~1 min, 2 GB):
 #                                # a 10^4-node detailed run fits in 1 GB;
+#                                # the scalable engine seeds 10^6 nodes
+#                                # in < 700 MB;
 #                                # the n=1,000 six-contestant tournament
 #                                # keeps its champion healthy in < 4 GB
 set -u
@@ -126,8 +128,37 @@ for title, body in (("python -m repro --help", HELP),
 PY
 }
 
+# seeding N [LIMIT_MB]: seed an N-node ScalableSim in a process of its own.
+# Host-seconds and peak RSS are for the eye; what is judged is counted —
+# at most 4 pending entries afterwards (one handle per seeded timer was
+# 129,847 at N = 100,000) — plus peak RSS < LIMIT_MB when that is given.
+seeding() {
+  with_timeout 300 $PY - "$@" <<'PY'
+import resource, sys, time
+from repro.experiments.scalable import ScalableParams, ScalableSim
+
+n, limit_mb = int(sys.argv[1]), int(sys.argv[2]) if len(sys.argv) > 2 else None
+sim = ScalableSim(ScalableParams(n_target=n, use_transit_stub=False))
+started = time.perf_counter()
+sim.seed_population()
+host_s = time.perf_counter() - started
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+print(f"seeding: {n:,} nodes in {host_s:.2f} host-s ({host_s / n * 1e6:.2f} us/node), "
+      f"{len(sim.sim)} pending entries, peak RSS {rss_mb:.0f} MB")
+problems = []
+if sim.population != n or len(sim.sim) > 4:
+    problems.append(f"{sim.population:,} nodes, {len(sim.sim):,} pending entries "
+                    f"(want {n:,} and <= 4)")
+if limit_mb is not None and rss_mb >= limit_mb:
+    problems.append(f"peak RSS {rss_mb:.0f} MB >= {limit_mb} MB")
+for p in problems:
+    print("seeding:", p)
+sys.exit(1 if problems else 0)
+PY
+}
+
 check_paper() {
-  echo "== paper smoke (repro common -n 20000 twice: level rows, error in (0, 0.05), same bytes; scalable-engine tests) =="
+  echo "== paper smoke (repro common -n 20000 twice: level rows, error in (0, 0.05), same bytes; seeding 10^5 nodes leaves <= 4 pending entries; scalable-engine tests) =="
   with_timeout 300 $PY - <<'PY' || status=1
 import contextlib, io, re, subprocess, sys, time
 
@@ -170,6 +201,7 @@ for p in problems:
     print("paper:", p)
 sys.exit(1 if problems else 0)
 PY
+  seeding 100000 || status=1
   $PY -m pytest -q tests/workloads/test_block_draws.py tests/experiments/test_scalable.py || status=1
 }
 
@@ -355,6 +387,8 @@ for p in problems:
     print("scale:", p)
 sys.exit(1 if problems else 0)
 PY
+  echo "== scale (scalable engine: 10^6 nodes seeded, <= 4 pending entries, < 700 MB) =="
+  seeding 1000000 700 || status=1
   echo "== scale (six-contestant tournament, n=1,000 x 130 sim-s, one contestant at a time: champion healthy, < 4 GB) =="
   with_timeout 900 $PY - <<'PY' || status=1
 import resource, sys, time

@@ -431,6 +431,17 @@ class ScalableSim:
             return 0
         return min(int(math.ceil(math.log2(cost0 / threshold))), self.p.max_level)
 
+    def _affordable_levels(self, thresholds: np.ndarray) -> np.ndarray:
+        """:meth:`_affordable_level` of each.  ``np.log2`` may differ from
+        ``math.log2`` in the last bit, not in the ceiling (``TestBatchSeeding``)."""
+        cost0 = self._rate_estimate * self.p.event_bits
+        levels = np.zeros(thresholds.size, dtype=np.int16)
+        above = cost0 > thresholds  # false everywhere when the rate is <= 0
+        levels[above] = np.minimum(
+            np.ceil(np.log2(cost0 / thresholds[above])), self.p.max_level
+        )
+        return levels
+
     def _prefix(self, value: int, l: int) -> int:
         return value >> (self.p.id_bits - min(l, self.p.max_level)) if l else 0
 
@@ -701,7 +712,12 @@ class ScalableSim:
     # -- lifecycle ----------------------------------------------------------------
 
     def seed_population(self) -> None:
-        """Create the initial ``n_target`` nodes (the paper's step one)."""
+        """Create the initial ``n_target`` nodes (the paper's step one).
+        Once per ``ScalableSim``; :meth:`run` calls it if nobody has."""
+        if self.population:
+            raise RuntimeError(
+                "this ScalableSim is already seeded; seed_population() runs once"
+            )
         n = self.p.n_target
         # Analytic initial rate: joins + leaves ≈ 2N/L.
         self._rate_estimate = 2.0 * n / self._mean_lifetime
@@ -713,10 +729,7 @@ class ScalableSim:
         # nor surges after seeding.
         lifetimes = self.lifetimes.sample_residual(self._rng_life, n)
         values = self._random_ids(n)
-        levels = np.fromiter(
-            (self._affordable_level(t) for t in thresholds.tolist()),
-            dtype=np.int16, count=n,
-        )
+        levels = self._affordable_levels(thresholds)
         slots = self._free[: -n - 1 : -1]  # what n pops would return
         del self._free[-n:]
         self._slot_of.update(zip(values.tolist(), slots))
@@ -732,11 +745,28 @@ class ScalableSim:
             prefixes = (values >> np.uint64(bits - l)).astype(np.int64)
             self._counts[l] += np.bincount(prefixes, minlength=1 << l)
             self._level_counts[l] += np.bincount(prefixes[own == l], minlength=1 << l)
+        # Two batches that are the schedule of, per node, ``schedule(lifetime,
+        # _do_leave, value)`` then — if it outlives the refresh period —
+        # ``schedule(refresh_period, _do_refresh, value, refresh_period)``:
+        # a leave takes the number after all that earlier nodes took, its
+        # refresh the next (DESIGN.md §4, Schedule discipline).
         refresh_period = 2.0 * self._mean_lifetime
-        for value, lifetime in zip(values.tolist(), lifetimes.tolist()):
-            self.sim.schedule(lifetime, self._do_leave, value)
-            if lifetime > refresh_period:
-                self.sim.schedule(refresh_period, self._do_refresh, value, refresh_period)
+        refreshing = lifetimes > refresh_period
+        taken = np.cumsum(refreshing)
+        first = self.sim.reserve(n + int(taken[-1]))
+        leave_seqs = first + np.arange(n) + taken - refreshing
+        now = self.sim.now
+        leave_times = now + lifetimes  # elementwise: each is ``now + delay``
+        order = np.lexsort((leave_seqs, leave_times))
+        self.sim.schedule_batch(
+            leave_times[order], leave_seqs[order], self._do_leave, values[order].tolist()
+        )
+        # Every refresh falls on the same instant, so in sequence order.
+        refresh_seqs = leave_seqs[refreshing] + 1
+        self.sim.schedule_batch(
+            np.full(refresh_seqs.size, now + refresh_period), refresh_seqs,
+            self._do_refresh, values[refreshing].tolist(), refresh_period,
+        )
 
     def run(self) -> ScalableResult:
         """Seed, warm up, measure, and report.  Once per ``ScalableSim``."""
@@ -744,7 +774,8 @@ class ScalableSim:
             raise RuntimeError(
                 "this ScalableSim has already run; build a new one per run"
             )
-        self.seed_population()
+        if not self.population:
+            self.seed_population()
         self._schedule_join()
         self.sim.schedule(self.p.relevel_interval_s, self._relevel_tick)
         self.sim.schedule(self.p.measure_interval_s, self._measure_tick)

@@ -32,11 +32,20 @@ Two programming styles are supported:
 Determinism: with a fixed seed (see :mod:`repro.sim.rng`) and the
 tie-breaking sequence number, two runs of the same model produce identical
 event orders, which the test suite relies on.
+
+**Batches.**  :meth:`Simulator.schedule_batch` queues any number of timers
+— sorted by ``(time, seq)``, numbered from a block :meth:`Simulator.reserve`
+set aside — as one pending entry: one handle that stands for the timer due
+next and re-arms itself as each fires.  100,000 seeded departures are then
+one sort and three flat lists, not 100,000 handles, bound methods and heap
+pairs for the collector to walk (DESIGN.md §4, *Schedule discipline*).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional, Sequence
+
+import numpy as np
 
 from repro.sim.queues import HeapQueue
 
@@ -219,7 +228,8 @@ class Simulator:
 
     def __len__(self) -> int:
         """Number of queued entries, cancelled ones that have not yet
-        surfaced included."""
+        surfaced included.  A :meth:`schedule_batch` is one entry however
+        many of its timers are still to fire: this is heap size, not work left."""
         return len(self._queue)
 
     # -- scheduling ------------------------------------------------------------
@@ -236,14 +246,62 @@ class Simulator:
         self, time: float, callback: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(f"cannot schedule into the past: {time} < {self._now}")
+        if not time >= self._now:  # not ``time < now``, which a NaN passes
+            raise SimulationError(f"cannot schedule at {time}: NaN, or in the past of {self._now}")
         seq = self._seq
         self._seq = seq + 1
         queue = self._queue
         handle = EventHandle(time, seq, callback, args, queue)
         queue.push(time, seq, handle)
         return handle
+
+    def reserve(self, count: int) -> int:
+        """Take the next ``count`` sequence numbers (what that many
+        :meth:`schedule` calls would get) for a batch; returns the first."""
+        if count < 0:
+            raise SimulationError(f"cannot reserve {count} sequence numbers")
+        self._seq += count
+        return self._seq - count
+
+    def schedule_batch(
+        self, times: Any, seqs: Any, callback: Callable[..., Any],
+        values: Sequence[Any], *args: Any,
+    ) -> None:
+        """Queue ``callback(values[i], *args)`` at absolute ``times[i]`` for
+        every ``i`` as **one** pending entry, nothing allocated per timer
+        (``values`` is kept, not copied).  A batch must be the scalar
+        schedule: ``seqs[i]`` is the number timer i's own :meth:`schedule_at`
+        call would have got, from a :meth:`reserve` block (each used once),
+        and the timers arrive sorted by ``(time, seq)`` — the order they
+        run in, among themselves and against every other event."""
+        at, order = np.asarray(times, dtype=np.float64), np.asarray(seqs, dtype=np.int64)
+        if at.ndim != 1 or at.shape != order.shape or at.size != len(values):
+            raise SimulationError("a batch needs one time, seq and value per entry")
+        if at.size == 0:
+            return
+        if np.isnan(at).any() or at[0] < self._now:
+            raise SimulationError(f"batch from {at[0]}: has a NaN, or in the past of {self._now}")
+        gaps = np.diff(at)
+        if (gaps < 0).any() or (np.diff(order)[gaps == 0] <= 0).any():
+            raise SimulationError("a batch must arrive sorted by (time, seq)")
+        if order.min() < 0 or order.max() >= self._seq:
+            raise SimulationError("batch sequence numbers must come from reserve()")
+        when, number = at.tolist(), order.tolist()
+        queue, last, i = self._queue, len(when) - 1, 0
+
+        def fire() -> None:
+            # Re-armed *before* the callback: if that raises, stops the run or
+            # schedules, the queue is what the scalar schedule would have left.
+            nonlocal i
+            value = values[i]
+            if i < last:
+                i += 1
+                head.time, head.seq = when[i], number[i]
+                queue.push(when[i], number[i], head)
+            callback(value, *args)
+
+        head = EventHandle(when[0], number[0], fire, (), queue)
+        queue.push(when[0], number[0], head)
 
     def event(self) -> Event:
         """Create a fresh :class:`Event` bound to this simulator."""
@@ -349,6 +407,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("run() re-entered")
+        if until != until:  # NaN: no event time is ever "> until"
+            raise SimulationError("cannot run until NaN")
         self._running = True
         self._stop_requested = False
         try:

@@ -1,5 +1,6 @@
 """Scalable-engine tests: bookkeeping invariants and physical sanity."""
 
+import gc
 import json
 import math
 from dataclasses import asdict
@@ -18,6 +19,8 @@ from repro.experiments.scalable import (
     ScalableSim,
     binomial_broadcast,
 )
+from repro.sim.engine import Simulator
+from repro.sim.rng import RandomStreams
 from repro.workloads.lifetime import ExponentialLifetime
 
 
@@ -211,6 +214,25 @@ class TestValidation:
         with pytest.raises(RuntimeError, match="already run"):
             sim.run()
 
+    def test_second_seeding_refused_before_anything_is_drawn(self):
+        sim = ScalableSim(fast_params(n_target=500, use_transit_stub=False))
+        sim.seed_population()
+
+        def state():
+            streams = [rng.bit_generator.state for rng in (sim._rng_bw, sim._rng_life)]
+            return sim.population, len(sim._free), len(sim.sim), streams
+
+        before = state()
+        with pytest.raises(RuntimeError, match="already seeded"):
+            sim.seed_population()
+        assert state() == before
+
+    def test_run_seeds_only_an_unseeded_sim(self):
+        params = fast_params(n_target=300, duration_s=60.0, warmup_s=30.0)
+        seeded = ScalableSim(params)
+        seeded.seed_population()
+        assert seeded.run() == ScalableSim(params).run()
+
     def test_counter_tables_have_a_cell_budget(self):
         """``max_level`` sizes two 2^(max_level+1)-cell tables; 40 would ask
         NumPy for terabytes from inside ``ScalableSim.__init__``."""
@@ -250,6 +272,93 @@ class TestBatchSeeding:
             loop_sim._slot_of[loop[-1]] = 0
         assert batch == loop
         assert batch_sim._rng_ids.integers(1 << 30) == loop_sim._rng_ids.integers(1 << 30)
+
+    def test_affordable_levels_is_affordable_level_of_each(self):
+        """Every seeded threshold of seeds 0-9 at n = 100,000, and the
+        thresholds that put ``cost0 / threshold`` on a power of two or on
+        a float beside one — where a ``log2`` off in its last bit would
+        show as a different ceiling."""
+        sim = ScalableSim(ScalableParams(use_transit_stub=False, max_level=18))
+        n = sim.p.n_target
+        sim._rate_estimate = 2.0 * n / sim._mean_lifetime  # what seeding sets
+        cost0 = sim._rate_estimate * sim.p.event_bits
+        ratios = np.array([2.0**k for k in range(-3, 24)])
+        beside = [ratios]
+        for toward in (0.0, np.inf):
+            for _ in range(3):
+                beside.append(np.nextafter(beside[-1], toward))
+            beside.append(ratios)
+        around = cost0 / np.concatenate(beside)
+        around = np.concatenate(
+            [around, np.nextafter(around, 0.0), np.nextafter(around, np.inf), [cost0]]
+        )
+        drawn = [
+            scalable.threshold_from_bandwidth(
+                np.asarray(sim.bandwidths.sample(RandomStreams(seed).get("bandwidth"), n)),
+                sim.p.threshold_fraction, sim.p.threshold_floor_bps,
+            )
+            for seed in range(10)
+        ]
+        for thresholds in [around] + drawn:
+            assert sim._affordable_levels(thresholds).tolist() == [
+                sim._affordable_level(t) for t in thresholds.tolist()
+            ]
+        assert set(sim._affordable_levels(around).tolist()) >= set(range(19))
+        sim._rate_estimate = 0.0  # no rate yet: everybody affords level 0
+        assert not sim._affordable_levels(around).any()
+
+    def test_seeding_leaves_no_per_node_entries_or_objects(self):
+        """Counted, not timed (cf. ``tests/sim/test_engine_garbage.py``): the
+        parent left one handle, one bound method and one heap pair per
+        seeded timer — 129,847 pending and ~260 k tracked objects at
+        n = 100,000."""
+        sim = ScalableSim(ScalableParams(n_target=20_000, use_transit_stub=False))
+        gc.collect()
+        before = len(gc.get_objects())
+        sim.seed_population()
+        gc.collect()
+        assert len(gc.get_objects()) - before < 1000
+        assert len(sim.sim) <= 4
+        assert sim.population == 20_000
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_seeded_schedule_is_the_scalar_loop(self, seed):
+        """The per-node loop ``seed_population`` used to run, kept here as
+        the reference: same events, same order — ties between refreshes
+        and against timers queued before and after seeding included."""
+        params = ScalableParams(
+            n_target=3000, seed=seed, lifetime_rate=0.02, use_transit_stub=False
+        )
+        sim = ScalableSim(params)
+        period = 2.0 * sim._mean_lifetime
+        trace, expected = [], []
+        sim._do_leave = lambda value: trace.append((sim.sim.now, "leave", value))
+        sim._do_refresh = lambda value, every: trace.append(
+            (sim.sim.now, "refresh", value, every)
+        )
+        sim.sim.schedule(period, trace.append, "tick queued before seeding")
+        sim.seed_population()
+        sim.sim.schedule(period, trace.append, "tick queued after seeding")
+
+        ref = Simulator()
+        lifetimes = sim.lifetimes.sample_residual(
+            RandomStreams(seed).get("lifetime"), params.n_target
+        )
+        values = sim.ids[: params.n_target]  # node i sits in slot i
+        assert (lifetimes > period).sum() > 50
+        ref.schedule(period, expected.append, "tick queued before seeding")
+        for value, lifetime in zip(values.tolist(), lifetimes.tolist()):
+            ref.schedule(lifetime, lambda v=value: expected.append((ref.now, "leave", v)))
+            if lifetime > period:
+                ref.schedule(
+                    period, lambda v=value: expected.append((ref.now, "refresh", v, period))
+                )
+        ref.schedule(period, expected.append, "tick queued after seeding")
+        assert sim.sim.reserve(0) == ref.reserve(0)  # as many numbers taken
+        sim.sim.run()
+        ref.run()
+        assert trace == expected
+        assert sim.sim.events_executed == ref.events_executed == len(expected)
 
 
 # ---------------------------------------------------------------------------
