@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Tuple
 from repro.chaos.runner import ChaosRunner
 from repro.chaos.scenarios import SCENARIOS
 from repro.obs.analyze import analyze_spans
-from repro.obs.health import HealthSpec, evaluate, metrics_signals
+from repro.obs.health import HealthSpec, evaluate
 
 from .conftest import run_once
 
@@ -51,15 +51,9 @@ def run_cell(scenario_name: str, n_nodes: int, seed: int) -> Dict[str, Any]:
     result = ChaosRunner(
         scenario, n_nodes=n_nodes, seed=seed, health_spec=spec
     ).run()
-    report = analyze_spans(result.spans)
-    signals = dict(report.signals())
-    signals.update(
-        metrics_signals(
-            result.metrics,
-            config,
-            meta={"mean_error_rate": result.mean_error_rate},
-        )
-    )
+    # The runner's post-hoc evaluation analysed the span log once; the
+    # cell reports the signals it judged rather than analysing it again.
+    signals = result.health_signals
     verdicts = evaluate(spec, signals, now=result.duration)
     return {
         "scenario": scenario_name,

@@ -36,6 +36,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -105,7 +106,10 @@ def main(argv=None) -> int:
     matrix = tuple(c for c in MATRIX if c[0] == "smoke") if args.quick else MATRIX
     for scenario, n, seed in matrix:
         print(f"cell {scenario} n={n} seed={seed} ...", flush=True)
+    started = time.perf_counter()
     doc = build_trajectory(matrix)
+    # For the eye, never judged: one span analysis per cell.
+    print(f"{len(matrix)} cells in {time.perf_counter() - started:.2f} host-s")
     for cell in doc["matrix"]:
         state = "healthy" if cell["healthy"] else (
             "UNHEALTHY: " + ", ".join(cell["breaches"]))

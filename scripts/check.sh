@@ -9,7 +9,8 @@
 #   scripts/check.sh --lint      # ruff + mypy only
 #   scripts/check.sh --analysis  # detlint gate (no NEW findings vs
 #                                # detlint-baseline.json, JSON report
-#                                # artifact) + DetSan chaos smoke
+#                                # artifact; no DET001 pragma under src/)
+#                                # + DetSan chaos smoke
 #   scripts/check.sh --tests     # tests only
 #   scripts/check.sh --coldstart # import budget + what a cold start costs
 #   scripts/check.sh --paper     # scalable engine: `repro common` smoke +
@@ -89,6 +90,8 @@ print(f"lint report: {len(report.get('findings', []))} finding(s), "
       f"{len(rules)} rule(s)")
 sys.exit(0 if rules else 1)
 PY
+  echo "== no wall-clock suppression under src/ (DET001 has one exempt module, repro.live.clock, and no pragma) =="
+  if grep -rnE "detlint: *ignore\[[^]]*DET001" src/; then status=1; fi
   if [ "$have_numpy" = 1 ]; then
     echo "== detsan smoke (crash_churn chaos under the runtime sanitizer) =="
     with_timeout 120 $PY -m repro chaos --scenario crash_churn --detsan \
@@ -104,7 +107,7 @@ check_tests() {
 }
 
 check_coldstart() {
-  echo "== coldstart (entry points load numpy + repro only; no scipy/networkx needed off the transit-stub path) =="
+  echo "== coldstart (entry points load numpy + repro only; no scipy needed off the transit-stub path) =="
   $PY -m pytest -q tests/test_import_budget.py tests/test_missing_libraries.py || status=1
   # Information for the eye, never judged: timings drift with the host.
   $PY - <<'PY' || status=1

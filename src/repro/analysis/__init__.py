@@ -4,7 +4,7 @@ A small AST-walking lint framework plus a rule pack encoding this
 repository's correctness contracts (DESIGN.md §13):
 
 =======  =============================================================
-DET001   no wall-clock reads outside ``repro.obs.profile``/benchmarks
+DET001   no wall-clock reads outside ``repro.live.clock``/benchmarks
 DET002   no process-global or unseeded RNG outside ``repro.sim.rng``
 DET003   no set/``dict.keys()`` iteration feeding protocol decisions
 DET004   no float accumulation over unordered collections feeding

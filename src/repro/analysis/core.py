@@ -11,7 +11,7 @@ Suppression: a ``# detlint: ignore[RULE1,RULE2]`` comment suppresses
 those rules on its own line (put it on the first line of a multi-line
 statement).  ``# detlint: skip-file`` anywhere in the first ten lines
 skips the whole file.  Suppressions are for *intentional* violations —
-e.g. the wall-clock reads inside the profiler plumbing; accidental debt
+e.g. the one process-wide ``msg_id`` counter; accidental debt
 belongs in the baseline file instead (see
 :class:`repro.analysis.findings.Baseline`).
 """

@@ -15,7 +15,7 @@ with three checks:
   bug the PR 2 chaos runs surfaced.
 * **wall-clock tripwire** (DET001's twin) — ``time.time()`` and friends
   are wrapped; a call whose caller is a ``repro.*`` module outside the
-  sanctioned list (profiler, realtime clock) is a violation.
+  sanctioned list (realtime clock, dashboard) is a violation.
 * **global-RNG tripwire** (DET002's twin) — stdlib ``random`` and
   numpy's module-level draw functions are wrapped the same way.
 
@@ -43,10 +43,8 @@ DETSAN_ENV = "REPRO_DETSAN"
 #: Caller-module prefixes allowed to touch the host clock / global RNG
 #: (mirrors the exemptions of the static rules DET001/DET002).
 _EXEMPT_CALLERS = (
-    "repro.obs.profile",
     "repro.obs.dashboard",
     "repro.live.clock",
-    "repro.sim.parallel",
     "repro.analysis",
 )
 

@@ -79,17 +79,16 @@ class WallClockRule(Rule):
     """DET001 — no wall-clock reads in simulator code."""
 
     id = "DET001"
-    title = "wall-clock read outside the profiler"
+    title = "wall-clock read outside the live clock"
     rationale = (
         "Timestamps must come from the simulated clock (runtime.now); a "
         "host-clock read makes output depend on machine speed, breaking "
         "bit-identical sequential/partitioned replays.  Only "
-        "repro.obs.profile (whose whole job is wall-clock attribution), "
         "repro.live.clock (the realtime backend's one sanctioned time "
         "source — everything else in repro.live must go through its "
-        "Clock), and benchmarks may read host time."
+        "Clock) and benchmarks may read host time; no engine does."
     )
-    exempt_modules = ("repro.obs.profile", "repro.live.clock")
+    exempt_modules = ("repro.live.clock",)
 
     def check(self, ctx: FileContext) -> None:
         imports = ImportMap(ctx.tree)
@@ -102,8 +101,8 @@ class WallClockRule(Rule):
                     self,
                     node,
                     f"wall-clock call {qual}() — use the simulated clock "
-                    f"(runtime.now) or move the measurement into "
-                    f"repro.obs.profile",
+                    f"(runtime.now); host time is measured from outside, "
+                    f"by benchmarks/ledger",
                 )
 
 

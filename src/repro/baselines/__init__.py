@@ -1,9 +1,10 @@
 """Baseline node-collection schemes PeerWindow is compared against.
 
 The paper's introduction and related-work sections position PeerWindow
-against four maintenance/collection strategies; all are implemented here
-with the same bandwidth accounting so the efficiency comparison
-(``benchmarks/bench_baseline_comparison.py``) is apples-to-apples:
+against these maintenance/collection strategies.  Each has two forms and
+no third: a closed-form ``*Scheme`` in the module named below (same
+bandwidth accounting, so ``repro baselines`` is apples-to-apples) and an
+executable ``*Network`` in :mod:`~repro.baselines.runtime`.
 
 * :mod:`~repro.baselines.explicit_probe` — heartbeat every neighbor
   periodically.  The intro's arithmetic: with 2-hour lifetimes and 30 s
@@ -15,25 +16,25 @@ with the same bandwidth accounting so the efficiency comparison
 * :mod:`~repro.baselines.onehop` — the one-hop DHT [7]: every node keeps
   the full membership, homogeneously — weak nodes pay the same as strong.
 * :mod:`~repro.baselines.random_walk` — Mercury-style random-walk
-  collection over a small-world overlay: pointers gathered by active
-  walking, with per-pointer cost that does not amortize.
+  collection: pointers gathered by active walking, with per-pointer cost
+  that does not amortize.
 * :mod:`~repro.baselines.pushpull` — push–pull hybrid gossip: lean push
   seeding plus periodic anti-entropy pulls; lower redundancy than pure
   push but a standing digest cost.
 
-:mod:`~repro.baselines.runtime` additionally provides *executable*,
-fully instrumented versions of each strategy (span tracing, metrics,
-transport accounting) satisfying the ``StreamWindower`` surface, so the
+:mod:`~repro.baselines.runtime` holds the *executable* form of each
+strategy, fully instrumented (span tracing, metrics, transport
+accounting) and satisfying the ``StreamWindower`` surface, so the
 ``repro compare`` tournament can run and watch every contestant over
 identical seeded workloads.
 """
 
 from repro.baselines.common import CollectionScheme, SchemeReport
 from repro.baselines.explicit_probe import ExplicitProbeScheme
-from repro.baselines.gossip import GossipMulticastScheme, GossipSim
+from repro.baselines.gossip import GossipMulticastScheme
 from repro.baselines.onehop import OneHopDHTScheme
 from repro.baselines.pushpull import PushPullGossipNetwork, PushPullGossipScheme
-from repro.baselines.random_walk import RandomWalkScheme, small_world_graph
+from repro.baselines.random_walk import RandomWalkScheme
 from repro.baselines.runtime import (
     BaselineNetwork,
     ExplicitProbeNetwork,
@@ -49,7 +50,6 @@ __all__ = [
     "ExplicitProbeScheme",
     "GossipMulticastScheme",
     "GossipNetwork",
-    "GossipSim",
     "OneHopDHTScheme",
     "OneHopNetwork",
     "PushPullGossipNetwork",
@@ -57,5 +57,4 @@ __all__ = [
     "RandomWalkNetwork",
     "RandomWalkScheme",
     "SchemeReport",
-    "small_world_graph",
 ]

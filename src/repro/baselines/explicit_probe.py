@@ -6,19 +6,14 @@ with average lifetime 2 hours and a 30-second probe period, a fraction
 pure waste.  At 10 kbps with 500-bit heartbeats a node can maintain only
 ``10_000 * 30 / 500 = 600`` pointers.
 
-Besides the closed form, :class:`ExplicitProbeSim` runs the scheme over
-the discrete-event engine so the failure-*detection latency* comparison
-with PeerWindow's ring probing is also measurable.
+This is the closed form; the executable form, whose failure-*detection
+latency* can be set against PeerWindow's ring probing, is
+:class:`repro.baselines.runtime.ExplicitProbeNetwork`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
-
 from repro.baselines.common import CollectionScheme
-from repro.sim.engine import Simulator
 
 
 class ExplicitProbeScheme(CollectionScheme):
@@ -54,67 +49,3 @@ class ExplicitProbeScheme(CollectionScheme):
         """Probability a probe observes a state change: the probability the
         neighbor died within the last probe period."""
         return min(1.0, self.probe_period_s / self.mean_lifetime_s)
-
-
-class ExplicitProbeSim:
-    """Event-driven probing of a fixed neighbor set.
-
-    ``on_detect(neighbor, latency)`` fires when a dead neighbor is first
-    discovered; ``latency`` is the detection delay since the death.  The
-    comparison bench uses the mean detection latency (expected ~period/2)
-    and the counted probe traffic.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        neighbors: List[int],
-        probe_period_s: float = 30.0,
-        heartbeat_bits: float = 500.0,
-        rng: Optional[np.random.Generator] = None,
-        on_detect: Optional[Callable[[int, float], None]] = None,
-    ):
-        self.sim = sim
-        self.neighbors = list(neighbors)
-        self.probe_period_s = probe_period_s
-        self.heartbeat_bits = heartbeat_bits
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.on_detect = on_detect
-        self.death_time: Dict[int, float] = {}
-        self.detected: Dict[int, float] = {}
-        self.probes_sent = 0
-        self.bits_sent = 0.0
-        self._stopped = False
-        # Stagger probe phases uniformly like real deployments.
-        for nb in self.neighbors:
-            offset = float(self.rng.uniform(0.0, probe_period_s))
-            self.sim.schedule(offset, self._probe, nb)
-
-    def kill(self, neighbor: int) -> None:
-        """Mark a neighbor dead (it stops answering probes)."""
-        if neighbor not in self.death_time:
-            self.death_time[neighbor] = self.sim.now
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    def _probe(self, neighbor: int) -> None:
-        if self._stopped:
-            return
-        self.probes_sent += 1
-        self.bits_sent += self.heartbeat_bits
-        dead_since = self.death_time.get(neighbor)
-        if dead_since is not None and neighbor not in self.detected:
-            latency = self.sim.now - dead_since
-            self.detected[neighbor] = latency
-            if self.on_detect is not None:
-                self.on_detect(neighbor, latency)
-            return  # stop probing the dead
-        if dead_since is None:
-            self.sim.schedule(self.probe_period_s, self._probe, neighbor)
-
-    def wasted_fraction(self) -> float:
-        """Share of probes that observed no state change."""
-        if self.probes_sent == 0:
-            return 0.0
-        return 1.0 - len(self.detected) / self.probes_sent

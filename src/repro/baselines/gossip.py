@@ -8,21 +8,14 @@ above 1 (each node receives a given event ``fanout / ln(fanout-ish)``
 times in expectation for reliable coverage), which divides the pointers-
 per-bps efficiency by ``r`` in the §2 cost model.
 
-:class:`GossipSim` actually runs push-gossip rounds over the DES engine so
-reach, rounds-to-coverage, and redundancy are measured rather than
-assumed; :class:`GossipMulticastScheme` is the closed-form counterpart
-used in the comparison table.
+:class:`GossipMulticastScheme` is the closed form used in the comparison
+table; the executable form, with reach and redundancy measured rather than
+assumed, is :class:`repro.baselines.runtime.GossipNetwork`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Optional
-
-import numpy as np
-
 from repro.baselines.common import CollectionScheme
-from repro.sim.engine import Simulator
 
 
 class GossipMulticastScheme(CollectionScheme):
@@ -65,85 +58,3 @@ class GossipMulticastScheme(CollectionScheme):
     def useful_message_fraction(self) -> float:
         """Only the first copy of an event updates state."""
         return 1.0 / self.redundancy
-
-
-class GossipSim:
-    """Push gossip of one event over ``n`` nodes with the given fanout.
-
-    Every informed node forwards the event to ``fanout`` uniformly random
-    nodes each round (round length = ``round_s``); nodes stop forwarding
-    after ``rounds_ttl`` rounds.  Measures reach, per-node receive counts
-    (redundancy), and rounds until coverage.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        n: int,
-        fanout: int = 3,
-        rounds_ttl: Optional[int] = None,
-        round_s: float = 1.0,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        if n < 1 or fanout < 1 or round_s <= 0:
-            raise ValueError("invalid gossip parameters")
-        self.sim = sim
-        self.n = n
-        self.fanout = fanout
-        self.rounds_ttl = (
-            rounds_ttl if rounds_ttl is not None else max(1, int(2 * math.log(max(n, 2))))
-        )
-        self.round_s = round_s
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.receive_counts: Dict[int, int] = {}
-        self.first_round: Dict[int, int] = {}
-        self.messages_sent = 0
-
-    def start(self, origin: int = 0) -> None:
-        self.receive_counts[origin] = 1
-        self.first_round[origin] = 0
-        self.sim.schedule(0.0, self._spread, origin, 0)
-
-    def _spread(self, node: int, round_idx: int) -> None:
-        if round_idx >= self.rounds_ttl:
-            return
-        targets = self.rng.integers(0, self.n, size=self.fanout)
-        for t in targets:
-            t = int(t)
-            self.messages_sent += 1
-            fresh = t not in self.receive_counts
-            self.receive_counts[t] = self.receive_counts.get(t, 0) + 1
-            if fresh:
-                self.first_round[t] = round_idx + 1
-                self.sim.schedule(self.round_s, self._spread, t, round_idx + 1)
-
-    # -- measurements -------------------------------------------------------
-
-    def reach(self) -> int:
-        return len(self.receive_counts)
-
-    def coverage(self) -> float:
-        return self.reach() / self.n
-
-    def redundancy(self) -> float:
-        """Mean receives per reached node (>= 1; the ``r`` of the §2 model
-        counts sends per node: messages_sent / reach)."""
-        if not self.receive_counts:
-            return 0.0
-        return self.messages_sent / self.reach()
-
-    def rounds_to_coverage(self, fraction: float = 0.99) -> Optional[int]:
-        """First round by which ``fraction`` of nodes were reached, or
-        None if never."""
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        target = fraction * self.n
-        counts_by_round: Dict[int, int] = {}
-        for r in self.first_round.values():
-            counts_by_round[r] = counts_by_round.get(r, 0) + 1
-        cum = 0
-        for r in sorted(counts_by_round):
-            cum += counts_by_round[r]
-            if cum >= target:
-                return r
-        return None

@@ -27,7 +27,13 @@ from repro.chaos.faults import ChaosTrace
 from repro.chaos.monitor import InvariantMonitor, Violation
 from repro.chaos.scenarios import Scenario
 from repro.core.protocol import PeerWindowNetwork
-from repro.obs.health import HealthSpec, LiveHealthMonitor, Verdict, evaluate
+from repro.obs.health import (
+    HealthSpec,
+    LiveHealthMonitor,
+    Verdict,
+    evaluate,
+    run_signals,
+)
 from repro.obs.trace import Span
 
 
@@ -54,6 +60,8 @@ class ChaosResult:
     #: breaches the live monitor recorded during the run, plus one
     #: post-hoc evaluation over the whole span log at the end.
     health_verdicts: List[Verdict] = field(default_factory=list)
+    #: The signals that post-hoc evaluation judged (empty without one).
+    health_signals: Dict[str, float] = field(default_factory=dict)
     #: DetSan findings (empty unless the run was sanitized; see
     #: :mod:`repro.analysis.detsan`), as human-readable strings.
     detsan_violations: List[str] = field(default_factory=list)
@@ -139,9 +147,7 @@ class ChaosRunner:
         # one is configured, so window boundaries land on the same grid
         # no matter how this driver slices its run calls.
         windower = self.stream.build(net) if self.stream is not None else None
-        advance = net.run if windower is None else (
-            lambda until: windower.run(until)
-        )
+        advance = net.run if windower is None else windower.run
         self._seed(net)
         advance(until=scenario.settle)
 
@@ -182,10 +188,14 @@ class ChaosRunner:
             raise RuntimeError("chaos run ended before quiescence")
 
         health_verdicts: List[Verdict] = []
+        health_signals: Dict[str, float] = {}
         if health_mon is not None:
             health_mon.stop()
             health_verdicts.extend(health_mon.breaches)
-            health_verdicts.extend(self._posthoc_health(net, config, monitor))
+            health_signals = self._posthoc_signals(net, config, monitor)
+            assert self.health_spec is not None
+            health_verdicts.extend(
+                evaluate(self.health_spec, health_signals, now=net.sim.now))
 
         if windower is not None:
             windower.finish()
@@ -209,6 +219,7 @@ class ChaosRunner:
             spans=net.spans() if self.observe else [],
             metrics=net.metrics_snapshot() if self.observe else {},
             health_verdicts=health_verdicts,
+            health_signals=health_signals,
             detsan_violations=detsan_violations,
         )
 
@@ -229,24 +240,19 @@ class ChaosRunner:
         evaluation (hook: ``byz.*`` signals; empty by default)."""
         return {}
 
-    def _posthoc_health(self, net, config, monitor) -> List[Verdict]:
-        """One authoritative spec evaluation over the quiesced end state:
-        full span-log analytics plus metrics-derived signals."""
+    def _posthoc_signals(self, net, config, monitor) -> Dict[str, float]:
+        """What the one authoritative spec evaluation judges: the signals
+        of the quiesced end state plus the scenario family's own."""
         from repro.obs.analyze import analyze_spans
-        from repro.obs.health import metrics_signals
 
-        report = analyze_spans(net.spans())
-        signals = dict(report.signals())
-        signals.update(
-            metrics_signals(
-                net.metrics_snapshot(),
-                config,
-                meta={"mean_error_rate": net.mean_error_rate()},
-            )
+        signals = run_signals(
+            analyze_spans(net.spans()),
+            net.metrics_snapshot(),
+            config,
+            meta={"mean_error_rate": net.mean_error_rate()},
         )
         signals.update(self._extra_signals(net, monitor))
-        assert self.health_spec is not None
-        return evaluate(self.health_spec, signals, now=net.sim.now)
+        return signals
 
     def _trace_final_state(self, net, trace: ChaosTrace,
                            monitor: InvariantMonitor) -> None:

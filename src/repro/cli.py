@@ -4,7 +4,7 @@
 
     python -m repro fig5                    # common-run level distribution
     python -m repro fig9 --scales 5000 20000 100000
-    python -m repro fig12 --rates 0.1 1 10
+    python -m repro fig11 --rates 0.1 1 10
     python -m repro common -n 100000        # figures 5-8 in one run
     python -m repro predict -n 100000       # closed-form predictions
     python -m repro baselines               # the intro comparison table
@@ -17,51 +17,145 @@ and optionally writes it as CSV (``--csv out.csv``).
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
+import functools
+import json
 import os
 import sys
 from dataclasses import replace
 from typing import Iterable, List, Optional, Sequence
 
-from repro.experiments.report import format_table
-from repro.experiments.scalable import ScalableParams, ScalableSim
+from repro.experiments import figures
+from repro.experiments.report import print_table
+from repro.experiments.scalable import ScalableParams
 from repro.experiments.scenario import COMMON_FULL
-from repro.workloads.lifetime import GnutellaLifetimeDistribution
 
 
-def _emit(args, title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _table(title: str, headers: Sequence[str], rows: Iterable[Sequence],
+           csv_path: Optional[str] = None) -> None:
     rows = [list(r) for r in rows]
-    print(f"\n== {title} ==")
-    print(format_table(headers, rows))
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+    print_table(title, headers, rows)
+    if csv_path:
+        with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(headers)
             writer.writerows(rows)
-        print(f"[wrote {args.csv}]")
+        print(f"[wrote {csv_path}]")
 
 
-def _params(args, **overrides) -> ScalableParams:
-    base = replace(
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+    print(f"[wrote {path}]")
+
+
+def _deliver(args, markdown: str, json_text: str) -> None:
+    """A report goes where ``--out`` / ``--json`` say, else to stdout."""
+    if args.out:
+        _write(args.out, markdown)
+    if args.json:
+        _write(args.json, json_text)
+    if not args.out and not args.json:
+        print(markdown, end="")
+
+
+def _emit(args, title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
+    _table(title, headers, rows, csv_path=args.csv)
+
+
+def _check_outputs(args, *dests: str) -> None:
+    """Refuse an unwritable destination before the run, not after it."""
+    from repro.paths import prepare_output_path
+
+    for dest in dests:
+        path = getattr(args, dest)
+        if path:
+            prepare_output_path(path, what="--" + dest.replace("_", "-"))
+
+
+def _derived_spec(config, n_nodes: int, byzantine: bool = False):
+    """The health spec a run is judged by when no file names one."""
+    from repro.obs.health import HealthSpec
+
+    derive = HealthSpec.byzantine if byzantine else HealthSpec.default
+    return derive(config, n_nodes)
+
+
+def _load_spec(path: Optional[str]):
+    """The health spec ``--spec`` names (None without one), read — and
+    refused, if it is malformed — before anything runs."""
+    from repro.obs.health import HealthSpec
+
+    return HealthSpec.load(path) if path else None
+
+
+def _stream_config(args, spec):
+    """The telemetry stream ``--watch`` / ``--snapshot-jsonl`` ask for
+    (the dashboard always band-evaluates, so it needs a spec), or None."""
+    if not (args.watch or args.snapshot_jsonl):
+        return None
+    from repro.obs.stream import StreamConfig
+
+    return StreamConfig(
+        window=args.window,
+        spec=spec,
+        snapshot_path=args.snapshot_jsonl,
+        render=bool(args.watch),
+    )
+
+
+def _write_exports(args, spans, snapshot, meta: dict) -> None:
+    """Write what ``--spans`` / ``--chrome`` / ``--metrics`` name.  ``meta``
+    records what produced the snapshot, so that ``repro obs health`` can
+    rebuild the matching default spec."""
+    from repro.obs import export
+
+    if args.spans:
+        print(f"[wrote {export.write_spans_jsonl(args.spans, spans)}]")
+    if args.chrome:
+        print(f"[wrote {export.write_chrome_trace(args.chrome, spans)}]")
+    if args.metrics:
+        print(f"[wrote {export.write_metrics_json(args.metrics, snapshot, meta=meta)}]")
+
+
+def _judge(title: str, verdicts, csv_path: Optional[str] = None) -> bool:
+    """Print the verdict table and the breaches under it; True when
+    there are none."""
+    _table(
+        title,
+        ["slo", "value", "lo", "hi", "ok"],
+        [
+            [v.slo, round(v.value, 6),
+             "-" if v.lo is None else v.lo,
+             "-" if v.hi is None else v.hi,
+             "ok" if v.ok else "BREACH"]
+            for v in verdicts
+        ],
+        csv_path=csv_path,
+    )
+    breaches = [v for v in verdicts if not v.ok]
+    if breaches:
+        print(f"\nUNHEALTHY: {len(breaches)} SLO breach(es)")
+        for v in breaches:
+            print("  " + v.describe())
+    else:
+        print(f"\nHEALTHY: {len(verdicts)} SLO(s) ok")
+    return not breaches
+
+
+def _params(args) -> ScalableParams:
+    return replace(
         COMMON_FULL,
         n_target=args.nodes,
         duration_s=args.duration,
         warmup_s=args.warmup,
         seed=args.seed,
     )
-    return replace(base, **overrides) if overrides else base
-
-
-def _run(params: ScalableParams):
-    sim = ScalableSim(
-        params,
-        lifetime_dist=GnutellaLifetimeDistribution(lifetime_rate=params.lifetime_rate),
-    )
-    return sim.run()
 
 
 def cmd_common(args) -> None:
-    result = _run(_params(args))
+    result = figures.run_scenario(_params(args))
     _emit(
         args,
         f"common PeerWindow, N={args.nodes:,} (figures 5-8)",
@@ -79,68 +173,53 @@ def cmd_common(args) -> None:
           f"root out-degree {result.mean_root_out_degree:.1f}")
 
 
+#: command -> (title, headers, rows of the figure, decimals kept per column).
+_FIGURES = {
+    "fig5": ("figure 5 — node distribution", ["level", "nodes", "fraction"],
+             figures.fig5_node_distribution, (None, None, 4)),
+    "fig6": ("figure 6 — peer-list sizes", ["level", "mean", "min", "max"],
+             figures.fig6_peer_list_sizes, (None, 1, None, None)),
+    "fig7": ("figure 7 — error rates", ["level", "error_rate"],
+             figures.fig7_error_rates, (None, 6)),
+    "fig8": ("figure 8 — bandwidth", ["level", "in_bps", "out_bps"],
+             figures.fig8_bandwidth, (None, 1, 1)),
+}
+
+
 def cmd_fig(args) -> None:
-    result = _run(_params(args))
-    fig = args.command
-    if fig == "fig5":
-        _emit(args, "figure 5 — node distribution", ["level", "nodes", "fraction"],
-              [[r.level, r.population, round(r.fraction, 4)]
-               for r in result.rows if r.population > 0])
-        if args.chart:
-            from repro.experiments.plot import level_distribution_chart
+    title, headers, rows_of, decimals = _FIGURES[args.command]
+    rows = rows_of(_params(args))
+    _emit(args, title, headers,
+          [[v if d is None else round(v, d) for v, d in zip(row, decimals)]
+           for row in rows])
+    if args.command == "fig5" and args.chart:
+        from repro.experiments.plot import level_distribution_chart
 
-            print()
-            print(level_distribution_chart(
-                [(r.level, r.fraction) for r in result.rows if r.population > 0]
-            ))
-    elif fig == "fig6":
-        _emit(args, "figure 6 — peer-list sizes", ["level", "mean", "min", "max"],
-              [[r.level, round(r.mean_list_size, 1), r.min_list_size, r.max_list_size]
-               for r in result.rows if r.population > 0])
-    elif fig == "fig7":
-        _emit(args, "figure 7 — error rates", ["level", "error_rate"],
-              [[r.level, round(r.error_rate, 6)]
-               for r in result.rows if r.population > 0])
-    elif fig == "fig8":
-        _emit(args, "figure 8 — bandwidth", ["level", "in_bps", "out_bps"],
-              [[r.level, round(r.in_bps, 1), round(r.out_bps, 1)]
-               for r in result.rows if r.population > 0])
+        print()
+        print(level_distribution_chart([(level, frac) for level, _, frac in rows]))
 
 
-def cmd_fig9_10(args) -> None:
-    rows = []
-    for n in args.scales:
-        result = _run(_params(args, n_target=int(n)))
-        fr = {r.level: r.fraction for r in result.rows if r.population > 0}
-        rows.append([int(n), len(fr), round(fr.get(0, 0.0), 4),
-                     round(result.mean_error_rate, 6)])
-    _emit(args, "figures 9/10 — scale sweep",
-          ["N", "levels", "frac_L0", "mean_error"], rows)
+def cmd_sweep(args) -> None:
+    """fig9 (and fig10's error column) sweeps the scale, fig11 (and
+    fig12's) the lifetime rate: one row per point either way."""
+    if args.command == "fig9":
+        points = figures.fig9_scalability_levels(args.scales, _params(args))
+        title, x_name, cast = "figures 9/10 — scale sweep", "N", int
+        chart = {"title": "mean error vs N"}
+    else:
+        points = figures.fig11_adaptivity_levels(args.rates, _params(args))
+        title, x_name, cast = "figures 11/12 — Lifetime_Rate sweep", "rate", float
+        chart = {"title": "mean error vs Lifetime_Rate (log y — figure 12)",
+                 "log_y": True}
+    rows = [[cast(p.x), p.n_levels,
+             round(dict(p.level_fractions).get(0, 0.0), 4),
+             round(p.mean_error_rate, 6)] for p in points]
+    _emit(args, title, [x_name, "levels", "frac_L0", "mean_error"], rows)
     if args.chart:
         from repro.experiments.plot import line_chart
 
         print()
-        print(line_chart([(r[0], r[3]) for r in rows], title="mean error vs N"))
-
-
-def cmd_fig11_12(args) -> None:
-    rows = []
-    for rate in args.rates:
-        result = _run(_params(args, lifetime_rate=float(rate)))
-        fr = {r.level: r.fraction for r in result.rows if r.population > 0}
-        rows.append([rate, len(fr), round(fr.get(0, 0.0), 4),
-                     round(result.mean_error_rate, 6)])
-    _emit(args, "figures 11/12 — Lifetime_Rate sweep",
-          ["rate", "levels", "frac_L0", "mean_error"], rows)
-    if args.chart:
-        from repro.experiments.plot import line_chart
-
-        print()
-        print(line_chart(
-            [(r[0], r[3]) for r in rows],
-            title="mean error vs Lifetime_Rate (log y — figure 12)",
-            log_y=True,
-        ))
+        print(line_chart([(r[0], r[3]) for r in rows], **chart))
 
 
 def cmd_predict(args) -> None:
@@ -192,84 +271,35 @@ def cmd_chaos(args) -> int:
         ByzantineRunner,
         ChaosRunner,
     )
-    from repro.obs.export import (
-        prepare_output_path,
-        write_chrome_trace,
-        write_metrics_json,
-        write_spans_jsonl,
-    )
 
     if args.list:
         _emit(args, "chaos scenarios",
               ["scenario", "default_nodes", "description"],
               [[s.name, s.default_nodes, s.description]
-               for s in SCENARIOS.values()]
-              + [[s.name, s.default_nodes, s.description]
-                 for s in BYZANTINE_SCENARIOS.values()])
+               for s in (*SCENARIOS.values(), *BYZANTINE_SCENARIOS.values())])
         return 0
-    runner_cls = ChaosRunner
-    if args.byzantine is not None:
-        runner_cls = ByzantineRunner
-        scenario = BYZANTINE_SCENARIOS.get(args.byzantine)
-        if scenario is None:
-            print(f"unknown byzantine scenario {args.byzantine!r}; "
-                  f"choose from: {', '.join(sorted(BYZANTINE_SCENARIOS))}",
-                  file=sys.stderr)
-            return 2
-    else:
-        scenario = SCENARIOS.get(args.scenario)
-        if scenario is None:
-            print(f"unknown scenario {args.scenario!r}; "
-                  f"choose from: {', '.join(sorted(SCENARIOS))}", file=sys.stderr)
-            return 2
-    # Validate output paths up front: a bad --trace/--spans/--chrome
-    # destination should fail before the run, not after it.
-    if args.trace:
-        prepare_output_path(args.trace, what="chaos trace")
-    if args.spans:
-        prepare_output_path(args.spans, what="span export")
-    if args.chrome:
-        prepare_output_path(args.chrome, what="Chrome trace")
-    if args.metrics:
-        prepare_output_path(args.metrics, what="metrics JSON")
-    health_spec = None
-    if args.health:
-        from repro.obs.health import HealthSpec
-
-        if args.health == "default":
-            n = args.nodes if args.nodes is not None else scenario.default_nodes
-            if args.byzantine is not None:
-                health_spec = HealthSpec.byzantine(scenario.make_config(), n)
-            else:
-                health_spec = HealthSpec.default(scenario.make_config(), n)
-        else:
-            health_spec = HealthSpec.load(args.health)
-    stream = None
-    if args.watch or args.snapshot_jsonl:
-        from repro.obs.health import HealthSpec
-        from repro.obs.stream import StreamConfig
-
-        n = args.nodes if args.nodes is not None else scenario.default_nodes
-        stream_spec = health_spec
-        if stream_spec is None:
-            # The dashboard always band-evaluates; without --health the
-            # default spec for the scenario's config judges the stream.
-            if args.byzantine is not None:
-                stream_spec = HealthSpec.byzantine(scenario.make_config(), n)
-            else:
-                stream_spec = HealthSpec.default(scenario.make_config(), n)
-        if args.snapshot_jsonl:
-            prepare_output_path(args.snapshot_jsonl, what="telemetry frames")
-        stream = StreamConfig(
-            window=args.window,
-            spec=stream_spec,
-            snapshot_path=args.snapshot_jsonl,
-            render=bool(args.watch),
-        )
+    byzantine = args.byzantine is not None
+    family, name, flag = (
+        (BYZANTINE_SCENARIOS, args.byzantine, "byzantine scenario") if byzantine
+        else (SCENARIOS, args.scenario, "scenario")
+    )
+    scenario = family.get(name)
+    if scenario is None:
+        print(f"unknown {flag} {name!r}; "
+              f"choose from: {', '.join(sorted(family))}", file=sys.stderr)
+        return 2
+    _check_outputs(args, "trace", "spans", "chrome", "metrics", "snapshot_jsonl")
+    config = scenario.make_config()
+    n = args.nodes if args.nodes is not None else scenario.default_nodes
+    # Without --health the stream is still judged: by the derived spec.
+    stream_spec = _derived_spec(config, n, byzantine)
+    if args.health and args.health != "default":
+        stream_spec = _load_spec(args.health)
+    health_spec = stream_spec if args.health else None
     observe = bool(args.spans or args.chrome or args.metrics)
-    runner = runner_cls(
+    runner = (ByzantineRunner if byzantine else ChaosRunner)(
         scenario, n_nodes=args.nodes, seed=args.seed, observe=observe,
-        health_spec=health_spec, stream=stream,
+        health_spec=health_spec, stream=_stream_config(args, stream_spec),
         detsan=True if args.detsan else None,
     )
     result = runner.run()
@@ -288,26 +318,17 @@ def cmd_chaos(args) -> int:
         ] + ([["spans_recorded", len(result.spans)]] if observe else []),
     )
     if args.trace:
-        path = prepare_output_path(args.trace, what="chaos trace")
-        with open(path, "w") as fh:
-            fh.write(result.trace)
-        print(f"[wrote {path}]")
+        _write(args.trace, result.trace)
     if args.snapshot_jsonl:
         print(f"[wrote {args.snapshot_jsonl}]")
-    if args.spans:
-        print(f"[wrote {write_spans_jsonl(args.spans, result.spans)}]")
-    if args.chrome:
-        print(f"[wrote {write_chrome_trace(args.chrome, result.spans)}]")
-    if args.metrics:
-        meta = {
-            "scenario": result.scenario,
-            "n_nodes": result.n_nodes,
-            "seed": result.seed,
-            "duration": result.duration,
-            "mean_error_rate": result.mean_error_rate,
-            "config": scenario.make_config().describe(),
-        }
-        print(f"[wrote {write_metrics_json(args.metrics, result.metrics, meta=meta)}]")
+    _write_exports(args, result.spans, result.metrics, {
+        "scenario": result.scenario,
+        "n_nodes": result.n_nodes,
+        "seed": result.seed,
+        "duration": result.duration,
+        "mean_error_rate": result.mean_error_rate,
+        "config": config.describe(),
+    })
     rc = 0
     if result.violations:
         print(f"\nFAIL: {len(result.violations)} invariant violation(s); first 20:")
@@ -327,42 +348,25 @@ def cmd_chaos(args) -> int:
         else:
             print("DETSAN: clean (no payload retention, wall-clock, or "
                   "global-RNG findings)")
-    if health_spec is not None:
-        breaches = [v for v in result.health_verdicts if not v.ok]
-        if breaches:
-            print(f"UNHEALTHY: {len(breaches)} SLO breach(es):")
-            for v in breaches:
-                print("  " + v.describe())
-            rc = 1
-        else:
-            print(f"HEALTHY: {len(result.health_verdicts)} SLO verdict(s) ok")
+    # The run table owns --csv, so the verdict table is printed only.
+    if health_spec is not None and not _judge(
+        f"health: chaos {result.scenario} vs spec '{health_spec.name}'",
+        result.health_verdicts,
+    ):
+        rc = 1
     return rc
 
 
 def cmd_obs_run(args) -> int:
-    """An instrumented churn run: spans, metrics, profile, exporters."""
+    """An instrumented churn run: spans, metrics, exporters."""
     from repro.core.config import ProtocolConfig
     from repro.core.protocol import PeerWindowNetwork
     from repro.net.latency import PairwiseLatencyModel
-    from repro.obs.export import (
-        prepare_output_path,
-        profile_rows,
-        write_chrome_trace,
-        write_metrics_csv,
-        write_metrics_json,
-        write_spans_jsonl,
-    )
+    from repro.obs.export import write_metrics_csv
     from repro.sim.rng import RandomStreams
 
-    # Validate output paths up front so a bad destination fails before
-    # the (possibly long) instrumented run.
-    for path, what in ((args.spans, "span export"),
-                       (args.chrome, "Chrome trace"),
-                       (args.metrics, "metrics JSON"),
-                       (args.metrics_csv, "metrics CSV")):
-        if path:
-            prepare_output_path(path, what=what)
-
+    _check_outputs(args, "spans", "chrome", "metrics", "metrics_csv",
+                   "snapshot_jsonl")
     config = ProtocolConfig(id_bits=16)
     net = PeerWindowNetwork(
         config=config,
@@ -372,24 +376,9 @@ def cmd_obs_run(args) -> int:
         observability=True,
     )
     net.seed_nodes([4000.0] * args.nodes)
-    windower = None
-    if args.watch or args.snapshot_jsonl:
-        from repro.obs.health import HealthSpec
-        from repro.obs.stream import StreamConfig
-
-        if args.snapshot_jsonl:
-            prepare_output_path(args.snapshot_jsonl, what="telemetry frames")
-        windower = StreamConfig(
-            window=args.window,
-            spec=HealthSpec.default(config, args.nodes),
-            snapshot_path=args.snapshot_jsonl,
-            render=bool(args.watch),
-        ).build(net)
-    advance = net.run if windower is None else (
-        lambda until: windower.run(until)
-    )
-    if args.profile:
-        net.enable_profiling()
+    stream = _stream_config(args, _derived_spec(config, args.nodes))
+    windower = None if stream is None else stream.build(net)
+    advance = net.run if windower is None else windower.run
     # Deterministic churn so every instrumented path fires: a few joins
     # (handshakes + JOIN multicasts) and leaves/timeout-driven obituaries.
     churn_rng = RandomStreams(args.seed).get("obs-churn")
@@ -409,9 +398,7 @@ def cmd_obs_run(args) -> int:
 
     snapshot = net.metrics_snapshot()
     spans = net.spans()
-    by_name: dict = {}
-    for s in spans:
-        by_name[s.name] = by_name.get(s.name, 0) + 1
+    by_name = collections.Counter(s.name for s in spans)
     _emit(
         args,
         f"obs run, N={args.nodes}, seed={args.seed}, "
@@ -423,72 +410,48 @@ def cmd_obs_run(args) -> int:
           f"{len(snapshot['counters'])} counters, "
           f"{len(snapshot['dists'])} distributions over "
           f"{snapshot['nodes']} nodes")
-    if args.spans:
-        print(f"[wrote {write_spans_jsonl(args.spans, spans)}]")
-    if args.chrome:
-        print(f"[wrote {write_chrome_trace(args.chrome, spans)}]")
-    if args.metrics:
-        # meta records what produced the snapshot so `repro obs health`
-        # can rebuild the matching default spec.  The execution mode
-        # (parallel=N) is deliberately omitted: it is an implementation
-        # detail, and including it would break the byte-identity of
-        # sequential-vs-partitioned reports.
-        meta = {
-            "n_nodes": args.nodes,
-            "seed": args.seed,
-            "duration": args.duration,
-            "mean_error_rate": net.mean_error_rate(),
-            "config": config.describe(),
-        }
-        print(f"[wrote {write_metrics_json(args.metrics, snapshot, meta=meta)}]")
+    # The execution mode (parallel=N) is deliberately left out of the
+    # meta: it is an implementation detail, and including it would break
+    # the byte-identity of sequential-vs-partitioned reports.
+    _write_exports(args, spans, snapshot, {
+        "n_nodes": args.nodes,
+        "seed": args.seed,
+        "duration": args.duration,
+        "mean_error_rate": net.mean_error_rate(),
+        "config": config.describe(),
+    })
     if args.metrics_csv:
         print(f"[wrote {write_metrics_csv(args.metrics_csv, snapshot)}]")
-    if args.profile:
-        print("\n== profile ==")
-        print(format_table(["phase", "calls", "seconds", "mean_us"],
-                           profile_rows(net.profile_snapshot())))
     return 0
 
 
-def _health_inputs(spans_path: str, metrics_path: Optional[str],
-                   spec_path: Optional[str]):
-    """Shared loader for ``obs analyze|health|report``: the analysis
-    report, the combined signal dict, the health spec (loaded or derived
-    from the run's recorded config), and the run meta."""
+def _health_inputs(spans_path: str, metrics_path: Optional[str], spec=None):
+    """Shared loader for ``obs analyze|health|report`` and ``live
+    swarm``: the analysis report, the run's signals, the health spec
+    (``spec``, or derived from the run's recorded config), the run meta."""
     from repro.core.config import ProtocolConfig
     from repro.obs.analyze import analyze_file, load_metrics
-    from repro.obs.health import HealthSpec, metrics_signals
+    from repro.obs.health import run_signals
 
     report = analyze_file(spans_path)
-    signals = dict(report.signals())
+    snapshot = load_metrics(metrics_path) if metrics_path else None
     meta: dict = {}
     config = ProtocolConfig(id_bits=16)
-    if metrics_path:
-        snapshot = load_metrics(metrics_path)
-        raw_meta = snapshot.get("meta")
-        if isinstance(raw_meta, dict):
-            meta = raw_meta
+    if snapshot is not None:
+        if isinstance(snapshot.get("meta"), dict):
+            meta = snapshot["meta"]
         if isinstance(meta.get("config"), dict):
             config = ProtocolConfig(**meta["config"])
-        signals.update(metrics_signals(snapshot, config, meta=meta))
-    if spec_path:
-        spec = HealthSpec.load(spec_path)
-    else:
-        spec = HealthSpec.default(config, int(meta.get("n_nodes", report.nodes)))
+    signals = run_signals(report, snapshot, config, meta=meta)
+    if spec is None:
+        spec = _derived_spec(config, int(meta.get("n_nodes", report.nodes)))
     return report, signals, spec, meta
 
 
 def cmd_obs_analyze(args) -> int:
     """Reconstruct span trees from a JSONL export and print aggregates."""
-    import json as _json
-
-    from repro.paths import prepare_output_path
-
-    if args.json:
-        prepare_output_path(args.json, what="analysis JSON")
-    report, signals, _spec, _meta = _health_inputs(
-        args.spans, args.metrics, None
-    )
+    _check_outputs(args, "json")
+    report, _signals, _spec, _meta = _health_inputs(args.spans, args.metrics)
     doc = report.to_dict()
     m = doc["multicast"]
     _emit(
@@ -515,9 +478,7 @@ def cmd_obs_analyze(args) -> int:
         ],
     )
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(_json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        print(f"[wrote {args.json}]")
+        _write(args.json, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -526,57 +487,25 @@ def cmd_obs_health(args) -> int:
     from repro.obs.health import evaluate
 
     _report, signals, spec, _meta = _health_inputs(
-        args.spans, args.metrics, args.spec
+        args.spans, args.metrics, _load_spec(args.spec)
     )
-    verdicts = evaluate(spec, signals)
-    _emit(
-        args,
-        f"health: {args.spans} vs spec '{spec.name}'",
-        ["slo", "value", "lo", "hi", "ok"],
-        [
-            [v.slo, round(v.value, 6),
-             "-" if v.lo is None else v.lo,
-             "-" if v.hi is None else v.hi,
-             "ok" if v.ok else "BREACH"]
-            for v in verdicts
-        ],
-    )
-    breaches = [v for v in verdicts if not v.ok]
-    if breaches:
-        print(f"\nUNHEALTHY: {len(breaches)} SLO breach(es)")
-        for v in breaches:
-            print("  " + v.describe())
-        return 1
-    print(f"\nHEALTHY: {len(verdicts)} SLO(s) ok")
-    return 0
+    healthy = _judge(f"health: {args.spans} vs spec '{spec.name}'",
+                     evaluate(spec, signals), csv_path=args.csv)
+    return 0 if healthy else 1
 
 
 def cmd_obs_report(args) -> int:
     """The full health report: markdown to stdout/--out, JSON via --json."""
     from repro.obs.health import evaluate
     from repro.obs.report import build_report, render_json, render_markdown
-    from repro.paths import prepare_output_path
 
-    for path, what in ((args.out, "markdown report"),
-                       (args.json, "JSON report")):
-        if path:
-            prepare_output_path(path, what=what)
+    _check_outputs(args, "out", "json")
     report, signals, spec, meta = _health_inputs(
-        args.spans, args.metrics, args.spec
+        args.spans, args.metrics, _load_spec(args.spec)
     )
     verdicts = evaluate(spec, signals)
     doc = build_report(report, verdicts, signals=signals, meta=meta)
-    markdown = render_markdown(doc)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(markdown)
-        print(f"[wrote {args.out}]")
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(render_json(doc))
-        print(f"[wrote {args.json}]")
-    if not args.out and not args.json:
-        print(markdown, end="")
+    _deliver(args, render_markdown(doc), render_json(doc))
     return 0 if doc["healthy"] else 1
 
 
@@ -595,8 +524,6 @@ def cmd_watch(args) -> int:
 
 def cmd_compare(args) -> int:
     """Protocol tournament: every contestant over identical workloads."""
-    import os
-
     from repro.compare import (
         TournamentConfig,
         contestant_names,
@@ -630,32 +557,21 @@ def cmd_compare(args) -> int:
     if args.frames_dir:
         os.makedirs(args.frames_dir, exist_ok=True)
     doc = run_tournament(cfg, frames_dir=args.frames_dir, on_window=on_window)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(render_markdown(doc))
-        print(f"[wrote {args.out}]")
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(render_json(doc))
-        print(f"[wrote {args.json}]")
-    if not args.out and not args.json:
-        print(render_markdown(doc), end="")
+    _deliver(args, render_markdown(doc), render_json(doc))
     return 0 if doc["champion_healthy"] else 1
 
 
 def cmd_obs_render(args) -> int:
     """Render recorded frames (and optionally spans) to static HTML."""
-    from repro.obs.analyze import load_span_lines
-    from repro.obs.export import prepare_output_path
+    from repro.obs.analyze import load_spans
     from repro.obs.render_html import build_html
-    from repro.obs.stream import load_frames
+    from repro.obs.stream import load_frames_file
 
-    with open(args.frames) as fh:
-        frames, _, skipped = load_frames(fh.read().splitlines())
+    _check_outputs(args, "out")
+    frames, _, skipped = load_frames_file(args.frames)
     spans = None
     if args.spans:
-        with open(args.spans) as fh:
-            spans, _, span_skipped = load_span_lines(fh.read().splitlines())
+        spans, _, span_skipped = load_spans(args.spans)
         skipped += span_skipped
     page = build_html(
         frames,
@@ -664,20 +580,16 @@ def cmd_obs_render(args) -> int:
         lines_skipped=skipped,
         tree_limit=args.trees,
     )
-    prepare_output_path(args.out, what="HTML page")
-    with open(args.out, "w") as fh:
-        fh.write(page)
-    print(f"[wrote {args.out}]")
+    _write(args.out, page)
     return 0
 
 
 def cmd_obs_trees(args) -> int:
     """Print reconstructed multicast tree shapes from a span JSONL."""
-    from repro.obs.analyze import load_span_lines
+    from repro.obs.analyze import load_spans
     from repro.obs.dashboard import render_mcast_trees
 
-    with open(args.spans) as fh:
-        spans, _, skipped = load_span_lines(fh.read().splitlines())
+    spans, _, skipped = load_spans(args.spans)
     print(render_mcast_trees(spans, limit=args.limit, max_nodes=args.max_nodes))
     if skipped:
         print(
@@ -694,7 +606,6 @@ def cmd_live_node(args) -> int:
     from repro.live.clock import wall_epoch
     from repro.live.node import LiveNodeSpec, run_node
 
-    via = getattr(args, "via", None)
     spec = LiveNodeSpec(
         host=args.host,
         port=args.port,
@@ -703,14 +614,14 @@ def cmd_live_node(args) -> int:
         master_seed=args.seed,
         epoch=float(args.epoch) if args.epoch is not None else wall_epoch(),
         duration=args.duration,
-        seed_address=via,
+        seed_address=args.via,
         join_at=args.join_at,
         settle=args.settle,
         request_retries=args.request_retries,
         telemetry_window=args.telemetry_window,
     )
     result = asyncio.run(run_node(spec, args.out))
-    role = "seed" if via is None else f"joined={result['joined']}"
+    role = "seed" if args.via is None else f"joined={result['joined']}"
     print(
         f"live node {spec.address} ({role}) level={result['level']} "
         f"sent={result['transport']['sent']} "
@@ -725,27 +636,14 @@ def cmd_live_swarm(args) -> int:
     from repro.live.swarm import fidelity_rows, launch_swarm, run_sim_counterpart
     from repro.obs.health import evaluate
 
+    named_spec = _load_spec(args.spec)
+
     def judge(label: str, spans_path: str, metrics_path: str):
-        report, signals, spec, _meta = _health_inputs(
-            spans_path, metrics_path, args.spec
-        )
-        verdicts = evaluate(spec, signals)
-        _emit(
-            args,
+        _report, signals, spec, _meta = _health_inputs(
+            spans_path, metrics_path, named_spec)
+        return signals, _judge(
             f"health ({label}): {spans_path} vs spec '{spec.name}'",
-            ["slo", "value", "lo", "hi", "ok"],
-            [
-                [v.slo, round(v.value, 6),
-                 "-" if v.lo is None else v.lo,
-                 "-" if v.hi is None else v.hi,
-                 "ok" if v.ok else "BREACH"]
-                for v in verdicts
-            ],
-        )
-        breaches = [v for v in verdicts if not v.ok]
-        for v in breaches:
-            print("  " + v.describe())
-        return signals, not breaches
+            evaluate(spec, signals), csv_path=args.csv)
 
     telemetry_window = args.telemetry_window
     if args.watch and telemetry_window <= 0:
@@ -805,26 +703,19 @@ def cmd_live_swarm(args) -> int:
     return rc
 
 
-def _changed_files(ref: str, paths) -> "Optional[list]":
+def _changed_files(ref: str, paths) -> list:
     """``.py`` files changed versus ``ref`` (per ``git diff``) that lie
-    under the requested lint paths.  None on git failure."""
+    under the requested lint paths."""
     import subprocess
 
-    try:
-        out = subprocess.run(
-            ["git", "diff", "--name-only", "-z", ref, "--"],
-            capture_output=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = ""
-        if isinstance(exc, subprocess.CalledProcessError):
-            detail = (exc.stderr or b"").decode(errors="replace").strip()
-        print(f"cannot diff against {ref!r}: {detail or exc}", file=sys.stderr)
-        return None
+    proc = subprocess.run(
+        ["git", "diff", "--name-only", "-z", ref, "--"], capture_output=True)
+    if proc.returncode:
+        raise OSError(f"cannot diff against {ref!r}: "
+                      f"{proc.stderr.decode(errors='replace').strip()}")
     wanted = [os.path.normpath(p) for p in paths]
     files = []
-    for name in out.stdout.decode(errors="replace").split("\0"):
+    for name in proc.stdout.decode(errors="replace").split("\0"):
         if not name or not name.endswith(".py"):
             continue
         norm = os.path.normpath(name)
@@ -839,10 +730,7 @@ def _changed_files(ref: str, paths) -> "Optional[list]":
 
 def cmd_lint(args) -> int:
     """detlint: the determinism & LP-isolation static analyzer."""
-    import json as _json
-
     from repro.analysis import Baseline, all_rules, run_lint
-    from repro.paths import prepare_output_path
 
     rules = all_rules()
     if args.rules:
@@ -852,17 +740,11 @@ def cmd_lint(args) -> int:
             for r in rules:
                 print(f"\n{r.id} — {r.title}\n  {r.rationale}")
         return 0
-    # Validate report/baseline destinations before the (possibly long) walk.
-    if args.report:
-        prepare_output_path(args.report, what="lint report")
-    if args.write_baseline:
-        prepare_output_path(args.baseline, what="detlint baseline")
+    _check_outputs(args, "report", *(["baseline"] if args.write_baseline else []))
 
     paths = args.paths or ["src/repro"]
     if args.changed:
         changed = _changed_files(args.changed, paths)
-        if changed is None:
-            return 2
         if not changed:
             print(f"[no .py files under {', '.join(paths)} changed vs "
                   f"{args.changed}]")
@@ -891,180 +773,184 @@ def cmd_lint(args) -> int:
             "baselined": len(grandfathered),
             "checked_rules": [r.id for r in rules],
         }
-        text = _json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if args.report:
-            with open(args.report, "w") as fh:
-                fh.write(text)
-            print(f"[wrote {args.report}]")
-        else:
-            print(text, end="")
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        lines = [f.describe() for f in new]
         summary = (
             f"{len(new)} finding(s)"
             + (f", {len(grandfathered)} baselined" if grandfathered else "")
             + f" across {len(rules)} rules"
         )
-        if args.report:
-            with open(args.report, "w") as fh:
-                fh.write("\n".join(lines + [summary]) + "\n")
-            print(f"[wrote {args.report}]")
-        else:
-            for line in lines:
-                print(line)
-            print(summary)
+        text = "\n".join([f.describe() for f in new] + [summary]) + "\n"
+    if args.report:
+        _write(args.report, text)
+    else:
+        print(text, end="")
     return 1 if new else 0
 
 
+def _number(cast, lo, strict: bool = False):
+    """An argparse ``type``: ``cast(text)``, refused unless it is
+    ``>= lo`` (``> lo`` with ``strict``; a NaN is neither)."""
+    def parse(text: str):
+        value = cast(text)
+        if not (value > lo if strict else value >= lo):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {lo}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+#: The flags that mean the same thing on every subcommand that takes
+#: them, said once: dest -> (option strings, type, help).
+_RUN_FLAGS = {
+    "nodes": (("-n", "--nodes"), None,
+              "population (the paper's system scale: 100000)"),
+    "seed": (("--seed",), int,
+             "master seed; same seed => byte-identical output"),
+    "duration": (("--duration",), _number(float, 0, strict=True),
+                 "simulated seconds (fig*: measured, after --warmup; "
+                 "live: epoch-relative lifetime)"),
+    "window": (("--window",), _number(float, 0, strict=True),
+               "telemetry window width in simulated seconds"),
+    "parallel": (("--parallel",), _number(int, 1),
+                 "run on N logical processes (byte-identical output)"),
+}
+
+
+def _run_flags(min_nodes: int = 1, **defaults) -> argparse.ArgumentParser:
+    """A parent parser holding the :data:`_RUN_FLAGS` named in
+    ``defaults``, each with the default this subcommand gives it.  A fresh
+    parser per distinct set of defaults: argparse parents share their
+    actions, and ``set_defaults`` on one child would rewrite them all."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for dest, default in defaults.items():
+        strings, kind, text = _RUN_FLAGS[dest]
+        parent.add_argument(
+            *strings, dest=dest, default=default, help=text,
+            type=kind or _number(int, min_nodes))
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # A refused value surfaces as ArgumentError for main() to print as one
+    # ``error:`` line; every (sub)parser must opt in on its own.
+    quiet = functools.partial(argparse.ArgumentParser, exit_on_error=False)
+    parser = quiet(
         prog="repro",
         description="PeerWindow (ICPP 2005) reproduction — regenerate any paper figure.",
     )
-    common_opts = argparse.ArgumentParser(add_help=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=quiet)
+
+    def command(group, name, func, *parents, **kwargs):
+        """The subcommand ``name`` of ``group``, run by ``func``."""
+        p = group.add_parser(name, parents=list(parents), **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    def options(*parents) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    common_opts = options()
     common_opts.add_argument("--csv", help="also write the table as CSV")
     common_opts.add_argument("--chart", action="store_true",
                              help="also draw a terminal chart")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_sim_args(p):
-        p.add_argument("-n", "--nodes", type=int, default=20_000,
-                       help="system scale (paper: 100000)")
-        p.add_argument("--duration", type=float, default=1200.0,
-                       help="measured seconds after warm-up")
-        p.add_argument("--warmup", type=float, default=400.0)
-        p.add_argument("--seed", type=int, default=1)
+    sim_opts = options(_run_flags(nodes=20_000, duration=1200.0, seed=1))
+    sim_opts.add_argument("--warmup", type=float, default=400.0)
+    export_opts = options()
+    export_opts.add_argument("--spans", help="record observability spans and "
+                                             "write them as JSONL here")
+    export_opts.add_argument("--chrome", help="write a Chrome trace_event file "
+                                              "here (open in about://tracing)")
+    export_opts.add_argument("--metrics", help="write the run's metrics "
+                                               "snapshot as JSON here")
+    stream_opts = options(_run_flags(window=15.0))
+    stream_opts.add_argument("--watch", action="store_true",
+                             help="render the live telemetry dashboard "
+                                  "during the run")
+    stream_opts.add_argument("--snapshot-jsonl", dest="snapshot_jsonl", default=None,
+                             help="write deterministic per-window telemetry "
+                                  "frames as JSONL here (byte-identical "
+                                  "across --parallel)")
+    recorded_opts = options()
+    recorded_opts.add_argument("spans", help="span JSONL file (from `obs run --spans`)")
+    recorded_opts.add_argument("--metrics", help="metrics JSON from the same run "
+                                                 "(enables bandwidth/error SLOs)")
+    spec_opts = options()
+    spec_opts.add_argument("--spec", help="HealthSpec JSON (default: derived "
+                                          "from the run's recorded config)")
+    report_opts = options()
+    report_opts.add_argument("--out", help="write the markdown here (default: stdout)")
+    report_opts.add_argument("--json", help="write the document as JSON here")
 
     for name, fn in (
         ("common", cmd_common),
         ("fig5", cmd_fig), ("fig6", cmd_fig), ("fig7", cmd_fig), ("fig8", cmd_fig),
     ):
-        p = sub.add_parser(name, parents=[common_opts])
-        add_sim_args(p)
-        p.set_defaults(func=fn)
-
-    p9 = sub.add_parser("fig9", parents=[common_opts], help="scale sweep (also fig10 error column)")
-    add_sim_args(p9)
+        command(sub, name, fn, common_opts, sim_opts)
+    p9 = command(sub, "fig9", cmd_sweep, common_opts, sim_opts,
+                 help="scale sweep (also fig10 error column)")
     p9.add_argument("--scales", nargs="+", type=int,
                     default=[5_000, 20_000, 100_000])
-    p9.set_defaults(func=cmd_fig9_10)
-
-    p11 = sub.add_parser("fig11", parents=[common_opts], help="Lifetime_Rate sweep (also fig12 error column)")
-    add_sim_args(p11)
+    p11 = command(sub, "fig11", cmd_sweep, common_opts, sim_opts,
+                  help="Lifetime_Rate sweep (also fig12 error column)")
     p11.add_argument("--rates", nargs="+", type=float,
                      default=[0.1, 0.5, 1.0, 2.0, 10.0])
-    p11.set_defaults(func=cmd_fig11_12)
+    closed_form_opts = _run_flags(nodes=100_000)
+    command(sub, "predict", cmd_predict, common_opts, closed_form_opts,
+            help="closed-form predictions (no simulation)")
+    command(sub, "baselines", cmd_baselines, common_opts, closed_form_opts,
+            help="the intro comparison table")
 
-    pp = sub.add_parser("predict", parents=[common_opts], help="closed-form predictions (no simulation)")
-    pp.add_argument("-n", "--nodes", type=int, default=100_000)
-    pp.set_defaults(func=cmd_predict)
-
-    pb = sub.add_parser("baselines", parents=[common_opts], help="the intro comparison table")
-    pb.add_argument("-n", "--nodes", type=int, default=100_000)
-    pb.set_defaults(func=cmd_baselines)
-
-    pch = sub.add_parser("chaos", parents=[common_opts],
-                         help="deterministic fault-injection run with live "
-                              "invariant checking")
+    pch = command(sub, "chaos", cmd_chaos, common_opts,
+                  _run_flags(nodes=None, seed=0), export_opts, stream_opts,
+                  help="deterministic fault-injection run with live "
+                       "invariant checking (-n defaults to the scenario's "
+                       "population)")
     pch.add_argument("--scenario", default="smoke",
                      help="scenario name (--list shows all)")
     pch.add_argument("--byzantine", metavar="SCENARIO", default=None,
                      help="run an adversarial scenario (DESIGN §16) with the "
                           "byzantine runner instead of --scenario; 'default' "
                           "health uses the byzantine SLO bands")
-    pch.add_argument("-n", "--nodes", type=int, default=None,
-                     help="population (default: the scenario's)")
-    pch.add_argument("--seed", type=int, default=0,
-                     help="master seed; same seed => byte-identical trace")
     pch.add_argument("--trace", help="write the deterministic fault/state trace here")
-    pch.add_argument("--spans", help="record observability spans and write them "
-                                     "as JSONL here (enables tracing)")
-    pch.add_argument("--chrome", help="write a Chrome trace_event file here "
-                                      "(open in about://tracing; enables tracing)")
     pch.add_argument("--health", metavar="SPEC",
                      help="evaluate SLOs live + post-hoc and fail (exit 1) "
                           "on breach; SPEC is a HealthSpec JSON path or "
                           "'default' (derived from the scenario config)")
-    pch.add_argument("--metrics", help="write the run's metrics snapshot "
-                                       "as JSON here (enables tracing)")
-    pch.add_argument("--watch", action="store_true",
-                     help="render the live telemetry dashboard while the "
-                          "scenario runs (enables tracing)")
-    pch.add_argument("--snapshot-jsonl", dest="snapshot_jsonl", default=None,
-                     help="write deterministic per-window telemetry frames "
-                          "as JSONL here (enables tracing)")
-    pch.add_argument("--window", type=float, default=15.0,
-                     help="telemetry window width in simulated seconds")
     pch.add_argument("--detsan", action="store_true",
                      help="run under the DetSan runtime sanitizer (payload "
                           "retention + clock/RNG tripwires; exit 1 on any "
                           "finding; REPRO_DETSAN=1 does the same)")
     pch.add_argument("--list", action="store_true", help="list scenarios and exit")
-    pch.set_defaults(func=cmd_chaos)
 
     pobs = sub.add_parser("obs",
                           help="observability: instrumented runs, span-tree "
                                "analytics, SLO health checks, reports")
-    obs_sub = pobs.add_subparsers(dest="obs_command", required=True)
-
-    porun = obs_sub.add_parser(
-        "run", parents=[common_opts],
-        help="instrumented churn run: span tree, metrics registry, "
-             "exporters, profiling")
-    porun.add_argument("-n", "--nodes", type=int, default=200)
-    porun.add_argument("--duration", type=float, default=300.0,
-                       help="simulated seconds")
-    porun.add_argument("--seed", type=int, default=1)
-    porun.add_argument("--parallel", type=int, default=None,
-                       help="run on N logical processes (byte-identical output)")
-    porun.add_argument("--spans", help="write spans as JSONL here")
-    porun.add_argument("--chrome", help="write a Chrome trace_event file here")
-    porun.add_argument("--metrics", help="write the metrics snapshot as JSON here")
+    obs_sub = pobs.add_subparsers(dest="obs_command", required=True,
+                                  parser_class=quiet)
+    porun = command(
+        obs_sub, "run", cmd_obs_run, common_opts,
+        # n >= 3: a bootstrap plus the two churn victims.
+        _run_flags(min_nodes=3, nodes=200, duration=300.0, seed=1, parallel=None),
+        export_opts, stream_opts,
+        help="instrumented churn run: span tree, metrics registry, exporters")
     porun.add_argument("--metrics-csv", dest="metrics_csv",
                        help="write the metrics snapshot as CSV here")
-    porun.add_argument("--profile", action="store_true",
-                       help="attach wall-clock phase profilers and print them")
-    porun.add_argument("--watch", action="store_true",
-                       help="render the live telemetry dashboard during the run")
-    porun.add_argument("--snapshot-jsonl", dest="snapshot_jsonl", default=None,
-                       help="write deterministic per-window telemetry frames "
-                            "as JSONL here (byte-identical across --parallel)")
-    porun.add_argument("--window", type=float, default=15.0,
-                       help="telemetry window width in simulated seconds")
-    porun.set_defaults(func=cmd_obs_run)
-
-    poana = obs_sub.add_parser(
-        "analyze", parents=[common_opts],
+    poana = command(
+        obs_sub, "analyze", cmd_obs_analyze, common_opts, recorded_opts,
         help="reconstruct multicast/join/probe trees from a span JSONL "
              "export and print per-operation aggregates")
-    poana.add_argument("spans", help="span JSONL file (from `obs run --spans`)")
-    poana.add_argument("--metrics", help="metrics JSON from the same run")
     poana.add_argument("--json", help="write the full analysis document here")
-    poana.set_defaults(func=cmd_obs_analyze)
-
-    pohealth = obs_sub.add_parser(
-        "health", parents=[common_opts],
-        help="judge a recorded run against paper-derived SLOs "
-             "(exit 1 on breach)")
-    pohealth.add_argument("spans", help="span JSONL file")
-    pohealth.add_argument("--metrics", help="metrics JSON from the same run "
-                                            "(enables bandwidth/error SLOs)")
-    pohealth.add_argument("--spec", help="HealthSpec JSON (default: derived "
-                                         "from the run's recorded config)")
-    pohealth.set_defaults(func=cmd_obs_health)
-
-    porep = obs_sub.add_parser(
-        "report", parents=[common_opts],
-        help="full markdown/JSON health report (exit 1 when unhealthy)")
-    porep.add_argument("spans", help="span JSONL file")
-    porep.add_argument("--metrics", help="metrics JSON from the same run")
-    porep.add_argument("--spec", help="HealthSpec JSON")
-    porep.add_argument("--out", help="write markdown here (default: stdout)")
-    porep.add_argument("--json", help="write the report document as JSON here")
-    porep.set_defaults(func=cmd_obs_report)
-
-    porend = obs_sub.add_parser(
-        "render", parents=[common_opts],
+    command(obs_sub, "health", cmd_obs_health, common_opts, recorded_opts, spec_opts,
+            help="judge a recorded run against paper-derived SLOs "
+                 "(exit 1 on breach)")
+    command(obs_sub, "report", cmd_obs_report, common_opts, recorded_opts,
+            spec_opts, report_opts,
+            help="full markdown/JSON health report (exit 1 when unhealthy)")
+    porend = command(
+        obs_sub, "render", cmd_obs_render, common_opts,
         help="render recorded telemetry to one self-contained static HTML "
              "page (timeline, level histogram, tree shapes; no JS, no "
              "external assets)")
@@ -1077,10 +963,8 @@ def build_parser() -> argparse.ArgumentParser:
     porend.add_argument("--title", default="repro telemetry")
     porend.add_argument("--trees", type=int, default=3,
                         help="how many multicast trees to render")
-    porend.set_defaults(func=cmd_obs_render)
-
-    potree = obs_sub.add_parser(
-        "trees", parents=[common_opts],
+    potree = command(
+        obs_sub, "trees", cmd_obs_trees, common_opts,
         help="print reconstructed multicast tree shapes (ASCII) from a "
              "span JSONL export")
     potree.add_argument("spans", help="span JSONL file")
@@ -1088,10 +972,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest-N trees to render")
     potree.add_argument("--max-nodes", type=int, default=48,
                         help="span budget per tree before truncation")
-    potree.set_defaults(func=cmd_obs_trees)
 
-    pwatch = sub.add_parser(
-        "watch",
+    pwatch = command(
+        sub, "watch", cmd_watch,
         help="render telemetry frames from a --snapshot-jsonl file "
              "(optionally tailing a still-running producer)")
     pwatch.add_argument("frames", help="telemetry frame JSONL file")
@@ -1104,30 +987,19 @@ def build_parser() -> argparse.ArgumentParser:
     pwatch.add_argument("--no-verdict-exit", action="store_true",
                         help="exit 0 even when the last frame carries "
                              "breached SLO verdicts")
-    pwatch.set_defaults(func=cmd_watch)
 
-    pcmp = sub.add_parser(
-        "compare", parents=[common_opts],
+    pcmp = command(
+        sub, "compare", cmd_compare, common_opts,
+        _run_flags(nodes=40, duration=240.0, window=30.0, seed=0, parallel=None),
+        report_opts,
         help="protocol tournament: run PeerWindow and the baselines over "
              "identical seeded workloads and emit one scorecard "
              "(exit 1 when the champion breaches its bands)")
     pcmp.add_argument("--contestants", nargs="+", default=None,
                       help="contestant names (--list shows all; "
                            "default: every registered protocol)")
-    pcmp.add_argument("-n", "--nodes", type=int, default=40,
-                      help="population per contestant")
-    pcmp.add_argument("--duration", type=float, default=240.0,
-                      help="simulated seconds per seed")
-    pcmp.add_argument("--window", type=float, default=30.0,
-                      help="telemetry window width in simulated seconds")
-    pcmp.add_argument("--seed", type=int, default=0, help="first seed")
     pcmp.add_argument("--seeds", type=int, default=1,
-                      help="number of consecutive seeds to run")
-    pcmp.add_argument("--parallel", type=int, default=None,
-                      help="partitioned engine LPs for the champion "
-                           "(scorecard is byte-identical either way)")
-    pcmp.add_argument("--out", help="write the markdown scorecard here")
-    pcmp.add_argument("--json", help="write the JSON scorecard here")
+                      help="number of consecutive seeds to run, from --seed")
     pcmp.add_argument("--frames-dir",
                       help="also write per-contestant telemetry frame JSONL "
                            "files into this directory")
@@ -1138,10 +1010,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="with --watch: never repaint in place")
     pcmp.add_argument("--list", action="store_true",
                       help="list contestants and exit")
-    pcmp.set_defaults(func=cmd_compare)
 
-    plint = sub.add_parser(
-        "lint", parents=[common_opts],
+    plint = command(
+        sub, "lint", cmd_lint, common_opts,
         help="detlint: statically check the determinism & LP-isolation "
              "contracts (DET*/ISO*/OBS* rules)")
     plint.add_argument("paths", nargs="*",
@@ -1164,14 +1035,26 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list the rule catalog and exit")
     plint.add_argument("--explain", action="store_true",
                        help="with --rules: include each rule's rationale")
-    plint.set_defaults(func=cmd_lint)
 
     plive = sub.add_parser(
         "live",
         help="realtime backend: the protocol over asyncio/UDP on localhost")
-    live_sub = plive.add_subparsers(dest="live_command", required=True)
-
-    live_node_opts = argparse.ArgumentParser(add_help=False)
+    live_sub = plive.add_subparsers(dest="live_command", required=True,
+                                    parser_class=quiet)
+    live_opts = options(_run_flags(seed=0, duration=30.0))
+    live_opts.add_argument("--settle", type=float, default=4.0,
+                           help="quiet window before export")
+    live_opts.add_argument("--request-retries", type=int, default=1,
+                           help="datagram retransmits per request window")
+    live_opts.add_argument("--telemetry-window", dest="telemetry_window",
+                           type=float, default=0.0,
+                           help="per-node telemetry frame sidecars "
+                                "(telemetry_<port>.jsonl) with this window "
+                                "width in seconds (0 = none)")
+    live_opts.add_argument("--out", default="live-out",
+                           help="directory for span/result exports (swarm: "
+                                "also the merged spans.jsonl/metrics.json)")
+    live_node_opts = options(live_opts)
     live_node_opts.add_argument("--host", default="127.0.0.1")
     live_node_opts.add_argument("--port", type=int, required=True,
                                 help="UDP port to bind (the node's address)")
@@ -1179,78 +1062,44 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="node index (seeds this node's RNG streams)")
     live_node_opts.add_argument("--swarm-size", type=int, default=1,
                                 help="total nodes in the swarm this belongs to")
-    live_node_opts.add_argument("--seed", type=int, default=0,
-                                help="master seed shared by the whole swarm")
     live_node_opts.add_argument("--epoch", default=None,
                                 help="shared unix-time epoch (t=0 of the run); "
                                      "default: now")
-    live_node_opts.add_argument("--duration", type=float, default=30.0,
-                                help="epoch-relative lifetime in seconds")
     live_node_opts.add_argument("--join-at", type=float, default=0.0,
                                 help="epoch-relative join time")
-    live_node_opts.add_argument("--settle", type=float, default=4.0,
-                                help="quiet window before export")
-    live_node_opts.add_argument("--request-retries", type=int, default=1,
-                                help="datagram retransmits per request window")
-    live_node_opts.add_argument("--telemetry-window", dest="telemetry_window",
-                                type=float, default=0.0,
-                                help="write a telemetry frame sidecar "
-                                     "(telemetry_<port>.jsonl) with this "
-                                     "window width in seconds (0 = off)")
-    live_node_opts.add_argument("--out", default="live-out",
-                                help="directory for span/result exports")
-
-    pseed = live_sub.add_parser(
-        "seed", parents=[live_node_opts],
-        help="run the bootstrap (first) node of a live system")
-    pseed.set_defaults(func=cmd_live_node, via=None)
-
-    pnode = live_sub.add_parser(
-        "node", parents=[live_node_opts],
-        help="run one node; joins through --via if given")
+    command(live_sub, "seed", cmd_live_node, live_node_opts,
+            help="run the bootstrap (first) node of a live system"
+            ).set_defaults(via=None)
+    pnode = command(live_sub, "node", cmd_live_node, live_node_opts,
+                    help="run one node; joins through --via if given")
     pnode.add_argument("--via", default=None,
                        help="bootstrap address host:port (omit = seed)")
-    pnode.set_defaults(func=cmd_live_node)
-
-    pswarm = live_sub.add_parser(
-        "swarm", parents=[common_opts],
+    pswarm = command(
+        live_sub, "swarm", cmd_live_swarm, common_opts, live_opts,
+        _run_flags(nodes=25), spec_opts,
         help="launch an N-process localhost swarm and merge its exports")
-    pswarm.add_argument("-n", "--nodes", type=int, default=25)
-    pswarm.add_argument("--duration", type=float, default=30.0)
-    pswarm.add_argument("--seed", type=int, default=0)
     pswarm.add_argument("--base-port", type=int, default=47000)
     pswarm.add_argument("--stagger", type=float, default=0.4,
                         help="seconds between successive joins")
-    pswarm.add_argument("--settle", type=float, default=4.0)
-    pswarm.add_argument("--request-retries", type=int, default=1)
-    pswarm.add_argument("--out", default="live-out",
-                        help="output directory (merged spans.jsonl/metrics.json)")
     pswarm.add_argument("--health", action="store_true",
                         help="judge the merged run against the default "
                              "HealthSpec (exit 1 on breach)")
     pswarm.add_argument("--compare-sim", action="store_true",
                         help="also run the sequential-sim counterpart of the "
                              "same (n, config) and print the fidelity table")
-    pswarm.add_argument("--spec", help="health spec JSON (default: derived)")
     pswarm.add_argument("--watch", action="store_true",
                         help="render merged telemetry frames while the swarm "
                              "runs (implies --telemetry-window 2.0)")
-    pswarm.add_argument("--telemetry-window", dest="telemetry_window",
-                        type=float, default=0.0,
-                        help="per-node telemetry frame window in seconds "
-                             "(0 = no telemetry sidecars)")
-    pswarm.set_defaults(func=cmd_live_swarm)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.obs.analyze import SchemaError
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         rc = args.func(args)
-    except (OSError, SchemaError) as exc:
+    except (OSError, SchemaError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return rc if isinstance(rc, int) else 0

@@ -396,33 +396,6 @@ class PeerWindowNetwork:
             counters[f"{m.TRANSPORT_BITS}.{kind}"] = bits
         return snapshot
 
-    def enable_profiling(self) -> None:
-        """Attach wall-clock phase profilers to the execution engine
-        (event dispatch + transport delivery; in partitioned mode also the
-        epoch-barrier orchestration).  Diagnostics only — wall-clock never
-        feeds back into simulated behavior."""
-        from repro.obs.profile import PhaseProfiler
-
-        if self.parallel is not None:
-            self.runtime.enable_profiling()
-            return
-        prof = PhaseProfiler()
-        self.sim.profiler = prof
-        self.transport.profiler = prof
-        self._profiler = prof
-
-    def profile_snapshot(self) -> Dict[str, Any]:
-        """Profiling snapshot (phase -> calls/seconds/mean_us); empty
-        when :meth:`enable_profiling` was never called."""
-        if self.parallel is not None:
-            return self.runtime.profile_snapshot()
-        prof = getattr(self, "_profiler", None)
-        if prof is None:
-            from repro.obs.profile import PhaseProfiler
-
-            prof = PhaseProfiler()
-        return prof.snapshot()
-
     def parts(self) -> Dict[str, int]:
         """Current part structure (prefix -> population), from the oracle
         part rule of DESIGN.md §7."""

@@ -244,32 +244,3 @@ class PartitionedRuntime:
                 else:
                     totals[key] = totals.get(key, 0) + value
         return totals
-
-    # -- profiling ---------------------------------------------------------
-
-    def enable_profiling(self) -> None:
-        """Attach wall-clock phase profilers: one per LP (event dispatch +
-        transport delivery) plus a coordinator profiler for epoch
-        orchestration (LP run vs barrier).
-
-        Wall-clock numbers are diagnostics only — they never feed back
-        into the simulation, so determinism is unaffected."""
-        from repro.obs.profile import PhaseProfiler
-
-        self._lp_profilers: List[PhaseProfiler] = []
-        for lp, tr in zip(self.psim.lps, self.transports):
-            prof = PhaseProfiler()
-            lp.sim.profiler = prof
-            tr.profiler = prof
-            self._lp_profilers.append(prof)
-        self.psim.profiler = PhaseProfiler()
-
-    def profile_snapshot(self) -> Dict[str, Any]:
-        """Merged profiling snapshot across LP profilers + coordinator.
-        Empty dicts when :meth:`enable_profiling` was never called."""
-        from repro.obs.profile import merge_profiles
-
-        profilers = list(getattr(self, "_lp_profilers", []))
-        if getattr(self.psim, "profiler", None) is not None:
-            profilers.append(self.psim.profiler)
-        return merge_profiles(profilers).snapshot()

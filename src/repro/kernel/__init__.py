@@ -14,10 +14,11 @@ which live here and none of which mention a simulator or a socket:
 Three runtimes instantiate the kernel: :class:`~repro.core.runtime.SimRuntime`
 (sequential DES), :class:`~repro.core.runtime.PartitionedRuntime`
 (conservative parallel DES), and :class:`~repro.live.runtime.RealtimeRuntime`
-(asyncio/UDP on a real host).  The services run unchanged on all three.
+(asyncio/UDP on a real host).  The services run unchanged on all three;
+the two simulator runtimes call their ``Simulator`` directly.
 """
 
-from repro.kernel.clock import Clock, PeriodicTimer, SimClock, TimerHandle
+from repro.kernel.clock import Clock, PeriodicTimer, TimerHandle
 from repro.kernel.codec import (
     MESSAGE_KINDS,
     WIRE_SCHEMA_VERSION,
@@ -37,7 +38,6 @@ __all__ = [
     "MESSAGE_KINDS",
     "NodeRuntime",
     "PeriodicTimer",
-    "SimClock",
     "TimerHandle",
     "WIRE_SCHEMA_VERSION",
     "decode_message",

@@ -24,8 +24,6 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
-from repro.sim.engine import Simulator
-
 
 @runtime_checkable
 class TimerHandle(Protocol):
@@ -79,36 +77,3 @@ class Clock(abc.ABC):
     ) -> PeriodicTimer:
         """Run ``callback(*args)`` every ``interval`` seconds (jittered
         when ``jitter > 0``) until the returned timer is cancelled."""
-
-
-class SimClock(Clock):
-    """A :class:`~repro.sim.engine.Simulator` seen through the kernel
-    clock interface.  Pure delegation — the simulator's handles already
-    satisfy the kernel protocols."""
-
-    __slots__ = ("sim",)
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    def schedule(
-        self, delay: float, callback: Callable[..., Any], *args: Any
-    ) -> TimerHandle:
-        return self.sim.schedule(delay, callback, *args)
-
-    def every(
-        self,
-        interval: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        start_delay: Optional[float] = None,
-        jitter: float = 0.0,
-        rng: Any = None,
-    ) -> PeriodicTimer:
-        return self.sim.every(
-            interval, callback, *args, start_delay=start_delay, jitter=jitter, rng=rng
-        )

@@ -134,9 +134,6 @@ class Transport:
         self.dropped_zombie = 0
         self.by_kind: Dict[str, int] = {}
         self.bytes_by_kind: Dict[str, int] = {}
-        #: Optional :class:`repro.obs.profile.PhaseProfiler` timing the
-        #: receiver-handler phase (wall clock; see ``repro.obs``).
-        self.profiler = None
 
     # -- registration -------------------------------------------------------
 
@@ -378,16 +375,10 @@ class Transport:
             pending = self._pending.pop(msg.reply_to, None)
             if pending is not None:
                 pending.timeout_handle.cancel()
-                if self.profiler is not None:
-                    self.profiler.time("transport.deliver", pending.on_reply, msg)
-                else:
-                    pending.on_reply(msg)
+                pending.on_reply(msg)
                 return
             # Late reply after timeout: fall through to the endpoint handler
             # so protocols can still use the information (stale-ack path).
-        if self.profiler is not None:
-            self.profiler.time("transport.deliver", ep.handler, msg)
-            return
         ep.handler(msg)
 
     # -- request/response -------------------------------------------------------

@@ -1,14 +1,13 @@
 """repro.obs — deterministic observability for the PeerWindow simulator.
 
-Three concerns, one package:
+All of it on the simulated clock (host time is the benchmark ledger's
+question: ``python3 benchmarks/ledger/run.py --trace 1``):
 
 * :mod:`repro.obs.trace` — causal span trees over protocol operations,
   propagated across nodes via ``Message.trace`` (sim-clock timestamps,
   deterministic ids);
 * :mod:`repro.obs.metrics` — per-node counter/gauge/distribution
   registry with exact network-wide aggregation;
-* :mod:`repro.obs.profile` — wall-clock phase timers for the engines
-  (explicitly non-deterministic, excluded from equivalence checks);
 * :mod:`repro.obs.export` — JSONL / Chrome trace_event / JSON / CSV
   writers plus the span schema validator;
 * :mod:`repro.obs.stream` — the streaming telemetry bus: windowed
@@ -47,7 +46,6 @@ from repro.obs.metrics import (
     flatten_snapshot,
     known_metric,
 )
-from repro.obs.profile import PhaseProfiler, merge_profiles
 from repro.obs.stream import (
     TELEMETRY_SCHEMA_VERSION,
     NodeTap,
@@ -91,12 +89,10 @@ __all__ = [
     "known_metric",
     "NodeObs",
     "Observability",
-    "PhaseProfiler",
     "Span",
     "SpanRef",
     "aggregate_snapshots",
     "flatten_snapshot",
-    "merge_profiles",
     "prepare_output_path",
     "spans_to_chrome",
     "spans_to_jsonl",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, List
 
 from repro.obs.trace import Span
 from repro.paths import prepare_output_path
@@ -33,7 +33,6 @@ __all__ = [
     "SPAN_REQUIRED_FIELDS",
     "SPAN_SCHEMA_VERSION",
     "prepare_output_path",
-    "profile_rows",
     "span_from_dict",
     "span_header_line",
     "span_to_dict",
@@ -259,12 +258,3 @@ def validate_span_lines(lines: Iterable[str]) -> List[str]:
 def validate_span_file(path: str) -> List[str]:
     with open(path) as fh:
         return validate_span_lines(fh)
-
-
-def profile_rows(profile: Dict[str, Dict[str, float]]) -> List[Sequence]:
-    """Table rows for a ``PhaseProfiler.snapshot()``."""
-    return [
-        [phase, stats["calls"], round(stats["seconds"], 4),
-         round(stats["mean_us"], 1)]
-        for phase, stats in profile.items()
-    ]

@@ -19,9 +19,9 @@ the defaults tighten automatically when the config does.
 
 Evaluation comes in two shapes:
 
-* **post-hoc** — :func:`evaluate` over the signals of an
-  :class:`~repro.obs.analyze.AnalysisReport` (plus metrics-derived
-  signals from :func:`metrics_signals`);
+* **post-hoc** — :func:`evaluate` over :func:`run_signals`: the signals
+  of an :class:`~repro.obs.analyze.AnalysisReport` plus the
+  metrics-derived ones from :func:`metrics_signals`;
 * **streaming** — :class:`EwmaHealthMonitor` smooths noisy signals with
   an exponentially-weighted moving average before judging them, and
   :class:`LiveHealthMonitor` runs that inside a live sequential
@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.analytic import expected_error_rate, expected_multicast_steps
+from repro.obs.analyze import AnalysisReport, SchemaError
 from repro.paths import prepare_output_path
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -56,6 +57,7 @@ __all__ = [
     "Verdict",
     "evaluate",
     "metrics_signals",
+    "run_signals",
 ]
 
 #: Version stamp for serialized HealthSpec documents.
@@ -91,13 +93,22 @@ class Slo:
         }
 
     @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "Slo":
-        return cls(
-            name=str(d["name"]),
-            description=str(d.get("description", "")),
-            lo=None if d.get("lo") is None else float(d["lo"]),
-            hi=None if d.get("hi") is None else float(d["hi"]),
-        )
+    def from_dict(cls, d: Dict[str, Any], where: str = "slo") -> "Slo":
+        """Raises :class:`~repro.obs.analyze.SchemaError`, prefixed with
+        ``where``, for anything but an object with a string ``name`` and
+        numeric-or-null ``lo`` / ``hi``."""
+        if not isinstance(d, dict) or not isinstance(d.get("name"), str):
+            raise SchemaError(f"{where}: expected an object with a string 'name'")
+        bounds: Dict[str, Optional[float]] = {}
+        for side in ("lo", "hi"):
+            try:
+                bounds[side] = None if d.get(side) is None else float(d[side])
+            except (TypeError, ValueError):
+                raise SchemaError(
+                    f"{where} ({d['name']}): {side!r} must be a number or "
+                    f"null, got {d[side]!r}"
+                ) from None
+        return cls(name=d["name"], description=str(d.get("description", "")), **bounds)
 
 
 @dataclass(frozen=True)
@@ -168,15 +179,24 @@ class HealthSpec:
         }
 
     @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "HealthSpec":
+    def from_dict(cls, d: Dict[str, Any], where: str = "health spec") -> "HealthSpec":
+        """Raises :class:`~repro.obs.analyze.SchemaError`, prefixed with
+        ``where``, naming the first field that is not what a spec holds."""
+        if not isinstance(d, dict):
+            raise SchemaError(
+                f"{where}: expected a JSON object, got {type(d).__name__}")
         declared = d.get("schema_version", HEALTH_SPEC_VERSION)
         if not isinstance(declared, int) or declared > HEALTH_SPEC_VERSION:
-            raise ValueError(
-                f"health spec has schema_version {declared!r}; this build "
+            raise SchemaError(
+                f"{where} has schema_version {declared!r}; this build "
                 f"reads <= {HEALTH_SPEC_VERSION}"
             )
+        slos = d.get("slos", [])
+        if not isinstance(slos, list):
+            raise SchemaError(
+                f"{where}: 'slos' must be a list, got {type(slos).__name__}")
         return cls(
-            slos=[Slo.from_dict(s) for s in d.get("slos", [])],
+            slos=[Slo.from_dict(s, f"{where}: slos[{i}]") for i, s in enumerate(slos)],
             name=str(d.get("name", "default")),
         )
 
@@ -190,7 +210,11 @@ class HealthSpec:
     @classmethod
     def load(cls, path: str) -> "HealthSpec":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+        return cls.from_dict(doc, where=path)
 
     @classmethod
     def default(
@@ -410,6 +434,22 @@ def metrics_signals(
 
     if meta and "mean_error_rate" in meta:
         signals["peerlist.error_rate"] = float(meta["mean_error_rate"])
+    return signals
+
+
+def run_signals(
+    report: AnalysisReport,
+    snapshot: Optional[Dict[str, Any]],
+    config: "ProtocolConfig",
+    meta: Optional[Dict[str, Any]] = None,
+) -> Dict[str, float]:
+    """The signals of a run, as every post-hoc judge of one sees them:
+    the span analytics of ``report`` plus what the run's metrics
+    ``snapshot`` (``None`` when it recorded none) adds through
+    :func:`metrics_signals`."""
+    signals = dict(report.signals())
+    if snapshot is not None:
+        signals.update(metrics_signals(snapshot, config, meta=meta))
     return signals
 
 

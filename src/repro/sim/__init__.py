@@ -5,8 +5,7 @@ simulation platform written in C++/MPI.  This package provides the same
 execution model in pure Python:
 
 * :class:`~repro.sim.engine.Simulator` — a sequential discrete-event core
-  with a binary-heap scheduler, cancellable events, and generator-based
-  processes.
+  with a binary-heap scheduler and cancellable callback events.
 * :class:`~repro.sim.parallel.ParallelSimulator` — a conservative
   (lookahead-synchronized) logical-process engine mirroring ONSP's
   parallel-DES design, run deterministically in rank order on a single
@@ -17,18 +16,17 @@ execution model in pure Python:
 * :mod:`~repro.sim.queues` — the heap pending-event set every simulator
   uses (and the calendar queue the benchmark ledger still times against it).
 
-Observation lives in :mod:`repro.obs` (spans, metrics, telemetry frames,
-``PhaseProfiler``), not here.
+Observation lives in :mod:`repro.obs` (spans, metrics, telemetry frames),
+not here; no engine reads the wall clock.
 """
 
-from repro.sim.engine import Event, EventHandle, Simulator, SimulationError
+from repro.sim.engine import EventHandle, Simulator, SimulationError
 from repro.sim.parallel import LogicalProcess, ParallelSimulator
 from repro.sim.queues import CalendarQueue, HeapQueue
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "CalendarQueue",
-    "Event",
     "EventHandle",
     "HeapQueue",
     "LogicalProcess",

@@ -21,13 +21,8 @@ With all three gone a request's ``on_timeout`` closure dies by refcount
 at the reply, and the ring's collector passes fell from 1,418 young /
 128 middle / 9 full (2.8 of 7.8 host-seconds) to 537 / 48 / 3 (0.7 s).
 
-Two programming styles are supported:
-
-* **callback style** — ``sim.schedule(delay, fn, *args)``;
-* **process style** — ``sim.process(gen)`` where ``gen`` is a generator
-  that yields either a ``float`` (sleep for that many simulated seconds) or
-  an :class:`Event` (wait until the event is triggered).  Process style is
-  used by the protocol state machines; callback style by the transport.
+There is one programming style, callbacks: ``sim.schedule(delay, fn,
+*args)`` and its relatives below.
 
 Determinism: with a fixed seed (see :mod:`repro.sim.rng`) and the
 tie-breaking sequence number, two runs of the same model produce identical
@@ -43,7 +38,7 @@ pairs for the collector to walk (DESIGN.md §4, *Schedule discipline*).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -95,44 +90,6 @@ class EventHandle:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("done" if self.done else "pending")
         return f"<EventHandle t={self.time:.6g} {state} {self.callback!r}>"
-
-
-class Event:
-    """A triggerable condition that processes can wait on.
-
-    ``Event`` is the synchronization primitive for process-style code:
-    any number of processes may ``yield event``; when ``event.trigger(value)``
-    is called every waiter resumes (in wait order) with ``value`` as the
-    result of the ``yield``.  Triggering is level-sensitive: a process that
-    waits on an already-triggered event resumes immediately.
-    """
-
-    __slots__ = ("sim", "_triggered", "value", "_waiters")
-
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        self._triggered = False
-        self.value: Any = None
-        self._waiters: List[Generator] = []
-
-    @property
-    def triggered(self) -> bool:
-        return self._triggered
-
-    def trigger(self, value: Any = None) -> None:
-        if self._triggered:
-            raise SimulationError("Event already triggered")
-        self._triggered = True
-        self.value = value
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            self.sim.schedule(0.0, self.sim._resume_process, proc, value)
-
-    def _add_waiter(self, proc: Generator) -> None:
-        if self._triggered:
-            self.sim.schedule(0.0, self.sim._resume_process, proc, self.value)
-        else:
-            self._waiters.append(proc)
 
 
 class PeriodicTask:
@@ -211,9 +168,6 @@ class Simulator:
         self._events_executed = 0
         self._running = False
         self._stop_requested = False
-        #: Optional :class:`repro.obs.profile.PhaseProfiler` timing event
-        #: dispatch (wall clock; never affects simulated behaviour).
-        self.profiler = None
 
     # -- clock ---------------------------------------------------------------
 
@@ -303,10 +257,6 @@ class Simulator:
         head = EventHandle(when[0], number[0], fire, (), queue)
         queue.push(when[0], number[0], head)
 
-    def event(self) -> Event:
-        """Create a fresh :class:`Event` bound to this simulator."""
-        return Event(self)
-
     def every(
         self,
         interval: float,
@@ -335,29 +285,6 @@ class Simulator:
         task._schedule(interval if start_delay is None else start_delay)
         return task
 
-    # -- processes -----------------------------------------------------------
-
-    def process(self, generator: Generator) -> Generator:
-        """Register a generator as a simulation process and start it now."""
-        self.schedule(0.0, self._resume_process, generator, None)
-        return generator
-
-    def _resume_process(self, proc: Generator, value: Any) -> None:
-        try:
-            yielded = proc.send(value)
-        except StopIteration:
-            return
-        if isinstance(yielded, Event):
-            yielded._add_waiter(proc)
-        elif isinstance(yielded, (int, float)):
-            if yielded < 0:
-                raise SimulationError(f"process yielded negative delay {yielded}")
-            self.schedule(float(yielded), self._resume_process, proc, None)
-        else:
-            raise SimulationError(
-                f"process yielded {yielded!r}; expected a delay or an Event"
-            )
-
     # -- execution ----------------------------------------------------------
 
     def step(self) -> bool:
@@ -368,10 +295,7 @@ class Simulator:
             return False
         self._now = time
         self._events_executed += 1
-        if self.profiler is not None:
-            self.profiler.time("sim.dispatch", handle.callback, *handle.args)
-        else:
-            handle.callback(*handle.args)
+        handle.callback(*handle.args)
         return True
 
     def peek(self) -> Optional[float]:

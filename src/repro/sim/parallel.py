@@ -32,7 +32,6 @@ there is none.
 
 from __future__ import annotations
 
-import time as _time
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.sim.engine import SimulationError, Simulator
@@ -106,10 +105,6 @@ class ParallelSimulator:
         self.lps = [LogicalProcess(rank, self) for rank in range(nranks)]
         self._now = 0.0
         self.epochs_run = 0
-        #: Optional :class:`repro.obs.profile.PhaseProfiler` attributing
-        #: wall time to LP execution vs. barrier synchronization (per-LP
-        #: dispatch timing lives on each LP's own ``sim.profiler``).
-        self.profiler = None
 
     @property
     def nranks(self) -> int:
@@ -132,15 +127,8 @@ class ParallelSimulator:
             raise SimulationError("cannot run backwards")
         while self._now < until:
             epoch_end = min(self._now + self.lookahead, until)
-            # Wall-clock reads below feed the PhaseProfiler only —
-            # they never touch simulated state or outputs.
-            t0 = _time.perf_counter() if self.profiler is not None else 0.0  # detlint: ignore[DET001]
             for lp in self.lps:
                 lp._run_epoch(epoch_end)
-            if self.profiler is not None:
-                t1 = _time.perf_counter()  # detlint: ignore[DET001]
-                self.profiler.add("parallel.lp_run", t1 - t0)
-                t0 = t1
             # Barrier: exchange cross-LP messages.  Deterministic order:
             # by source rank, then send order (outbox is FIFO).
             for src in self.lps:
@@ -148,9 +136,6 @@ class ParallelSimulator:
                     dest = self.lps[dest_rank]
                     dest.messages_received += 1
                     dest.sim.schedule_at(max(t, epoch_end), handler, *args)
-            if self.profiler is not None:
-                self.profiler.add("parallel.barrier",
-                                  _time.perf_counter() - t0)  # detlint: ignore[DET001]
             self._now = epoch_end
             self.epochs_run += 1
         # Boundary settlement: cross-LP deliveries landing exactly at

@@ -30,13 +30,13 @@ def test_det001_flags_datetime_now():
     )
 
 
-def test_det001_allows_sim_clock_and_profile_module():
+def test_det001_allows_sim_clock_and_exempts_no_engine_module():
     assert rules_fired("def f(runtime):\n    return runtime.now\n") == []
-    # The profiler module is the one place wall clock is the point.
-    assert rules_fired(
-        "import time\nt = time.perf_counter()\n",
-        rel_path="src/repro/obs/profile.py",
-    ) == []
+    # No engine or obs module is a sanctioned wall-clock reader.
+    for rel in ("src/repro/obs/profile.py", "src/repro/sim/parallel.py",
+                "src/repro/sim/engine.py", "src/repro/net/transport.py"):
+        assert "DET001" in rules_fired(
+            "import time\nt = time.perf_counter()\n", rel_path=rel)
 
 
 def test_det001_allowlists_the_live_clock_module():

@@ -1,10 +1,8 @@
 """Explicit-probing baseline tests — the intro's arithmetic, reproduced."""
 
-import numpy as np
 import pytest
 
-from repro.baselines.explicit_probe import ExplicitProbeScheme, ExplicitProbeSim
-from repro.sim.engine import Simulator
+from repro.baselines.explicit_probe import ExplicitProbeScheme
 
 
 class TestClosedForm:
@@ -31,53 +29,3 @@ class TestClosedForm:
             ExplicitProbeScheme(probe_period_s=0.0)
         with pytest.raises(ValueError):
             ExplicitProbeScheme().bandwidth_for_pointers(-1.0)
-
-
-class TestSimulation:
-    def test_detection_latency_about_half_period(self):
-        sim = Simulator()
-        detections = []
-        probe = ExplicitProbeSim(
-            sim,
-            neighbors=list(range(200)),
-            probe_period_s=30.0,
-            rng=np.random.default_rng(0),
-            on_detect=lambda nb, lat: detections.append(lat),
-        )
-        # Kill everyone at t=100 (between probe rounds).
-        sim.schedule(100.0, lambda: [probe.kill(nb) for nb in range(200)])
-        sim.run(until=200.0)
-        assert len(detections) == 200
-        assert np.mean(detections) == pytest.approx(15.0, abs=3.0)
-
-    def test_traffic_accounting(self):
-        sim = Simulator()
-        probe = ExplicitProbeSim(
-            sim, neighbors=list(range(10)), probe_period_s=10.0, heartbeat_bits=500.0
-        )
-        sim.run(until=100.0)
-        # 10 neighbors, one probe each per 10s over 100s ≈ 100 probes.
-        assert probe.probes_sent == pytest.approx(100, abs=12)
-        assert probe.bits_sent == probe.probes_sent * 500.0
-
-    def test_wasted_fraction_with_no_deaths(self):
-        sim = Simulator()
-        probe = ExplicitProbeSim(sim, neighbors=list(range(5)))
-        sim.run(until=300.0)
-        assert probe.wasted_fraction() == 1.0
-
-    def test_dead_neighbor_not_probed_further(self):
-        sim = Simulator()
-        probe = ExplicitProbeSim(sim, neighbors=[0], probe_period_s=10.0)
-        probe.kill(0)
-        sim.run(until=100.0)
-        assert probe.probes_sent == 1  # first probe detects, then stops
-
-    def test_stop(self):
-        sim = Simulator()
-        probe = ExplicitProbeSim(sim, neighbors=list(range(5)), probe_period_s=5.0)
-        sim.run(until=20.0)
-        count = probe.probes_sent
-        probe.stop()
-        sim.run(until=100.0)
-        assert probe.probes_sent == count

@@ -1,10 +1,8 @@
 """Gossip baseline tests."""
 
-import numpy as np
 import pytest
 
-from repro.baselines.gossip import GossipMulticastScheme, GossipSim
-from repro.sim.engine import Simulator
+from repro.baselines.gossip import GossipMulticastScheme
 
 
 class TestScheme:
@@ -21,43 +19,3 @@ class TestScheme:
     def test_validation(self):
         with pytest.raises(ValueError):
             GossipMulticastScheme(redundancy=0.0)
-
-
-class TestGossipSim:
-    def _run(self, n=500, fanout=3, seed=0):
-        sim = Simulator()
-        g = GossipSim(sim, n=n, fanout=fanout, rng=np.random.default_rng(seed))
-        g.start(origin=0)
-        sim.run()
-        return g
-
-    def test_high_coverage_with_fanout_3(self):
-        g = self._run()
-        assert g.coverage() > 0.9
-
-    def test_redundancy_above_one(self):
-        g = self._run()
-        assert g.redundancy() > 1.5  # gossip wastes messages by design
-
-    def test_rounds_to_coverage_logarithmic(self):
-        g = self._run(n=2000)
-        rounds = g.rounds_to_coverage(0.9)
-        assert rounds is not None
-        assert rounds <= 3 * np.log(2000)
-
-    def test_ttl_limits_spread(self):
-        sim = Simulator()
-        g = GossipSim(sim, n=10_000, fanout=2, rounds_ttl=3, rng=np.random.default_rng(1))
-        g.start()
-        sim.run()
-        assert g.reach() <= 1 + 2 + 4 + 8
-
-    def test_messages_counted(self):
-        g = self._run(n=100)
-        assert g.messages_sent >= g.reach() - 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GossipSim(Simulator(), n=0)
-        with pytest.raises(ValueError):
-            self._run().rounds_to_coverage(0.0)

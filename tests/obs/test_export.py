@@ -9,7 +9,6 @@ import pytest
 from repro.obs.export import (
     SPAN_SCHEMA_VERSION,
     prepare_output_path,
-    profile_rows,
     spans_to_chrome,
     spans_to_jsonl,
     validate_span_file,
@@ -108,11 +107,6 @@ class TestWriters:
         rows = cpath.read_text().splitlines()
         assert rows[0] == "kind,name,value"
         assert "counter,c,2" in rows
-
-    def test_profile_rows(self):
-        rows = profile_rows({"sim.dispatch": {"calls": 2, "seconds": 0.5,
-                                              "mean_us": 250000.0}})
-        assert rows == [["sim.dispatch", 2, 0.5, 250000.0]]
 
 
 class TestValidator:

@@ -169,90 +169,3 @@ class TestRunBounds:
         sim.schedule(1.0, nested)
         with pytest.raises(SimulationError):
             sim.run()
-
-
-class TestProcesses:
-    def test_process_sleeps(self):
-        sim = Simulator()
-        trace = []
-
-        def proc():
-            trace.append(sim.now)
-            yield 2.0
-            trace.append(sim.now)
-            yield 3.0
-            trace.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert trace == [0.0, 2.0, 5.0]
-
-    def test_process_waits_on_event(self):
-        sim = Simulator()
-        evt = sim.event()
-        results = []
-
-        def waiter():
-            value = yield evt
-            results.append((sim.now, value))
-
-        sim.process(waiter())
-        sim.schedule(4.0, evt.trigger, "payload")
-        sim.run()
-        assert results == [(4.0, "payload")]
-
-    def test_multiple_waiters_all_resume(self):
-        sim = Simulator()
-        evt = sim.event()
-        results = []
-
-        def waiter(tag):
-            value = yield evt
-            results.append((tag, value))
-
-        for tag in range(3):
-            sim.process(waiter(tag))
-        sim.schedule(1.0, evt.trigger, 42)
-        sim.run()
-        assert sorted(results) == [(0, 42), (1, 42), (2, 42)]
-
-    def test_wait_on_triggered_event_resumes_immediately(self):
-        sim = Simulator()
-        evt = sim.event()
-        evt.trigger("x")
-        results = []
-
-        def waiter():
-            value = yield evt
-            results.append(value)
-
-        sim.process(waiter())
-        sim.run()
-        assert results == ["x"]
-
-    def test_double_trigger_rejected(self):
-        sim = Simulator()
-        evt = sim.event()
-        evt.trigger()
-        with pytest.raises(SimulationError):
-            evt.trigger()
-
-    def test_process_bad_yield_raises(self):
-        sim = Simulator()
-
-        def proc():
-            yield "not a delay"
-
-        sim.process(proc())
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_process_negative_delay_raises(self):
-        sim = Simulator()
-
-        def proc():
-            yield -1.0
-
-        sim.process(proc())
-        with pytest.raises(SimulationError):
-            sim.run()

@@ -6,8 +6,12 @@ by membership in ``sys.modules``, never by time: every row runs
 ``sys.executable -c "import X"`` and reads the names back.
 """
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from tests.conftest import fresh_python
 
 ENTRY_POINTS = [
@@ -45,3 +49,14 @@ def test_a_transit_stub_build_loads_scipy_sparse_and_nothing_more():
     assert "scipy.sparse.csgraph" in names
     assert "scipy.stats" not in names
     assert "networkx" not in names
+
+
+def test_every_name_a_package_exports_resolves():
+    packages = ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+    ]
+    assert len(packages) > 10
+    for name in packages:
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (name, missing)

@@ -2,8 +2,10 @@
 
 ``sys.modules[name] = None`` makes ``import name`` raise ``ImportError``
 in that interpreter — the same as the library not being installed.
-Everything but a transit-stub build, a t-interval and the small-world
-overlay graph must run; those three raise the interpreter's own error.
+networkx is no dependency at all: with it blocked, everything in
+``repro.baselines`` and a full tournament work.  Without scipy everything
+but a transit-stub build and a t-interval must run; those two raise the
+interpreter's own error.
 """
 
 from tests.conftest import fresh_python
@@ -39,29 +41,33 @@ def test_detailed_run():
     assert out.split() == ["40", "0.0"]
 
 
-def test_two_contestant_tournament():
+def test_everything_in_baselines_and_a_six_contestant_tournament():
     out = run_blocked(
-        "from repro.compare import TournamentConfig, run_tournament\n"
+        "import repro.baselines as baselines\n"
+        "from repro.compare import TournamentConfig, contestant_names, run_tournament\n"
+        "print(all(callable(getattr(baselines, name)) for name in baselines.__all__))\n"
+        "for scheme in (baselines.ExplicitProbeScheme(), baselines.GossipMulticastScheme(),\n"
+        "               baselines.PushPullGossipScheme(), baselines.OneHopDHTScheme(1000),\n"
+        "               baselines.RandomWalkScheme()):\n"
+        "    assert scheme.report(5000.0).pointers >= 0.0\n"
         "doc = run_tournament(TournamentConfig(\n"
-        "    contestants=('peerwindow', 'gossip'), n_nodes=30,\n"
+        "    contestants=tuple(contestant_names()), n_nodes=30,\n"
         "    duration=60.0, window=30.0))\n"
-        "print(sorted(row['contestant'] for row in doc['rows']))\n"
+        "print(len(doc['rows']), sorted(row['contestant'] for row in doc['rows'])[-1])\n"
     )
-    assert out.strip() == "['gossip', 'peerwindow']"
+    assert out.split() == ["True", "6", "random-walk"]
 
 
 def test_the_calls_that_need_a_library_raise_import_error():
     out = run_blocked(
-        "from repro.baselines import small_world_graph\n"
         "from repro.experiments.stats import summarize_metric\n"
         "from repro.net import TransitStubTopology\n"
         "print(summarize_metric('x', [1.0]).mean)\n"
         "for call in (TransitStubTopology,\n"
-        "             lambda: summarize_metric('x', [1.0, 2.0]),\n"
-        "             lambda: small_world_graph(10)):\n"
+        "             lambda: summarize_metric('x', [1.0, 2.0])):\n"
         "    try:\n"
         "        call()\n"
         "    except ImportError as exc:\n"
         "        print(exc.name.partition('.')[0])\n"
     )
-    assert out.split() == ["1.0", "scipy", "scipy", "networkx"]
+    assert out.split() == ["1.0", "scipy", "scipy"]
