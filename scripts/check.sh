@@ -19,7 +19,7 @@
 #   scripts/check.sh --byzantine # byzantine smoke only
 #   scripts/check.sh --obs       # obs smoke only
 #   scripts/check.sh --health    # health smoke only
-#   scripts/check.sh --live      # live swarm smoke only
+#   scripts/check.sh --live      # wire codec tests + live swarm smoke
 #   scripts/check.sh --watch     # streaming telemetry smoke only
 #   scripts/check.sh --compare   # tournament scorecard smoke only
 #   scripts/check.sh --ledger    # benchmark ledger smoke only
@@ -249,6 +249,8 @@ check_health() {
 }
 
 check_live() {
+  echo "== wire codec (golden bytes, hostile corpus, one check per pointer list) =="
+  $PY -m pytest tests/kernel -q || status=1
   echo "== live smoke (localhost UDP swarm -> merged exports -> SLO judge) =="
   with_timeout 300 $PY -m repro live swarm -n 6 --duration 15 --out "$dir" || status=1
   $PY -m repro obs health "$dir/spans.jsonl" --metrics "$dir/metrics.json" || status=1

@@ -463,6 +463,8 @@ class JoinService:
     def on_download(self, msg: Message) -> None:
         ctx = self.ctx
         requester_id, prefix_len = msg.payload
+        if requester_id.bits != ctx.node_id.bits or not 0 <= prefix_len <= ctx.node_id.bits:
+            return  # schema-valid but no prefix of this overlay: no reply
         ctx.stats.downloads_served += 1
         ctx.obs.registry.inc(m.DOWNLOADS_SERVED)
         if ctx.obs.enabled:
@@ -478,9 +480,7 @@ class JoinService:
             # requester — multicasts concurrent with the download would
             # otherwise miss it (it is in nobody's audience yet).
             ctx.recent_downloads.append((msg.src, self.runtime.now))
-        matching = [
-            p for p in ctx.peer_list if p.node_id.shares_prefix(requester_id, prefix_len)
-        ]
+        matching = ctx.peer_list.sharing_prefix(requester_id, prefix_len)
         tops = [p.copy() for p in ctx.top_list.pointers()]
         if ctx.is_top:
             tops = [

@@ -20,6 +20,9 @@ import numpy as np
 
 from repro.core.errors import NodeIdError
 
+#: The widest id: ``bits`` is in ``[1, MAX_ID_BITS]``.
+MAX_ID_BITS: int = 256
+
 
 class NodeId:
     """An immutable ``bits``-wide identifier with MSB-first bit access."""
@@ -27,8 +30,8 @@ class NodeId:
     __slots__ = ("value", "bits")
 
     def __init__(self, value: int, bits: int = 128):
-        if not 1 <= bits <= 256:
-            raise NodeIdError(f"bits must be in [1, 256], got {bits}")
+        if not 1 <= bits <= MAX_ID_BITS:
+            raise NodeIdError(f"bits must be in [1, {MAX_ID_BITS}], got {bits}")
         if not 0 <= value < (1 << bits):
             raise NodeIdError(f"value {value} out of range for {bits}-bit id")
         object.__setattr__(self, "value", value)
@@ -137,6 +140,21 @@ class NodeId:
         if self.bits <= 16:
             return f"NodeId({self.bitstring()!r})"
         return f"NodeId(0x{self.value:0{self.bits // 4}x})"
+
+
+_new = object.__new__
+#: The slots' own setters: ``NodeId.__setattr__`` refuses every write.
+_set_value = NodeId.value.__set__
+_set_bits = NodeId.bits.__set__
+
+
+def node_id_from_row(value: int, bits: int) -> NodeId:
+    """An id from fields a wire row check already validated — ``bits`` in
+    ``[1, MAX_ID_BITS]``, ``0 <= value < 2**bits``: no second range check."""
+    node_id = _new(NodeId)
+    _set_value(node_id, value)
+    _set_bits(node_id, bits)
+    return node_id
 
 
 def eigenstring(node_id: NodeId, level: int) -> str:

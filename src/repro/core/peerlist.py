@@ -163,6 +163,17 @@ class PeerList:
         """Sorted id values (snapshot copy)."""
         return list(self._ids)
 
+    def sharing_prefix(self, node_id: NodeId, length: int) -> List[Pointer]:
+        """Fresh pointers, in id order, for the entries whose ids share the
+        first ``length`` bits of ``node_id`` (the §4.3 download): one
+        bisected slice.  :class:`NodeIdError` for an id of another width
+        or a length outside ``[0, bits]``."""
+        if node_id.bits != self.owner_id.bits:
+            raise NodeIdError("cannot compare ids of different widths")
+        start, stop = prefix_range(self._ids, node_id.value, node_id.bits, length)
+        pointer = self._pointer
+        return [pointer(row) for row in range(start, stop)]
+
     def add(self, pointer: Pointer, strict: bool = True) -> bool:
         """Insert or overwrite the entry for ``pointer.node_id`` with a
         copy of the pointer's fields.

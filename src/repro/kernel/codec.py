@@ -20,7 +20,11 @@ the payload structure part of the protocol.  This module pins it down:
 * each row type, and the envelope, has **one field check that both
   directions run** — ``encode`` on the object's fields, ``decode`` on
   the parsed row — so a sender refuses exactly what a receiver would
-  drop: ``encode_message`` accepts ``m`` only if
+  drop.  A row check holds everything the constructors would check (the
+  ``NodeId`` domain included), so decode builds ids and pointers with
+  the trusted ``node_id_from_row`` / ``pointer_from_row``, and a pointer
+  list — a §4.3 download — is one loop over its rows, checked once:
+  ``encode_message`` accepts ``m`` only if
   ``decode_message(encode_message(m)) == m`` (property-tested in
   ``tests/kernel/test_codec.py``), and everything else is a
   :class:`CodecError` at the sender;
@@ -44,8 +48,8 @@ from math import isfinite
 from typing import Any, Callable, Dict, List, NoReturn, Tuple
 
 from repro.core.events import EventKind, EventRecord
-from repro.core.nodeid import NodeId
-from repro.core.pointer import Pointer
+from repro.core.nodeid import MAX_ID_BITS, NodeId, node_id_from_row
+from repro.core.pointer import Pointer, pointer_from_row
 from repro.kernel import schema as wire_schema
 from repro.net.message import Message
 from repro.obs.trace import SpanRef
@@ -78,9 +82,12 @@ def _refuse_constant(name: str) -> NoReturn:
 
 
 # Built once: ``json.dumps`` / ``json.loads`` with non-default arguments
-# construct a fresh encoder / decoder object per call.
+# construct a fresh encoder / decoder object per call.  No cycle check:
+# every container an envelope holds is built here, except
+# ``attached_info``, and ``_check_info`` refuses a cyclic one by its
+# depth bound before the encoder sees it.
 _to_json = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), allow_nan=False
+    sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False
 ).encode
 _from_json = json.JSONDecoder(parse_constant=_refuse_constant).decode
 
@@ -119,40 +126,67 @@ def _check_info(value: Any, depth: int = 0) -> None:
         _fail(f"attached_info must be a JSON tree, {_got(value)}")
 
 
-def _node_id_fields(row: Any) -> List[Any]:
-    if (
-        type(row) is list
-        and len(row) == 2
-        and type(row[0]) is int
-        and type(row[1]) is int
-    ):
-        return row
-    _fail(f"node id must be [value: int, bits: int], {_got(row)}")
-
-
-def _pointer_fields(row: Any) -> List[Any]:
-    if type(row) is list and len(row) == 8:
-        value, bits, addr, level, info, sjt, refresh, seq = row
-        if (
-            type(value) is int
-            and type(bits) is int
-            and type(addr) in _ADDRESS
-            and type(level) is int
-            # Pointer is mutable, so its constructor's range check can be
-            # stale by the time it is sent; no other range can.
-            and 0 <= level <= bits
-            and (sjt is None or _is_number(sjt))
-            and _is_number(refresh)
-            and type(seq) is int
-        ):
-            if info is not None:
-                _check_info(info)
-            return row
-    _fail(
-        "pointer must be [id_value: int, id_bits: int, addr: int | str, "
-        "level: int in [0, id_bits], info, sjt: number | null, "
-        f"refresh: number, seq: int], {_got(row)}"
+def _is_id(value: Any, bits: Any) -> bool:
+    """``NodeId``'s domain: what ``NodeId(value, bits)`` would accept."""
+    return (
+        type(value) is int
+        and type(bits) is int
+        and 1 <= bits <= MAX_ID_BITS
+        and 0 <= value
+        and value.bit_length() <= bits
     )
+
+
+_ID_DOMAIN = f"id_bits: int in [1, {MAX_ID_BITS}], id_value: int in [0, 2**id_bits)"
+
+
+def _node_id_fields(row: Any) -> List[Any]:
+    if type(row) is list and len(row) == 2 and _is_id(row[0], row[1]):
+        return row
+    _fail(f"node id must be [id_value, id_bits] with {_ID_DOMAIN}, {_got(row)}")
+
+
+def _pointer_rows(rows: Any) -> List[List[Any]]:
+    """The pointer check, one loop over a whole list of rows.
+
+    It holds everything ``NodeId()`` and ``Pointer()`` would check, so
+    decode builds from the rows without checking again.  ``_is_id`` and
+    ``_is_number`` are inlined: a §4.3 download is a list of these, and a
+    call per row would be most of what the list costs.
+    """
+    if type(rows) is not list:
+        _fail(f"expected a list of pointer rows, {_got(rows)}")
+    for row in rows:
+        if type(row) is list and len(row) == 8:
+            value, bits, addr, level, info, sjt, refresh, seq = row
+            if (
+                type(value) is int
+                and type(bits) is int
+                and 1 <= bits <= MAX_ID_BITS
+                and 0 <= value
+                and value.bit_length() <= bits
+                and type(addr) in _ADDRESS
+                and type(level) is int
+                # Pointer is mutable, so its constructor's range check can
+                # be stale by the time it is sent.
+                and 0 <= level <= bits
+                and (
+                    sjt is None
+                    or type(sjt) is int
+                    or (type(sjt) is float and isfinite(sjt))
+                )
+                and (type(refresh) is int or (type(refresh) is float and isfinite(refresh)))
+                and type(seq) is int
+            ):
+                if info is not None:
+                    _check_info(info)
+                continue
+        _fail(
+            "pointer must be [id_value, id_bits, addr: int | str, "
+            "level: int in [0, id_bits], info, sjt: number | null, "
+            f"refresh: number, seq: int] with {_ID_DOMAIN}, {_got(row)}"
+        )
+    return rows
 
 
 _EVENT_KINDS = {kind.value: kind for kind in EventKind}
@@ -164,8 +198,7 @@ def _event_fields(row: Any) -> List[Any]:
         if (
             type(kind) is str
             and kind in _EVENT_KINDS
-            and type(value) is int
-            and type(bits) is int
+            and _is_id(value, bits)
             and type(level) is int
             and type(addr) in _ADDRESS
             and type(seq) is int
@@ -175,9 +208,9 @@ def _event_fields(row: Any) -> List[Any]:
                 _check_info(info)
             return row
     _fail(
-        f"event must be [kind: one of {sorted(_EVENT_KINDS)}, id_value: int, "
-        "id_bits: int, level: int, addr: int | str, seq: int, t: number, "
-        f"info], {_got(row)}"
+        f"event must be [kind: one of {sorted(_EVENT_KINDS)}, id_value, "
+        "id_bits, level: int, addr: int | str, seq: int, t: number, "
+        f"info] with {_ID_DOMAIN}, {_got(row)}"
     )
 
 
@@ -210,41 +243,29 @@ def _enc_node_id(nid: Any) -> List[Any]:
 
 
 def _dec_node_id(row: Any) -> NodeId:
-    value, bits = _node_id_fields(row)
-    try:
-        return NodeId(value, bits)
-    except ValueError as exc:
-        raise CodecError(f"node id: {exc}") from exc
-
-
-def _enc_pointer(ptr: Any) -> List[Any]:
-    if type(ptr) is not Pointer or type(ptr.node_id) is not NodeId:
-        _fail(f"expected Pointer (over a NodeId), {_got(ptr)}")
-    nid = ptr.node_id
-    return _pointer_fields([
-        nid.value, nid.bits, ptr.address, ptr.level, ptr.attached_info,
-        ptr.seen_join_time, ptr.last_refresh, ptr.last_event_seq,
-    ])
-
-
-def _dec_pointer(row: Any) -> Pointer:
-    value, bits, addr, level, info, sjt, refresh, seq = _pointer_fields(row)
-    try:
-        return Pointer(NodeId(value, bits), addr, level, info, sjt, refresh, seq)
-    except ValueError as exc:
-        raise CodecError(f"pointer: {exc}") from exc
+    return node_id_from_row(*_node_id_fields(row))
 
 
 def _enc_pointers(ptrs: Any) -> List[List[Any]]:
     if type(ptrs) is not list:
         _fail(f"expected a list of pointers, {_got(ptrs)}")
-    return [_enc_pointer(p) for p in ptrs]
+    rows = []
+    for ptr in ptrs:
+        if type(ptr) is not Pointer or type(ptr.node_id) is not NodeId:
+            _fail(f"expected Pointer (over a NodeId), {_got(ptr)}")
+        nid = ptr.node_id
+        rows.append([
+            nid.value, nid.bits, ptr.address, ptr.level, ptr.attached_info,
+            ptr.seen_join_time, ptr.last_refresh, ptr.last_event_seq,
+        ])
+    return _pointer_rows(rows)
 
 
 def _dec_pointers(rows: Any) -> List[Pointer]:
-    if type(rows) is not list:
-        _fail(f"expected a list of pointer rows, {_got(rows)}")
-    return [_dec_pointer(row) for row in rows]
+    return [
+        pointer_from_row(node_id_from_row(value, bits), addr, level, info, sjt, refresh, seq)
+        for value, bits, addr, level, info, sjt, refresh, seq in _pointer_rows(rows)
+    ]
 
 
 def _enc_event(ev: Any) -> List[Any]:
@@ -265,9 +286,10 @@ def _dec_event(row: Any) -> EventRecord:
     kind, value, bits, level, addr, seq, origin_time, info = _event_fields(row)
     try:
         return EventRecord(
-            _EVENT_KINDS[kind], NodeId(value, bits), level, addr, seq, origin_time, info
+            _EVENT_KINDS[kind], node_id_from_row(value, bits), level, addr, seq,
+            origin_time, info,
         )
-    except ValueError as exc:
+    except ValueError as exc:  # EventRecord's own check: seq, level in range
         raise CodecError(f"event: {exc}") from exc
 
 
@@ -307,8 +329,12 @@ _BOOL = _scalar(lambda v: type(v) is bool, "a bool")
 _NUMBER = _scalar(_is_number, "a finite number")
 _NONCE = _scalar(lambda v: type(v) is int and v >= 0, "a non-negative int nonce")
 _NODE_ID = (_enc_node_id, _dec_node_id)
-_POINTER = (_enc_pointer, _dec_pointer)
 _POINTERS = (_enc_pointers, _dec_pointers)
+#: One pointer (``top-ptr``, ``bridge-subscribe``) is a one-row list's check.
+_POINTER = (
+    lambda ptr: _enc_pointers([ptr])[0],
+    lambda row: _dec_pointers([row])[0],
+)
 _EVENT = (_enc_event, _dec_event)
 
 
@@ -344,8 +370,8 @@ _BODY_CODECS: Dict[str, _Field] = {
     # join handshake (§4.3)
     "get-top": (_enc_get_top, _dec_get_top),
     "top-ptr": (
-        lambda payload: None if payload is None else _enc_pointer(payload),
-        lambda body: None if body is None else _dec_pointer(body),
+        lambda payload: None if payload is None else _POINTER[0](payload),
+        lambda body: None if body is None else _POINTER[1](body),
     ),
     "level-query": _NODE_ID,
     "level-info": _tuple_body("level-info", _INT, _NUMBER, _POINTERS),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import MembershipError
+from repro.core.errors import MembershipError, NodeIdError
 from repro.core.nodeid import NodeId
 from repro.core.peerlist import PeerList
 from repro.core.pointer import Pointer
@@ -70,6 +70,19 @@ class TestBasicContainer:
         owner_list.add(ptr("1001"))
         owner_list.clear()
         assert len(owner_list) == 0
+
+    def test_sharing_prefix_is_the_shares_prefix_filter(self):
+        pl = PeerList(nid("1010"), 0)
+        for s in ("0001", "0110", "1000", "1010", "1011", "1111"):
+            pl.add(ptr(s))
+        for other in ("0000", "1010", "1011", "1110"):
+            for length in range(5):
+                assert pl.sharing_prefix(nid(other), length) == [
+                    p for p in pl if p.node_id.shares_prefix(nid(other), length)
+                ]
+        for other, length in (("1010", -1), ("1010", 5), ("10", 1)):
+            with pytest.raises(NodeIdError):
+                pl.sharing_prefix(nid(other), length)
 
 
 class TestRetarget:

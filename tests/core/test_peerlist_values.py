@@ -67,9 +67,11 @@ class TestNoCallerHoldsARow:
             ],
             lambda pl: [p for _, p in pl.strongest_by_bit(
                 pl.owner_id, NodeId(0b1000_0001, BITS), 0, 2)],
+            lambda pl: pl.sharing_prefix(NodeId(0b1010_0000, BITS), 1),
         ],
         ids=["get", "iteration", "ring_successor", "group_members",
-             "multicast_candidates", "audience_by_bit", "strongest_by_bit"],
+             "multicast_candidates", "audience_by_bit", "strongest_by_bit",
+             "sharing_prefix"],
     )
     def test_what_a_read_returns_is_fresh(self, read):
         pl = ring_list()

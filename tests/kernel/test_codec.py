@@ -3,6 +3,8 @@ the exact bytes, pinned by a golden file; what a sender must refuse; and
 what a datagram weighs."""
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core.events import EventKind, EventRecord
 from repro.core.nodeid import NodeId
 from repro.core.pointer import Pointer
+from repro.kernel import codec
 from repro.kernel.codec import (
     MESSAGE_KINDS,
     WIRE_SCHEMA_VERSION,
@@ -444,6 +447,42 @@ def test_pointer_rows_keep_a_whole_download_in_one_datagram():
     wire = encode_message(big)
     assert len(wire) <= MAX_DATAGRAM
     assert decode_message(wire) == big
+
+
+def _python_calls(fn):
+    """``(code object -> calls)`` of every Python function ``fn`` entered."""
+    calls = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_a_download_costs_a_constant_number_of_codec_calls():
+    """One check per pointer list: the codec's own Python calls do not grow
+    with the pointers a download carries, and a decoded pointer runs no
+    constructor check — the list check already held all of it."""
+    constructors = {NodeId.__init__.__code__, Pointer.__post_init__.__code__}
+    per_size = {}
+    for n in (1, 8, 64):
+        msg = download_data(n)
+        wire = encode_message(msg)
+        decoded = []
+        calls = _python_calls(lambda: decoded.append(decode_message(encode_message(msg))))
+        assert decoded == [msg]
+        assert {code for code in calls if code in constructors} == set()
+        per_size[n] = sum(
+            count for code, count in calls.items() if code.co_filename == codec.__file__
+        )
+        assert decode_message(wire) == msg
+    assert 0 < per_size[1] == per_size[8] == per_size[64], per_size
 
 
 if __name__ == "__main__":  # record the golden frames of a new wire version
