@@ -22,11 +22,9 @@ full ``repro.compare`` scorecard.
 import os
 
 from benchmarks.conftest import run_once
+from repro.baselines import closed_forms
 from repro.baselines.explicit_probe import ExplicitProbeScheme
-from repro.baselines.gossip import GossipMulticastScheme
-from repro.baselines.onehop import OneHopDHTScheme
-from repro.baselines.pushpull import PushPullGossipScheme
-from repro.baselines.random_walk import RandomWalkScheme
+from repro.compare import contestant_names
 from repro.core.analytic import CostModel
 from repro.experiments.report import print_table
 
@@ -43,14 +41,7 @@ BASELINES_PATH = os.path.join(
 #: identical churn workload.  Small enough to regenerate in seconds,
 #: big enough that the bandwidth/error ordering is stable.
 TOURNAMENT = {
-    "contestants": (
-        "peerwindow",
-        "gossip",
-        "push-pull-gossip",
-        "onehop",
-        "random-walk",
-        "explicit-probe",
-    ),
+    "contestants": tuple(contestant_names()),
     "n_nodes": 40,
     "duration": 180.0,
     "window": 30.0,
@@ -68,13 +59,7 @@ def build_baselines_doc():
 
 def compute():
     peer_window = CostModel(mean_lifetime_s=LIFETIME)
-    schemes = [
-        ExplicitProbeScheme(probe_period_s=30.0, mean_lifetime_s=LIFETIME),
-        GossipMulticastScheme(redundancy=4.0, mean_lifetime_s=LIFETIME),
-        PushPullGossipScheme(redundancy=2.0, mean_lifetime_s=LIFETIME),
-        OneHopDHTScheme(n_nodes=N, mean_lifetime_s=LIFETIME),
-        RandomWalkScheme(mean_lifetime_s=LIFETIME),
-    ]
+    schemes = closed_forms(N, LIFETIME)
     budgets = [500.0, 5_000.0, 50_000.0, 500_000.0]
     rows = []
     for w in budgets:
@@ -82,7 +67,7 @@ def compute():
         row += [s.pointers_for_bandwidth(w) for s in schemes]
         rows.append(row)
     headers = ["budget bps", "PeerWindow"] + [s.name for s in schemes]
-    reports = [s.report(10_000.0).as_dict() for s in schemes]
+    reports = [s.report(10_000.0) for s in schemes]
     return headers, rows, reports
 
 
@@ -102,6 +87,6 @@ def test_bench_baseline_comparison(benchmark):
         pw = row[1]
         assert all(pw >= other for other in row[2:])
     # Intro numbers.
-    probing = ExplicitProbeScheme(probe_period_s=30.0, mean_lifetime_s=7200.0)
+    probing = ExplicitProbeScheme(mean_lifetime_s=7200.0)
     assert probing.pointers_for_bandwidth(10_000.0) == 600.0
     assert 1.0 - probing.useful_message_fraction() > 0.995

@@ -18,10 +18,11 @@
 #   scripts/check.sh --chaos     # chaos smoke only
 #   scripts/check.sh --byzantine # byzantine smoke only
 #   scripts/check.sh --obs       # obs smoke only
-#   scripts/check.sh --health    # health smoke only
+#   scripts/check.sh --health    # health smoke + BENCH_health.json current
 #   scripts/check.sh --live      # wire codec tests + live swarm smoke
 #   scripts/check.sh --watch     # streaming telemetry smoke only
-#   scripts/check.sh --compare   # tournament scorecard smoke only
+#   scripts/check.sh --compare   # tournament scorecard smoke +
+#                                # BENCH_baselines.json current
 #   scripts/check.sh --ledger    # benchmark ledger smoke only
 #   scripts/check.sh --scale     # NOT in the default run (~1 min, 2 GB):
 #                                # a 10^4-node detailed run fits in 1 GB;
@@ -246,6 +247,8 @@ check_health() {
     --metrics "$dir/metrics.json" --out "$dir/report.md" || status=1
   grep -q 'Status: HEALTHY' "$dir/report.md" || {
     echo "health smoke: report is not HEALTHY"; status=1; }
+  echo "== committed health trajectory (BENCH_health.json is what this tree computes) =="
+  with_timeout 300 $PY scripts/bench_trajectory.py --check || status=1
 }
 
 check_live() {
@@ -342,6 +345,8 @@ for p in problems[:20]:
 print(f"compare smoke: {len(rows)} row(s), {len(problems)} problem(s)")
 sys.exit(1 if problems else 0)
 PY
+  echo "== committed tournament scorecard (BENCH_baselines.json, and BENCH_health.json, are what this tree computes) =="
+  with_timeout 300 $PY scripts/bench_trajectory.py --baselines --check || status=1
 }
 
 check_ledger() {

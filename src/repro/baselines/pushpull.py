@@ -5,13 +5,13 @@ lean push phase with periodic pull exchanges cuts push redundancy from
 ``O(ln n)``-ish to a small constant: the push only has to *seed* each
 event somewhere, because pulls deterministically drain the difference
 between any two views.  The price is a standing digest cost — every
-member spends ``digest_bits / pull_interval`` bps forever, events or
-not — which the §2 cost model charges as a constant bandwidth floor
-before any pointers are bought.
+member spends one heartbeat-sized pull request per :data:`PULL_INTERVAL`
+forever, events or not — which the §2 cost model charges as a constant
+bandwidth floor before any pointers are bought.
 
 :class:`PushPullGossipScheme` is the closed-form column for the
 comparison table; :class:`PushPullGossipNetwork` is the executable
-tournament contestant: :class:`~repro.baselines.runtime.GossipNetwork`
+tournament contestant: :class:`~repro.baselines.gossip.GossipNetwork`
 with push fanout 1 plus a periodic symmetric pull that merges both
 views, honoring death certificates so a buried peer cannot be gossiped
 back to life.
@@ -19,13 +19,14 @@ back to life.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from repro.baselines.gossip import GossipMulticastScheme
-from repro.baselines.runtime import BaselineMember, GossipNetwork
+from repro.baselines.gossip import GossipMulticastScheme, GossipNetwork
+from repro.baselines.runtime import BaselineMember, BaselineNetwork
 from repro.obs import metrics as m
 
-__all__ = ["PushPullGossipNetwork", "PushPullGossipScheme"]
+__all__ = ["PULL_INTERVAL", "PushPullGossipNetwork", "PushPullGossipScheme"]
+
+#: Seconds between one member's anti-entropy pulls.
+PULL_INTERVAL = 20.0
 
 
 class PushPullGossipScheme(GossipMulticastScheme):
@@ -33,54 +34,35 @@ class PushPullGossipScheme(GossipMulticastScheme):
     push, plus a constant anti-entropy digest overhead in bps."""
 
     name = "push-pull-gossip"
-
-    def __init__(
-        self,
-        mean_lifetime_s: float = 3600.0,
-        changes_per_lifetime: float = 3.0,
-        message_bits: float = 1000.0,
-        redundancy: float = 2.0,
-        digest_bits: float = 500.0,
-        pull_interval_s: float = 20.0,
-    ):
-        super().__init__(
-            mean_lifetime_s=mean_lifetime_s,
-            changes_per_lifetime=changes_per_lifetime,
-            message_bits=message_bits,
-            redundancy=redundancy,
-        )
-        if digest_bits <= 0 or pull_interval_s <= 0:
-            raise ValueError("digest parameters must be positive")
-        self.digest_bits = digest_bits
-        self.pull_interval_s = pull_interval_s
+    redundancy = 2.0
 
     @property
     def pull_overhead_bps(self) -> float:
         """Standing anti-entropy cost, paid regardless of event rate."""
-        return self.digest_bits / self.pull_interval_s
+        return BaselineNetwork.config.heartbeat_bits / PULL_INTERVAL
 
-    def bandwidth_for_pointers(self, pointers: float) -> float:
-        return super().bandwidth_for_pointers(pointers) + self.pull_overhead_bps
+    def _bandwidth(self, pointers: float) -> float:
+        return super()._bandwidth(pointers) + self.pull_overhead_bps
 
-    def pointers_for_bandwidth(self, bandwidth_bps: float) -> float:
-        usable = max(0.0, bandwidth_bps - self.pull_overhead_bps)
-        return super().pointers_for_bandwidth(usable)
+    def _pointers(self, bandwidth_bps: float) -> float:
+        return super()._pointers(max(0.0, bandwidth_bps - self.pull_overhead_bps))
 
 
 class PushPullGossipNetwork(GossipNetwork):
     """Executable push–pull hybrid: push fanout 1 seeds each event, and
-    every ``pull_interval`` each member anti-entropies with one random
+    every :data:`PULL_INTERVAL` each member anti-entropies with one random
     known peer (both directions merge, death certificates win ties)."""
 
-    name = "push-pull-gossip"
+    scheme = PushPullGossipScheme
+    name = scheme.name
+    error_hi = 0.25
     fanout = 1
-    pull_interval = 20.0
 
     def _start_extra(self, member: BaselineMember) -> None:
-        phase = float(member.rng.uniform(0.0, self.pull_interval))
+        phase = float(member.rng.uniform(0.0, PULL_INTERVAL))
         member.tasks.append(
             self.sim.every(
-                self.pull_interval, self._pull_tick, member.key,
+                PULL_INTERVAL, self._pull_tick, member.key,
                 start_delay=phase,
             )
         )

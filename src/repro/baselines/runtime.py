@@ -1,23 +1,15 @@
-"""Executable, instrumented baseline networks for the protocol tournament.
+"""What every executable baseline network shares.
 
-The analytic schemes in this package answer "what *should* a strategy
-cost"; these classes actually *run* each strategy over the DES engine
-with the same observability hooks :class:`~repro.core.protocol.
-PeerWindowNetwork` carries — per-member :class:`~repro.obs.trace.NodeObs`
+Each design module's network is a :class:`BaselineNetwork` subclass: it
+*runs* the strategy over the DES engine with the observability hooks
+:class:`~repro.core.protocol.PeerWindowNetwork` carries — per-member
 spans (``join`` / ``probe`` / ``obituary`` / ``mcast.root`` /
-``mcast.hop`` with parent links and ``depth`` attrs), a per-member
-:class:`~repro.obs.metrics.MetricsRegistry`, and transport byte/message
-accounting per wire kind — so a :class:`~repro.obs.stream.StreamWindower`
-folds the exact same ``repro.telemetry`` v1 frames for every contestant
-and ``repro compare --watch`` renders them side by side.
-
-Every network satisfies the windower's duck type (``obs`` /
-``now`` / ``run`` / ``live_nodes`` / ``level_histogram`` /
-``mean_error_rate`` / ``metrics_snapshot`` / ``config``) plus the churn
-surface the tournament workload drives (``live_keys`` / ``crash`` /
-``join``).  All baselines are *flat* — every member reports level 0 —
-which is precisely the contrast the paper draws against PeerWindow's
-level hierarchy.
+``mcast.hop`` with parent links and ``depth`` attrs), metrics, and
+transport accounting per wire kind — so a
+:class:`~repro.obs.stream.StreamWindower` folds the same
+``repro.telemetry`` v1 frames for every contestant.  All baselines are
+*flat* — every member reports level 0 — which is precisely the contrast
+the paper draws against PeerWindow's level hierarchy.
 
 Determinism contract (same as the core protocol): all randomness flows
 from :class:`~repro.sim.rng.RandomStreams` sub-streams, every timestamp
@@ -27,25 +19,17 @@ keys, so a seed reproduces frames and spans byte-for-byte.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.config import ProtocolConfig
 from repro.obs import metrics as m
-from repro.obs.trace import Observability, Span
+from repro.obs.trace import Observability, Span, SpanRef
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
-__all__ = [
-    "BaselineMember",
-    "BaselineNetwork",
-    "ExplicitProbeNetwork",
-    "GossipNetwork",
-    "OneHopNetwork",
-    "RandomWalkNetwork",
-]
+__all__ = ["BaselineMember", "BaselineNetwork"]
 
 
 class BaselineMember:
@@ -78,18 +62,31 @@ class BaselineMember:
 
 class BaselineNetwork:
     """Shared machinery: population, probing detector, join handshake,
-    oracle measurement, and the StreamWindower surface.
+    oracle measurement, the StreamWindower duck type (``obs`` / ``now`` /
+    ``run`` / ``live_nodes`` / ``level_histogram`` / ``mean_error_rate`` /
+    ``metrics_snapshot`` / ``config``) and the contestant surface the
+    tournament drives and measures (``live_keys`` / ``crash`` / ``join`` /
+    ``mean_completeness`` / ``total_bits``).
 
     Subclasses override :meth:`_on_death_detected` /
     :meth:`_announce_join` (how membership events disseminate),
     :meth:`_probe_targets` (how aggressively the detector probes), and
     the :meth:`_wire` / :meth:`_start_extra` hooks for scheme-specific
-    overlay state and timers.
+    overlay state and timers.  Each also declares its contestant
+    ``name``, its closed form ``scheme`` and ``error_hi``.
     """
 
-    name = "baseline"
+    name: str
+    #: The design's closed form (a ``CollectionScheme`` subclass).
+    scheme: type
+    #: The loose ``peerlist.error_rate`` ceiling the tournament judges the
+    #: design by: a design performing as the paper predicts stays inside.
+    error_hi: float
     #: One-way message latency between any two members (simulated s).
     hop_delay = 0.05
+    #: The configuration a network runs with unless given one; the closed
+    #: forms read their probe period and wire sizes from it.
+    config = ProtocolConfig(id_bits=16)
 
     def __init__(
         self,
@@ -100,7 +97,8 @@ class BaselineNetwork:
     ):
         if n_nodes < 2:
             raise ValueError("a baseline network needs at least 2 members")
-        self.config = config if config is not None else ProtocolConfig(id_bits=16)
+        if config is not None:
+            self.config = config
         self.sim = Simulator()
         self.streams = RandomStreams(master_seed)
         self.obs = Observability(enabled=observability)
@@ -167,10 +165,6 @@ class BaselineNetwork:
             member.tasks = []
             self._death_time[key] = self.sim.now
         return member
-
-    def leave(self, key: int) -> None:
-        """Baselines have no goodbye protocol; leaving is crashing."""
-        self.crash(key)
 
     def join(self, bootstrap: Optional[int] = None) -> int:
         """A new member joins via ``bootstrap`` (default: lowest live
@@ -280,30 +274,25 @@ class BaselineNetwork:
         now = self.sim.now
         if span is not None:
             member.obs.end(span, now, status="timeout")
-        reg = member.obs.registry
-        reg.inc(m.PROBE_TIMEOUTS)
+        member.obs.registry.inc(m.PROBE_TIMEOUTS)
         if not member.alive or target not in member.known:
             return
         self._forget(member, target, via="probe", parent=span)
-        reg.inc(m.FAILURES_DETECTED)
-        died = self._death_time.get(target)
-        if died is not None:
-            reg.observe(m.DETECT_LATENCY, now - died)
         self._on_death_detected(member, target, span)
 
     def _forget(
-        self,
-        member: BaselineMember,
-        target: int,
-        via: str,
-        parent=None,
+        self, member: BaselineMember, target: int, via: str, parent=None
     ) -> None:
+        """``member`` detects ``target`` dead: it buries and counts it."""
+        now = self.sim.now
         member.known.pop(target, None)
-        member.dead[target] = self.sim.now
+        member.dead[target] = now
         if member.obs.enabled:
-            member.obs.instant(
-                "obituary", self.sim.now, parent=parent, subject=target, via=via
-            )
+            member.obs.instant("obituary", now, parent=parent, subject=target, via=via)
+        member.obs.registry.inc(m.FAILURES_DETECTED)
+        died = self._death_time.get(target)
+        if died is not None:
+            member.obs.registry.observe(m.DETECT_LATENCY, now - died)
 
     # -- event dissemination hooks ----------------------------------------
 
@@ -330,6 +319,36 @@ class BaselineNetwork:
                 member.dead.pop(subject, None)
                 member.known[subject] = now
 
+    def _root(
+        self,
+        member: BaselineMember,
+        kind: str,
+        subject: int,
+        parent: Optional[Span],
+        targets: List[int],
+    ) -> Optional[SpanRef]:
+        """Count and trace the root of an event ``member`` sends to
+        ``targets``; returns the ref its first hops hang under."""
+        reg = member.obs.registry
+        reg.inc(m.MCAST_ORIGINATED)
+        reg.observe(m.MCAST_FANOUT, float(len(targets)))
+        if not member.obs.enabled:
+            return None
+        now = self.sim.now
+        root = member.obs.start(
+            "mcast.root", now, parent=parent,
+            kind=kind.upper(), subject=subject, fanout=len(targets),
+        )
+        member.obs.end(root, now)
+        return root.ref(1)
+
+    def _multicast(self, targets: List[int], *args) -> None:
+        """One ``mcast`` message to each of ``targets``, handled by
+        ``self._deliver(target, *args)`` a hop later."""
+        for target in targets:
+            self._send("mcast", self.config.event_message_bits)
+            self.sim.schedule(self.hop_delay, self._deliver, target, *args)
+
     def _event_id(self, kind: str, subject: int) -> str:
         self._event_seq += 1
         return f"{kind}:{subject}:{self._event_seq}"
@@ -351,13 +370,10 @@ class BaselineNetwork:
         """(stale + absent) / correct, against the live-population oracle
         (``correct``: its key set, when the caller already built it)."""
         correct = set(self.live_keys()) if correct is None else correct
-        actual = set(member.known)
-        actual.add(member.key)
         if not correct:
             return 0.0
-        stale = len(actual - correct)
-        absent = len(correct - actual)
-        return (stale + absent) / len(correct)
+        actual = set(member.known) | {member.key}
+        return (len(actual - correct) + len(correct - actual)) / len(correct)
 
     def member_completeness(
         self, member: BaselineMember, correct: Optional[Set[int]] = None
@@ -366,9 +382,7 @@ class BaselineNetwork:
         correct = set(self.live_keys()) if correct is None else correct
         if not correct:
             return 1.0
-        actual = set(member.known)
-        actual.add(member.key)
-        return len(actual & correct) / len(correct)
+        return len((set(member.known) | {member.key}) & correct) / len(correct)
 
     def _mean_over_live(self, measure, empty: float) -> float:
         live = self.live_keys()
@@ -401,362 +415,11 @@ class BaselineNetwork:
         return self.obs.spans()
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """Network-wide metrics aggregate with refreshed level gauges and
-        injected transport counters (the same shape the core network
-        produces, so :func:`repro.obs.health.metrics_signals` works)."""
-        if self.obs.enabled:
-            for view in self.obs.views().values():
-                view.registry.gauges = {
-                    k: v
-                    for k, v in view.registry.gauges.items()
-                    if not k.startswith(
-                        (m.PEERS_SIZE_LEVEL + ".", m.NODES_LEVEL + ".")
-                    )
-                }
-            for member in self.live_nodes():
-                reg = member.obs.registry
-                reg.set_gauge(
-                    f"{m.PEERS_SIZE_LEVEL}.0", float(len(member.known) + 1)
-                )
-                reg.set_gauge(f"{m.NODES_LEVEL}.0", 1)
-        snapshot = self.obs.metrics_snapshot()
-        counters = snapshot["counters"]
-        for kind in sorted(self._msgs):
-            counters[f"{m.TRANSPORT_MSGS}.{kind}"] = self._msgs[kind]
-        for kind in sorted(self._bits):
-            counters[f"{m.TRANSPORT_BITS}.{kind}"] = self._bits[kind]
-        return snapshot
-
-
-class GossipNetwork(BaselineNetwork):
-    """Flat push gossip (the §2 alternative): every membership event is
-    rumor-mongered with fanout ``F`` and a ``2·ln n`` round TTL.
-
-    Joins and detected deaths originate a ``mcast.root`` span; each
-    receipt is a ``mcast.hop`` with its gossip round as ``depth`` and
-    the sender's span as parent, so the telemetry pipeline reconstructs
-    gossip "trees" exactly as it does PeerWindow multicasts — complete
-    with the duplicate deliveries that make gossip pay redundancy ``r``.
-    """
-
-    name = "gossip"
-    fanout = 3
-
-    def _rounds_ttl(self) -> int:
-        return max(2, int(math.ceil(2.0 * math.log(max(2, len(self.nodes))))))
-
-    def _on_death_detected(self, member, subject, parent):
-        self._originate(member, "leave", subject, parent)
-
-    def _announce_join(self, member, bootstrap, parent):
-        boot = self.nodes.get(bootstrap)
-        if boot is not None and boot.alive:
-            self._originate(boot, "join", member.key, parent)
-
-    def _gossip_targets(self, member: BaselineMember, exclude: int) -> List[int]:
-        pool = [k for k in sorted(member.known) if k != exclude]
-        if not pool:
-            return []
-        count = min(self.fanout, len(pool))
-        idx = member.rng.choice(len(pool), size=count, replace=False)
-        return [pool[int(i)] for i in sorted(int(j) for j in idx)]
-
-    def _originate(
-        self,
-        member: BaselineMember,
-        kind: str,
-        subject: int,
-        parent: Optional[Span],
-    ) -> None:
-        now = self.sim.now
-        event = self._event_id(kind, subject)
-        member.seen.add(event)
-        reg = member.obs.registry
-        reg.inc(m.MCAST_ORIGINATED)
-        targets = self._gossip_targets(member, exclude=subject)
-        reg.observe(m.MCAST_FANOUT, float(len(targets)))
-        root = None
-        if member.obs.enabled:
-            root = member.obs.start(
-                "mcast.root", now, parent=parent,
-                kind=kind.upper(), subject=subject, fanout=len(targets),
-            )
-            member.obs.end(root, now)
-        ref = root.ref(1) if root is not None else None
-        for target in targets:
-            self._send("mcast", self.config.event_message_bits)
-            self.sim.schedule(
-                self.hop_delay, self._deliver, target, event, kind, subject, 1, ref
-            )
-
-    def _deliver(
-        self,
-        key: int,
-        event: str,
-        kind: str,
-        subject: int,
-        depth: int,
-        ref,
-    ) -> None:
-        member = self.nodes.get(key)
-        if member is None or not member.alive:
-            return
-        now = self.sim.now
-        reg = member.obs.registry
-        reg.inc(m.MCAST_RECEIVED)
-        span = None
-        if member.obs.enabled:
-            span = member.obs.start(
-                "mcast.hop", now, parent=ref,
-                kind=kind.upper(), subject=subject, depth=depth,
-            )
-        if event in member.seen:
-            reg.inc(m.MCAST_DUPLICATES)
-            if span is not None:
-                member.obs.end(span, now, status="duplicate")
-            return
-        member.seen.add(event)
-        reg.observe(m.MCAST_DEPTH, float(depth))
-        self._apply_event(member, kind, subject)
-        if depth < self._rounds_ttl():
-            targets = self._gossip_targets(member, exclude=subject)
-            reg.observe(m.MCAST_FANOUT, float(len(targets)))
-            if span is not None:
-                span.attrs["fanout"] = len(targets)
-            next_ref = span.ref(depth + 1) if span is not None else None
-            for target in targets:
-                self._send("mcast", self.config.event_message_bits)
-                self.sim.schedule(
-                    self.hop_delay, self._deliver,
-                    target, event, kind, subject, depth + 1, next_ref,
-                )
-        if span is not None:
-            member.obs.end(span, now)
-
-
-class OneHopNetwork(BaselineNetwork):
-    """One-hop DHT [7]: full membership everywhere, homogeneously.
-
-    A leader (the lowest live key) serializes membership events and
-    broadcasts each to every member — a depth-1 ``n``-way star per
-    event, which is exactly the per-event cost the paper's onehop column
-    models.  Detectors report deaths to the leader; the leader dedups by
-    (kind, subject) so one death yields one broadcast.
-    """
-
-    name = "onehop"
-
-    def _leader_key(self, member: BaselineMember) -> int:
-        candidates = sorted(set(member.known) | {member.key})
-        return candidates[0]
-
-    def _on_death_detected(self, member, subject, parent):
-        self._report(member, "leave", subject, parent)
-
-    def _announce_join(self, member, bootstrap, parent):
-        boot = self.nodes.get(bootstrap)
-        if boot is not None and boot.alive:
-            self._report(boot, "join", member.key, parent)
-
-    def _report(
-        self,
-        member: BaselineMember,
-        kind: str,
-        subject: int,
-        parent: Optional[Span],
-    ) -> None:
-        leader = self._leader_key(member)
-        member.obs.registry.inc(m.REPORT_SENT)
-        if leader == member.key:
-            self.sim.schedule(0.0, self._broadcast, leader, kind, subject, parent)
-        else:
-            self._send("report", self.config.event_message_bits)
-            self.sim.schedule(
-                self.hop_delay, self._broadcast, leader, kind, subject, parent
-            )
-
-    def _broadcast(
-        self, leader_key: int, kind: str, subject: int, parent
-    ) -> None:
-        leader = self.nodes.get(leader_key)
-        if leader is None or not leader.alive:
-            return
-        event = f"{kind}:{subject}"
-        if event in leader.seen:
-            return
-        leader.seen.add(event)
-        now = self.sim.now
-        reg = leader.obs.registry
-        reg.inc(m.REPORT_SERVED)
-        reg.inc(m.MCAST_ORIGINATED)
-        self._apply_event(leader, kind, subject)
-        targets = [k for k in sorted(leader.known) if k != subject]
-        reg.observe(m.MCAST_FANOUT, float(len(targets)))
-        root = None
-        if leader.obs.enabled:
-            root = leader.obs.start(
-                "mcast.root", now, parent=parent,
-                kind=kind.upper(), subject=subject, fanout=len(targets),
-            )
-            leader.obs.end(root, now)
-        ref = root.ref(1) if root is not None else None
-        for target in targets:
-            self._send("mcast", self.config.event_message_bits)
-            self.sim.schedule(
-                self.hop_delay, self._deliver, target, kind, subject, ref
-            )
-
-    def _deliver(self, key: int, kind: str, subject: int, ref) -> None:
-        member = self.nodes.get(key)
-        if member is None or not member.alive:
-            return
-        now = self.sim.now
-        reg = member.obs.registry
-        reg.inc(m.MCAST_RECEIVED)
-        reg.observe(m.MCAST_DEPTH, 1.0)
-        if member.obs.enabled:
-            span = member.obs.start(
-                "mcast.hop", now, parent=ref,
-                kind=kind.upper(), subject=subject, depth=1,
-            )
-            member.obs.end(span, now)
-        self._apply_event(member, kind, subject)
-
-
-class RandomWalkNetwork(BaselineNetwork):
-    """Mercury-style random-walk collection over a small-world overlay.
-
-    Collection is *pull*: every ``walk_interval`` each member launches a
-    walk over the static ring+shortcut graph, refreshing its pointers to
-    the nodes the walk visits (and introducing itself to them).  Entries
-    not re-seen within ``entry_ttl`` expire — the ε·L refresh-period
-    staleness tradeoff of the paper's random-walk column.  Membership
-    events never propagate; only walking (or the base detector probing a
-    dead pointer) repairs state, so error rates sit well above the
-    push-based schemes.
-    """
-
-    name = "random-walk"
-    walk_interval = 30.0
-    neighbor_count = 4
-    entry_ttl = 90.0
-
-    def _walk_length(self) -> int:
-        return max(4, int(math.ceil(2.0 * math.log(max(2, len(self.nodes))))))
-
-    def _wire(self, keys: List[int]) -> None:
-        ring = sorted(keys)
-        n = len(ring)
-        graph_rng = self.streams.get("baseline-graph")
-        for i, key in enumerate(ring):
-            member = self.nodes[key]
-            member.neighbors = [ring[(i - 1) % n], ring[(i + 1) % n]]
-            extra = self.neighbor_count - 2
-            pool = [k for k in ring if k != key]
-            if extra > 0 and pool:
-                idx = graph_rng.choice(
-                    len(pool), size=min(extra, len(pool)), replace=False
-                )
-                for j in sorted(int(x) for x in idx):
-                    member.neighbors.append(pool[j])
-
-    def _start_extra(self, member: BaselineMember) -> None:
-        phase = float(member.rng.uniform(0.0, self.walk_interval))
-        member.tasks.append(
-            self.sim.every(
-                self.walk_interval, self._launch_walk, member.key,
-                start_delay=phase,
-            )
+        """The same shape the core network produces (every member at level
+        0), so :func:`repro.obs.health.metrics_signals` works."""
+        return self.obs.network_snapshot(
+            ((mem.obs.registry, 0, float(len(mem.known) + 1))
+             for mem in self.live_nodes()),
+            self._msgs,
+            self._bits,
         )
-
-    def _announce_join(self, member, bootstrap, parent):
-        live = [k for k in self.live_keys() if k != member.key]
-        count = min(self.neighbor_count, len(live))
-        if count:
-            idx = member.rng.choice(len(live), size=count, replace=False)
-            for i in sorted(int(j) for j in idx):
-                peer = live[i]
-                member.neighbors.append(peer)
-                self.nodes[peer].neighbors.append(member.key)
-
-    def _launch_walk(self, key: int) -> None:
-        member = self.nodes.get(key)
-        if member is None or not member.alive:
-            return
-        member.obs.registry.inc(m.WALKS_LAUNCHED)
-        span = None
-        if member.obs.enabled:
-            span = member.obs.start("walk", self.sim.now, steps=0)
-        self._walk_step(key, key, 0, span)
-
-    def _walk_step(
-        self, origin_key: int, at_key: int, steps: int, span: Optional[Span]
-    ) -> None:
-        now = self.sim.now
-        origin = self.nodes.get(origin_key)
-        if origin is None or not origin.alive:
-            if span is not None:
-                self.obs.view(origin_key).end(span, now, status="died")
-            return
-        if steps >= self._walk_length():
-            self._finish_walk(origin, steps, span)
-            return
-        at = self.nodes.get(at_key)
-        hops = [] if at is None else [k for k in at.neighbors if k in self.nodes]
-        pool = sorted(set(hops) - {origin_key})
-        if not pool:
-            self._finish_walk(origin, steps, span)
-            return
-        nxt = pool[int(origin.rng.integers(0, len(pool)))]
-        self._send("walk", self.config.pointer_bits)
-        target = self.nodes.get(nxt)
-        if target is None or not target.alive:
-            # A dead pointer stalls the walk for a timeout, then the
-            # walker repairs: the graph edge and the stale entry go.
-            if at is not None:
-                at.neighbors = [k for k in at.neighbors if k != nxt]
-            if nxt in origin.known:
-                self._forget(origin, nxt, via="walk", parent=span)
-                origin.obs.registry.inc(m.FAILURES_DETECTED)
-                died = self._death_time.get(nxt)
-                if died is not None:
-                    origin.obs.registry.observe(m.DETECT_LATENCY, now - died)
-            self.sim.schedule(
-                self.config.probe_timeout,
-                self._walk_step, origin_key, at_key, steps + 1, span,
-            )
-            return
-        origin.known[nxt] = now
-        origin.dead.pop(nxt, None)
-        target.known[origin_key] = now
-        target.dead.pop(origin_key, None)
-        self.sim.schedule(
-            self.hop_delay, self._walk_step, origin_key, nxt, steps + 1, span
-        )
-
-    def _finish_walk(
-        self, origin: BaselineMember, steps: int, span: Optional[Span]
-    ) -> None:
-        now = self.sim.now
-        origin.obs.registry.observe(m.WALK_STEPS, float(steps))
-        if span is not None:
-            span.attrs["steps"] = steps
-            origin.obs.end(span, now)
-        cutoff = now - self.entry_ttl
-        for key in [k for k in sorted(origin.known) if origin.known[k] < cutoff]:
-            origin.known.pop(key)
-
-
-class ExplicitProbeNetwork(BaselineNetwork):
-    """The intro's strawman: heartbeat *every* known peer, every period.
-
-    Deaths are detected quickly (by everyone, independently) but nothing
-    else ever propagates — a joiner is known only to its bootstrap — and
-    nearly every probe returns positively, which is the 99.58 %-waste
-    arithmetic of the paper's introduction made executable.
-    """
-
-    name = "explicit-probe"
-
-    def _probe_targets(self, member: BaselineMember) -> List[int]:
-        return sorted(member.known)

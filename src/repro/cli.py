@@ -240,21 +240,11 @@ def cmd_predict(args) -> None:
 
 
 def cmd_baselines(args) -> None:
-    from repro.baselines.explicit_probe import ExplicitProbeScheme
-    from repro.baselines.gossip import GossipMulticastScheme
-    from repro.baselines.onehop import OneHopDHTScheme
-    from repro.baselines.pushpull import PushPullGossipScheme
-    from repro.baselines.random_walk import RandomWalkScheme
+    from repro.baselines import closed_forms
     from repro.core.analytic import CostModel
 
     pw = CostModel(mean_lifetime_s=3600.0)
-    schemes = [
-        ExplicitProbeScheme(mean_lifetime_s=3600.0),
-        GossipMulticastScheme(redundancy=4.0),
-        PushPullGossipScheme(redundancy=2.0),
-        OneHopDHTScheme(n_nodes=args.nodes, mean_lifetime_s=3600.0),
-        RandomWalkScheme(mean_lifetime_s=3600.0),
-    ]
+    schemes = closed_forms(args.nodes, mean_lifetime_s=3600.0)
     budgets = [500.0, 5_000.0, 50_000.0]
     rows = []
     for w in budgets:
@@ -990,7 +980,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pcmp = command(
         sub, "compare", cmd_compare, common_opts,
-        _run_flags(nodes=40, duration=240.0, window=30.0, seed=0, parallel=None),
+        # n >= 2: the smallest population a baseline network holds.
+        _run_flags(min_nodes=2, nodes=40, duration=240.0, window=30.0, seed=0,
+                   parallel=None),
         report_opts,
         help="protocol tournament: run PeerWindow and the baselines over "
              "identical seeded workloads and emit one scorecard "

@@ -12,10 +12,9 @@ to one deterministic markdown + JSON scorecard (``repro compare``).
 
 from repro.compare.contestants import (
     CONTESTANTS,
-    ContestantRun,
-    baseline_health_spec,
     build_contestant,
     contestant_names,
+    health_spec,
 )
 from repro.compare.scorecard import (
     SCORECARD_SCHEMA,
@@ -30,13 +29,12 @@ __all__ = [
     "CONTESTANTS",
     "ChurnOp",
     "CompareWorkload",
-    "ContestantRun",
     "SCORECARD_SCHEMA",
     "SCORECARD_VERSION",
     "TournamentConfig",
-    "baseline_health_spec",
     "build_contestant",
     "contestant_names",
+    "health_spec",
     "render_json",
     "render_markdown",
     "run_tournament",

@@ -11,10 +11,15 @@ resulting scorecard document is byte-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.compare.contestants import CHAMPION, CONTESTANTS, build_contestant
+from repro.compare.contestants import (
+    CHAMPION,
+    CONTESTANTS,
+    build_contestant,
+    health_spec,
+)
 from repro.compare.scorecard import build_doc
 from repro.compare.workload import CompareWorkload
 from repro.obs.analyze import multicast_trees
@@ -38,6 +43,8 @@ class TournamentConfig:
     champion: str = CHAMPION
 
     def __post_init__(self):
+        if not self.n_nodes >= 2:
+            raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes}")
         if self.duration <= 0 or self.window <= 0:
             raise ValueError("duration and window must be > 0")
         if not self.contestants:
@@ -61,16 +68,16 @@ class TournamentConfig:
             raise ValueError("seeds must not be empty: nothing would run")
 
 
-@dataclass
 class _Entry:
-    run: Any
-    windower: StreamWindower
-    frames: List[Dict[str, Any]] = field(default_factory=list)
+    """One contestant of one seed: its network, its windower, and every
+    frame the windower emitted (the entry is the windower's first sink)."""
 
-
-class _Collector:
-    def __init__(self, frames: List[Dict[str, Any]]):
-        self.frames = frames
+    def __init__(self, net: Any, window: float, spec: Any, sinks: List[Any]):
+        self.net = net
+        self.frames: List[Dict[str, Any]] = []
+        self.windower = StreamWindower(
+            net, window=window, spec=spec, sinks=[self, *sinks]
+        )
 
     def write(self, frame: Dict[str, Any]) -> None:
         self.frames.append(frame)
@@ -100,17 +107,13 @@ def _run_seed(
     workload = CompareWorkload(seed, cfg.n_nodes, cfg.duration)
     entries: Dict[str, _Entry] = {}
     for name in cfg.contestants:
-        run = build_contestant(name, seed, cfg.n_nodes, cfg.parallel)
-        frames: List[Dict[str, Any]] = []
-        sinks: List[Any] = [_Collector(frames)]
+        net = build_contestant(name, seed, cfg.n_nodes, cfg.parallel)
+        sinks: List[Any] = []
         if frames_dir is not None:
             sinks.append(
                 SnapshotWriter(f"{frames_dir}/{name}-seed{seed}.jsonl")
             )
-        windower = StreamWindower(
-            run.net, window=cfg.window, spec=run.spec, sinks=sinks
-        )
-        entries[name] = _Entry(run=run, windower=windower, frames=frames)
+        entries[name] = _Entry(net, cfg.window, health_spec(net, cfg.n_nodes), sinks)
 
     n_windows = int(cfg.duration // cfg.window)
     boundaries = [cfg.window * (i + 1) for i in range(n_windows)]
@@ -129,7 +132,7 @@ def _run_seed(
             entries[name].windower.run(mark)
         for op in ops_by_time.get(mark, ()):
             for name in cfg.contestants:
-                workload.apply(op, entries[name].run)
+                workload.apply(op, entries[name].net)
         if mark in boundary_set and on_window is not None:
             on_window(
                 seed, mark,
@@ -156,8 +159,7 @@ def _run_seed(
 def _measure(
     cfg: TournamentConfig, seed: int, name: str, entry: _Entry
 ) -> Dict[str, Any]:
-    run = entry.run
-    net = run.net
+    net = entry.net
     snapshot = net.metrics_snapshot()
     spans = net.spans()
     trees = multicast_trees(spans)
@@ -166,8 +168,8 @@ def _measure(
         for t in trees
         if t.completion_latency is not None
     ]
-    live = len(run.live_keys())
-    bits = run.transport_bits()
+    live = len(net.live_keys())
+    bits = net.total_bits()
     final = entry.frames[-1] if entry.frames else {}
     breaches_windows = sum(
         len(f.get("breaches", ())) for f in entry.frames if not f.get("final")
@@ -180,8 +182,8 @@ def _measure(
         "bandwidth_bps_per_node": (
             bits / cfg.duration / live if live else 0.0
         ),
-        "error_rate": run.error_rate(),
-        "completeness": run.completeness(),
+        "error_rate": net.mean_error_rate(),
+        "completeness": net.mean_completeness(),
         "join_latency_s": _dist_mean(snapshot, "join.latency"),
         "detect_latency_s": _dist_mean(snapshot, "detect.latency"),
         "collection_latency_s": _mean(latencies),

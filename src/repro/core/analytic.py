@@ -22,6 +22,13 @@ from dataclasses import dataclass
 from repro.core.errors import ConfigError
 
 
+def non_negative(name: str, value: float) -> float:
+    """``value``, refused by ``name`` unless it is ``>= 0`` (a NaN is not)."""
+    if not value >= 0:
+        raise ConfigError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Parameters of the §2 analytic model."""
@@ -32,12 +39,12 @@ class CostModel:
     message_bits: float = 1000.0  # i
 
     def __post_init__(self) -> None:
-        if min(
+        if not all(v > 0 for v in (
             self.mean_lifetime_s,
             self.changes_per_lifetime,
             self.redundancy,
             self.message_bits,
-        ) <= 0:
+        )):
             raise ConfigError("all cost-model parameters must be positive")
 
     # -- §2 formulas ------------------------------------------------------
@@ -48,14 +55,12 @@ class CostModel:
 
     def bandwidth_for_pointers(self, pointers: float) -> float:
         """Input bandwidth (bps) to maintain ``pointers`` pointers."""
-        if pointers < 0:
-            raise ConfigError("pointers must be >= 0")
+        non_negative("pointers", pointers)
         return pointers * self.messages_per_pointer_per_second() * self.message_bits
 
     def pointers_for_bandwidth(self, bandwidth_bps: float) -> float:
         """``p = W*L/(m*r*i)``: pointers collectable at ``W`` bps."""
-        if bandwidth_bps < 0:
-            raise ConfigError("bandwidth must be >= 0")
+        non_negative("bandwidth_bps", bandwidth_bps)
         return (
             bandwidth_bps
             * self.mean_lifetime_s

@@ -32,7 +32,6 @@ from repro.core.seeding import SeedSpec, seed_network
 from repro.net.latency import PairwiseLatencyModel, UniformLatencyModel
 from repro.net.topology import Topology
 from repro.net.transport import Transport
-from repro.obs import metrics as m
 from repro.obs.trace import Observability, Span
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
@@ -337,12 +336,7 @@ class PeerWindowNetwork:
                 totals[key] = totals.get(key, 0) + value
         totals["live_nodes"] = len(self.live_nodes())
         totals["mean_error_rate"] = self.mean_error_rate()
-        transport_stats = (
-            self.runtime.transport_stats()
-            if self.parallel is not None
-            else self.transport.stats()
-        )
-        for key, value in transport_stats.items():
+        for key, value in self.runtime.transport_stats().items():
             if isinstance(value, (int, float)):
                 totals[f"transport_{key}"] = value
         return totals
@@ -361,40 +355,19 @@ class PeerWindowNetwork:
         return self.obs.traces()
 
     def metrics_snapshot(self) -> Dict[str, Any]:
-        """The network-wide metrics aggregate.
-
-        Before folding the per-node registries this refreshes the sampled
-        gauges (peer-list size and population per level, from live state)
-        and injects the transport's byte/message counters per message
-        kind, so the one snapshot carries everything the
+        """The network-wide metrics aggregate, with the per-level gauges
+        sampled from live state and the transport's counters per message
+        kind (:meth:`~repro.obs.trace.Observability.network_snapshot`), so
+        the one snapshot carries everything the
         :mod:`repro.core.analytic` cost-model comparison needs.
         """
-        if self.obs.enabled:
-            # Clear previous samples everywhere (departed nodes included):
-            # a node that changed level — or left — since the last snapshot
-            # must not keep contributing stale gauges to the aggregate.
-            for view in self.obs.views().values():
-                view.registry.gauges = {
-                    k: v
-                    for k, v in view.registry.gauges.items()
-                    if not k.startswith((m.PEERS_SIZE_LEVEL + ".", m.NODES_LEVEL + "."))
-                }
-            for node in self.live_nodes():
-                reg = node.ctx.obs.registry
-                reg.set_gauge(f"{m.PEERS_SIZE_LEVEL}.{node.level}", len(node.peer_list))
-                reg.set_gauge(f"{m.NODES_LEVEL}.{node.level}", 1)
-        snapshot = self.obs.metrics_snapshot()
-        transport_stats = (
-            self.runtime.transport_stats()
-            if self.parallel is not None
-            else self.transport.stats()
+        stats = self.runtime.transport_stats()
+        return self.obs.network_snapshot(
+            ((n.ctx.obs.registry, n.level, len(n.peer_list))
+             for n in self.live_nodes()),
+            stats.get("by_kind", {}),
+            stats.get("bytes_by_kind", {}),
         )
-        counters = snapshot["counters"]
-        for kind, count in sorted(transport_stats.get("by_kind", {}).items()):
-            counters[f"{m.TRANSPORT_MSGS}.{kind}"] = count
-        for kind, bits in sorted(transport_stats.get("bytes_by_kind", {}).items()):
-            counters[f"{m.TRANSPORT_BITS}.{kind}"] = bits
-        return snapshot
 
     def parts(self) -> Dict[str, int]:
         """Current part structure (prefix -> population), from the oracle

@@ -106,6 +106,9 @@ class SimRuntime(NodeRuntime):
     def unregister(self, key: Hashable) -> None:
         self.transport.unregister(key)
 
+    def transport_stats(self) -> Dict[str, Any]:
+        return self.transport.stats()
+
 
 class PartitionedRuntime:
     """Nodes partitioned across the logical processes of a

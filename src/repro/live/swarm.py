@@ -373,13 +373,9 @@ def merge_metrics(
             by_kind[kind] = by_kind.get(kind, 0) + count
         for kind, bits in stats.get("bytes_by_kind", {}).items():
             bits_by_kind[kind] = bits_by_kind.get(kind, 0) + bits
-    counters = snapshot["counters"]
     for stat, total in runtime_totals(ordered).items():
-        counters[RUNTIME_COUNTERS[stat]] = total
-    for kind in sorted(by_kind):
-        counters[f"{m.TRANSPORT_MSGS}.{kind}"] = by_kind[kind]
-    for kind in sorted(bits_by_kind):
-        counters[f"{m.TRANSPORT_BITS}.{kind}"] = bits_by_kind[kind]
+        snapshot["counters"][RUNTIME_COUNTERS[stat]] = total
+    m.add_transport_counters(snapshot, by_kind, bits_by_kind)
     meta = {
         "n_nodes": n,
         "seed": master_seed,

@@ -357,6 +357,21 @@ def aggregate_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     }
 
 
+def add_transport_counters(
+    snapshot: Dict[str, Any],
+    msgs_by_kind: Dict[str, int],
+    bits_by_kind: Dict[str, float],
+) -> Dict[str, Any]:
+    """Write a transport's message and bit totals per wire kind into
+    ``snapshot``'s counters; returns ``snapshot``."""
+    counters = snapshot["counters"]
+    for kind in sorted(msgs_by_kind):
+        counters[f"{TRANSPORT_MSGS}.{kind}"] = msgs_by_kind[kind]
+    for kind in sorted(bits_by_kind):
+        counters[f"{TRANSPORT_BITS}.{kind}"] = bits_by_kind[kind]
+    return snapshot
+
+
 def flatten_snapshot(snapshot: Dict[str, Any]) -> List[Tuple[str, str, float]]:
     """``(kind, name, value)`` rows for tables/CSV, deterministic order.
 

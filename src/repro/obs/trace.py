@@ -27,8 +27,19 @@ attribute check; the ledger rows ``obs.disabled_guard_ns`` and
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, NamedTuple, Optional, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
+from repro.obs import metrics as m
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -267,8 +278,33 @@ class Observability:
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Aggregate every node registry into one network-wide snapshot
         (see :func:`repro.obs.metrics.aggregate_snapshots`)."""
-        from repro.obs.metrics import aggregate_snapshots
-
-        return aggregate_snapshots(
+        return m.aggregate_snapshots(
             view.registry.snapshot() for view in self._sorted_views()
+        )
+
+    def network_snapshot(
+        self,
+        live: Iterable[Tuple[MetricsRegistry, int, float]],
+        msgs_by_kind: Dict[str, int],
+        bits_by_kind: Dict[str, float],
+    ) -> Dict[str, Any]:
+        """:meth:`metrics_snapshot` with the sampled gauges refreshed from
+        ``live`` — one ``(registry, level, peer-list size)`` per live node —
+        and the transport's message / bit counters injected per kind: the
+        one snapshot a network hands the cost-model comparison."""
+        if self.enabled:
+            # Clear previous samples everywhere (departed nodes included):
+            # a node that changed level — or left — since the last snapshot
+            # must not keep contributing stale gauges to the aggregate.
+            sampled = (m.PEERS_SIZE_LEVEL + ".", m.NODES_LEVEL + ".")
+            for view in self._views.values():
+                view.registry.gauges = {
+                    k: v for k, v in view.registry.gauges.items()
+                    if not k.startswith(sampled)
+                }
+            for registry, level, peers in live:
+                registry.set_gauge(f"{m.PEERS_SIZE_LEVEL}.{level}", peers)
+                registry.set_gauge(f"{m.NODES_LEVEL}.{level}", 1)
+        return m.add_transport_counters(
+            self.metrics_snapshot(), msgs_by_kind, bits_by_kind
         )

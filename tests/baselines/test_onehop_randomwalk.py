@@ -34,12 +34,12 @@ class TestOneHop:
         with pytest.raises(ValueError):
             OneHopDHTScheme(n_nodes=0)
         with pytest.raises(ValueError):
-            OneHopDHTScheme(1000, dissemination_overhead=0.5)
+            OneHopDHTScheme(1000, mean_lifetime_s=-1.0)
 
 
 class TestRandomWalk:
     def test_cost_model_linear_in_pointers(self):
-        scheme = RandomWalkScheme(mean_lifetime_s=3600.0, steps_per_pointer=1.5)
+        scheme = RandomWalkScheme(mean_lifetime_s=3600.0)
         assert scheme.bandwidth_for_pointers(2000.0) == pytest.approx(
             2 * scheme.bandwidth_for_pointers(1000.0)
         )
@@ -56,4 +56,4 @@ class TestRandomWalk:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RandomWalkScheme(steps_per_pointer=0.0)
+            RandomWalkScheme(mean_lifetime_s=0.0)

@@ -10,23 +10,16 @@ import json
 
 import pytest
 
+from repro.baselines import DESIGNS
+from repro.baselines.explicit_probe import ExplicitProbeNetwork
+from repro.baselines.gossip import GossipNetwork
+from repro.baselines.onehop import OneHopNetwork
 from repro.baselines.pushpull import PushPullGossipNetwork
-from repro.baselines.runtime import (
-    ExplicitProbeNetwork,
-    GossipNetwork,
-    OneHopNetwork,
-    RandomWalkNetwork,
-)
+from repro.baselines.random_walk import RandomWalkNetwork
 from repro.obs.export import spans_to_jsonl, validate_span_lines
 from repro.obs.stream import StreamWindower, frame_line, load_frames
 
-NETWORKS = [
-    GossipNetwork,
-    PushPullGossipNetwork,
-    OneHopNetwork,
-    RandomWalkNetwork,
-    ExplicitProbeNetwork,
-]
+NETWORKS = list(DESIGNS.values())
 
 FRAME_KEYS = (
     "window", "t0", "t1", "final", "taps", "spans", "span_counts",

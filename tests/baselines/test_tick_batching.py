@@ -21,13 +21,8 @@ from unittest import mock
 
 import pytest
 
-from repro.baselines.pushpull import PushPullGossipNetwork
-from repro.baselines.runtime import (
-    ExplicitProbeNetwork,
-    GossipNetwork,
-    OneHopNetwork,
-    RandomWalkNetwork,
-)
+from repro.baselines import DESIGNS
+from repro.baselines.explicit_probe import ExplicitProbeNetwork
 from repro.compare import (
     TournamentConfig,
     contestant_names,
@@ -40,13 +35,7 @@ from repro.obs import metrics as m
 from repro.obs.export import span_to_dict, spans_to_jsonl
 from repro.obs.stream import StreamWindower, frame_line
 
-NETWORKS = [
-    GossipNetwork,
-    PushPullGossipNetwork,
-    OneHopNetwork,
-    RandomWalkNetwork,
-    ExplicitProbeNetwork,
-]
+NETWORKS = list(DESIGNS.values())
 
 #: ``tournament_digest()`` at the parent commit (cd72e82, per-probe acks).
 PARENT_DIGEST = "be447fdff597e2fa7d3673d356666e51c53d8f59cbe4169cc27076b0ebfa5562"
@@ -58,17 +47,17 @@ def _dump(obj) -> bytes:
 
 @contextlib.contextmanager
 def recorded_contestants():
-    """Collects every ``ContestantRun`` a tournament builds (the driver
-    returns only the scorecard), in build order."""
-    runs = []
+    """Collects every network a tournament builds (the driver returns
+    only the scorecard), in build order."""
+    nets = []
     build = tournament.build_contestant
 
     def recording(*args, **kwargs):
-        runs.append(build(*args, **kwargs))
-        return runs[-1]
+        nets.append(build(*args, **kwargs))
+        return nets[-1]
 
     with mock.patch.object(tournament, "build_contestant", recording):
-        yield runs
+        yield nets
 
 
 def tournament_digest(frames_dir: str) -> str:
@@ -80,14 +69,14 @@ def tournament_digest(frames_dir: str) -> str:
         contestants=tuple(contestant_names()), n_nodes=60, duration=150.0,
         window=30.0, seeds=(0, 1, 2),
     )
-    with recorded_contestants() as runs:
+    with recorded_contestants() as nets:
         doc = run_tournament(cfg, frames_dir=frames_dir)
-    assert len(runs) == 18
+    assert len(nets) == 18
     digest = hashlib.sha256()
-    for run in runs:
-        for span in run.net.spans():
+    for net in nets:
+        for span in net.spans():
             digest.update(_dump(span_to_dict(span)))
-        digest.update(_dump(run.net.metrics_snapshot()))
+        digest.update(_dump(net.metrics_snapshot()))
     for path in sorted(Path(frames_dir).iterdir()):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())

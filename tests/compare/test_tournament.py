@@ -61,11 +61,13 @@ class TestConfig:
         ("contestants", {"contestants": ("gossip", "onehop", "gossip")}, "gossip"),
         ("seeds", {"seeds": ()}, "empty"),
         ("seeds", {"seeds": (3, 1, 3)}, "3"),
+        ("n_nodes", {"n_nodes": 1}, "got 1"),
     ])
     def test_refuses_what_it_cannot_run_by_name(self, field, kwargs, listed):
         """A repeated contestant is one network driven twice (every
         churn op applied twice, ``StreamWindower.finish`` twice); no seed
-        is a scorecard whose champion passes on nothing run."""
+        is a scorecard whose champion passes on nothing run; one node is
+        no baseline network and no churn workload."""
         args = {"contestants": ("gossip",), "n_nodes": 24, **kwargs}
         with pytest.raises(ValueError, match=rf"{field}.*{listed}"):
             TournamentConfig(**args)

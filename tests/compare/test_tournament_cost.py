@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 
-from repro.baselines.runtime import ExplicitProbeNetwork
+from repro.baselines.explicit_probe import ExplicitProbeNetwork
 from repro.compare import TournamentConfig, contestant_names, run_tournament
 from repro.obs import analyze
 from repro.obs.trace import Observability
@@ -48,10 +48,10 @@ def tournament_spans():
         contestants=tuple(contestant_names()), n_nodes=24, duration=90.0,
         window=30.0, seeds=(1,),
     )
-    with recorded_contestants() as runs, \
+    with recorded_contestants() as nets, \
             mock.patch.object(Observability, "spans", counting):
         doc = run_tournament(cfg)
-    return doc, {run.name: run.net for run in runs}, merges
+    return doc, {net.name: net for net in nets}, merges
 
 
 def test_measure_merges_each_span_log_once(tournament_spans):

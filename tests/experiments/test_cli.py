@@ -68,11 +68,27 @@ class TestCommands:
         assert "closed-form level distribution" in out
         assert "predicted levels: 7" in out
 
+    #: ``repro baselines -n 100000`` as printed by commit ``be26ec5``, one
+    #: column per design (pointers at 500 / 5,000 / 50,000 bps).
+    BASELINES_N100K = {
+        "budget_bps": ["500", "5,000", "50,000"],
+        "peerwindow": ["600.00", "6,000", "60,000"],
+        "gossip": ["150.00", "1,500", "15,000"],
+        "push-pull-gossip": ["285.00", "2,985", "29,985"],
+        "onehop": ["0", "0", "0"],
+        "random-walk": ["120.00", "1,200", "12,000"],
+        "explicit-probe": ["30.00", "300.00", "3,000"],
+    }
+
     def test_baselines_table(self, capsys):
+        from repro.baselines import DESIGNS
+
         assert main(["baselines", "-n", "100000"]) == 0
-        out = capsys.readouterr().out
-        assert "explicit-probe" in out
-        assert "one-hop-dht" in out
+        lines = [line for line in capsys.readouterr().out.splitlines() if " | " in line]
+        header, *rows = [[cell.strip() for cell in line.split("|")] for line in lines]
+        assert header == ["budget_bps", "peerwindow", *DESIGNS]
+        columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+        assert columns == self.BASELINES_N100K
 
     def test_fig5_chart_flag(self, capsys):
         assert main(["fig5", "--chart"] + self.FAST) == 0

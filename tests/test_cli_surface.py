@@ -117,6 +117,7 @@ def test_a_malformed_health_spec_is_one_error_line_and_exit_2(
     (["obs", "run", "--parallel", "0"], "--parallel"),
     (["chaos", "--window", "0"], "--window"),
     (["compare", "-n", "0"], "--nodes"),
+    (["compare", "-n", "1"], "--nodes"),
     (["fig5", "-n", "many"], "--nodes"),
 ])
 def test_a_number_that_cannot_run_is_one_error_line_and_exit_2(argv, named, capsys):
