@@ -221,6 +221,23 @@ check_byzantine() {
     with_timeout 120 $PY -m repro chaos --byzantine "$scenario" --seed 0 \
       --health default || status=1
   done
+  echo "== byzantine breach (unhardened forgery: judged in-run and post hoc) =="
+  local out rc
+  out="$(with_timeout 120 $PY -m repro chaos --byzantine \
+    forged-obituary-unhardened --seed 1 --health default)"
+  rc=$?
+  echo "$out"
+  if [ "$rc" -ne 1 ]; then
+    echo "expected exit 1 (SLO breach), got $rc"; status=1
+  fi
+  # The post-hoc pass judges each SLO once; a second error-rate breach
+  # can only come from the in-run judge.
+  for want in "byz.forged_evictions 1" "peerlist.error_rate 2"; do
+    set -- $want
+    if [ "$(printf '%s\n' "$out" | grep -c "^  BREACH $1=")" -lt "$2" ]; then
+      echo "expected >= $2 $1 breach(es)"; status=1
+    fi
+  done
 }
 
 check_obs() {

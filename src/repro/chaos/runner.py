@@ -5,7 +5,9 @@
 settle, installs the scenario's :class:`~repro.chaos.faults.FaultPlan`
 and an :class:`~repro.chaos.monitor.InvariantMonitor`, runs past the
 plan horizon plus the quiescence bound, forces a final full check, and
-returns a :class:`ChaosResult`.
+returns a :class:`ChaosResult`.  A health spec or a stream adds one
+:class:`~repro.obs.stream.StreamWindower`, which both streams the run's
+frames and judges it inside the run.
 
 Everything in the run — victim selection, fault times, the trace — is a
 pure function of ``(scenario, n_nodes, seed)``: the emitted trace ends
@@ -17,23 +19,15 @@ determinism tests and the acceptance criterion check replayability.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import for annotations only
-    from repro.obs.stream import StreamConfig
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional
 
 from repro.chaos.faults import ChaosTrace
 from repro.chaos.monitor import InvariantMonitor, Violation
 from repro.chaos.scenarios import Scenario
 from repro.core.protocol import PeerWindowNetwork
-from repro.obs.health import (
-    HealthSpec,
-    LiveHealthMonitor,
-    Verdict,
-    evaluate,
-    run_signals,
-)
+from repro.obs.health import HealthSpec, Verdict, evaluate, run_signals
+from repro.obs.stream import StreamConfig, StreamWindower
 from repro.obs.trace import Span
 
 
@@ -56,9 +50,9 @@ class ChaosResult:
     #: ``observe=True``) and the network-wide metrics snapshot.
     spans: List[Span] = field(default_factory=list)
     metrics: Dict[str, Any] = field(default_factory=dict)
-    #: SLO verdicts (empty unless built with ``health_spec=...``):
-    #: breaches the live monitor recorded during the run, plus one
-    #: post-hoc evaluation over the whole span log at the end.
+    #: SLO verdicts (empty unless built with ``health_spec=...``): the
+    #: window breaches the in-run judge kept, plus one post-hoc
+    #: evaluation over the whole span log at the end.
     health_verdicts: List[Verdict] = field(default_factory=list)
     #: The signals that post-hoc evaluation judged (empty without one).
     health_signals: Dict[str, float] = field(default_factory=dict)
@@ -81,6 +75,36 @@ class ChaosResult:
         return all(v.ok for v in self.health_verdicts)
 
 
+class _InRunJudge:
+    """The runner's sink on its own windower.  A window's EWMA breaches
+    are kept only when :attr:`InvariantMonitor.quiescent` holds at its
+    boundary: the SLOs judge what the protocol *recovers to*, not the
+    injected chaos itself.  The EWMA still folds mid-fault windows in,
+    so a network that never recovers breaches as soon as it settles."""
+
+    def __init__(self, net) -> None:
+        self.net = net
+        #: Installed with the fault plan; until then nothing is kept.
+        self.monitor: Optional[InvariantMonitor] = None
+        self.verdicts: List[Verdict] = []
+
+    def write(self, frame: Dict[str, Any]) -> None:
+        breaches = frame["breaches"]
+        if (not breaches or frame["final"] or self.monitor is None
+                or not self.monitor.quiescent):
+            return
+        # The in-flight traces of the node with the worst error rate are
+        # the most likely witnesses to whatever is unhealthy.
+        net, live_ids = self.net, self.net.live_ids()
+        worst = max(net.live_nodes(), default=None,
+                    key=lambda node: net.node_error_rate(node, live_ids))
+        traces = () if worst is None else tuple(net.obs.open_traces(worst.address))
+        self.verdicts.extend(Verdict(**{**b, "traces": traces}) for b in breaches)
+
+    def close(self) -> None:
+        pass
+
+
 class ChaosRunner:
     """Run one named scenario deterministically on the sequential engine."""
 
@@ -96,7 +120,7 @@ class ChaosRunner:
         monitor_interval: float = 5.0,
         observe: bool = False,
         health_spec: Optional[HealthSpec] = None,
-        stream: Optional["StreamConfig"] = None,
+        stream: Optional[StreamConfig] = None,
         detsan: Optional[bool] = None,
     ):
         self.scenario = scenario
@@ -112,9 +136,9 @@ class ChaosRunner:
         #: Record spans + metrics during the run.  Tracing adds no
         #: messages and draws no randomness, so the chaos trace (and its
         #: determinism digest) is byte-identical with or without it.
-        #: A health spec needs the instrumentation, so it forces this on.
-        #: Streaming telemetry taps the same instrumentation, so it
-        #: forces it on too.
+        #: A health spec and a stream are both judged by the run's
+        #: telemetry windower, which taps that instrumentation, so either
+        #: forces it on.
         self.health_spec = health_spec
         self.stream = stream
         self.observe = (
@@ -143,10 +167,11 @@ class ChaosRunner:
 
     def _execute(self, net, config, sanitizer) -> ChaosResult:
         scenario = self.scenario
-        # All simulation advances route through the stream windower when
-        # one is configured, so window boundaries land on the same grid
-        # no matter how this driver slices its run calls.
-        windower = self.stream.build(net) if self.stream is not None else None
+        judge = _InRunJudge(net) if self.health_spec is not None else None
+        # All simulation advances route through the windower when there
+        # is one, so window boundaries land on the same grid no matter
+        # how this driver slices its run calls.
+        windower = self._make_windower(net, judge)
         advance = net.run if windower is None else windower.run
         self._seed(net)
         advance(until=scenario.settle)
@@ -158,19 +183,8 @@ class ChaosRunner:
                                f"nodes={self.n_nodes} seed={self.seed}")
         plan.install(net, trace, on_disruption=monitor.note_disruption)
         monitor.start()
-        health_mon: Optional[LiveHealthMonitor] = None
-        if self.health_spec is not None:
-            # Breaches only count while the network is quiescent: the SLOs
-            # judge what the protocol *recovers to*, not the injected chaos
-            # itself.  The EWMA still folds mid-fault samples in, so a
-            # network that never recovers breaches as soon as it settles.
-            health_mon = LiveHealthMonitor(
-                net,
-                self.health_spec,
-                interval=self.monitor_interval * 4,
-                gate=lambda: monitor.quiescent,
-            )
-            health_mon.start()
+        if judge is not None:
+            judge.monitor = monitor
 
         advance(until=scenario.settle + plan.horizon + monitor.quiescence
                 + self.MARGIN)
@@ -189,13 +203,11 @@ class ChaosRunner:
 
         health_verdicts: List[Verdict] = []
         health_signals: Dict[str, float] = {}
-        if health_mon is not None:
-            health_mon.stop()
-            health_verdicts.extend(health_mon.breaches)
-            health_signals = self._posthoc_signals(net, config, monitor)
+        if judge is not None:
             assert self.health_spec is not None
-            health_verdicts.extend(
-                evaluate(self.health_spec, health_signals, now=net.sim.now))
+            health_signals = self._posthoc_signals(net, config, monitor)
+            health_verdicts = judge.verdicts + evaluate(
+                self.health_spec, health_signals, now=net.sim.now)
 
         if windower is not None:
             windower.finish()
@@ -222,6 +234,19 @@ class ChaosRunner:
             health_signals=health_signals,
             detsan_violations=detsan_violations,
         )
+
+    def _make_windower(self, net, judge: Optional[_InRunJudge]
+                       ) -> Optional[StreamWindower]:
+        """The run's one windower, built for a health spec, a stream or
+        both.  It judges by the health spec when there is one, and
+        windows at the health sampling interval (``4 × monitor_interval``)
+        unless a stream brings its own ``window``."""
+        if judge is None and self.stream is None:
+            return None
+        stream = self.stream or StreamConfig(window=4 * self.monitor_interval)
+        if self.health_spec is not None:
+            stream = replace(stream, spec=self.health_spec)
+        return stream.build(net, sinks=() if judge is None else [judge])
 
     # -- subclass hooks ----------------------------------------------------
 

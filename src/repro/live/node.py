@@ -166,9 +166,9 @@ async def run_node(spec: LiveNodeSpec, outdir: str) -> Dict[str, Any]:
     # seed must still be listening when the last joiner's retries land.
     late = max(0.0, runtime.now)
     telemetry_task: Optional[asyncio.Task] = None
-    telemetry_fh = None
+    telemetry_writer = None
     if spec.telemetry_window > 0:
-        telemetry_task, telemetry_fh = _start_telemetry_sidecar(
+        telemetry_task, telemetry_writer = _start_telemetry_sidecar(
             spec, outdir, obs, runtime
         )
     try:
@@ -192,8 +192,7 @@ async def run_node(spec: LiveNodeSpec, outdir: str) -> Dict[str, Any]:
                 await telemetry_task
             except asyncio.CancelledError:
                 pass
-            if telemetry_fh is not None:
-                telemetry_fh.close()
+            telemetry_writer.close()
         result = node_result(spec, node, obs, runtime, joined)
         spans_path = f"{outdir}/spans_{spec.port}.jsonl"
         result_path = f"{outdir}/node_{spec.port}.json"
@@ -216,20 +215,15 @@ def _start_telemetry_sidecar(spec: LiveNodeSpec, outdir: str,
     """
     from repro.obs.stream import (
         NodeTap,
+        SnapshotWriter,
         WindowAggregator,
         WindowBucket,
-        frame_line,
-        telemetry_header_line,
     )
 
     tap = NodeTap(runtime.address)
     obs.sink = tap
     obs.registry.sink = tap
-    path = f"{outdir}/telemetry_{spec.port}.jsonl"
-    prepare_output_path(path, "telemetry frames")
-    fh = open(path, "w")
-    fh.write(telemetry_header_line() + "\n")
-    fh.flush()
+    writer = SnapshotWriter(f"{outdir}/telemetry_{spec.port}.jsonl")
     agg = WindowAggregator(spec=None)
     window = float(spec.telemetry_window)
 
@@ -240,9 +234,7 @@ def _start_telemetry_sidecar(spec: LiveNodeSpec, outdir: str,
             await asyncio.sleep(max(0.05, target - runtime.now))
             bucket = WindowBucket()
             bucket.add_node(*tap.drain())
-            frame = agg.close_window(index, index * window, target, bucket)
-            fh.write(frame_line(frame) + "\n")
-            fh.flush()
+            writer.write(agg.close_window(index, index * window, target, bucket))
             index += 1
 
-    return asyncio.get_running_loop().create_task(loop()), fh
+    return asyncio.get_running_loop().create_task(loop()), writer

@@ -269,12 +269,7 @@ def merge_telemetry(outdir: str, specs: Sequence[LiveNodeSpec]) -> str:
     span merge (sorted address order within each window index), plus a
     cumulative final frame.  Tolerant of truncated per-node tails — a
     node killed mid-flush loses at most its partial last line."""
-    from repro.obs.stream import (
-        frame_line,
-        load_frames_file,
-        merge_node_frames,
-        telemetry_header_line,
-    )
+    from repro.obs.stream import SnapshotWriter, load_frames_file, merge_node_frames
 
     per_node: List[Tuple[str, List[Dict[str, Any]]]] = []
     for spec in specs:
@@ -283,13 +278,11 @@ def merge_telemetry(outdir: str, specs: Sequence[LiveNodeSpec]) -> str:
         )
         per_node.append((spec.address, frames))
     merged = merge_node_frames(per_node)
-    out_path = os.path.join(outdir, "telemetry.jsonl")
-    prepare_output_path(out_path, "merged telemetry JSONL")
-    with open(out_path, "w") as fh:
-        fh.write(telemetry_header_line() + "\n")
-        for frame in merged:
-            fh.write(frame_line(frame) + "\n")
-    return out_path
+    writer = SnapshotWriter(os.path.join(outdir, "telemetry.jsonl"))
+    for frame in merged:
+        writer.write(frame)
+    writer.close()
+    return writer.path
 
 
 def _load_result(outdir: str, spec: LiveNodeSpec) -> Dict[str, Any]:

@@ -45,6 +45,7 @@ __all__ = [
     "TraceForest",
     "analyze_file",
     "analyze_spans",
+    "forest_trees",
     "load_metrics",
     "load_spans",
     "multicast_trees",
@@ -226,17 +227,10 @@ class MulticastTree:
         ]
 
 
-def multicast_trees(spans: Iterable[Span]) -> List[MulticastTree]:
-    """Every §4.2 tree in ``spans``: what ``parent_id`` links reach from
-    an ``mcast.root``, roots in ``(start, span_id)`` order.
-
-    Besides a root, only a span that has a parent can be in a tree, so
-    those are all that is indexed — a few per cent of a probe-heavy log.
-    Trace ids are not consulted: a loaded log may be inconsistent.
-    """
-    forest = TraceForest(
-        s for s in spans if s.parent_id is not None or s.name == "mcast.root"
-    )
+def forest_trees(forest: TraceForest) -> List[MulticastTree]:
+    """Every §4.2 tree in ``forest``: what ``parent_id`` links reach from
+    an ``mcast.root``, roots in ``(start, span_id)`` order.  Trace ids
+    are not consulted: a loaded log may be inconsistent."""
     roots = sorted(
         (s for s in forest.spans if s.name == "mcast.root"),
         key=lambda s: (s.start, s.span_id),
@@ -253,6 +247,15 @@ def multicast_trees(spans: Iterable[Span]) -> List[MulticastTree]:
             )
         )
     return trees
+
+
+def multicast_trees(spans: Iterable[Span]) -> List[MulticastTree]:
+    """:func:`forest_trees` of ``spans``, for a caller with no forest.
+    Besides a root, only a span that has a parent can be in a tree, so
+    those are all that is indexed — a few per cent of a probe-heavy log."""
+    return forest_trees(TraceForest(
+        s for s in spans if s.parent_id is not None or s.name == "mcast.root"
+    ))
 
 
 def _dist_of(values: Iterable[float]) -> Dist:
@@ -483,7 +486,7 @@ def analyze_spans(spans: List[Span], schema_version: int = SPAN_SCHEMA_VERSION
     # -- multicast trees --------------------------------------------------
     mcast = [s for s in forest.spans if s.name in _MCAST_NAMES]
     report.mcast_spans_total = len(mcast)
-    report.trees = multicast_trees(forest.spans)
+    report.trees = forest_trees(forest)
     claimed = {s.span_id for t in report.trees for s in t.members}
     report.redirects_total = sum(t.redirects for t in report.trees)
     for span in mcast:
@@ -494,19 +497,23 @@ def analyze_spans(spans: List[Span], schema_version: int = SPAN_SCHEMA_VERSION
     )
 
     # -- joins / probes / obituaries -------------------------------------
+    # Only ended spans count, as in the streaming fold (WindowBucket sees
+    # a span when it ends): an open span's status is still its default
+    # "ok", whatever the operation turns out to be.
     for span in forest.spans:
+        if span.end is None:
+            continue
         if span.name == "join":
             if span.status == "ok":
                 report.joins_ok += 1
-                if span.end is not None:
-                    report.join_warmup.observe(span.end - span.start)
+                report.join_warmup.observe(span.end - span.start)
             elif span.status in ("failed", "died"):
                 report.joins_failed += 1
         elif span.name in ("probe", "probe.verify"):
             report.probes += 1
             if span.status == "timeout":
                 report.probe_timeouts += 1
-            elif span.status == "ok" and span.end is not None:
+            elif span.status == "ok":
                 report.probe_rtt.observe(span.end - span.start)
         elif span.name == "obituary":
             via = str(span.attrs.get("via", "?"))

@@ -146,14 +146,14 @@ def render_mcast_trees(
     """Reconstruct multicast trees from a span list and render the
     ``limit`` largest as ASCII shapes (ties broken by root span id, so
     the pick is deterministic)."""
-    from repro.obs.analyze import TraceForest, analyze_spans
+    from repro.obs.analyze import TraceForest, forest_trees
 
     forest = TraceForest(spans)
-    report = analyze_spans(spans)
-    if not report.trees:
+    trees = forest_trees(forest)
+    if not trees:
         return "no multicast trees in span stream"
     ranked = sorted(
-        report.trees,
+        trees,
         key=lambda t: (-len(t.members), t.root.span_id),
     )[:limit]
     children_of = lambda span_id: forest.children.get(span_id, [])  # noqa: E731

@@ -23,16 +23,15 @@ Evaluation comes in two shapes:
   of an :class:`~repro.obs.analyze.AnalysisReport` plus the
   metrics-derived ones from :func:`metrics_signals`;
 * **streaming** — :class:`EwmaHealthMonitor` smooths noisy signals with
-  an exponentially-weighted moving average before judging them, and
-  :class:`LiveHealthMonitor` runs that inside a live sequential
-  simulation on a periodic timer (the
-  :class:`~repro.chaos.monitor.InvariantMonitor` pattern), attaching
-  the in-flight trace ids of the worst node to each breach and
-  optionally halting the run via :meth:`~repro.sim.engine.Simulator.stop`.
+  an exponentially-weighted moving average before judging them.  Inside
+  a run it has one host, the
+  :class:`~repro.obs.stream.WindowAggregator` of a
+  :class:`~repro.obs.stream.StreamWindower`: the chaos runner keeps a
+  window's breaches when the network is quiescent at its boundary.
 
-Determinism: evaluation is pure arithmetic over its inputs; the live
-monitor samples on the simulated clock and sends no messages, so an
-attached monitor never perturbs the protocol it judges.
+Determinism: evaluation is pure arithmetic over its inputs; the
+windower samples between simulation strides and sends no messages, so
+an in-run judge never perturbs the protocol it judges.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "EwmaHealthMonitor",
     "HealthSpec",
-    "LiveHealthMonitor",
     "Slo",
     "Verdict",
     "evaluate",
@@ -116,9 +114,8 @@ class Verdict:
     """The outcome of judging one :class:`Slo` against one value.
 
     ``traces`` carries trace ids implicated in the breach when the
-    evaluator had any (live monitoring attaches the in-flight traces of
-    the worst node; post-hoc evaluation may attach offending tree
-    roots).
+    evaluator had any (the chaos runner's in-run judge attaches the
+    in-flight traces of the worst node).
     """
 
     slo: str
@@ -496,93 +493,3 @@ class EwmaHealthMonitor:
             if seen > self.warmup:
                 ready[name] = cur
         return evaluate(self.spec, ready, now=now, traces=traces)
-
-
-class LiveHealthMonitor:
-    """Periodic in-simulation health checks over a sequential network.
-
-    Samples metrics-derived signals plus the live peer-list error rate
-    every ``interval`` simulated seconds, EWMA-smooths them, and records
-    breaches as :class:`Verdict` objects (in :attr:`verdicts`).  With
-    ``halt_on_breach`` the simulator is stopped on the first breach so
-    long experiments fail fast.
-
-    Sequential-engine only (it samples the whole network from one event
-    queue) — partitioned runs evaluate the same spec post-hoc instead.
-    """
-
-    def __init__(
-        self,
-        net,
-        spec: HealthSpec,
-        interval: float = 30.0,
-        alpha: float = 0.3,
-        warmup: int = 2,
-        halt_on_breach: bool = False,
-        gate=None,
-    ):
-        if net.parallel is not None:
-            raise NotImplementedError(
-                "LiveHealthMonitor requires the sequential engine; "
-                "evaluate the spec post-hoc for partitioned runs"
-            )
-        self.net = net
-        self.spec = spec
-        self.interval = interval
-        self.halt_on_breach = halt_on_breach
-        #: Optional ``() -> bool`` judged-now predicate.  When it returns
-        #: False the sample still feeds the EWMA but breaches are not
-        #: recorded — chaos runs gate on quiescence so SLOs judge the
-        #: *recovered* network, not the middle of an injected partition.
-        self.gate = gate
-        self.ewma = EwmaHealthMonitor(spec, alpha=alpha, warmup=warmup)
-        self.verdicts: List[Verdict] = []
-        self.samples = 0
-        self._task = None
-
-    def start(self) -> None:
-        self._task = self.net.sim.every(
-            self.interval, self.check, start_delay=self.interval
-        )
-
-    def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            self._task = None
-
-    @property
-    def breaches(self) -> List[Verdict]:
-        return [v for v in self.verdicts if not v.ok]
-
-    def _breach_traces(self) -> Dict[str, Tuple[str, ...]]:
-        """In-flight trace ids of the node with the worst error rate —
-        the most likely witnesses to whatever is unhealthy."""
-        obs = getattr(self.net, "obs", None)
-        if obs is None or not obs.enabled:
-            return {}
-        worst_key = None
-        worst = -1.0
-        live_ids = self.net.live_ids()
-        for node in self.net.live_nodes():
-            rate = self.net.node_error_rate(node, live_ids)
-            if rate > worst:
-                worst, worst_key = rate, node.address
-        if worst_key is None:
-            return {}
-        open_traces = tuple(obs.open_traces(worst_key))
-        return {slo.name: open_traces for slo in self.spec}
-
-    def check(self) -> None:
-        self.samples += 1
-        net = self.net
-        signals = metrics_signals(net.metrics_snapshot(), net.config)
-        signals["peerlist.error_rate"] = net.mean_error_rate()
-        verdicts = self.ewma.observe(
-            signals, now=net.sim.now, traces=self._breach_traces()
-        )
-        if self.gate is not None and not self.gate():
-            return
-        breached = [v for v in verdicts if not v.ok]
-        self.verdicts.extend(breached)
-        if breached and self.halt_on_breach:
-            net.sim.stop()

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, IO, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, IO, List, Optional, Sequence, Tuple
 
 from repro.obs.analyze import SchemaError
 from repro.obs.export import prepare_output_path
@@ -286,18 +286,9 @@ class WindowAggregator:
     (no breach this window; on the final frame, the full-spec verdict).
     """
 
-    def __init__(
-        self,
-        spec: Optional[HealthSpec] = None,
-        alpha: float = 0.3,
-        warmup: int = 2,
-    ):
+    def __init__(self, spec: Optional[HealthSpec] = None):
         self.spec = spec
-        self.monitor = (
-            EwmaHealthMonitor(spec, alpha=alpha, warmup=warmup)
-            if spec is not None
-            else None
-        )
+        self.monitor = EwmaHealthMonitor(spec) if spec is not None else None
         self.cumulative = WindowBucket()
         self.windows_closed = 0
 
@@ -547,9 +538,6 @@ class StreamWindower:
         spec: Optional[HealthSpec] = None,
         sinks: Sequence[Any] = (),
         renderer: Optional[Any] = None,
-        alpha: float = 0.3,
-        warmup: int = 2,
-        sample_state: bool = True,
     ):
         if window <= 0:
             raise ValueError("stream window must be > 0")
@@ -561,10 +549,9 @@ class StreamWindower:
         self.window = float(window)
         self.bus = TelemetryBus()
         net.obs.attach_bus(self.bus)
-        self.agg = WindowAggregator(spec=spec, alpha=alpha, warmup=warmup)
+        self.agg = WindowAggregator(spec=spec)
         self.sinks = list(sinks)
         self.renderer = renderer
-        self.sample_state = sample_state
         self.origin = float(net.now)
         self.index = 0
         self.frames_emitted = 0
@@ -580,7 +567,8 @@ class StreamWindower:
         while self._boundary(self.index) <= until:
             boundary = self._boundary(self.index)
             self.net.run(until=boundary)
-            self._close(boundary)
+            self._close(boundary, self.agg.close_window)
+            self.index += 1
         if until > self.net.now:
             self.net.run(until=until)
         return float(self.net.now)
@@ -590,91 +578,63 @@ class StreamWindower:
         if self._finished:
             raise ValueError("stream windower already finished")
         self._finished = True
-        t0 = self.origin + self.index * self.window
-        frame = self.agg.final_frame(
-            self.index, t0, float(self.net.now),
-            bucket=self._bucket(),
-            state=self._state(),
-            extra_signals=self._extra_signals(),
-        )
-        self._emit(frame)
+        frame = self._close(float(self.net.now), self.agg.final_frame)
         for sink in self.sinks:
             sink.close()
         return frame
 
-    # -- internals ---------------------------------------------------------
-
-    def _bucket(self) -> WindowBucket:
+    def _close(self, t1: float, fold: Callable[..., Dict[str, Any]]) -> Dict[str, Any]:
+        """Fold the drained taps into a frame ending at ``t1`` (``fold``
+        is the aggregator's ``close_window`` or ``final_frame``) and emit
+        it.  Beside the bucket go the oracle ``state`` and the cumulative
+        snapshot signals — ack-retry rate and bandwidth model ratio come
+        from the registry snapshot and transport counters, which the bus
+        cannot see incrementally.  The oracle error rate is measured once
+        and reaches ``peerlist.error_rate`` through
+        :func:`metrics_signals`' ``meta``, as it does post hoc."""
         bucket = WindowBucket()
         for _, spans, counts in self.bus.drain():
             bucket.add_node(spans, counts)
-        return bucket
-
-    def _state(self) -> Optional[Dict[str, Any]]:
-        if not self.sample_state:
-            return None
         net = self.net
-        hist = net.level_histogram()
-        return {
+        error_rate = float(net.mean_error_rate())
+        state = {
             "live_nodes": len(net.live_nodes()),
-            "levels": {str(k): int(v) for k, v in hist.items()},
-            "mean_error_rate": float(net.mean_error_rate()),
+            "levels": {str(k): int(v) for k, v in net.level_histogram().items()},
+            "mean_error_rate": error_rate,
         }
-
-    def _extra_signals(self) -> Dict[str, float]:
-        """Cumulative snapshot-derived signals sampled at the stride
-        boundary — ack-retry rate, bandwidth model ratio, and the
-        oracle peer-list error rate come from the registry snapshot and
-        transport counters, which the bus cannot see incrementally."""
-        net = self.net
-        signals = metrics_signals(net.metrics_snapshot(), net.config)
-        signals["peerlist.error_rate"] = float(net.mean_error_rate())
-        return signals
-
-    def _close(self, boundary: float) -> None:
-        t0 = self.origin + self.index * self.window
-        frame = self.agg.close_window(
-            self.index, t0, boundary, self._bucket(),
-            state=self._state(),
-            extra_signals=self._extra_signals(),
+        signals = metrics_signals(
+            net.metrics_snapshot(), net.config, meta={"mean_error_rate": error_rate}
         )
-        self._emit(frame)
-        self.index += 1
-
-    def _emit(self, frame: Dict[str, Any]) -> None:
+        t0 = self.origin + self.index * self.window
+        frame = fold(self.index, t0, t1, bucket, state=state, extra_signals=signals)
         for sink in self.sinks:
             sink.write(frame)
         if self.renderer is not None:
             self.renderer.render(frame)
         self.frames_emitted += 1
+        return frame
 
 
 @dataclass
 class StreamConfig:
     """Declarative streaming options carried from CLI flags into run
     harnesses (:class:`repro.chaos.runner.ChaosRunner`, ``repro obs
-    run``); :meth:`build` wires the windower once the network exists."""
+    run``); :meth:`build` wires the windower once the network exists,
+    ahead of the snapshot file any ``sinks`` of the caller's own."""
 
     window: float = 15.0
     spec: Optional[HealthSpec] = None
     snapshot_path: Optional[str] = None
     render: bool = False
-    sample_state: bool = True
 
-    def build(self, net: Any) -> StreamWindower:
-        sinks: List[Any] = []
+    def build(self, net: Any, sinks: Sequence[Any] = ()) -> StreamWindower:
         if self.snapshot_path:
-            sinks.append(SnapshotWriter(self.snapshot_path))
+            sinks = [*sinks, SnapshotWriter(self.snapshot_path)]
         renderer = None
         if self.render:
             from repro.obs.dashboard import TerminalDashboard
 
             renderer = TerminalDashboard()
         return StreamWindower(
-            net,
-            window=self.window,
-            spec=self.spec,
-            sinks=sinks,
-            renderer=renderer,
-            sample_state=self.sample_state,
+            net, window=self.window, spec=self.spec, sinks=sinks, renderer=renderer,
         )

@@ -155,6 +155,11 @@ class PeriodicTask:
 class Simulator:
     """A sequential discrete-event simulator.
 
+    A :meth:`run` ends only when the queue drains, at ``until`` or after
+    ``max_events``: no callback can cut it short.  An in-run judge (the
+    chaos runner's health windower, DESIGN.md §14) records its verdicts
+    at stride boundaries and leaves the run to its driver.
+
     Parameters
     ----------
     start_time:
@@ -167,7 +172,6 @@ class Simulator:
         self._seq = 0
         self._events_executed = 0
         self._running = False
-        self._stop_requested = False
 
     # -- clock ---------------------------------------------------------------
 
@@ -244,8 +248,8 @@ class Simulator:
         queue, last, i = self._queue, len(when) - 1, 0
 
         def fire() -> None:
-            # Re-armed *before* the callback: if that raises, stops the run or
-            # schedules, the queue is what the scalar schedule would have left.
+            # Re-armed *before* the callback: if that raises or schedules,
+            # the queue is what the scalar schedule would have left.
             nonlocal i
             value = values[i]
             if i < last:
@@ -307,17 +311,6 @@ class Simulator:
         """
         return self._queue.peek_time()
 
-    def stop(self) -> None:
-        """Request that the current (or next) :meth:`run` return after the
-        event being dispatched completes.
-
-        This is the cooperative halt used by in-simulation monitors — e.g.
-        a live health monitor breaching an SLO — to end a run early
-        without unwinding the dispatch stack; pending events stay queued,
-        so a later ``run()`` continues from where the halt left off.
-        """
-        self._stop_requested = True
-
     def run(
         self,
         until: Optional[float] = None,
@@ -334,7 +327,6 @@ class Simulator:
         if until != until:  # NaN: no event time is ever "> until"
             raise SimulationError("cannot run until NaN")
         self._running = True
-        self._stop_requested = False
         try:
             executed = 0
             while True:
@@ -352,8 +344,6 @@ class Simulator:
                 if not self.step():
                     break
                 executed += 1
-                if self._stop_requested:
-                    break
             if until is not None and self._now < until and self._queue.peek_time() is None:
                 self._now = until
             return self._now

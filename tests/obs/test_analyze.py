@@ -165,9 +165,9 @@ def test_join_probe_obituary_aggregates():
     mk = _span
     spans = [
         mk("tj1", "j1", None, "join", "n1", 0.0, 4.0),
-        mk("tj2", "j2", None, "join", "n2", 1.0, None, status="failed"),
+        mk("tj2", "j2", None, "join", "n2", 1.0, 3.0, status="failed"),
         mk("tp1", "p1", None, "probe", "n3", 2.0, 2.5),
-        mk("tp2", "p2", None, "probe", "n3", 3.0, None, status="timeout"),
+        mk("tp2", "p2", None, "probe", "n3", 3.0, 4.0, status="timeout"),
         mk("tp3", "p3", None, "probe.verify", "n3", 4.0, 4.2),
         # n9 is buried at t=10 but keeps probing at t=12: false positive.
         mk("to1", "o1", None, "obituary", "n3", 10.0, 10.0,
@@ -188,6 +188,66 @@ def test_join_probe_obituary_aggregates():
     assert report.obituaries_by_via == {"mcast-retry": 1, "ring-probe": 1}
     assert report.false_obituaries == 1
     assert report.detector_false_positive_rate == pytest.approx(0.5)
+
+
+def test_operations_still_in_flight_are_not_counted():
+    """A log cut mid-operation holds open spans whose status is still the
+    default "ok": an open join is neither a success nor a failure yet,
+    and an open probe has not had its chance to time out."""
+    mk = _span
+    spans = [
+        mk("tj1", "j1", None, "join", "n1", 29.0, 30.0),
+        mk("tj2", "j2", None, "join", "n2", 30.0),  # open
+        mk("tp1", "p1", None, "probe", "n3", 29.5, 29.6),
+        mk("tp2", "p2", None, "probe", "n3", 30.0),  # open
+        mk("tp3", "p3", None, "probe.verify", "n4", 30.0),  # open
+    ]
+    report = analyze_spans(spans)
+    assert (report.joins_ok, report.joins_failed) == (1, 0)
+    assert report.join_warmup.count == 1
+    assert (report.probes, report.probe_timeouts) == (1, 0)
+    assert report.probe_rtt.count == 1
+
+
+def _chaos_spans():
+    from repro.chaos import SCENARIOS, ChaosRunner
+
+    return ChaosRunner(SCENARIOS["crash_churn"], seed=0, observe=True).run().spans
+
+
+def _cut_run_spans():
+    """A 60-node run cut at 60.15 s: the probe round of 30 s and a join
+    started at 50 s have finished; the probe round of 60.1 s (each probe
+    takes 0.1 s) and a join started with it have not."""
+    from repro.core.config import ProtocolConfig
+    from repro.core.protocol import PeerWindowNetwork
+
+    net = PeerWindowNetwork(config=ProtocolConfig(id_bits=16), master_seed=1,
+                            observability=True)
+    keys = list(net.seed_nodes([4000.0] * 60))
+    for start in (50.0, 60.1):
+        net.run(until=start)
+        net.add_node(4000.0, bootstrap=keys[0])
+    net.run(until=60.15)
+    assert {s.name for s in net.spans() if s.end is None} >= {"join", "probe"}
+    return net.spans()
+
+
+@pytest.mark.parametrize("source", [_chaos_spans, _cut_run_spans])
+def test_counts_agree_with_the_streaming_fold(source):
+    """The streaming fold sees a span when it ends; the post-hoc analyzer
+    must count the same joins and probes from the whole log."""
+    from repro.obs.stream import WindowBucket
+
+    spans = source()
+    bucket = WindowBucket()
+    for span in spans:
+        if span.end is not None:
+            bucket.add_span(span)
+    report = analyze_spans(spans)
+    assert (bucket.join_ok, bucket.join_failed) == (report.joins_ok, report.joins_failed)
+    assert (bucket.probes, bucket.probe_timeouts) == (report.probes, report.probe_timeouts)
+    assert bucket.join_ok and bucket.probes
 
 
 def test_headerless_log_upconverts_as_version_zero():

@@ -1,19 +1,22 @@
-"""Health engine: SLO bands, spec round-trips, EWMA, live monitoring."""
+"""Health engine: SLO bands, spec round-trips, EWMA, metrics signals,
+the in-run judge's quiescence gate."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.chaos.runner import _InRunJudge
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
 from repro.obs.health import (
     EwmaHealthMonitor,
     HealthSpec,
-    LiveHealthMonitor,
     Slo,
     evaluate,
     metrics_signals,
 )
+from repro.obs.stream import StreamWindower
 
 
 def test_slo_band_semantics():
@@ -171,58 +174,37 @@ def test_metrics_signals_arithmetic():
                            config) == {}
 
 
-def _small_net(**kwargs):
+def _judged_net(quiescent):
+    """A small observed network windowed every 10 s under an impossible
+    band, with the chaos runner's in-run judge as the windower's sink
+    and its quiescence gate pinned to ``quiescent``."""
     net = PeerWindowNetwork(
-        config=ProtocolConfig(id_bits=16), master_seed=3,
-        observability=True, **kwargs,
+        config=ProtocolConfig(id_bits=16), master_seed=3, observability=True,
     )
     net.seed_nodes([4000.0] * 16)
-    return net
+    judge = _InRunJudge(net)
+    judge.monitor = SimpleNamespace(quiescent=quiescent)
+    spec = HealthSpec(slos=[Slo("peerlist.error_rate", hi=-1.0)])
+    windower = StreamWindower(net, window=10.0, spec=spec, sinks=[judge])
+    return windower, judge
 
 
 def test_live_monitor_records_gated_breaches():
-    net = _small_net()
-    # An impossible band: every sample past warm-up breaches.
-    spec = HealthSpec(slos=[Slo("peerlist.error_rate", hi=-1.0)])
-    mon = LiveHealthMonitor(net, spec, interval=10.0, warmup=1)
-    mon.start()
-    net.run(until=100.0)
-    mon.stop()
-    assert mon.samples >= 9
-    assert mon.breaches and all(not v.ok for v in mon.breaches)
-    assert mon.breaches[0].slo == "peerlist.error_rate"
+    windower, judge = _judged_net(quiescent=True)
+    windower.run(until=100.0)
+    windower.finish()
+    assert windower.agg.windows_closed >= 9
+    # The default warm-up suppresses the first two windows; every later
+    # one breaches the impossible band and is kept, stamped in-run.
+    assert [v.time for v in judge.verdicts] == [30.0 + 10.0 * k for k in range(8)]
+    assert all(not v.ok and v.traces is not None for v in judge.verdicts)
+    assert {v.slo for v in judge.verdicts} == {"peerlist.error_rate"}
 
 
 def test_live_monitor_gate_suppresses_recording():
-    net = _small_net()
-    spec = HealthSpec(slos=[Slo("peerlist.error_rate", hi=-1.0)])
-    mon = LiveHealthMonitor(net, spec, interval=10.0, warmup=0,
-                            gate=lambda: False)
-    mon.start()
-    net.run(until=60.0)
-    mon.stop()
-    assert mon.samples >= 5
-    assert mon.verdicts == []  # EWMA fed, breaches never recorded
-    assert mon.ewma.smoothed("peerlist.error_rate") is not None
-
-
-def test_live_monitor_halt_on_breach_stops_simulator():
-    net = _small_net()
-    spec = HealthSpec(slos=[Slo("peerlist.error_rate", hi=-1.0)])
-    mon = LiveHealthMonitor(net, spec, interval=10.0, warmup=0,
-                            halt_on_breach=True)
-    mon.start()
-    net.run(until=500.0)
-    assert net.sim.now < 500.0  # stopped at the first judged sample
-    assert mon.breaches
-    # stop() is cooperative and one-shot: a fresh run() proceeds.
-    net.run(until=net.sim.now + 5.0)
-
-
-def test_live_monitor_rejects_partitioned_networks():
-    net = PeerWindowNetwork(
-        config=ProtocolConfig(id_bits=16), master_seed=3,
-        observability=True, parallel=2,
-    )
-    with pytest.raises(NotImplementedError):
-        LiveHealthMonitor(net, HealthSpec())
+    windower, judge = _judged_net(quiescent=False)
+    windower.run(until=60.0)
+    windower.finish()
+    assert windower.agg.windows_closed >= 5
+    assert judge.verdicts == []  # EWMA fed, breaches never recorded
+    assert windower.agg.monitor.smoothed("peerlist.error_rate") is not None

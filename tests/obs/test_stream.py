@@ -196,16 +196,22 @@ class TestWindowBucket:
 
 class TestWindowAggregator:
     def test_ewma_breaches_surface_in_frames(self):
+        """The EWMA warms up on the first two windows of a signal, then
+        judges the smoothed value (alpha 0.3): 0.5 -> 0.5 -> 0.5 breaches
+        a 0.1 band on the third window."""
         spec = HealthSpec(slos=[Slo("probe.timeout_rate", hi=0.1)])
-        agg = WindowAggregator(spec=spec, alpha=1.0, warmup=0)
-        bucket = WindowBucket()
-        bucket.add_node(
-            [_span("probe"), _span("probe", status="timeout")], {}
-        )
-        frame = agg.close_window(0, 0.0, 15.0, bucket)
-        assert frame["healthy"] is False
-        assert [b["slo"] for b in frame["breaches"]] == ["probe.timeout_rate"]
-        assert frame["verdicts"] == []  # full verdicts are final-frame only
+        agg = WindowAggregator(spec=spec)
+        frames = []
+        for index in range(3):
+            bucket = WindowBucket()
+            bucket.add_node(
+                [_span("probe"), _span("probe", status="timeout")], {}
+            )
+            frames.append(agg.close_window(index, 15.0 * index, 15.0 * (index + 1), bucket))
+        assert [f["healthy"] for f in frames] == [True, True, False]
+        assert [b["slo"] for b in frames[2]["breaches"]] == ["probe.timeout_rate"]
+        assert frames[2]["breaches"][0]["value"] == pytest.approx(0.5)
+        assert frames[2]["verdicts"] == []  # full verdicts are final-frame only
 
     def test_final_frame_evaluates_cumulative_signals(self):
         spec = HealthSpec(slos=[Slo("join.failure_rate", hi=0.5)])

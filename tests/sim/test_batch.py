@@ -51,8 +51,6 @@ class Script:
             handle = self.handles.get(arg)
             if handle is not None:
                 handle.cancel()
-        elif kind == "stop":
-            self.sim.stop()
         elif kind == "raise":
             raise KeyError(label)
 
@@ -63,7 +61,7 @@ class Script:
 
     def drain(self, until, max_events):
         """Run in the pieces a caller might: to a time inside the batches,
-        for a few events, then to the end through stops and exceptions."""
+        for a few events, then to the end through exceptions."""
         marks = []
 
         def piece(**how):
@@ -129,8 +127,6 @@ def test_batch_is_the_scalar_schedule(seed):
         elif roll < 0.30 and scalars:
             actions[label] = ("cancel", rng.choice(scalars))
         elif roll < 0.34:
-            actions[label] = ("stop", None)
-        elif roll < 0.38:
             actions[label] = ("raise", None)
     for label in scalars:
         if rng.random() < 0.2:
