@@ -415,6 +415,34 @@ def cmd_obs_run(args) -> int:
     return 0
 
 
+#: ``ProtocolConfig`` fields that older metrics files record, each at the
+#: one value the protocol now has; a file holding any other value for
+#: one of them describes a run this build cannot reproduce.
+_RETIRED_CONFIG_FIELDS = {"timer_jitter": 0.0, "multicast_redundancy": 1, "claim_audit_margin": 1.5}
+
+
+def _recorded_config(recorded: dict, where: str):
+    """The ``ProtocolConfig`` a metrics file's ``meta.config`` records;
+    an unknown field or a refused value is a ``SchemaError`` naming both."""
+    from dataclasses import fields
+
+    from repro.core.config import ProtocolConfig
+    from repro.core.errors import ConfigError
+    from repro.obs.analyze import SchemaError
+
+    known = {f.name for f in fields(ProtocolConfig)}
+    kwargs = {}
+    for name, value in recorded.items():
+        if name in known:
+            kwargs[name] = value
+        elif name not in _RETIRED_CONFIG_FIELDS or value != _RETIRED_CONFIG_FIELDS[name]:
+            raise SchemaError(f"{where}: meta.config field {name!r} = {value!r} is not a setting of this build")
+    try:
+        return ProtocolConfig(**kwargs)
+    except ConfigError as exc:
+        raise SchemaError(f"{where}: meta.config: {exc}") from None
+
+
 def _health_inputs(spans_path: str, metrics_path: Optional[str], spec=None):
     """Shared loader for ``obs analyze|health|report`` and ``live
     swarm``: the analysis report, the run's signals, the health spec
@@ -431,7 +459,7 @@ def _health_inputs(spans_path: str, metrics_path: Optional[str], spec=None):
         if isinstance(snapshot.get("meta"), dict):
             meta = snapshot["meta"]
         if isinstance(meta.get("config"), dict):
-            config = ProtocolConfig(**meta["config"])
+            config = _recorded_config(meta["config"], metrics_path)
     signals = run_signals(report, snapshot, config, meta=meta)
     if spec is None:
         spec = _derived_spec(config, int(meta.get("n_nodes", report.nodes)))

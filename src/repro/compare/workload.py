@@ -27,6 +27,9 @@ __all__ = ["ChurnOp", "CompareWorkload"]
 #: steady-state collection quality, not extinction dynamics.
 MIN_SURVIVORS = 8
 
+#: Churn ops (crashes and joins) per 100 simulated seconds of run.
+OPS_PER_100S = 4.0
+
 
 @dataclass(frozen=True)
 class ChurnOp:
@@ -57,20 +60,14 @@ class ChurnOp:
 class CompareWorkload:
     """The full churn schedule for one tournament seed."""
 
-    def __init__(
-        self,
-        seed: int,
-        n_nodes: int,
-        duration: float,
-        ops_per_100s: float = 4.0,
-    ):
+    def __init__(self, seed: int, n_nodes: int, duration: float):
         if n_nodes < 2 or duration <= 0:
             raise ValueError("workload needs n_nodes >= 2 and duration > 0")
         self.seed = int(seed)
         self.n_nodes = int(n_nodes)
         self.duration = float(duration)
         rng = np.random.default_rng((0x7033, self.seed))
-        count = max(2, int(round(ops_per_100s * self.duration / 100.0)))
+        count = max(2, int(round(OPS_PER_100S * self.duration / 100.0)))
         # Churn only inside the middle of the run: the first windows
         # measure the seeded steady state, the last measure recovery.
         times = np.sort(rng.uniform(0.2 * self.duration, 0.8 * self.duration, count))

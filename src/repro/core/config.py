@@ -7,10 +7,49 @@ single value that can be logged and compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Dict
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Dict, Tuple
 
 from repro.core.errors import ConfigError
+
+#: A range: what the error says, and the test (a comparison, which NaN fails).
+_Range = Tuple[str, Callable[[float], bool]]
+
+_POSITIVE: _Range = ("positive", lambda v: v > 0)
+_NON_NEGATIVE: _Range = (">= 0", lambda v: v >= 0)
+_AT_LEAST_ONE: _Range = (">= 1", lambda v: v >= 1)
+
+#: Each numeric field's range.
+_RANGES: Dict[str, _Range] = {
+    "id_bits": ("in [1, 256]", lambda v: 1 <= v <= 256),
+    "top_list_size": _AT_LEAST_ONE,
+    "probe_interval": _POSITIVE,
+    "probe_timeout": _POSITIVE,
+    "probe_misses_to_fail": _AT_LEAST_ONE,
+    "event_message_bits": _AT_LEAST_ONE,
+    "heartbeat_bits": _AT_LEAST_ONE,
+    "ack_bits": _AT_LEAST_ONE,
+    "pointer_bits": _AT_LEAST_ONE,
+    "multicast_processing_delay": _NON_NEGATIVE,
+    "multicast_attempts": _AT_LEAST_ONE,
+    "multicast_ack_timeout": _POSITIVE,
+    "refresh_multiple": _POSITIVE,
+    "expiry_multiple": _POSITIVE,
+    "level_check_interval": _POSITIVE,
+    "raise_fraction": ("in (0, 1)", lambda v: 0 < v < 1),
+    "report_timeout": _POSITIVE,
+    "warmup_extra_levels": _NON_NEGATIVE,
+    "download_grace": _NON_NEGATIVE,
+    "join_retry_attempts": _NON_NEGATIVE,
+    "join_retry_backoff": _AT_LEAST_ONE,
+    "quarantine_strikes": _AT_LEAST_ONE,
+    "join_pow_bits": ("in [0, 32]", lambda v: 0 <= v <= 32),
+    "join_pow_hash_rate": _POSITIVE,
+    "join_throttle_interval": _NON_NEGATIVE,
+    "claim_audit_interval": _NON_NEGATIVE,
+}
+
+_KIND_TEXT = {"int": "an int", "float": "an int or a float"}
 
 
 @dataclass(frozen=True)
@@ -40,13 +79,6 @@ class ProtocolConfig:
     multicast_attempts:
         §4.2: *"When a message gets no response after three continuous
         attempts, the corresponding pointer will be removed ..."*
-    multicast_redundancy:
-        The §2 cost model's ``r``: how many targets each relay contacts
-        per bit position.  1 = the §4.2 tree (each audience member
-        receives once); higher values trade bandwidth for robustness to
-        relay failures mid-dissemination (the "various multicast
-        protocols ... with different efficiency, reliability, and
-        redundancy" knob).
     multicast_ack_timeout:
         Seconds to wait for each multicast ack attempt.
     refresh_multiple / expiry_multiple:
@@ -69,12 +101,6 @@ class ProtocolConfig:
         event whose dissemination completes inside that window would
         otherwise be permanently missed (a stale download).  0 disables
         the forwarding (DESIGN.md §8).
-    timer_jitter:
-        Fraction of each probe/refresh period drawn as uniform jitter from
-        the node's seeded stream (see :meth:`NodeContext.jittered`).  At
-        scale this breaks the lockstep synchronization of thousands of
-        identical timers; 0 (the default) draws nothing, keeping existing
-        deterministic runs unchanged.
     join_retry_attempts:
         How many times a failed §4.3 joining handshake is retried before
         ``join_via`` reports failure.  Each retry restarts the handshake
@@ -117,9 +143,11 @@ class ProtocolConfig:
         the claimant's peer list at its claimed level and demoting liars
         whose returned list does not evidence the claimed coverage.
         0 (default) disables auditing.
-    claim_audit_margin:
-        How much larger (×) a stronger node's returned list must be than
-        the auditor's own before the size check passes (> 1).
+
+    Every field is checked at construction: an ``int`` field takes an
+    int, a ``float`` field an int or a float, a ``bool`` field a bool, and
+    no number may be NaN or outside its range (:data:`_RANGES`).  A
+    refusal is a :class:`~repro.core.errors.ConfigError` naming the field.
     """
 
     id_bits: int = 128
@@ -134,7 +162,6 @@ class ProtocolConfig:
     multicast_processing_delay: float = 1.0
     multicast_attempts: int = 3
     multicast_ack_timeout: float = 5.0
-    multicast_redundancy: int = 1
     refresh_multiple: float = 2.0
     expiry_multiple: float = 3.0
     level_check_interval: float = 60.0
@@ -142,7 +169,6 @@ class ProtocolConfig:
     report_timeout: float = 10.0
     warmup_extra_levels: int = 0
     download_grace: float = 30.0
-    timer_jitter: float = 0.0
     join_retry_attempts: int = 0
     join_retry_backoff: float = 2.0
     obituary_verify: bool = False
@@ -151,65 +177,25 @@ class ProtocolConfig:
     join_pow_hash_rate: float = 1000.0
     join_throttle_interval: float = 0.0
     claim_audit_interval: float = 0.0
-    claim_audit_margin: float = 1.5
 
     def __post_init__(self) -> None:
-        if not 1 <= self.id_bits <= 256:
-            raise ConfigError("id_bits must be in [1, 256]")
-        if self.top_list_size < 1:
-            raise ConfigError("top_list_size must be >= 1")
-        if self.probe_interval <= 0 or self.probe_timeout <= 0:
-            raise ConfigError("probe intervals must be positive")
-        if self.probe_misses_to_fail < 1:
-            raise ConfigError("probe_misses_to_fail must be >= 1")
-        if min(
-            self.event_message_bits,
-            self.heartbeat_bits,
-            self.ack_bits,
-            self.pointer_bits,
-        ) < 1:
-            raise ConfigError("message sizes must be >= 1 bit")
-        if self.multicast_processing_delay < 0:
-            raise ConfigError("multicast_processing_delay must be >= 0")
-        if self.multicast_attempts < 1:
-            raise ConfigError("multicast_attempts must be >= 1")
-        if self.multicast_redundancy < 1:
-            raise ConfigError("multicast_redundancy must be >= 1")
-        if self.multicast_ack_timeout <= 0 or self.report_timeout <= 0:
-            raise ConfigError("timeouts must be positive")
-        if self.refresh_multiple <= 0 or self.expiry_multiple <= 0:
-            raise ConfigError("refresh/expiry multiples must be positive")
-        if self.expiry_multiple <= self.refresh_multiple:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                if not isinstance(value, bool):
+                    raise ConfigError(f"{f.name} must be a bool, got {value!r}")
+                continue
+            kinds = (int,) if f.type == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ConfigError(f"{f.name} must be {_KIND_TEXT[f.type]}, got {value!r}")
+            text, holds = _RANGES[f.name]
+            if not holds(value):
+                raise ConfigError(f"{f.name} must be {text}, got {value!r}")
+        if not self.expiry_multiple > self.refresh_multiple:
             raise ConfigError(
                 "expiry_multiple must exceed refresh_multiple or live "
                 "pointers would expire between refreshes"
             )
-        if self.level_check_interval <= 0:
-            raise ConfigError("level_check_interval must be positive")
-        if not 0.0 < self.raise_fraction < 1.0:
-            raise ConfigError("raise_fraction must be in (0, 1)")
-        if self.warmup_extra_levels < 0:
-            raise ConfigError("warmup_extra_levels must be >= 0")
-        if self.download_grace < 0:
-            raise ConfigError("download_grace must be >= 0")
-        if self.join_retry_attempts < 0:
-            raise ConfigError("join_retry_attempts must be >= 0")
-        if self.join_retry_backoff < 1.0:
-            raise ConfigError("join_retry_backoff must be >= 1")
-        if not 0.0 <= self.timer_jitter < 1.0:
-            raise ConfigError("timer_jitter must be in [0, 1)")
-        if self.quarantine_strikes < 1:
-            raise ConfigError("quarantine_strikes must be >= 1")
-        if not 0 <= self.join_pow_bits <= 32:
-            raise ConfigError("join_pow_bits must be in [0, 32]")
-        if self.join_pow_hash_rate <= 0:
-            raise ConfigError("join_pow_hash_rate must be positive")
-        if self.join_throttle_interval < 0:
-            raise ConfigError("join_throttle_interval must be >= 0")
-        if self.claim_audit_interval < 0:
-            raise ConfigError("claim_audit_interval must be >= 0")
-        if self.claim_audit_margin <= 1.0:
-            raise ConfigError("claim_audit_margin must exceed 1")
 
     def with_(self, **kwargs: Any) -> "ProtocolConfig":
         """A modified copy (convenience wrapper over dataclasses.replace)."""

@@ -198,16 +198,6 @@ class NodeContext:
             handle.cancel()
         self.loop_timers.clear()
 
-    def jittered(self, delay: float) -> float:
-        """Apply the configured timer jitter (``config.timer_jitter``, a
-        fraction of the delay) using this node's seeded stream.  Zero
-        jitter — the default — draws nothing, so existing deterministic
-        runs are byte-identical."""
-        j = self.config.timer_jitter
-        if j <= 0.0:
-            return delay
-        return delay * (1.0 + j * (2.0 * float(self.rng.random()) - 1.0))
-
 
 def _unwired(event: EventRecord, **_kw: Any) -> None:  # pragma: no cover - wiring guard
     raise RuntimeError("NodeContext.report_event used before wiring")

@@ -7,9 +7,8 @@ declared dead: the detector removes the pointer, reports a LEAVE event
 through the dissemination service, and immediately redirects probing to
 the next neighbor (the paper's concurrent-failure story).
 
-Probe periods optionally carry seeded jitter (``config.timer_jitter``) so
-that thousands of nodes seeded at the same instant do not fire their
-probes in lockstep forever.
+The probe period is fixed (``config.probe_interval``); the loop re-arms
+itself with one ``runtime.schedule`` per tick.
 """
 
 from __future__ import annotations
@@ -43,9 +42,7 @@ class FailureDetector:
     # -- probe loop --------------------------------------------------------
 
     def _schedule_probe(self, delay: float) -> None:
-        self.ctx.track(
-            "probe", self.runtime.schedule(self.ctx.jittered(delay), self._probe_tick)
-        )
+        self.ctx.track("probe", self.runtime.schedule(delay, self._probe_tick))
 
     def _probe_tick(self) -> None:
         ctx = self.ctx

@@ -1,6 +1,8 @@
 """MaintenanceService: the §4.6 refresh/expiry accuracy machinery.
 
-Two periodic loops per node:
+Two loops per node, each on a fixed period and each re-arming itself
+with one ``runtime.schedule`` per tick (the kernel has no periodic
+timer):
 
 * **refresh** — re-announce our own pointer every ``refresh_multiple *
   LT_l`` seconds (lifetime-scaled, via
@@ -9,24 +11,22 @@ Two periodic loops per node:
 * **sweep** — expire pointers not refreshed within ``expiry_multiple *
   LT_m`` of their own level's expected lifetime.
 
-Refresh periods optionally carry seeded jitter (``config.timer_jitter``)
-for the same de-synchronization reason as the probe loop.
-
 A third, opt-in loop (``config.claim_audit_interval > 0``) is the claim
 audit of DESIGN §16: levels are self-declared, and a node that *lies*
 about being strong (low level) poisons every audience set and ring view
 that believes it.  The audit cross-checks the strongest claim we hold
 against observed behavior — a genuinely level-``c`` node (``c`` below
 our own ``l``) covers a strictly wider prefix, so downloading its list
-at its claimed level must return meaningfully more pointers than we hold
-and include members outside our own level-``l`` prefix.  Liars are
-demoted (their peer-list row's level reset to ours, and the pointer
-dropped from the top-node list) so the ring/audience geometry heals.
+at its claimed level must return at least :data:`CLAIM_AUDIT_MARGIN`
+(1.5) times as many pointers as we hold, at least one of them outside
+our own level-``l`` prefix.  Liars are demoted (their peer-list row's
+level reset to ours, and the pointer dropped from the top-node list) so
+the ring/audience geometry heals.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core.context import NodeContext
 from repro.core.events import EventKind
@@ -34,6 +34,10 @@ from repro.core.pointer import Pointer
 from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
 from repro.obs import metrics as m
+
+#: How much larger (×) a stronger node's returned list must be than the
+#: auditor's own before the claim audit's size check passes.
+CLAIM_AUDIT_MARGIN = 1.5
 
 
 class MaintenanceService:
@@ -45,24 +49,13 @@ class MaintenanceService:
 
     def start(self) -> None:
         ctx = self.ctx
-        ctx.track(
-            "refresh",
-            self.runtime.schedule(
-                ctx.jittered(ctx.refresh_mgr.refresh_due_interval(ctx.level)),
-                self.refresh_tick,
-            ),
-        )
-        ctx.track(
-            "sweep",
-            self.runtime.schedule(ctx.config.level_check_interval, self.sweep_tick),
-        )
+        self._arm("refresh", ctx.refresh_mgr.refresh_due_interval(ctx.level), self.refresh_tick)
+        self._arm("sweep", ctx.config.level_check_interval, self.sweep_tick)
         if ctx.config.claim_audit_interval > 0:
-            ctx.track(
-                "audit",
-                self.runtime.schedule(
-                    ctx.jittered(ctx.config.claim_audit_interval), self.audit_tick
-                ),
-            )
+            self._arm("audit", ctx.config.claim_audit_interval, self.audit_tick)
+
+    def _arm(self, loop: str, delay: float, tick: Callable[[], None]) -> None:
+        self.ctx.track(loop, self.runtime.schedule(delay, tick))
 
     def refresh_tick(self) -> None:
         ctx = self.ctx
@@ -78,13 +71,7 @@ class MaintenanceService:
             ctx.make_event(EventKind.REFRESH),
             trace=root.ref() if root is not None else None,
         )
-        ctx.track(
-            "refresh",
-            self.runtime.schedule(
-                ctx.jittered(ctx.refresh_mgr.refresh_due_interval(ctx.level)),
-                self.refresh_tick,
-            ),
-        )
+        self._arm("refresh", ctx.refresh_mgr.refresh_due_interval(ctx.level), self.refresh_tick)
 
     def sweep_tick(self) -> None:
         ctx = self.ctx
@@ -97,10 +84,7 @@ class MaintenanceService:
             if p.node_id.value == ctx.node_id.value:
                 # Never expire ourselves.
                 ctx.peer_list.add(ctx.self_pointer())
-        ctx.track(
-            "sweep",
-            self.runtime.schedule(ctx.config.level_check_interval, self.sweep_tick),
-        )
+        self._arm("sweep", ctx.config.level_check_interval, self.sweep_tick)
 
     # -- claim auditing (DESIGN §16) ---------------------------------------
 
@@ -111,12 +95,7 @@ class MaintenanceService:
         suspect = self._strongest_claim()
         if suspect is not None:
             self._audit(suspect)
-        ctx.track(
-            "audit",
-            self.runtime.schedule(
-                ctx.jittered(ctx.config.claim_audit_interval), self.audit_tick
-            ),
-        )
+        self._arm("audit", ctx.config.claim_audit_interval, self.audit_tick)
 
     def _strongest_claim(self) -> Optional[Pointer]:
         """The held pointer making the strongest (lowest-level) claim
@@ -191,7 +170,7 @@ class MaintenanceService:
             for p in matching
             if p.node_id.value != ctx.node_id.value
         )
-        big_enough = len(matching) >= ctx.config.claim_audit_margin * max(1, own_size)
+        big_enough = len(matching) >= CLAIM_AUDIT_MARGIN * max(1, own_size)
         if outside and big_enough:
             ctx.obs.registry.inc(m.AUDIT_PASSES)
             if span is not None:

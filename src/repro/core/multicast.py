@@ -173,12 +173,9 @@ class MulticastForwarder:
         self.stale_removed = 0
 
     def forward(self, event: EventRecord, start_bit: int, trace=None) -> int:
-        """Forward ``event`` for all bit positions from ``start_bit``.
-
-        With ``multicast_redundancy`` r > 1, each bit position gets up to
-        r targets (strongest first); receivers deduplicate by event
-        sequence, so redundancy costs bandwidth but covers relay failures
-        mid-dissemination (§2's ``r`` knob).  Returns the number of sends
+        """Forward ``event`` for all bit positions from ``start_bit``, to
+        the strongest candidate of each: every audience member receives
+        one copy (the §2 model's ``r = 1``).  Returns the number of sends
         initiated (the out-degree).
 
         ``trace`` is the forwarding node's span context (a
@@ -188,9 +185,7 @@ class MulticastForwarder:
         """
         # Chosen before the first send: a send that fails at once edits
         # the list, and the choice is of this moment's rows.
-        targets = self.peer_list.strongest_by_bit(
-            self.local_id, event.subject_id, start_bit, self.config.multicast_redundancy
-        )
+        targets = self.peer_list.strongest_by_bit(self.local_id, event.subject_id, start_bit)
         excluded: set = set()
         for bit, target in targets:
             excluded.add(target.node_id.value)

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from heapq import nsmallest
 from itertools import count
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -424,23 +423,14 @@ class PeerList:
         }
 
     def strongest_by_bit(
-        self,
-        local_id: NodeId,
-        subject_id: NodeId,
-        start_bit: int,
-        per_bit: int = 1,
+        self, local_id: NodeId, subject_id: NodeId, start_bit: int
     ) -> List[Tuple[int, Pointer]]:
-        """``(step, target)`` for the up-to-``per_bit`` strongest
-        candidates of every step ``>= start_bit``, steps ascending and
-        strongest first within a step — what one multicast forward sends
-        to.  Only the chosen rows become pointers."""
+        """``(step, target)`` for the strongest candidate of every step
+        ``>= start_bit``, steps ascending — what one multicast forward
+        sends to.  Only the chosen rows become pointers."""
         by_bit = self._audience_rows(local_id, subject_id, start_bit)
         pointer = self._pointer
-        return [
-            (bit, pointer(row))
-            for bit in sorted(by_bit)
-            for _, _, row in nsmallest(per_bit, by_bit[bit])
-        ]
+        return [(bit, pointer(min(by_bit[bit])[2])) for bit in sorted(by_bit)]
 
     def multicast_candidates(
         self,

@@ -115,9 +115,7 @@ class PeerWindowNetwork:
         else:
             self.sim = sim if sim is not None else Simulator()
             self.topology = (
-                topology
-                if topology is not None
-                else UniformLatencyModel(latency=0.05, rng=self.streams.get("topology"))
+                topology if topology is not None else UniformLatencyModel(latency=0.05)
             )
             self.transport = Transport(
                 self.sim,

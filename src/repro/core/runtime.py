@@ -48,7 +48,7 @@ from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
 from repro.net.topology import Topology
 from repro.net.transport import Endpoint, PartitionedTransport, Transport
-from repro.sim.engine import EventHandle, PeriodicTask, Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.parallel import ParallelSimulator
 
 __all__ = ["PartitionedRuntime", "SimRuntime"]
@@ -71,19 +71,6 @@ class SimRuntime(NodeRuntime):
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         return self.sim.schedule(delay, callback, *args)
-
-    def every(
-        self,
-        interval: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        start_delay: Optional[float] = None,
-        jitter: float = 0.0,
-        rng: Any = None,
-    ) -> PeriodicTask:
-        return self.sim.every(
-            interval, callback, *args, start_delay=start_delay, jitter=jitter, rng=rng
-        )
 
     def send(self, msg: Message) -> None:
         self.transport.send(msg)
@@ -127,8 +114,8 @@ class PartitionedRuntime:
         Number of logical processes.
     topology:
         A topology exposing ``pair_latency`` (a pure pairwise function) —
-        e.g. :class:`~repro.net.latency.PairwiseLatencyModel` or an
-        unjittered :class:`~repro.net.latency.UniformLatencyModel`.
+        e.g. :class:`~repro.net.latency.PairwiseLatencyModel` or
+        :class:`~repro.net.latency.UniformLatencyModel`.
     lookahead:
         Conservative window width; defaults to ``topology.min_latency()``.
         Must not exceed it — a cross-LP message below the lookahead is a
@@ -149,7 +136,6 @@ class PartitionedRuntime:
         nranks: int,
         topology: Topology,
         lookahead: Optional[float] = None,
-        ewma_tau: float = 120.0,
         loss_rate: float = 0.0,
         loss_seed: int = 0,
     ):
@@ -173,7 +159,6 @@ class PartitionedRuntime:
                 rank=lp.rank,
                 router=self,
                 loss_rate=loss_rate,
-                ewma_tau=ewma_tau,
                 loss_seed=loss_seed,
             )
             for lp in self.psim.lps

@@ -3,8 +3,7 @@
 The PeerWindow services are written against three small surfaces, all of
 which live here and none of which mention a simulator or a socket:
 
-* :class:`~repro.kernel.clock.Clock` — time, one-shot timers, periodic
-  timers (with reproducible jitter);
+* :class:`~repro.kernel.clock.Clock` — time and one-shot timers;
 * :class:`~repro.kernel.runtime.NodeRuntime` — the clock plus a message
   fabric (send / correlated request / endpoint registry);
 * :mod:`~repro.kernel.codec` — a versioned, schema-checked JSON wire
@@ -18,7 +17,7 @@ Three runtimes instantiate the kernel: :class:`~repro.core.runtime.SimRuntime`
 the two simulator runtimes call their ``Simulator`` directly.
 """
 
-from repro.kernel.clock import Clock, PeriodicTimer, TimerHandle
+from repro.kernel.clock import Clock, TimerHandle
 from repro.kernel.codec import (
     MESSAGE_KINDS,
     WIRE_SCHEMA_VERSION,
@@ -37,7 +36,6 @@ __all__ = [
     "EndpointLike",
     "MESSAGE_KINDS",
     "NodeRuntime",
-    "PeriodicTimer",
     "TimerHandle",
     "WIRE_SCHEMA_VERSION",
     "decode_message",

@@ -6,13 +6,10 @@ down the semantics all backends must share (they are the semantics of
 
 * :meth:`Clock.schedule` returns a handle with ``cancel()`` and
   ``active``; cancel is idempotent and cancelling a fired handle is a
-  no-op.
-* :meth:`Clock.every` fires first after ``start_delay`` (default: one
-  interval) and then repeatedly; with ``jitter > 0`` each gap is drawn
-  uniformly from ``interval * [1 - jitter, 1 + jitter]`` using a
-  **seeded** generator, so even the jitter is reproducible.  ``jitter``
-  requires ``rng``; ``interval`` must be positive; ``jitter`` lies in
-  ``[0, 1)``.
+  no-op.  A delay that is not ``>= 0`` (negative, or NaN) is refused.
+* There is no periodic timer: every protocol loop (the §4.1 probe, the
+  §4.6 refresh and sweep, the DESIGN §16 claim audit) re-arms itself
+  with one :meth:`Clock.schedule` per period.
 * ``now`` is seconds on the backend's time base: simulated seconds for
   the DES backends, seconds since a configured epoch for the realtime
   backend (:class:`repro.live.clock.RealtimeClock`) — in both cases runs
@@ -22,7 +19,7 @@ down the semantics all backends must share (they are the semantics of
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -39,18 +36,6 @@ class TimerHandle(Protocol):
         ...
 
 
-@runtime_checkable
-class PeriodicTimer(Protocol):
-    """A repeating timer created by :meth:`Clock.every`."""
-
-    def cancel(self) -> None:
-        ...
-
-    @property
-    def active(self) -> bool:
-        ...
-
-
 class Clock(abc.ABC):
     """Time and timers — the part of a runtime that is pure scheduling."""
 
@@ -64,16 +49,3 @@ class Clock(abc.ABC):
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> TimerHandle:
         """Run ``callback(*args)`` after ``delay`` seconds."""
-
-    @abc.abstractmethod
-    def every(
-        self,
-        interval: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        start_delay: Optional[float] = None,
-        jitter: float = 0.0,
-        rng: Any = None,
-    ) -> PeriodicTimer:
-        """Run ``callback(*args)`` every ``interval`` seconds (jittered
-        when ``jitter > 0``) until the returned timer is cancelled."""

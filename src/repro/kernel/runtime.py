@@ -28,9 +28,9 @@ Request/response semantics (shared by all backends, verified by
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Hashable, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Hashable, Protocol, runtime_checkable
 
-from repro.kernel.clock import Clock, PeriodicTimer, TimerHandle
+from repro.kernel.clock import Clock, TimerHandle
 from repro.net.message import Message
 
 
@@ -44,7 +44,6 @@ class EndpointLike(Protocol):
     bw_in: Any
     bw_out: Any
     ewma_in: Any
-    ewma_out: Any
 
 
 class NodeRuntime(Clock):
@@ -60,18 +59,6 @@ class NodeRuntime(Clock):
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> TimerHandle:
         """Run ``callback(*args)`` after ``delay`` seconds."""
-
-    @abc.abstractmethod
-    def every(
-        self,
-        interval: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        start_delay: Optional[float] = None,
-        jitter: float = 0.0,
-        rng: Any = None,
-    ) -> PeriodicTimer:
-        """Repeating timer (see :meth:`repro.kernel.clock.Clock.every`)."""
 
     @abc.abstractmethod
     def send(self, msg: Message) -> None:

@@ -16,8 +16,8 @@ timestamps comparable across processes and to simulated runs that start
 at ``t = 0``.
 
 Timer semantics mirror :class:`repro.sim.engine.Simulator` exactly —
-idempotent ``cancel()``, ``active`` until fired, periodic timers with
-seeded uniform jitter — see :mod:`repro.kernel.clock` for the contract.
+idempotent ``cancel()``, ``active`` until fired, a delay that is not
+``>= 0`` refused — see :mod:`repro.kernel.clock` for the contract.
 """
 
 from __future__ import annotations
@@ -66,68 +66,14 @@ class RealtimeTimer:
         return not (self.cancelled or self.done)
 
 
-class RealtimePeriodicTimer:
-    """A repeating timer with the jitter semantics of
-    :class:`~repro.sim.engine.PeriodicTask`: each gap is drawn uniformly
-    from ``interval * [1 - jitter, 1 + jitter]`` using a seeded rng."""
-
-    __slots__ = ("clock", "interval", "callback", "args", "jitter", "rng",
-                 "_handle", "_cancelled", "fired")
-
-    def __init__(
-        self,
-        clock: "RealtimeClock",
-        interval: float,
-        callback: Callable[..., Any],
-        args: tuple,
-        jitter: float = 0.0,
-        rng: Any = None,
-    ):
-        self.clock = clock
-        self.interval = interval
-        self.callback = callback
-        self.args = args
-        self.jitter = jitter
-        self.rng = rng
-        self._handle: Optional[RealtimeTimer] = None
-        self._cancelled = False
-        self.fired = 0
-
-    def _next_interval(self) -> float:
-        if self.jitter <= 0.0:
-            return self.interval
-        spread = self.jitter * (2.0 * float(self.rng.random()) - 1.0)
-        return self.interval * (1.0 + spread)
-
-    def _schedule(self, delay: float) -> None:
-        if not self._cancelled:
-            self._handle = self.clock.schedule(delay, self._fire)
-
-    def _fire(self) -> None:
-        if self._cancelled:
-            return
-        self.fired += 1
-        self.callback(*self.args)
-        self._schedule(self._next_interval())
-
-    def cancel(self) -> None:
-        self._cancelled = True
-        if self._handle is not None:
-            self._handle.cancel()
-
-    @property
-    def active(self) -> bool:
-        return not self._cancelled
-
-
 class RealtimeClock(Clock):
     """Wall-clock time and timers on an asyncio event loop.
 
+    The running event loop drives the timers: construct the clock inside
+    ``asyncio.run``.
+
     Parameters
     ----------
-    loop:
-        The event loop driving the timers; defaults to the running loop
-        (construct the clock inside ``asyncio.run``).
     epoch:
         Unix time that maps to ``now == 0``.  Defaults to "now", so a
         standalone clock starts near zero like a simulator; a swarm
@@ -136,12 +82,8 @@ class RealtimeClock(Clock):
 
     __slots__ = ("_loop", "epoch", "_offset")
 
-    def __init__(
-        self,
-        loop: Optional[asyncio.AbstractEventLoop] = None,
-        epoch: Optional[float] = None,
-    ):
-        self._loop = loop if loop is not None else asyncio.get_running_loop()
+    def __init__(self, epoch: Optional[float] = None):
+        self._loop = asyncio.get_running_loop()
         wall = time.time()
         self.epoch = float(wall if epoch is None else epoch)
         # now = loop.time() + offset; anchored so that `wall` reads as
@@ -156,29 +98,8 @@ class RealtimeClock(Clock):
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> RealtimeTimer:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # not ``delay < 0``, which a NaN passes
+            raise ValueError(f"cannot schedule after {delay} s: NaN, or negative")
         timer = RealtimeTimer(callback, args)
         timer._handle = self._loop.call_later(delay, timer._fire)
         return timer
-
-    def every(
-        self,
-        interval: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        start_delay: Optional[float] = None,
-        jitter: float = 0.0,
-        rng: Any = None,
-    ) -> RealtimePeriodicTimer:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if jitter > 0.0 and rng is None:
-            raise ValueError("jitter requires a seeded rng")
-        task = RealtimePeriodicTimer(
-            self, interval, callback, args, jitter=jitter, rng=rng
-        )
-        task._schedule(interval if start_delay is None else start_delay)
-        return task

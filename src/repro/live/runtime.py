@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.kernel.codec import CodecError, decode_message, encode_message
 from repro.kernel.runtime import NodeRuntime
-from repro.live.clock import RealtimeClock, RealtimePeriodicTimer, RealtimeTimer
+from repro.live.clock import RealtimeClock, RealtimeTimer
 from repro.net.message import Message
 from repro.net.transport import Endpoint
 
@@ -103,13 +103,7 @@ class RealtimeRuntime(NodeRuntime):
         layer above and are always active).
     """
 
-    def __init__(
-        self,
-        clock: RealtimeClock,
-        host: str,
-        ewma_tau: float = 120.0,
-        request_retries: int = 0,
-    ):
+    def __init__(self, clock: RealtimeClock, host: str, request_retries: int = 0):
         if request_retries < 0:
             raise ValueError("request_retries must be >= 0")
         if request_retries > MAX_REQUEST_RETRIES:
@@ -121,7 +115,6 @@ class RealtimeRuntime(NodeRuntime):
         self.clock = clock
         self.host = host
         self.port: Optional[int] = None
-        self.ewma_tau = ewma_tau
         self.request_retries = request_retries
         self._sock: Optional[asyncio.DatagramTransport] = None
         self._endpoints: Dict[Hashable, Endpoint] = {}
@@ -144,17 +137,12 @@ class RealtimeRuntime(NodeRuntime):
         host: str = "127.0.0.1",
         port: int = 0,
         epoch: Optional[float] = None,
-        ewma_tau: float = 120.0,
         request_retries: int = 0,
-        clock: Optional[RealtimeClock] = None,
     ) -> "RealtimeRuntime":
         """Bind the socket and return a ready runtime.  ``port=0`` binds
         an ephemeral port (read it back from :attr:`address`)."""
-        loop = asyncio.get_running_loop()
-        if clock is None:
-            clock = RealtimeClock(loop, epoch=epoch)
-        self = cls(clock, host, ewma_tau=ewma_tau, request_retries=request_retries)
-        sock, _ = await loop.create_datagram_endpoint(
+        self = cls(RealtimeClock(epoch=epoch), host, request_retries=request_retries)
+        sock, _ = await asyncio.get_running_loop().create_datagram_endpoint(
             lambda: _UdpProtocol(self), local_addr=(host, port)
         )
         self._sock = sock
@@ -188,26 +176,13 @@ class RealtimeRuntime(NodeRuntime):
     ) -> RealtimeTimer:
         return self.clock.schedule(delay, callback, *args)
 
-    def every(
-        self,
-        interval: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        start_delay: Optional[float] = None,
-        jitter: float = 0.0,
-        rng: Any = None,
-    ) -> RealtimePeriodicTimer:
-        return self.clock.every(
-            interval, callback, *args, start_delay=start_delay, jitter=jitter, rng=rng
-        )
-
     # -- registration ------------------------------------------------------
 
     def register(self, key: Hashable, handler: Handler) -> Endpoint:
         if key in self._endpoints:
             raise ValueError(f"endpoint {key!r} already registered")
         parse_address(key)  # live keys must be routable host:port strings
-        ep = Endpoint(key, handler, self.clock.now, self.ewma_tau)
+        ep = Endpoint(key, handler, self.clock.now)
         self._endpoints[key] = ep
         return ep
 
@@ -250,9 +225,7 @@ class RealtimeRuntime(NodeRuntime):
         )
         sender = self._endpoints.get(msg.src)
         if sender is not None:
-            now = self.clock.now
-            sender.bw_out.record(now, msg.size_bits)
-            sender.ewma_out.record(now, msg.size_bits)
+            sender.bw_out.record(self.clock.now, msg.size_bits)
         host, port = parse_address(msg.dst)
         if self._sock is None or self._sock.is_closing():
             self.socket_errors += 1

@@ -14,6 +14,10 @@ from __future__ import annotations
 
 import math
 
+#: Seconds over which an endpoint's EWMA meter forgets (its ``tau``): the
+#: window of "current bandwidth cost" the level controller reads.
+EWMA_TAU = 120.0
+
 
 class BandwidthMeter:
     """Cumulative bit accounting.
@@ -52,7 +56,7 @@ class EwmaRateMeter:
 
     __slots__ = ("tau", "_rate", "_last_t")
 
-    def __init__(self, tau: float = 60.0, t0: float = 0.0):
+    def __init__(self, tau: float = EWMA_TAU, t0: float = 0.0):
         if tau <= 0:
             raise ValueError("tau must be positive")
         self.tau = float(tau)

@@ -8,39 +8,20 @@ tests fast and give baselines a topology-independent footing.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Hashable, Optional
-
-import numpy as np
+from typing import Dict, Hashable
 
 from repro.net.topology import Topology
 
 
 class UniformLatencyModel(Topology):
-    """Every pair of distinct nodes is ``latency`` seconds apart.
+    """Every pair of distinct nodes is ``latency`` seconds apart."""
 
-    Optionally jittered: with ``jitter > 0`` each *pair* gets a stable
-    multiplicative factor drawn from ``U[1-jitter, 1+jitter]`` — stable so
-    that repeated queries for the same pair agree (triangle inequality is
-    not guaranteed, matching real internet measurements).
-    """
-
-    def __init__(
-        self,
-        latency: float = 0.05,
-        loopback: float = 0.0,
-        jitter: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        if latency < 0 or loopback < 0:
-            raise ValueError("latencies must be non-negative")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
+    def __init__(self, latency: float = 0.05, loopback: float = 0.0):
+        if not (latency >= 0 and loopback >= 0):  # NaN fails both
+            raise ValueError(f"latencies must be non-negative, got {latency!r} / {loopback!r}")
         self.base = float(latency)
         self.loopback = float(loopback)
-        self.jitter = float(jitter)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
         self._attached: Dict[Hashable, None] = {}
-        self._pair_factor: Dict[tuple, float] = {}
 
     def attach(self, key: Hashable) -> None:
         self._attached[key] = None
@@ -54,29 +35,12 @@ class UniformLatencyModel(Topology):
     def latency(self, a: Hashable, b: Hashable) -> float:
         if a not in self._attached or b not in self._attached:
             raise KeyError(f"latency query for unattached key: {a!r} or {b!r}")
-        if a == b:
-            return self.loopback
-        if self.jitter == 0.0:
-            return self.base
-        pair = (a, b) if repr(a) <= repr(b) else (b, a)
-        factor = self._pair_factor.get(pair)
-        if factor is None:
-            factor = float(self._rng.uniform(1.0 - self.jitter, 1.0 + self.jitter))
-            self._pair_factor[pair] = factor
-        return self.base * factor
+        return self.loopback if a == b else self.base
 
     def pair_latency(self, a: Hashable, b: Hashable) -> float:
-        if self.jitter != 0.0:
-            # Jittered factors are drawn lazily in query order — not a pure
-            # pair function, so not partition-safe.
-            raise NotImplementedError(
-                "UniformLatencyModel with jitter has no pure pairwise latency"
-            )
         return self.loopback if a == b else self.base
 
     def min_latency(self) -> float:
-        if self.jitter != 0.0:
-            return self.base * (1.0 - self.jitter)
         return self.base
 
 
@@ -97,8 +61,11 @@ class PairwiseLatencyModel(Topology):
     """
 
     def __init__(self, base: float = 0.05, spread: float = 0.02, loopback: float = 0.0):
-        if base <= 0 or spread < 0 or loopback < 0:
-            raise ValueError("latencies must be positive (base) / non-negative")
+        if not (base > 0 and spread >= 0 and loopback >= 0):  # NaN fails all three
+            raise ValueError(
+                "latencies must be positive (base) / non-negative, got "
+                f"{base!r} / {spread!r} / {loopback!r}"
+            )
         self.base = float(base)
         self.spread = float(spread)
         self.loopback = float(loopback)

@@ -9,8 +9,8 @@ endpoints over a :class:`~repro.sim.engine.Simulator`, with:
 * chaos-injection knobs: network partitions, asymmetric per-pair loss,
   message duplication, latency inflation, and "zombie" endpoints that
   receive but never react (see the ``repro.chaos`` harness);
-* per-endpoint in/out :class:`~repro.net.bandwidth.BandwidthMeter` and
-  EWMA meters (the autonomic controller's sensor);
+* per-endpoint in/out :class:`~repro.net.bandwidth.BandwidthMeter` and an
+  incoming EWMA meter (the autonomic controller's sensor);
 * request/response correlation with timeout callbacks (used by the
   multicast acks, the report path, and the join downloads).
 
@@ -66,15 +66,14 @@ def _key_bits(key: Hashable) -> int:
 class Endpoint:
     """A registered transport endpoint with its bandwidth meters."""
 
-    __slots__ = ("key", "handler", "bw_in", "bw_out", "ewma_in", "ewma_out")
+    __slots__ = ("key", "handler", "bw_in", "bw_out", "ewma_in")
 
-    def __init__(self, key: Hashable, handler: Handler, now: float, ewma_tau: float):
+    def __init__(self, key: Hashable, handler: Handler, now: float):
         self.key = key
         self.handler = handler
         self.bw_in = BandwidthMeter(t0=now)
         self.bw_out = BandwidthMeter(t0=now)
-        self.ewma_in = EwmaRateMeter(tau=ewma_tau, t0=now)
-        self.ewma_out = EwmaRateMeter(tau=ewma_tau, t0=now)
+        self.ewma_in = EwmaRateMeter(t0=now)
 
 
 class _PendingRequest:
@@ -99,7 +98,6 @@ class Transport:
         sim: Simulator,
         topology: Optional[Topology],
         loss_rate: float = 0.0,
-        ewma_tau: float = 120.0,
         loss_seed: int = 0,
     ):
         if not 0.0 <= loss_rate < 1.0:
@@ -108,7 +106,6 @@ class Transport:
         self.topology = topology
         self.loss_rate = float(loss_rate)
         self.loss_seed = int(loss_seed)
-        self.ewma_tau = ewma_tau
         self._endpoints: Dict[Hashable, Endpoint] = {}
         self._pending: Dict[int, _PendingRequest] = {}
         # Partition injection: endpoint key -> partition group id.  Keys
@@ -141,7 +138,7 @@ class Transport:
         if key in self._endpoints:
             raise ValueError(f"endpoint {key!r} already registered")
         self.topology.attach(key)
-        ep = Endpoint(key, handler, self.sim.now, self.ewma_tau)
+        ep = Endpoint(key, handler, self.sim.now)
         self._endpoints[key] = ep
         return ep
 
@@ -302,10 +299,8 @@ class Transport:
             self.dropped_zombie += 1
             return
         sender = self._endpoints.get(msg.src)
-        now = self.sim.now
         if sender is not None:
-            sender.bw_out.record(now, msg.size_bits)
-            sender.ewma_out.record(now, msg.size_bits)
+            sender.bw_out.record(self.sim.now, msg.size_bits)
         src_bits = None
         if self.loss_rate > 0.0:
             src_bits = self._src_key_bits(msg.src)
@@ -471,16 +466,9 @@ class PartitionedTransport(Transport):
         rank: int,
         router: PartitionRouter,
         loss_rate: float = 0.0,
-        ewma_tau: float = 120.0,
         loss_seed: int = 0,
     ):
-        super().__init__(
-            sim,
-            topology=None,
-            loss_rate=loss_rate,
-            ewma_tau=ewma_tau,
-            loss_seed=loss_seed,
-        )
+        super().__init__(sim, topology=None, loss_rate=loss_rate, loss_seed=loss_seed)
         self.rank = rank
         self.router = router
 
@@ -489,7 +477,7 @@ class PartitionedTransport(Transport):
     def register(self, key: Hashable, handler: Handler) -> Endpoint:
         if key in self._endpoints:
             raise ValueError(f"endpoint {key!r} already registered")
-        ep = Endpoint(key, handler, self.sim.now, self.ewma_tau)
+        ep = Endpoint(key, handler, self.sim.now)
         self._endpoints[key] = ep
         return ep
 

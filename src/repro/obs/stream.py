@@ -476,7 +476,6 @@ def load_frames_file(path: str) -> Tuple[List[Dict[str, Any]], int, int]:
 def merge_node_frames(
     per_node: Sequence[Tuple[str, Sequence[Dict[str, Any]]]],
     spec: Optional[HealthSpec] = None,
-    final_t1: Optional[float] = None,
 ) -> List[Dict[str, Any]]:
     """Merge per-node frame streams (the live backend) into one merged
     stream plus a cumulative final frame.
@@ -507,12 +506,7 @@ def merge_node_frames(
         last_t1 = max(last_t1, t1)
         merged.append(agg.close_window(index, t0, t1, bucket))
     final_index = (max(by_window) + 1) if by_window else 0
-    merged.append(
-        agg.final_frame(
-            final_index, last_t1,
-            last_t1 if final_t1 is None else final_t1,
-        )
-    )
+    merged.append(agg.final_frame(final_index, last_t1, last_t1))
     return merged
 
 

@@ -93,43 +93,20 @@ class EventHandle:
 
 
 class PeriodicTask:
-    """A repeating timer created by :meth:`Simulator.every`.
+    """A repeating timer created by :meth:`Simulator.every`."""
 
-    With ``jitter > 0`` each period is drawn uniformly from
-    ``interval * [1 - jitter, 1 + jitter]`` using the supplied seeded
-    generator, which breaks the lockstep synchronization of thousands of
-    identical timers at scale while staying fully reproducible.
-    """
-
-    __slots__ = (
-        "sim", "interval", "callback", "args", "jitter", "rng",
-        "_handle", "_cancelled", "fired",
-    )
+    __slots__ = ("sim", "interval", "callback", "args", "_handle", "_cancelled", "fired")
 
     def __init__(
-        self,
-        sim: "Simulator",
-        interval: float,
-        callback: Callable[..., Any],
-        args: tuple,
-        jitter: float = 0.0,
-        rng: Any = None,
+        self, sim: "Simulator", interval: float, callback: Callable[..., Any], args: tuple
     ):
         self.sim = sim
         self.interval = interval
         self.callback = callback
         self.args = args
-        self.jitter = jitter
-        self.rng = rng
         self._handle: Optional[EventHandle] = None
         self._cancelled = False
         self.fired = 0
-
-    def _next_interval(self) -> float:
-        if self.jitter <= 0.0:
-            return self.interval
-        spread = self.jitter * (2.0 * float(self.rng.random()) - 1.0)
-        return self.interval * (1.0 + spread)
 
     def _schedule(self, delay: float) -> None:
         if not self._cancelled:
@@ -140,7 +117,7 @@ class PeriodicTask:
             return
         self.fired += 1
         self.callback(*self.args)
-        self._schedule(self._next_interval())
+        self._schedule(self.interval)
 
     def cancel(self) -> None:
         self._cancelled = True
@@ -267,25 +244,13 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         start_delay: Optional[float] = None,
-        jitter: float = 0.0,
-        rng: Any = None,
     ) -> "PeriodicTask":
         """Run ``callback(*args)`` every ``interval`` seconds until the
         returned :class:`PeriodicTask` is cancelled.  The first firing is
-        after ``start_delay`` (default: one interval).
-
-        ``jitter`` (a fraction of the interval, in ``[0, 1)``) desynchronizes
-        the period: every gap is drawn from ``interval * [1-jitter, 1+jitter]``
-        using ``rng`` (a seeded :class:`numpy.random.Generator`, e.g. from
-        :class:`repro.sim.rng.RandomStreams`), so runs stay reproducible.
-        """
-        if interval <= 0:
+        after ``start_delay`` (default: one interval)."""
+        if not interval > 0:
             raise SimulationError("interval must be positive")
-        if not 0.0 <= jitter < 1.0:
-            raise SimulationError("jitter must be in [0, 1)")
-        if jitter > 0.0 and rng is None:
-            raise SimulationError("jitter requires a seeded rng")
-        task = PeriodicTask(self, interval, callback, args, jitter=jitter, rng=rng)
+        task = PeriodicTask(self, interval, callback, args)
         task._schedule(interval if start_delay is None else start_delay)
         return task
 

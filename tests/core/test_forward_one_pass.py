@@ -60,9 +60,9 @@ def peer_list_of(local: NodeId, members: List[Tuple[int, int]]) -> PeerList:
     return pl
 
 
-def forwarder_over(pl: PeerList, redundancy: int = 1):
+def forwarder_over(pl: PeerList):
     sends = Sends()
-    config = ProtocolConfig(id_bits=pl.owner_id.bits, multicast_redundancy=redundancy)
+    config = ProtocolConfig(id_bits=pl.owner_id.bits)
     return MulticastForwarder(config, pl.owner_id, pl, sends), sends
 
 
@@ -83,13 +83,13 @@ def reference_candidates(
 
 
 def reference_forward(
-    pointers: List[Pointer], local: NodeId, subject: NodeId, start_bit: int, redundancy: int
+    pointers: List[Pointer], local: NodeId, subject: NodeId, start_bit: int
 ) -> List[Tuple[int, int]]:
     sends = []
     for bit in range(start_bit, local.bits):
         candidates = reference_candidates(pointers, local, subject, bit)
         candidates.sort(key=lambda p: (p.level, p.node_id.value))
-        sends += [(p.node_id.value, bit + 1) for p in candidates[:redundancy]]
+        sends += [(p.node_id.value, bit + 1) for p in candidates[:1]]
     return sends
 
 
@@ -119,15 +119,15 @@ def populations(draw, max_size: int = 40):
 
 class TestForwardMatchesThePerBitDefinition:
     @settings(max_examples=300, deadline=None)
-    @given(populations(), st.data(), st.integers(1, 3))
-    def test_same_targets_same_order_same_next_bit(self, population, data, redundancy):
+    @given(populations(), st.data())
+    def test_same_targets_same_order_same_next_bit(self, population, data):
         bits, local_value, subject_value, members = population
         local, subject = NodeId(local_value, bits), NodeId(subject_value, bits)
         start_bit = data.draw(st.integers(0, bits))
         pl = peer_list_of(local, members)
-        fwd, sends = forwarder_over(pl, redundancy)
+        fwd, sends = forwarder_over(pl)
         out_degree = fwd.forward(event_about(subject), start_bit)
-        expected = reference_forward(list(pl), local, subject, start_bit, redundancy)
+        expected = reference_forward(list(pl), local, subject, start_bit)
         assert sends.sent == expected
         assert out_degree == fwd.forwards == len(expected)
 
@@ -145,11 +145,11 @@ class TestForwardMatchesThePerBitDefinition:
         )
 
     @settings(max_examples=120, deadline=None)
-    @given(populations(max_size=30), st.integers(1, 3))
-    def test_deliveries_reach_what_plan_tree_reaches(self, population, redundancy):
+    @given(populations(max_size=30))
+    def test_deliveries_reach_what_plan_tree_reaches(self, population):
         """Every member runs a forwarder over its ground-truth peer list;
-        the union of deliveries from the strongest audience member is the
-        planner's reach, and with r = 1 the very same tree."""
+        the deliveries from the strongest audience member are the
+        planner's tree, edge for edge."""
         bits, _, subject_value, listed = population
         subject = NodeId(subject_value, bits)
         members: Dict[int, Tuple[NodeId, int]] = {
@@ -171,7 +171,7 @@ class TestForwardMatchesThePerBitDefinition:
             for other, other_level in members.values():
                 if other.shares_prefix(nid, level):
                     pl.add(Pointer(other, other.value, other_level))
-            forwarders[value] = forwarder_over(pl, redundancy)
+            forwarders[value] = forwarder_over(pl)
 
         delivered = {root_value}
         edges = []
@@ -189,13 +189,12 @@ class TestForwardMatchesThePerBitDefinition:
 
         tree = plan_tree(root, root_level, subject, members)
         assert delivered == {node.node_id.value for node in tree.walk()}
-        if redundancy == 1:
-            planned = [
-                (node.node_id.value, child.node_id.value, child.start_bit)
-                for node in tree.walk()
-                for child in node.children
-            ]
-            assert sorted(edges) == sorted(planned)
+        planned = [
+            (node.node_id.value, child.node_id.value, child.start_bit)
+            for node in tree.walk()
+            for child in node.children
+        ]
+        assert sorted(edges) == sorted(planned)
 
 
 class TestForwardKeepsItsChecks:

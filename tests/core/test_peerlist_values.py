@@ -66,7 +66,7 @@ class TestNoCallerHoldsARow:
                 ).values() for p in found
             ],
             lambda pl: [p for _, p in pl.strongest_by_bit(
-                pl.owner_id, NodeId(0b1000_0001, BITS), 0, 2)],
+                pl.owner_id, NodeId(0b1000_0001, BITS), 0)],
             lambda pl: pl.sharing_prefix(NodeId(0b1010_0000, BITS), 1),
         ],
         ids=["get", "iteration", "ring_successor", "group_members",

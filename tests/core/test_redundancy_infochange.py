@@ -1,78 +1,9 @@
-"""Multicast redundancy (the §2 ``r`` knob) and info-change events."""
+"""Info-change events."""
 
 import pytest
 
-from repro.core.config import ProtocolConfig
-from repro.core.errors import ConfigError, NotAliveError
-from repro.core.protocol import PeerWindowNetwork
+from repro.core.errors import NotAliveError
 from tests.conftest import build_network
-
-
-def redundant_config(r):
-    return ProtocolConfig(
-        id_bits=16,
-        probe_interval=5.0,
-        probe_timeout=1.0,
-        multicast_ack_timeout=1.0,
-        report_timeout=2.0,
-        level_check_interval=10.0,
-        multicast_processing_delay=0.1,
-        multicast_redundancy=r,
-    )
-
-
-class TestRedundancy:
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            ProtocolConfig(multicast_redundancy=0)
-
-    def test_r2_still_converges(self):
-        net = PeerWindowNetwork(config=redundant_config(2), master_seed=2)
-        keys = net.seed_nodes([100_000.0] * 20)
-        net.run(until=20.0)
-        net.crash(keys[4])
-        net.run(until=net.sim.now + 40.0)
-        assert net.mean_error_rate() == 0.0
-
-    def test_r2_duplicates_are_deduplicated(self):
-        net = PeerWindowNetwork(config=redundant_config(2), master_seed=2)
-        keys = net.seed_nodes([100_000.0] * 20)
-        net.run(until=20.0)
-        net.add_node(100_000.0, bootstrap=keys[0])
-        net.run(until=net.sim.now + 20.0)
-        dupes = sum(n.stats.mcast_duplicates for n in net.live_nodes())
-        applied_twice = 0  # peer lists must not double-apply
-        assert dupes > 0  # redundancy really produced extra copies
-        assert net.mean_error_rate() < 0.01
-
-    def test_r2_costs_more_messages_than_r1(self):
-        counts = {}
-        for r in (1, 2):
-            net = PeerWindowNetwork(config=redundant_config(r), master_seed=3)
-            keys = net.seed_nodes([100_000.0] * 24)
-            net.run(until=10.0)
-            net.add_node(100_000.0, bootstrap=keys[0])
-            net.run(until=net.sim.now + 20.0)
-            counts[r] = net.transport.by_kind.get("mcast", 0)
-        assert counts[2] > counts[1]
-
-    def test_r2_converges_through_concurrent_relay_crash(self):
-        """Crash a node and, mid-dissemination, one of the relays that
-        would forward its obituary: with r=2 the sibling copies keep the
-        dissemination alive and the system still converges."""
-        net = PeerWindowNetwork(config=redundant_config(2), master_seed=4)
-        keys = net.seed_nodes([100_000.0] * 24)
-        net.run(until=10.0)
-        victim_id = net.node(keys[5]).node_id
-        net.crash(keys[5])
-        # Half a second later (inside the detection+multicast window),
-        # kill two more nodes — almost certainly tree relays.
-        net.sim.schedule(6.0, lambda: keys[6] in net.nodes and net.nodes[keys[6]].crash())
-        net.sim.schedule(6.0, lambda: keys[7] in net.nodes and net.nodes[keys[7]].crash())
-        net.run(until=net.sim.now + 60.0)
-        for node in net.live_nodes():
-            assert victim_id not in node.peer_list
-        assert net.mean_error_rate() == 0.0
 
 
 class TestInfoChange:

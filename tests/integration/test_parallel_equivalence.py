@@ -19,6 +19,7 @@ import pytest
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
 from repro.net.latency import PairwiseLatencyModel, UniformLatencyModel
+from repro.net.topology import Topology
 
 CONFIG = ProtocolConfig(
     id_bits=16,
@@ -76,15 +77,6 @@ class TestEquivalence:
         one = run_scenario(parallel=1)
         assert one.stats_summary() == sequential.stats_summary()
 
-    def test_timer_jitter_is_partition_safe(self):
-        """Jittered probe/refresh timers draw from per-node streams, so
-        they too must be identical across execution modes."""
-        jittery = CONFIG.with_(timer_jitter=0.2)
-        seq = run_scenario(config=jittery)
-        par = run_scenario(config=jittery, parallel=4)
-        assert par.stats_summary() == seq.stats_summary()
-        assert par.level_histogram() == seq.level_histogram()
-
 
 class TestLossEquivalence:
     """Message loss is hash-derived per message (loss seed + per-source
@@ -132,9 +124,11 @@ class TestPartitionedModeGuards:
             )
 
     def test_impure_topology_rejected(self):
-        jittery = UniformLatencyModel(latency=0.05, jitter=0.2)
+        class NoPairLatency(UniformLatencyModel):
+            pair_latency = Topology.pair_latency  # the base class refuses
+
         with pytest.raises(NotImplementedError):
-            PeerWindowNetwork(config=CONFIG, topology=jittery, parallel=2)
+            PeerWindowNetwork(config=CONFIG, topology=NoPairLatency(), parallel=2)
 
     def test_excessive_lookahead_rejected(self):
         with pytest.raises(ValueError, match="lookahead"):

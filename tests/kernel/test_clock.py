@@ -1,5 +1,8 @@
-"""The backend-neutral kernel surface: the shared NodeRuntime ABC and the
-slotted wire types."""
+"""The backend-neutral kernel surface: the shared NodeRuntime ABC, the
+one ``schedule`` contract both clocks keep, and the slotted wire types."""
+
+import asyncio
+import math
 
 import pytest
 
@@ -22,6 +25,54 @@ def test_all_backends_implement_the_kernel_abc():
     part = PartitionedRuntime(nranks=2, topology=PairwiseLatencyModel())
     view = part.runtime_for(7, "addr-7")
     assert isinstance(view, NodeRuntime)
+
+
+async def _sim_clock():
+    from repro.core.runtime import SimRuntime
+    from repro.net.latency import UniformLatencyModel
+    from repro.net.transport import Transport
+    from repro.sim.engine import SimulationError, Simulator
+
+    sim = Simulator()
+
+    async def advance(seconds):
+        sim.run(until=sim.now + seconds)
+
+    return SimRuntime(sim, Transport(sim, UniformLatencyModel())), advance, SimulationError
+
+
+async def _realtime_clock():
+    from repro.live.clock import RealtimeClock
+
+    return RealtimeClock(), asyncio.sleep, ValueError
+
+
+@pytest.mark.parametrize("backend", [_sim_clock, _realtime_clock], ids=["sim", "realtime"])
+def test_both_clocks_keep_one_schedule_contract(backend):
+    """Timers fire in delay order; ``cancel`` is idempotent and a no-op
+    once fired; ``active`` holds until then; a delay that is not ``>= 0``
+    (negative, or NaN) is refused and leaves no timer behind."""
+
+    async def scenario():
+        clock, advance, refused = await backend()
+        assert isinstance(clock, Clock)
+        fired = []
+        clock.schedule(0.02, fired.append, "b")
+        first = clock.schedule(0.01, fired.append, "a")
+        dropped = clock.schedule(0.01, fired.append, "dropped")
+        for bad in (-0.01, math.nan):
+            with pytest.raises(refused):
+                clock.schedule(bad, fired.append, "bad")
+        dropped.cancel()
+        dropped.cancel()
+        assert first.active and not dropped.active
+        await advance(0.1)
+        assert fired == ["a", "b"]
+        assert not first.active
+        first.cancel()  # a fired handle: nothing to undo
+        assert fired == ["a", "b"]
+
+    asyncio.run(scenario())
 
 
 def test_pointer_and_message_are_slotted():

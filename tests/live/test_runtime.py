@@ -11,7 +11,6 @@ from repro.live.runtime import RealtimeRuntime, format_address, parse_address
 from repro.net.message import Message
 from repro.net.transport import Transport
 from repro.sim.engine import Simulator
-from repro.sim.rng import RandomStreams
 
 
 def test_parse_address_round_trip_and_rejection():
@@ -217,35 +216,8 @@ def test_realtime_timers_fire_and_cancel():
         handle.cancel()
         assert not handle.active
         handle.cancel()  # idempotent
-        ticker = clock.every(0.05, fired.append, "tick")
-        await asyncio.sleep(0.28)
-        ticker.cancel()
-        count = fired.count("tick")
-        assert fired[0] == "a" and "b" not in fired
-        assert count >= 2
-        await asyncio.sleep(0.15)
-        assert fired.count("tick") == count  # cancelled means stopped
-
-    asyncio.run(scenario())
-
-
-def test_realtime_every_validations_match_the_kernel_contract():
-    async def scenario():
-        clock = RealtimeClock()
-        with pytest.raises(ValueError):
-            clock.every(0.0, lambda: None)
-        with pytest.raises(ValueError):
-            clock.every(1.0, lambda: None, jitter=1.0)
-        with pytest.raises(ValueError):
-            clock.every(1.0, lambda: None, jitter=0.1)  # jitter needs an rng
-        with pytest.raises(ValueError):
-            clock.schedule(-0.1, lambda: None)
-        # Jittered periodics draw from the supplied stream only.
-        rng = RandomStreams(7).spawn("jitter", 0)
-        ticker = clock.every(0.05, lambda: None, jitter=0.2, rng=rng)
-        await asyncio.sleep(0.12)
-        ticker.cancel()
-        assert ticker.fired >= 1
+        await asyncio.sleep(0.1)
+        assert fired == ["a"]
 
     asyncio.run(scenario())
 

@@ -128,6 +128,60 @@ def test_a_number_that_cannot_run_is_one_error_line_and_exit_2(argv, named, caps
     assert named in captured.err
 
 
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory):
+    """Spans and metrics of one small ``obs run``."""
+    out = tmp_path_factory.mktemp("recorded")
+    spans, metrics = str(out / "spans.jsonl"), str(out / "metrics.json")
+    assert main(["obs", "run", "-n", "12", "--duration", "40", "--seed", "3",
+                 "--spans", spans, "--metrics", metrics]) == 0
+    with open(metrics) as fh:
+        return spans, json.load(fh)
+
+
+def _health_with_config(recorded_run, tmp_path, capsys, **changes):
+    spans, doc = recorded_run
+    doc = json.loads(json.dumps(doc))
+    doc["meta"]["config"].update(changes)
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["obs", "health", spans, "--metrics", str(path)])
+    return rc, capsys.readouterr(), str(path)
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"bogus": 1}, "'bogus'"),
+    ({"probe_interval": "30"}, "probe_interval"),
+    ({"probe_interval": float("nan")}, "probe_interval"),
+    ({"timer_jitter": 0.2}, "'timer_jitter'"),
+    ({"multicast_redundancy": 2}, "'multicast_redundancy'"),
+])
+def test_a_metrics_file_with_a_bad_config_is_one_error_line_and_exit_2(
+    recorded_run, tmp_path, capsys, changes, named
+):
+    rc, captured, path = _health_with_config(recorded_run, tmp_path, capsys, **changes)
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert path in captured.err and named in captured.err
+
+
+def test_a_metrics_file_recording_the_retired_fields_judges_as_before(
+    recorded_run, tmp_path, capsys
+):
+    """Files written before ``timer_jitter`` / ``multicast_redundancy`` /
+    ``claim_audit_margin`` went record them at the values now fixed."""
+    rc, today, _ = _health_with_config(recorded_run, tmp_path, capsys)
+    older_rc, older, _ = _health_with_config(
+        recorded_run, tmp_path, capsys,
+        timer_jitter=0.0, multicast_redundancy=1, claim_audit_margin=1.5,
+    )
+    assert rc == older_rc == 0
+    assert older.out == today.out and "HEALTHY" in today.out
+    assert older.err == today.err == ""
+
+
 def test_the_smallest_obs_run_runs(capsys):
     """n = 3 is a bootstrap plus the two churn victims."""
     assert main(["obs", "run", "-n", "3", "--duration", "20"]) == 0
