@@ -24,12 +24,12 @@
 #   scripts/check.sh --compare   # tournament scorecard smoke +
 #                                # BENCH_baselines.json current
 #   scripts/check.sh --ledger    # benchmark ledger smoke only
-#   scripts/check.sh --scale     # NOT in the default run (~1 min, 2 GB):
+#   scripts/check.sh --scale     # NOT in the default run (~1 min, 1 GB):
 #                                # a 10^4-node detailed run fits in 1 GB;
 #                                # the scalable engine seeds 10^6 nodes
 #                                # in < 700 MB;
 #                                # the n=1,000 six-contestant tournament
-#                                # keeps its champion healthy in < 4 GB
+#                                # keeps its champion healthy in < 1000 MB
 set -u
 cd "$(dirname "$0")/.."
 
@@ -416,30 +416,31 @@ sys.exit(1 if problems else 0)
 PY
   echo "== scale (scalable engine: 10^6 nodes seeded, <= 4 pending entries, < 700 MB) =="
   seeding 1000000 700 || status=1
-  echo "== scale (six-contestant tournament, n=1,000 x 130 sim-s, one contestant at a time: champion healthy, < 4 GB) =="
+  echo "== scale (six-contestant tournament, n=1,000 x 130 sim-s, one contestant at a time: champion healthy, < 1000 MB) =="
   with_timeout 900 $PY - <<'PY' || status=1
 import resource, sys, time
 from dataclasses import replace
 from repro.compare import TournamentConfig, contestant_names, run_tournament
 from repro.compare.contestants import CHAMPION
 
-limit_mb = 4096
+limit_mb = 1000  # ~1.5x the 664 MB a row-per-span store peaks at
 cfg = TournamentConfig(contestants=tuple(contestant_names()), n_nodes=1000,
                        duration=130.0, window=30.0, seeds=(0,))
 # Every contestant owns its network, so a tournament of one gives the
 # row the full tournament would, and a host time that is its own.
-# Timings are printed for the eye, never judged.
+# Timings are printed for the eye, never judged.  The process's running
+# peak RSS is printed beside each span count: explicit-probe's spans are
+# what a span store that kept one object per span would blow up.
 rows = []
 for name in cfg.contestants:
     started = time.perf_counter()
     (row,) = run_tournament(replace(cfg, contestants=(name,)))["rows"]
     host_s = time.perf_counter() - started
     rows.append(row)
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"scale: {name:<17} {host_s:6.1f} host-s  {row['spans_total']:>9,} spans  "
-          f"error {row['error_rate']:.4f}  {row['bandwidth_bps_per_node']:>9.1f} bps/node  "
-          f"healthy={row['healthy']}")
-rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-print(f"scale: peak RSS {rss_mb:.0f} MB")
+          f"peak RSS {rss_mb:5.0f} MB  error {row['error_rate']:.4f}  "
+          f"{row['bandwidth_bps_per_node']:>9.1f} bps/node  healthy={row['healthy']}")
 problems = []
 if not all(row["healthy"] for row in rows if row["contestant"] == CHAMPION):
     problems.append(f"champion {CHAMPION} breached its health bands")

@@ -2,9 +2,9 @@
 
 The tracer's export invariant (DESIGN.md §12) is that an ``end=None``
 span means *the run stopped mid-operation* — never that an instrumented
-code path forgot to close it.  A leaked span also pins an entry in the
-node's ``_open`` table, which the invariant monitor reads to attribute
-violations to in-flight traces; a forgotten close poisons that
+code path forgot to close it.  A leaked span also stays in flight in
+the node's span store, whose in-flight trace ids the invariant monitor
+reads to attribute violations; a forgotten close poisons that
 attribution forever after.
 
 The rule understands this repo's idioms:
@@ -103,10 +103,10 @@ class SpanLifecycleRule(Rule):
     title = "span opened but not closed on every path"
     rationale = (
         "An unclosed span exports with end=None (reserved for runs that "
-        "stop mid-operation) and leaks an entry in NodeObs._open, which "
-        "the invariant monitor uses to attribute violations to in-flight "
-        "traces.  Close the span on every normal exit, or use instant() "
-        "for point events."
+        "stop mid-operation) and stays in flight in the NodeObs store, "
+        "which the invariant monitor reads to attribute violations to "
+        "in-flight traces.  Close the span on every normal exit, or use "
+        "instant() for point events."
     )
 
     def check(self, ctx: FileContext) -> None:

@@ -22,7 +22,7 @@ from repro.baselines.common import CollectionScheme
 from repro.baselines.runtime import BaselineMember, BaselineNetwork
 from repro.core.analytic import CostModel
 from repro.obs import metrics as m
-from repro.obs.trace import Span
+from repro.obs.trace import OpenSpan
 
 __all__ = ["GossipMulticastScheme", "GossipNetwork", "rounds_ttl"]
 
@@ -97,7 +97,7 @@ class GossipNetwork(BaselineNetwork):
         member: BaselineMember,
         kind: str,
         subject: int,
-        parent: Optional[Span],
+        parent: Optional[OpenSpan],
     ) -> None:
         event = self._event_id(kind, subject)
         member.seen.add(event)

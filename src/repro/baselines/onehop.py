@@ -22,7 +22,7 @@ from repro.baselines.runtime import BaselineMember, BaselineNetwork
 from repro.core.analytic import CostModel
 from repro.core.errors import ConfigError
 from repro.obs import metrics as m
-from repro.obs.trace import Span
+from repro.obs.trace import OpenSpan
 
 __all__ = ["OneHopDHTScheme", "OneHopNetwork"]
 
@@ -96,7 +96,7 @@ class OneHopNetwork(BaselineNetwork):
         member: BaselineMember,
         kind: str,
         subject: int,
-        parent: Optional[Span],
+        parent: Optional[OpenSpan],
     ) -> None:
         leader = self._leader_key(member)
         member.obs.registry.inc(m.REPORT_SENT)

@@ -19,7 +19,7 @@ from repro.baselines.common import CollectionScheme
 from repro.baselines.gossip import rounds_ttl
 from repro.baselines.runtime import BaselineMember, BaselineNetwork
 from repro.obs import metrics as m
-from repro.obs.trace import Span
+from repro.obs.trace import OpenSpan
 
 __all__ = ["RandomWalkNetwork", "RandomWalkScheme"]
 
@@ -127,7 +127,7 @@ class RandomWalkNetwork(BaselineNetwork):
         self._walk_step(key, key, 0, span)
 
     def _walk_step(
-        self, origin_key: int, at_key: int, steps: int, span: Optional[Span]
+        self, origin_key: int, at_key: int, steps: int, span: Optional[OpenSpan]
     ) -> None:
         now = self.sim.now
         origin = self.nodes.get(origin_key)
@@ -169,7 +169,7 @@ class RandomWalkNetwork(BaselineNetwork):
         )
 
     def _finish_walk(
-        self, origin: BaselineMember, steps: int, span: Optional[Span]
+        self, origin: BaselineMember, steps: int, span: Optional[OpenSpan]
     ) -> None:
         now = self.sim.now
         origin.obs.registry.observe(m.WALK_STEPS, float(steps))

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.config import ProtocolConfig
 from repro.obs import metrics as m
-from repro.obs.trace import Observability, Span, SpanRef
+from repro.obs.trace import Observability, OpenSpan, Span, SpanRef
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
@@ -190,7 +190,7 @@ class BaselineNetwork:
         self.sim.schedule(2 * self.hop_delay, self._join_done, key, bootstrap, span)
         return key
 
-    def _join_done(self, key: int, bootstrap: int, span: Optional[Span]) -> None:
+    def _join_done(self, key: int, bootstrap: int, span: Optional[OpenSpan]) -> None:
         member = self.nodes.get(key)
         if member is None or not member.alive:
             return
@@ -230,7 +230,7 @@ class BaselineNetwork:
         heartbeat_bits, ack_bits = self.config.heartbeat_bits, self.config.ack_bits
         probe_timeout = self.config.probe_timeout
         start = member.obs.start if member.obs.enabled else None
-        acked: List[Tuple[int, Optional[Span]]] = []
+        acked: List[Tuple[int, Optional[OpenSpan]]] = []
         for target in self._probe_targets(member):
             send("probe", heartbeat_bits)
             span = start("probe", now, target=target) if start else None
@@ -251,7 +251,7 @@ class BaselineNetwork:
         return [known[int(member.rng.integers(0, len(known)))]]
 
     def _probes_ok(
-        self, key: int, acked: List[Tuple[int, Optional[Span]]]
+        self, key: int, acked: List[Tuple[int, Optional[OpenSpan]]]
     ) -> None:
         member = self.nodes.get(key)
         if member is None:
@@ -267,7 +267,7 @@ class BaselineNetwork:
             if alive and target in known:
                 known[target] = now
 
-    def _probe_timeout(self, key: int, target: int, span: Optional[Span]) -> None:
+    def _probe_timeout(self, key: int, target: int, span: Optional[OpenSpan]) -> None:
         member = self.nodes.get(key)
         if member is None:
             return
@@ -297,12 +297,12 @@ class BaselineNetwork:
     # -- event dissemination hooks ----------------------------------------
 
     def _on_death_detected(
-        self, member: BaselineMember, subject: int, parent: Optional[Span]
+        self, member: BaselineMember, subject: int, parent: Optional[OpenSpan]
     ) -> None:
         """How (whether) a detected death spreads.  Default: it doesn't."""
 
     def _announce_join(
-        self, member: BaselineMember, bootstrap: int, parent: Optional[Span]
+        self, member: BaselineMember, bootstrap: int, parent: Optional[OpenSpan]
     ) -> None:
         """How (whether) a completed join spreads.  Default: it doesn't."""
 
@@ -324,7 +324,7 @@ class BaselineNetwork:
         member: BaselineMember,
         kind: str,
         subject: int,
-        parent: Optional[Span],
+        parent: Optional[OpenSpan],
         targets: List[int],
     ) -> Optional[SpanRef]:
         """Count and trace the root of an event ``member`` sends to

@@ -201,11 +201,13 @@ class ChaosRunner:
         if not monitor.quiescent:  # pragma: no cover - runner bug guard
             raise RuntimeError("chaos run ended before quiescence")
 
+        # Built once: the result and the post-hoc judge read the same log.
+        spans = net.spans() if self.observe else []
         health_verdicts: List[Verdict] = []
         health_signals: Dict[str, float] = {}
         if judge is not None:
             assert self.health_spec is not None
-            health_signals = self._posthoc_signals(net, config, monitor)
+            health_signals = self._posthoc_signals(net, config, monitor, spans)
             health_verdicts = judge.verdicts + evaluate(
                 self.health_spec, health_signals, now=net.sim.now)
 
@@ -228,7 +230,7 @@ class ChaosRunner:
             convergence_checks=monitor.convergence_checks,
             violations=list(monitor.violations),
             trace=trace.text(),
-            spans=net.spans() if self.observe else [],
+            spans=spans,
             metrics=net.metrics_snapshot() if self.observe else {},
             health_verdicts=health_verdicts,
             health_signals=health_signals,
@@ -265,13 +267,15 @@ class ChaosRunner:
         evaluation (hook: ``byz.*`` signals; empty by default)."""
         return {}
 
-    def _posthoc_signals(self, net, config, monitor) -> Dict[str, float]:
+    def _posthoc_signals(self, net, config, monitor,
+                         spans: List[Span]) -> Dict[str, float]:
         """What the one authoritative spec evaluation judges: the signals
-        of the quiesced end state plus the scenario family's own."""
+        of the quiesced end state (``spans`` is its span log) plus the
+        scenario family's own."""
         from repro.obs.analyze import analyze_spans
 
         signals = run_signals(
-            analyze_spans(net.spans()),
+            analyze_spans(spans),
             net.metrics_snapshot(),
             config,
             meta={"mean_error_rate": net.mean_error_rate()},

@@ -161,8 +161,9 @@ def _measure(
 ) -> Dict[str, Any]:
     net = entry.net
     snapshot = net.metrics_snapshot()
-    spans = net.spans()
-    trees = multicast_trees(spans)
+    # Only a span with a parent, or a root, can be in a tree: build those
+    # and count the rest.
+    trees = multicast_trees(net.obs.linked_spans("mcast.root"))
     latencies = [
         t.completion_latency
         for t in trees
@@ -189,7 +190,7 @@ def _measure(
         "collection_latency_s": _mean(latencies),
         "mcast_trees": len(trees),
         "mcast_max_depth": max((t.depth for t in trees), default=0),
-        "spans_total": len(spans),
+        "spans_total": net.obs.span_count(),
         "windows": sum(1 for f in entry.frames if not f.get("final")),
         "window_breaches": breaches_windows,
         "final_breaches": [v["slo"] for v in final.get("breaches", ())],

@@ -27,7 +27,7 @@ from repro.core.pointer import Pointer
 from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
 from repro.obs import metrics as m
-from repro.obs.trace import Span, SpanRef
+from repro.obs.trace import OpenSpan, SpanRef
 
 
 class MulticastService:
@@ -83,7 +83,7 @@ class MulticastService:
         obs = ctx.obs
         ctx.estimator.observe_departure(departed, self.runtime.now)
         obs.registry.inc(m.MCAST_STALE_REMOVED)
-        obit: Optional[Span] = None
+        obit: Optional[OpenSpan] = None
         if obs.enabled:
             obit = obs.instant(
                 "obituary",
@@ -146,7 +146,7 @@ class MulticastService:
             proceed=lambda: self.apply(event),
         )
         self._copy_to_recent_downloads(event, self.runtime.now)
-        hop: Optional[Span] = None
+        hop: Optional[OpenSpan] = None
         if obs.enabled:
             depth = msg.trace.depth if isinstance(msg.trace, SpanRef) else 0
             hop = obs.start(
@@ -179,7 +179,7 @@ class MulticastService:
         msg: Message,
         event: EventRecord,
         start_bit: int,
-        span: Optional[Span] = None,
+        span: Optional[OpenSpan] = None,
     ) -> None:
         ctx = self.ctx
         obs = ctx.obs
@@ -246,7 +246,7 @@ class MulticastService:
         ctx.seen_events[event.subject_id.value] = event.seq
         self.apply(event)
         self._copy_to_recent_downloads(event, self.runtime.now)
-        root: Optional[Span] = None
+        root: Optional[OpenSpan] = None
         if obs.enabled:
             root = obs.start(
                 "mcast.root",
@@ -261,7 +261,9 @@ class MulticastService:
             ctx.config.multicast_processing_delay, self._root_forward, event, root
         )
 
-    def _root_forward(self, event: EventRecord, span: Optional[Span] = None) -> None:
+    def _root_forward(
+        self, event: EventRecord, span: Optional[OpenSpan] = None
+    ) -> None:
         ctx = self.ctx
         obs = ctx.obs
         if not ctx.alive and event.subject_id.value != ctx.node_id.value:
@@ -511,7 +513,7 @@ class MulticastService:
             return
         ctx.stats.reports_sent += 1
         obs.registry.inc(m.REPORT_SENT)
-        span: Optional[Span] = None
+        span: Optional[OpenSpan] = None
         if obs.enabled:
             span = obs.start(
                 "report",
@@ -624,7 +626,7 @@ class MulticastService:
 
                 def apply_and_relay() -> None:
                     self.apply(event)
-                    relay: Optional[Span] = None
+                    relay: Optional[OpenSpan] = None
                     if obs.enabled:
                         relay = obs.instant(
                             "report.relay",

@@ -21,7 +21,7 @@ from repro.core.pointer import Pointer
 from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
 from repro.obs import metrics as m
-from repro.obs.trace import Span
+from repro.obs.trace import OpenSpan
 
 
 class FailureDetector:
@@ -62,7 +62,7 @@ class FailureDetector:
         if not ctx.alive:
             return
         ctx.stats.probes_sent += 1
-        span: Optional[Span] = None
+        span: Optional[OpenSpan] = None
         if obs.enabled:
             span = obs.start(
                 "probe",
@@ -170,7 +170,7 @@ class FailureDetector:
         if not ctx.alive or ctx.peer_list.get(target.node_id) is None:
             return
         ctx.stats.probes_sent += 1
-        span: Optional[Span] = None
+        span: Optional[OpenSpan] = None
         if obs.enabled:
             span = obs.start(
                 "probe.verify",
@@ -242,7 +242,7 @@ class FailureDetector:
         if not ctx.alive:
             return
         ctx.stats.probes_sent += 1
-        span: Optional[Span] = None
+        span: Optional[OpenSpan] = None
         if obs.enabled:
             span = obs.start(
                 "probe.verify",

@@ -32,7 +32,7 @@ from repro.core.pointer import Pointer
 from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
 from repro.obs import metrics as m
-from repro.obs.trace import Span
+from repro.obs.trace import OpenSpan
 
 
 class JoinService:
@@ -57,7 +57,7 @@ class JoinService:
         self._verify_stale = verify_stale if verify_stale is not None else (lambda _p: None)
         #: Open "join" span while a handshake is in flight (one per node at
         #: a time); the JOIN report traces back to it.
-        self._join_span: Optional[Span] = None
+        self._join_span: Optional[OpenSpan] = None
         self._join_started: float = 0.0
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.core.pointer import Pointer
 from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
 from repro.obs import metrics as m
-from repro.obs.trace import Span
+from repro.obs.trace import OpenSpan
 
 
 class LevelShiftService:
@@ -121,7 +121,7 @@ class LevelShiftService:
         if source is None:
             return
         ctx.raising = True
-        span: Optional[Span] = None
+        span: Optional[OpenSpan] = None
         if ctx.obs.enabled:
             span = ctx.obs.start(
                 "level.raise",
@@ -182,7 +182,7 @@ class LevelShiftService:
         new_level: int,
         source: Pointer,
         payload: tuple,
-        span: Optional[Span] = None,
+        span: Optional[OpenSpan] = None,
     ) -> None:
         ctx = self.ctx
         ctx.raising = False
@@ -227,7 +227,7 @@ class LevelShiftService:
             trace=span.ref() if span is not None else None,
         )
 
-    def _abort_raise(self, source: Pointer, span: Optional[Span] = None) -> None:
+    def _abort_raise(self, source: Pointer, span: Optional[OpenSpan] = None) -> None:
         self.ctx.raising = False
         if span is not None:
             self.ctx.obs.end(span, self.runtime.now, "timeout")

@@ -220,7 +220,7 @@ def _start_telemetry_sidecar(spec: LiveNodeSpec, outdir: str,
         WindowBucket,
     )
 
-    tap = NodeTap(runtime.address)
+    tap = NodeTap(obs)
     obs.sink = tap
     obs.registry.sink = tap
     writer = SnapshotWriter(f"{outdir}/telemetry_{spec.port}.jsonl")

@@ -61,7 +61,7 @@ from repro.obs.stream import (
     merge_node_frames,
     telemetry_header_line,
 )
-from repro.obs.trace import NodeObs, Observability, Span, SpanRef
+from repro.obs.trace import NodeObs, Observability, OpenSpan, Span, SpanRef
 
 __all__ = [
     "METRIC_CATALOG",
@@ -89,6 +89,7 @@ __all__ = [
     "known_metric",
     "NodeObs",
     "Observability",
+    "OpenSpan",
     "Span",
     "SpanRef",
     "aggregate_snapshots",

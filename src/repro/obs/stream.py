@@ -11,9 +11,11 @@ on:
   :class:`NodeTap` per node, installed in the ``sink`` slot of that
   node's :class:`~repro.obs.trace.NodeObs` and
   :class:`~repro.obs.metrics.MetricsRegistry`.  A tap only *observes*
-  span ends and counter increments; span buffers and registries are
-  untouched, so merged exports stay byte-identical with or without a
-  bus attached.  With no subscriber the hooks are a ``sink is None``
+  span ends and counter increments — it holds the row numbers of the
+  spans that ended, and reads their name / status / attrs from the span
+  store when drained; span stores and registries are untouched, so
+  merged exports stay byte-identical with or without a bus attached.
+  With no subscriber the hooks are a ``sink is None``
   check behind the existing ``enabled`` guard — the disabled hot path
   stays one ``if`` (ledger rows ``obs.disabled_guard_ns`` /
   ``obs.run_overhead_ratio``).
@@ -44,7 +46,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, IO, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    IO,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.obs.analyze import SchemaError
 from repro.obs.export import prepare_output_path
@@ -54,7 +67,7 @@ from repro.obs.health import (
     evaluate,
     metrics_signals,
 )
-from repro.obs.trace import NodeObs, Span
+from repro.obs.trace import NodeObs, SpanFacts
 
 TELEMETRY_SCHEMA = "repro.telemetry"
 TELEMETRY_SCHEMA_VERSION = 1
@@ -86,30 +99,31 @@ class NodeTap:
 
     Installed in the ``sink`` slot of one node's :class:`NodeObs` and
     :class:`MetricsRegistry`; only ever written from that node's own
-    event queue (same ownership argument as the span buffers).  Drained
-    between simulation strides.
+    event queue (same ownership argument as the span store).  It records
+    the *row* of each span that ends and reads the row's name, status
+    and attrs from the store when drained between simulation strides.
     """
 
-    __slots__ = ("node", "spans", "counts")
+    __slots__ = ("obs", "rows", "counts")
 
-    def __init__(self, node: Hashable):
-        self.node = node
-        self.spans: List[Span] = []
+    def __init__(self, obs: NodeObs):
+        self.obs = obs
+        self.rows: List[int] = []
         self.counts: Dict[str, float] = {}
 
     # Emit-path callbacks (hot when a bus is attached; see module doc).
 
-    def on_span_end(self, span: Span) -> None:
-        self.spans.append(span)
+    def on_span_end(self, row: int) -> None:
+        self.rows.append(row)
 
     def on_inc(self, name: str, value: float) -> None:
         self.counts[name] = self.counts.get(name, 0) + value
 
-    def drain(self) -> Tuple[List[Span], Dict[str, float]]:
-        """Take and reset the buffered spans and counter deltas."""
-        spans, self.spans = self.spans, []
+    def drain(self) -> Tuple[List[SpanFacts], Dict[str, float]]:
+        """Take and reset the ended spans' facts and counter deltas."""
+        rows, self.rows = self.rows, []
         counts, self.counts = self.counts, {}
-        return spans, counts
+        return self.obs.facts(rows, attrs_of=WindowBucket.ATTR_SPAN_NAMES), counts
 
 
 class TelemetryBus:
@@ -126,11 +140,11 @@ class TelemetryBus:
     def attach_node(self, obs: NodeObs) -> None:
         tap = self.taps.get(obs.node)
         if tap is None:
-            tap = self.taps[obs.node] = NodeTap(obs.node)
+            tap = self.taps[obs.node] = NodeTap(obs)
         obs.sink = tap
         obs.registry.sink = tap
 
-    def drain(self) -> List[Tuple[Hashable, List[Span], Dict[str, float]]]:
+    def drain(self) -> List[Tuple[Hashable, List[SpanFacts], Dict[str, float]]]:
         """Drain every tap in sorted node order (the export order of
         :meth:`Observability.spans` — determinism depends on it)."""
         out = []
@@ -146,9 +160,14 @@ class TelemetryBus:
 class WindowBucket:
     """The integer/float facts of one window, foldable across nodes.
 
-    Built either from drained :class:`NodeTap` buffers (sim) or from
-    per-node frame dicts (live merge) — both fold in sorted node order.
+    Built from drained :class:`NodeTap` buffers (sim and live node), from
+    per-node frame dicts (live merge) or from a replayed span log — all
+    fold in sorted node order.  A span folds as its name, status and
+    attrs, never as a :class:`~repro.obs.trace.Span` or a store row.
     """
+
+    #: The only spans whose attrs the fold reads (their tree ``depth``).
+    ATTR_SPAN_NAMES = _MCAST_SPAN_NAMES
 
     __slots__ = (
         "taps", "spans", "span_counts", "status_counts", "counters",
@@ -172,38 +191,39 @@ class WindowBucket:
         self.probe_timeouts = 0
         self.obituaries = 0
 
-    def add_span(self, span: Span) -> None:
+    def add_span(self, name: str, status: str, attrs: Mapping[str, Any]) -> None:
+        """Fold one ended span, given by its name, status and attrs — a
+        tap's row and a replayed :class:`~repro.obs.trace.Span` alike."""
         self.spans += 1
-        self.span_counts[span.name] = self.span_counts.get(span.name, 0) + 1
-        self.status_counts[span.status] = self.status_counts.get(span.status, 0) + 1
-        name = span.name
+        self.span_counts[name] = self.span_counts.get(name, 0) + 1
+        self.status_counts[status] = self.status_counts.get(status, 0) + 1
         if name in _MCAST_SPAN_NAMES:
             self.mcast_spans += 1
-            depth = span.attrs.get("depth") if span.attrs else None
+            depth = attrs.get("depth")
             if isinstance(depth, int) and depth > self.mcast_max_depth:
                 self.mcast_max_depth = depth
-            if span.status == "died":
+            if status == "died":
                 self.mcast_died += 1
         elif name == "mcast.redirect":
             self.mcast_redirects += 1
         elif name == "join":
-            if span.status == "ok":
+            if status == "ok":
                 self.join_ok += 1
             else:
                 self.join_failed += 1
         elif name in _PROBE_SPAN_NAMES:
             self.probes += 1
-            if span.status == "timeout":
+            if status == "timeout":
                 self.probe_timeouts += 1
         elif name == "obituary":
             self.obituaries += 1
 
-    def add_node(self, spans: Sequence[Span], counts: Dict[str, float]) -> None:
+    def add_node(self, spans: Sequence[SpanFacts], counts: Dict[str, float]) -> None:
         """Fold one drained tap (call in sorted node order)."""
         if spans or counts:
             self.taps += 1
-        for span in spans:
-            self.add_span(span)
+        for name, status, attrs in spans:
+            self.add_span(name, status, attrs)
         for name in sorted(counts):
             self.counters[name] = self.counters.get(name, 0) + counts[name]
 

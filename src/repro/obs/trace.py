@@ -2,7 +2,7 @@
 
 Every protocol operation — a join handshake, a level shift, a multicast
 dissemination, a failure probe sequence and its obituary, a §4.6 refresh
-— opens a :class:`Span`; cross-node causality rides a :class:`SpanRef`
+— opens a span; cross-node causality rides a :class:`SpanRef`
 in :attr:`repro.net.message.Message.trace`, so a multicast's full tree
 of hops, redirects, and obituaries reconstructs as one span tree keyed
 by ``trace_id``.
@@ -10,9 +10,9 @@ by ``trace_id``.
 Determinism is the design constraint (sequential and partitioned runs of
 the same seed must emit byte-identical span logs):
 
-* span ids are ``"{node}.{n}"`` where ``n`` is a per-node counter — each
-  node's event order is preserved by partitioning, so the ids match in
-  every execution mode;
+* span ids are ``"{node}.{n}"`` where ``n`` is the span's 1-based row in
+  its node's store — each node's event order is preserved by
+  partitioning, so the ids match in every execution mode;
 * timestamps are **simulated** seconds, never wall clock;
 * spans are buffered per node (one :class:`NodeObs` per node, touched
   only by the node's own logical process) and merged in sorted node
@@ -20,19 +20,34 @@ the same seed must emit byte-identical span logs):
 * tracing draws nothing from any RNG and sends no extra messages, so an
   enabled tracer cannot perturb the protocol it observes.
 
+A retained span is a *row*, not an object: :class:`NodeObs` keeps one
+column per field (name, start, end, status, parent id, trace id, attr
+keys, attr values), so a closed span costs a few machine words and no
+object the cyclic collector tracks; a span id is derived from the node
+and the row number.  :meth:`NodeObs.start` returns an :class:`OpenSpan`,
+a transient handle that carries the attrs its producer may still add
+until :meth:`NodeObs.end` freezes them into the row.  :class:`Span`
+stays the value every consumer receives: :attr:`NodeObs.spans` and
+:meth:`Observability.spans` build them on demand.
+
 With ``enabled=False`` (the default everywhere) every hook is a single
-attribute check; the ledger rows ``obs.disabled_guard_ns`` and
-``obs.run_overhead_ratio`` (``benchmarks/ledger/``) are the measured cost.
+attribute check and the view holds no columns; the ledger rows
+``obs.disabled_guard_ns`` and ``obs.run_overhead_ratio``
+(``benchmarks/ledger/``) are the measured cost.
 """
 
 from __future__ import annotations
 
+from array import array
+from types import MappingProxyType
 from typing import (
     Any,
+    Container,
     Dict,
     Hashable,
     Iterable,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Tuple,
@@ -57,7 +72,8 @@ class SpanRef(NamedTuple):
 
 
 class Span:
-    """One timed operation at one node.
+    """One timed operation at one node — the value every consumer of a
+    span log receives (built from a :class:`NodeObs` row, or loaded).
 
     ``start``/``end`` are simulated seconds; ``end`` is ``None`` while
     the operation is in flight (and stays ``None`` if the run stops
@@ -106,28 +122,71 @@ class Span:
         )
 
 
-ParentLike = Union[SpanRef, Span, None]
+class OpenSpan:
+    """What :meth:`NodeObs.start` returns: a transient handle on one row.
+
+    It carries the attrs its producer may still add until
+    :meth:`NodeObs.end` freezes them into the row (later writes are not
+    recorded), and derives the ids a child hangs under from the row, so
+    ``ref()`` keeps working after the end (an obituary hangs under its
+    ended probe).  The store keeps no reference to it.
+    """
+
+    __slots__ = ("obs", "row", "attrs")
+
+    def __init__(self, obs: "NodeObs", row: int, attrs: Dict[str, Any]):
+        self.obs = obs
+        self.row = row
+        self.attrs = attrs
+
+    @property
+    def span_id(self) -> str:
+        return f"{self.obs.node}.{self.row + 1}"
+
+    @property
+    def trace_id(self) -> str:
+        trace_id = self.obs._traces[self.row]
+        return self.span_id if trace_id is None else trace_id
+
+    def ref(self, depth: int = 0) -> SpanRef:
+        """The context to hand a child (same trace, this span as parent)."""
+        span_id = self.span_id
+        trace_id = self.obs._traces[self.row]
+        return SpanRef(span_id if trace_id is None else trace_id, span_id, depth)
 
 
-def _parent_ids(parent: ParentLike) -> Tuple[Optional[str], Optional[str]]:
-    """(trace_id, span_id) of a parent given as Span, SpanRef, or None."""
-    if parent is None:
-        return None, None
-    if isinstance(parent, Span):
-        return parent.trace_id, parent.span_id
-    return parent.trace_id, parent.span_id
+ParentLike = Union[SpanRef, Span, OpenSpan, None]
+
+#: The end column's value while a span is in flight (no sim time is NaN).
+_IN_FLIGHT = float("nan")
+
+#: ``(name, status, attrs)`` of one ended span — what a fold reads.
+SpanFacts = Tuple[str, str, Mapping[str, Any]]
+
+_NO_ATTRS: Mapping[str, Any] = MappingProxyType({})
 
 
 class NodeObs:
-    """One node's observability handle: tracer buffer + metrics registry.
+    """One node's observability handle: span store + metrics registry.
 
     All instrumentation sites hold a reference and guard on
     :attr:`enabled` — a disabled handle costs one attribute read per
-    potential span.  The handle is owned by exactly one node and only
-    ever touched from that node's event queue.
+    potential span and holds the empty tuple in every column.  The
+    handle is owned by exactly one node and only ever touched from that
+    node's event queue.
+
+    Row ``r`` is the span ``"{node}.{r + 1}"``.  The trace column holds
+    ``None`` for a span that roots its own trace (its trace id is its
+    span id).  While a span is in flight its key column holds ``None``
+    and its value column the producer's live attrs dict; ``end()``
+    replaces them with an interned key tuple and a value tuple.
     """
 
-    __slots__ = ("enabled", "node", "spans", "registry", "sink", "_n", "_open")
+    __slots__ = (
+        "enabled", "node", "registry", "sink",
+        "_names", "_starts", "_ends", "_statuses", "_parents", "_traces",
+        "_keys", "_values", "_key_tuples",
+    )
 
     def __init__(
         self,
@@ -137,19 +196,29 @@ class NodeObs:
     ):
         self.enabled = enabled
         self.node = node
-        self.spans: List[Span] = []
         self.registry = (
             registry if registry is not None else MetricsRegistry(enabled=enabled)
         )
         #: Optional streaming subscriber (``repro.obs.stream``), notified
-        #: on span end.  ``None`` by default; the check sits behind the
-        #: ``enabled`` guard at every call site, so the disabled hot path
-        #: never sees it.
+        #: with the row of each span that ends.  ``None`` by default; the
+        #: check sits behind the ``enabled`` guard at every call site, so
+        #: the disabled hot path never sees it.
         self.sink = None
-        self._n = 0
-        #: In-flight spans by span_id (the invariant monitor reads this
-        #: to attach live trace ids to violation reports).
-        self._open: Dict[str, Span] = {}
+        if not enabled:
+            self._names = self._starts = self._ends = self._statuses = ()
+            self._parents = self._traces = self._keys = self._values = ()
+            self._key_tuples = ()
+            return
+        self._names: List[str] = []
+        self._starts = array("d")
+        self._ends = array("d")
+        self._statuses: List[str] = []
+        self._parents: List[Optional[str]] = []
+        self._traces: List[Optional[str]] = []
+        self._keys: List[Optional[Tuple[str, ...]]] = []
+        self._values: List[Any] = []
+        #: Attr-key tuples, interned: the rows of one call site share one.
+        self._key_tuples: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     # -- span lifecycle ----------------------------------------------------
 
@@ -159,25 +228,38 @@ class NodeObs:
         t: float,
         parent: ParentLike = None,
         **attrs: Any,
-    ) -> Span:
+    ) -> OpenSpan:
         """Open a span.  With no parent the span roots a fresh trace
         whose id equals the span id."""
-        self._n += 1
-        span_id = f"{self.node}.{self._n}"
-        trace_id, parent_id = _parent_ids(parent)
-        if trace_id is None:
-            trace_id = span_id
-        span = Span(trace_id, span_id, parent_id, name, self.node, t, attrs or None)
-        self.spans.append(span)
-        self._open[span_id] = span
-        return span
+        row = len(self._names)
+        self._names.append(name)
+        self._starts.append(t)
+        self._ends.append(_IN_FLIGHT)
+        self._statuses.append("ok")
+        if parent is None:
+            self._parents.append(None)
+            self._traces.append(None)
+        else:
+            self._parents.append(parent.span_id)
+            self._traces.append(parent.trace_id)
+        self._keys.append(None)
+        self._values.append(attrs)
+        return OpenSpan(self, row, attrs)
 
-    def end(self, span: Span, t: float, status: str = "ok") -> None:
-        span.end = t
-        span.status = status
-        self._open.pop(span.span_id, None)
+    def end(self, span: OpenSpan, t: float, status: str = "ok") -> None:
+        """Close ``span`` at ``t``, freezing its attrs into its row.  Only
+        the first end counts: ending a span that is no longer in flight
+        changes nothing and notifies no sink."""
+        row = span.row
+        if self._keys[row] is not None:
+            return
+        self._ends[row] = t
+        self._statuses[row] = status
+        keys = tuple(span.attrs)
+        self._keys[row] = self._key_tuples.setdefault(keys, keys)
+        self._values[row] = tuple(span.attrs.values())
         if self.sink is not None:
-            self.sink.on_span_end(span)
+            self.sink.on_span_end(row)
 
     def instant(
         self,
@@ -185,25 +267,93 @@ class NodeObs:
         t: float,
         parent: ParentLike = None,
         **attrs: Any,
-    ) -> Span:
+    ) -> OpenSpan:
         """A zero-duration span (a point event that still needs a place
         in the causal tree — e.g. a redirect or an obituary)."""
         span = self.start(name, t, parent, **attrs)
         self.end(span, t)
         return span
 
-    # -- introspection ----------------------------------------------------
+    # -- reading the store -------------------------------------------------
 
-    def open_spans(self) -> List[Span]:
-        return list(self._open.values())
+    def span_count(self) -> int:
+        return len(self._names)
+
+    @property
+    def spans(self) -> List[Span]:
+        """Every span of this node, in creation order, built on demand."""
+        return self._build(range(len(self._names)))
+
+    def linked_spans(self, root_name: str) -> List[Span]:
+        """The spans that can sit in a tree rooted at a ``root_name``
+        span: those with a parent, plus every ``root_name`` span.  Only
+        these are built — a few per cent of a probe-heavy log."""
+        parents, names = self._parents, self._names
+        return self._build(
+            row for row in range(len(names))
+            if parents[row] is not None or names[row] == root_name
+        )
+
+    def _build(self, rows: Iterable[int]) -> List[Span]:
+        node, names, starts, ends = self.node, self._names, self._starts, self._ends
+        statuses, parents, traces = self._statuses, self._parents, self._traces
+        keys, values = self._keys, self._values
+        out: List[Span] = []
+        for row in rows:
+            span_id = f"{node}.{row + 1}"
+            trace_id, row_keys = traces[row], keys[row]
+            span = Span(
+                span_id if trace_id is None else trace_id, span_id,
+                parents[row], names[row], node, starts[row],
+                # In flight: the live attrs dict, and end stays None.
+                dict(values[row]) if row_keys is None
+                else dict(zip(row_keys, values[row])),
+            )
+            if row_keys is not None:
+                span.end = ends[row]
+                span.status = statuses[row]
+            out.append(span)
+        return out
+
+    def facts(
+        self, rows: Iterable[int], attrs_of: Container[str]
+    ) -> List[SpanFacts]:
+        """``(name, status, attrs)`` of each of ``rows`` (ended spans) —
+        what a telemetry fold reads, without building a :class:`Span`.
+        Attrs are built only for spans named in ``attrs_of``; any other
+        span carries an empty mapping."""
+        names, statuses, keys, values = (
+            self._names, self._statuses, self._keys, self._values
+        )
+        out: List[SpanFacts] = []
+        for row in rows:
+            name = names[row]
+            out.append((
+                name, statuses[row],
+                dict(zip(keys[row], values[row])) if name in attrs_of else _NO_ATTRS,
+            ))
+        return out
 
     def open_traces(self) -> List[str]:
         """Distinct trace ids with an in-flight span at this node, in
         span-creation order (deterministic)."""
         seen: Dict[str, None] = {}
-        for span in self._open.values():
-            seen.setdefault(span.trace_id, None)
+        traces = self._traces
+        for row, keys in enumerate(self._keys):
+            if keys is None:
+                trace_id = traces[row]
+                seen.setdefault(
+                    f"{self.node}.{row + 1}" if trace_id is None else trace_id, None
+                )
         return list(seen)
+
+
+def _merged(per_node: Iterable[List[Span]]) -> List[Span]:
+    merged: List[Span] = []
+    for spans in per_node:
+        merged.extend(spans)
+    merged.sort(key=lambda s: s.start)  # stable: preserves node order
+    return merged
 
 
 class Observability:
@@ -258,11 +408,15 @@ class Observability:
     def spans(self) -> List[Span]:
         """Every span from every node, deterministically ordered:
         by start time, ties broken by (sorted node, creation order)."""
-        merged: List[Span] = []
-        for view in self._sorted_views():
-            merged.extend(view.spans)
-        merged.sort(key=lambda s: s.start)  # stable: preserves node order
-        return merged
+        return _merged(view.spans for view in self._sorted_views())
+
+    def linked_spans(self, root_name: str) -> List[Span]:
+        """:meth:`NodeObs.linked_spans` of every node, in :meth:`spans`
+        order."""
+        return _merged(view.linked_spans(root_name) for view in self._sorted_views())
+
+    def span_count(self) -> int:
+        return sum(view.span_count() for view in self._views.values())
 
     def traces(self) -> Dict[str, List[Span]]:
         """Spans grouped by trace id (each group in global span order)."""

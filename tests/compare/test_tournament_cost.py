@@ -14,7 +14,7 @@ import pytest
 from repro.baselines.explicit_probe import ExplicitProbeNetwork
 from repro.compare import TournamentConfig, contestant_names, run_tournament
 from repro.obs import analyze
-from repro.obs.trace import Observability
+from repro.obs.trace import Observability, Span
 from tests.baselines.test_tick_batching import recorded_contestants
 
 
@@ -35,12 +35,16 @@ def test_explicit_probe_executes_events_per_tick_not_per_probe():
 
 @pytest.fixture(scope="module")
 def tournament_spans():
-    """name -> span log of a small six-contestant tournament, plus how
-    often each network's span log was merged while it ran."""
-    merges = []
-    merge = Observability.spans
+    """name -> network of a small six-contestant tournament, plus the id
+    of every :class:`Span` the run built and every whole-log merge."""
+    built, merges = [], []
+    init, merge = Span.__init__, Observability.spans
 
-    def counting(self):
+    def counting_init(self, trace_id, span_id, *args, **kwargs):
+        built.append(span_id)
+        init(self, trace_id, span_id, *args, **kwargs)
+
+    def counting_merge(self):
         merges.append(self)
         return merge(self)
 
@@ -49,16 +53,24 @@ def tournament_spans():
         window=30.0, seeds=(1,),
     )
     with recorded_contestants() as nets, \
-            mock.patch.object(Observability, "spans", counting):
+            mock.patch.object(Span, "__init__", counting_init), \
+            mock.patch.object(Observability, "spans", counting_merge):
         doc = run_tournament(cfg)
-    return doc, {net.name: net for net in nets}, merges
+    return doc, {net.name: net for net in nets}, built, merges
 
 
-def test_measure_merges_each_span_log_once(tournament_spans):
-    doc, nets, merges = tournament_spans
+def test_measure_builds_only_tree_candidates(tournament_spans):
+    """The scorecard counts spans in the store and builds a :class:`Span`
+    only for what a tree can hold: a span with a parent, or a root."""
+    doc, nets, built, merges = tournament_spans
     assert len(doc["rows"]) == len(nets) == 6
-    assert {name: merges.count(net.obs) for name, net in nets.items()} == \
-        dict.fromkeys(nets, 1)
+    assert merges == []
+    candidates = [
+        s.span_id for net in nets.values() for s in net.spans()
+        if s.parent_id is not None or s.name == "mcast.root"
+    ]
+    assert sorted(built) == sorted(candidates)
+    assert sum(row["spans_total"] for row in doc["rows"]) > 3 * len(built)
 
 
 def _trees_over_every_span(spans):
@@ -77,7 +89,7 @@ def _trees_over_every_span(spans):
 
 @pytest.mark.parametrize("name", contestant_names())
 def test_scorecard_trees_are_the_analyzer_trees(tournament_spans, name):
-    doc, nets, _ = tournament_spans
+    doc, nets, _, _ = tournament_spans
     spans = nets[name].spans()
     trees = analyze.multicast_trees(spans)
     assert trees == analyze.analyze_spans(spans).trees

@@ -243,7 +243,7 @@ def test_counts_agree_with_the_streaming_fold(source):
     bucket = WindowBucket()
     for span in spans:
         if span.end is not None:
-            bucket.add_span(span)
+            bucket.add_span(span.name, span.status, span.attrs)
     report = analyze_spans(spans)
     assert (bucket.join_ok, bucket.join_failed) == (report.joins_ok, report.joins_failed)
     assert (bucket.probes, bucket.probe_timeouts) == (report.probes, report.probe_timeouts)

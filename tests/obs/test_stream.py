@@ -25,7 +25,7 @@ from repro.obs.stream import (
     merge_node_frames,
     telemetry_header_line,
 )
-from repro.obs.trace import NodeObs, Observability, Span
+from repro.obs.trace import NodeObs, Observability
 
 CONFIG = ProtocolConfig(
     id_bits=16,
@@ -38,12 +38,9 @@ CONFIG = ProtocolConfig(
 )
 
 
-def _span(name, node="n0", start=0.0, end=1.0, status="ok", attrs=None):
-    span = Span(f"t-{name}", f"{node}.s", None, name, node, start,
-                attrs=attrs or {})
-    span.end = end
-    span.status = status
-    return span
+def _span(name, status="ok", attrs=None):
+    """One ended span as the fold takes it: name, status, attrs."""
+    return name, status, attrs or {}
 
 
 def _small_net(**kwargs):
@@ -73,7 +70,7 @@ class ListSink:
 class BoomSink:
     """A sink whose callbacks must never run (hot-path fixture)."""
 
-    def on_span_end(self, span):  # pragma: no cover - the point is no call
+    def on_span_end(self, row):  # pragma: no cover - the point is no call
         raise AssertionError("sink reached through a disabled emit path")
 
     def on_inc(self, name, value):  # pragma: no cover - same
@@ -86,17 +83,22 @@ class BoomSink:
 class TestBus:
     def test_tap_receives_span_ends_and_counter_deltas(self):
         obs = NodeObs("n0", enabled=True)
-        tap = NodeTap("n0")
+        tap = NodeTap(obs)
         obs.sink = tap
         obs.registry.sink = tap
-        span = obs.start("probe", 1.0)
-        assert tap.spans == []  # only *ends* are published
+        span = obs.start("probe", 1.0, target=7)
+        hop = obs.start("mcast.hop", 1.5, depth=2)
+        assert tap.rows == []  # only *ends* are published
         obs.end(span, 2.0, status="timeout")
         obs.instant("obituary", 3.0)
+        obs.end(hop, 3.5)
         obs.registry.inc("mcast.received")
         obs.registry.inc("mcast.received", 2)
+        assert tap.rows == [0, 2, 1]  # rows, in end order
         spans, counts = tap.drain()
-        assert [s.name for s in spans] == ["probe", "obituary"]
+        # Attrs are read only for the spans the fold reads them of.
+        assert spans == [("probe", "timeout", {}), ("obituary", "ok", {}),
+                         ("mcast.hop", "ok", {"depth": 2})]
         assert counts == {"mcast.received": 3}
         assert tap.drain() == ([], {})  # drain resets
 
@@ -161,7 +163,7 @@ class TestWindowBucket:
             _span("probe.verify"),
             _span("obituary"),
         ):
-            bucket.add_span(span)
+            bucket.add_span(*span)
         assert bucket.spans == 10
         assert bucket.mcast_spans == 3
         assert bucket.mcast_max_depth == 3
@@ -279,18 +281,18 @@ class TestFrameIO:
                 load_frames([header])
 
     def test_merge_node_frames_folds_by_window_index(self):
-        def node_frames(node, probes):
+        def node_frames(probes):
             agg = WindowAggregator()
             out = []
             for i, count in enumerate(probes):
                 bucket = WindowBucket()
-                bucket.add_node([_span("probe", node=node)] * count, {})
+                bucket.add_node([_span("probe")] * count, {})
                 out.append(agg.close_window(i, i * 5.0, (i + 1) * 5.0, bucket))
             return out
 
         merged = merge_node_frames([
-            ("host:2", node_frames("host:2", [2, 1])),
-            ("host:1", node_frames("host:1", [1, 0])),
+            ("host:2", node_frames([2, 1])),
+            ("host:1", node_frames([1, 0])),
         ])
         assert [f["window"] for f in merged] == [0, 1, 2]
         assert [f.get("final", False) for f in merged] == [False, False, True]

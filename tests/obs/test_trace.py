@@ -3,6 +3,14 @@
 from repro.obs.trace import NodeObs, Observability, Span, SpanRef
 
 
+class RowSink:
+    def __init__(self):
+        self.rows = []
+
+    def on_span_end(self, row):
+        self.rows.append(row)
+
+
 class TestNodeObs:
     def test_disabled_by_default_and_cheap(self):
         obs = NodeObs("n0")
@@ -19,40 +27,74 @@ class TestNodeObs:
     def test_rootless_span_roots_its_own_trace(self):
         obs = NodeObs("n0", enabled=True)
         root = obs.start("mcast.root", 0.0)
-        assert root.trace_id == root.span_id
-        assert root.parent_id is None
+        assert root.trace_id == root.span_id == "n0.1"
+        (span,) = obs.spans
+        assert (span.trace_id, span.span_id, span.parent_id) == ("n0.1", "n0.1", None)
 
     def test_parenting_by_span_and_by_ref(self):
         obs = NodeObs("n0", enabled=True)
         root = obs.start("root", 0.0)
         child = obs.start("child", 1.0, parent=root)
         assert child.trace_id == root.trace_id
-        assert child.parent_id == root.span_id
+        assert obs.spans[1].parent_id == root.span_id
         # Cross-node: the wire form is a SpanRef.
         other = NodeObs("n1", enabled=True)
         hop = other.start("hop", 2.0, parent=child.ref(depth=3))
         assert hop.trace_id == root.trace_id
-        assert hop.parent_id == child.span_id
+        (built,) = other.spans
+        assert (built.trace_id, built.parent_id) == ("n0.1", child.span_id)
+        # A built Span parents like the handle it was built from.
+        again = other.start("hop", 3.0, parent=obs.spans[1])
+        assert (again.trace_id, other.spans[1].parent_id) == ("n0.1", "n0.2")
 
     def test_ref_carries_depth(self):
         span = Span("t", "s", None, "x", "n0", 0.0)
         ref = span.ref(depth=4)
         assert ref == SpanRef("t", "s", 4)
         assert span.ref() == SpanRef("t", "s", 0)
+        obs = NodeObs("n0", enabled=True)
+        root = obs.start("x", 0.0)
+        child = obs.start("y", 0.0, parent=root.ref(depth=2))
+        assert root.ref(depth=4) == SpanRef("n0.1", "n0.1", 4)
+        assert child.ref() == SpanRef("n0.1", "n0.2", 0)
 
     def test_end_sets_status_and_duration(self):
         obs = NodeObs("n0", enabled=True)
         span = obs.start("op", 1.0)
-        assert span.duration is None
+        assert obs.spans[0].duration is None
         obs.end(span, 3.5, "timeout")
-        assert span.duration == 2.5
-        assert span.status == "timeout"
+        (built,) = obs.spans
+        assert built.duration == 2.5
+        assert built.status == "timeout"
 
     def test_instant_is_zero_duration(self):
         obs = NodeObs("n0", enabled=True)
-        span = obs.instant("obituary", 4.0, subject="n9")
-        assert span.duration == 0.0
-        assert span.attrs == {"subject": "n9"}
+        obs.instant("obituary", 4.0, subject="n9")
+        (built,) = obs.spans
+        assert built.duration == 0.0
+        assert built.attrs == {"subject": "n9"}
+
+    def test_first_end_wins_and_notifies_once(self):
+        """A span ended twice keeps its first end, and the stream sees
+        one end: re-notifying double-counted it in the window fold."""
+        obs = NodeObs("n0", enabled=True)
+        obs.sink = sink = RowSink()
+        span = obs.start("probe", 1.0, target=3)
+        obs.end(span, 1.1, "ok")
+        obs.end(span, 5.0, "timeout")
+        (built,) = obs.spans
+        assert (built.end, built.status) == (1.1, "ok")
+        assert sink.rows == [0]
+
+    def test_attrs_freeze_at_end(self):
+        obs = NodeObs("n0", enabled=True)
+        span = obs.start("mcast.hop", 1.0, depth=2)
+        span.attrs["fanout"] = 3
+        assert obs.spans[0].attrs == {"depth": 2, "fanout": 3}  # in flight
+        obs.end(span, 2.0)
+        span.attrs["late"] = True  # after the end: not recorded
+        assert obs.spans[0].attrs == {"depth": 2, "fanout": 3}
+        assert span.ref(1) == SpanRef("n0.1", "n0.1", 1)  # ids outlive the end
 
     def test_open_traces_tracks_in_flight_only(self):
         obs = NodeObs("n0", enabled=True)
@@ -63,7 +105,7 @@ class TestNodeObs:
         obs.end(a, 1.0)
         obs.end(b, 1.0)
         assert obs.open_traces() == [c.trace_id]
-        assert obs.open_spans() == [c]
+        assert [s.span_id for s in obs.spans if s.end is None] == [c.span_id]
 
 
 class TestObservability:
@@ -81,7 +123,9 @@ class TestObservability:
         sa1 = a.start("x", 5.0)
         sa2 = a.start("x", 1.0)
         # same start: sorted node order breaks the tie deterministically
-        assert root.spans() == [sa2, sa1, sb]
+        assert [s.span_id for s in root.spans()] == \
+            [sa2.span_id, sa1.span_id, sb.span_id]
+        assert root.span_count() == 3
 
     def test_traces_group_by_trace_id(self):
         root = Observability(enabled=True)
