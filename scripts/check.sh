@@ -25,7 +25,7 @@
 #                                # BENCH_baselines.json current
 #   scripts/check.sh --ledger    # benchmark ledger smoke only
 #   scripts/check.sh --scale     # NOT in the default run (~1 min, 1 GB):
-#                                # a 10^4-node detailed run fits in 1 GB;
+#                                # a 10^4-node detailed run fits in 550 MB;
 #                                # the scalable engine seeds 10^6 nodes
 #                                # in < 700 MB;
 #                                # the n=1,000 six-contestant tournament
@@ -375,14 +375,17 @@ check_ledger() {
 }
 
 check_scale() {
-  echo "== scale (10^4 nodes seeded at levels 3/4/4/5, 60 sim-s: no false detection, error 0, < 1 GB) =="
+  echo "== scale (10^4 nodes seeded at levels 3/4/4/5, 60 sim-s: no false detection, error 0, < 550 MB) =="
   with_timeout 600 $PY - <<'PY' || status=1
-import resource, sys, time
+import gc, resource, sys, time
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
 from repro.net.latency import PairwiseLatencyModel
 
-n, levels, limit_mb = 10_000, (3, 4, 4, 5), 1024
+# ~1.5x the 364 MB this run peaks at (456 MB while the top-node lists held
+# Pointers, NodeContext had an instance dict and every node spawned its
+# generator up front).
+n, levels, limit_mb = 10_000, (3, 4, 4, 5), 550
 net = PeerWindowNetwork(config=ProtocolConfig(level_check_interval=1e6),
                         topology=PairwiseLatencyModel(), master_seed=0)
 started = time.perf_counter()
@@ -398,9 +401,16 @@ failures = sum(node.stats.failures_detected + node.stats.reports_failed for node
 probes = sum(node.stats.probes_sent for node in live)
 error = net.mean_error_rate()
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+gc.collect()
+started = time.perf_counter()
+gc.collect()
+pass_ms = (time.perf_counter() - started) * 1e3
+tracked = len(gc.get_objects()) / n
 print(f"scale: {len(live)} nodes, {rows} peer-list rows, build {build_s:.1f} s, "
       f"60 sim-s in {run_s:.1f} s ({probes} probes), {failures} failure detection(s), "
       f"mean error {error}, peak RSS {rss_mb:.0f} MB")
+print(f"scale: {tracked:.1f} tracked objects per node, one full collector pass "
+      f"{pass_ms:.0f} ms (unjudged)")
 problems = []
 if len(live) != n or probes < n:
     problems.append(f"{len(live)} live nodes sent {probes} probes (want {n} and >= {n})")

@@ -131,21 +131,36 @@ def _payload_objects(payload: Any) -> List[Any]:
     return out
 
 
+def _slot_items(obj: Any) -> List[Tuple[str, Any]]:
+    """``(name, value)`` of an instance's set ``__slots__``, along its MRO."""
+    items: List[Tuple[str, Any]] = []
+    for klass in type(obj).__mro__:
+        slots = getattr(klass, "__slots__", ())
+        for slot in (slots,) if isinstance(slots, str) else slots:
+            if slot in ("__dict__", "__weakref__"):
+                continue
+            try:
+                items.append((slot, getattr(obj, slot)))
+            except AttributeError:  # an unset slot
+                pass
+    return items
+
+
 def _object_fields(obj: Any) -> List[Any]:
     """Attribute values of an instance, working for both ``__dict__``
     and ``__slots__`` layouts."""
     try:
         return list(vars(obj).values())
     except TypeError:
-        pass
-    values: List[Any] = []
-    for klass in type(obj).__mro__:
-        for slot in getattr(klass, "__slots__", ()):
-            try:
-                values.append(getattr(obj, slot))
-            except AttributeError:  # pragma: no cover - unset slot
-                pass
-    return values
+        return [value for _, value in _slot_items(obj)]
+
+
+def _state_items(obj: Any) -> List[Tuple[str, Any]]:
+    """``(name, value)`` of every set attribute of an instance — its
+    ``__slots__`` and, where it has one, its ``__dict__`` — by name."""
+    items = dict(_slot_items(obj))
+    items.update(getattr(obj, "__dict__", {}))
+    return sorted(items.items(), key=lambda item: item[0])
 
 
 class DetSan:
@@ -273,15 +288,13 @@ class DetSan:
         roots: List[Any] = []
         ctx = getattr(node, "ctx", None)
         if ctx is not None:
-            for name, value in sorted(vars(ctx).items()):
+            for name, value in _state_items(ctx):
                 if name not in _CTX_INFRA_ATTRS:
                     roots.append(value)
         for name in ("join", "maintenance", "failure", "levels", "dissemination"):
             service = getattr(node, name, None)
             if service is not None:
-                for attr, value in sorted(
-                    ((a, v) for a, v in self._service_state(service)),
-                ):
+                for attr, value in _state_items(service):
                     if attr not in _SERVICE_INFRA_ATTRS:
                         roots.append(value)
         hits: List[Any] = []
@@ -303,18 +316,6 @@ class DetSan:
             for child in self._children(obj):
                 stack.append((child, depth + 1))
         return hits
-
-    @staticmethod
-    def _service_state(service) -> List[Tuple[str, Any]]:
-        try:
-            return list(vars(service).items())
-        except TypeError:  # pragma: no cover - slotted service
-            return [
-                (slot, getattr(service, slot))
-                for klass in type(service).__mro__
-                for slot in getattr(klass, "__slots__", ())
-                if hasattr(service, slot)
-            ]
 
     @staticmethod
     def _children(obj: Any) -> List[Any]:

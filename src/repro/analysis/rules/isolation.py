@@ -34,8 +34,9 @@ ALIAS_SINK_METHODS = {
     "setdefault",
     "push",
 }
-#: Installers documented to store copies internally (TopNodeList.merge,
-#: CrossPartTopList.merge) — passing a received object is safe.
+#: Installers that store a pointer's fields, never the object
+#: (TopNodeList.merge, CrossPartTopList.merge write columnar rows) —
+#: passing a received object is safe.
 COPYING_SINK_METHODS = {"merge"}
 
 #: Calls that produce an independent object from their argument.

@@ -12,7 +12,7 @@ every service sees every state change immediately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Set
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Union
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from repro.core.topnodes import CrossPartTopList, TopNodeList
 from repro.kernel.clock import TimerHandle
 from repro.kernel.runtime import NodeRuntime
 from repro.obs.trace import NodeObs
+from repro.sim.rng import SubStream
 
 
 @dataclass
@@ -55,7 +56,20 @@ class NodeContext:
     ``report_event`` is wired by the coordinator after the dissemination
     service exists (services are constructed in dependency order, and the
     report path is the one capability every other service needs).
+
+    Slotted: 33 attributes overflow CPython's shared-key instance dict,
+    which cost every node ≈ 1.3 KB of dict.
     """
+
+    __slots__ = (
+        "runtime", "config", "node_id", "address", "threshold_bps", "rng",
+        "attached_info", "obs", "level", "alive", "is_top", "seq", "raising",
+        "recovering", "peer_list", "top_list", "cross_parts", "estimator",
+        "refresh_mgr", "controller", "stats", "bridge_subscribers",
+        "recent_downloads", "seen_events", "relayed_reports", "endpoint",
+        "loop_timers", "report_event", "confirm_dead", "obit_strikes",
+        "obit_quarantine", "obit_pending", "last_join_served",
+    )
 
     def __init__(
         self,
@@ -64,7 +78,7 @@ class NodeContext:
         node_id: NodeId,
         address: Hashable,
         threshold_bps: float,
-        rng: np.random.Generator,
+        rng: Union[np.random.Generator, SubStream],
         attached_info: Any = None,
         obs: NodeObs = None,
     ):

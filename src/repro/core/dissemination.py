@@ -604,7 +604,7 @@ class MulticastService:
             # Stale top-node pointer at the reporter: we are no longer a
             # top node.  Ack with our *current* top-node list so the
             # reporter heals (§4.5), and relay the event upward ourselves.
-            piggyback = [p.copy() for p in ctx.top_list.pointers()]
+            piggyback = ctx.top_list.pointers()
             self.runtime.send(
                 msg.make_reply(
                     "report-ack",
@@ -670,7 +670,7 @@ class MulticastService:
         self.runtime.send(
             msg.make_reply(
                 "topnodes",
-                payload=[p.copy() for p in ctx.top_list.pointers()],
+                payload=ctx.top_list.pointers(),
                 size_bits=max(1, len(ctx.top_list)) * ctx.config.pointer_bits,
             )
         )

@@ -437,9 +437,7 @@ class JoinService:
                 parent=msg.trace,
                 joiner=str(msg.src),
             )
-        piggyback = [
-            p.copy() for p in ctx.top_list.pointers()[: ctx.config.top_list_size - 1]
-        ]
+        piggyback = ctx.top_list.pointers()[: ctx.config.top_list_size - 1]
         if ctx.is_top:
             piggyback = [
                 p
@@ -481,7 +479,7 @@ class JoinService:
             # otherwise miss it (it is in nobody's audience yet).
             ctx.recent_downloads.append((msg.src, self.runtime.now))
         matching = ctx.peer_list.sharing_prefix(requester_id, prefix_len)
-        tops = [p.copy() for p in ctx.top_list.pointers()]
+        tops = ctx.top_list.pointers()
         if ctx.is_top:
             tops = [
                 p

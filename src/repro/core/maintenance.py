@@ -104,7 +104,7 @@ class MaintenanceService:
         until it is demoted or confirmed."""
         ctx = self.ctx
         best: Optional[Pointer] = None
-        for p in list(ctx.peer_list) + list(ctx.top_list.pointers()):
+        for p in list(ctx.peer_list) + ctx.top_list.pointers():
             if p.node_id.value == ctx.node_id.value or p.level >= ctx.level:
                 continue
             if best is None or (p.level, p.node_id.value) < (

@@ -29,7 +29,7 @@ unspecified.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional, Union
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from repro.core.peerlist import PeerList
 from repro.core.pointer import Pointer
 from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
+from repro.sim.rng import SubStream
 
 __all__ = ["PeerWindowNode", "NodeStats"]
 
@@ -66,7 +67,7 @@ class PeerWindowNode:
         node_id: Optional[NodeId] = None,
         address: Hashable = None,
         threshold_bps: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
+        rng: Union[np.random.Generator, SubStream, None] = None,
         attached_info: Any = None,
         on_left: Optional[Callable[["PeerWindowNode"], None]] = None,
         runtime: Optional[NodeRuntime] = None,
@@ -131,7 +132,7 @@ class PeerWindowNode:
         self.ctx.threshold_bps = float(value)
 
     @property
-    def rng(self) -> np.random.Generator:
+    def rng(self) -> Union[np.random.Generator, SubStream]:
         return self.ctx.rng
 
     @property

@@ -9,7 +9,6 @@ value, row ``i`` of each describing the same node —
 column                type               why
 ====================  =================  ================================
 ``_ids``              ``list[int]``      the sort key; everything bisects
-``_node_ids``         ``list[NodeId]``   immutable, shared with the sender
 ``_addresses``        ``list``           the transport key, any hashable
 ``_levels``           ``array('H')``     unboxed: the collector never walks
 ``_refreshed``        ``array('d')``     them and a row costs 18 bytes of
@@ -22,7 +21,8 @@ column                type               why
 :class:`~repro.core.pointer.Pointer` is the value type at the boundary:
 :meth:`PeerList.add` copies a pointer's fields *in*, and ``get`` /
 iteration / ``ring_successor`` / ``remove`` / ``group_members`` build a
-fresh pointer *out*.  No caller ever holds a reference into a list, so
+fresh pointer *out*, its ``NodeId`` rebuilt from the int column and the
+owner's width.  No caller ever holds a reference into a list, so
 two nodes (or two logical processes) cannot share a row by accident and
 a stored entry changes only through :meth:`PeerList.update`.  One list
 holds ids of one width — the owner's — which is what makes the int
@@ -56,7 +56,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.audience import prefix_range
 from repro.core.errors import MembershipError, NodeIdError
-from repro.core.nodeid import NodeId
+from repro.core.nodeid import NodeId, node_id_from_row
 from repro.core.pointer import Pointer, pointer_from_row
 
 #: ``update`` leaves a field at this default alone.
@@ -81,7 +81,6 @@ class PeerList:
         self.owner_id = owner_id
         self.owner_level = owner_level
         self._ids: List[int] = []
-        self._node_ids: List[NodeId] = []
         self._addresses: list = []
         self._levels = array("H")
         self._refreshed = array("d")
@@ -104,7 +103,7 @@ class PeerList:
         if self._extras:
             info, joined = self._extras.get(self._ids[row], _NO_EXTRAS)
         return pointer_from_row(
-            self._node_ids[row],
+            node_id_from_row(self._ids[row], self.owner_id.bits),
             self._addresses[row],
             self._levels[row],
             info,
@@ -117,8 +116,8 @@ class PeerList:
         if self._extras:
             for value in self._ids[start:stop]:
                 self._extras.pop(value, None)
-        del self._ids[start:stop], self._node_ids[start:stop]
-        del self._addresses[start:stop], self._levels[start:stop]
+        del self._ids[start:stop], self._addresses[start:stop]
+        del self._levels[start:stop]
         del self._refreshed[start:stop], self._seqs[start:stop]
 
     def _set_extras(self, value: int, info: Any, joined: Optional[float]) -> None:
@@ -145,13 +144,14 @@ class PeerList:
 
     def __iter__(self) -> Iterator[Pointer]:
         """Fresh pointers in ascending id order (deterministic)."""
-        extras = self._extras.get
-        for value, node_id, address, level, refreshed, seq in zip(
-            self._ids, self._node_ids, self._addresses,
-            self._levels, self._refreshed, self._seqs,
+        extras, bits = self._extras.get, self.owner_id.bits
+        for value, address, level, refreshed, seq in zip(
+            self._ids, self._addresses, self._levels, self._refreshed, self._seqs
         ):
             info, joined = extras(value, _NO_EXTRAS)
-            yield pointer_from_row(node_id, address, level, info, joined, refreshed, seq)
+            yield pointer_from_row(
+                node_id_from_row(value, bits), address, level, info, joined, refreshed, seq
+            )
 
     def get(self, node_id: NodeId) -> Optional[Pointer]:
         """A copy of the entry for ``node_id``, or None."""
@@ -202,13 +202,11 @@ class PeerList:
         is_new = row == len(ids) or ids[row] != value
         if is_new:
             ids.insert(row, value)
-            self._node_ids.insert(row, node_id)
             self._addresses.insert(row, pointer.address)
             self._levels.insert(row, pointer.level)
             self._refreshed.insert(row, pointer.last_refresh)
             self._seqs.insert(row, pointer.last_event_seq)
         else:
-            self._node_ids[row] = node_id
             self._addresses[row] = pointer.address
             self._levels[row] = pointer.level
             self._refreshed[row] = pointer.last_refresh
@@ -264,7 +262,7 @@ class PeerList:
             info, joined = self._extras.pop(node_id.value, _NO_EXTRAS)
         del self._ids[row]
         return pointer_from_row(
-            self._node_ids.pop(row),
+            node_id,
             self._addresses.pop(row),
             self._levels.pop(row),
             info,
@@ -285,7 +283,7 @@ class PeerList:
         sorted, validated table is sorted and valid, and the rows between
         two ids that share the owner's prefix share it, so nothing is
         re-checked.  The slices are copies: the two lists share only
-        immutable ``NodeId``s and whatever the application attached.
+        immutable ints and whatever the application attached.
         """
         if source.owner_id.bits != self.owner_id.bits:
             raise NodeIdError("cannot compare ids of different widths")
@@ -293,7 +291,6 @@ class PeerList:
             source._ids, self.owner_id.value, self.owner_id.bits, self.owner_level
         )
         self._ids = source._ids[start:stop]
-        self._node_ids = source._node_ids[start:stop]
         self._addresses = source._addresses[start:stop]
         self._levels = source._levels[start:stop]
         self._refreshed = source._refreshed[start:stop]
@@ -361,14 +358,13 @@ class PeerList:
         refresh columns."""
         ages: Dict[int, float] = {}
         stale = []
-        for node_id, level, refreshed in zip(
-            self._node_ids, self._levels, self._refreshed
-        ):
+        bits = self.owner_id.bits
+        for value, level, refreshed in zip(self._ids, self._levels, self._refreshed):
             age = ages.get(level)
             if age is None:
                 age = ages[level] = max_age(level)
             if now - refreshed > age:
-                stale.append(node_id)
+                stale.append(node_id_from_row(value, bits))
         return stale
 
     # -- multicast candidate scan ---------------------------------------------

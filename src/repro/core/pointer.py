@@ -9,11 +9,11 @@ We additionally carry two timestamps used by the accuracy machinery
 measurement) and when the pointer was last refreshed (for expiry).
 
 A :class:`Pointer` is a **value**, never a live row.  It is what travels
-in messages, what the top-node lists hold, and what
-:class:`~repro.core.peerlist.PeerList` hands out — but a peer list
-stores columns, copies a pointer's fields in on ``add`` and builds a
-fresh pointer on every read, so mutating one changes no list.  To change
-a stored entry, call ``PeerList.update``.
+in messages and what :class:`~repro.core.peerlist.PeerList` and the
+top-node lists (:mod:`repro.core.topnodes`) hand out — but those lists
+store columns, copy a pointer's fields in on ``add`` / ``merge`` and
+build a fresh pointer on every read, so mutating one changes no list.
+To change a stored peer-list entry, call ``PeerList.update``.
 """
 
 from __future__ import annotations

@@ -167,7 +167,7 @@ class PeerWindowNetwork:
             node_id=nid,
             address=key,
             threshold_bps=threshold_bps,
-            rng=self.streams.spawn("node", key),
+            rng=self.streams.substream("node", key),
             attached_info=attached_info,
             on_left=self._node_left,
             obs=self.obs.view(key),

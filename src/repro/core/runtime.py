@@ -34,10 +34,10 @@ correctness property conservative parallel DES must preserve, verified by
 * every per-node random stream is keyed by the node, so draw order within
   a node is the node's own event order, which partitioning preserves;
 * no mutable protocol state is ever shared between nodes — a peer list
-  stores columns, copying a :class:`~repro.core.pointer.Pointer` in and
-  building a fresh one out, and the top-node lists copy at ``merge`` —
-  since a shared object would be a covert channel that leaks one LP's
-  progress into another outside the message fabric.
+  and the top-node lists store columns, copying a
+  :class:`~repro.core.pointer.Pointer`'s fields in and building a fresh
+  one out — since a shared object would be a covert channel that leaks
+  one LP's progress into another outside the message fabric.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ that creation step for :class:`~repro.core.protocol.PeerWindowNetwork`.
 Levels are assigned with the §2 cost model (the stationary point of the
 autonomic controller), peer lists are built from ground truth, top-node
 lists point at ``t`` random top nodes of each node's part, and top nodes
-get cross-part lists — so the system starts in the consistent state the
-protocol would converge to.
+get cross-part lists (``merge`` bisects each pointer into its part's run
+of rows) — so the system starts in the consistent state the protocol
+would converge to.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Top-node list maintenance (§2, §4.5).
+"""Top-node list maintenance (§2, §4.5), stored as rows.
 
 Every node keeps a *top-node list* of ``t`` pointers (t = 8 by default) to
 the top nodes of its part, used to report state-changing events.  The list
@@ -9,80 +9,205 @@ runs dry the node asks a peer for its list as a substitution.
 A *top node's* own top-node list is different (§4.4): it holds pointers to
 top nodes of **other parts**, ``t`` per part, keyed by the part prefix.
 :class:`CrossPartTopList` implements that variant.
+
+Both keep :class:`~repro.core.peerlist.PeerList`'s row layout — an id
+column (``list[int]``), an address list, unboxed ``array`` level /
+refresh / seq columns — plus an extras column holding
+``(attached_info, seen_join_time)`` where either is set and ``None``
+elsewhere.  One table holds ids of one width, set by its first row.  No
+list holds a :class:`~repro.core.pointer.Pointer`: ``merge`` copies a
+pointer's fields in, and every read (``pointers``, ``choose``,
+``remove``, ``for_part``, ``find_for_id``) builds a fresh one out, so no
+caller — and no other node — can hold a reference into a list.
+
+Cross-part rows carry their part prefix and are sorted by ``(part, id)``,
+so one part is a contiguous, bisected run.  The table is allocated at a
+node's first cross-part merge: a node that never becomes a top node has
+none.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from array import array
+from bisect import bisect_left, bisect_right
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.nodeid import NodeId
-from repro.core.pointer import Pointer
+from repro.core.errors import NodeIdError
+from repro.core.nodeid import NodeId, node_id_from_row
+from repro.core.pointer import Pointer, pointer_from_row
+
+_NO_EXTRAS = (None, None)
 
 
-class TopNodeList:
+class _Rows:
+    """Pointer rows, sorted by id within each run the owner bisects."""
+
+    __slots__ = ("_bits", "_ids", "_addresses", "_levels", "_refreshed", "_seqs", "_extras")
+
+    def __init__(self) -> None:
+        self._bits = 0
+        self._ids: List[int] = []
+        self._addresses: list = []
+        self._levels = array("H")
+        self._refreshed = array("d")
+        self._seqs = array("q")
+        self._extras: List[Optional[tuple]] = []
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def _find(self, node_id: NodeId, lo: int, hi: int) -> int:
+        """The row in ``[lo, hi)`` holding ``node_id``, or -1 (an id of
+        another width is in no row)."""
+        if node_id.bits != self._bits:
+            return -1
+        ids, value = self._ids, node_id.value
+        row = bisect_left(ids, value, lo, hi)
+        return row if row < hi and ids[row] == value else -1
+
+    def _pointer(self, row: int) -> Pointer:
+        extras = self._extras[row]
+        info, joined = _NO_EXTRAS if extras is None else extras
+        return pointer_from_row(
+            node_id_from_row(self._ids[row], self._bits),
+            self._addresses[row],
+            self._levels[row],
+            info,
+            joined,
+            self._refreshed[row],
+            self._seqs[row],
+        )
+
+    def _pointers(self, lo: int, hi: int) -> List[Pointer]:
+        pointer = self._pointer
+        return [pointer(row) for row in range(lo, hi)]
+
+    def _upsert(self, lo: int, hi: int, p: Pointer) -> Optional[int]:
+        """Fold ``p`` into the run ``[lo, hi)``: insert it, or overwrite
+        the held row when ``p`` is at least as fresh.  Returns the new
+        row's index, or None when the id was already held."""
+        node_id, level = p.node_id, p.level
+        if node_id.bits != self._bits:
+            if self._ids:
+                raise NodeIdError("cannot compare ids of different widths")
+            self._bits = node_id.bits
+        if not 0 <= level <= node_id.bits:
+            raise NodeIdError(f"pointer level {level} outside [0, {node_id.bits}]")
+        ids, value = self._ids, node_id.value
+        row = bisect_left(ids, value, lo, hi)
+        extras = (
+            None
+            if p.attached_info is None and p.seen_join_time is None
+            else (p.attached_info, p.seen_join_time)
+        )
+        if row < hi and ids[row] == value:
+            if p.last_refresh >= self._refreshed[row]:
+                self._addresses[row] = p.address
+                self._levels[row] = level
+                self._refreshed[row] = p.last_refresh
+                self._seqs[row] = p.last_event_seq
+                self._extras[row] = extras
+            return None
+        ids.insert(row, value)
+        self._addresses.insert(row, p.address)
+        self._levels.insert(row, level)
+        self._refreshed.insert(row, p.last_refresh)
+        self._seqs.insert(row, p.last_event_seq)
+        self._extras.insert(row, extras)
+        return row
+
+    def _delete(self, row: int) -> None:
+        del self._ids[row], self._addresses[row], self._levels[row]
+        del self._refreshed[row], self._seqs[row], self._extras[row]
+
+    def _evict(self, lo: int, hi: int, capacity: int) -> None:
+        """Drop the oldest-refreshed rows of ``[lo, hi)`` (ties: the
+        smaller id) until at most ``capacity`` remain."""
+        ids, refreshed = self._ids, self._refreshed
+        while hi - lo > capacity:
+            self._delete(min(range(lo, hi), key=lambda row: (refreshed[row], ids[row])))
+            hi -= 1
+
+
+class TopNodeList(_Rows):
     """A bounded list of pointers to the top nodes of the local part."""
+
+    __slots__ = ("capacity",)
 
     def __init__(self, capacity: int = 8):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        super().__init__()
         self.capacity = capacity
-        self._pointers: Dict[int, Pointer] = {}
-
-    def __len__(self) -> int:
-        return len(self._pointers)
 
     def __contains__(self, node_id: NodeId) -> bool:
-        return node_id.value in self._pointers
+        return self._find(node_id, 0, len(self._ids)) >= 0
 
     def pointers(self) -> List[Pointer]:
-        """Entries in ascending id order (deterministic)."""
-        return [self._pointers[v] for v in sorted(self._pointers)]
+        """Fresh pointers in ascending id order (deterministic)."""
+        return self._pointers(0, len(self._ids))
 
     def merge(self, pointers: List[Pointer]) -> int:
         """Fold piggybacked pointers in, preferring the freshest entry per
         id and evicting the oldest-refreshed entries beyond capacity.
-        Returns how many new ids were added.
-
-        Entries are stored as copies: with an in-memory transport the
-        pointers arriving here are often the objects another node's
-        top-node list holds (a peer list hands out fresh values, this
-        list keeps objects), and sharing one would couple two nodes'
-        state outside the message fabric."""
+        Returns how many new ids were added.  Only the pointers' fields
+        are stored, so a received pointer may be passed as it is."""
         added = 0
         for p in pointers:
-            existing = self._pointers.get(p.node_id.value)
-            if existing is None:
-                self._pointers[p.node_id.value] = p.copy()
+            if self._upsert(0, len(self._ids), p) is not None:
                 added += 1
-            elif p.last_refresh >= existing.last_refresh:
-                self._pointers[p.node_id.value] = p.copy()
-        while len(self._pointers) > self.capacity:
-            victim = min(self._pointers.values(), key=lambda q: (q.last_refresh, q.node_id.value))
-            del self._pointers[victim.node_id.value]
+        self._evict(0, len(self._ids), self.capacity)
         return added
 
     def remove(self, node_id: NodeId) -> Optional[Pointer]:
-        return self._pointers.pop(node_id.value, None)
+        """Remove and return the entry, or None if absent."""
+        row = self._find(node_id, 0, len(self._ids))
+        if row < 0:
+            return None
+        removed = self._pointer(row)
+        self._delete(row)
+        return removed
 
     def choose(self, rng: np.random.Generator) -> Optional[Pointer]:
         """A uniformly random entry (§4.1: reports go to *"a top node,
-        randomly chosen from its top-node list"*)."""
-        if not self._pointers:
+        randomly chosen from its top-node list"*): one draw indexes the
+        sorted id column."""
+        if not self._ids:
             return None
-        keys = sorted(self._pointers)
-        return self._pointers[keys[int(rng.integers(0, len(keys)))]]
+        return self._pointer(int(rng.integers(0, len(self._ids))))
 
     def min_level(self) -> Optional[int]:
         """Smallest level value among entries (the part's top level as
         currently believed); None when empty."""
-        if not self._pointers:
-            return None
-        return min(p.level for p in self._pointers.values())
+        return min(self._levels) if self._ids else None
 
     def clear(self) -> None:
-        self._pointers.clear()
+        for column in (
+            self._ids, self._addresses, self._levels,
+            self._refreshed, self._seqs, self._extras,
+        ):
+            del column[:]
+
+
+class _PartRows(_Rows):
+    """Cross-part rows: a part column beside the pointer columns, the
+    rows sorted by ``(part, id)``."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._parts: List[str] = []
+
+    def _run(self, part_prefix: str) -> Tuple[int, int]:
+        parts = self._parts
+        return bisect_left(parts, part_prefix), bisect_right(parts, part_prefix)
+
+    def _delete(self, row: int) -> None:
+        del self._parts[row]
+        super()._delete(row)
 
 
 class CrossPartTopList:
@@ -92,39 +217,56 @@ class CrossPartTopList:
     most ``per_part`` pointers.
     """
 
+    __slots__ = ("per_part", "_rows")
+
     def __init__(self, per_part: int = 8):
         if per_part < 1:
             raise ValueError("per_part must be >= 1")
         self.per_part = per_part
-        self._parts: Dict[str, TopNodeList] = {}
+        self._rows: Optional[_PartRows] = None
 
     def parts(self) -> List[str]:
-        return sorted(self._parts)
+        """Prefixes holding at least one pointer, sorted."""
+        return list(dict.fromkeys(self._rows._parts)) if self._rows else []
 
     def merge(self, part_prefix: str, pointers: List[Pointer]) -> None:
-        lst = self._parts.get(part_prefix)
-        if lst is None:
-            lst = TopNodeList(self.per_part)
-            self._parts[part_prefix] = lst
-        lst.merge(pointers)
-        if len(lst) == 0:
-            del self._parts[part_prefix]
+        """Fold ``pointers`` into ``part_prefix``'s run, as
+        :meth:`TopNodeList.merge` does into a whole list."""
+        rows = self._rows
+        if rows is None:
+            if not pointers:
+                return
+            rows = self._rows = _PartRows()
+        lo, hi = rows._run(part_prefix)
+        for p in pointers:
+            row = rows._upsert(lo, hi, p)
+            if row is not None:
+                rows._parts.insert(row, part_prefix)
+                hi += 1
+        rows._evict(lo, hi, self.per_part)
 
     def for_part(self, part_prefix: str) -> List[Pointer]:
-        lst = self._parts.get(part_prefix)
-        return lst.pointers() if lst is not None else []
+        """Fresh pointers of ``part_prefix``'s run, in id order."""
+        if not self._rows:
+            return []
+        return self._rows._pointers(*self._rows._run(part_prefix))
 
     def find_for_id(self, node_id: NodeId) -> List[Pointer]:
         """Top nodes of the part containing ``node_id``: the part whose
-        prefix is a prefix of the id's bitstring."""
+        prefix is a prefix of the id's bitstring (the shortest such: the
+        prefixes of one string sort shortest first)."""
         bitstr = node_id.bitstring()
-        for prefix in sorted(self._parts, key=len):
+        for prefix in self.parts():
             if bitstr.startswith(prefix):
-                return self._parts[prefix].pointers()
+                return self.for_part(prefix)
         return []
 
     def remove(self, node_id: NodeId) -> None:
-        for prefix in list(self._parts):
-            self._parts[prefix].remove(node_id)
-            if len(self._parts[prefix]) == 0:
-                del self._parts[prefix]
+        """Drop ``node_id`` from every part."""
+        rows = self._rows
+        if not rows or node_id.bits != rows._bits:
+            return
+        value = node_id.value
+        for row in reversed(range(len(rows._ids))):
+            if rows._ids[row] == value:
+                rows._delete(row)

@@ -10,7 +10,7 @@
   the heap's 2.6 M (``sim.queues.calendar_ops_per_s`` / ``heap_ops_per_s``;
   0.83 M against 1.82 M on ISSUE 14's host).  The class remains only as
   the subject of that ledger row and of the ``tests/sim/test_queues.py``
-  cross-check; it goes when the row does (ROADMAP item 1(b)).
+  cross-check; it goes when the row does (ROADMAP item 2(b)).
 
 Both take ``(time, seq, item)`` triples; ``seq`` is a monotonically
 increasing tie-breaker so that events scheduled earlier run earlier at

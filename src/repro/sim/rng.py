@@ -16,7 +16,7 @@ mapping name → stream is stable across runs and across machines.
 from __future__ import annotations
 
 import zlib
-from typing import Dict
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -25,6 +25,39 @@ def _stable_key(name: str) -> int:
     """A platform-stable 32-bit key for a stream name (``hash()`` is salted
     per-process, so it cannot be used)."""
     return zlib.crc32(name.encode("utf-8"))
+
+
+def _spawn(master_seed: int, name_key: int, index: int) -> np.random.Generator:
+    seq = np.random.SeedSequence((master_seed, name_key, index))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+class SubStream:
+    """An indexed sub-stream whose generator is spawned at its first draw.
+
+    A sub-stream is a pure function of the master seed, the name and the
+    index, so deferring the spawn changes no draw; a holder that never
+    draws never pays for a generator (≈ 0.8 KB with its bit generator and
+    seed sequence).  Attribute reads other than the four slots below go
+    to the generator, so a :class:`SubStream` stands wherever a
+    ``Generator`` is drawn from.
+    """
+
+    __slots__ = ("_master_seed", "_name_key", "_index", "_generator")
+
+    def __init__(self, master_seed: int, name_key: int, index: int):
+        self._master_seed = master_seed
+        self._name_key = name_key
+        self._index = index
+        self._generator: Optional[np.random.Generator] = None
+
+    def __getattr__(self, attr: str) -> Any:
+        generator = self._generator
+        if generator is None:
+            generator = self._generator = _spawn(
+                self._master_seed, self._name_key, self._index
+            )
+        return getattr(generator, attr)
 
 
 class RandomStreams:
@@ -59,8 +92,11 @@ class RandomStreams:
 
     def spawn(self, name: str, index: int) -> np.random.Generator:
         """An indexed sub-stream (e.g. one per node) under ``name``."""
-        seq = np.random.SeedSequence((self.master_seed, _stable_key(name), int(index)))
-        return np.random.Generator(np.random.PCG64(seq))
+        return _spawn(self.master_seed, _stable_key(name), int(index))
+
+    def substream(self, name: str, index: int) -> "SubStream":
+        """``spawn(name, index)``, deferred to the first draw."""
+        return SubStream(self.master_seed, _stable_key(name), int(index))
 
     def __contains__(self, name: str) -> bool:
         return name in self._streams

@@ -1,5 +1,6 @@
 """DetSan, the runtime cross-validator: a clean protocol run reports
-nothing, a planted payload-aliasing bug is caught, the clock/RNG
+nothing, a planted payload-aliasing bug is caught where node state still
+holds a Pointer (and cannot arise in the columnar lists), the clock/RNG
 tripwires fire only from simulator code, and detach restores every
 patched global."""
 
@@ -7,6 +8,7 @@ import random
 import time
 import types
 
+import numpy as np
 import pytest
 
 from repro.analysis.detsan import (
@@ -20,6 +22,8 @@ from repro.chaos.scenarios import SCENARIOS
 from repro.core.events import EventKind, EventRecord
 from repro.core.nodeid import NodeId
 from repro.core.pointer import Pointer
+from repro.core.topnodes import CrossPartTopList, TopNodeList
+from tests.core.test_part_merge import build_two_parts
 
 
 # -- tagging discriminator -------------------------------------------------
@@ -90,10 +94,30 @@ def test_clean_protocol_run_has_no_detsan_findings():
     assert result.detsan_ok, result.detsan_violations
 
 
+def run_part_merge():
+    """Two seeded parts under the sanitizer; one part-0 top raises above
+    its part, so it bridge-subscribes at a part-1 top, which propagates
+    the subscription across its top group (DESIGN.md §8)."""
+    net, keys = build_two_parts()
+    san = DetSan()
+    san.attach(net)
+    try:
+        merger = next(net.node(k) for k in keys if net.node(k).node_id.bit(0) == 0)
+        merger._initiate_raise(0)
+        net.run(until=net.sim.now + 20.0)
+        san.final_scan()
+    finally:
+        san.detach()
+    assert any(merger.node_id.value in n.bridge_subscribers for n in net.live_nodes())
+    return san
+
+
 def test_planted_aliasing_bug_is_caught():
     # Re-introduce the PR 2 bug at runtime: every "copy" silently hands
-    # back the shared object, so receivers retain senders' live
-    # Pointers.  The final scan must light up.
+    # back the shared object, so a bridge top retains the subscriber's
+    # live Pointer — ``bridge_subscribers`` is the one piece of node
+    # state that still holds Pointers.  The final scan must light up.
+    assert run_part_merge().ok
     orig_copy = Pointer.copy
 
     def aliasing_copy(self, **overrides):
@@ -101,11 +125,31 @@ def test_planted_aliasing_bug_is_caught():
 
     Pointer.copy = aliasing_copy
     try:
-        result = run_crash_churn()
+        san = run_part_merge()
     finally:
         Pointer.copy = orig_copy
-    assert not result.detsan_ok
-    assert any("payload-retained" in v for v in result.detsan_violations)
+    assert not san.ok
+    assert all(v.check == "payload-retained" for v in san.violations)
+    assert any("'bridge-subscribe'" in v.detail for v in san.violations)
+
+
+def test_top_lists_cannot_retain_a_received_pointer():
+    # The top-list half of the bug class is structural: a list stores a
+    # pointer's fields, never the object, even with the aliasing copy
+    # planted, so mutating what was merged changes nothing held.
+    orig_copy = Pointer.copy
+    Pointer.copy = lambda self, **overrides: self
+    try:
+        received = make_pointer()
+        top, cross = TopNodeList(4), CrossPartTopList(4)
+        top.merge([received])
+        cross.merge("1", [received])
+    finally:
+        Pointer.copy = orig_copy
+    received.level, received.address, received.last_refresh = 3, "moved", 9.0
+    for held in (top.pointers(), cross.for_part("1"), [top.choose(np.random.default_rng(0))]):
+        assert held == [make_pointer()]
+        assert held[0] is not received
 
 
 def test_detsan_does_not_change_the_chaos_trace():

@@ -90,7 +90,7 @@ def test_iso001_allows_scalar_field_reads():
 
 
 def test_iso001_treats_merge_as_a_copying_installer():
-    # TopNodeList.merge stores copies internally (its documented contract).
+    # TopNodeList.merge stores a pointer's fields as a row, never the object.
     src = (
         "def on_tops(self, reply):\n"
         "    ctx = self.ctx\n"

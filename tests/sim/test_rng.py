@@ -54,6 +54,16 @@ class TestRandomStreams:
         assert np.array_equal(a0, a0_again)
         assert not np.array_equal(a0, a1)
 
+    def test_substream_spawns_at_first_draw_and_draws_as_spawn_does(self):
+        streams = RandomStreams(5)
+        lazy = streams.substream("node", 3)
+        assert lazy._generator is None
+        eager = streams.spawn("node", 3)
+        assert lazy.integers(0, 1000) == eager.integers(0, 1000)
+        assert lazy._generator is not None
+        assert np.array_equal(lazy.random(5), eager.random(5))
+        assert np.array_equal(lazy.choice(9, 3, replace=False), eager.choice(9, 3, replace=False))
+
     def test_contains(self):
         streams = RandomStreams(0)
         assert "x" not in streams
