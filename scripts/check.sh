@@ -94,7 +94,7 @@ PY
   echo "== no wall-clock suppression under src/ (DET001 has one exempt module, repro.live.clock, and no pragma) =="
   if grep -rnE "detlint: *ignore\[[^]]*DET001" src/; then status=1; fi
   if [ "$have_numpy" = 1 ]; then
-    echo "== detsan smoke (crash_churn chaos under the runtime sanitizer) =="
+    echo "== detsan smoke (crash_churn chaos under the runtime sanitizer: no node state holds a Pointer or Message, no wall-clock or global-RNG call) =="
     with_timeout 120 $PY -m repro chaos --scenario crash_churn --detsan \
       --seed 0 || status=1
   else

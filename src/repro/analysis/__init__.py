@@ -9,9 +9,6 @@ DET002   no process-global or unseeded RNG outside ``repro.sim.rng``
 DET003   no set/``dict.keys()`` iteration feeding protocol decisions
 DET004   no float accumulation over unordered collections feeding
          metrics or protocol state
-ISO001   message payload objects are copied, never aliased, into state
-         — checked per-file *and* interprocedurally through helper
-         calls, return values, and handler handoffs (``project.py``)
 ISO002   services touch peer state only through the ``NodeContext``
 ISO003   no mutable module/class state reachable from multiple LPs
 OBS001   every span opened with ``start()`` is ended on all paths
@@ -24,20 +21,19 @@ Run it as ``repro lint src/repro`` (see ``repro lint --help``); findings
 can be suppressed per line (``# detlint: ignore[RULE]``) or
 grandfathered in ``detlint-baseline.json`` so CI gates only on *new*
 findings.  ``repro lint --changed <git-ref>`` lints only the files
-changed versus a ref (per-file rules only).
+changed versus a ref.
 
 The static rules have a runtime twin: :mod:`repro.analysis.detsan`, an
 opt-in sanitizer (``REPRO_DETSAN=1`` or ``repro chaos --detsan``) that
-tags payload object identities at the transport boundary and trips when
-one is retained, un-copied, in any node's state — cross-validating
-ISO001/ISO003 against what actually happens under chaos.
+walks every node's state after a run and names any received object
+(a ``Pointer`` or ``Message``) kept there, and trips on wall-clock and
+global-RNG calls from simulator code.
 """
 
 from repro.analysis.core import (
     FileContext,
     Rule,
     all_rules,
-    lint_project_sources,
     lint_source,
     register,
     rule_catalog,
@@ -51,7 +47,6 @@ __all__ = [
     "Finding",
     "Rule",
     "all_rules",
-    "lint_project_sources",
     "lint_source",
     "register",
     "rule_catalog",

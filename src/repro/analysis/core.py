@@ -126,13 +126,6 @@ class Rule:
     def check(self, ctx: FileContext) -> None:
         raise NotImplementedError
 
-    def check_project(self, project) -> None:
-        """Whole-project pass over a :class:`repro.analysis.project.
-        ProjectContext`.  Runs after every per-file :meth:`check`;
-        findings are reported through each file's own context (so
-        per-line suppression and ``applies_to`` exemptions still hold).
-        Default: nothing — most rules are purely local."""
-
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
 
@@ -186,22 +179,14 @@ def _rel_path(path: str, root: Optional[str]) -> str:
 
 
 def _check_contexts(
-    contexts: Sequence[FileContext],
-    rules: Sequence[Rule],
-    project: bool,
+    contexts: Sequence[FileContext], rules: Sequence[Rule]
 ) -> List[Finding]:
-    """Run the per-file rules, then (optionally) the whole-project pass,
-    over already-parsed file contexts; collect deduplicated findings."""
+    """Run the rules over already-parsed file contexts; collect
+    deduplicated findings."""
     for ctx in contexts:
         for rule in rules:
             if rule.applies_to(ctx):
                 rule.check(ctx)
-    if project and contexts:
-        from repro.analysis.project import ProjectContext
-
-        proj = ProjectContext(contexts)
-        for rule in rules:
-            rule.check_project(proj)
     findings: List[Finding] = []
     for ctx in contexts:
         # Findings are frozen/hashable: drop exact duplicates (a rule may
@@ -215,44 +200,22 @@ def lint_source(
     path: str = "<string>",
     rules: Optional[Sequence[Rule]] = None,
     rel_path: Optional[str] = None,
-    project: bool = True,
 ) -> List[Finding]:
-    """Lint one source string (the test-fixture entry point).  The
-    project pass runs over the single file, so intra-module call chains
-    are followed interprocedurally even here."""
+    """Lint one source string (the test-fixture entry point)."""
     active = list(rules) if rules is not None else all_rules()
     if wants_skip_file(source):
         return []
     ctx = FileContext(path, source, rel_path=rel_path)
-    return _check_contexts([ctx], active, project=project)
-
-
-def lint_project_sources(
-    sources: Dict[str, str],
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Finding]:
-    """Lint a dict of ``rel_path -> source`` as one project (the
-    multi-file fixture entry point for cross-module analysis tests)."""
-    active = list(rules) if rules is not None else all_rules()
-    contexts = [
-        FileContext(rel_path, source, rel_path=rel_path)
-        for rel_path, source in sorted(sources.items())
-        if not wants_skip_file(source)
-    ]
-    return _check_contexts(contexts, active, project=True)
+    return _check_contexts([ctx], active)
 
 
 def run_lint(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
     root: Optional[str] = None,
-    project: bool = True,
 ) -> List[Finding]:
     """Lint files/directories; returns all findings, sorted and
-    suppression-filtered (baseline filtering is the caller's job).
-    ``project=False`` skips the whole-project pass (used by the
-    incremental ``--changed`` mode, where the file set is partial by
-    construction)."""
+    suppression-filtered (baseline filtering is the caller's job)."""
     active = list(rules) if rules is not None else all_rules()
     findings: List[Finding] = []
     contexts: List[FileContext] = []
@@ -276,5 +239,5 @@ def run_lint(
                     snippet="",
                 )
             )
-    findings.extend(_check_contexts(contexts, active, project=project))
+    findings.extend(_check_contexts(contexts, active))
     return sorted(findings, key=Finding.sort_key)

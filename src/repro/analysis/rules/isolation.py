@@ -1,11 +1,12 @@
-"""LP-isolation rules: ISO001 (payload aliasing) and ISO002 (peer state
-reached around the NodeContext).
+"""LP-isolation rules: ISO002 (peer state reached around the
+NodeContext) and ISO003 (mutable state shared across LPs).
 
-Both rules encode the lesson of the PR 2 chaos findings: with an
-in-memory transport, "received" objects are often the *sender's live
-objects*, so storing one without copying creates a covert channel that
-couples two logical processes outside the message fabric — the
-shared-Pointer bug that broke sequential/partitioned equivalence.
+Both encode one lesson: a node may learn about another node only through
+messages.  State reached any other way is a covert channel that couples
+two logical processes outside the message fabric.  (Keeping a received
+object is the same channel at run time; node state holds rows, and
+DetSan's walk over it finds any object kept — see
+:mod:`repro.analysis.detsan`.)
 """
 
 from __future__ import annotations
@@ -15,296 +16,7 @@ from typing import List, Optional, Set, Union
 
 from repro.analysis.core import FileContext, Rule, register
 
-#: Parameter names treated as an incoming wire message (taint source is
-#: ``<param>.payload``).
-MESSAGE_PARAMS = {"msg", "message", "reply", "request"}
-#: Parameter names that *are* an already-extracted payload.
-PAYLOAD_PARAMS = {"payload"}
-#: Annotation names implying a message parameter.
-MESSAGE_ANNOTATIONS = {"Message"}
-
-#: ctx-rooted installer methods that must only receive copies.
-ALIAS_SINK_METHODS = {
-    "add",
-    "install",
-    "append",
-    "extend",
-    "insert",
-    "update",
-    "setdefault",
-    "push",
-}
-#: Installers that store a pointer's fields, never the object
-#: (TopNodeList.merge, CrossPartTopList.merge write columnar rows) —
-#: passing a received object is safe.
-COPYING_SINK_METHODS = {"merge"}
-
-#: Calls that produce an independent object from their argument.
-_SANITIZING_CALLS = {"copy", "deepcopy", "__deepcopy__", "replace", "fresh_copy"}
-#: Shallow containers: a new list/tuple still aliases its elements.
-_SHALLOW_WRAPPERS = {"list", "tuple", "reversed", "sorted", "iter"}
-
 FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-
-def _annotation_name(node: Optional[ast.AST]) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value.rsplit(".", 1)[-1]
-    return None
-
-
-def _is_sanitizing_call(node: ast.Call) -> bool:
-    func = node.func
-    if isinstance(func, ast.Attribute) and func.attr in _SANITIZING_CALLS:
-        return True
-    if isinstance(func, ast.Name):
-        if func.id in _SANITIZING_CALLS:
-            return True
-        # Constructor call (Pointer(...), EventRecord(...)): builds a
-        # fresh object field-by-field.
-        if func.id[:1].isupper():
-            return True
-    if isinstance(func, ast.Attribute) and func.attr[:1].isupper():
-        return True
-    return False
-
-
-def _root_name(node: ast.AST) -> Optional[str]:
-    """The leftmost Name of an Attribute/Subscript chain."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
-
-
-def _is_ctx_rooted(node: ast.AST) -> bool:
-    """Is this expression rooted at long-lived node state (``ctx.*``,
-    ``self.ctx.*``, or ``self.*``)?"""
-    root = _root_name(node)
-    if root == "ctx":
-        return True
-    if root == "self":
-        return True
-    return False
-
-
-class _PayloadTaint(ast.NodeVisitor):
-    """Per-function forward taint pass (no fixpoint: one top-to-bottom
-    sweep, which matches how handler code reads)."""
-
-    def __init__(self, rule: "PayloadAliasRule", ctx: FileContext, fn: FuncDef):
-        self.rule = rule
-        self.ctx = ctx
-        self.fn = fn
-        self.msg_params: Set[str] = set()
-        self.tainted: Set[str] = set()
-        for arg in list(fn.args.args) + list(fn.args.kwonlyargs):
-            ann = _annotation_name(arg.annotation)
-            if arg.arg in MESSAGE_PARAMS or ann in MESSAGE_ANNOTATIONS:
-                self.msg_params.add(arg.arg)
-            elif arg.arg in PAYLOAD_PARAMS:
-                self.tainted.add(arg.arg)
-
-    # -- taint queries -----------------------------------------------------
-
-    def is_tainted(self, node: ast.AST) -> bool:
-        """Does evaluating ``node`` yield an object aliased with the
-        incoming payload?  Attribute reads are deliberately *not*
-        tainted (scalar field reads are the common safe case); object
-        identity flows through names, subscripts, iteration, and
-        shallow container wrappers only."""
-        if isinstance(node, ast.Name):
-            return node.id in self.tainted
-        if isinstance(node, ast.Attribute):
-            return self._is_payload_attr(node)
-        if isinstance(node, ast.Subscript):
-            return self.is_tainted(node.value)
-        if isinstance(node, ast.Starred):
-            return self.is_tainted(node.value)
-        if isinstance(node, (ast.Tuple, ast.List)):
-            return any(self.is_tainted(elt) for elt in node.elts)
-        if isinstance(node, ast.IfExp):
-            return self.is_tainted(node.body) or self.is_tainted(node.orelse)
-        if isinstance(node, ast.BinOp):
-            return self.is_tainted(node.left) or self.is_tainted(node.right)
-        if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-            return self._comp_tainted(node)
-        if isinstance(node, ast.Call):
-            if _is_sanitizing_call(node):
-                return False
-            name = node.func.id if isinstance(node.func, ast.Name) else None
-            if name in _SHALLOW_WRAPPERS and node.args:
-                return self.is_tainted(node.args[0])
-            return False
-        return False
-
-    def _is_payload_attr(self, node: ast.Attribute) -> bool:
-        """``msg.payload`` (or deeper: ``msg.payload[0]`` handled via
-        Subscript) on a message parameter."""
-        return (
-            node.attr == "payload"
-            and isinstance(node.value, ast.Name)
-            and node.value.id in self.msg_params
-        )
-
-    def _comp_tainted(self, node: Union[ast.ListComp, ast.GeneratorExp]) -> bool:
-        saved = set(self.tainted)
-        try:
-            for gen in node.generators:
-                if self.is_tainted(gen.iter):
-                    for name in _target_names(gen.target):
-                        self.tainted.add(name)
-            return self.is_tainted(node.elt)
-        finally:
-            self.tainted = saved
-
-    # -- statement walk ----------------------------------------------------
-
-    def run(self) -> None:
-        self._walk(self.fn.body)
-
-    def _walk(self, stmts: List[ast.stmt]) -> None:
-        for stmt in stmts:
-            self._stmt(stmt)
-
-    def _stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            self._assign(stmt.targets, stmt.value, stmt)
-            return
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._assign([stmt.target], stmt.value, stmt)
-            return
-        elif isinstance(stmt, ast.AugAssign):
-            if _is_ctx_rooted(stmt.target) and self.is_tainted(stmt.value):
-                self._report(stmt, "augmented-assigned")
-            self._check_calls(stmt.value)
-            return
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            if self.is_tainted(stmt.iter):
-                for name in _target_names(stmt.target):
-                    self.tainted.add(name)
-            self._check_calls(stmt.iter)
-            self._walk(stmt.body)
-            self._walk(stmt.orelse)
-            return
-        elif isinstance(stmt, (ast.If, ast.While)):
-            self._check_calls(stmt.test)
-            self._walk(stmt.body)
-            self._walk(stmt.orelse)
-            return
-        elif isinstance(stmt, ast.Try):
-            self._walk(stmt.body)
-            for handler in stmt.handlers:
-                self._walk(handler.body)
-            self._walk(stmt.orelse)
-            self._walk(stmt.finalbody)
-            return
-        elif isinstance(stmt, ast.With):
-            self._walk(stmt.body)
-            return
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Nested handlers inherit message params via closure.
-            nested = _PayloadTaint(self.rule, self.ctx, stmt)
-            nested.msg_params |= self.msg_params
-            nested.tainted |= self.tainted
-            nested.run()
-            return
-        # Any expression statement (or the RHS above): check call sinks.
-        for sub in ast.walk(stmt):
-            if isinstance(sub, ast.Call):
-                self._call_sink(sub)
-
-    def _assign(
-        self, targets: List[ast.expr], value: ast.expr, stmt: ast.stmt
-    ) -> None:
-        tainted_value = self.is_tainted(value)
-        for target in targets:
-            if isinstance(target, ast.Name):
-                if tainted_value:
-                    self.tainted.add(target.id)
-                else:
-                    self.tainted.discard(target.id)
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                # a, b = msg.payload: every bound name aliases payload parts.
-                for name in _target_names(target):
-                    if tainted_value:
-                        self.tainted.add(name)
-                    else:
-                        self.tainted.discard(name)
-            elif _is_ctx_rooted(target) and tainted_value:
-                self._report(stmt, "assigned")
-        self._check_calls(value)
-
-    def _check_calls(self, node: ast.AST) -> None:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                self._call_sink(sub)
-
-    def _call_sink(self, node: ast.Call) -> None:
-        func = node.func
-        if not isinstance(func, ast.Attribute):
-            return
-        if func.attr in COPYING_SINK_METHODS:
-            return
-        if func.attr not in ALIAS_SINK_METHODS:
-            return
-        if not _is_ctx_rooted(func.value):
-            return
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if self.is_tainted(arg):
-                self._report(node, f"passed to .{func.attr}()")
-                return
-
-    def _report(self, node: ast.AST, how: str) -> None:
-        self.ctx.report(
-            self.rule,
-            node,
-            f"incoming payload object {how} into long-lived node state "
-            f"without a copy — with an in-memory transport this aliases "
-            f"the sender's live object across the LP boundary; use "
-            f".copy()/dataclasses.replace()",
-        )
-
-
-def _target_names(target: ast.AST) -> List[str]:
-    out: List[str] = []
-    for sub in ast.walk(target):
-        if isinstance(sub, ast.Name):
-            out.append(sub.id)
-    return out
-
-
-@register
-class PayloadAliasRule(Rule):
-    """ISO001 — message payloads are copied, never aliased, into state."""
-
-    id = "ISO001"
-    title = "payload object aliased into node state"
-    rationale = (
-        "The PR 2 shared-Pointer bug: a Pointer arriving in a message "
-        "payload was installed directly into a peer list, so two nodes "
-        "(two logical processes) mutated one object — a covert channel "
-        "invisible to the message fabric that broke "
-        "sequential/partitioned equivalence.  Received objects must be "
-        "copied before they outlive the handler."
-    )
-
-    def check(self, ctx: FileContext) -> None:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                taint = _PayloadTaint(self, ctx, node)
-                if taint.msg_params or taint.tainted:
-                    taint.run()
-
-    def check_project(self, project) -> None:
-        # Re-run the taint with call-graph edges: payloads followed
-        # through helper calls, return values, and handler handoffs.
-        from repro.analysis.project import run_payload_taint
-
-        run_payload_taint(self, project)
 
 
 #: Class-name suffixes that mark per-node protocol services.

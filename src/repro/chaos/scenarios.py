@@ -113,7 +113,7 @@ def _crash_churn_plan(n: int, seed: int) -> FaultPlan:
     # Crash/churn only (no partitions or zombies), so there is no
     # detection-horizon cap to respect: this is the DetSan smoke — lots
     # of joins and obituaries means lots of Pointer-carrying payloads
-    # crossing the transport for the sanitizer to tag.
+    # that node state must not keep.
     batch = max(1, n // 20)
     plan = FaultPlan(seed)
     plan.crash(8.0, count=batch)

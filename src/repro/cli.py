@@ -336,7 +336,7 @@ def cmd_chaos(args) -> int:
                 print("  " + line)
             rc = 1
         else:
-            print("DETSAN: clean (no payload retention, wall-clock, or "
+            print("DETSAN: clean (no held-object, wall-clock, or "
                   "global-RNG findings)")
     # The run table owns --csv, so the verdict table is printed only.
     if health_spec is not None and not _judge(
@@ -768,9 +768,8 @@ def cmd_lint(args) -> int:
                   f"{args.changed}]")
             return 0
         print(f"[incremental: {len(changed)} file(s) changed vs "
-              f"{args.changed}; per-file rules only — interprocedural "
-              f"checks need the whole tree]")
-        findings = run_lint(changed, rules=rules, project=False)
+              f"{args.changed}]")
+        findings = run_lint(changed, rules=rules)
     else:
         findings = run_lint(paths, rules=rules)
 
@@ -938,9 +937,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "on breach; SPEC is a HealthSpec JSON path or "
                           "'default' (derived from the scenario config)")
     pch.add_argument("--detsan", action="store_true",
-                     help="run under the DetSan runtime sanitizer (payload "
-                          "retention + clock/RNG tripwires; exit 1 on any "
-                          "finding; REPRO_DETSAN=1 does the same)")
+                     help="run under the DetSan runtime sanitizer (a walk "
+                          "of node state for held objects + clock/RNG "
+                          "tripwires; exit 1 on any finding; REPRO_DETSAN=1 "
+                          "does the same)")
     pch.add_argument("--list", action="store_true", help="list scenarios and exit")
 
     pobs = sub.add_parser("obs",
@@ -1049,8 +1049,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "instead of stdout")
     plint.add_argument("--changed", metavar="GIT_REF",
                        help="incremental mode: lint only .py files changed "
-                            "versus this git ref (per-file rules only; the "
-                            "interprocedural pass needs the whole tree)")
+                            "versus this git ref")
     plint.add_argument("--rules", action="store_true",
                        help="list the rule catalog and exit")
     plint.add_argument("--explain", action="store_true",

@@ -112,9 +112,11 @@ class NodeContext:
         self.refresh_mgr = RefreshManager(config, self.estimator)
         self.controller = LevelController(config, threshold_bps)
         self.stats = NodeStats()
-        #: Addresses subscribed to copies of every multicast this (top)
-        #: node originates — the part-merge bridge (DESIGN.md §8).
-        self.bridge_subscribers: Dict[int, Pointer] = {}
+        #: Nodes subscribed to copies of every multicast this (top) node
+        #: originates — the part-merge bridge (DESIGN.md §8).  Rows, at
+        #: most ``top_list_size`` of them, allocated at the first
+        #: subscription: a node that never bridges has none.
+        self.bridge_subscribers: Optional[TopNodeList] = None
         #: ``(requester_address, served_time)`` for recently served §4.3
         #: downloads: events applied within ``config.download_grace`` of a
         #: serve are copied to the requester, who is in nobody's audience

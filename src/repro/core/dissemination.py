@@ -24,6 +24,7 @@ from repro.core.context import NodeContext
 from repro.core.events import EventKind, EventRecord, apply_event
 from repro.core.multicast import MulticastForwarder
 from repro.core.pointer import Pointer
+from repro.core.topnodes import TopNodeList
 from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
 from repro.obs import metrics as m
@@ -291,7 +292,8 @@ class MulticastService:
             self._copy_to_subject(event, ctx.config.multicast_attempts, trace)
         # Part-merge bridge: forward a copy to cross-part subscribers whose
         # eigenstring covers the subject.
-        for ptr in list(ctx.bridge_subscribers.values()):
+        subscribers = ctx.bridge_subscribers
+        for ptr in subscribers.pointers() if subscribers else ():
             if ptr.node_id.shares_prefix(event.subject_id, ptr.level):
                 self._mcast_send(ptr, event, ctx.node_id.bits, lambda ok: None, trace)
 
@@ -678,12 +680,13 @@ class MulticastService:
     def on_bridge_subscribe(self, msg: Message) -> None:
         ctx = self.ctx
         ptr, propagate = msg.payload
-        fresh = ptr.node_id.value not in ctx.bridge_subscribers
-        # Copy: with an in-memory transport ``ptr`` is the subscriber's
-        # live Pointer object; storing it directly would couple the two
-        # nodes' state outside the message fabric (the PR 2 shared-Pointer
-        # bug class, now caught statically by ISO001).
-        ctx.bridge_subscribers[ptr.node_id.value] = ptr.copy()
+        subscribers = ctx.bridge_subscribers
+        if subscribers is None:
+            subscribers = ctx.bridge_subscribers = TopNodeList(ctx.config.top_list_size)
+        fresh = ptr.node_id not in subscribers
+        # The rows take the pointer's fields, never the object (with an
+        # in-memory transport ``ptr`` is the subscriber's live Pointer).
+        subscribers.merge([ptr])
         self.runtime.send(msg.make_reply("bridge-ack", size_bits=ctx.config.ack_bits))
         if propagate and fresh:
             # Every top of this part roots multicasts, so the whole top

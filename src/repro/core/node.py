@@ -200,8 +200,10 @@ class PeerWindowNode:
         return self.ctx.endpoint
 
     @property
-    def bridge_subscribers(self) -> Dict[int, Pointer]:
-        return self.ctx.bridge_subscribers
+    def bridge_subscribers(self) -> List[Pointer]:
+        """Fresh pointers to this node's bridge subscribers, in id order."""
+        subscribers = self.ctx.bridge_subscribers
+        return subscribers.pointers() if subscribers is not None else []
 
     @property
     def forwarder(self):

@@ -10,9 +10,10 @@ measurement) and when the pointer was last refreshed (for expiry).
 
 A :class:`Pointer` is a **value**, never a live row.  It is what travels
 in messages and what :class:`~repro.core.peerlist.PeerList` and the
-top-node lists (:mod:`repro.core.topnodes`) hand out — but those lists
-store columns, copy a pointer's fields in on ``add`` / ``merge`` and
-build a fresh pointer on every read, so mutating one changes no list.
+top-node lists (:mod:`repro.core.topnodes`, which also hold a top's
+bridge subscribers) hand out — but those lists store columns, copy a
+pointer's fields in on ``add`` / ``merge`` and build a fresh pointer on
+every read, so mutating one changes no list.
 To change a stored peer-list entry, call ``PeerList.update``.
 """
 

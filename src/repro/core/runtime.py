@@ -33,8 +33,8 @@ correctness property conservative parallel DES must preserve, verified by
   LP where it is correctly ordered against the departure;
 * every per-node random stream is keyed by the node, so draw order within
   a node is the node's own event order, which partitioning preserves;
-* no mutable protocol state is ever shared between nodes — a peer list
-  and the top-node lists store columns, copying a
+* no mutable protocol state is ever shared between nodes — a peer list,
+  the top-node lists and the bridge subscribers store columns, copying a
   :class:`~repro.core.pointer.Pointer`'s fields in and building a fresh
   one out — since a shared object would be a covert channel that leaks
   one LP's progress into another outside the message fabric.

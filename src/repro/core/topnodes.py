@@ -8,7 +8,8 @@ runs dry the node asks a peer for its list as a substitution.
 
 A *top node's* own top-node list is different (§4.4): it holds pointers to
 top nodes of **other parts**, ``t`` per part, keyed by the part prefix.
-:class:`CrossPartTopList` implements that variant.
+:class:`CrossPartTopList` implements that variant.  A top node's bridge
+subscribers (DESIGN.md §8) are one more :class:`TopNodeList`.
 
 Both keep :class:`~repro.core.peerlist.PeerList`'s row layout — an id
 column (``list[int]``), an address list, unboxed ``array`` level /

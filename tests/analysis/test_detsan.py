@@ -1,75 +1,28 @@
-"""DetSan, the runtime cross-validator: a clean protocol run reports
-nothing, a planted payload-aliasing bug is caught where node state still
-holds a Pointer (and cannot arise in the columnar lists), the clock/RNG
-tripwires fire only from simulator code, and detach restores every
-patched global."""
+"""DetSan, the runtime sanitizer: a clean protocol run reports nothing,
+its state walk finds a received pointer or message that a planted bug
+keeps in node state (and finds nothing after any chaos scenario), the
+row tables cannot keep a received pointer, the clock/RNG tripwires fire
+only from simulator code, and detach restores every patched global."""
 
 import random
 import time
-import types
 
 import numpy as np
 import pytest
 
-from repro.analysis.detsan import (
-    DetSan,
-    _is_mutable_payload,
-    _payload_objects,
-    detsan_requested,
-)
+from repro.analysis.detsan import HELD_TYPES, DetSan, detsan_requested, held_objects
 from repro.chaos.runner import ChaosRunner
 from repro.chaos.scenarios import SCENARIOS
-from repro.core.events import EventKind, EventRecord
+from repro.core.dissemination import MulticastService
+from repro.core.failure import FailureDetector
 from repro.core.nodeid import NodeId
 from repro.core.pointer import Pointer
 from repro.core.topnodes import CrossPartTopList, TopNodeList
 from tests.core.test_part_merge import build_two_parts
 
 
-# -- tagging discriminator -------------------------------------------------
-
-
 def make_pointer(value=0b1010, bits=4):
     return Pointer(node_id=NodeId(value, bits), address=value, level=1)
-
-
-def make_event():
-    return EventRecord(
-        kind=EventKind.JOIN,
-        subject_id=NodeId(3, 4),
-        subject_level=1,
-        subject_address=3,
-        seq=0,
-        origin_time=0.0,
-    )
-
-
-def test_mutable_payload_discrimination():
-    ptr = make_pointer()
-    # Mutable protocol objects and containers are tagged ...
-    assert _is_mutable_payload(ptr)
-    assert _is_mutable_payload([ptr])
-    assert _is_mutable_payload({})
-    # ... immutable value types and scalars are not.
-    assert not _is_mutable_payload(NodeId(3, 4))
-    assert not _is_mutable_payload(make_event())
-    assert not _is_mutable_payload(None)
-    assert not _is_mutable_payload("download")
-    assert not _is_mutable_payload(7)
-
-
-def test_payload_objects_unpacks_wire_shapes():
-    a, b = make_pointer(0b0001), make_pointer(0b0010)
-    # download-data: ([matching], [tops]) — both lists and their
-    # elements are identity-tracked.
-    objs = _payload_objects(([a], [b]))
-    assert a in objs and b in objs
-    # level-info: (level, rate, piggyback)
-    objs = _payload_objects((2, 0.5, [a]))
-    assert a in objs
-    # bodyless payloads tag nothing.
-    assert _payload_objects(None) == []
-    assert _payload_objects(NodeId(3, 4)) == []
 
 
 def test_detsan_requested_parses_env():
@@ -108,48 +61,85 @@ def run_part_merge():
         san.final_scan()
     finally:
         san.detach()
-    assert any(merger.node_id.value in n.bridge_subscribers for n in net.live_nodes())
+    assert any(
+        p.node_id == merger.node_id for n in net.live_nodes() for p in n.bridge_subscribers
+    )
     return san
 
 
-def test_planted_aliasing_bug_is_caught():
-    # Re-introduce the PR 2 bug at runtime: every "copy" silently hands
-    # back the shared object, so a bridge top retains the subscriber's
-    # live Pointer — ``bridge_subscribers`` is the one piece of node
-    # state that still holds Pointers.  The final scan must light up.
+def test_planted_aliasing_bug_is_caught(monkeypatch):
+    # Re-plant the bug class: the bridge-subscribe handler keeps the
+    # subscriber's received Pointer (the sender's live object) in node
+    # state beside the rows.  The walk names it by path.
     assert run_part_merge().ok
-    orig_copy = Pointer.copy
+    subscribe = MulticastService.on_bridge_subscribe
 
-    def aliasing_copy(self, **overrides):
-        return self
+    def keeping_subscribe(self, msg):
+        subscribe(self, msg)
+        self.subscriber = msg.payload[0]
 
-    Pointer.copy = aliasing_copy
-    try:
-        san = run_part_merge()
-    finally:
-        Pointer.copy = orig_copy
+    monkeypatch.setattr(MulticastService, "on_bridge_subscribe", keeping_subscribe)
+    san = run_part_merge()
     assert not san.ok
-    assert all(v.check == "payload-retained" for v in san.violations)
-    assert any("'bridge-subscribe'" in v.detail for v in san.violations)
+    assert all(v.check == "held-object" for v in san.violations)
+    assert any(
+        "node.dissemination.subscriber holds a Pointer" in v.detail
+        for v in san.violations
+    )
 
 
-def test_top_lists_cannot_retain_a_received_pointer():
-    # The top-list half of the bug class is structural: a list stores a
-    # pointer's fields, never the object, even with the aliasing copy
-    # planted, so mutating what was merged changes nothing held.
-    orig_copy = Pointer.copy
-    Pointer.copy = lambda self, **overrides: self
-    try:
-        received = make_pointer()
-        top, cross = TopNodeList(4), CrossPartTopList(4)
-        top.merge([received])
-        cross.merge("1", [received])
-    finally:
-        Pointer.copy = orig_copy
+def test_walk_finds_a_kept_message_by_path(monkeypatch):
+    net, keys = build_two_parts()
+    on_probe = FailureDetector.on_probe
+
+    def keeping_probe(self, msg):
+        on_probe(self, msg)
+        self.pending = {"last": [msg]}
+
+    monkeypatch.setattr(FailureDetector, "on_probe", keeping_probe)
+    net.run(until=net.sim.now + 20.0)
+    held = {path: type(obj).__name__ for n in net.live_nodes() for path, obj in held_objects(n)}
+    assert held
+    # The walk skips dict keys and set members: no held type can be one.
+    assert all(kind.__hash__ is None for kind in HELD_TYPES)
+    assert set(held.items()) == {("node.failure.pending['last'][0]", "Message")}
+
+
+@pytest.mark.parametrize(
+    "scenario, n_nodes",
+    [(name, 100 if name == "churn-partition" else None) for name in sorted(SCENARIOS)],
+)
+def test_no_node_state_holds_a_pointer_or_message_after_a_chaos_scenario(scenario, n_nodes):
+    # The structural form of the retention check: every slot reachable
+    # from every node holds rows, scalars and ids — no Pointer, no
+    # Message, and so no payload container carrying one.
+    runner = ChaosRunner(SCENARIOS[scenario], n_nodes=n_nodes, seed=0, detsan=True)
+    result = runner.run()
+    assert result.detsan_ok, result.detsan_violations
+
+
+def test_top_lists_cannot_retain_a_received_pointer(monkeypatch):
+    # The row tables make the bug class structural: a list stores a
+    # pointer's fields, never the object, even with a ``Pointer.copy``
+    # that hands back the shared object planted, so mutating what was
+    # merged changes nothing held — and the walk over a part merge that
+    # fills bridge-subscriber rows finds nothing.
+    monkeypatch.setattr(Pointer, "copy", lambda self, **overrides: self)
+    received = make_pointer()
+    top, cross, bridge = TopNodeList(4), CrossPartTopList(4), TopNodeList(1)
+    top.merge([received])
+    cross.merge("1", [received])
+    bridge.merge([received])
     received.level, received.address, received.last_refresh = 3, "moved", 9.0
-    for held in (top.pointers(), cross.for_part("1"), [top.choose(np.random.default_rng(0))]):
+    for held in (
+        top.pointers(),
+        cross.for_part("1"),
+        bridge.pointers(),
+        [top.choose(np.random.default_rng(0))],
+    ):
         assert held == [make_pointer()]
         assert held[0] is not received
+    assert run_part_merge().ok
 
 
 def test_detsan_does_not_change_the_chaos_trace():
@@ -165,17 +155,8 @@ def test_detsan_does_not_change_the_chaos_trace():
 # -- tripwires and lifecycle -----------------------------------------------
 
 
-class FakeTransport:
-    def __init__(self):
-        self.delivered = []
-
-    def _deliver(self, msg):
-        self.delivered.append(msg)
-
-
 class FakeNet:
     def __init__(self):
-        self.transport = FakeTransport()
         self.nodes = {}
 
 
@@ -227,21 +208,12 @@ def test_tripwires_still_return_real_values():
 def test_detach_restores_all_patched_globals():
     orig_time = time.time
     orig_random = random.random
-    net = FakeNet()
-    orig_deliver = net.transport._deliver
     san = DetSan()
-    san.attach(net)
+    san.attach(FakeNet())
     assert time.time is not orig_time  # patched while attached
     san.detach()
     assert time.time is orig_time
     assert random.random is orig_random
-    assert net.transport._deliver == orig_deliver
-
-
-def test_attach_rejects_partitioned_networks():
-    parallel_net = types.SimpleNamespace(transport=None, nodes={})
-    with pytest.raises(ValueError, match="sequential"):
-        DetSan().attach(parallel_net)
 
 
 def test_attach_twice_is_an_error():
@@ -250,28 +222,5 @@ def test_attach_twice_is_an_error():
     try:
         with pytest.raises(RuntimeError, match="already attached"):
             san.attach(FakeNet())
-    finally:
-        san.detach()
-
-
-def test_delivery_tap_tags_only_mutable_cross_node_payloads():
-    san = DetSan(scan_stride=1000)  # no sampled scans in this test
-    net = FakeNet()
-    san.attach(net)
-    try:
-        ptr = make_pointer()
-        msgs = [
-            types.SimpleNamespace(src=1, dst=2, kind="top-ptr", payload=ptr),
-            # Immutable payloads and self-sends are not tracked.
-            types.SimpleNamespace(
-                src=1, dst=2, kind="level-query", payload=NodeId(3, 4)
-            ),
-            types.SimpleNamespace(src=2, dst=2, kind="top-ptr", payload=ptr),
-            types.SimpleNamespace(src=1, dst=2, kind="probe", payload=None),
-        ]
-        for msg in msgs:
-            net.transport._deliver(msg)
-        assert len(net.transport.delivered) == 4  # pass-through intact
-        assert san.deliveries_seen == 1
     finally:
         san.detach()

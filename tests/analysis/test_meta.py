@@ -3,7 +3,7 @@
 The acceptance gate is ``repro lint src/repro`` exiting 0 — i.e. zero
 findings that are not grandfathered in ``detlint-baseline.json``.  These
 tests pin that property so a regression (new wall-clock read, new
-payload alias, ...) fails CI here even before check.sh runs.
+unsorted set iteration, ...) fails CI here even before check.sh runs.
 """
 
 import json

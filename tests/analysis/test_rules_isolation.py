@@ -1,5 +1,4 @@
-"""Good/bad fixture pairs for ISO001/ISO002, including a reconstruction
-of the PR 2 shared-Pointer covert channel that ISO001 exists to catch."""
+"""Good/bad fixture pairs for ISO002 and ISO003."""
 
 from repro.analysis import lint_source
 
@@ -8,105 +7,6 @@ SRC = "src/repro/core/fixture.py"
 
 def rules_fired(src, rel_path=SRC):
     return sorted({f.rule for f in lint_source(src, rel_path=rel_path)})
-
-
-# -- ISO001: payload aliasing ----------------------------------------------
-
-#: The PR 2 bug, reconstructed: a bridge-subscribe handler stores the
-#: *received Pointer object* in long-lived node state.  With the
-#: in-memory transport that object is the subscriber's live pointer, so
-#: event application on one node silently mutates the other — a covert
-#: channel across the LP boundary that broke seq/partitioned equivalence.
-PR2_SHARED_POINTER_BUG = (
-    "def on_bridge_subscribe(self, msg):\n"
-    "    ctx = self.ctx\n"
-    "    ptr, propagate = msg.payload\n"
-    "    ctx.bridge_subscribers[ptr.node_id.value] = ptr\n"
-)
-
-PR2_SHARED_POINTER_FIXED = (
-    "def on_bridge_subscribe(self, msg):\n"
-    "    ctx = self.ctx\n"
-    "    ptr, propagate = msg.payload\n"
-    "    ctx.bridge_subscribers[ptr.node_id.value] = ptr.copy()\n"
-)
-
-
-def test_iso001_catches_the_pr2_shared_pointer_bug():
-    assert rules_fired(PR2_SHARED_POINTER_BUG) == ["ISO001"]
-
-
-def test_iso001_accepts_the_copy_fix():
-    assert rules_fired(PR2_SHARED_POINTER_FIXED) == []
-
-
-def test_iso001_flags_install_of_raw_payload_elements():
-    src = (
-        "def on_download(self, msg):\n"
-        "    ctx = self.ctx\n"
-        "    for p in msg.payload:\n"
-        "        ctx.peer_list.add(p)\n"
-    )
-    assert rules_fired(src) == ["ISO001"]
-
-
-def test_iso001_accepts_copied_payload_elements():
-    src = (
-        "def on_download(self, msg):\n"
-        "    ctx = self.ctx\n"
-        "    for p in msg.payload:\n"
-        "        ctx.peer_list.add(p.copy())\n"
-    )
-    assert rules_fired(src) == []
-
-
-def test_iso001_flags_listcomp_aliasing_into_state():
-    src = (
-        "def on_tops(self, reply):\n"
-        "    ctx = self.ctx\n"
-        "    ctx.pending_tops = [p for p in reply.payload]\n"
-    )
-    assert rules_fired(src) == ["ISO001"]
-
-
-def test_iso001_tracks_payload_params_directly():
-    # Continuation handlers often receive the already-extracted payload.
-    src = (
-        "def got_download(self, payload, done):\n"
-        "    pointers, tops = payload\n"
-        "    self.cached = pointers\n"
-    )
-    assert rules_fired(src) == ["ISO001"]
-
-
-def test_iso001_allows_scalar_field_reads():
-    src = (
-        "def on_mcast(self, msg):\n"
-        "    ctx = self.ctx\n"
-        "    event = msg.payload\n"
-        "    ctx.seen_events[event.subject_id.value] = event.seq\n"
-    )
-    assert rules_fired(src) == []
-
-
-def test_iso001_treats_merge_as_a_copying_installer():
-    # TopNodeList.merge stores a pointer's fields as a row, never the object.
-    src = (
-        "def on_tops(self, reply):\n"
-        "    ctx = self.ctx\n"
-        "    ctx.top_list.merge(list(reply.payload))\n"
-    )
-    assert rules_fired(src) == []
-
-
-def test_iso001_constructor_calls_sanitize():
-    src = (
-        "def on_join(self, msg):\n"
-        "    ctx = self.ctx\n"
-        "    info = msg.payload\n"
-        "    ctx.record = EventRecord(info.kind, info.seq)\n"
-    )
-    assert rules_fired(src) == []
 
 
 # -- ISO002: service boundary ----------------------------------------------

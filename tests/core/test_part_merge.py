@@ -6,10 +6,12 @@ a cross-part top and bridge-subscribes to its event stream.  These tests
 drive the whole path.
 """
 
-
+from repro.analysis.detsan import held_objects
 from repro.core.config import ProtocolConfig
 from repro.core.nodeid import NodeId
+from repro.core.pointer import Pointer
 from repro.core.protocol import PeerWindowNetwork
+from repro.net.message import Message
 
 
 def build_two_parts(per_part=8, seed=6, level_check=1e6):
@@ -65,7 +67,7 @@ class TestPartMerge:
         merger = self._merge_one(net, keys)
         subscribed = [
             n for n in net.live_nodes()
-            if merger.node_id.value in n.bridge_subscribers
+            if merger.node_id in [p.node_id for p in n.bridge_subscribers]
         ]
         assert subscribed
         assert all(n.node_id.bit(0) == 1 for n in subscribed)
@@ -81,7 +83,8 @@ class TestPartMerge:
         )
         # The subscription propagated across the sibling top group, so any
         # sibling top's own leave is bridged too.
-        assert merger.node_id.value in net.node(victim_key).bridge_subscribers
+        subscribers = net.node(victim_key).bridge_subscribers
+        assert merger.node_id in [p.node_id for p in subscribers]
         victim_id = net.node(victim_key).node_id
         assert victim_id in merger.peer_list
         net.leave(victim_key)
@@ -110,3 +113,23 @@ class TestPartMerge:
         assert all(p.node_id.bit(0) == 0 for p in merger.peer_list)
         sibling_parts = merger.cross_parts.parts()
         assert any(p.startswith("1") for p in sibling_parts)
+
+    def test_bridge_subscribers_are_bounded_rows(self):
+        """A top keeps at most ``top_list_size`` subscribers, the freshest,
+        as rows: what a subscriber sent is not what the top holds."""
+        net, keys = build_two_parts()
+        top = next(n for n in net.live_nodes() if n.is_top and n.node_id.bit(0) == 1)
+        t = top.config.top_list_size
+        assert top.bridge_subscribers == []
+        sent = []
+        for i in range(2 * t):
+            ptr = Pointer(NodeId(i, 12), address=f"sub{i}", level=0, last_refresh=float(i))
+            sent.append(ptr)
+            top.dissemination.on_bridge_subscribe(
+                Message(ptr.address, top.address, "bridge-subscribe", payload=(ptr, False))
+            )
+        held = top.bridge_subscribers
+        assert [p.address for p in held] == [f"sub{i}" for i in range(t, 2 * t)]
+        assert held == sent[t:]
+        assert not any(p is q for p in held for q in sent)
+        assert held_objects(top) == []

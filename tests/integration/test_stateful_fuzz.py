@@ -9,6 +9,7 @@ checks the global invariants:
   membership) up to bounded transients;
 * no dead node appears in any list after the convergence window;
 * eigenstring-group members agree on their shared peer list;
+* no node's state holds a received object (a ``Pointer`` or ``Message``);
 * the network never deadlocks (events keep draining).
 """
 
@@ -16,6 +17,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from repro.analysis.detsan import held_objects
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
 
@@ -109,6 +111,8 @@ class PeerWindowMachine(RuleBasedStateMachine):
         for group in by_eigen.values():
             lists = {tuple(n.peer_list.ids()) for n in group}
             assert len(lists) == 1
+        for node in self.net.nodes.values():
+            assert held_objects(node) == []
 
 
 PeerWindowMachine.TestCase.settings = settings(
