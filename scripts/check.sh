@@ -24,8 +24,9 @@
 #   scripts/check.sh --compare   # tournament scorecard smoke +
 #                                # BENCH_baselines.json current
 #   scripts/check.sh --ledger    # benchmark ledger smoke only
-#   scripts/check.sh --scale     # NOT in the default run (~1 min, 1 GB):
-#                                # a 10^4-node detailed run fits in 550 MB;
+#   scripts/check.sh --scale     # NOT in the default run (~2 min, 2.3 GB):
+#                                # a 10^4-node detailed run fits in 550 MB,
+#                                # and at the paper's level mix in 2350 MB;
 #                                # the scalable engine seeds 10^6 nodes
 #                                # in < 700 MB;
 #                                # the n=1,000 six-contestant tournament
@@ -382,9 +383,10 @@ from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
 from repro.net.latency import PairwiseLatencyModel
 
-# ~1.5x the 364 MB this run peaks at (456 MB while the top-node lists held
-# Pointers, NodeContext had an instance dict and every node spawned its
-# generator up front).
+# ~1.5x the 364 MB this run peaked at while peer-list rows had an address
+# column (456 MB while the top-node lists held Pointers, NodeContext had an
+# instance dict and every node spawned its generator up front); it peaks at
+# 269 MB with 21-byte rows.
 n, levels, limit_mb = 10_000, (3, 4, 4, 5), 550
 net = PeerWindowNetwork(config=ProtocolConfig(level_check_interval=1e6),
                         topology=PairwiseLatencyModel(), master_seed=0)
@@ -416,6 +418,56 @@ if len(live) != n or probes < n:
     problems.append(f"{len(live)} live nodes sent {probes} probes (want {n} and >= {n})")
 if failures:
     problems.append(f"{failures} failure detection(s) in a churn-free ring")
+if error != 0:
+    problems.append(f"mean_error_rate() = {error} (want 0)")
+if rss_mb >= limit_mb:
+    problems.append(f"peak RSS {rss_mb:.0f} MB >= {limit_mb} MB")
+for p in problems:
+    print("scale:", p)
+sys.exit(1 if problems else 0)
+PY
+  echo "== scale (10^4 nodes at the paper's level mix, 30 sim-s: no false detection, error 0, < 2350 MB) =="
+  with_timeout 900 $PY - <<'PY' || status=1
+import resource, sys, time
+from repro.core.config import ProtocolConfig
+from repro.core.protocol import PeerWindowNetwork
+from repro.experiments.predict import predict_level_distribution
+from repro.net.latency import PairwiseLatencyModel
+
+# The levels section 2's cost model predicts at 10^4 nodes: 88 % at level
+# 0, each holding a row for nearly everyone, 9.1e7 rows in all.  ~1.2x
+# the 1,952 MB this run peaks at with 21-byte rows (3,074 MB with 37-byte
+# rows that kept an address column).
+n, limit_mb = 10_000, 2350
+shares = predict_level_distribution(n)
+counts = {level: int(share * n) for level, share in shares.items()}
+by_remainder = sorted(shares, key=lambda level: (counts[level] - shares[level] * n, level))
+for level in by_remainder[: n - sum(counts.values())]:
+    counts[level] += 1  # largest remainder: the counts sum to n
+levels = [level for level in sorted(counts) for _ in range(counts[level])]
+net = PeerWindowNetwork(config=ProtocolConfig(level_check_interval=1e6),
+                        topology=PairwiseLatencyModel(), master_seed=0)
+started = time.perf_counter()
+net.seed_nodes([{"threshold_bps": 1e9, "level": level} for level in levels])
+build_s = time.perf_counter() - started
+started = time.perf_counter()
+net.run(until=30.0)
+run_s = time.perf_counter() - started
+live = net.live_nodes()
+rows = sum(len(node.peer_list) for node in live)
+failures = sum(node.stats.failures_detected + node.stats.reports_failed for node in live)
+error = net.mean_error_rate()
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+print(f"scale: levels {dict(sorted(counts.items()))}: {rows} peer-list rows "
+      f"({rows / n:.0f} per node), build {build_s:.1f} s, 30 sim-s in {run_s:.1f} s, "
+      f"{failures} failure detection(s), mean error {error}")
+print(f"scale: peak RSS {rss_mb:.0f} MB, {rss_mb * 2**20 / rows:.1f} bytes per peer-list row "
+      "for the whole process")
+problems = []
+if len(live) != n:
+    problems.append(f"{len(live)} live nodes (want {n})")
+if failures:
+    problems.append(f"{failures} failure detection(s) in a churn-free run")
 if error != 0:
     problems.append(f"mean_error_rate() = {error} (want 0)")
 if rss_mb >= limit_mb:

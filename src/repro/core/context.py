@@ -20,7 +20,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.events import EventKind, EventRecord
 from repro.core.levels import LevelController
 from repro.core.nodeid import NodeId, eigenstring
-from repro.core.peerlist import PeerList
+from repro.core.peerlist import AddressTable, PeerList
 from repro.core.pointer import Pointer
 from repro.core.refresh import LifetimeEstimator, RefreshManager
 from repro.core.topnodes import CrossPartTopList, TopNodeList
@@ -64,7 +64,7 @@ class NodeContext:
     __slots__ = (
         "runtime", "config", "node_id", "address", "threshold_bps", "rng",
         "attached_info", "obs", "level", "alive", "is_top", "seq", "raising",
-        "recovering", "peer_list", "top_list", "cross_parts", "estimator",
+        "recovering", "addresses", "peer_list", "top_list", "cross_parts", "estimator",
         "refresh_mgr", "controller", "stats", "bridge_subscribers",
         "recent_downloads", "seen_events", "relayed_reports", "endpoint",
         "loop_timers", "report_event", "confirm_dead", "obit_strikes",
@@ -81,6 +81,7 @@ class NodeContext:
         rng: Union[np.random.Generator, SubStream],
         attached_info: Any = None,
         obs: NodeObs = None,
+        addresses: Optional[AddressTable] = None,
     ):
         self.runtime = runtime
         self.config = config
@@ -105,9 +106,13 @@ class NodeContext:
         #: instead of starting from an empty one (see JoinService).
         self.recovering = False
 
-        self.peer_list = PeerList(node_id, 0)
-        self.top_list = TopNodeList(config.top_list_size)
-        self.cross_parts = CrossPartTopList(config.top_list_size)
+        #: The ``id value -> address`` table every list of this node
+        #: reads row addresses from (:mod:`repro.core.peerlist`): the
+        #: network's, shared by all its nodes, or the node's own.
+        self.addresses: AddressTable = {} if addresses is None else addresses
+        self.peer_list = PeerList(node_id, 0, self.addresses)
+        self.top_list = TopNodeList(config.top_list_size, self.addresses)
+        self.cross_parts = CrossPartTopList(config.top_list_size, self.addresses)
         self.estimator = LifetimeEstimator(prior_mean=3600.0)
         self.refresh_mgr = RefreshManager(config, self.estimator)
         self.controller = LevelController(config, threshold_bps)
@@ -143,13 +148,15 @@ class NodeContext:
         #: means no detector is attached and obituaries pass unverified.
         self.confirm_dead: Optional[Callable[..., None]] = None
         #: Refuted-obituary strikes per accuser address, and the set of
-        #: accusers quarantined after ``config.quarantine_strikes``.
-        self.obit_strikes: Dict[Hashable, int] = {}
-        self.obit_quarantine: Set[Hashable] = set()
+        #: accusers quarantined after ``config.quarantine_strikes``; each
+        #: allocated at its first entry (most nodes never strike anyone).
+        self.obit_strikes: Optional[Dict[Hashable, int]] = None
+        self.obit_quarantine: Optional[Set[Hashable]] = None
         #: Obituary verifications in flight: subject id value -> list of
-        #: ``(accuser_or_None, proceed)`` continuations.  Concurrent
-        #: accusations about one subject settle on a single probe chain.
-        self.obit_pending: Dict[int, List[tuple]] = {}
+        #: ``(accuser_or_None, proceed)`` continuations, allocated at the
+        #: first verification.  Concurrent accusations about one subject
+        #: settle on a single probe chain.
+        self.obit_pending: Optional[Dict[int, List[tuple]]] = None
         #: When this node last served a §4.3 get-top, for the
         #: ``config.join_throttle_interval`` admission throttle.
         self.last_join_served: float = float("-inf")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.core.context import NodeContext
-from repro.core.events import EventKind, EventRecord, apply_event
+from repro.core.events import EventKind, EventRecord, apply_event, obituary_seq
 from repro.core.multicast import MulticastForwarder
 from repro.core.pointer import Pointer
 from repro.core.topnodes import TopNodeList
@@ -99,7 +99,7 @@ class MulticastService:
                 subject_id=departed.node_id,
                 subject_level=departed.level,
                 subject_address=departed.address,
-                seq=departed.last_event_seq + 1,
+                seq=obituary_seq(departed.last_event_seq),
                 origin_time=self.runtime.now,
             ),
             trace=obit.ref() if obit is not None else None,
@@ -359,7 +359,7 @@ class MulticastService:
         ):
             proceed()
             return
-        if src is not None and src in ctx.obit_quarantine:
+        if src is not None and ctx.obit_quarantine and src in ctx.obit_quarantine:
             ctx.obs.registry.inc(m.OBIT_QUARANTINE_DROPS)
             return
         held = ctx.peer_list.get(event.subject_id)
@@ -370,6 +370,8 @@ class MulticastService:
             return
         subject = event.subject_id.value
         accuser = src if strike else None
+        if ctx.obit_pending is None:
+            ctx.obit_pending = {}
         pending = ctx.obit_pending.get(subject)
         if pending is not None:
             pending.append((accuser, proceed))
@@ -394,12 +396,15 @@ class MulticastService:
         for accuser, _proceed in waiters:
             if accuser is None:
                 continue
+            if ctx.obit_strikes is None:
+                ctx.obit_strikes = {}
             strikes = ctx.obit_strikes.get(accuser, 0) + 1
             ctx.obit_strikes[accuser] = strikes
-            if (
-                strikes >= ctx.config.quarantine_strikes
-                and accuser not in ctx.obit_quarantine
-            ):
+            if strikes < ctx.config.quarantine_strikes:
+                continue
+            if ctx.obit_quarantine is None:
+                ctx.obit_quarantine = set()
+            if accuser not in ctx.obit_quarantine:
                 ctx.obit_quarantine.add(accuser)
                 ctx.obs.registry.inc(m.QUARANTINE_ADDITIONS)
 
@@ -682,7 +687,9 @@ class MulticastService:
         ptr, propagate = msg.payload
         subscribers = ctx.bridge_subscribers
         if subscribers is None:
-            subscribers = ctx.bridge_subscribers = TopNodeList(ctx.config.top_list_size)
+            subscribers = ctx.bridge_subscribers = TopNodeList(
+                ctx.config.top_list_size, ctx.addresses
+            )
         fresh = ptr.node_id not in subscribers
         # The rows take the pointer's fields, never the object (with an
         # in-memory transport ``ptr`` is the subscriber's live Pointer).

@@ -19,7 +19,7 @@ from typing import Any, Hashable, Optional
 from repro.core.audience import in_peer_list
 from repro.core.nodeid import NodeId
 from repro.core.peerlist import PeerList
-from repro.core.pointer import Pointer
+from repro.core.pointer import MAX_SEQ, Pointer
 
 
 class EventKind(enum.Enum):
@@ -43,10 +43,18 @@ class EventRecord:
     attached_info: Any = None
 
     def __post_init__(self) -> None:
-        if self.seq < 0:
-            raise ValueError("seq must be >= 0")
+        if not 0 <= self.seq <= MAX_SEQ:
+            raise ValueError(f"event seq {self.seq} outside [0, {MAX_SEQ}]")
         if self.subject_level < 0 or self.subject_level > self.subject_id.bits:
             raise ValueError("invalid subject level")
+
+
+def obituary_seq(last_event_seq: int) -> int:
+    """The seq of the LEAVE a node announces for a pointer it judged dead:
+    one past the pointer's, so it outruns every event applied to it —
+    saturating at :data:`~repro.core.pointer.MAX_SEQ`, so a pointer that
+    arrived at the bound still yields an event."""
+    return min(last_event_seq + 1, MAX_SEQ)
 
 
 def apply_event(

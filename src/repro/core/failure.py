@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.context import NodeContext
-from repro.core.events import EventKind, EventRecord
+from repro.core.events import EventKind, EventRecord, obituary_seq
 from repro.core.pointer import Pointer
 from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
@@ -134,7 +134,7 @@ class FailureDetector:
             subject_id=target.node_id,
             subject_level=target.level,
             subject_address=target.address,
-            seq=target.last_event_seq + 1,
+            seq=obituary_seq(target.last_event_seq),
             origin_time=self.runtime.now,
         )
         obit = None

@@ -43,7 +43,7 @@ from repro.core.join import JoinService
 from repro.core.levelshift import LevelShiftService
 from repro.core.maintenance import MaintenanceService
 from repro.core.nodeid import NodeId
-from repro.core.peerlist import PeerList
+from repro.core.peerlist import AddressTable, PeerList
 from repro.core.pointer import Pointer
 from repro.kernel.runtime import NodeRuntime
 from repro.net.message import Message
@@ -72,6 +72,7 @@ class PeerWindowNode:
         on_left: Optional[Callable[["PeerWindowNode"], None]] = None,
         runtime: Optional[NodeRuntime] = None,
         obs: Any = None,
+        addresses: Optional[AddressTable] = None,
     ):
         if runtime is None or config is None or node_id is None or rng is None:
             raise ValueError("runtime, config, node_id and rng are required")
@@ -87,6 +88,7 @@ class PeerWindowNode:
             rng,
             attached_info=attached_info,
             obs=obs,
+            addresses=addresses,
         )
         self.dissemination = MulticastService(runtime, self.ctx)
         # The report path is the capability every other service needs;
@@ -280,7 +282,8 @@ class PeerWindowNode:
         """Direct state installation (the harness's initial seeding —
         the paper likewise *creates* its 100,000 nodes before churning):
         the peer list becomes this node's slice of ``population``, the
-        id-sorted table of every seeded node's own pointer."""
+        id-sorted table of every seeded node's own pointer, which reads
+        the same address table as this node's lists."""
         ctx = self.ctx
         ctx.level = level
         ctx.peer_list.retarget(level)

@@ -9,14 +9,29 @@ value, row ``i`` of each describing the same node —
 column                type               why
 ====================  =================  ================================
 ``_ids``              ``list[int]``      the sort key; everything bisects
-``_addresses``        ``list``           the transport key, any hashable
-``_levels``           ``array('H')``     unboxed: the collector never walks
-``_refreshed``        ``array('d')``     them and a row costs 18 bytes of
-``_seqs``             ``array('q')``     typed storage, not an object
+``_levels``           ``array('B')``     unboxed: the collector never walks
+                      (``'H'`` at 256    them and a row costs 13 bytes of
+                      bits)              typed storage, not an object
+``_refreshed``        ``array('d')``
+``_seqs``             ``array('i')``     seq in ``[-1, MAX_SEQ]``
 ``_extras``           ``dict`` (sparse)  id -> (attached_info,
-                                         seen_join_time), only where
-                                         either is set
+                                         seen_join_time, address), only
+                                         where one of them is set
 ====================  =================  ================================
+
+A row has no address column.  The address of id ``v`` is read from an
+append-only ``id value -> address`` table the list is handed at
+construction — one per :class:`~repro.core.protocol.PeerWindowNetwork`,
+shared by every list of its nodes, or one per node built on its own.
+The first address written for an id fills its entry (the network writes
+each node's own address when it allocates the id); a row whose written
+address is not that entry — equal and of the same type for an int or
+str, the very object for anything else — keeps it in ``_extras``
+instead, so every read returns exactly what this list last wrote, never
+what another list wrote for the same id.  In an honest network every
+row's address is the table's, and ``_extras`` holds only attached info
+and join times.  A seeded level-0 row costs ≈ 21 bytes: 8 for its id
+reference, 1 + 8 + 4 typed.
 
 :class:`~repro.core.pointer.Pointer` is the value type at the boundary:
 :meth:`PeerList.add` copies a pointer's fields *in*, and ``get`` /
@@ -26,7 +41,8 @@ owner's width.  No caller ever holds a reference into a list, so
 two nodes (or two logical processes) cannot share a row by accident and
 a stored entry changes only through :meth:`PeerList.update`.  One list
 holds ids of one width — the owner's — which is what makes the int
-column comparable; another width is refused at the write.
+column comparable; another width is refused at the write, and so are a
+level outside ``[0, width]`` and a seq outside ``[-1, MAX_SEQ]``.
 
 Costs, with n = ``len(peer_list)``:
 
@@ -43,8 +59,8 @@ Costs, with n = ``len(peer_list)``:
   ``(level, id)`` key;
 * ``retarget`` / ``load_sorted``: two bisects and one slice per column.
 
-No per-bit or per-prefix index is stored, so writes pay nothing for the
-reads.
+Building a pointer costs one lookup in the address table.  No per-bit or
+per-prefix index is stored, so writes pay nothing for the reads.
 """
 
 from __future__ import annotations
@@ -52,16 +68,49 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import count
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.core.audience import prefix_range
 from repro.core.errors import MembershipError, NodeIdError
 from repro.core.nodeid import NodeId, node_id_from_row
-from repro.core.pointer import Pointer, pointer_from_row
+from repro.core.pointer import MAX_SEQ, Pointer, pointer_from_row
 
 #: ``update`` leaves a field at this default alone.
 _KEEP: Any = object()
-_NO_EXTRAS = (None, None)
+#: The address field of a row whose address is the table's entry.
+SHARED: Any = object()
+_NO_EXTRAS = (None, None, SHARED)
+#: Address types a row shares with the table by value; a row shares an
+#: address of any other type only if it is the table's very object.
+_BY_VALUE = frozenset({int, str})
+
+#: An ``id value -> address`` table (see the module docstring).
+AddressTable = Dict[int, Hashable]
+
+
+def row_address(table: AddressTable, value: int, address: Any) -> Any:
+    """What a row stores for writing ``address`` to id ``value``:
+    :data:`SHARED` when ``table`` answers it — the table takes it if it
+    has no entry for the id yet (first writer wins) — else the address,
+    for the row's extras."""
+    held = table.setdefault(value, address)
+    if held is address or (
+        type(held) is type(address) and type(held) in _BY_VALUE and held == address
+    ):
+        return SHARED
+    return address
+
+
+def level_column(bits: int) -> array:
+    """An empty level column for ids ``bits`` wide: a byte per row,
+    unless a level can reach 256."""
+    return array("B" if bits < 256 else "H")
+
+
+def check_seq(seq: int) -> None:
+    """Refuse, by name, a pointer seq the 32-bit seq column cannot hold."""
+    if not -1 <= seq <= MAX_SEQ:
+        raise ValueError(f"pointer last_event_seq {seq} outside [-1, {MAX_SEQ}]")
 
 
 def strength(pointer: Pointer) -> tuple:
@@ -75,16 +124,22 @@ class PeerList:
 
     The owner's own pointer is stored too (a node trivially "collects"
     itself; keeping it uniform simplifies ring arithmetic).
+
+    ``addresses`` is the ``id value -> address`` table the rows read
+    their addresses from (see the module docstring); without one the
+    list keeps its own.
     """
 
-    def __init__(self, owner_id: NodeId, owner_level: int):
+    def __init__(
+        self, owner_id: NodeId, owner_level: int, addresses: Optional[AddressTable] = None
+    ):
         self.owner_id = owner_id
         self.owner_level = owner_level
+        self._table: AddressTable = {} if addresses is None else addresses
         self._ids: List[int] = []
-        self._addresses: list = []
-        self._levels = array("H")
+        self._levels = level_column(owner_id.bits)
         self._refreshed = array("d")
-        self._seqs = array("q")
+        self._seqs = array("i")
         self._extras: Dict[int, tuple] = {}
 
     # -- rows -----------------------------------------------------------------
@@ -99,12 +154,14 @@ class PeerList:
         return row if row < len(ids) and ids[row] == value else -1
 
     def _pointer(self, row: int) -> Pointer:
+        value = self._ids[row]
         info = joined = None
+        address = SHARED
         if self._extras:
-            info, joined = self._extras.get(self._ids[row], _NO_EXTRAS)
+            info, joined, address = self._extras.get(value, _NO_EXTRAS)
         return pointer_from_row(
-            node_id_from_row(self._ids[row], self.owner_id.bits),
-            self._addresses[row],
+            node_id_from_row(value, self.owner_id.bits),
+            self._table[value] if address is SHARED else address,
             self._levels[row],
             info,
             joined,
@@ -116,13 +173,16 @@ class PeerList:
         if self._extras:
             for value in self._ids[start:stop]:
                 self._extras.pop(value, None)
-        del self._ids[start:stop], self._addresses[start:stop]
-        del self._levels[start:stop]
+        del self._ids[start:stop], self._levels[start:stop]
         del self._refreshed[start:stop], self._seqs[start:stop]
 
-    def _set_extras(self, value: int, info: Any, joined: Optional[float]) -> None:
-        if info is not None or joined is not None:
-            self._extras[value] = (info, joined)
+    def _set_extras(
+        self, value: int, info: Any, joined: Optional[float], address: Any
+    ) -> None:
+        """Store a row's sparse fields; ``address`` is what
+        :func:`row_address` returned for it."""
+        if info is not None or joined is not None or address is not SHARED:
+            self._extras[value] = (info, joined, address)
         elif self._extras:
             self._extras.pop(value, None)
 
@@ -144,13 +204,15 @@ class PeerList:
 
     def __iter__(self) -> Iterator[Pointer]:
         """Fresh pointers in ascending id order (deterministic)."""
-        extras, bits = self._extras.get, self.owner_id.bits
-        for value, address, level, refreshed, seq in zip(
-            self._ids, self._addresses, self._levels, self._refreshed, self._seqs
+        extras, table, bits = self._extras.get, self._table, self.owner_id.bits
+        for value, level, refreshed, seq in zip(
+            self._ids, self._levels, self._refreshed, self._seqs
         ):
-            info, joined = extras(value, _NO_EXTRAS)
+            info, joined, address = extras(value, _NO_EXTRAS)
             yield pointer_from_row(
-                node_id_from_row(value, bits), address, level, info, joined, refreshed, seq
+                node_id_from_row(value, bits),
+                table[value] if address is SHARED else address,
+                level, info, joined, refreshed, seq,
             )
 
     def get(self, node_id: NodeId) -> Optional[Pointer]:
@@ -178,7 +240,8 @@ class PeerList:
         copy of the pointer's fields.
 
         The id must be as wide as the owner's and the level within it
-        (:class:`NodeIdError`).  With ``strict`` (default) the pointer must
+        (:class:`NodeIdError`), and the seq in ``[-1, MAX_SEQ]``
+        (``ValueError``).  With ``strict`` (default) the pointer must
         also belong in this peer list — share the owner's first
         ``owner_level`` bits — otherwise :class:`MembershipError` is
         raised; the protocol never legitimately stores out-of-prefix
@@ -188,6 +251,7 @@ class PeerList:
         if node_id.bits != self.owner_id.bits:
             raise NodeIdError("cannot compare ids of different widths")
         self._check_level(pointer.level)
+        check_seq(pointer.last_event_seq)
         ids, value = self._ids, node_id.value
         if strict:
             shift = node_id.bits - self.owner_level
@@ -202,16 +266,19 @@ class PeerList:
         is_new = row == len(ids) or ids[row] != value
         if is_new:
             ids.insert(row, value)
-            self._addresses.insert(row, pointer.address)
             self._levels.insert(row, pointer.level)
             self._refreshed.insert(row, pointer.last_refresh)
             self._seqs.insert(row, pointer.last_event_seq)
         else:
-            self._addresses[row] = pointer.address
             self._levels[row] = pointer.level
             self._refreshed[row] = pointer.last_refresh
             self._seqs[row] = pointer.last_event_seq
-        self._set_extras(value, pointer.attached_info, pointer.seen_join_time)
+        self._set_extras(
+            value,
+            pointer.attached_info,
+            pointer.seen_join_time,
+            row_address(self._table, value, pointer.address),
+        )
         return is_new
 
     def update(
@@ -227,8 +294,8 @@ class PeerList:
     ) -> bool:
         """Overwrite the named fields of the entry for ``node_id`` in
         place — the only way a stored row changes.  Validates like
-        ``Pointer`` does; returns False (and writes nothing) when the
-        list holds no such entry."""
+        :meth:`add` does, before writing anything; returns False (and
+        writes nothing) when the list holds no such entry."""
         if node_id.bits != self.owner_id.bits:
             raise NodeIdError("cannot compare ids of different widths")
         row = self._row(node_id)
@@ -236,19 +303,22 @@ class PeerList:
             return False
         if level is not _KEEP:
             self._check_level(level)
+        if last_event_seq is not _KEEP:
+            check_seq(last_event_seq)
+        if level is not _KEEP:
             self._levels[row] = level
-        if address is not _KEEP:
-            self._addresses[row] = address
         if last_refresh is not _KEEP:
             self._refreshed[row] = last_refresh
         if last_event_seq is not _KEEP:
             self._seqs[row] = last_event_seq
-        if attached_info is not _KEEP or seen_join_time is not _KEEP:
-            info, joined = self._extras.get(node_id.value, _NO_EXTRAS)
+        if attached_info is not _KEEP or seen_join_time is not _KEEP or address is not _KEEP:
+            value = node_id.value
+            info, joined, own = self._extras.get(value, _NO_EXTRAS)
             self._set_extras(
-                node_id.value,
+                value,
                 info if attached_info is _KEEP else attached_info,
                 joined if seen_join_time is _KEEP else seen_join_time,
+                own if address is _KEEP else row_address(self._table, value, address),
             )
         return True
 
@@ -257,13 +327,14 @@ class PeerList:
         row = self._row(node_id)
         if row < 0:
             return None
+        value = self._ids.pop(row)
         info = joined = None
+        address = SHARED
         if self._extras:
-            info, joined = self._extras.pop(node_id.value, _NO_EXTRAS)
-        del self._ids[row]
+            info, joined, address = self._extras.pop(value, _NO_EXTRAS)
         return pointer_from_row(
             node_id,
-            self._addresses.pop(row),
+            self._table[value] if address is SHARED else address,
             self._levels.pop(row),
             info,
             joined,
@@ -278,20 +349,22 @@ class PeerList:
         """Replace this list's rows with the rows of ``source`` under the
         owner's prefix: one bisected slice per column, no per-row work.
 
-        ``source`` is any list of the same id width whose rows were
-        validated on their way in (the seeding population); a slice of a
-        sorted, validated table is sorted and valid, and the rows between
-        two ids that share the owner's prefix share it, so nothing is
-        re-checked.  The slices are copies: the two lists share only
-        immutable ints and whatever the application attached.
+        ``source`` is any list of the same id width and the same address
+        table whose rows were validated on their way in (the seeding
+        population); a slice of a sorted, validated table is sorted and
+        valid, and the rows between two ids that share the owner's prefix
+        share it, so nothing is re-checked.  The slices are copies: the
+        two lists share only immutable ints, whatever the application
+        attached, and the address table.
         """
         if source.owner_id.bits != self.owner_id.bits:
             raise NodeIdError("cannot compare ids of different widths")
+        if source._table is not self._table:
+            raise ValueError("load_sorted needs a source on the same address table")
         start, stop = prefix_range(
             source._ids, self.owner_id.value, self.owner_id.bits, self.owner_level
         )
         self._ids = source._ids[start:stop]
-        self._addresses = source._addresses[start:stop]
         self._levels = source._levels[start:stop]
         self._refreshed = source._refreshed[start:stop]
         self._seqs = source._seqs[start:stop]

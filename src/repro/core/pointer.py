@@ -25,6 +25,12 @@ from typing import Any, Hashable, Optional
 from repro.core.errors import NodeIdError
 from repro.core.nodeid import NodeId, eigenstring
 
+#: The largest event sequence number a row, a datagram or an
+#: :class:`~repro.core.events.EventRecord` holds: row columns keep seqs
+#: in a 32-bit ``array('i')``.  A pointer's seq is in ``[-1, MAX_SEQ]``
+#: (-1: no event applied yet), an event's in ``[0, MAX_SEQ]``.
+MAX_SEQ: int = 2**31 - 1
+
 
 @dataclass(slots=True)
 class Pointer:

@@ -27,6 +27,7 @@ from repro.core.audience import prefix_range
 from repro.core.config import ProtocolConfig
 from repro.core.node import PeerWindowNode
 from repro.core.nodeid import NodeId
+from repro.core.peerlist import AddressTable
 from repro.core.runtime import PartitionedRuntime, SimRuntime
 from repro.core.seeding import SeedSpec, seed_network
 from repro.net.latency import PairwiseLatencyModel, UniformLatencyModel
@@ -128,8 +129,10 @@ class PeerWindowNetwork:
         self._next_key = 0
         self._id_rng = self.streams.get("nodeids")
         # Every id ever allocated (departed nodes included — ids are never
-        # reused), so duplicate checks stay O(1) at large populations.
-        self._used_ids: set = set()
+        # reused), so duplicate checks stay O(1) at large populations, and
+        # the address it was allocated with: the id -> address table every
+        # node's lists read row addresses from (repro.core.peerlist).
+        self._addresses: AddressTable = {}
 
     @property
     def now(self) -> float:
@@ -145,9 +148,9 @@ class PeerWindowNetwork:
         self._next_key += 1
         if node_id is None:
             node_id = NodeId.random(self._id_rng, self.config.id_bits)
-            while node_id.value in self._used_ids:  # pragma: no cover - rare at 128 bits
+            while node_id.value in self._addresses:  # pragma: no cover - rare at 128 bits
                 node_id = NodeId.random(self._id_rng, self.config.id_bits)
-        self._used_ids.add(node_id.value)
+        self._addresses.setdefault(node_id.value, key)
         return key, node_id
 
     def _make_node(
@@ -171,6 +174,7 @@ class PeerWindowNetwork:
             attached_info=attached_info,
             on_left=self._node_left,
             obs=self.obs.view(key),
+            addresses=self._addresses,
         )
         self.nodes[key] = node
         return node

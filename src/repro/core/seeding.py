@@ -92,7 +92,7 @@ def seed_network(
     # a node's peers are the contiguous run of it under its eigenstring,
     # which install() copies out column by column.
     pointer_of = {nd.node_id.value: nd.self_pointer() for nd in created}
-    population = PeerList(created[0].node_id, 0)
+    population = PeerList(created[0].node_id, 0, net._addresses)
     for value in sorted(pointer_of):
         population.add(pointer_of[value])
     top_pools = {

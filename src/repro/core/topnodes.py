@@ -11,13 +11,29 @@ top nodes of **other parts**, ``t`` per part, keyed by the part prefix.
 :class:`CrossPartTopList` implements that variant.  A top node's bridge
 subscribers (DESIGN.md §8) are one more :class:`TopNodeList`.
 
-Both keep :class:`~repro.core.peerlist.PeerList`'s row layout — an id
-column (``list[int]``), an address list, unboxed ``array`` level /
-refresh / seq columns — plus an extras column holding
-``(attached_info, seen_join_time)`` where either is set and ``None``
-elsewhere.  One table holds ids of one width, set by its first row.  No
-list holds a :class:`~repro.core.pointer.Pointer`: ``merge`` copies a
-pointer's fields in, and every read (``pointers``, ``choose``,
+Both keep :class:`~repro.core.peerlist.PeerList`'s row layout:
+
+====================  =======================  ==========================
+column                type                     holds
+====================  =======================  ==========================
+``_ids``              ``list[int]``            the id, bisected
+``_levels``           ``array('B')`` (``'H'``  the level
+                      at 256 bits)
+``_refreshed``        ``array('d')``           the last refresh
+``_seqs``             ``array('i')``           the seq, in
+                                               ``[-1, MAX_SEQ]``
+``_extras``           ``list``                 ``(attached_info,
+                                               seen_join_time, address)``
+                                               where one is set, else
+                                               ``None``
+====================  =======================  ==========================
+
+— and, like it, no address column: a row's address is its id's entry in
+the ``id value -> address`` table the list is handed (its node's, shared
+with the node's peer list), unless the row wrote a different one, which
+its extras keep.  One table holds ids of one width, set by its first
+row.  No list holds a :class:`~repro.core.pointer.Pointer`: ``merge``
+copies a pointer's fields in, and every read (``pointers``, ``choose``,
 ``remove``, ``for_part``, ``find_for_id``) builds a fresh one out, so no
 caller — and no other node — can hold a reference into a list.
 
@@ -37,23 +53,24 @@ import numpy as np
 
 from repro.core.errors import NodeIdError
 from repro.core.nodeid import NodeId, node_id_from_row
+from repro.core.peerlist import SHARED, AddressTable, check_seq, level_column, row_address
 from repro.core.pointer import Pointer, pointer_from_row
 
-_NO_EXTRAS = (None, None)
+_NO_EXTRAS = (None, None, SHARED)
 
 
 class _Rows:
     """Pointer rows, sorted by id within each run the owner bisects."""
 
-    __slots__ = ("_bits", "_ids", "_addresses", "_levels", "_refreshed", "_seqs", "_extras")
+    __slots__ = ("_bits", "_table", "_ids", "_levels", "_refreshed", "_seqs", "_extras")
 
-    def __init__(self) -> None:
+    def __init__(self, addresses: AddressTable) -> None:
         self._bits = 0
+        self._table = addresses
         self._ids: List[int] = []
-        self._addresses: list = []
-        self._levels = array("H")
+        self._levels = level_column(0)
         self._refreshed = array("d")
-        self._seqs = array("q")
+        self._seqs = array("i")
         self._extras: List[Optional[tuple]] = []
 
     def __len__(self) -> int:
@@ -69,11 +86,12 @@ class _Rows:
         return row if row < hi and ids[row] == value else -1
 
     def _pointer(self, row: int) -> Pointer:
+        value = self._ids[row]
         extras = self._extras[row]
-        info, joined = _NO_EXTRAS if extras is None else extras
+        info, joined, address = _NO_EXTRAS if extras is None else extras
         return pointer_from_row(
-            node_id_from_row(self._ids[row], self._bits),
-            self._addresses[row],
+            node_id_from_row(value, self._bits),
+            self._table[value] if address is SHARED else address,
             self._levels[row],
             info,
             joined,
@@ -94,25 +112,28 @@ class _Rows:
             if self._ids:
                 raise NodeIdError("cannot compare ids of different widths")
             self._bits = node_id.bits
+            self._levels = level_column(node_id.bits)
         if not 0 <= level <= node_id.bits:
             raise NodeIdError(f"pointer level {level} outside [0, {node_id.bits}]")
+        check_seq(p.last_event_seq)
         ids, value = self._ids, node_id.value
         row = bisect_left(ids, value, lo, hi)
+        held = row < hi and ids[row] == value
+        if held and p.last_refresh < self._refreshed[row]:
+            return None
+        address = row_address(self._table, value, p.address)
         extras = (
             None
-            if p.attached_info is None and p.seen_join_time is None
-            else (p.attached_info, p.seen_join_time)
+            if p.attached_info is None and p.seen_join_time is None and address is SHARED
+            else (p.attached_info, p.seen_join_time, address)
         )
-        if row < hi and ids[row] == value:
-            if p.last_refresh >= self._refreshed[row]:
-                self._addresses[row] = p.address
-                self._levels[row] = level
-                self._refreshed[row] = p.last_refresh
-                self._seqs[row] = p.last_event_seq
-                self._extras[row] = extras
+        if held:
+            self._levels[row] = level
+            self._refreshed[row] = p.last_refresh
+            self._seqs[row] = p.last_event_seq
+            self._extras[row] = extras
             return None
         ids.insert(row, value)
-        self._addresses.insert(row, p.address)
         self._levels.insert(row, level)
         self._refreshed.insert(row, p.last_refresh)
         self._seqs.insert(row, p.last_event_seq)
@@ -120,7 +141,7 @@ class _Rows:
         return row
 
     def _delete(self, row: int) -> None:
-        del self._ids[row], self._addresses[row], self._levels[row]
+        del self._ids[row], self._levels[row]
         del self._refreshed[row], self._seqs[row], self._extras[row]
 
     def _evict(self, lo: int, hi: int, capacity: int) -> None:
@@ -133,14 +154,15 @@ class _Rows:
 
 
 class TopNodeList(_Rows):
-    """A bounded list of pointers to the top nodes of the local part."""
+    """A bounded list of pointers to the top nodes of the local part,
+    reading addresses from ``addresses`` (its own table without one)."""
 
     __slots__ = ("capacity",)
 
-    def __init__(self, capacity: int = 8):
+    def __init__(self, capacity: int = 8, addresses: Optional[AddressTable] = None):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        super().__init__()
+        super().__init__({} if addresses is None else addresses)
         self.capacity = capacity
 
     def __contains__(self, node_id: NodeId) -> bool:
@@ -185,10 +207,7 @@ class TopNodeList(_Rows):
         return min(self._levels) if self._ids else None
 
     def clear(self) -> None:
-        for column in (
-            self._ids, self._addresses, self._levels,
-            self._refreshed, self._seqs, self._extras,
-        ):
+        for column in (self._ids, self._levels, self._refreshed, self._seqs, self._extras):
             del column[:]
 
 
@@ -198,8 +217,8 @@ class _PartRows(_Rows):
 
     __slots__ = ("_parts",)
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, addresses: AddressTable) -> None:
+        super().__init__(addresses)
         self._parts: List[str] = []
 
     def _run(self, part_prefix: str) -> Tuple[int, int]:
@@ -215,15 +234,17 @@ class CrossPartTopList:
     """A top node's map from *other* part prefixes to their top nodes.
 
     Keys are part-prefix bitstrings ('0'/'1' strings); each part keeps at
-    most ``per_part`` pointers.
+    most ``per_part`` pointers.  Addresses are read from ``addresses``
+    (its own table without one).
     """
 
-    __slots__ = ("per_part", "_rows")
+    __slots__ = ("per_part", "_table", "_rows")
 
-    def __init__(self, per_part: int = 8):
+    def __init__(self, per_part: int = 8, addresses: Optional[AddressTable] = None):
         if per_part < 1:
             raise ValueError("per_part must be >= 1")
         self.per_part = per_part
+        self._table = {} if addresses is None else addresses
         self._rows: Optional[_PartRows] = None
 
     def parts(self) -> List[str]:
@@ -237,7 +258,7 @@ class CrossPartTopList:
         if rows is None:
             if not pointers:
                 return
-            rows = self._rows = _PartRows()
+            rows = self._rows = _PartRows(self._table)
         lo, hi = rows._run(part_prefix)
         for p in pointers:
             row = rows._upsert(lo, hi, p)

@@ -14,7 +14,9 @@ the payload structure part of the protocol.  This module pins it down:
   of them, so rows, not keyed objects, set what a datagram costs:
   ``NodeId`` → ``[value, bits]``, ``Pointer`` → ``[id_value, id_bits,
   addr, level, info, sjt, refresh, seq]``, ``EventRecord`` → ``[kind,
-  id_value, id_bits, level, addr, seq, t, info]``;
+  id_value, id_bits, level, addr, seq, t, info]``, a pointer's seq in
+  ``[-1, MAX_SEQ]`` and an event's in ``[0, MAX_SEQ]`` (what a row's
+  32-bit seq column holds);
 * every message kind has a registered body schema (the §4 handshakes
   fix these shapes — see PROTOCOL.md "Wire format");
 * each row type, and the envelope, has **one field check that both
@@ -49,7 +51,7 @@ from typing import Any, Callable, Dict, List, NoReturn, Tuple
 
 from repro.core.events import EventKind, EventRecord
 from repro.core.nodeid import MAX_ID_BITS, NodeId, node_id_from_row
-from repro.core.pointer import Pointer, pointer_from_row
+from repro.core.pointer import MAX_SEQ, Pointer, pointer_from_row
 from repro.kernel import schema as wire_schema
 from repro.net.message import Message
 from repro.obs.trace import SpanRef
@@ -177,6 +179,7 @@ def _pointer_rows(rows: Any) -> List[List[Any]]:
                 )
                 and (type(refresh) is int or (type(refresh) is float and isfinite(refresh)))
                 and type(seq) is int
+                and -1 <= seq <= MAX_SEQ
             ):
                 if info is not None:
                     _check_info(info)
@@ -184,7 +187,8 @@ def _pointer_rows(rows: Any) -> List[List[Any]]:
         _fail(
             "pointer must be [id_value, id_bits, addr: int | str, "
             "level: int in [0, id_bits], info, sjt: number | null, "
-            f"refresh: number, seq: int] with {_ID_DOMAIN}, {_got(row)}"
+            f"refresh: number, seq: int in [-1, {MAX_SEQ}]] with {_ID_DOMAIN}, "
+            f"{_got(row)}"
         )
     return rows
 
@@ -202,6 +206,7 @@ def _event_fields(row: Any) -> List[Any]:
             and type(level) is int
             and type(addr) in _ADDRESS
             and type(seq) is int
+            and 0 <= seq <= MAX_SEQ
             and _is_number(origin_time)
         ):
             if info is not None:
@@ -209,7 +214,7 @@ def _event_fields(row: Any) -> List[Any]:
             return row
     _fail(
         f"event must be [kind: one of {sorted(_EVENT_KINDS)}, id_value, "
-        "id_bits, level: int, addr: int | str, seq: int, t: number, "
+        f"id_bits, level: int, addr: int | str, seq: int in [0, {MAX_SEQ}], t: number, "
         f"info] with {_ID_DOMAIN}, {_got(row)}"
     )
 
@@ -289,7 +294,7 @@ def _dec_event(row: Any) -> EventRecord:
             _EVENT_KINDS[kind], node_id_from_row(value, bits), level, addr, seq,
             origin_time, info,
         )
-    except ValueError as exc:  # EventRecord's own check: seq, level in range
+    except ValueError as exc:  # EventRecord's own check: level in range
         raise CodecError(f"event: {exc}") from exc
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.events import EventKind, EventRecord, apply_event
+from repro.core.events import EventKind, EventRecord, apply_event, obituary_seq
 from repro.core.nodeid import NodeId
 from repro.core.peerlist import PeerList
 
@@ -113,6 +113,19 @@ class TestValidation:
     def test_negative_seq_rejected(self):
         with pytest.raises(ValueError):
             event(EventKind.JOIN, "1010", seq=-1)
+
+    def test_seq_past_the_32_bit_bound_rejected_by_name(self):
+        """A row's seq column is 32 bits; a larger seq is refused where
+        the event is built, not deep inside a peer-list write."""
+        event(EventKind.JOIN, "1010", seq=2**31 - 1)
+        for seq in (2**31, 2**63):
+            with pytest.raises(ValueError, match="event seq"):
+                event(EventKind.JOIN, "1010", seq=seq)
+
+    def test_obituary_seq_outruns_the_pointer_and_saturates_at_the_bound(self):
+        assert obituary_seq(-1) == 0 and obituary_seq(41) == 42
+        assert obituary_seq(2**31 - 1) == 2**31 - 1
+        event(EventKind.LEAVE, "1010", seq=obituary_seq(2**31 - 1))
 
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError):

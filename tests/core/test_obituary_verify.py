@@ -108,7 +108,7 @@ class TestRefutedObituary:
         assert holds(net, target, victim), "refuted obituary must not evict"
         tnode = net.nodes[target]
         assert tnode.ctx.obit_strikes.get(net.nodes[liar].address) == 1
-        assert tnode.ctx.obit_quarantine == set()
+        assert tnode.ctx.obit_quarantine is None  # allocated at the first quarantine
         snap = counters(net)
         assert snap.get("obituary.verifications", 0) == 1
         assert snap.get("obituary.refuted", 0) == 1
@@ -160,7 +160,7 @@ class TestDuplicatedObituaries:
         tnode = net.nodes[target]
         assert tnode.ctx.obit_strikes.get(net.nodes[liar_a].address) == 1
         assert tnode.ctx.obit_strikes.get(net.nodes[liar_b].address) == 1
-        assert tnode.ctx.obit_quarantine == set()
+        assert tnode.ctx.obit_quarantine is None  # allocated at the first quarantine
         assert holds(net, target, victim)
 
 
@@ -179,7 +179,7 @@ class TestConfirmedObituary:
         snap = counters(net)
         assert snap.get("obituary.confirmed", 0) >= 1
         tnode = net.nodes[target]
-        assert tnode.ctx.obit_strikes.get(net.nodes[reporter].address, 0) == 0
+        assert tnode.ctx.obit_strikes is None  # allocated at the first strike
 
 
 class TestQuarantine:

@@ -1,7 +1,12 @@
 """The columnar peer list against a model: every operation that writes
 a list, driven by hypothesis next to a plain ``dict[int, Pointer]`` whose
 entries are mutated in place — the structure and the semantics the
-columns replaced — and compared through everything that reads one."""
+columns replaced — and compared through everything that reads one.
+
+A second list, the twin, reads addresses from the same id -> address
+table and writes clashing addresses for the same ids (``1`` / ``True`` /
+``"1"``, equal tuples that are different objects): each list must read
+back exactly what it last wrote, whichever wrote an id first."""
 
 import pytest
 from hypothesis import settings
@@ -26,19 +31,38 @@ VALUES = st.one_of(
     st.integers(0, (1 << BITS) - 1),
 )
 LEVELS = st.integers(0, BITS)
+# Addresses that ``==`` cannot tell apart, or only by type.
+ADDRESSES = st.sampled_from([1, True, "1", 1.0, 7, "moved", ("t", 1), ("t", True)])
 INFOS = st.sampled_from([None, None, "info", ("tuple", 1)])
 TIMES = st.sampled_from([0.0, 1.0, 5.0, 40.0, 90.0])
 SEQS = st.integers(-1, 6)
 POINTERS = st.builds(
-    lambda value, level, info, joined, refreshed, seq: Pointer(
-        NodeId(value, BITS), f"addr-{value}", level, info, joined, refreshed, seq
+    lambda value, address, level, info, joined, refreshed, seq: Pointer(
+        NodeId(value, BITS),
+        f"addr-{value}" if address is None else address,
+        level, info, joined, refreshed, seq,
     ),
-    VALUES, LEVELS, INFOS, st.one_of(st.none(), TIMES), TIMES, SEQS,
+    VALUES, st.one_of(st.none(), st.none(), ADDRESSES), LEVELS, INFOS,
+    st.one_of(st.none(), TIMES), TIMES, SEQS,
 )
 
 
 def covered(value: int, level: int) -> bool:
     return NodeId(value, BITS).shares_prefix(OWNER, level)
+
+
+def exactly(got, want) -> bool:
+    """The address a list returned is the one written: an int or str
+    equal and of the same type, anything else the very object."""
+    if type(got) is not type(want):
+        return False
+    return got == want if type(want) in (int, str) else got is want
+
+
+def same_addresses(pointers, expected) -> bool:
+    return len(pointers) == len(expected) and all(
+        exactly(p.address, q.address) for p, q in zip(pointers, expected)
+    )
 
 
 class PeerListVsDict(RuleBasedStateMachine):
@@ -47,6 +71,9 @@ class PeerListVsDict(RuleBasedStateMachine):
         self.level = 2
         self.pl = PeerList(OWNER, self.level)
         self.model = {}  # id value -> Pointer, mutated in place
+        # A level-0 list on the same address table, and its model.
+        self.twin = PeerList(NodeId(0, BITS), 0, self.pl._table)
+        self.twin_model = {}
         # Short lifetimes, so a sweep at the TIMES above expires some rows.
         self.refresh = RefreshManager(
             ProtocolConfig(id_bits=BITS), LifetimeEstimator(prior_mean=10.0)
@@ -83,7 +110,7 @@ class PeerListVsDict(RuleBasedStateMachine):
             st.fixed_dictionaries(
                 {},
                 optional={
-                    "address": st.sampled_from(["moved", 7]),
+                    "address": ADDRESSES,
                     "level": LEVELS,
                     "attached_info": INFOS,
                     "seen_join_time": st.one_of(st.none(), TIMES),
@@ -153,14 +180,45 @@ class PeerListVsDict(RuleBasedStateMachine):
 
     @rule(pointers=st.lists(POINTERS, max_size=12))
     def load_sorted(self, pointers):
-        population = PeerList(NodeId(0, BITS), 0)
+        # As the seeding population does, it reads the owner's table.
+        population = PeerList(NodeId(0, BITS), 0, self.pl._table)
         for pointer in pointers:
             population.add(pointer)
+        with pytest.raises(ValueError):
+            self.pl.load_sorted(PeerList(NodeId(0, BITS), 0))  # another table
         self.pl.load_sorted(population)
         self.model = {
             p.node_id.value: p for p in population if covered(p.node_id.value, self.level)
         }
         assert len(population) == len({p.node_id.value for p in pointers})
+
+    # -- the twin: another list's writes to the same ids --------------------
+
+    def _twin_value(self, data) -> int:
+        """Usually an id the first list holds."""
+        held = sorted(self.model) + sorted(self.twin_model)
+        pool = st.sampled_from(held) if held else VALUES
+        return data.draw(st.one_of(pool, pool, VALUES))
+
+    @rule(pointer=POINTERS, data=st.data())
+    def twin_add(self, pointer, data):
+        pointer.node_id = NodeId(self._twin_value(data), BITS)
+        value = pointer.node_id.value
+        assert self.twin.add(pointer) == (value not in self.twin_model)
+        self.twin_model[value] = pointer.copy()
+
+    @rule(address=ADDRESSES, data=st.data())
+    def twin_update(self, address, data):
+        value = self._twin_value(data)
+        held = self.twin_model.get(value)
+        assert self.twin.update(NodeId(value, BITS), address=address) == (held is not None)
+        if held is not None:
+            held.address = address
+
+    @rule(data=st.data())
+    def twin_remove(self, data):
+        value = self._twin_value(data)
+        assert self.twin.remove(NodeId(value, BITS)) == self.twin_model.pop(value, None)
 
     @rule()
     def clear(self):
@@ -176,6 +234,16 @@ class PeerListVsDict(RuleBasedStateMachine):
         assert list(self.pl) == ordered
         assert len(self.pl) == len(ordered)
         assert self.pl.owner_level == self.level
+
+    @invariant()
+    def each_list_reads_back_its_own_addresses(self):
+        for pl, model in ((self.pl, self.model), (self.twin, self.twin_model)):
+            ordered = [model[v] for v in sorted(model)]
+            assert list(pl) == ordered
+            assert same_addresses(list(pl), ordered)
+            for pointer in ordered:
+                assert exactly(pl.get(pointer.node_id).address, pointer.address)
+        assert self.twin._table is self.pl._table
 
     @invariant()
     def same_lookups(self):
@@ -218,3 +286,27 @@ TestPeerListVsDict = PeerListVsDict.TestCase
 TestPeerListVsDict.settings = settings(
     max_examples=80, stateful_step_count=30, deadline=None
 )
+
+
+def test_a_256_bit_list_holds_a_level_256_row():
+    """Levels are one byte up to 255-bit ids; at 256 bits (which the
+    config allows) a level can be 256, and the column widens."""
+    owner = NodeId((1 << 256) - 1, 256)
+    pl = PeerList(owner, 256)
+    pointer = Pointer(owner, "self", 256, last_event_seq=2**31 - 1)
+    assert pl.add(pointer)
+    assert pl.get(owner) == pointer and pl.ring_successor(owner) is None
+    assert pl.group_members() == [pointer]
+    assert pl.update(owner, level=255) and pl.get(owner).level == 255
+
+
+def test_an_out_of_range_seq_is_refused_by_name_before_any_write():
+    pl = PeerList(OWNER, 0)
+    pl.add(Pointer(OWNER, "self", 0))
+    for seq in (2**31, -2, 2**63):
+        bad = Pointer(NodeId(5, BITS), "x", 1, last_event_seq=seq)
+        with pytest.raises(ValueError, match="last_event_seq"):
+            pl.add(bad)
+        with pytest.raises(ValueError, match="last_event_seq"):
+            pl.update(OWNER, level=3, last_event_seq=seq)
+    assert list(pl) == [Pointer(OWNER, "self", 0)]

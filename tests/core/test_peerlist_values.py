@@ -132,7 +132,7 @@ def _mutable_parts(peer_list):
     return found
 
 
-def test_two_nodes_seeded_from_one_population_share_no_mutable_object():
+def test_two_nodes_seeded_from_one_population_share_only_the_address_table():
     net = seeded_ring(64)
     nodes = net.live_nodes()
     by_eigenstring = {}
@@ -141,12 +141,17 @@ def test_two_nodes_seeded_from_one_population_share_no_mutable_object():
     a, b = max(by_eigenstring.values(), key=len)[:2]  # identical lists (property 1)
     assert list(a.peer_list) == list(b.peer_list) and len(a.peer_list) > 1
     shared = _mutable_parts(a.peer_list).keys() & _mutable_parts(b.peer_list).keys()
-    assert not shared
-    # ... so a write to one is invisible to the other.
+    # The network's append-only id -> address table, and nothing else ...
+    assert shared == {id(a.ctx.addresses)} and a.ctx.addresses is net._addresses
+    # ... so a write to one list, its address included, is invisible to
+    # the other.
     before = list(b.peer_list)
-    assert a.peer_list.update(b.node_id, level=0, last_refresh=50.0, attached_info="x")
+    assert a.peer_list.update(
+        b.node_id, address="elsewhere", level=0, last_refresh=50.0, attached_info="x"
+    )
     a.peer_list.remove(a.node_id)
     assert list(b.peer_list) == before
+    assert a.peer_list.get(b.node_id).address == "elsewhere"
 
 
 def test_seeding_a_ring_builds_no_pointer():

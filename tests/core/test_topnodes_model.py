@@ -1,7 +1,12 @@
 """The columnar top-node lists against a model: hypothesis drives
 :class:`TopNodeList` and :class:`CrossPartTopList` next to the
 dict-of-``Pointer`` code they replaced — kept here, and only here, as the
-reference — and compares them through everything that reads a list."""
+reference — and compares them through everything that reads a list.
+
+The two lists read addresses from one id -> address table, as a node's
+lists do, and are fed clashing addresses for the same ids (``1`` /
+``True`` / ``"1"``, equal tuples that are different objects): each must
+read back exactly what it last wrote, whichever wrote an id first."""
 
 import numpy as np
 from hypothesis import settings
@@ -18,17 +23,37 @@ VALUES = st.integers(0, (1 << BITS) - 1)
 # parts and find_for_id must pick the shortest.
 PARTS = st.sampled_from(["0", "011", "1", "10", "101", "11"])
 TIMES = st.sampled_from([0.0, 1.0, 5.0, 40.0])  # few values: ties happen
+# Addresses that ``==`` cannot tell apart, or only by type.
+ADDRESSES = st.sampled_from([1, True, "1", 1.0, 7, "moved", ("t", 1), ("t", True)])
 POINTERS = st.builds(
-    lambda value, level, info, joined, refreshed, seq: Pointer(
-        NodeId(value, BITS), f"addr-{value}", level, info, joined, refreshed, seq
+    lambda value, address, level, info, joined, refreshed, seq: Pointer(
+        NodeId(value, BITS),
+        f"addr-{value}" if address is None else address,
+        level, info, joined, refreshed, seq,
     ),
     VALUES,
+    st.one_of(st.none(), ADDRESSES),
     st.integers(0, BITS),
     st.sampled_from([None, None, "info", ("tuple", 1)]),
     st.one_of(st.none(), TIMES),
     TIMES,
     st.integers(-1, 6),
 )
+
+
+def exactly(got, want):
+    """The address a list returned is the one written: an int or str
+    equal and of the same type, anything else the very object."""
+    if type(got) is not type(want):
+        return False
+    return got == want if type(want) in (int, str) else got is want
+
+
+def same(pointers, expected):
+    """Equal pointers, each address exactly the one written."""
+    return pointers == expected and all(
+        exactly(p.address, q.address) for p, q in zip(pointers, expected)
+    )
 
 
 class DictTopList:
@@ -116,8 +141,9 @@ class DictCrossPartList:
 class TopListsVsDicts(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.top, self.top_model = TopNodeList(4), DictTopList(4)
-        self.cross, self.cross_model = CrossPartTopList(3), DictCrossPartList(3)
+        self.table = {}  # the id -> address table both lists read
+        self.top, self.top_model = TopNodeList(4, self.table), DictTopList(4)
+        self.cross, self.cross_model = CrossPartTopList(3, self.table), DictCrossPartList(3)
         self.merged = []  # every pointer handed to a merge, for mutation
 
     def _value(self, data):
@@ -146,7 +172,8 @@ class TopListsVsDicts(RuleBasedStateMachine):
     @rule(data=st.data())
     def remove(self, data):
         node_id = NodeId(self._value(data), BITS)
-        assert self.top.remove(node_id) == self.top_model.remove(node_id)
+        got, want = self.top.remove(node_id), self.top_model.remove(node_id)
+        assert got == want and (want is None or exactly(got.address, want.address))
 
     @rule(data=st.data())
     def remove_across_parts(self, data):
@@ -157,7 +184,8 @@ class TopListsVsDicts(RuleBasedStateMachine):
     @rule(seed=st.integers(0, 3))
     def choose(self, seed):
         got = self.top.choose(np.random.default_rng(seed))
-        assert got == self.top_model.choose(np.random.default_rng(seed))
+        want = self.top_model.choose(np.random.default_rng(seed))
+        assert got == want and (want is None or exactly(got.address, want.address))
 
     @rule()
     def clear(self):
@@ -176,7 +204,7 @@ class TopListsVsDicts(RuleBasedStateMachine):
 
     @invariant()
     def same_top_list(self):
-        assert self.top.pointers() == self.top_model.pointers()
+        assert same(self.top.pointers(), self.top_model.pointers())
         assert len(self.top) == len(self.top_model)
         assert self.top.min_level() == self.top_model.min_level()
         for value in range(1 << BITS):
@@ -187,10 +215,10 @@ class TopListsVsDicts(RuleBasedStateMachine):
     def same_cross_parts(self):
         assert self.cross.parts() == self.cross_model.parts()
         for part in ["", "0", "011", "1", "10", "101", "11", "111"]:
-            assert self.cross.for_part(part) == self.cross_model.for_part(part)
+            assert same(self.cross.for_part(part), self.cross_model.for_part(part))
         for value in range(0, 1 << BITS, 3):
             node_id = NodeId(value, BITS)
-            assert self.cross.find_for_id(node_id) == self.cross_model.find_for_id(node_id)
+            assert same(self.cross.find_for_id(node_id), self.cross_model.find_for_id(node_id))
 
 
 TestTopListsVsDicts = TopListsVsDicts.TestCase
@@ -207,3 +235,15 @@ def test_a_row_round_trips_attached_info_and_seen_join_time():
     for held in (top.pointers()[0], cross.for_part("0")[0], top.remove(pointer.node_id)):
         assert held == pointer and held is not pointer
         assert held.attached_info == {"app": 1} and held.seen_join_time == 7.5
+
+
+def test_256_bit_rows_hold_a_level_256_pointer():
+    """Levels are one byte up to 255-bit ids; at 256 bits (which the
+    config allows) a level can be 256, and the column widens at the
+    first row."""
+    pointer = Pointer(NodeId(7, 256), "a", 256, last_event_seq=2**31 - 1)
+    top, cross = TopNodeList(2), CrossPartTopList(2)
+    top.merge([pointer])
+    cross.merge("0", [pointer])
+    assert top.pointers() == [pointer] and cross.for_part("0") == [pointer]
+    assert top.min_level() == 256

@@ -61,7 +61,7 @@ def pointers(draw):
         attached_info=draw(json_trees),
         seen_join_time=draw(st.none() | finite),
         last_refresh=draw(finite),
-        last_event_seq=draw(st.integers(min_value=-1, max_value=2**31)),
+        last_event_seq=draw(st.integers(min_value=-1, max_value=2**31 - 1)),
     )
 
 
@@ -72,7 +72,7 @@ def events(draw):
         subject_id=draw(node_ids()),
         subject_level=draw(levels),
         subject_address=draw(addresses),
-        seq=draw(st.integers(min_value=0, max_value=2**31)),
+        seq=draw(st.integers(min_value=0, max_value=2**31 - 1)),
         origin_time=draw(finite),
         attached_info=draw(json_trees),
     )

@@ -113,6 +113,12 @@ HOSTILE = {
     "id value past its width": forge(_POINTER, 167, "256"),
     "id 100000 bits wide": forge(_POINTER, 8, "100000"),
     "event seq negative": forge(_EVENT, 3, "-3"),
+    # seqs a row's 32-bit seq column cannot hold
+    "pointer seq 2**63": forge(_POINTER, 3, str(2**63)),
+    "pointer seq 2**31": forge(_POINTER, 3, str(2**31)),
+    "pointer seq -2": forge(_POINTER, 3, "-2"),
+    "event seq 2**31": forge(_EVENT, 3, str(2**31)),
+    "event seq 2**63": forge(_EVENT, 3, str(2**63)),
     "event level past its id width": forge(_EVENT, 5, "9"),
     # what the JSON parser itself chokes on
     "nothing but open brackets": b"[" * 60_000,
@@ -135,6 +141,14 @@ HOSTILE = {
 def test_named_hostile_datagrams_are_refused(name):
     assert len(HOSTILE[name]) <= MAX_DATAGRAM
     assert survives(HOSTILE[name]) is None
+
+
+def test_seqs_at_the_bounds_are_fine():
+    """The seq bounds, ``[-1, 2**31 - 1]`` for a pointer and
+    ``[0, 2**31 - 1]`` for an event, are inclusive."""
+    for msg, seqs in ((_POINTER, ("-1", str(2**31 - 1))), (_EVENT, ("0", str(2**31 - 1)))):
+        for raw in seqs:
+            assert survives(forge(msg, 3, raw)) is not None, (msg.kind, raw)
 
 
 def test_the_carriers_themselves_are_fine():

@@ -72,6 +72,9 @@ def oracle_pointer(row):
         and (sjt is None or _is_number(sjt))
         and _is_number(refresh)
         and type(seq) is int
+        # what a row's 32-bit seq column holds; an event's upper bound
+        # is EventRecord()'s
+        and -1 <= seq <= 2**31 - 1
         and (info is None or _info_ok(info))
     ):
         raise Refused
@@ -186,7 +189,7 @@ def pointer_rows(draw):
         draw(infos),
         draw(st.one_of(st.none(), numbers)),
         draw(numbers),
-        draw(st.sampled_from([-1, 0, 5, 2**70, 1.0, True, None])),
+        draw(st.sampled_from([-1, -2, 0, 5, 2**31 - 1, 2**31, 2**70, 1.0, True, None])),
     ]
     shape = draw(st.sampled_from(["row"] * 6 + ["short", "long", "tuple", "dict"]))
     if shape == "short":
@@ -208,7 +211,7 @@ def event_rows(draw):
         value, bits,
         draw(levels(bits)),
         draw(st.sampled_from([7, "127.0.0.1:9002", None, 2.0])),
-        draw(st.sampled_from([-1, 0, 3, 1.0, True])),
+        draw(st.sampled_from([-1, 0, 3, 2**31 - 1, 2**31, 1.0, True])),
         draw(numbers),
         draw(infos),
     ]

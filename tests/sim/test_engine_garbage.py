@@ -10,8 +10,13 @@ node keeps for the collector to walk at all.
 """
 
 import gc
+import sys
 import weakref
+from array import array
 
+from repro.core.config import ProtocolConfig
+from repro.core.peerlist import SHARED
+from repro.core.protocol import PeerWindowNetwork
 from repro.net.latency import PairwiseLatencyModel
 from repro.net.message import Message
 from repro.net.transport import Transport
@@ -113,3 +118,40 @@ def test_departure_cancels_every_loop_timer():
         depart(key)
         assert not ctx.loop_timers
         assert not any(t.active for t in timers)
+
+
+def _address_exceptions(node):
+    """Rows of ``node``'s lists whose address is not the table's."""
+    ctx = node.ctx
+    extras = list(ctx.peer_list._extras.values()) + list(ctx.top_list._extras)
+    if ctx.cross_parts._rows is not None:
+        extras += ctx.cross_parts._rows._extras
+    return sum(1 for row in extras if row is not None and row[2] is not SHARED)
+
+
+def test_a_level_zero_peer_list_row_costs_at_most_22_bytes():
+    """What a row of the paper's commonest peer list weighs: 1,000 nodes,
+    all at level 0, each holding all 1,000.  Every column and sparse map
+    of every list is counted, and the network's id -> address table once.
+    36.9 bytes per row with an address column, ``'H'`` levels and ``'q'``
+    seqs; 21.4 with the table, ``'B'`` and ``'i'``.  An honest network
+    writes every address its table holds, so no row keeps its own."""
+    n = 1000
+    net = PeerWindowNetwork(
+        config=ProtocolConfig(level_check_interval=1e6),
+        topology=PairwiseLatencyModel(),
+        master_seed=0,
+    )
+    net.seed_nodes([{"threshold_bps": 1e9, "level": 0}] * n)
+    live = net.live_nodes()
+    table = net._addresses
+    rows = size = 0
+    for node in live:
+        rows += len(node.peer_list)
+        for part in vars(node.peer_list).values():
+            if isinstance(part, (list, dict, array)) and part is not table:
+                size += sys.getsizeof(part)
+    size += sys.getsizeof(table)
+    assert rows == n * n
+    assert size / rows <= 22, f"{size / rows:.1f} bytes per peer-list row"
+    assert sum(_address_exceptions(node) for node in live) == 0
