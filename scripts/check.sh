@@ -394,9 +394,19 @@ started = time.perf_counter()
 net.seed_nodes([{"threshold_bps": 1e9, "level": levels[i % len(levels)]}
                 for i in range(n)])
 build_s = time.perf_counter() - started
+passes = [0, 0, 0]  # young, middle, full collector passes of the timed run
+
+
+def count_pass(phase, info):
+    if phase == "start":
+        passes[info["generation"]] += 1
+
+
+gc.callbacks.append(count_pass)
 started = time.perf_counter()
 net.run(until=60.0)
 run_s = time.perf_counter() - started
+gc.callbacks.remove(count_pass)
 live = net.live_nodes()
 rows = sum(len(node.peer_list) for node in live)
 failures = sum(node.stats.failures_detected + node.stats.reports_failed for node in live)
@@ -413,6 +423,8 @@ print(f"scale: {len(live)} nodes, {rows} peer-list rows, build {build_s:.1f} s, 
       f"mean error {error}, peak RSS {rss_mb:.0f} MB")
 print(f"scale: {tracked:.1f} tracked objects per node, one full collector pass "
       f"{pass_ms:.0f} ms (unjudged)")
+print(f"scale: collector passes in the {run_s:.1f} s run: {passes[0]} young, "
+      f"{passes[1]} middle, {passes[2]} full (unjudged)")
 problems = []
 if len(live) != n or probes < n:
     problems.append(f"{len(live)} live nodes sent {probes} probes (want {n} and >= {n})")
@@ -428,7 +440,7 @@ sys.exit(1 if problems else 0)
 PY
   echo "== scale (10^4 nodes at the paper's level mix, 30 sim-s: no false detection, error 0, < 2350 MB) =="
   with_timeout 900 $PY - <<'PY' || status=1
-import resource, sys, time
+import gc, resource, sys, time
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
 from repro.experiments.predict import predict_level_distribution
@@ -450,9 +462,19 @@ net = PeerWindowNetwork(config=ProtocolConfig(level_check_interval=1e6),
 started = time.perf_counter()
 net.seed_nodes([{"threshold_bps": 1e9, "level": level} for level in levels])
 build_s = time.perf_counter() - started
+passes = [0, 0, 0]  # young, middle, full collector passes of the timed run
+
+
+def count_pass(phase, info):
+    if phase == "start":
+        passes[info["generation"]] += 1
+
+
+gc.callbacks.append(count_pass)
 started = time.perf_counter()
 net.run(until=30.0)
 run_s = time.perf_counter() - started
+gc.callbacks.remove(count_pass)
 live = net.live_nodes()
 rows = sum(len(node.peer_list) for node in live)
 failures = sum(node.stats.failures_detected + node.stats.reports_failed for node in live)
@@ -463,6 +485,8 @@ print(f"scale: levels {dict(sorted(counts.items()))}: {rows} peer-list rows "
       f"{failures} failure detection(s), mean error {error}")
 print(f"scale: peak RSS {rss_mb:.0f} MB, {rss_mb * 2**20 / rows:.1f} bytes per peer-list row "
       "for the whole process")
+print(f"scale: collector passes in the {run_s:.1f} s run: {passes[0]} young, "
+      f"{passes[1]} middle, {passes[2]} full (unjudged)")
 problems = []
 if len(live) != n:
     problems.append(f"{len(live)} live nodes (want {n})")

@@ -12,7 +12,7 @@ DetSan's walk over it finds any object kept — see
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set, Union
+from typing import Iterable, Iterator, List, Optional, Set, Union
 
 from repro.analysis.core import FileContext, Rule, register
 
@@ -87,6 +87,18 @@ _MUTATING_METHODS = {
     "update", "setdefault", "push", "pop", "popleft", "popitem",
     "remove", "discard", "clear", "sort", "reverse",
 }
+
+#: Methods whose *bound reference* hands out the power to mutate: taking
+#: ``_ids.__next__`` as a ``default_factory`` is a ``next(_ids)`` per call.
+_MUTATOR_REFS = _MUTATING_METHODS | {"__next__"}
+
+
+def _outside_functions(node: ast.AST) -> Iterator[ast.AST]:
+    """Every node under ``node`` that no function or lambda body holds."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _outside_functions(child)
 
 
 def _is_mutable_container(node: Optional[ast.AST]) -> bool:
@@ -188,6 +200,7 @@ class CrossLPStateRule(Rule):
                 self._check_function(ctx, node, shared)
             elif isinstance(node, ast.ClassDef):
                 self._check_class_defaults(ctx, node)
+        self._check_mutator_refs(ctx, _outside_functions(ctx.tree), shared)
 
     @staticmethod
     def _module_level_containers(ctx: FileContext) -> Set[str]:
@@ -216,6 +229,7 @@ class CrossLPStateRule(Rule):
         def _is_hot(node: ast.AST) -> bool:
             return isinstance(node, ast.Name) and node.id in hot
 
+        self._check_mutator_refs(ctx, ast.walk(fn), hot)
         for sub in ast.walk(fn):
             if isinstance(sub, ast.Call):
                 func = sub.func
@@ -251,6 +265,23 @@ class CrossLPStateRule(Rule):
                         target.value
                     ):
                         self._mutation(ctx, sub, target.value.id, "del")
+
+    def _check_mutator_refs(
+        self, ctx: FileContext, nodes: Iterable[ast.AST], hot: Set[str]
+    ) -> None:
+        """A mutator of a shared object taken as a value, not called: the
+        callable mutates it wherever it is later called from."""
+        nodes = list(nodes)
+        callees = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+        for node in nodes:
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in _MUTATOR_REFS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in hot
+                and id(node) not in callees
+            ):
+                self._mutation(ctx, node, node.value.id, f"bound .{node.attr} taken")
 
     def _mutation(
         self, ctx: FileContext, node: ast.AST, name: str, how: str

@@ -135,8 +135,8 @@ class NodeContext:
         #: forwarding — black-holing the subtree routed through us.
         self.relayed_reports: Dict[int, int] = {}
         self.endpoint = None  # set by the coordinator after registration
-        #: The pending timer of each periodic loop, by loop name — one
-        #: slot per loop, see :meth:`track`.
+        #: The timer of each periodic loop, by loop name — one handle
+        #: per loop, see :meth:`arm`.
         self.loop_timers: Dict[str, TimerHandle] = {}
         #: Dissemination entry point, wired by the coordinator.  Accepts
         #: an optional ``trace=`` keyword (a span context) so the caller's
@@ -202,19 +202,27 @@ class NodeContext:
 
     # -- timer bookkeeping -------------------------------------------------
 
-    def track(self, loop: str, handle: TimerHandle) -> None:
-        """Remember ``handle`` as the pending timer of the periodic loop
-        named ``loop`` (probe, refresh, sweep, audit, level), for
+    def arm(self, loop: str, delay: float, tick: Callable[[], None]) -> None:
+        """Run ``tick`` after ``delay`` as the periodic loop named ``loop``
+        (probe, refresh, sweep, audit, level), whose timer is kept for
         cancellation at departure.
 
-        One slot per loop: a loop re-arms itself from its own tick, so
-        the handle it overwrites has always fired, and a node never holds
-        more handles than it runs loops.  (An append-and-prune list kept
-        dozens of fired handles and their bound methods per node alive
-        long enough to be promoted to the collector's oldest generation —
-        see :mod:`repro.sim.engine`.)
+        One handle per loop for the node's life: a loop re-arms from its
+        own tick (or from the request that tick sent), so the handle in
+        its slot has fired and :meth:`~repro.kernel.clock.TimerHandle.rearm`
+        queues it again, in the place a fresh schedule would take; a
+        second start of a running loop is refused there, by name.  Only a
+        loop's first tick — or one after :meth:`cancel_loops` emptied the
+        slots — schedules a handle.  (A handle and a bound method per
+        period, each alive for the period, was the medium-lived garbage
+        that promoted into the collector's oldest generation — see
+        :mod:`repro.sim.engine`.)
         """
-        self.loop_timers[loop] = handle
+        handle = self.loop_timers.get(loop)
+        if handle is None:
+            self.loop_timers[loop] = self.runtime.schedule(delay, tick)
+        else:
+            handle.rearm(delay)
 
     def cancel_loops(self) -> None:
         for handle in self.loop_timers.values():

@@ -54,6 +54,9 @@ class MulticastService:
             on_stale_pointer=self._stale_pointer,
             on_redirect=self._on_redirect,
         )
+        # The tree edge's request callbacks, bound once for every send.
+        self._mcast_acked = self._on_mcast_ack
+        self._mcast_missed = self._on_mcast_timeout
 
     def _on_redirect(
         self, failed: Pointer, replacement: Pointer, bit: int, trace=None
@@ -205,7 +208,6 @@ class MulticastService:
         trace=None,
     ) -> None:
         ctx = self.ctx
-        registry = ctx.obs.registry
         # The wire context: same trace, the sender's span as parent, the
         # receiver's tree depth (sender depth + 1).
         wire = (
@@ -221,17 +223,17 @@ class MulticastService:
             size_bits=ctx.config.event_message_bits,
             trace=wire,
         )
-
-        def timed_out() -> None:
-            registry.inc(m.MCAST_ACK_TIMEOUTS)
-            on_result(False)
-
         self.runtime.request(
-            msg,
-            timeout=ctx.config.multicast_ack_timeout,
-            on_reply=lambda _reply: on_result(True),
-            on_timeout=timed_out,
+            msg, ctx.config.multicast_ack_timeout,
+            self._mcast_acked, self._mcast_missed, on_result,
         )
+
+    def _on_mcast_ack(self, _reply: Message, on_result: Callable[[bool], None]) -> None:
+        on_result(True)
+
+    def _on_mcast_timeout(self, on_result: Callable[[bool], None]) -> None:
+        self.ctx.obs.registry.inc(m.MCAST_ACK_TIMEOUTS)
+        on_result(False)
 
     # -- origination -------------------------------------------------------
 

@@ -8,7 +8,10 @@ through the dissemination service, and immediately redirects probing to
 the next neighbor (the paper's concurrent-failure story).
 
 The probe period is fixed (``config.probe_interval``); the loop re-arms
-itself with one ``runtime.schedule`` per tick.
+its one timer handle per round (:meth:`NodeContext.arm`).  A probe's
+reply and timeout callbacks are bound methods made once per detector,
+and what one probe needs travels as request arguments, so a round
+builds no closure (DESIGN.md §4, *Schedule discipline*).
 """
 
 from __future__ import annotations
@@ -30,6 +33,13 @@ class FailureDetector:
     def __init__(self, runtime: NodeRuntime, ctx: NodeContext):
         self.runtime = runtime
         self.ctx = ctx
+        # Request callbacks, bound once for every probe this node sends.
+        self._ring_acked = self._on_ring_ack
+        self._ring_missed = self._on_ring_timeout
+        self._verify_acked = self._on_verify_ack
+        self._verify_missed = self._on_verify_timeout
+        self._confirm_acked = self._on_confirm_ack
+        self._confirm_missed = self._on_confirm_timeout
 
     def start(self) -> None:
         self._schedule_probe(self.ctx.config.probe_interval)
@@ -42,7 +52,7 @@ class FailureDetector:
     # -- probe loop --------------------------------------------------------
 
     def _schedule_probe(self, delay: float) -> None:
-        self.ctx.track("probe", self.runtime.schedule(delay, self._probe_tick))
+        self.ctx.arm("probe", delay, self._probe_tick)
 
     def _probe_tick(self) -> None:
         ctx = self.ctx
@@ -71,33 +81,52 @@ class FailureDetector:
                 target=str(target.address),
                 attempts_left=attempts_left,
             )
-        start = self.runtime.now
+        self._send_probe(
+            target.address, span, self._ring_acked, self._ring_missed,
+            target, attempts_left,
+        )
+
+    def _send_probe(
+        self, address, span: Optional[OpenSpan], on_reply, on_timeout, *args
+    ) -> None:
+        """Probe ``address`` once; ``on_reply(reply, span, start, *args)``
+        or ``on_timeout(span, start, *args)`` follows."""
+        ctx = self.ctx
         msg = Message(
             ctx.address,
-            target.address,
+            address,
             "probe",
             size_bits=ctx.config.heartbeat_bits,
             trace=span.ref() if span is not None else None,
         )
-
-        def replied(_r: Message) -> None:
-            obs.registry.observe(m.PROBE_RTT, self.runtime.now - start)
-            if span is not None:
-                obs.end(span, self.runtime.now)
-            self._schedule_probe(ctx.config.probe_interval)
-
-        def timed_out() -> None:
-            obs.registry.inc(m.PROBE_TIMEOUTS)
-            if span is not None:
-                obs.end(span, self.runtime.now, "timeout")
-            self._probe_miss(target, attempts_left - 1, span)
-
         self.runtime.request(
-            msg,
-            timeout=ctx.config.probe_timeout,
-            on_reply=replied,
-            on_timeout=timed_out,
+            msg, ctx.config.probe_timeout, on_reply, on_timeout,
+            span, self.runtime.now, *args,
         )
+
+    def _probe_acked(self, span: Optional[OpenSpan], start: float) -> None:
+        obs = self.ctx.obs
+        obs.registry.observe(m.PROBE_RTT, self.runtime.now - start)
+        if span is not None:
+            obs.end(span, self.runtime.now)
+
+    def _probe_timed_out(self, span: Optional[OpenSpan]) -> None:
+        obs = self.ctx.obs
+        obs.registry.inc(m.PROBE_TIMEOUTS)
+        if span is not None:
+            obs.end(span, self.runtime.now, "timeout")
+
+    def _on_ring_ack(
+        self, _reply: Message, span, start: float, _target, _attempts
+    ) -> None:
+        self._probe_acked(span, start)
+        self._schedule_probe(self.ctx.config.probe_interval)
+
+    def _on_ring_timeout(
+        self, span, _start: float, target: Pointer, attempts_left: int
+    ) -> None:
+        self._probe_timed_out(span)
+        self._probe_miss(target, attempts_left - 1, span)
 
     def _probe_miss(
         self, target: Pointer, attempts_left: int, parent=None
@@ -179,32 +208,21 @@ class FailureDetector:
                 target=str(target.address),
                 attempts_left=attempts_left,
             )
-        start = self.runtime.now
-        msg = Message(
-            ctx.address,
-            target.address,
-            "probe",
-            size_bits=ctx.config.heartbeat_bits,
-            trace=span.ref() if span is not None else None,
+        self._send_probe(
+            target.address, span, self._verify_acked, self._verify_missed,
+            target, attempts_left,
         )
 
-        def replied(_r: Message) -> None:
-            obs.registry.observe(m.PROBE_RTT, self.runtime.now - start)
-            if span is not None:
-                obs.end(span, self.runtime.now)
+    def _on_verify_ack(
+        self, _reply: Message, span, start: float, _target, _attempts
+    ) -> None:
+        self._probe_acked(span, start)
 
-        def timed_out() -> None:
-            obs.registry.inc(m.PROBE_TIMEOUTS)
-            if span is not None:
-                obs.end(span, self.runtime.now, "timeout")
-            self._verify_miss(target, attempts_left - 1, span)
-
-        self.runtime.request(
-            msg,
-            timeout=ctx.config.probe_timeout,
-            on_reply=replied,
-            on_timeout=timed_out,
-        )
+    def _on_verify_timeout(
+        self, span, _start: float, target: Pointer, attempts_left: int
+    ) -> None:
+        self._probe_timed_out(span)
+        self._verify_miss(target, attempts_left - 1, span)
 
     def _verify_miss(
         self, target: Pointer, attempts_left: int, parent=None
@@ -251,38 +269,26 @@ class FailureDetector:
                 attempts_left=attempts_left,
                 via="obituary",
             )
-        start = self.runtime.now
-        msg = Message(
-            ctx.address,
-            subject_address,
-            "probe",
-            size_bits=ctx.config.heartbeat_bits,
-            trace=span.ref() if span is not None else None,
+        self._send_probe(
+            subject_address, span, self._confirm_acked, self._confirm_missed,
+            subject_id, subject_address, attempts_left, on_result,
         )
 
-        def replied(_r: Message) -> None:
-            obs.registry.observe(m.PROBE_RTT, self.runtime.now - start)
-            if span is not None:
-                obs.end(span, self.runtime.now)
-            if ctx.alive:
-                on_result(False)
+    def _on_confirm_ack(
+        self, _reply: Message, span, start: float, _id, _address, _attempts, on_result
+    ) -> None:
+        self._probe_acked(span, start)
+        if self.ctx.alive:
+            on_result(False)
 
-        def timed_out() -> None:
-            obs.registry.inc(m.PROBE_TIMEOUTS)
-            if span is not None:
-                obs.end(span, self.runtime.now, "timeout")
-            if not ctx.alive:
-                return
-            if attempts_left > 1:
-                self._confirm_target(
-                    subject_id, subject_address, attempts_left - 1, on_result
-                )
-            else:
-                on_result(True)
-
-        self.runtime.request(
-            msg,
-            timeout=ctx.config.probe_timeout,
-            on_reply=replied,
-            on_timeout=timed_out,
-        )
+    def _on_confirm_timeout(
+        self, span, _start: float, subject_id, subject_address, attempts_left: int,
+        on_result,
+    ) -> None:
+        self._probe_timed_out(span)
+        if not self.ctx.alive:
+            return
+        if attempts_left > 1:
+            self._confirm_target(subject_id, subject_address, attempts_left - 1, on_result)
+        else:
+            on_result(True)

@@ -33,10 +33,7 @@ class LevelShiftService:
         self.ctx = ctx
 
     def start_level_loop(self) -> None:
-        self.ctx.track(
-            "level",
-            self.runtime.schedule(self.ctx.config.level_check_interval, self.level_tick),
-        )
+        self.ctx.arm("level", self.ctx.config.level_check_interval, self.level_tick)
 
     def level_tick(self) -> None:
         ctx = self.ctx

@@ -1,8 +1,7 @@
 """MaintenanceService: the §4.6 refresh/expiry accuracy machinery.
 
-Two loops per node, each on a fixed period and each re-arming itself
-with one ``runtime.schedule`` per tick (the kernel has no periodic
-timer):
+Two loops per node, each on a fixed period and each re-arming its one
+timer handle per tick (the kernel has no periodic timer):
 
 * **refresh** — re-announce our own pointer every ``refresh_multiple *
   LT_l`` seconds (lifetime-scaled, via
@@ -26,7 +25,7 @@ the ring/audience geometry heals.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.context import NodeContext
 from repro.core.events import EventKind
@@ -49,13 +48,10 @@ class MaintenanceService:
 
     def start(self) -> None:
         ctx = self.ctx
-        self._arm("refresh", ctx.refresh_mgr.refresh_due_interval(ctx.level), self.refresh_tick)
-        self._arm("sweep", ctx.config.level_check_interval, self.sweep_tick)
+        ctx.arm("refresh", ctx.refresh_mgr.refresh_due_interval(ctx.level), self.refresh_tick)
+        ctx.arm("sweep", ctx.config.level_check_interval, self.sweep_tick)
         if ctx.config.claim_audit_interval > 0:
-            self._arm("audit", ctx.config.claim_audit_interval, self.audit_tick)
-
-    def _arm(self, loop: str, delay: float, tick: Callable[[], None]) -> None:
-        self.ctx.track(loop, self.runtime.schedule(delay, tick))
+            ctx.arm("audit", ctx.config.claim_audit_interval, self.audit_tick)
 
     def refresh_tick(self) -> None:
         ctx = self.ctx
@@ -71,7 +67,7 @@ class MaintenanceService:
             ctx.make_event(EventKind.REFRESH),
             trace=root.ref() if root is not None else None,
         )
-        self._arm("refresh", ctx.refresh_mgr.refresh_due_interval(ctx.level), self.refresh_tick)
+        ctx.arm("refresh", ctx.refresh_mgr.refresh_due_interval(ctx.level), self.refresh_tick)
 
     def sweep_tick(self) -> None:
         ctx = self.ctx
@@ -84,7 +80,7 @@ class MaintenanceService:
             if p.node_id.value == ctx.node_id.value:
                 # Never expire ourselves.
                 ctx.peer_list.add(ctx.self_pointer())
-        self._arm("sweep", ctx.config.level_check_interval, self.sweep_tick)
+        ctx.arm("sweep", ctx.config.level_check_interval, self.sweep_tick)
 
     # -- claim auditing (DESIGN §16) ---------------------------------------
 
@@ -95,7 +91,7 @@ class MaintenanceService:
         suspect = self._strongest_claim()
         if suspect is not None:
             self._audit(suspect)
-        self._arm("audit", ctx.config.claim_audit_interval, self.audit_tick)
+        ctx.arm("audit", ctx.config.claim_audit_interval, self.audit_tick)
 
     def _strongest_claim(self) -> Optional[Pointer]:
         """The held pointer making the strongest (lowest-level) claim

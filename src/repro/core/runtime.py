@@ -79,10 +79,11 @@ class SimRuntime(NodeRuntime):
         self,
         msg: Message,
         timeout: float,
-        on_reply: Callable[[Message], None],
-        on_timeout: Callable[[], None],
+        on_reply: Callable[..., None],
+        on_timeout: Callable[..., None],
+        *args: Any,
     ) -> None:
-        self.transport.request(msg, timeout, on_reply, on_timeout)
+        self.transport.request(msg, timeout, on_reply, on_timeout, *args)
 
     def is_alive(self, key: Hashable) -> bool:
         return self.transport.is_alive(key)

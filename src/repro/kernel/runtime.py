@@ -16,8 +16,12 @@ the services see:
 Request/response semantics (shared by all backends, verified by
 ``tests/live/test_request_semantics.py``):
 
-* exactly one of ``on_reply`` / ``on_timeout`` fires, ``on_reply`` at
-  most once even if the responder replies twice;
+* exactly one of ``on_reply(reply, *args)`` / ``on_timeout(*args)``
+  fires, ``on_reply`` at most once even if the responder replies twice;
+  the ``*args`` of :meth:`NodeRuntime.request` are passed to both, as
+  :meth:`~repro.kernel.clock.Clock.schedule` passes its own — so a
+  caller hands over a bound method made once plus per-request values,
+  not a closure per request;
 * a duplicate or late reply (after the timeout fired) is *not* dropped —
   it falls through to the requester's registered endpoint handler, which
   is how the protocol's stale-ack paths observe it;
@@ -69,8 +73,9 @@ class NodeRuntime(Clock):
         self,
         msg: Message,
         timeout: float,
-        on_reply: Callable[[Message], None],
-        on_timeout: Callable[[], None],
+        on_reply: Callable[..., None],
+        on_timeout: Callable[..., None],
+        *args: Any,
     ) -> None:
         """Correlated request/response with a timeout (semantics above)."""
 

@@ -16,8 +16,9 @@ timestamps comparable across processes and to simulated runs that start
 at ``t = 0``.
 
 Timer semantics mirror :class:`repro.sim.engine.Simulator` exactly —
-idempotent ``cancel()``, ``active`` until fired, a delay that is not
-``>= 0`` refused — see :mod:`repro.kernel.clock` for the contract.
+idempotent ``cancel()``, ``active`` until fired, ``rearm`` of a fired
+timer only, a delay that is not ``>= 0`` refused — see
+:mod:`repro.kernel.clock` for the contract.
 """
 
 from __future__ import annotations
@@ -36,17 +37,26 @@ def wall_epoch() -> float:
 
 
 class RealtimeTimer:
-    """A one-shot timer over ``loop.call_later`` with
-    :class:`~repro.sim.engine.EventHandle` semantics."""
+    """A timer over ``loop.call_later`` with
+    :class:`~repro.sim.engine.EventHandle` semantics: one-shot until
+    :meth:`rearm` queues it again."""
 
-    __slots__ = ("callback", "args", "cancelled", "done", "_handle")
+    __slots__ = ("callback", "args", "cancelled", "done", "_handle", "_loop")
 
-    def __init__(self, callback: Callable[..., Any], args: tuple):
+    def __init__(
+        self, callback: Callable[..., Any], args: tuple, loop: asyncio.AbstractEventLoop
+    ):
         self.callback = callback
         self.args = args
         self.cancelled = False
         self.done = False
+        self._loop = loop
         self._handle: Optional[asyncio.TimerHandle] = None
+
+    def _arm(self, delay: float) -> None:
+        if not delay >= 0:  # not ``delay < 0``, which a NaN passes
+            raise ValueError(f"cannot schedule after {delay} s: NaN, or negative")
+        self._handle = self._loop.call_later(delay, self._fire)
 
     def _fire(self) -> None:
         if self.cancelled:
@@ -57,9 +67,21 @@ class RealtimeTimer:
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent; cancelling an
         already-fired handle is a no-op."""
+        if self.done:
+            return
         self.cancelled = True
         if self._handle is not None:
             self._handle.cancel()
+
+    def rearm(self, delay: float) -> None:
+        """Run the fired callback again after ``delay`` seconds (a new
+        ``call_later``).  Refused while pending and once cancelled."""
+        if self.cancelled:
+            raise ValueError("cannot rearm a cancelled timer")
+        if not self.done:
+            raise ValueError("cannot rearm a pending timer")
+        self._arm(delay)
+        self.done = False
 
     @property
     def active(self) -> bool:
@@ -98,8 +120,6 @@ class RealtimeClock(Clock):
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> RealtimeTimer:
-        if not delay >= 0:  # not ``delay < 0``, which a NaN passes
-            raise ValueError(f"cannot schedule after {delay} s: NaN, or negative")
-        timer = RealtimeTimer(callback, args)
-        timer._handle = self._loop.call_later(delay, timer._fire)
+        timer = RealtimeTimer(callback, args, self._loop)
+        timer._arm(delay)
         return timer

@@ -47,7 +47,12 @@ def parse_address(key: Hashable) -> Tuple[str, int]:
     if not isinstance(key, str) or ":" not in key:
         raise ValueError(f"live addresses are 'host:port' strings, got {key!r}")
     host, _, port = key.rpartition(":")
-    return host, int(port)
+    number = int(port)
+    if not 0 <= number <= 0xFFFF:
+        # A socket refuses it with OverflowError, which asyncio treats as
+        # fatal to the whole datagram transport.
+        raise ValueError(f"port out of range in {key!r}")
+    return host, number
 
 
 def format_address(host: str, port: int) -> str:
@@ -55,17 +60,21 @@ def format_address(host: str, port: int) -> str:
 
 
 class _LivePending:
-    __slots__ = ("src", "on_reply", "timeout_handle", "retry_handles")
+    __slots__ = ("src", "on_reply", "on_timeout", "args", "timeout_handle", "retry_handles")
 
     def __init__(
         self,
         src: Hashable,
-        on_reply: Callable[[Message], None],
+        on_reply: Callable[..., None],
+        on_timeout: Callable[..., None],
+        args: tuple,
         timeout_handle: RealtimeTimer,
         retry_handles: List[RealtimeTimer],
     ):
         self.src = src
         self.on_reply = on_reply
+        self.on_timeout = on_timeout
+        self.args = args
         self.timeout_handle = timeout_handle
         self.retry_handles = retry_handles
 
@@ -226,7 +235,15 @@ class RealtimeRuntime(NodeRuntime):
         sender = self._endpoints.get(msg.src)
         if sender is not None:
             sender.bw_out.record(self.clock.now, msg.size_bits)
-        host, port = parse_address(msg.dst)
+        try:
+            host, port = parse_address(msg.dst)
+        except ValueError:
+            # Any peer can name an address nobody can route to (the wire
+            # allows an int in a pointer row): it is a destination that is
+            # already gone, as in the simulated transport, and a request
+            # to it times out.
+            self.dropped_dead += 1
+            return
         if self._sock is None or self._sock.is_closing():
             self.socket_errors += 1
             return
@@ -238,21 +255,21 @@ class RealtimeRuntime(NodeRuntime):
         self,
         msg: Message,
         timeout: float,
-        on_reply: Callable[[Message], None],
-        on_timeout: Callable[[], None],
+        on_reply: Callable[..., None],
+        on_timeout: Callable[..., None],
+        *args: Any,
     ) -> None:
         """Send ``msg`` expecting a reply correlated by ``msg.msg_id``.
 
-        Exactly one of ``on_reply(reply)`` / ``on_timeout()`` fires.
+        Exactly one of ``on_reply(reply, *args)`` / ``on_timeout(*args)``
+        fires.
         With ``request_retries > 0`` the datagram is retransmitted at
         even fractions of the timeout window while no reply has arrived.
         """
         if timeout <= 0:
             raise ValueError("timeout must be positive")
         data = encode_message(msg)
-        timeout_handle = self.clock.schedule(
-            timeout, self._on_timeout, msg.msg_id, on_timeout
-        )
+        timeout_handle = self.clock.schedule(timeout, self._on_timeout, msg.msg_id)
         retry_handles = [
             self.clock.schedule(
                 timeout * attempt / (self.request_retries + 1),
@@ -263,7 +280,7 @@ class RealtimeRuntime(NodeRuntime):
             for attempt in range(1, self.request_retries + 1)
         ]
         self._pending[msg.msg_id] = _LivePending(
-            msg.src, on_reply, timeout_handle, retry_handles
+            msg.src, on_reply, on_timeout, args, timeout_handle, retry_handles
         )
         self._transmit(msg, data)
 
@@ -272,7 +289,7 @@ class RealtimeRuntime(NodeRuntime):
             self.retransmits += 1
             self._transmit(msg, data)
 
-    def _on_timeout(self, msg_id: int, on_timeout: Callable[[], None]) -> None:
+    def _on_timeout(self, msg_id: int) -> None:
         pending = self._pending.pop(msg_id, None)
         if pending is not None:
             for handle in pending.retry_handles:
@@ -282,7 +299,7 @@ class RealtimeRuntime(NodeRuntime):
                 # above, which only happens at the window's end) and the
                 # reply still never came: the request gave up.
                 self.retransmit_giveups += 1
-            on_timeout()
+            pending.on_timeout(*pending.args)
 
     # -- delivery ----------------------------------------------------------
 
@@ -307,7 +324,7 @@ class RealtimeRuntime(NodeRuntime):
             pending = self._pending.pop(msg.reply_to, None)
             if pending is not None:
                 pending.cancel_timers()
-                pending.on_reply(msg)
+                pending.on_reply(msg, *pending.args)
                 return
             # Late reply after timeout (or a duplicate): fall through to
             # the endpoint handler — the protocol's stale-ack path.

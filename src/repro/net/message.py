@@ -56,7 +56,7 @@ class Message:
     # Sanctioned shared counter: msg_id is reply-correlation metadata
     # only, never a protocol decision, and allocation order is identical
     # in every execution mode.  # detlint: ignore[ISO003]
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))  # detlint: ignore[ISO003]
+    msg_id: int = field(default_factory=_msg_ids.__next__)  # detlint: ignore[ISO003]
     reply_to: Optional[int] = None
     #: Structurally a ``repro.obs.trace.SpanRef``; typed as a plain tuple
     #: so the wire layer stays import-independent of the obs layer.

@@ -77,16 +77,24 @@ class Endpoint:
 
 
 class _PendingRequest:
-    __slots__ = ("src", "on_reply", "timeout_handle")
+    """One request in flight: its callbacks and the arguments both take.
+    The timeout timer holds only the msg id, so a reply that cancels it
+    releases everything else at once."""
+
+    __slots__ = ("src", "on_reply", "on_timeout", "args", "timeout_handle")
 
     def __init__(
         self,
         src: Hashable,
-        on_reply: Callable[[Message], None],
+        on_reply: Callable[..., None],
+        on_timeout: Callable[..., None],
+        args: tuple,
         timeout_handle: EventHandle,
     ):
         self.src = src
         self.on_reply = on_reply
+        self.on_timeout = on_timeout
+        self.args = args
         self.timeout_handle = timeout_handle
 
 
@@ -131,6 +139,10 @@ class Transport:
         self.dropped_zombie = 0
         self.by_kind: Dict[str, int] = {}
         self.bytes_by_kind: Dict[str, int] = {}
+        # Bound once: every delivery and request timeout queues one of
+        # these, not a bound method of its own.
+        self._deliver = self._deliver
+        self._on_timeout = self._on_timeout
 
     # -- registration -------------------------------------------------------
 
@@ -370,7 +382,7 @@ class Transport:
             pending = self._pending.pop(msg.reply_to, None)
             if pending is not None:
                 pending.timeout_handle.cancel()
-                pending.on_reply(msg)
+                pending.on_reply(msg, *pending.args)
                 return
             # Late reply after timeout: fall through to the endpoint handler
             # so protocols can still use the information (stale-ack path).
@@ -382,22 +394,26 @@ class Transport:
         self,
         msg: Message,
         timeout: float,
-        on_reply: Callable[[Message], None],
-        on_timeout: Callable[[], None],
+        on_reply: Callable[..., None],
+        on_timeout: Callable[..., None],
+        *args: Any,
     ) -> None:
         """Send ``msg`` expecting a reply correlated by ``msg.msg_id``.
 
-        Exactly one of ``on_reply(reply)`` / ``on_timeout()`` fires.
+        Exactly one of ``on_reply(reply, *args)`` / ``on_timeout(*args)``
+        fires.
         """
         if timeout <= 0:
             raise ValueError("timeout must be positive")
-        handle = self.sim.schedule(timeout, self._on_timeout, msg.msg_id, on_timeout)
-        self._pending[msg.msg_id] = _PendingRequest(msg.src, on_reply, handle)
+        msg_id = msg.msg_id
+        handle = self.sim.schedule(timeout, self._on_timeout, msg_id)
+        self._pending[msg_id] = _PendingRequest(msg.src, on_reply, on_timeout, args, handle)
         self.send(msg)
 
-    def _on_timeout(self, msg_id: int, on_timeout: Callable[[], None]) -> None:
-        if self._pending.pop(msg_id, None) is not None:
-            on_timeout()
+    def _on_timeout(self, msg_id: int) -> None:
+        pending = self._pending.pop(msg_id, None)
+        if pending is not None:
+            pending.on_timeout(*pending.args)
 
     # -- introspection -----------------------------------------------------------
 

@@ -11,15 +11,25 @@ skipped when it surfaces, which avoids O(n) heap surgery.
 **Why cancel releases.**  CPython's cyclic collector runs a full pass
 once the objects promoted to its oldest generation exceed a quarter of
 it, so what a simulator pays the collector is set by its *medium-lived*
-garbage — and timer bookkeeping is exactly that.  Three sources were
-measured on the 2,000-node ``detailed_ring`` ledger workload: heap
-entries that referred to their handle (tracked, promoted, alive as long
-as the timer — see :mod:`repro.sim.queues`); a replied request's timeout
-keeping its closure graph queued for the full timeout; and per-node
-lists of fired loop handles (:meth:`repro.core.context.NodeContext.track`).
-With all three gone a request's ``on_timeout`` closure dies by refcount
-at the reply, and the ring's collector passes fell from 1,418 young /
-128 middle / 9 full (2.8 of 7.8 host-seconds) to 537 / 48 / 3 (0.7 s).
+garbage — and timer bookkeeping is exactly that.  Five sources were
+measured on the 2,000-node ``detailed_ring`` ledger workload.  The first
+three: heap entries that referred to their handle (tracked, promoted,
+alive as long as the timer — see :mod:`repro.sim.queues`); a replied
+request's timeout keeping its closure graph queued for the full timeout;
+and per-node lists of fired loop handles.  With those gone a request's
+callbacks die by refcount at the reply, and the ring's collector passes
+fell from 1,418 young / 128 middle / 9 full (2.8 of 7.8 host-seconds) to
+537 / 48 / 3 (0.7 s).  The other two were made per period and per probe:
+a fresh handle and bound method for every loop tick, each alive for the
+whole period, and two closures with their cells for every request.  A
+loop now re-arms its one handle (:meth:`EventHandle.rearm`,
+:meth:`repro.core.context.NodeContext.arm`), and a request passes
+callbacks bound once plus per-request arguments, so over the workload's
+276,000 events the passes fell from 616 / 56 / 5 to 197 / 17 / 1
+(22.3 → 7.1 young passes per 10^4 events; ``tests/sim/test_engine_garbage.py``
+counts them).  A run of this ring makes no cyclic garbage at all: what
+the collector still walks is the per-message young garbage it frees
+anyway.
 
 There is one programming style, callbacks: ``sim.schedule(delay, fn,
 *args)`` and its relatives below.
@@ -54,30 +64,51 @@ class EventHandle:
 
     The handle is *pending* while the simulator's pending set holds it,
     then either *done* (it ran) or *cancelled* — and a cancelled handle
-    has let go of its callback and arguments.
+    has let go of its callback and arguments.  A done handle can be
+    queued again with :meth:`rearm`, which is how a periodic loop keeps
+    one handle for its whole life.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "_queue")
+    __slots__ = ("time", "seq", "callback", "args", "_sim")
 
     def __init__(
         self, time: float, seq: int, callback: Callable[..., Any], args: tuple,
-        queue: HeapQueue,
+        sim: "Simulator",
     ):
         self.time = time
         self.seq = seq
         self.callback: Optional[Callable[..., Any]] = callback
         self.args: Optional[tuple] = args
-        self._queue = queue
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the callback from running and release it.  Idempotent;
         cancelling an already-executed handle is a no-op."""
-        if self._queue.discard(self.seq):
+        if self._sim._queue.discard(self.seq):
             self.callback = self.args = None
+
+    def rearm(self, delay: float) -> None:
+        """Queue this done handle's callback again, ``delay`` seconds from
+        now, with the sequence number a fresh :meth:`Simulator.schedule`
+        would take at this call — so the event order, and
+        ``events_executed``, are those of scheduling anew.  Refused while
+        the handle is pending and once it was cancelled."""
+        if self.callback is None:
+            raise SimulationError("cannot rearm a cancelled handle")
+        sim = self._sim
+        queue = sim._queue
+        if self.seq in queue:
+            raise SimulationError("cannot rearm a pending handle")
+        if not delay >= 0:  # not ``delay < 0``, which a NaN passes
+            raise SimulationError(f"cannot rearm after {delay} s: NaN, or negative")
+        self.time = time = sim._now + delay
+        self.seq = seq = sim._seq
+        sim._seq = seq + 1
+        queue.push(time, seq, self)
 
     @property
     def active(self) -> bool:
-        return self.seq in self._queue
+        return self.seq in self._sim._queue
 
     @property
     def cancelled(self) -> bool:
@@ -93,36 +124,31 @@ class EventHandle:
 
 
 class PeriodicTask:
-    """A repeating timer created by :meth:`Simulator.every`."""
+    """A repeating timer created by :meth:`Simulator.every`: one handle,
+    re-armed after each firing."""
 
-    __slots__ = ("sim", "interval", "callback", "args", "_handle", "_cancelled", "fired")
+    __slots__ = ("interval", "callback", "args", "_handle", "_cancelled", "fired")
 
     def __init__(
-        self, sim: "Simulator", interval: float, callback: Callable[..., Any], args: tuple
+        self, sim: "Simulator", interval: float, callback: Callable[..., Any],
+        args: tuple, start_delay: float,
     ):
-        self.sim = sim
         self.interval = interval
         self.callback = callback
         self.args = args
-        self._handle: Optional[EventHandle] = None
         self._cancelled = False
         self.fired = 0
-
-    def _schedule(self, delay: float) -> None:
-        if not self._cancelled:
-            self._handle = self.sim.schedule(delay, self._fire)
+        self._handle = sim.schedule(start_delay, self._fire)
 
     def _fire(self) -> None:
-        if self._cancelled:
-            return
         self.fired += 1
         self.callback(*self.args)
-        self._schedule(self.interval)
+        if not self._cancelled:  # the callback may have cancelled the task
+            self._handle.rearm(self.interval)
 
     def cancel(self) -> None:
         self._cancelled = True
-        if self._handle is not None:
-            self._handle.cancel()
+        self._handle.cancel()
 
     @property
     def active(self) -> bool:
@@ -185,9 +211,8 @@ class Simulator:
             raise SimulationError(f"cannot schedule at {time}: NaN, or in the past of {self._now}")
         seq = self._seq
         self._seq = seq + 1
-        queue = self._queue
-        handle = EventHandle(time, seq, callback, args, queue)
-        queue.push(time, seq, handle)
+        handle = EventHandle(time, seq, callback, args, self)
+        self._queue.push(time, seq, handle)
         return handle
 
     def reserve(self, count: int) -> int:
@@ -235,7 +260,7 @@ class Simulator:
                 queue.push(when[i], number[i], head)
             callback(value, *args)
 
-        head = EventHandle(when[0], number[0], fire, (), queue)
+        head = EventHandle(when[0], number[0], fire, (), self)
         queue.push(when[0], number[0], head)
 
     def every(
@@ -250,9 +275,9 @@ class Simulator:
         after ``start_delay`` (default: one interval)."""
         if not interval > 0:
             raise SimulationError("interval must be positive")
-        task = PeriodicTask(self, interval, callback, args)
-        task._schedule(interval if start_delay is None else start_delay)
-        return task
+        return PeriodicTask(
+            self, interval, callback, args, interval if start_delay is None else start_delay
+        )
 
     # -- execution ----------------------------------------------------------
 

@@ -93,6 +93,29 @@ def test_iso003_flags_shared_counter_in_lambda_default_factory():
     assert rules_fired(src) == ["ISO003"]
 
 
+def test_iso003_flags_shared_counter_bound_next_as_default_factory():
+    src = (
+        "import itertools\n"
+        "from dataclasses import dataclass, field\n"
+        "_ids = itertools.count()\n"
+        "\n"
+        "@dataclass\n"
+        "class Record:\n"
+        "    rid: int = field(default_factory=_ids.__next__)\n"
+    )
+    assert rules_fired(src) == ["ISO003"]
+
+
+def test_iso003_flags_bound_mutator_handed_out_from_a_function():
+    src = (
+        "_seen = []\n"
+        "\n"
+        "def recorder(self):\n"
+        "    return _seen.append\n"
+    )
+    assert rules_fired(src) == ["ISO003"]
+
+
 def test_iso003_flags_class_body_mutable_default():
     src = (
         "class JoinService:\n"

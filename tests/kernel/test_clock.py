@@ -75,6 +75,39 @@ def test_both_clocks_keep_one_schedule_contract(backend):
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize("backend", [_sim_clock, _realtime_clock], ids=["sim", "realtime"])
+def test_both_clocks_keep_one_rearm_contract(backend):
+    """``rearm`` queues a fired handle's callback again, with its args; it
+    is refused by name while the handle is pending and once it was
+    cancelled, and for a delay that is not ``>= 0``; a ``cancel`` after a
+    ``rearm`` cancels the re-armed firing."""
+
+    async def scenario():
+        clock, advance, refused = await backend()
+        fired = []
+        loop = clock.schedule(0.01, fired.append, "tick")
+        with pytest.raises(refused, match="pending"):
+            loop.rearm(0.01)
+        await advance(0.05)
+        assert fired == ["tick"] and not loop.active
+        for bad in (-0.01, math.nan):
+            with pytest.raises(refused):
+                loop.rearm(bad)
+        loop.rearm(0.01)
+        assert loop.active
+        await advance(0.05)
+        assert fired == ["tick", "tick"]
+        loop.rearm(0.01)
+        loop.cancel()
+        assert not loop.active
+        await advance(0.05)
+        assert fired == ["tick", "tick"]
+        with pytest.raises(refused, match="cancelled"):
+            loop.rearm(0.01)
+
+    asyncio.run(scenario())
+
+
 def test_pointer_and_message_are_slotted():
     ptr = Pointer(NodeId(1, 4), "127.0.0.1:9000", 0)
     msg = Message(src=1, dst=2, kind="probe")

@@ -1,7 +1,8 @@
 """Request/response semantics are a kernel contract, not a backend
-detail: first reply wins, exactly one of on_reply/on_timeout fires, late
-and duplicate replies fall through to the endpoint handler, and
-unregister cancels only the pendings the departing endpoint originated.
+detail: first reply wins, exactly one of on_reply/on_timeout fires (each
+with the request's own ``*args``), late and duplicate replies fall
+through to the endpoint handler, and unregister cancels only the
+pendings the departing endpoint originated.
 
 Every scenario here runs twice — once on the simulated Transport, once
 on the UDP RealtimeRuntime — through a tiny backend-neutral env, so a
@@ -175,6 +176,30 @@ async def unregister_cancels_own_pendings(env):
     assert env.a_inbox == []
 
 
+async def args_reach_the_callback_that_fires(env):
+    got = []
+    token = object()
+
+    def ask():
+        env.requester.request(
+            Message(src=env.a, dst=env.b, kind="probe"),
+            0.3,
+            lambda reply, *args: got.append(("reply", reply.kind, *args)),
+            lambda *args: got.append(("timeout", *args)),
+            token,
+            7,
+        )
+
+    env.respond = env.reply_to
+    ask()
+    await env.wait(0.6)
+    env.respond = None
+    ask()
+    await env.wait(0.6)
+    # One callback per request, each with the request's own arguments.
+    assert got == [("reply", "probe-ack", token, 7), ("timeout", token, 7)]
+
+
 async def request_validates_timeout(env):
     with pytest.raises(ValueError):
         env.request(timeout=0.0)
@@ -205,6 +230,11 @@ def test_late_reply_falls_through(env_cls):
 @pytest.mark.parametrize("env_cls", BACKENDS)
 def test_unregister_cancels_own_pendings(env_cls):
     run_scenario(env_cls, unregister_cancels_own_pendings)
+
+
+@pytest.mark.parametrize("env_cls", BACKENDS)
+def test_args_reach_the_callback_that_fires(env_cls):
+    run_scenario(env_cls, args_reach_the_callback_that_fires)
 
 
 @pytest.mark.parametrize("env_cls", BACKENDS)

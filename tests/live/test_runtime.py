@@ -5,20 +5,101 @@ import asyncio
 
 import pytest
 
+from repro.core.node import PeerWindowNode
+from repro.core.nodeid import NodeId
+from repro.core.pointer import Pointer
 from repro.kernel.clock import Clock
 from repro.live.clock import RealtimeClock
+from repro.live.node import live_config
 from repro.live.runtime import RealtimeRuntime, format_address, parse_address
 from repro.net.message import Message
 from repro.net.transport import Transport
 from repro.sim.engine import Simulator
+from repro.sim.rng import RandomStreams
 
 
 def test_parse_address_round_trip_and_rejection():
     assert parse_address("127.0.0.1:4700") == ("127.0.0.1", 4700)
     assert format_address("127.0.0.1", 4700) == "127.0.0.1:4700"
-    for bad in (4700, "no-port", None):
+    for bad in (4700, "no-port", None, "127.0.0.1:notaport", "127.0.0.1:65536"):
         with pytest.raises(ValueError):
             parse_address(bad)
+
+
+@pytest.mark.parametrize(
+    "dst", [7, "nohost", "127.0.0.1:notaport", "127.0.0.1:99999"],
+    ids=["int", "no-port", "bad-port", "port-out-of-range"],
+)
+def test_unroutable_destination_is_dropped_and_its_request_times_out_once(dst):
+    """Any peer can name such an address (the wire allows an int in a
+    pointer row): a send to it is a dead destination, not an exception in
+    the caller — which, inside a probe round, would stop the loop for
+    good — and the socket stays up."""
+
+    async def scenario():
+        rt = await RealtimeRuntime.create(port=0)
+        peer = await RealtimeRuntime.create(port=0)
+        inbox, fired = [], []
+        rt.register(rt.address, lambda msg: None)
+        peer.register(peer.address, inbox.append)
+        try:
+            rt.send(Message(rt.address, dst, "probe"))
+            rt.request(
+                Message(rt.address, dst, "probe"), 0.1,
+                on_reply=lambda reply: fired.append("reply"),
+                on_timeout=lambda: fired.append("timeout"),
+            )
+            await asyncio.sleep(0.3)
+            assert fired == ["timeout"]
+            stats = rt.stats()
+            assert (stats["sent"], stats["dropped_dead"], stats["pending_requests"]) == (2, 2, 0)
+            rt.send(Message(rt.address, peer.address, "probe"))
+            await asyncio.sleep(0.2)
+            assert [msg.kind for msg in inbox] == ["probe"]
+            assert rt.socket_errors == 0
+        finally:
+            await rt.close()
+            await peer.close()
+
+    asyncio.run(scenario())
+
+
+def test_probing_an_unroutable_successor_detects_it_and_probes_on():
+    """§4.1 over a live socket, with ring successors nobody can route to:
+    each is probed until declared failed, then the next, and nothing
+    escapes into the event loop."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        escaped = []
+        loop.set_exception_handler(lambda _, context: escaped.append(context))
+        config = live_config(
+            probe_interval=0.05, probe_timeout=0.05, probe_misses_to_fail=2,
+            level_check_interval=1e6,
+        )
+        rt = await RealtimeRuntime.create(port=0)
+        node = PeerWindowNode(
+            runtime=rt, config=config, node_id=NodeId(1000, 32), address=rt.address,
+            threshold_bps=4000.0, rng=RandomStreams(0).spawn("node", 0),
+        )
+        ctx = node.ctx
+        try:
+            node.bootstrap_first(level=0)
+            for value, address in ((1001, 7), (1002, "nohost")):
+                ctx.peer_list.add(Pointer(NodeId(value, 32), address, 0))
+            for _ in range(150):
+                if ctx.stats.failures_detected == 2 or escaped:
+                    break
+                await asyncio.sleep(0.02)
+            assert not escaped, escaped
+            assert ctx.stats.failures_detected == 2
+            assert ctx.peer_list.ids() == [1000]
+            assert rt.dropped_dead >= 4
+        finally:
+            node._stop_loops()
+            await rt.close()
+
+    asyncio.run(scenario())
 
 
 def test_ephemeral_bind_and_register_contract():

@@ -93,6 +93,71 @@ class TestCancellation:
         assert not handle.active
 
 
+class TestRearm:
+    """A loop that re-arms one handle is the loop that schedules anew."""
+
+    @staticmethod
+    def _drive(rearm):
+        # Three loops on periods whose firings tie, plus one-shot events
+        # at the same instants, so every tie-break is exercised.
+        sim = Simulator()
+        log = []
+        handles = {}
+
+        def tick(name, period):
+            log.append((sim.now, handles[name].seq, name))
+            sim.schedule(0.0, log.append, (sim.now, "echo", name))
+            if rearm:
+                handles[name].rearm(period)
+            else:
+                handles[name] = sim.schedule(period, tick, name, period)
+
+        for name, period in (("a", 1.0), ("b", 2.0), ("c", 0.5)):
+            handles[name] = sim.schedule(period, tick, name, period)
+        for t in (1.0, 2.0, 3.5):
+            sim.schedule_at(t, log.append, (t, "shot"))
+        sim.run(until=10.0)
+        return log, sim.events_executed
+
+    def test_rearm_matches_a_fresh_schedule(self):
+        fresh = self._drive(rearm=False)
+        again = self._drive(rearm=True)
+        assert again == fresh
+        assert len(fresh[0]) > 40
+
+    def test_rearm_keeps_the_handle_and_its_callback(self):
+        sim = Simulator()
+        out = []
+        handle = sim.schedule(1.0, out.append, "x")
+        sim.run()
+        handle.rearm(2.0)
+        assert handle.active and handle.time == 3.0
+        sim.run()
+        assert out == ["x", "x"] and handle.done
+        assert sim.events_executed == 2
+
+    def test_rearm_is_refused_while_pending_or_cancelled(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="pending"):
+            handle.rearm(1.0)
+        handle.cancel()
+        with pytest.raises(SimulationError, match="cancelled"):
+            handle.rearm(1.0)
+        assert len(sim) == 1 and sim.peek() is None
+
+    def test_cancel_after_rearm_cancels_the_rearmed_firing(self):
+        sim = Simulator()
+        out = []
+        handle = sim.schedule(1.0, out.append, "x")
+        sim.run()
+        handle.rearm(1.0)
+        handle.cancel()
+        assert handle.cancelled and not handle.active
+        sim.run()
+        assert out == ["x"] and sim.now == 1.0
+
+
 class TestRunBounds:
     def test_run_until_stops_clock_at_until(self):
         sim = Simulator()
