@@ -7,10 +7,9 @@
 #
 #   scripts/check.sh             # everything below
 #   scripts/check.sh --lint      # ruff + mypy only
-#   scripts/check.sh --analysis  # detlint gate (no NEW findings vs
-#                                # detlint-baseline.json, JSON report
-#                                # artifact; no DET001 pragma under src/)
-#                                # + DetSan chaos smoke
+#   scripts/check.sh --analysis  # detlint gate (zero findings, JSON
+#                                # report artifact; no DET001 pragma
+#                                # under src/) + DetSan chaos smoke
 #   scripts/check.sh --tests     # tests only
 #   scripts/check.sh --coldstart # import budget + what a cold start costs
 #   scripts/check.sh --paper     # scalable engine: `repro common` smoke +
@@ -82,8 +81,8 @@ check_lint() {
 
 check_analysis() {
   echo "== detlint (determinism & LP-isolation static analysis) =="
-  $PY -m repro lint src/repro --baseline detlint-baseline.json \
-    --format json --report "$dir/lint-report.json" || status=1
+  $PY -m repro lint src/repro --format json \
+    --report "$dir/lint-report.json" || status=1
   $PY - "$dir/lint-report.json" <<'PY' || status=1
 import json, sys
 report = json.load(open(sys.argv[1]))

@@ -9,11 +9,10 @@ applicable rule.
 
 Suppression: a ``# detlint: ignore[RULE1,RULE2]`` comment suppresses
 those rules on its own line (put it on the first line of a multi-line
-statement).  ``# detlint: skip-file`` anywhere in the first ten lines
-skips the whole file.  Suppressions are for *intentional* violations —
-e.g. the one process-wide ``msg_id`` counter; accidental debt
-belongs in the baseline file instead (see
-:class:`repro.analysis.findings.Baseline`).
+statement), and says beside it why the violation is intended — e.g. the
+one process-wide ``msg_id`` counter.  ``# detlint: skip-file`` anywhere
+in the first ten lines skips the whole file.  There is no baseline of
+grandfathered findings: the gate is zero findings.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class FileContext:
     def __init__(self, path: str, source: str, rel_path: Optional[str] = None):
         self.path = path
         #: Repository-relative, ``/``-separated path — the stable form
-        #: used in findings, baselines, and exemption matching.
+        #: used in findings and exemption matching.
         self.rel_path = (rel_path if rel_path is not None else path).replace(
             os.sep, "/"
         )
@@ -215,7 +214,7 @@ def run_lint(
     root: Optional[str] = None,
 ) -> List[Finding]:
     """Lint files/directories; returns all findings, sorted and
-    suppression-filtered (baseline filtering is the caller's job)."""
+    suppression-filtered."""
     active = list(rules) if rules is not None else all_rules()
     findings: List[Finding] = []
     contexts: List[FileContext] = []

@@ -2,8 +2,8 @@
 and RNG tripwires.
 
 detlint proves the *absence of patterns*; DetSan checks a running
-simulation for the bugs themselves.  It is opt-in (``REPRO_DETSAN=1`` or
-``repro chaos --detsan``) and has three checks:
+simulation for the bugs themselves.  It is opt-in (``repro chaos
+--detsan`` or ``ChaosRunner(detsan=True)``) and has three checks:
 
 * **held objects** — :func:`held_objects` walks every slot reachable from
   a node (its context, its services, their row tables, containers and
@@ -19,8 +19,8 @@ simulation for the bugs themselves.  It is opt-in (``REPRO_DETSAN=1`` or
   through the pointers it carries.  :meth:`DetSan.final_scan` runs the
   walk over every node once the run is over.
 * **wall-clock tripwire** (DET001's twin) — ``time.time()`` and friends
-  are wrapped; a call whose caller is a ``repro.*`` module outside the
-  sanctioned list (realtime clock, dashboard) is a violation.
+  are wrapped; a call whose caller is a ``repro.*`` module that DET001 or
+  DET002 does not exempt (nor ``repro.analysis`` itself) is a violation.
 * **global-RNG tripwire** (DET002's twin) — stdlib ``random`` and
   numpy's module-level draw functions are wrapped the same way.
 
@@ -32,27 +32,27 @@ behaviorally identical, just slower.
 
 from __future__ import annotations
 
-import os
 import sys
 import types
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
+from repro.analysis.rules.determinism import UnseededRandomRule, WallClockRule
 from repro.core.pointer import Pointer
 from repro.net.message import Message
 
-#: Environment variable that opts a run into the sanitizer.
-DETSAN_ENV = "REPRO_DETSAN"
-
-#: Caller-module prefixes allowed to touch the host clock / global RNG
-#: (mirrors the exemptions of the static rules DET001/DET002).
+#: Caller modules allowed to touch the host clock / global RNG: the
+#: modules the static rules DET001/DET002 exempt, and the analyzer.
 _EXEMPT_CALLERS = (
-    "repro.obs.dashboard",
-    "repro.live.clock",
+    *WallClockRule.exempt_modules,
+    *UnseededRandomRule.exempt_modules,
     "repro.analysis",
 )
+
+#: Findings kept per run; a tripwire in a hot loop repeats itself.
+MAX_VIOLATIONS = 64
 
 #: What node state may never hold: the objects messages carry.
 HELD_TYPES = (Pointer, Message)
@@ -85,10 +85,14 @@ class DetSanViolation:
         return f"[{self.check}] {self.where}: {self.detail}"
 
 
-def detsan_requested(env: Optional[Dict[str, str]] = None) -> bool:
-    """Did the environment opt into the sanitizer (``REPRO_DETSAN=1``)?"""
-    value = (env if env is not None else os.environ).get(DETSAN_ENV, "")
-    return value.strip().lower() in ("1", "true", "on", "yes")
+def _exempt_caller(module: str) -> bool:
+    """Whether a ``repro.*`` caller may touch the host clock / global RNG:
+    an exempt module or a dotted child of one, as ``Rule.applies_to``
+    matches (``repro.live.clockwork`` is not ``repro.live.clock``)."""
+    return any(
+        module == prefix or module.startswith(prefix + ".")
+        for prefix in _EXEMPT_CALLERS
+    )
 
 
 def _state_items(obj: Any) -> List[Tuple[str, Any]]:
@@ -167,8 +171,7 @@ class DetSan:
     """The sanitizer: attach to a :class:`PeerWindowNetwork`, run the
     workload, call :meth:`final_scan`, read :attr:`violations`."""
 
-    def __init__(self, max_violations: int = 64):
-        self.max_violations = max_violations
+    def __init__(self) -> None:
         self.violations: List[DetSanViolation] = []
         self._net = None
         self._seen_keys: Set[Tuple] = set()
@@ -252,9 +255,7 @@ class DetSan:
         def tripwire(*args: Any, **kwargs: Any) -> Any:
             frame = sys._getframe(1)
             module = frame.f_globals.get("__name__", "")
-            if module.startswith("repro.") and not module.startswith(
-                _EXEMPT_CALLERS
-            ):
+            if module.startswith("repro.") and not _exempt_caller(module):
                 sanitizer._record(
                     DetSanViolation(
                         check,
@@ -275,7 +276,7 @@ class DetSan:
         key = (violation.check, violation.where, violation.detail[:60])
         if key in self._seen_keys:
             return
-        if len(self.violations) >= self.max_violations:
+        if len(self.violations) >= MAX_VIOLATIONS:
             return
         self._seen_keys.add(key)
         self.violations.append(violation)

@@ -1,31 +1,17 @@
-"""The finding model: what a lint rule reports, and the baseline file.
+"""The finding model: what a lint rule reports.
 
 A :class:`Finding` is one rule violation at one source location.  Its
-identity for baselining purposes is the :attr:`fingerprint` — a hash of
-``(rule, path, snippet)`` that deliberately excludes the line number, so
-grandfathered findings survive unrelated edits that shift code up or
-down.  Two identical lines in one file share a fingerprint; the baseline
-therefore stores a *count* per fingerprint and absorbs up to that many
-occurrences.
-
-The JSON forms (``Finding.to_dict`` / ``Baseline`` files) are the
-contract the ``repro lint --format json`` output and the committed
-``detlint-baseline.json`` follow; ``tests/analysis`` round-trips them.
+JSON form (``Finding.to_dict``, whose keys are its fields) is the contract the ``repro lint
+--format json`` output follows; ``tests/analysis`` round-trips it.
+There is no baseline: the gate is zero findings, and a
+``# detlint: ignore[RULE]`` pragma with its reason beside it is the one
+escape hatch.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Tuple
-
-
-def _fingerprint(rule: str, path: str, snippet: str) -> str:
-    digest = hashlib.sha256(
-        f"{rule}\x00{path}\x00{snippet}".encode("utf-8")
-    ).hexdigest()
-    return digest[:16]
+from dataclasses import asdict, dataclass
+from typing import Any, Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -37,12 +23,8 @@ class Finding:
     line: int
     col: int
     message: str
-    #: The stripped source line the finding anchors to (baseline identity).
+    #: The stripped source line the finding anchors to.
     snippet: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        return _fingerprint(self.rule, self.path, self.snippet)
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -51,157 +33,7 @@ class Finding:
         return f"{self.location()}: {self.rule}: {self.message}"
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: Dict[str, Any]) -> "Finding":
-        return cls(
-            rule=str(obj["rule"]),
-            path=str(obj["path"]),
-            line=int(obj["line"]),
-            col=int(obj["col"]),
-            message=str(obj["message"]),
-            snippet=str(obj.get("snippet", "")),
-        )
+        return asdict(self)
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-
-BASELINE_VERSION = 1
-
-
-@dataclass
-class Baseline:
-    """Grandfathered findings: fingerprint -> allowed occurrence count.
-
-    The CI gate is "no *new* findings": a current finding is absorbed if
-    its fingerprint still has budget in the baseline.  Fixing a
-    grandfathered site never breaks the gate (the budget simply goes
-    unused); regenerate with ``repro lint --write-baseline`` to shrink
-    the file as debt is paid down.
-
-    Because the fingerprint includes the path, a plain file *rename*
-    would orphan every grandfathered entry in that file and fail the
-    gate on untouched code.  :meth:`split` therefore runs a second pass:
-    findings whose exact fingerprint has no budget may still be absorbed
-    by an entry with the same ``(rule, snippet)`` content key (recorded
-    in the entry's notes), drawing from the same per-entry budget pool.
-    Exact matches are consumed first across the whole input, so a rename
-    can never steal budget from a finding that still lives at its
-    recorded path.
-    """
-
-    counts: Dict[str, int] = field(default_factory=dict)
-    #: Human-readable context per fingerprint, for reviewing the file.
-    notes: Dict[str, Dict[str, str]] = field(default_factory=dict)
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        baseline = cls()
-        for f in findings:
-            fp = f.fingerprint
-            baseline.counts[fp] = baseline.counts.get(fp, 0) + 1
-            baseline.notes.setdefault(
-                fp, {"rule": f.rule, "path": f.path, "snippet": f.snippet}
-            )
-        return baseline
-
-    def split(
-        self, findings: Iterable[Finding]
-    ) -> Tuple[List[Finding], List[Finding]]:
-        """Partition into (new, baselined).
-
-        Pass 1 consumes exact-fingerprint budget in input order; pass 2
-        lets leftovers match a ``(rule, snippet)`` content key from the
-        notes — the same site in a renamed file — against whatever
-        budget remains.  Output order matches input order in both lists.
-        """
-        ordered = list(findings)
-        budget = dict(self.counts)
-        content: Dict[Tuple[str, str], List[str]] = {}
-        for fp, note in self.notes.items():
-            if note.get("snippet"):
-                content.setdefault(
-                    (note.get("rule", ""), note["snippet"]), []
-                ).append(fp)
-        for fps in content.values():
-            fps.sort()
-        absorbed = [False] * len(ordered)
-        pending: List[int] = []
-        for i, f in enumerate(ordered):
-            fp = f.fingerprint
-            if budget.get(fp, 0) > 0:
-                budget[fp] -= 1
-                absorbed[i] = True
-            else:
-                pending.append(i)
-        for i in pending:
-            f = ordered[i]
-            if not f.snippet:  # never content-match blank snippets
-                continue
-            for fp in content.get((f.rule, f.snippet), ()):
-                if budget.get(fp, 0) > 0:
-                    budget[fp] -= 1
-                    absorbed[i] = True
-                    break
-        new = [f for i, f in enumerate(ordered) if not absorbed[i]]
-        grandfathered = [f for i, f in enumerate(ordered) if absorbed[i]]
-        return new, grandfathered
-
-    def to_dict(self) -> Dict[str, Any]:
-        entries = []
-        for fp in sorted(self.counts):
-            entry: Dict[str, Any] = {"fingerprint": fp, "count": self.counts[fp]}
-            entry.update(self.notes.get(fp, {}))
-            entries.append(entry)
-        return {"version": BASELINE_VERSION, "findings": entries}
-
-    @classmethod
-    def from_dict(cls, obj: Dict[str, Any]) -> "Baseline":
-        version = obj.get("version")
-        if version != BASELINE_VERSION:
-            raise ValueError(f"unsupported baseline version {version!r}")
-        baseline = cls()
-        for entry in obj.get("findings", []):
-            fp = str(entry["fingerprint"])
-            baseline.counts[fp] = baseline.counts.get(fp, 0) + int(
-                entry.get("count", 1)
-            )
-            baseline.notes.setdefault(
-                fp,
-                {
-                    k: str(entry[k])
-                    for k in ("rule", "path", "snippet")
-                    if k in entry
-                },
-            )
-        return baseline
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "Baseline":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str) -> str:
-        from repro.paths import prepare_output_path
-
-        prepare_output_path(path, what="detlint baseline")
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
-        return path
-
-    @classmethod
-    def load(cls, path: str) -> "Baseline":
-        with open(path) as fh:
-            return cls.loads(fh.read())

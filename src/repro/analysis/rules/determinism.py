@@ -354,165 +354,3 @@ def _returns(node: ast.AST) -> bool:
         if isinstance(sub, (ast.Return, ast.Yield, ast.YieldFrom)):
             return True
     return False
-
-
-#: Callable names that sum floats: ``sum`` is left-to-right dependent,
-#: ``fsum``/``nansum`` advertise float inputs outright.
-_SUM_CALLS = {"sum", "fsum", "nansum"}
-#: Metric recording methods (see repro.obs.metrics / rule OBS001).
-_METRIC_METHODS = {"inc", "observe", "set_gauge"}
-
-
-def _sum_over_unordered(node: ast.Call, set_names: Set[str]) -> bool:
-    """Is this a ``sum(...)``-family call whose iterable is unordered —
-    either directly (``sum(weights_set)``) or through a comprehension
-    over one (``sum(p.w for p in peers_set)``)?"""
-    if _call_name(node) not in _SUM_CALLS or not node.args:
-        return False
-    arg = node.args[0]
-    if isinstance(arg, ast.Name) and arg.id in set_names:
-        return True
-    if _is_unordered(arg):
-        return True
-    if isinstance(arg, (ast.ListComp, ast.GeneratorExp, ast.SetComp)):
-        for gen in arg.generators:
-            if (
-                isinstance(gen.iter, ast.Name) and gen.iter.id in set_names
-            ) or _is_unordered(gen.iter):
-                return True
-    return False
-
-
-def _ctx_rooted(node: ast.AST) -> bool:
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return isinstance(node, ast.Name) and node.id in ("self", "ctx")
-
-
-def _feeds_state(stmt: ast.stmt) -> bool:
-    """Does this simple statement let a float total escape into protocol
-    state or a metric — assignment to ctx/self, a return, or a metric
-    recording call?"""
-    if isinstance(stmt, ast.Return):
-        return True
-    if isinstance(stmt, ast.Assign) and any(
-        _ctx_rooted(t) for t in stmt.targets
-    ):
-        return True
-    if isinstance(stmt, (ast.AugAssign, ast.AnnAssign)) and _ctx_rooted(
-        stmt.target
-    ):
-        return True
-    for sub in ast.walk(stmt):
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr in _METRIC_METHODS
-        ):
-            return True
-    return False
-
-
-@register
-class FloatAccumulationRule(Rule):
-    """DET004 — no float accumulation over unordered collections feeding
-    metrics or protocol state."""
-
-    id = "DET004"
-    title = "float accumulation over an unordered collection"
-    rationale = (
-        "Float addition is not associative: summing a set's elements "
-        "visits them in hash order, so the rounding error — and "
-        "eventually a threshold comparison or a published metric — "
-        "depends on hash seeds and insertion history, not the protocol.  "
-        "Sort the iterable (sorted(...)) before summing; if the elements "
-        "are ints the sum is order-independent and a suppression comment "
-        "saying so is fine."
-    )
-
-    _SIMPLE_STMTS = (
-        ast.Expr,
-        ast.Assign,
-        ast.AugAssign,
-        ast.AnnAssign,
-        ast.Return,
-    )
-
-    def check(self, ctx: FileContext) -> None:
-        set_names = _set_bound_names(ctx.tree)
-        self._check_sum_calls(ctx, set_names)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._check_loop_accumulation(ctx, node, set_names)
-
-    def _check_sum_calls(self, ctx: FileContext, set_names: Set[str]) -> None:
-        # Map each sum() call to its enclosing simple statement, so we
-        # only flag totals that actually escape (state/metric/return).
-        stmt_of: Dict[int, ast.stmt] = {}
-        for stmt in ast.walk(ctx.tree):
-            if isinstance(stmt, self._SIMPLE_STMTS):
-                for sub in ast.walk(stmt):
-                    stmt_of.setdefault(id(sub), stmt)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if not _sum_over_unordered(node, set_names):
-                continue
-            stmt = stmt_of.get(id(node))
-            if stmt is not None and _feeds_state(stmt):
-                ctx.report(
-                    self,
-                    node,
-                    "float sum over an unordered collection feeds protocol "
-                    "state or a metric; the total depends on hash order — "
-                    "sum over sorted(...) instead",
-                )
-
-    def _check_loop_accumulation(
-        self, ctx: FileContext, fn: ast.AST, set_names: Set[str]
-    ) -> None:
-        # for x in some_set: acc += ...   where acc later reaches state,
-        # a metric, or a return inside the same function.
-        for node in ast.walk(fn):
-            if not isinstance(node, (ast.For, ast.AsyncFor)):
-                continue
-            unordered = (
-                isinstance(node.iter, ast.Name) and node.iter.id in set_names
-            ) or _is_unordered(node.iter)
-            if not unordered:
-                continue
-            for sub in ast.walk(node):
-                if (
-                    isinstance(sub, ast.AugAssign)
-                    and isinstance(sub.op, ast.Add)
-                    and isinstance(sub.target, ast.Name)
-                    and self._escapes(fn, sub.target.id, node)
-                ):
-                    ctx.report(
-                        self,
-                        sub,
-                        f"accumulator {sub.target.id!r} grows in hash order "
-                        f"over an unordered iterable and then feeds state, "
-                        f"a metric, or a return — iterate sorted(...) (or "
-                        f"suppress if the elements are ints)",
-                    )
-
-    @staticmethod
-    def _escapes(fn: ast.AST, name: str, loop: ast.AST) -> bool:
-        loop_nodes = {id(sub) for sub in ast.walk(loop)}
-        for stmt in ast.walk(fn):
-            if id(stmt) in loop_nodes:
-                continue
-            if not isinstance(
-                stmt, (ast.Return, ast.Assign, ast.AugAssign, ast.Expr)
-            ):
-                continue
-            uses = any(
-                isinstance(sub, ast.Name) and sub.id == name
-                for sub in ast.walk(stmt)
-            )
-            if not uses:
-                continue
-            if _feeds_state(stmt):
-                return True
-        return False

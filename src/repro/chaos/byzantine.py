@@ -785,7 +785,7 @@ class ByzantineRunner(ChaosRunner):
         observe: bool = False,
         health_spec=None,
         stream=None,
-        detsan=None,
+        detsan=False,
     ):
         super().__init__(
             scenario,

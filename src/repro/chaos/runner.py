@@ -121,17 +121,13 @@ class ChaosRunner:
         observe: bool = False,
         health_spec: Optional[HealthSpec] = None,
         stream: Optional[StreamConfig] = None,
-        detsan: Optional[bool] = None,
+        detsan: bool = False,
     ):
         self.scenario = scenario
         self.n_nodes = scenario.default_nodes if n_nodes is None else int(n_nodes)
         self.seed = int(seed)
         self.monitor_interval = monitor_interval
-        #: Run under the DetSan sanitizer (None = honor REPRO_DETSAN).
-        if detsan is None:
-            from repro.analysis.detsan import detsan_requested
-
-            detsan = detsan_requested()
+        #: Run under the DetSan sanitizer.
         self.detsan = bool(detsan)
         #: Record spans + metrics during the run.  Tracing adds no
         #: messages and draws no randomness, so the chaos trace (and its

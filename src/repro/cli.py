@@ -290,7 +290,7 @@ def cmd_chaos(args) -> int:
     runner = (ByzantineRunner if byzantine else ChaosRunner)(
         scenario, n_nodes=args.nodes, seed=args.seed, observe=observe,
         health_spec=health_spec, stream=_stream_config(args, stream_spec),
-        detsan=True if args.detsan else None,
+        detsan=args.detsan,
     )
     result = runner.run()
     _emit(
@@ -721,34 +721,9 @@ def cmd_live_swarm(args) -> int:
     return rc
 
 
-def _changed_files(ref: str, paths) -> list:
-    """``.py`` files changed versus ``ref`` (per ``git diff``) that lie
-    under the requested lint paths."""
-    import subprocess
-
-    proc = subprocess.run(
-        ["git", "diff", "--name-only", "-z", ref, "--"], capture_output=True)
-    if proc.returncode:
-        raise OSError(f"cannot diff against {ref!r}: "
-                      f"{proc.stderr.decode(errors='replace').strip()}")
-    wanted = [os.path.normpath(p) for p in paths]
-    files = []
-    for name in proc.stdout.decode(errors="replace").split("\0"):
-        if not name or not name.endswith(".py"):
-            continue
-        norm = os.path.normpath(name)
-        in_scope = any(
-            norm == w or norm.startswith(w + os.sep) for w in wanted
-        )
-        # Deleted files show up in the diff but have nothing to lint.
-        if in_scope and os.path.exists(norm):
-            files.append(norm)
-    return sorted(files)
-
-
 def cmd_lint(args) -> int:
     """detlint: the determinism & LP-isolation static analyzer."""
-    from repro.analysis import Baseline, all_rules, run_lint
+    from repro.analysis import all_rules, run_lint
 
     rules = all_rules()
     if args.rules:
@@ -758,51 +733,22 @@ def cmd_lint(args) -> int:
             for r in rules:
                 print(f"\n{r.id} — {r.title}\n  {r.rationale}")
         return 0
-    _check_outputs(args, "report", *(["baseline"] if args.write_baseline else []))
-
-    paths = args.paths or ["src/repro"]
-    if args.changed:
-        changed = _changed_files(args.changed, paths)
-        if not changed:
-            print(f"[no .py files under {', '.join(paths)} changed vs "
-                  f"{args.changed}]")
-            return 0
-        print(f"[incremental: {len(changed)} file(s) changed vs "
-              f"{args.changed}]")
-        findings = run_lint(changed, rules=rules)
-    else:
-        findings = run_lint(paths, rules=rules)
-
-    if args.write_baseline:
-        baseline = Baseline.from_findings(findings)
-        print(f"[wrote {baseline.save(args.baseline)}: "
-              f"{len(findings)} grandfathered finding(s)]")
-        return 0
-
-    baseline = Baseline()
-    if args.baseline and os.path.exists(args.baseline):
-        baseline = Baseline.load(args.baseline)
-    new, grandfathered = baseline.split(findings)
-
+    _check_outputs(args, "report")
+    findings = run_lint(args.paths or ["src/repro"], rules=rules)
     if args.format == "json":
         doc = {
-            "findings": [f.to_dict() for f in new],
-            "baselined": len(grandfathered),
+            "findings": [f.to_dict() for f in findings],
             "checked_rules": [r.id for r in rules],
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        summary = (
-            f"{len(new)} finding(s)"
-            + (f", {len(grandfathered)} baselined" if grandfathered else "")
-            + f" across {len(rules)} rules"
-        )
-        text = "\n".join([f.describe() for f in new] + [summary]) + "\n"
+        summary = f"{len(findings)} finding(s) across {len(rules)} rules"
+        text = "\n".join([f.describe() for f in findings] + [summary]) + "\n"
     if args.report:
         _write(args.report, text)
     else:
         print(text, end="")
-    return 1 if new else 0
+    return 1 if findings else 0
 
 
 def _number(cast, lo, strict: bool = False):
@@ -939,8 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     pch.add_argument("--detsan", action="store_true",
                      help="run under the DetSan runtime sanitizer (a walk "
                           "of node state for held objects + clock/RNG "
-                          "tripwires; exit 1 on any finding; REPRO_DETSAN=1 "
-                          "does the same)")
+                          "tripwires; exit 1 on any finding)")
     pch.add_argument("--list", action="store_true", help="list scenarios and exit")
 
     pobs = sub.add_parser("obs",
@@ -1034,22 +979,13 @@ def build_parser() -> argparse.ArgumentParser:
     plint = command(
         sub, "lint", cmd_lint, common_opts,
         help="detlint: statically check the determinism & LP-isolation "
-             "contracts (DET*/ISO*/OBS* rules)")
+             "contracts (DET*/ISO*/WIRE* rules)")
     plint.add_argument("paths", nargs="*",
                        help="files or directories (default: src/repro)")
     plint.add_argument("--format", choices=("text", "json"), default="text",
                        help="finding output format")
-    plint.add_argument("--baseline", default="detlint-baseline.json",
-                       help="baseline file of grandfathered findings "
-                            "(missing file = empty baseline)")
-    plint.add_argument("--write-baseline", action="store_true",
-                       help="write current findings to the baseline file "
-                            "and exit 0")
     plint.add_argument("--report", help="write findings to this file "
                                         "instead of stdout")
-    plint.add_argument("--changed", metavar="GIT_REF",
-                       help="incremental mode: lint only .py files changed "
-                            "versus this git ref")
     plint.add_argument("--rules", action="store_true",
                        help="list the rule catalog and exit")
     plint.add_argument("--explain", action="store_true",
@@ -1116,7 +1052,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.obs.analyze import SchemaError
 
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # e.g. a retired option: one error line, like a refused value
+            raise argparse.ArgumentError(None, f"unrecognized arguments: {' '.join(extra)}")
         rc = args.func(args)
     except (OSError, SchemaError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,6 @@ from repro.obs.metrics import (
     aggregate_snapshots,
     declare_metric,
     flatten_snapshot,
-    known_metric,
 )
 from repro.obs.stream import (
     TELEMETRY_SCHEMA_VERSION,
@@ -86,7 +85,6 @@ __all__ = [
     "MetricSpec",
     "MetricsRegistry",
     "declare_metric",
-    "known_metric",
     "NodeObs",
     "Observability",
     "OpenSpan",

@@ -29,8 +29,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 #: The documented metric-name convention: lowercase dotted
 #: ``subsystem.noun_verb`` segments (``mcast.ack_timeouts``,
-#: ``join.latency``).  detlint's OBS002 enforces it statically; the
-#: catalog below enforces it at declaration time.
+#: ``join.latency``).  The catalog below enforces it at declaration time.
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 
 _METRIC_KINDS = ("counter", "gauge", "dist")
@@ -49,8 +48,8 @@ class MetricSpec(NamedTuple):
 
 #: Every metric the instrumentation may record, keyed by canonical name.
 #: Call sites import the declared constants instead of retyping string
-#: literals (detlint OBS002 flags ad-hoc literals), so a typo'd name is a
-#: NameError at import instead of a silently empty series.
+#: literals, so a typo'd name is a NameError at import instead of a
+#: silently empty series.
 METRIC_CATALOG: Dict[str, MetricSpec] = {}
 
 
@@ -70,17 +69,6 @@ def declare_metric(name: str, kind: str, help: str, per_key: bool = False) -> st
     # load, frozen before any LP runs (declared-twice guard above).
     METRIC_CATALOG[name] = MetricSpec(name, kind, help, per_key)  # detlint: ignore[ISO003]
     return name
-
-
-def known_metric(name: str) -> bool:
-    """Whether ``name`` is declared — directly, or as ``prefix.key`` of a
-    ``per_key`` declaration."""
-    spec = METRIC_CATALOG.get(name)
-    if spec is not None:
-        return not spec.per_key
-    prefix = name.rsplit(".", 1)[0] if "." in name else name
-    spec = METRIC_CATALOG.get(prefix)
-    return spec is not None and spec.per_key
 
 
 # -- the catalog -----------------------------------------------------------
@@ -271,14 +259,10 @@ class MetricsRegistry:
     mergeable and CSV-exportable.
     """
 
-    __slots__ = ("enabled", "strict", "counters", "gauges", "dists", "sink")
+    __slots__ = ("enabled", "counters", "gauges", "dists", "sink")
 
-    def __init__(self, enabled: bool = False, strict: bool = False):
+    def __init__(self, enabled: bool = False):
         self.enabled = enabled
-        #: When set, recording an undeclared name raises — an opt-in
-        #: runtime complement to detlint OBS002 (tests and ad-hoc
-        #: experiments keep the permissive default).
-        self.strict = strict
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
         self.dists: Dict[str, Dist] = {}
@@ -287,18 +271,9 @@ class MetricsRegistry:
         #: early-return, so the disabled hot path stays one ``if``.
         self.sink = None
 
-    def _check(self, name: str) -> None:
-        if self.strict and not known_metric(name):
-            raise ValueError(
-                f"metric {name!r} is not declared in METRIC_CATALOG "
-                f"(declare_metric it, or record through a declared "
-                f"per-key prefix)"
-            )
-
     def inc(self, name: str, value: float = 1) -> None:
         if not self.enabled:
             return
-        self._check(name)
         self.counters[name] = self.counters.get(name, 0) + value
         if self.sink is not None:
             self.sink.on_inc(name, value)
@@ -306,13 +281,11 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float) -> None:
         if not self.enabled:
             return
-        self._check(name)
         self.gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         if not self.enabled:
             return
-        self._check(name)
         dist = self.dists.get(name)
         if dist is None:
             dist = self.dists[name] = Dist()

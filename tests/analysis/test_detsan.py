@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.detsan import HELD_TYPES, DetSan, detsan_requested, held_objects
+from repro.analysis.detsan import HELD_TYPES, DetSan, held_objects
 from repro.chaos.runner import ChaosRunner
 from repro.chaos.scenarios import SCENARIOS
 from repro.core.dissemination import MulticastService
@@ -23,13 +23,6 @@ from tests.core.test_part_merge import build_two_parts
 
 def make_pointer(value=0b1010, bits=4):
     return Pointer(node_id=NodeId(value, bits), address=value, level=1)
-
-
-def test_detsan_requested_parses_env():
-    assert detsan_requested({"REPRO_DETSAN": "1"})
-    assert detsan_requested({"REPRO_DETSAN": "true"})
-    assert not detsan_requested({"REPRO_DETSAN": "0"})
-    assert not detsan_requested({})
 
 
 # -- end-to-end: chaos under the sanitizer ---------------------------------
@@ -71,7 +64,8 @@ def test_planted_aliasing_bug_is_caught(monkeypatch):
     # Re-plant the bug class: the bridge-subscribe handler keeps the
     # subscriber's received Pointer (the sender's live object) in node
     # state beside the rows.  The walk names it by path.
-    assert run_part_merge().ok
+    clean = run_part_merge()
+    assert clean.ok, clean.violations
     subscribe = MulticastService.on_bridge_subscribe
 
     def keeping_subscribe(self, msg):
@@ -139,7 +133,8 @@ def test_top_lists_cannot_retain_a_received_pointer(monkeypatch):
     ):
         assert held == [make_pointer()]
         assert held[0] is not received
-    assert run_part_merge().ok
+    merged = run_part_merge()
+    assert merged.ok, merged.violations
 
 
 def test_detsan_does_not_change_the_chaos_trace():
@@ -193,6 +188,24 @@ def test_tripwires_flag_simulator_callers_only():
     finally:
         san2.detach()
     assert san2.ok
+
+
+def test_tripwires_flag_a_near_miss_module_name():
+    # Exemption is by module or dotted child, as detlint's rules match:
+    # a name that merely starts like an exempt module is simulator code.
+    san = DetSan()
+    san.attach(FakeNet())
+    try:
+        call_from_module("repro.live.clock.helpers", time.time)
+        call_from_module("repro.sim.rng", random.random)
+        assert san.ok
+        call_from_module("repro.live.clockwork", time.time)
+        call_from_module("repro.sim.rngs", random.random)
+    finally:
+        san.detach()
+    assert sorted((v.check, v.where.split(":")[0]) for v in san.violations) == [
+        ("global-rng", "repro.sim.rngs"), ("wall-clock", "repro.live.clockwork"),
+    ]
 
 
 def test_tripwires_still_return_real_values():

@@ -168,68 +168,3 @@ def test_det003_allows_membership_and_pure_accounting():
         "    return total\n"
     )
     assert rules_fired(src) == []
-
-
-# -- DET004: float accumulation over unordered collections -----------------
-
-
-def test_det004_flags_sum_over_set_feeding_state():
-    src = (
-        "def rebalance(self, peers):\n"
-        "    self.ctx.total_rate = sum(p.rate for p in set(peers))\n"
-    )
-    assert rules_fired(src) == ["DET004"]
-
-
-def test_det004_flags_sum_over_set_bound_name_returned():
-    src = (
-        "def total_rate(self, peers):\n"
-        "    live = set(peers)\n"
-        "    return sum(p.rate for p in live)\n"
-    )
-    assert rules_fired(src) == ["DET004"]
-
-
-def test_det004_flags_loop_accumulator_feeding_metric():
-    src = (
-        "def publish(self, peers):\n"
-        "    acc = 0.0\n"
-        "    for p in set(peers):\n"
-        "        acc += p.rate\n"
-        "    self.ctx.obs.set_gauge('rate', acc)\n"
-    )
-    assert rules_fired(src) == ["DET004"]
-
-
-def test_det004_allows_sorted_sum():
-    src = (
-        "def total_rate(self, peers):\n"
-        "    return sum(p.rate for p in sorted(set(peers)))\n"
-    )
-    assert rules_fired(src) == []
-
-
-def test_det004_allows_local_only_totals():
-    # The total never reaches state, a metric, or a return.
-    src = (
-        "def debug(self, peers):\n"
-        "    t = sum(p.rate for p in set(peers))\n"
-        "    print(t)\n"
-    )
-    assert rules_fired(src) == []
-
-
-def test_det004_allows_ordered_iterables():
-    src = (
-        "def total_rate(self, peers):\n"
-        "    return sum(p.rate for p in peers)\n"
-    )
-    assert rules_fired(src) == []
-
-
-def test_det004_suppression_for_int_sums():
-    src = (
-        "def live_count(self, peers):\n"
-        "    return sum(1 for p in set(peers))  # detlint: ignore[DET004]\n"
-    )
-    assert rules_fired(src) == []

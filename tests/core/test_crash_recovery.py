@@ -125,6 +125,34 @@ class TestReconciliation:
         assert net.node_error_rate(node) == 0.0
 
 
+    def test_every_verify_probe_span_is_ended(self):
+        """With observability on, verification opens one ``probe.verify``
+        span per probe: a live cached node acks it, a dead one lets it time
+        out.  Each is ended on its own path — none is left in flight to
+        read as an operation that never finished."""
+        net = PeerWindowNetwork(
+            config=recovery_config(), master_seed=7, observability=True
+        )
+        keys = net.seed_nodes([1e9] * 16)
+        net.run(until=10.0)
+        victim, kept, casualty = keys[3], keys[5], keys[6]
+        kept_id = net.node(kept).node_id
+        node = net.crash(victim)
+        net.crash(casualty)  # stays down
+        net.run(until=net.sim.now + 40.0)
+        for other in net.live_nodes():
+            if other.address != kept:
+                other.peer_list.remove(kept_id)
+
+        results = []
+        net.recover_node(node, keys[0], on_done=results.append)
+        net.run(until=net.sim.now + 30.0)
+        assert results == [True]
+        verify = [s for s in net.spans() if s.name == "probe.verify"]
+        assert {s.status for s in verify} == {"ok", "timeout"}
+        assert [s for s in verify if s.end is None] == []
+
+
 class TestHandshakeResilience:
     def test_retry_backoff_through_dead_bootstrap(self):
         """Every handshake step through a dead bootstrap times out; the

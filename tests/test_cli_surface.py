@@ -128,6 +128,18 @@ def test_a_number_that_cannot_run_is_one_error_line_and_exit_2(argv, named, caps
     assert named in captured.err
 
 
+@pytest.mark.parametrize("stale", [
+    ["--baseline", "detlint-baseline.json"], ["--write-baseline"], ["--changed", "HEAD"],
+])
+def test_a_retired_lint_option_is_one_error_line_and_exit_2(stale, capsys):
+    # detlint has no baseline and no git-diff mode: the gate is zero findings.
+    assert main(["lint", *stale]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert stale[0] in captured.err
+
+
 @pytest.fixture(scope="module")
 def recorded_run(tmp_path_factory):
     """Spans and metrics of one small ``obs run``."""
