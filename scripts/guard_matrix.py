@@ -3,12 +3,12 @@
 copy of the tree, run every guard against it, and print which guards catch
 it and how fast, as a markdown table.
 
-    python scripts/guard_matrix.py [--jobs N] [--live] [PLANT ...]
+    python scripts/guard_matrix.py [--live] [PLANT ...]
 
 A plant is one anchored replacement (``old`` occurs once in ``path``, which
 tier-1 checks).  A guard catches a plant when it fails under each of
 ``PYTHONHASHSEED`` 0, 1 and 2; the time shown is its seed-0 wall time to stop
-(pytest runs ``-x``).  ``--live`` proves each site live instead: a ``raise``
+(pytest runs ``-x``); plants are judged one per core.  ``--live`` proves each site live instead: a ``raise``
 at the plant's line, inside the same guards, must fail tier-1.
 """
 
@@ -232,11 +232,10 @@ def table(rows: List[dict]) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("plants", nargs="*", help="plant ids (default: all)")
-    ap.add_argument("--jobs", type=int, default=1, help="plants judged at once")
     ap.add_argument("--live", action="store_true", help="prove each site live instead")
     args = ap.parse_args(argv)
     chosen = [p for p in PLANTS if not args.plants or p.id in args.plants]
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         rows = list(pool.map(lambda p: judge(p, args.live), chosen))
     if not args.live:
         print(table(rows))

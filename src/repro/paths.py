@@ -1,11 +1,11 @@
 """Shared output-path preparation for every report-writing command.
 
-Both exporter families (``repro obs``/``repro chaos`` span and metrics
-writers in :mod:`repro.obs.export`, and the ``repro lint`` report and
-baseline writers in :mod:`repro.analysis`) route destination paths
-through :func:`prepare_output_path` so a bad ``--csv``/``--spans``/
-``--baseline`` destination fails up front with an actionable message
-instead of a bare ``FileNotFoundError`` deep inside ``open``.
+The ``repro obs``/``repro chaos`` span and metrics writers in
+:mod:`repro.obs.export` and the ``repro lint --report`` writer route
+destination paths through :func:`prepare_output_path` so a bad
+``--csv``/``--spans``/``--report`` destination fails up front with an
+actionable message instead of a bare ``FileNotFoundError`` deep inside
+``open``.
 """
 
 from __future__ import annotations

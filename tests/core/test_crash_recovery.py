@@ -34,8 +34,9 @@ def recovery_config(**overrides) -> ProtocolConfig:
     return ProtocolConfig(**base)
 
 
-def recovery_network(n=16, seed=7, **config_overrides):
-    net = PeerWindowNetwork(config=recovery_config(**config_overrides), master_seed=seed)
+def recovery_network(n=16, seed=7, observability=False, **config_overrides):
+    net = PeerWindowNetwork(config=recovery_config(**config_overrides),
+                            master_seed=seed, observability=observability)
     keys = net.seed_nodes([1e9] * n)
     net.run(until=10.0)
     return net, keys
@@ -124,17 +125,12 @@ class TestReconciliation:
         )
         assert net.node_error_rate(node) == 0.0
 
-
     def test_every_verify_probe_span_is_ended(self):
         """With observability on, verification opens one ``probe.verify``
         span per probe: a live cached node acks it, a dead one lets it time
         out.  Each is ended on its own path — none is left in flight to
         read as an operation that never finished."""
-        net = PeerWindowNetwork(
-            config=recovery_config(), master_seed=7, observability=True
-        )
-        keys = net.seed_nodes([1e9] * 16)
-        net.run(until=10.0)
+        net, keys = recovery_network(observability=True)
         victim, kept, casualty = keys[3], keys[5], keys[6]
         kept_id = net.node(kept).node_id
         node = net.crash(victim)
