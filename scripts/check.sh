@@ -503,21 +503,35 @@ PY
   seeding 1000000 700 || status=1
   echo "== scale (six-contestant tournament, n=1,000 x 130 sim-s, one contestant at a time: champion healthy, < 1000 MB) =="
   with_timeout 900 $PY - <<'PY' || status=1
-import resource, sys, time
+import gc, resource, sys, time
 from dataclasses import replace
 from repro.compare import TournamentConfig, contestant_names, run_tournament
 from repro.compare.contestants import CHAMPION
 
-limit_mb = 1000  # ~1.5x the 664 MB a row-per-span store peaks at
+limit_mb = 1000  # ~1.6x the 613 MB explicit-probe's 4.4 M store rows peak at
 cfg = TournamentConfig(contestants=tuple(contestant_names()), n_nodes=1000,
                        duration=130.0, window=30.0, seeds=(0,))
 # Every contestant owns its network, so a tournament of one gives the
 # row the full tournament would, and a host time that is its own.
-# Timings are printed for the eye, never judged.  The process's running
-# peak RSS is printed beside each span count: explicit-probe's spans are
-# what a span store that kept one object per span would blow up.
+# Timings and collector passes are printed for the eye, never judged.
+# The process's running peak RSS is printed beside each span count:
+# explicit-probe's spans are what a span store that kept one object per
+# span would blow up.
+passes, gc_s, began = [0, 0, 0], [0.0], [0.0]
+
+
+def count_pass(phase, info):
+    if phase == "start":
+        passes[info["generation"]] += 1
+        began[0] = time.perf_counter()
+    else:
+        gc_s[0] += time.perf_counter() - began[0]
+
+
+gc.callbacks.append(count_pass)
 rows = []
 for name in cfg.contestants:
+    passes[:], gc_s[0] = [0, 0, 0], 0.0
     started = time.perf_counter()
     (row,) = run_tournament(replace(cfg, contestants=(name,)))["rows"]
     host_s = time.perf_counter() - started
@@ -526,6 +540,9 @@ for name in cfg.contestants:
     print(f"scale: {name:<17} {host_s:6.1f} host-s  {row['spans_total']:>9,} spans  "
           f"peak RSS {rss_mb:5.0f} MB  error {row['error_rate']:.4f}  "
           f"{row['bandwidth_bps_per_node']:>9.1f} bps/node  healthy={row['healthy']}")
+    print(f"scale: {name:<17} collector passes {passes[0]} young, {passes[1]} middle, "
+          f"{passes[2]} full, {gc_s[0]:.1f} s (unjudged)")
+gc.callbacks.remove(count_pass)
 problems = []
 if not all(row["healthy"] for row in rows if row["contestant"] == CHAMPION):
     problems.append(f"champion {CHAMPION} breached its health bands")

@@ -11,6 +11,17 @@ transport accounting per wire kind — so a
 *flat* — every member reports level 0 — which is precisely the contrast
 the paper draws against PeerWindow's level hierarchy.
 
+A detector tick is one batch, since ``explicit-probe`` sends almost
+every message of a tournament: the tick bills ``probe`` and ``ack`` once
+each for its k messages, opens its ``probe`` spans as k contiguous rows
+(:meth:`~repro.obs.trace.NodeObs.open_rows`) and schedules one
+``_probes_ok`` event that closes the positive ones
+(:meth:`~repro.obs.trace.NodeObs.close_rows`) and observes ``probe.rtt``
+k times at once.  A span handle is made only for a probe that will time
+out, since its obituary hangs under it.  Every float sum is still k
+additions in turn, so the batch bills, spans, frames and metrics are
+byte-for-byte the per-probe ones (DESIGN.md §18).
+
 Determinism contract (same as the core protocol): all randomness flows
 from :class:`~repro.sim.rng.RandomStreams` sub-streams, every timestamp
 is the simulated clock, and every protocol decision iterates sorted
@@ -19,7 +30,10 @@ keys, so a seed reproduces frames and spans byte-for-byte.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from functools import reduce
+from itertools import compress, repeat
+from operator import add
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -219,29 +233,36 @@ class BaselineNetwork:
     # -- failure detection -------------------------------------------------
 
     def _detector_tick(self, key: int) -> None:
-        """Probe every target of this tick; the positive ones share one
-        ack event (their acks would hold consecutive sequence numbers at
-        one instant, so nothing could run between them)."""
+        """Probe every target of this tick as one batch: one bill per
+        wire kind, the spans opened as contiguous rows, and one ack
+        event for the positive probes (their acks would hold consecutive
+        sequence numbers at one instant, so nothing could run between
+        them).  Only a probe that will time out gets a span handle: its
+        obituary hangs under it."""
         member = self.nodes.get(key)
         if member is None or not member.alive:
             return
-        now = self.sim.now
-        nodes, send, schedule = self.nodes, self._send, self.sim.schedule
-        heartbeat_bits, ack_bits = self.config.heartbeat_bits, self.config.ack_bits
-        probe_timeout = self.config.probe_timeout
-        start = member.obs.start if member.obs.enabled else None
-        acked: List[Tuple[int, Optional[OpenSpan]]] = []
-        for target in self._probe_targets(member):
-            send("probe", heartbeat_bits)
-            span = start("probe", now, target=target) if start else None
-            peer = nodes.get(target)
-            if peer is not None and peer.alive:
-                send("ack", ack_bits)
-                acked.append((target, span))
-            else:
-                schedule(probe_timeout, self._probe_timeout, key, target, span)
+        targets = self._probe_targets(member)
+        if not targets:
+            return
+        obs = member.obs
+        rows = obs.open_rows("probe", self.sim.now, "target", targets) if obs.enabled else None
+        up = [peer is not None and peer.alive for peer in map(self.nodes.get, targets)]
+        acked = list(compress(targets, up))
+        self._send("probe", self.config.heartbeat_bits, len(targets))
         if acked:
-            schedule(2 * self.hop_delay, self._probes_ok, key, acked)
+            self._send("ack", self.config.ack_bits, len(acked))
+        if len(acked) < len(targets):
+            for i, ok in enumerate(up):
+                if not ok:
+                    span = obs.handle(rows[i]) if rows is not None else None
+                    self.sim.schedule(
+                        self.config.probe_timeout, self._probe_timeout,
+                        key, targets[i], span,
+                    )
+        if acked:
+            acked_rows = list(compress(rows, up)) if rows is not None else None
+            self.sim.schedule(2 * self.hop_delay, self._probes_ok, key, acked, acked_rows)
 
     def _probe_targets(self, member: BaselineMember) -> List[int]:
         """Default detector: one uniformly random known peer per tick."""
@@ -251,21 +272,18 @@ class BaselineNetwork:
         return [known[int(member.rng.integers(0, len(known)))]]
 
     def _probes_ok(
-        self, key: int, acked: List[Tuple[int, Optional[OpenSpan]]]
+        self, key: int, targets: List[int], rows: Optional[List[int]]
     ) -> None:
         member = self.nodes.get(key)
         if member is None:
             return
         now = self.sim.now
-        rtt = 2 * self.hop_delay
-        end, observe = member.obs.end, member.obs.registry.observe
-        alive, known = member.alive, member.known
-        for target, span in acked:
-            if span is not None:
-                end(span, now, status="ok")
-            observe(m.PROBE_RTT, rtt)
-            if alive and target in known:
-                known[target] = now
+        if rows is not None:
+            member.obs.close_rows(rows, now, status="ok")
+        member.obs.registry.observe_repeat(m.PROBE_RTT, 2 * self.hop_delay, len(targets))
+        if member.alive:
+            known = member.known
+            known.update(dict.fromkeys(filter(known.__contains__, targets), now))
 
     def _probe_timeout(self, key: int, target: int, span: Optional[OpenSpan]) -> None:
         member = self.nodes.get(key)
@@ -355,9 +373,11 @@ class BaselineNetwork:
 
     # -- transport accounting ----------------------------------------------
 
-    def _send(self, kind: str, bits: float) -> None:
-        self._msgs[kind] = self._msgs.get(kind, 0) + 1
-        self._bits[kind] = self._bits.get(kind, 0.0) + float(bits)
+    def _send(self, kind: str, bits: float, count: int = 1) -> None:
+        """Bill ``count`` messages of ``bits`` each: the bit total takes
+        ``count`` additions in turn, as ``count`` single bills would."""
+        self._msgs[kind] = self._msgs.get(kind, 0) + count
+        self._bits[kind] = reduce(add, repeat(float(bits), count), self._bits.get(kind, 0.0))
 
     def total_bits(self) -> float:
         return float(sum(self._bits[k] for k in sorted(self._bits)))

@@ -25,6 +25,9 @@ from __future__ import annotations
 
 import math
 import re
+from functools import reduce
+from itertools import repeat
+from operator import add
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 #: The documented metric-name convention: lowercase dotted
@@ -206,6 +209,21 @@ class Dist:
         if self.max is None or value > self.max:
             self.max = value
 
+    def observe_repeat(self, value: float, k: int) -> None:
+        """:meth:`observe` ``value`` ``k`` times: the sums take ``k``
+        additions in turn, never ``k * value``, so they round as the
+        ``k`` single observations would."""
+        if k <= 0:
+            return
+        value = float(value)
+        self.count += k
+        self.total = reduce(add, repeat(value, k), self.total)
+        self.sumsq = reduce(add, repeat(value * value, k), self.sumsq)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+
     def merge(self, other: "Dist") -> None:
         if other.count == 0:
             return
@@ -290,6 +308,16 @@ class MetricsRegistry:
         if dist is None:
             dist = self.dists[name] = Dist()
         dist.observe(value)
+
+    def observe_repeat(self, name: str, value: float, k: int) -> None:
+        """:meth:`observe` ``value`` ``k`` times (:meth:`Dist.observe_repeat`);
+        ``k == 0`` records nothing, not even an empty distribution."""
+        if not self.enabled or k <= 0:
+            return
+        dist = self.dists.get(name)
+        if dist is None:
+            dist = self.dists[name] = Dist()
+        dist.observe_repeat(value, k)
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-compatible snapshot with deterministic key order."""

@@ -12,9 +12,11 @@ on:
   node's :class:`~repro.obs.trace.NodeObs` and
   :class:`~repro.obs.metrics.MetricsRegistry`.  A tap only *observes*
   span ends and counter increments — it holds the row numbers of the
-  spans that ended, and reads their name / status / attrs from the span
-  store when drained; span stores and registries are untouched, so
-  merged exports stay byte-identical with or without a bus attached.
+  spans that ended (a batch close hands it all its rows at once), and
+  when drained counts their ``(name, status)`` pairs and reads attrs
+  only where the fold needs them; span stores and registries are
+  untouched, so merged exports stay byte-identical with or without a
+  bus attached.
   With no subscriber the hooks are a ``sink is None``
   check behind the existing ``enabled`` guard — the disabled hot path
   stays one ``if`` (ledger rows ``obs.disabled_guard_ns`` /
@@ -57,6 +59,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.obs.analyze import SchemaError
@@ -67,7 +70,7 @@ from repro.obs.health import (
     evaluate,
     metrics_signals,
 )
-from repro.obs.trace import NodeObs, SpanFacts
+from repro.obs.trace import NodeObs, SpanFacts, SpanTally
 
 TELEMETRY_SCHEMA = "repro.telemetry"
 TELEMETRY_SCHEMA_VERSION = 1
@@ -100,8 +103,8 @@ class NodeTap:
     Installed in the ``sink`` slot of one node's :class:`NodeObs` and
     :class:`MetricsRegistry`; only ever written from that node's own
     event queue (same ownership argument as the span store).  It records
-    the *row* of each span that ends and reads the row's name, status
-    and attrs from the store when drained between simulation strides.
+    the *row* of each span that ends and tallies the rows from the
+    store when drained between simulation strides.
     """
 
     __slots__ = ("obs", "rows", "counts")
@@ -116,14 +119,17 @@ class NodeTap:
     def on_span_end(self, row: int) -> None:
         self.rows.append(row)
 
+    def on_spans_end(self, rows: List[int]) -> None:
+        self.rows.extend(rows)
+
     def on_inc(self, name: str, value: float) -> None:
         self.counts[name] = self.counts.get(name, 0) + value
 
-    def drain(self) -> Tuple[List[SpanFacts], Dict[str, float]]:
-        """Take and reset the ended spans' facts and counter deltas."""
+    def drain(self) -> Tuple[SpanTally, Dict[str, float]]:
+        """Take and reset the ended spans' tally and counter deltas."""
         rows, self.rows = self.rows, []
         counts, self.counts = self.counts, {}
-        return self.obs.facts(rows, attrs_of=WindowBucket.ATTR_SPAN_NAMES), counts
+        return self.obs.tally(rows, attrs_of=WindowBucket.ATTR_SPAN_NAMES), counts
 
 
 class TelemetryBus:
@@ -144,7 +150,7 @@ class TelemetryBus:
         obs.sink = tap
         obs.registry.sink = tap
 
-    def drain(self) -> List[Tuple[Hashable, List[SpanFacts], Dict[str, float]]]:
+    def drain(self) -> List[Tuple[Hashable, SpanTally, Dict[str, float]]]:
         """Drain every tap in sorted node order (the export order of
         :meth:`Observability.spans` — determinism depends on it)."""
         out = []
@@ -193,37 +199,60 @@ class WindowBucket:
 
     def add_span(self, name: str, status: str, attrs: Mapping[str, Any]) -> None:
         """Fold one ended span, given by its name, status and attrs — a
-        tap's row and a replayed :class:`~repro.obs.trace.Span` alike."""
-        self.spans += 1
-        self.span_counts[name] = self.span_counts.get(name, 0) + 1
-        self.status_counts[status] = self.status_counts.get(status, 0) + 1
+        replayed :class:`~repro.obs.trace.Span` is a count of 1."""
+        self._count(name, status, 1)
         if name in _MCAST_SPAN_NAMES:
-            self.mcast_spans += 1
-            depth = attrs.get("depth")
-            if isinstance(depth, int) and depth > self.mcast_max_depth:
-                self.mcast_max_depth = depth
+            self._read_attrs(attrs)
+
+    def add_tally(self, tally: SpanTally) -> None:
+        """Fold a drained tap's ended spans."""
+        for (name, status), count in tally.pairs.items():
+            self._count(name, status, count)
+        for _name, _status, attrs in tally.attrs:
+            self._read_attrs(attrs)
+
+    def _count(self, name: str, status: str, count: int) -> None:
+        self.spans += count
+        self.span_counts[name] = self.span_counts.get(name, 0) + count
+        self.status_counts[status] = self.status_counts.get(status, 0) + count
+        if name in _MCAST_SPAN_NAMES:
+            self.mcast_spans += count
             if status == "died":
-                self.mcast_died += 1
+                self.mcast_died += count
         elif name == "mcast.redirect":
-            self.mcast_redirects += 1
+            self.mcast_redirects += count
         elif name == "join":
             if status == "ok":
-                self.join_ok += 1
+                self.join_ok += count
             else:
-                self.join_failed += 1
+                self.join_failed += count
         elif name in _PROBE_SPAN_NAMES:
-            self.probes += 1
+            self.probes += count
             if status == "timeout":
-                self.probe_timeouts += 1
+                self.probe_timeouts += count
         elif name == "obituary":
-            self.obituaries += 1
+            self.obituaries += count
 
-    def add_node(self, spans: Sequence[SpanFacts], counts: Dict[str, float]) -> None:
-        """Fold one drained tap (call in sorted node order)."""
-        if spans or counts:
-            self.taps += 1
-        for name, status, attrs in spans:
-            self.add_span(name, status, attrs)
+    def _read_attrs(self, attrs: Mapping[str, Any]) -> None:
+        """The one attr the fold reads: a multicast span's tree depth."""
+        depth = attrs.get("depth")
+        if isinstance(depth, int) and depth > self.mcast_max_depth:
+            self.mcast_max_depth = depth
+
+    def add_node(
+        self, spans: Union[SpanTally, Sequence[SpanFacts]], counts: Dict[str, float]
+    ) -> None:
+        """Fold one node's ended spans — a drained tap's tally, or facts
+        one span each — and counter deltas (call in sorted node order)."""
+        if isinstance(spans, SpanTally):
+            if spans.pairs or counts:
+                self.taps += 1
+            self.add_tally(spans)
+        else:
+            if spans or counts:
+                self.taps += 1
+            for name, status, attrs in spans:
+                self.add_span(name, status, attrs)
         for name in sorted(counts):
             self.counters[name] = self.counters.get(name, 0) + counts[name]
 

@@ -26,9 +26,13 @@ keys, attr values), so a closed span costs a few machine words and no
 object the cyclic collector tracks; a span id is derived from the node
 and the row number.  :meth:`NodeObs.start` returns an :class:`OpenSpan`,
 a transient handle that carries the attrs its producer may still add
-until :meth:`NodeObs.end` freezes them into the row.  :class:`Span`
-stays the value every consumer receives: :attr:`NodeObs.spans` and
-:meth:`Observability.spans` build them on demand.
+until :meth:`NodeObs.end` freezes them into the row.  A producer that
+opens many alike spans at one instant (a detector tick's probes) opens
+them as contiguous rows with :meth:`NodeObs.open_rows` and closes them
+with :meth:`NodeObs.close_rows` — no handle, no attrs dict, one sink
+notification per batch.  :class:`Span` stays the value every consumer
+receives: :attr:`NodeObs.spans` and :meth:`Observability.spans` build
+them on demand.
 
 With ``enabled=False`` (the default everywhere) every hook is a single
 attribute check and the view holds no columns; the ledger rows
@@ -39,7 +43,8 @@ attribute check and the view holds no columns; the ledger rows
 from __future__ import annotations
 
 from array import array
-from types import MappingProxyType
+from collections import Counter
+from itertools import repeat
 from typing import (
     Any,
     Container,
@@ -50,6 +55,7 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -163,7 +169,14 @@ _IN_FLIGHT = float("nan")
 #: ``(name, status, attrs)`` of one ended span — what a fold reads.
 SpanFacts = Tuple[str, str, Mapping[str, Any]]
 
-_NO_ATTRS: Mapping[str, Any] = MappingProxyType({})
+
+class SpanTally(NamedTuple):
+    """A batch of ended spans as a window fold reads them: how many
+    ended with each ``(name, status)`` pair, and the facts of those
+    whose attrs the fold reads, in row order."""
+
+    pairs: Dict[Tuple[str, str], int]
+    attrs: List[SpanFacts]
 
 
 class NodeObs:
@@ -177,9 +190,12 @@ class NodeObs:
 
     Row ``r`` is the span ``"{node}.{r + 1}"``.  The trace column holds
     ``None`` for a span that roots its own trace (its trace id is its
-    span id).  While a span is in flight its key column holds ``None``
-    and its value column the producer's live attrs dict; ``end()``
-    replaces them with an interned key tuple and a value tuple.
+    span id).  A span is in flight while its end column holds NaN.
+    While a span :meth:`start` opened is in flight its key column holds
+    ``None`` and its value column the producer's live attrs dict; its
+    end replaces them with an interned key tuple and a value tuple.  A
+    row :meth:`open_rows` opened holds its key and value tuples from
+    the open.
     """
 
     __slots__ = (
@@ -251,15 +267,60 @@ class NodeObs:
         the first end counts: ending a span that is no longer in flight
         changes nothing and notifies no sink."""
         row = span.row
-        if self._keys[row] is not None:
+        ended = self._ends[row]
+        if ended == ended:  # not NaN: no longer in flight
             return
         self._ends[row] = t
         self._statuses[row] = status
-        keys = tuple(span.attrs)
-        self._keys[row] = self._key_tuples.setdefault(keys, keys)
-        self._values[row] = tuple(span.attrs.values())
+        self._freeze(row, span.attrs)
         if self.sink is not None:
             self.sink.on_span_end(row)
+
+    def _freeze(self, row: int, attrs: Mapping[str, Any]) -> None:
+        keys = tuple(attrs)
+        self._keys[row] = self._key_tuples.setdefault(keys, keys)
+        self._values[row] = tuple(attrs.values())
+
+    def open_rows(self, name: str, t: float, key: str, values: Sequence[Any]) -> range:
+        """Open one trace-rooting span per item of ``values`` as
+        contiguous rows, all named ``name`` at ``t``, each with the one
+        attr ``{key: value}``, frozen at the open; returns their rows in
+        order.  Close them with :meth:`close_rows`, or end one alone
+        through :meth:`handle`."""
+        first, k = len(self._names), len(values)
+        self._names.extend(repeat(name, k))
+        self._starts.extend(repeat(t, k))
+        self._ends.extend(repeat(_IN_FLIGHT, k))
+        self._statuses.extend(repeat("ok", k))
+        self._parents.extend(repeat(None, k))
+        self._traces.extend(repeat(None, k))
+        keys = (key,)
+        self._keys.extend(repeat(self._key_tuples.setdefault(keys, keys), k))
+        self._values.extend(zip(values))
+        return range(first, first + k)
+
+    def close_rows(self, rows: Iterable[int], t: float, status: str = "ok") -> None:
+        """:meth:`end` every span of ``rows`` at ``t``, with one sink
+        notification for the batch.  First end wins here too: a row no
+        longer in flight keeps its end and is not notified again."""
+        ends, statuses, keys, values = self._ends, self._statuses, self._keys, self._values
+        closed: List[int] = []
+        for row in rows:
+            ended = ends[row]
+            if ended == ended:
+                continue
+            ends[row] = t
+            statuses[row] = status
+            if keys[row] is None:  # opened by start(): its attrs are live
+                self._freeze(row, values[row])
+            closed.append(row)
+        if closed and self.sink is not None:
+            self.sink.on_spans_end(closed)
+
+    def handle(self, row: int) -> OpenSpan:
+        """An :class:`OpenSpan` on a row :meth:`open_rows` opened, for a
+        producer that ends it alone or hangs a child under it."""
+        return OpenSpan(self, row, dict(zip(self._keys[row], self._values[row])))
 
     def instant(
         self,
@@ -305,42 +366,41 @@ class NodeObs:
             span = Span(
                 span_id if trace_id is None else trace_id, span_id,
                 parents[row], names[row], node, starts[row],
-                # In flight: the live attrs dict, and end stays None.
+                # start() opened it and it is in flight: the live attrs dict.
                 dict(values[row]) if row_keys is None
                 else dict(zip(row_keys, values[row])),
             )
-            if row_keys is not None:
-                span.end = ends[row]
+            end = ends[row]
+            if end == end:  # in flight (NaN): end stays None
+                span.end = end
                 span.status = statuses[row]
             out.append(span)
         return out
 
-    def facts(
-        self, rows: Iterable[int], attrs_of: Container[str]
-    ) -> List[SpanFacts]:
-        """``(name, status, attrs)`` of each of ``rows`` (ended spans) —
-        what a telemetry fold reads, without building a :class:`Span`.
-        Attrs are built only for spans named in ``attrs_of``; any other
-        span carries an empty mapping."""
+    def tally(self, rows: Sequence[int], attrs_of: Container[str]) -> SpanTally:
+        """The :class:`SpanTally` of ``rows`` (ended spans) — what a
+        telemetry fold reads, without building a :class:`Span`.  The
+        pairs are counted in C; attrs are built only for spans named in
+        ``attrs_of``."""
         names, statuses, keys, values = (
             self._names, self._statuses, self._keys, self._values
         )
-        out: List[SpanFacts] = []
-        for row in rows:
-            name = names[row]
-            out.append((
-                name, statuses[row],
-                dict(zip(keys[row], values[row])) if name in attrs_of else _NO_ATTRS,
-            ))
-        return out
+        pairs = Counter(zip(map(names.__getitem__, rows), map(statuses.__getitem__, rows)))
+        attrs: List[SpanFacts] = []
+        if any(name in attrs_of for name, _ in pairs):
+            attrs = [
+                (names[row], statuses[row], dict(zip(keys[row], values[row])))
+                for row in rows if names[row] in attrs_of
+            ]
+        return SpanTally(dict(pairs), attrs)
 
     def open_traces(self) -> List[str]:
         """Distinct trace ids with an in-flight span at this node, in
         span-creation order (deterministic)."""
         seen: Dict[str, None] = {}
         traces = self._traces
-        for row, keys in enumerate(self._keys):
-            if keys is None:
+        for row, end in enumerate(self._ends):
+            if end != end:  # NaN: in flight
                 trace_id = traces[row]
                 seen.setdefault(
                     f"{self.node}.{row + 1}" if trace_id is None else trace_id, None

@@ -10,6 +10,9 @@ held consecutive sequence numbers at one timestamp.  Two checks:
   tests/baselines/test_tick_batching.py`` prints it), reproduces;
 * :class:`PerProbe`, the parent's schedule kept here as the reference,
   gives equal spans, frames and membership maps to the shipped class.
+
+The tick also bills, opens and closes its probes as one batch; a third
+check pins that a batched bill rounds as the per-message bills did.
 """
 
 import contextlib
@@ -216,6 +219,23 @@ def test_batched_tick_equals_per_probe_reference(cls, scenario):
     else:
         assert shipped["spans"] == "" and not shipped["frames"]
     assert any(shipped["dead"].values()), "no death was ever detected"
+
+
+def test_batched_bills_equal_per_message_bills():
+    """A tick bills ``probe`` and ``ack`` once each for k messages.  The
+    bit totals must still be k additions in turn (``k * bits`` rounds
+    differently), on top of whatever the kind had already been billed."""
+    batched = ExplicitProbeNetwork(4, master_seed=0, observability=False)
+    single = ExplicitProbeNetwork(4, master_seed=0, observability=False)
+    for net in (batched, single):
+        net._send("probe", 1 / 3)
+    for kind, bits, k in (("probe", 0.1, 999), ("ack", 0.7, 998), ("probe", 500, 3)):
+        batched._send(kind, bits, k)
+        for _ in range(k):
+            single._send(kind, bits)
+    assert batched._msgs == single._msgs == {"probe": 1003, "ack": 998}
+    assert batched._bits == single._bits
+    assert batched._bits["ack"] != 998 * 0.7
 
 
 def test_crashed_prober_still_closes_its_spans():

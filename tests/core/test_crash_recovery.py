@@ -148,6 +148,37 @@ class TestReconciliation:
         assert {s.status for s in verify} == {"ok", "timeout"}
         assert [s for s in verify if s.end is None] == []
 
+    def test_unconfirmed_pointers_are_verified_in_ascending_id_order(self):
+        """Verification probes the unconfirmed cached pointers in the
+        cached list's order, ascending id.  A set between the cache and
+        the verify loop iterates 128-bit ids in hash order instead, which
+        reorders the probes and every span, sequence number and message
+        after them."""
+        net, keys = recovery_network(observability=True, id_bits=128)
+        victim, kept = keys[3], keys[4:10]
+        kept_nids = [net.node(k).node_id for k in kept]
+        kept_ids = {nid.value for nid in kept_nids}
+        node = net.crash(victim)
+        assert kept_ids <= set(node.peer_list.ids())  # cached across the crash
+        net.run(until=net.sim.now + 40.0)
+        # No download snapshot can confirm the kept nodes; they stay alive.
+        for other in net.live_nodes():
+            for nid in kept_nids:
+                if nid.value != other.node_id.value:
+                    other.peer_list.remove(nid)
+
+        results = []
+        net.recover_node(node, keys[0], on_done=results.append)
+        net.run(until=net.sim.now + 30.0)
+        assert results == [True]
+        id_of = {str(k): net.node(k).node_id.value for k in keys}
+        probed = [
+            id_of[s.attrs["target"]] for s in net.spans()
+            if s.node == victim and s.name == "probe.verify" and s.parent_id is None
+        ]
+        assert set(probed) == kept_ids
+        assert probed == sorted(probed)
+
 
 class TestHandshakeResilience:
     def test_retry_backoff_through_dead_bootstrap(self):

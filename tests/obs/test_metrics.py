@@ -25,6 +25,20 @@ class TestDist:
         assert d.mean == 0.0 and d.stdev == 0.0
         assert d.as_dict()["min"] == 0.0
 
+    def test_repeated_observe_rounds_as_single_observes(self):
+        """A tick's probe RTTs are folded as one repeated observe.  Its sums
+        must be k additions in turn: ``k * 0.1`` (or ``fsum``) rounds
+        differently, and the tournament's metric bytes would move."""
+        for k in (1, 7, 199, 999):
+            single, batched = Dist(), Dist()
+            for _ in range(k):
+                single.observe(2 * 0.05)
+            batched.observe_repeat(2 * 0.05, k)
+            assert batched.as_dict() == single.as_dict()
+            assert (batched.total, batched.sumsq) == (single.total, single.sumsq)
+        # The shortcut it must not take really does round differently.
+        assert Dist().total + 999 * 0.1 != single.total
+
     def test_merge(self):
         a, b = Dist(), Dist()
         a.observe(1.0)
@@ -68,6 +82,16 @@ class TestMetricsRegistry:
         assert snap["counters"]["a"] == 5
         assert snap["gauges"]["g"] == 7.0
         assert snap["dists"]["d"]["count"] == 1
+
+    def test_repeated_observe_records_nothing_for_zero(self):
+        reg = MetricsRegistry(enabled=True)
+        reg.observe_repeat("probe.rtt", 0.1, 0)
+        assert reg.dists == {}
+        reg.observe_repeat("probe.rtt", 0.1, 3)
+        assert reg.dists["probe.rtt"].count == 3
+        off = MetricsRegistry(enabled=False)
+        off.observe_repeat("probe.rtt", 0.1, 3)
+        assert off.dists == {}
 
     def test_snapshot_keys_sorted(self):
         reg = MetricsRegistry(enabled=True)

@@ -95,12 +95,13 @@ class TestBus:
         obs.registry.inc("mcast.received")
         obs.registry.inc("mcast.received", 2)
         assert tap.rows == [0, 2, 1]  # rows, in end order
-        spans, counts = tap.drain()
+        tally, counts = tap.drain()
+        assert tally.pairs == {("probe", "timeout"): 1, ("obituary", "ok"): 1,
+                               ("mcast.hop", "ok"): 1}
         # Attrs are read only for the spans the fold reads them of.
-        assert spans == [("probe", "timeout", {}), ("obituary", "ok", {}),
-                         ("mcast.hop", "ok", {"depth": 2})]
+        assert tally.attrs == [("mcast.hop", "ok", {"depth": 2})]
         assert counts == {"mcast.received": 3}
-        assert tap.drain() == ([], {})  # drain resets
+        assert tap.drain() == (({}, []), {})  # drain resets
 
     def test_disabled_paths_never_reach_the_sink(self):
         """The sink check sits *behind* the enabled guard: a disabled

@@ -10,6 +10,13 @@ class RowSink:
     def on_span_end(self, row):
         self.rows.append(row)
 
+    def on_spans_end(self, rows):
+        self.rows.append(list(rows))
+
+
+def vars_of(span):
+    return {field: getattr(span, field) for field in Span.__slots__}
+
 
 class TestNodeObs:
     def test_disabled_by_default_and_cheap(self):
@@ -85,6 +92,44 @@ class TestNodeObs:
         (built,) = obs.spans
         assert (built.end, built.status) == (1.1, "ok")
         assert sink.rows == [0]
+
+    def test_batch_close_keeps_first_ends_and_notifies_once(self):
+        """The batch close has ``end()``'s contract: a row that already
+        ended is neither rewritten nor re-notified, and the rest reach the
+        sink as one batch."""
+        obs = NodeObs("n0", enabled=True)
+        obs.sink = sink = RowSink()
+        rows = obs.open_rows("probe", 1.0, "target", [3, 4, 5])
+        assert rows == range(0, 3)
+        obs.end(obs.handle(1), 1.05, "timeout")
+        obs.close_rows(rows, 1.1, "ok")
+        obs.close_rows(rows, 9.0, "timeout")
+        built = obs.spans
+        assert [(s.end, s.status) for s in built] == [
+            (1.1, "ok"), (1.05, "timeout"), (1.1, "ok")
+        ]
+        assert [s.attrs for s in built] == [{"target": 3}, {"target": 4}, {"target": 5}]
+        assert sink.rows == [1, [0, 2]]
+
+    def test_batch_rows_are_rows_like_any_other(self):
+        """Rows opened as a batch build the spans ``start()`` would have
+        opened, in flight and ended, and a batch close also freezes a
+        ``start()`` row's live attrs."""
+        batched, single = NodeObs("n0", enabled=True), NodeObs("n0", enabled=True)
+        rows = batched.open_rows("probe", 2.0, "target", [7, 8])
+        spans = [single.start("probe", 2.0, target=t) for t in (7, 8)]
+        assert [vars_of(s) for s in batched.spans] == [vars_of(s) for s in single.spans]
+        assert batched.open_traces() == single.open_traces() == ["n0.1", "n0.2"]
+        batched.close_rows(rows, 2.1)
+        for span in spans:
+            single.end(span, 2.1)
+        assert [vars_of(s) for s in batched.spans] == [vars_of(s) for s in single.spans]
+        assert batched.open_traces() == []
+        hop = batched.start("mcast.hop", 3.0, depth=1)
+        hop.attrs["fanout"] = 2
+        batched.close_rows([hop.row], 3.5)
+        assert batched.spans[-1].attrs == {"depth": 1, "fanout": 2}
+        assert batched.handle(0).ref() == SpanRef("n0.1", "n0.1", 0)
 
     def test_attrs_freeze_at_end(self):
         obs = NodeObs("n0", enabled=True)
