@@ -402,10 +402,12 @@ def count_pass(phase, info):
 
 
 gc.callbacks.append(count_pass)
+first = net.sim.events_executed
 started = time.perf_counter()
 net.run(until=60.0)
 run_s = time.perf_counter() - started
 gc.callbacks.remove(count_pass)
+events = net.sim.events_executed - first
 live = net.live_nodes()
 rows = sum(len(node.peer_list) for node in live)
 failures = sum(node.stats.failures_detected + node.stats.reports_failed for node in live)
@@ -423,7 +425,8 @@ print(f"scale: {len(live)} nodes, {rows} peer-list rows, build {build_s:.1f} s, 
 print(f"scale: {tracked:.1f} tracked objects per node, one full collector pass "
       f"{pass_ms:.0f} ms (unjudged)")
 print(f"scale: collector passes in the {run_s:.1f} s run: {passes[0]} young, "
-      f"{passes[1]} middle, {passes[2]} full (unjudged)")
+      f"{passes[1]} middle, {passes[2]} full; {events} events, "
+      f"{run_s * 1e6 / events:.1f} host-us per event (unjudged)")
 problems = []
 if len(live) != n or probes < n:
     problems.append(f"{len(live)} live nodes sent {probes} probes (want {n} and >= {n})")

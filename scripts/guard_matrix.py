@@ -138,8 +138,8 @@ PLANTS = [
     P("item1-self-row-seq", "item 1's seq", CORE + "context.py",
       SELF_ROW + "self.seq,\n", SELF_ROW + "0,\n", True),
     P("heap-tie-rearm-keeps-seq", "reordered heap tie", "src/repro/sim/engine.py",
-      "        self.seq = seq = sim._seq\n        sim._seq = seq + 1\n        queue.push(time, seq, self)\n",
-      "        seq = self.seq\n        queue.push(time, seq, self)\n", False),
+      "        self.seq = seq = sim._seq\n        sim._seq = seq + 1\n        live[seq] = self\n",
+      "        seq = self.seq\n        live[seq] = self\n", False),
 ]
 
 T = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]

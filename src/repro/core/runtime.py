@@ -59,15 +59,26 @@ class SimRuntime(NodeRuntime):
     interface.  Clock duties go straight to the simulator, whose handles
     already satisfy the kernel's timer protocols — every timer the
     protocol arms passes through here, so a hop saved is saved per
-    event.  All nodes of a sequential network share one instance."""
+    event.  All nodes of a sequential network share one instance.
+
+    :meth:`schedule`, :meth:`send` and :meth:`request` are the
+    simulator's and the transport's own bound methods, stored on the
+    instance at construction, so a message or a timer costs no call of
+    this class.  A wrapper installed on :class:`~repro.sim.engine.Simulator`
+    or :class:`~repro.net.transport.Transport` before the runtime is built
+    (the ledger's tracer) is what gets bound; the methods below are
+    what :class:`NodeRuntime` requires of the class."""
 
     def __init__(self, sim: Simulator, transport: Transport):
         self.sim = sim
         self.transport = transport
+        self.schedule = sim.schedule
+        self.send = transport.send
+        self.request = transport.request
 
     @property
     def now(self) -> float:
-        return self.sim.now
+        return self.sim._now
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         return self.sim.schedule(delay, callback, *args)

@@ -12,7 +12,7 @@ Two meters are provided:
 
 from __future__ import annotations
 
-import math
+from math import exp
 
 #: Seconds over which an endpoint's EWMA meter forgets (its ``tau``): the
 #: window of "current bandwidth cost" the level controller reads.
@@ -64,17 +64,18 @@ class EwmaRateMeter:
         self._last_t = t0
 
     def record(self, now: float, bits: float) -> None:
+        # Decays in this frame, as rate() does: every delivery bills one.
         if bits < 0:
             raise ValueError("bits must be non-negative")
-        self._decay(now)
-        self._rate += bits / self.tau
-
-    def _decay(self, now: float) -> None:
         dt = now - self._last_t
         if dt > 0:
-            self._rate *= math.exp(-dt / self.tau)
+            self._rate *= exp(-dt / self.tau)
             self._last_t = now
+        self._rate += bits / self.tau
 
     def rate(self, now: float) -> float:
-        self._decay(now)
+        dt = now - self._last_t
+        if dt > 0:
+            self._rate *= exp(-dt / self.tau)
+            self._last_t = now
         return self._rate

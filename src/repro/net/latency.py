@@ -8,7 +8,7 @@ tests fast and give baselines a topology-independent footing.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Hashable
+from typing import Dict, Hashable, Tuple
 
 from repro.net.topology import Topology
 
@@ -69,12 +69,19 @@ class PairwiseLatencyModel(Topology):
         self.base = float(base)
         self.spread = float(spread)
         self.loopback = float(loopback)
-        #: attached key -> ``repr(key)``, the text the pair hash is taken
-        #: over (formatted once per key, not three times per message).
-        self._attached: Dict[Hashable, str] = {}
+        #: attached key -> ``(repr(key), crc, tail)``: ``crc`` is the CRC-32
+        #: state after ``"(" + repr(key) + ", "`` and ``tail`` the bytes of
+        #: ``repr(key) + ")"``.  The pair hash is taken over
+        #: ``"(lo, hi)"``, and ``crc32(y, crc32(x)) == crc32(x + y)``, so a
+        #: message pays one CRC over its higher key's tail, nothing
+        #: formatted or encoded.  O(keys), not O(pairs).
+        self._attached: Dict[Hashable, Tuple[str, int, bytes]] = {}
 
     def attach(self, key: Hashable) -> None:
-        self._attached[key] = repr(key)
+        text = repr(key)
+        self._attached[key] = (
+            text, zlib.crc32(f"({text}, ".encode("utf-8")), f"{text})".encode("utf-8")
+        )
 
     def detach(self, key: Hashable) -> None:
         self._attached.pop(key, None)
@@ -85,23 +92,22 @@ class PairwiseLatencyModel(Topology):
     def pair_latency(self, a: Hashable, b: Hashable) -> float:
         if a == b:
             return self.loopback
-        return self._hashed(repr(a), repr(b))
-
-    def _hashed(self, ra: str, rb: str) -> float:
-        """The latency of the unordered pair whose keys print as ``ra``
-        and ``rb``: CRC-32 over ``repr((lo, hi))``."""
+        ra, rb = repr(a), repr(b)
         text = f"({ra}, {rb})" if ra <= rb else f"({rb}, {ra})"
         return self.base + self.spread * ((zlib.crc32(text.encode("utf-8")) % 9973) / 9973.0)
 
     def latency(self, a: Hashable, b: Hashable) -> float:
+        """:meth:`pair_latency` of two attached keys, bit for bit."""
         attached = self._attached
         try:
-            ra, rb = attached[a], attached[b]
+            ra, crc_a, tail_a = attached[a]
+            rb, crc_b, tail_b = attached[b]
         except KeyError:
             raise KeyError(f"latency query for unattached key: {a!r} or {b!r}") from None
         if a == b:
             return self.loopback
-        return self._hashed(ra, rb)
+        crc = zlib.crc32(tail_b, crc_a) if ra <= rb else zlib.crc32(tail_a, crc_b)
+        return self.base + self.spread * ((crc % 9973) / 9973.0)
 
     def min_latency(self) -> float:
         return self.base

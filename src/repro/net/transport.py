@@ -17,6 +17,16 @@ endpoints over a :class:`~repro.sim.engine.Simulator`, with:
 Messages to endpoints that are unregistered *at delivery time* vanish
 silently — exactly how a crashed peer looks from the outside.
 
+There is one send path and one delivery path, faults or not:
+:meth:`Transport.send` bills, counts, applies every chaos knob and hands
+the delivery to the queue in its own frame, and :meth:`Transport._deliver`
+does the dead, partition and zombie checks and the receiver's bills in
+its own; each knob that is off costs one attribute test.  ``_route`` and
+``_dispatch`` stay hooks only because :class:`PartitionedTransport`
+overrides them, and :meth:`Transport.request` sends through
+``self.send``, where the ledger's tracer counts ``net.transport.sent``
+(DESIGN.md §4, *A hop's cost*).
+
 Loss/duplication decisions are **hash-derived, not RNG-drawn**: each send
 gets a per-source sequence number, and the drop decision is a pure
 function of ``(loss_seed, source, sequence)``.  A transport-wide RNG
@@ -31,6 +41,7 @@ sequence is identical in every execution mode.
 from __future__ import annotations
 
 import zlib
+from math import isfinite
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.net.bandwidth import BandwidthMeter, EwmaRateMeter
@@ -222,11 +233,6 @@ class Transport:
     def partitioned(self) -> bool:
         return bool(self._partition)
 
-    def _same_side(self, a: Hashable, b: Hashable) -> bool:
-        if not self._partition:
-            return True
-        return self._partition.get(a) == self._partition.get(b)
-
     def set_pair_loss(self, src: Hashable, dst: Hashable, rate: float) -> None:
         """Directed (asymmetric) loss on the ``src -> dst`` link; the
         reverse direction is unaffected.  ``rate=0`` removes the entry."""
@@ -249,6 +255,8 @@ class Transport:
 
     def set_latency_scale(self, scale: float) -> None:
         """Multiply every one-way delay (a network-wide latency spike)."""
+        if not isfinite(scale):
+            raise ValueError(f"latency scale must be finite, got {scale!r}")
         if scale < 1.0:
             raise ValueError("latency scale must be >= 1 (lookahead contract)")
         self.latency_scale = float(scale)
@@ -256,6 +264,8 @@ class Transport:
     def set_endpoint_delay(self, key: Hashable, extra: float) -> None:
         """Extra one-way delay on every message to or from ``key`` (a slow
         node).  ``extra=0`` removes the entry."""
+        if not isfinite(extra):
+            raise ValueError(f"endpoint delay must be finite, got {extra!r}")
         if extra < 0.0:
             raise ValueError("endpoint delay must be >= 0")
         if extra == 0.0:
@@ -298,32 +308,33 @@ class Transport:
         """Fire-and-forget send.  Bills the sender now; delivery (and the
         receiver's bill) happens after the topology latency, unless the
         message is lost or the destination has died."""
-        seq = self._send_seq.get(msg.src, 0)
-        self._send_seq[msg.src] = seq + 1
+        src, kind, bits = msg.src, msg.kind, msg.size_bits
+        send_seq = self._send_seq
+        seq = send_seq.get(src, 0)
+        send_seq[src] = seq + 1
         self.sent += 1
-        self.by_kind[msg.kind] = self.by_kind.get(msg.kind, 0) + 1
-        self.bytes_by_kind[msg.kind] = (
-            self.bytes_by_kind.get(msg.kind, 0) + msg.size_bits
-        )
-        if self._zombies and msg.src in self._zombies:
+        by_kind, bytes_by_kind = self.by_kind, self.bytes_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        bytes_by_kind[kind] = bytes_by_kind.get(kind, 0) + bits
+        if self._zombies and src in self._zombies:
             # A hung process emits nothing (its timers still fire, but the
             # traffic never leaves the host).
             self.dropped_zombie += 1
             return
-        sender = self._endpoints.get(msg.src)
+        sender = self._endpoints.get(src)
         if sender is not None:
-            sender.bw_out.record(self.sim.now, msg.size_bits)
+            sender.bw_out.record(self.sim._now, bits)
         src_bits = None
         if self.loss_rate > 0.0:
-            src_bits = self._src_key_bits(msg.src)
+            src_bits = self._src_key_bits(src)
             if self._decision(src_bits, seq, _SALT_LOSS) < self.loss_rate:
                 self.lost += 1
                 return
         if self._pair_loss:
-            pair_rate = self._pair_loss.get((msg.src, msg.dst))
+            pair_rate = self._pair_loss.get((src, msg.dst))
             if pair_rate is not None:
                 if src_bits is None:
-                    src_bits = self._src_key_bits(msg.src)
+                    src_bits = self._src_key_bits(src)
                 if self._decision(src_bits, seq, _SALT_PAIR) < pair_rate:
                     self.lost += 1
                     return
@@ -334,12 +345,12 @@ class Transport:
         if self.latency_scale != 1.0:
             delay *= self.latency_scale
         if self._latency_extra:
-            delay += self._latency_extra.get(msg.src, 0.0)
+            delay += self._latency_extra.get(src, 0.0)
             delay += self._latency_extra.get(msg.dst, 0.0)
         self._dispatch(msg, delay)
         if self.duplication_rate > 0.0:
             if src_bits is None:
-                src_bits = self._src_key_bits(msg.src)
+                src_bits = self._src_key_bits(src)
             if self._decision(src_bits, seq, _SALT_DUP) < self.duplication_rate:
                 self.duplicated += 1
                 self._dispatch(msg, delay)
@@ -360,23 +371,24 @@ class Transport:
         self.sim.schedule(delay, self._deliver, msg)
 
     def _deliver(self, msg: Message) -> None:
-        ep = self._endpoints.get(msg.dst)
+        dst = msg.dst
+        ep = self._endpoints.get(dst)
         if ep is None:
             self.dropped_dead += 1
             return
-        if not self._same_side(msg.src, msg.dst):
+        partition = self._partition
+        if partition and partition.get(msg.src) != partition.get(dst):
             self.dropped_partition += 1
             return
-        now = self.sim.now
-        if self._zombies and msg.dst in self._zombies:
-            # The bits arrive (and are billed), but the hung process never
-            # reads them: no handler, no reply correlation.
-            ep.bw_in.record(now, msg.size_bits)
-            ep.ewma_in.record(now, msg.size_bits)
+        # The bits arrive, and are billed, even at a zombie.
+        now, bits = self.sim._now, msg.size_bits
+        ep.bw_in.record(now, bits)
+        ep.ewma_in.record(now, bits)
+        if self._zombies and dst in self._zombies:
+            # The hung process never reads them: no handler, no reply
+            # correlation.
             self.dropped_zombie += 1
             return
-        ep.bw_in.record(now, msg.size_bits)
-        ep.ewma_in.record(now, msg.size_bits)
         self.delivered += 1
         if msg.reply_to is not None:
             pending = self._pending.pop(msg.reply_to, None)

@@ -34,6 +34,18 @@ anyway.
 There is one programming style, callbacks: ``sim.schedule(delay, fn,
 *args)`` and its relatives below.
 
+**A hop in three frames.**  Every message of a detailed run is one
+:meth:`Simulator.schedule` and one :meth:`Simulator.step`, so the engine
+does its work in those frames: ``schedule`` checks, numbers and pushes
+itself (the refusals are :meth:`Simulator.schedule_at`'s, message for
+message), ``step`` and ``peek`` pop and read the queue's heap and table
+directly, and ``cancel`` / ``rearm`` touch the table the same way.
+``step``, ``peek`` and ``schedule_at`` stay methods, and :meth:`Simulator.run`
+looks ``peek`` and ``step`` up once per run on the instance, because the
+ledger's tracer wraps them on the class (``sim.engine.events`` is counted
+through ``step``).  On a 2,000-node ring a §4.1 probe round costs the
+engine 14 Python calls instead of 35 (DESIGN.md §4, *A hop's cost*).
+
 Determinism: with a fixed seed (see :mod:`repro.sim.rng`) and the
 tie-breaking sequence number, two runs of the same model produce identical
 event orders, which the test suite relies on.
@@ -48,6 +60,7 @@ pairs for the collector to walk (DESIGN.md §4, *Schedule discipline*).
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -84,7 +97,7 @@ class EventHandle:
     def cancel(self) -> None:
         """Prevent the callback from running and release it.  Idempotent;
         cancelling an already-executed handle is a no-op."""
-        if self._sim._queue.discard(self.seq):
+        if self._sim._live.pop(self.seq, None) is not None:
             self.callback = self.args = None
 
     def rearm(self, delay: float) -> None:
@@ -96,15 +109,16 @@ class EventHandle:
         if self.callback is None:
             raise SimulationError("cannot rearm a cancelled handle")
         sim = self._sim
-        queue = sim._queue
-        if self.seq in queue:
+        live = sim._live
+        if self.seq in live:
             raise SimulationError("cannot rearm a pending handle")
         if not delay >= 0:  # not ``delay < 0``, which a NaN passes
             raise SimulationError(f"cannot rearm after {delay} s: NaN, or negative")
         self.time = time = sim._now + delay
         self.seq = seq = sim._seq
         sim._seq = seq + 1
-        queue.push(time, seq, self)
+        live[seq] = self
+        heappush(sim._heap, (time, seq))
 
     @property
     def active(self) -> bool:
@@ -170,7 +184,11 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0):
-        self._queue = HeapQueue()
+        self._queue = queue = HeapQueue()
+        #: The queue's heap and table, which :meth:`schedule`, :meth:`step`,
+        #: :meth:`peek` and a handle's ``cancel`` / ``rearm`` work on in
+        #: their own frames.
+        self._heap, self._live = queue._heap, queue._live
         self._now = float(start_time)
         self._seq = 0
         self._events_executed = 0
@@ -198,10 +216,22 @@ class Simulator:
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+
+        The refusals and the push are :meth:`schedule_at`'s, done in this
+        frame: every message and timer of a run comes through here."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule_at(self._now + delay, callback, *args)
+        now = self._now
+        time = now + delay
+        if not time >= now:  # a NaN delay
+            raise SimulationError(f"cannot schedule at {time}: NaN, or in the past of {now}")
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args, self)
+        self._live[seq] = handle
+        heappush(self._heap, (time, seq))
+        return handle
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any
@@ -283,14 +313,16 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when none remain."""
-        try:
-            time, _seq, handle = self._queue.pop()
-        except IndexError:
-            return False
-        self._now = time
-        self._events_executed += 1
-        handle.callback(*handle.args)
-        return True
+        heap, live = self._heap, self._live
+        while heap:
+            time, seq = heappop(heap)
+            handle = live.pop(seq, None)  # None: cancelled, skip it
+            if handle is not None:
+                self._now = time
+                self._events_executed += 1
+                handle.callback(*handle.args)
+                return True
+        return False
 
     def peek(self) -> Optional[float]:
         """Timestamp of the next live event, or ``None``.
@@ -299,7 +331,13 @@ class Simulator:
         place, so ``(time, seq)`` order — FIFO ties included — is
         untouched.
         """
-        return self._queue.peek_time()
+        heap, live = self._heap, self._live
+        while heap:
+            head = heap[0]
+            if head[1] in live:
+                return head[0]
+            heappop(heap)
+        return None
 
     def run(
         self,
@@ -310,13 +348,20 @@ class Simulator:
         have executed.  Returns the final clock value.
 
         When stopping at ``until``, the clock is advanced to exactly
-        ``until`` (events at later times stay pending).
+        ``until`` (events at later times stay pending).  An ``until``
+        before the clock is refused and leaves it where it is; ``until ==
+        now`` runs only the events due now.
         """
         if self._running:
             raise SimulationError("run() re-entered")
         if until != until:  # NaN: no event time is ever "> until"
             raise SimulationError("cannot run until NaN")
+        if until is not None and until < self._now:
+            raise SimulationError("cannot run backwards")
         self._running = True
+        # Bound once, and looked up on the instance so that a wrapper
+        # installed on the class (the ledger's tracer) is the one called.
+        peek, step = self.peek, self.step
         try:
             executed = 0
             while True:
@@ -325,13 +370,13 @@ class Simulator:
                 # peek() skips cancelled entries; using the raw queue head
                 # here would let step() run a live event beyond `until`
                 # whenever a cancelled entry fronted the queue.
-                next_t = self.peek()
+                next_t = peek()
                 if next_t is None:
                     break
                 if until is not None and next_t > until:
                     self._now = until
                     break
-                if not self.step():
+                if not step():
                     break
                 executed += 1
             if until is not None and self._now < until and self._queue.peek_time() is None:

@@ -3,7 +3,9 @@
 * :class:`HeapQueue` — a binary heap (``heapq``) of ``(time, seq)`` pairs
   plus a ``seq -> item`` table of the *live* entries, O(log n) per
   operation.  This is the engine's scheduler: every
-  :class:`~repro.sim.engine.Simulator` builds one.
+  :class:`~repro.sim.engine.Simulator` builds one, and its per-event
+  methods push, pop and read the ``_heap`` and ``_live`` table directly,
+  so the layout below is the two modules' contract.
 * :class:`CalendarQueue` — the classic Brown (1988) calendar queue, O(1)
   amortized when the event-time distribution is stable.  No simulator
   uses it: on the ledger's hold model it does about 1.0 M ops/s against

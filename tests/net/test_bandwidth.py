@@ -46,6 +46,28 @@ class TestEwmaRateMeter:
     def test_zero_rate_initially(self):
         assert EwmaRateMeter().rate(100.0) == 0.0
 
+    def test_record_is_decay_then_add_bit_for_bit(self):
+        """``record`` decays in its own frame; it must equal decaying
+        first and adding after, with ``dt = 0`` and a record at an earlier
+        time (neither decays) among the samples."""
+
+        def reference(rate, last_t, tau, now, bits):
+            dt = now - last_t
+            if dt > 0:
+                rate *= math.exp(-dt / tau)
+                last_t = now
+            return rate + bits / tau, last_t
+
+        m = EwmaRateMeter(tau=7.3, t0=1.0)
+        rate, last_t = 0.0, 1.0
+        samples = [(1.0, 500), (1.0, 20), (2.5, 1000), (2.5, 0), (2.0, 300),
+                   (9.75, 4096), (9.5, 7), (400.0, 1), (400.1, 123456)]
+        for now, bits in samples:
+            m.record(now, bits)
+            rate, last_t = reference(rate, last_t, m.tau, now, bits)
+            assert m._rate == rate and m._last_t == last_t, (now, bits)
+        assert m.rate(401.0) == rate * math.exp(-(401.0 - last_t) / m.tau)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             EwmaRateMeter(tau=0.0)

@@ -129,6 +129,13 @@ class TestLatencyKnobs:
         with pytest.raises(ValueError):
             tr.set_latency_scale(0.5)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        sim, tr = make_transport()
+        with pytest.raises(ValueError, match="finite"):
+            tr.set_latency_scale(scale)
+        assert tr.latency_scale == 1.0
+
     def test_endpoint_delay_applies_both_directions(self):
         sim, tr = make_transport(latency=0.1)
         arrived = []
@@ -156,6 +163,13 @@ class TestLatencyKnobs:
         sim, tr = make_transport()
         with pytest.raises(ValueError):
             tr.set_endpoint_delay("a", -0.1)
+
+    @pytest.mark.parametrize("extra", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, extra):
+        sim, tr = make_transport()
+        with pytest.raises(ValueError, match="finite"):
+            tr.set_endpoint_delay("a", extra)
+        assert not tr._latency_extra
 
 
 class TestZombie:

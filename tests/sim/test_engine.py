@@ -225,6 +225,23 @@ class TestRunBounds:
         assert sim.peek() is None
         assert len(sim) == 0
 
+    def test_run_backwards_is_refused_and_leaves_the_clock(self):
+        """A second run to an earlier ``until`` used to set the clock back
+        to it, so an event scheduled after it ran in the past of one that
+        had already run."""
+        sim = Simulator()
+        ran = []
+        sim.schedule(10.0, ran.append, 10.0)
+        sim.schedule(20.0, ran.append, 20.0)
+        assert sim.run(until=15.0) == 15.0
+        with pytest.raises(SimulationError, match="cannot run backwards"):
+            sim.run(until=5.0)
+        assert sim.now == 15.0
+        assert sim.run(until=15.0) == 15.0  # until == now runs nothing
+        sim.schedule(1.0, lambda: ran.append(sim.now))
+        sim.run()
+        assert ran == [10.0, 16.0, 20.0]
+
     def test_reentrant_run_rejected(self):
         sim = Simulator()
 
