@@ -45,13 +45,19 @@ runs the exact §4.2 binomial dissemination over the real audience of a
 random subject (see :func:`binomial_broadcast`).  That tree is fixed by
 the id trie and the strongest-first rule, so it is built bit-synchronously:
 
-* the groups still waiting at bit ``b`` are the id-trie nodes of depth ``b``;
-* one vector step per bit splits every group at once and re-roots each
-  split-off half under its strongest member;
-* "strongest" is a segmented minimum over the ``(level, id)`` rank.
+* the audience is sorted by id once, so every id-trie node is a run of
+  positions;
+* the groups still waiting at bit ``b`` are the id-trie nodes of depth ``b``
+  with a member left to reach, each held as ``(lo, hi, root)``;
+* one vector step per bit finds every group's split point with one
+  ``searchsorted`` and re-roots each split-off half under its strongest
+  member;
+* "strongest" is a segmented minimum (one ``reduceat``) over the rank
+  ``level * n + position``, which is the ``(level, id)`` order.
 
-Cost: at most ``id_bits`` steps of O(n) array work (about 40 ms for the
-60,000-member audiences of the paper-scale run).
+Cost: one sort, then at most ``id_bits`` steps over the waiting groups
+(≈ 1.4 n group-steps in all for uniform ids), not over their members:
+about 20 ms for the 66,000-member audiences of the paper-scale run.
 
 Dividing by the integrated entry-seconds (sampled each measurement tick)
 gives exactly the paper's per-level peer-list error rate (figures 7, 10,
@@ -94,12 +100,14 @@ def binomial_broadcast(
     Every node holding the event handles bit ``b`` in the same vector step:
     the members it must still reach that differ from it at ``b`` get the
     event through their strongest one (lowest level, then lowest id), who
-    serves them from bit ``b + 1`` on.  At most ``id_bits`` steps, each O(n).
+    serves them from bit ``b + 1`` on.  At most ``id_bits`` steps, each over
+    the id-trie nodes still waiting, not over their members.
 
     Parameters
     ----------
     ids, levels:
-        Audience member ids (uint64) and levels, including the root.
+        Audience member ids (uint64, each below ``2**id_bits``) and levels,
+        one per member, including the root.
     root_pos:
         Index of the multicast root (the top node) within the arrays.
     id_bits:
@@ -113,51 +121,92 @@ def binomial_broadcast(
         happen for well-formed audiences; tests assert full coverage).
     sender_counts:
         Per-member number of multicast messages sent (out-degree).
+
+    Raises
+    ------
+    ValueError
+        ``ids`` not ``uint64``, ``ids`` / ``levels`` shapes that differ, an
+        id of ``2**id_bits`` or more, or a ``root_pos`` outside ``[0, n)``
+        (an empty audience has no root to check).
     """
+    ids = np.asarray(ids)
+    levels = np.asarray(levels)
+    if ids.dtype != np.uint64:
+        raise ValueError(f"ids must be uint64, not {ids.dtype}")
+    if ids.ndim != 1 or levels.shape != ids.shape:
+        raise ValueError(
+            f"ids and levels must be 1-D and of one shape, not {ids.shape} and {levels.shape}"
+        )
     n = ids.shape[0]
     depths = np.full(n, -1, dtype=np.int32)
     sender_counts = np.zeros(n, dtype=np.int32)
     if n == 0:
         return depths, sender_counts
+    if not 0 <= root_pos < n:
+        raise ValueError(f"root_pos={root_pos} is outside [0, {n})")
+    # Members in id order: a node of the id trie is one run of positions.
+    # Equal ids (ill-formed) keep their input order, so of two copies at one
+    # level the first is the stronger.
+    order = ids.argsort()
+    sorted_ids = ids[order]
+    if (sorted_ids[1:] == sorted_ids[:-1]).any():
+        order = ids.argsort(kind="stable")
+        sorted_ids = ids[order]
+    if int(sorted_ids[-1]) >> id_bits:
+        raise ValueError(f"id {int(sorted_ids[-1])} does not fit in id_bits={id_bits}")
+    # Strongest-first rank of each position: (level, position in id order)
+    # as one integer, so a position is ``rank % n``.  The extra last cell
+    # lets a half that ends at ``n`` close its ``reduceat`` segment.
+    rank = np.empty(n + 1, dtype=np.int64)
+    rank[:n] = levels[order].astype(np.int64) * n
+    rank[:n] += np.arange(n)
+    rank[n] = np.iinfo(np.int64).max
     depths[root_pos] = 0
-    # Strongest-first rank (min level, then min id) and its inverse.
-    by_strength = np.lexsort((ids, levels))
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_strength] = np.arange(n)
-    # Undelivered members in id order, each beside the node that must
-    # reach it.  A root's members share its first ``b`` bits at bit ``b``
-    # (they are one node of the id trie), so they are one contiguous run.
-    members = np.argsort(ids, kind="stable")
-    members = members[members != root_pos]
-    roots = np.full(members.size, root_pos, dtype=np.intp)
+    # The trie nodes still waiting, in position order: positions [lo, hi),
+    # all undelivered but the node's root.  A node whose root is alone in
+    # it is done.
+    waiting = int(n > 1)
+    lo = np.zeros(waiting, dtype=np.intp)
+    hi = np.full(waiting, n, dtype=np.intp)
+    root = (order == root_pos).nonzero()[0][:waiting]
     one = np.uint64(1)
     for b in range(id_bits):
-        if members.size == 0:
+        if lo.size == 0:
             break
         shift = np.uint64(id_bits - 1 - b)
-        split = np.flatnonzero(((ids[members] ^ ids[roots]) >> shift) & one)
-        if split.size == 0:
-            continue
-        # One run per root whose group splits at this bit: the root sends
-        # once, to the strongest member of the half it is not in, and that
-        # member takes the half over.
-        split_roots = roots[split]
-        new_run = np.concatenate(([True], split_roots[1:] != split_roots[:-1]))
-        run_starts = np.flatnonzero(new_run)
-        split_rank = rank[members[split]]
-        best = np.minimum.reduceat(split_rank, run_starts)
-        targets = by_strength[best]
-        senders = split_roots[run_starts]
-        depths[targets] = depths[senders] + 1
-        sender_counts[senders] += 1  # a root has one group: no repeats
-        run_of = np.cumsum(new_run) - 1
-        roots[split] = targets[run_of]
-        undelivered = np.ones(members.size, dtype=bool)
-        undelivered[split[split_rank == best[run_of]]] = False
-        members = members[undelivered]
-        roots = roots[undelivered]
-    # Anything still in ``members`` equals its root in every bit: a
-    # duplicate id, which a well-formed audience does not have.
+        # First position whose id has the root's first b bits and a 1 at b.
+        mid = sorted_ids.searchsorted(((sorted_ids[root] >> shift) | one) << shift)
+        upper = root >= mid
+        split = ((lo < mid) & (mid < hi)).nonzero()[0]
+        target = root.copy()
+        if split.size:
+            # Each splitting node's root sends once, to the strongest member
+            # of the half it is not in, and that member roots the half.  The
+            # halves are in position order, so the segments between them
+            # cover each position at most once.
+            bounds = np.empty(2 * split.size, dtype=np.intp)
+            bounds[0::2] = np.where(upper, lo, mid)[split]
+            bounds[1::2] = np.where(upper, mid, hi)[split]
+            target[split] = np.minimum.reduceat(rank, bounds)[0::2] % n
+            senders = order[root[split]]
+            depths[order[target[split]]] = depths[senders] + 1
+            sender_counts[senders] += 1  # a root has one node: no repeats
+        # Both halves of every node, lower first, then only those waiting.
+        halves = 2 * lo.size
+        lo2 = np.empty(halves, dtype=np.intp)
+        hi2 = np.empty(halves, dtype=np.intp)
+        root2 = np.empty(halves, dtype=np.intp)
+        lo2[0::2] = lo
+        lo2[1::2] = hi2[0::2] = mid
+        hi2[1::2] = hi
+        root2[0::2] = np.where(upper, target, root)
+        root2[1::2] = np.where(upper, root, target)
+        keep = (hi2 - lo2 > 1).nonzero()[0]
+        lo = lo2[keep]
+        hi = hi2[keep]
+        root = root2[keep]
+    # A node still waiting holds copies of its root's id: duplicates, which
+    # a well-formed audience does not have.
     return depths, sender_counts
 
 
@@ -636,31 +685,28 @@ class ScalableSim:
         """Integrate entry-seconds, node-seconds and probe traffic."""
         if self._measuring:
             dt = self.p.measure_interval_s
-            bits = self.p.id_bits
+            nodes = np.zeros(self.p.max_level + 1)
+            entries = np.zeros(self.p.max_level + 1)
             for l in range(self.p.max_level + 1):
-                slots = self._level_slots(l)
-                if slots.size == 0:
-                    continue
-                prefixes = (
-                    (self.ids[slots] >> np.uint64(bits - l)).astype(np.int64)
-                    if l
-                    else np.zeros(slots.size, dtype=np.int64)
-                )
-                sizes = self._counts[l][prefixes]
-                self.entry_seconds[l] += float(sizes.sum()) * dt
-                self.node_seconds[l] += slots.size * dt
-                # Ring probing (§4.1): one heartbeat per probe interval per
-                # node, plus the ack.
-                probes = slots.size * dt / self.p.probe_interval_s
-                self.bits_out[l] += probes * self.p.heartbeat_bits
-                self.bits_in[l] += probes * (self.p.heartbeat_bits + self.p.ack_bits)
+                sizes, members = self._level_lists(l)
+                nodes[l] = members.sum()
+                entries[l] = sizes @ members  # an integer: exact
+            self.entry_seconds += entries * dt
+            self.node_seconds += nodes * dt
+            # Ring probing (§4.1): one heartbeat per probe interval per
+            # node, plus the ack.
+            probes = nodes * dt / self.p.probe_interval_s
+            self.bits_out += probes * self.p.heartbeat_bits
+            self.bits_in += probes * (self.p.heartbeat_bits + self.p.ack_bits)
         self.sim.schedule(self.p.measure_interval_s, self._measure_tick)
 
-    def _level_slots(self, l: int) -> np.ndarray:
-        mask = self.alive & (
-            np.minimum(self.levels, self.p.max_level) == l
-        )
-        return np.flatnonzero(mask)
+    def _level_lists(self, l: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Level l's peer-list sizes and how many level-l nodes have each:
+        a level-l node's list is everyone sharing its l-bit prefix, so per
+        prefix that has a level-l node, that prefix's population."""
+        members = self._level_counts[l]
+        held = members.nonzero()[0]
+        return self._counts[l][held].astype(np.int64), members[held].astype(np.int64)
 
     def _tree_sample_tick(self) -> None:
         """Calibrate per-level depths/out-degrees with one exact tree."""
@@ -668,7 +714,9 @@ class ScalableSim:
             self._sample_tree()
         self.sim.schedule(self.p.tree_sample_interval_s, self._tree_sample_tick)
 
-    def _sample_tree(self) -> None:
+    def _sample_tree(self) -> int:
+        """Add one exact tree over a random subject's audience to the
+        calibration; returns the audience size (0 below two members)."""
         bits = self.p.id_bits
         # Random live subject.
         values = list(self._slot_of.keys())
@@ -682,21 +730,25 @@ class ScalableSim:
         mask &= agree
         idx = np.flatnonzero(mask)
         if idx.size < 2:
-            return
+            return 0
         ids = self.ids[idx]
         levels = self.levels[idx].astype(np.int32)
         # Root: the strongest audience member (a top node), ties by id.
-        order = np.lexsort((ids, levels))
-        root_pos = int(order[0])
+        strongest = (levels == levels.min()).nonzero()[0]
+        root_pos = int(strongest[ids[strongest].argmin()])
         depths, senders = binomial_broadcast(ids, levels, root_pos, bits)
         reached = depths >= 0
-        for l in range(self.p.max_level + 1):
-            sel = reached & (np.minimum(levels, self.p.max_level) == l)
-            if sel.any():
-                self._depth_by_level[l] += float(depths[sel].mean())
-                self._depth_samples[l] += 1
-            sends_l = senders[np.minimum(levels, self.p.max_level) == l].sum()
-            self._sends_by_level[l] += float(sends_l)
+        # Sums of integers, exact in float64: a level's mean depth does not
+        # depend on the order its depths are added in.
+        width = self.p.max_level + 1
+        capped = np.minimum(levels, self.p.max_level)
+        reached_levels = capped[reached]
+        depth_counts = np.bincount(reached_levels, minlength=width)
+        depth_sums = np.bincount(reached_levels, weights=depths[reached], minlength=width)
+        sampled = depth_counts > 0
+        self._depth_by_level[sampled] += depth_sums[sampled] / depth_counts[sampled]
+        self._depth_samples[sampled] += 1
+        self._sends_by_level += np.bincount(capped, weights=senders, minlength=width)
         self._send_samples += 1
         self._depth_sampled = self._depth_samples > 0
         np.divide(
@@ -708,6 +760,7 @@ class ScalableSim:
         self._tree_depths_all.append(float(depths[reached].mean()))
         self._tree_max_depth = max(self._tree_max_depth, int(depths.max()))
         self._root_out_degrees.append(int(senders[root_pos]))
+        return int(idx.size)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -793,23 +846,18 @@ class ScalableSim:
     def _report(self) -> ScalableResult:
         rows: List[LevelRow] = []
         pop = self.population
-        bits = self.p.id_bits
         total_err_num = 0.0
         total_err_den = 0.0
         for l in range(self.p.max_level + 1):
-            slots = self._level_slots(l)
-            count = int(slots.size)
+            sizes, members = self._level_lists(l)
+            count = int(members.sum())
             if count == 0 and self.node_seconds[l] == 0:
                 continue
             if count:
-                prefixes = (
-                    (self.ids[slots] >> np.uint64(bits - l)).astype(np.int64)
-                    if l
-                    else np.zeros(count, dtype=np.int64)
-                )
-                sizes = self._counts[l][prefixes].astype(float)
+                mean_size = float(sizes @ members) / count
+                min_size, max_size = float(sizes.min()), float(sizes.max())
             else:
-                sizes = np.zeros(1)
+                mean_size = min_size = max_size = 0.0
             err_num = self.stale_seconds[l] + self.absent_seconds[l]
             err_den = self.entry_seconds[l]
             error_rate = err_num / err_den if err_den > 0 else 0.0
@@ -823,9 +871,9 @@ class ScalableSim:
                     level=l,
                     population=count,
                     fraction=count / pop if pop else 0.0,
-                    mean_list_size=float(sizes.mean()),
-                    min_list_size=float(sizes.min()),
-                    max_list_size=float(sizes.max()),
+                    mean_list_size=mean_size,
+                    min_list_size=min_size,
+                    max_list_size=max_size,
                     error_rate=float(error_rate),
                     stale_rate=float(stale_rate),
                     absent_rate=float(absent_rate),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.scalable import binomial_broadcast
+from repro.experiments.scalable import ScalableParams, ScalableSim, binomial_broadcast
 
 
 def reference_broadcast(ids, levels, root_pos, id_bits):
@@ -45,9 +45,10 @@ def reference_broadcast(ids, levels, root_pos, id_bits):
 
 
 @st.composite
-def audiences(draw):
+def audiences(draw, repeats=False):
     """Unique ids with levels; half the time a real audience (every member
-    shares its own ``level`` leading bits with one subject)."""
+    shares its own ``level`` leading bits with one subject).  With
+    ``repeats`` some ids occur more than once, each copy with its own level."""
     id_bits = draw(st.integers(min_value=8, max_value=62))
     n = draw(st.integers(min_value=0, max_value=400))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -59,6 +60,10 @@ def audiences(draw):
         ids = ((subject >> keep) << keep) | (ids & ((np.uint64(1) << keep) - np.uint64(1)))
     ids, first = np.unique(ids, return_index=True)
     levels = levels[first]
+    if repeats and ids.size:
+        copies = rng.integers(0, ids.size, size=draw(st.integers(1, 20)))
+        ids = np.concatenate((ids, ids[copies]))
+        levels = np.concatenate((levels, rng.integers(0, 7, size=copies.size).astype(np.int32)))
     # Unsorted input: the kernel must not rely on the caller's order.
     shuffle = rng.permutation(ids.size)
     ids, levels = ids[shuffle], levels[shuffle]
@@ -84,6 +89,30 @@ class TestAgainstReference:
         assert (depths >= 0).all()  # unique ids: everyone is reached
         assert senders.sum() == max(ids.size - 1, 0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(audiences(repeats=True))
+    def test_repeated_ids_any_root(self, audience):
+        """Copies of one id at one level tie; the tie-break (input order)
+        must pick the copy the reference's ``min`` picks, and only one copy
+        per id is reached."""
+        ids, levels, root_pos, id_bits = audience
+        depths, senders = assert_matches_reference(ids, levels, root_pos, id_bits)
+        distinct = np.unique(ids).size
+        assert (depths >= 0).sum() == distinct
+        assert senders.sum() == max(distinct - 1, 0)
+
+    def test_engine_population(self):
+        """The ids and levels of a seeded 5,000-node engine, rooted at its
+        strongest node, as ``_sample_tree`` roots a tree."""
+        sim = ScalableSim(ScalableParams(n_target=5_000, seed=11, use_transit_stub=False))
+        sim.seed_population()
+        live = np.flatnonzero(sim.alive)
+        ids = sim.ids[live]
+        levels = sim.levels[live].astype(np.int32)
+        root_pos = int(np.lexsort((ids, levels))[0])
+        depths, senders = assert_matches_reference(ids, levels, root_pos, sim.p.id_bits)
+        assert (depths >= 0).all() and senders.sum() == ids.size - 1
+
     @pytest.mark.parametrize("n,root_pos", [(0, 0), (1, 0), (2, 0), (2, 1)])
     def test_tiny_audiences(self, n, root_pos):
         ids = np.array([0b1011_0000, 0b1010_1111][:n], dtype=np.uint64)
@@ -100,6 +129,38 @@ class TestAgainstReference:
         levels = np.zeros(4, dtype=np.int32)
         depths, _ = assert_matches_reference(ids, levels, 0, 8)
         assert (depths == -1).sum() == 1 and depths[1] * depths[2] < 0
+
+
+class TestRefusals:
+    """Inputs the kernel cannot build a tree for are refused by name, not
+    turned into some other tree."""
+
+    ids = np.array([0b0001_0000, 0b0100_0000, 0b1000_0000, 0b1100_0000], dtype=np.uint64)
+    levels = np.zeros(4, dtype=np.int32)
+
+    @pytest.mark.parametrize("root_pos", [-1, 4])
+    def test_root_outside_the_audience(self, root_pos):
+        with pytest.raises(ValueError, match="root_pos"):
+            binomial_broadcast(self.ids, self.levels, root_pos, 8)
+
+    def test_ids_not_uint64(self):
+        with pytest.raises(ValueError, match="uint64"):
+            binomial_broadcast(self.ids.astype(np.int64), self.levels, 0, 8)
+
+    def test_shapes_differ(self):
+        with pytest.raises(ValueError, match="ids and levels"):
+            binomial_broadcast(self.ids, self.levels[:3], 0, 8)
+
+    def test_id_wider_than_id_bits(self):
+        ids = self.ids.copy()
+        ids[2] = 300
+        with pytest.raises(ValueError, match="id_bits"):
+            binomial_broadcast(ids, self.levels, 0, 8)
+
+    def test_widest_id_is_accepted(self):
+        ids = self.ids.copy()
+        ids[2] = 255
+        assert_matches_reference(ids, self.levels, 0, 8)
 
 
 def c_calls_in_one_broadcast(n: int, id_bits: int) -> int:
