@@ -27,7 +27,8 @@
 #                                # a 10^4-node detailed run fits in 550 MB,
 #                                # and at the paper's level mix in 2350 MB;
 #                                # the scalable engine seeds 10^6 nodes
-#                                # in < 700 MB;
+#                                # in < 700 MB, then runs 10^6 nodes at
+#                                # lifetime_rate 0.01 (unjudged, minutes);
 #                                # the n=1,000 six-contestant tournament
 #                                # keeps its champion healthy in < 1000 MB
 set -u
@@ -212,7 +213,8 @@ for p in problems:
 sys.exit(1 if problems else 0)
 PY
   seeding 100000 || status=1
-  $PY -m pytest -q tests/workloads/test_block_draws.py tests/experiments/test_scalable.py || status=1
+  $PY -m pytest -q tests/workloads/test_block_draws.py tests/experiments/test_scalable.py \
+    tests/experiments/test_churn_rows.py || status=1
 }
 
 check_chaos() {
@@ -510,6 +512,27 @@ sys.exit(1 if problems else 0)
 PY
   echo "== scale (scalable engine: 10^6 nodes seeded, <= 4 pending entries, < 700 MB; one tree sample timed) =="
   seeding 1000000 700 || status=1
+  echo "== scale (scalable engine: 10^6 nodes x lifetime_rate 0.01, 60 + 180 sim-s; unjudged: events, host-s, host-us per event, peak RSS) =="
+  with_timeout 1800 $PY - <<'PY' || status=1
+import resource, time
+from repro.experiments.scalable import ScalableParams, ScalableSim
+
+# The short-session corner of the stability frontier, printed for the eye:
+# nothing here is judged but that the run completes.
+sim = ScalableSim(ScalableParams(n_target=1_000_000, lifetime_rate=0.01,
+                                 warmup_s=60.0, duration_s=180.0))
+started = time.perf_counter()
+sim.seed_population()
+seed_s = time.perf_counter() - started
+started = time.perf_counter()
+res = sim.run()
+host_s = time.perf_counter() - started
+events = sim.sim.events_executed
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+print(f"scale: 10^6 x rate 0.01: seeded in {seed_s:.1f} host-s, then {events:,} events "
+      f"in {host_s:.1f} host-s ({host_s / events * 1e6:.1f} host-us per event), "
+      f"peak RSS {rss_mb:.0f} MB, mean error rate {res.mean_error_rate:.4f}")
+PY
   echo "== scale (six-contestant tournament, n=1,000 x 130 sim-s, one contestant at a time: champion healthy, < 1000 MB) =="
   with_timeout 900 $PY - <<'PY' || status=1
 import gc, resource, sys, time

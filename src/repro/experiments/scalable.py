@@ -16,7 +16,8 @@ prefix).  Per-level *membership* counters (``_level_counts[l]``) count only
 the level-l nodes per prefix; they give audience compositions for the
 error and bandwidth accounting.  Each family is one flat table (cell of
 ``(l, prefix)`` = ``2^l - 1 + prefix``, the per-level arrays are views), so
-one event reads or updates its ``max_level + 1`` cells with one gather.
+a block of events reads or updates its ``max_level + 1`` cells each with one
+gather.
 
 Dynamics
 --------
@@ -61,14 +62,17 @@ about 20 ms for the 66,000-member audiences of the paper-scale run.
 
 Dividing by the integrated entry-seconds (sampled each measurement tick)
 gives exactly the paper's per-level peer-list error rate (figures 7, 10,
-12); the same per-event bookkeeping accumulates input/output bits for
-figure 8.
+12); the same per-event charges accumulate input/output bits for figure 8.
+Each event queues one churn row; ``_flush`` charges a block of rows with one
+sort (each row sees its own moment's level counts) and one axis-0 reduce per
+accumulator (the same addends in the same order as one ``+=`` per event).
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import chain, islice, repeat
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -224,6 +228,13 @@ COUNTER_TABLE_CELL_BUDGET = 1 << 24
 #: population is seeded).  No result depends on it.
 JOIN_DRAW_BLOCK = 1024
 
+#: Churn rows one ``_flush`` pass takes; it bounds the pass's memory.  No
+#: result depends on it.
+CHURN_BLOCK = 4096
+# A churn row: id, kind, old level, new level (-1: none), unsampled-tree delay.
+_JOIN, _LEAVE, _REFRESH, _RELEVEL = range(4)
+_ROW = 5
+
 
 @dataclass(frozen=True)
 class ScalableParams:
@@ -349,6 +360,11 @@ class ScalableSim:
         bandwidth_dist: Optional[GnutellaBandwidthDistribution] = None,
     ):
         self.p = params if params is not None else ScalableParams()
+        if lifetime_dist is not None and lifetime_dist.lifetime_rate != self.p.lifetime_rate:
+            raise ValueError(
+                f"lifetime_dist.lifetime_rate={lifetime_dist.lifetime_rate} differs from "
+                f"params.lifetime_rate={self.p.lifetime_rate}"
+            )
         self.streams = RandomStreams(self.p.seed)
         self.sim = Simulator()
         self.lifetimes = (
@@ -408,8 +424,8 @@ class ScalableSim:
         self._depth_samples = np.zeros(L + 1)
         self._sends_by_level = np.zeros(L + 1)
         self._send_samples = 0
-        # What ``_delays`` / ``_charge_traffic`` read, derived from the four
-        # above where ``_sample_tree`` writes them.
+        # What ``_flush`` charges with, derived from the four above where
+        # ``_sample_tree`` writes them.
         self._depth_sampled = np.zeros(L + 1, dtype=bool)
         self._depth_delay = np.zeros(L + 1)  # depth * hop delay where sampled
         self._send_bits: Optional[np.ndarray] = None
@@ -420,6 +436,8 @@ class ScalableSim:
         # Event-rate estimator -----------------------------------------
         self._event_times: deque = deque()
         self._rate_estimate = 0.0
+
+        self._rows: List[float] = []  # churn rows not yet flushed, back to back
 
         self.joins = 0
         self.leaves = 0
@@ -491,40 +509,17 @@ class ScalableSim:
         )
         return levels
 
-    def _prefix(self, value: int, l: int) -> int:
-        return value >> (self.p.id_bits - min(l, self.p.max_level)) if l else 0
-
-    def _cells(self, value: int) -> np.ndarray:
-        """Flat-table cells of one id's prefixes, for l = 0..max_level."""
-        return (np.uint64(value) >> self._cell_shift).astype(np.int64) + self._cell_base
-
-    def _add_node(
-        self, value: int, level: int, threshold: float, now: float, cells: np.ndarray
-    ) -> int:
-        slot = self._free.pop()
-        self.ids[slot] = value
-        self.levels[slot] = level
-        self.thresholds[slot] = threshold
-        self.alive[slot] = True
-        self.join_times[slot] = now
-        self._slot_of[value] = slot
-        self._counts_flat[cells] += 1  # one cell per level
-        l = min(level, self.p.max_level)
-        self._level_counts[l][self._prefix(value, l)] += 1
-        return slot
-
-    def _remove_node(self, value: int, cells: np.ndarray) -> None:
-        slot = self._slot_of.pop(value)
-        self.alive[slot] = False
-        self._counts_flat[cells] -= 1
-        l = min(int(self.levels[slot]), self.p.max_level)
-        self._level_counts[l][self._prefix(value, l)] -= 1
-        self._free.append(slot)
+    def _cells(self, values: np.ndarray) -> np.ndarray:
+        """Flat-table cells of each id's prefixes: one row per id, one
+        column per level l = 0..max_level."""
+        return (values[:, None] >> self._cell_shift).astype(np.int64) + self._cell_base
 
     # -- event-rate estimator ------------------------------------------------
 
-    def _record_event(self) -> None:
-        now = self.sim.now
+    def _record_event(self, now: float) -> None:
+        """Count a join, leave or refresh (its row queued) at ``now``."""
+        if len(self._rows) >= _ROW * CHURN_BLOCK:
+            self._flush()
         times = self._event_times
         times.append(now)
         cutoff = now - self.p.rate_window_s
@@ -534,51 +529,12 @@ class ScalableSim:
             window = min(self.p.rate_window_s, now) or 1.0
             self._rate_estimate = len(times) / window
 
-    # -- error/bandwidth accounting ---------------------------------------------
-
-    def _delays(self, detection: float) -> np.ndarray:
-        """Expected event-propagation delay to the level-l audience members,
-        for l = 0..max_level."""
-        # A level no tree sample has reached yet gets the log2(N)/2 guess.
-        unsampled_depth = max(1.0, math.log2(max(self.population, 2)) * 0.5)
-        tree = np.where(
-            self._depth_sampled, self._depth_delay, unsampled_depth * self._hop_delay
-        )
-        return detection + self._hop_delay + tree  # the report leg is one hop
-
-    def _audience(self, cells: np.ndarray) -> np.ndarray:
-        """How many level-l nodes hear about the subject whose
-        :meth:`_cells` these are, l = 0..max_level."""
-        return self._level_counts_flat[cells].astype(np.int64)
-
-    def _account_event(self, cells: np.ndarray, detection: float, stale: bool) -> None:
-        """Charge one join/leave event's staleness/absence plus traffic."""
-        if not self._measuring:
-            return
-        audience = self._audience(cells)
-        # A level nobody listens at is charged ``delay * 0``: nothing.
-        charge = self._delays(detection) * audience
-        if stale:
-            self.stale_seconds += charge
-        else:
-            self.absent_seconds += charge
-        self._charge_traffic(audience)
-
-    def _account_traffic(self, subject_value: int) -> None:
-        """Charge one multicast's bandwidth (any event kind)."""
-        if self._measuring:
-            self._charge_traffic(self._audience(self._cells(subject_value)))
-
-    def _charge_traffic(self, audience: np.ndarray) -> None:
-        # Each audience member receives the 1000-bit event and acks it.
-        self.bits_in += audience * self.p.event_bits
-        self.bits_out += audience * self.p.ack_bits
-        # Sender side of the multicast: distribute the tree's sends over
-        # levels using the calibrated per-level out-degree profile.
-        if self._send_bits is not None:
-            self.bits_out += self._send_bits
-
     # -- simulation events ---------------------------------------------------------
+
+    def _unsampled_delay(self) -> float:
+        """Tree delay to a level no tree sample has reached yet: the
+        log2(N)/2-hop guess at the current population."""
+        return max(1.0, math.log2(max(len(self._slot_of), 2)) * 0.5) * self._hop_delay
 
     def _schedule_join(self) -> None:
         rate = self.p.n_target / self._mean_lifetime
@@ -592,13 +548,18 @@ class ScalableSim:
             self._refill_join_draws()
         threshold, lifetime = self._join_draws.pop()
         level = self._affordable_level(threshold)
-        cells = self._cells(value)
-        self._add_node(value, level, threshold, now, cells)
+        slot = self._free.pop()
+        self.ids[slot] = value
+        self.levels[slot] = level
+        self.thresholds[slot] = threshold
+        self.alive[slot] = True
+        self.join_times[slot] = now
+        self._slot_of[value] = slot
         self.sim.schedule(lifetime, self._do_leave, value)
         self.joins += 1
-        self._record_event()
         # Join events create *absent* pointers until delivery.
-        self._account_event(cells, detection=0.0, stale=False)
+        self._rows += (value, _JOIN, -1, level, self._unsampled_delay())
+        self._record_event(now)
         # §4.6 refresh: only nodes outliving twice the average lifetime
         # ever refresh (most never do).
         refresh_period = 2.0 * self._mean_lifetime
@@ -617,22 +578,24 @@ class ScalableSim:
         self._join_draws = list(zip(thresholds.tolist(), lifetimes.tolist()))[::-1]
 
     def _do_leave(self, value: int) -> None:
-        if value not in self._slot_of:
+        slot = self._slot_of.get(value)
+        if slot is None:
             return
-        detection = self.p.probe_interval_s / 2.0 + self.p.probe_timeout_s
-        cells = self._cells(value)
-        self._account_event(cells, detection=detection, stale=True)
-        self._remove_node(value, cells)
+        # Charged while the leaver still counts: its own audience and N.
+        self._rows += (value, _LEAVE, int(self.levels[slot]), -1, self._unsampled_delay())
+        del self._slot_of[value]
+        self.alive[slot] = False
+        self._free.append(slot)
         self.leaves += 1
-        self._record_event()
+        self._record_event(self.sim.now)
 
     def _do_refresh(self, value: int, period: float) -> None:
         if value not in self._slot_of:
             return
         self.refreshes += 1
-        self._record_event()
         # A refresh re-announces existing state: traffic, but no error.
-        self._account_traffic(value)
+        self._rows += (value, _REFRESH, -1, -1, 0.0)
+        self._record_event(self.sim.now)
         self.sim.schedule(period, self._do_refresh, value, period)
 
     def _relevel_tick(self) -> None:
@@ -660,29 +623,111 @@ class ScalableSim:
             changed = desired != self.levels[slots_all]
             if changed.any():
                 slots = slots_all[changed]
-                new_levels = desired[changed]
-                for slot, new in zip(slots, new_levels):
-                    value = int(self.ids[slot])
-                    old = min(int(self.levels[slot]), self.p.max_level)
-                    nl = min(int(new), self.p.max_level)
-                    self._level_counts[old][self._prefix(value, old)] -= 1
-                    self._level_counts[nl][self._prefix(value, nl)] += 1
-                    self.levels[slot] = new
-                    self.level_changes += 1
-                    # A level change multicasts (traffic) but does not make
-                    # pointers stale or absent, and it is deliberately NOT
-                    # fed into the controller's rate estimate: letting the
-                    # controller count its own adjustments creates a
-                    # positive feedback loop (rate up -> levels down ->
-                    # more changes).  The real protocol avoids this with
-                    # per-node EWMA smoothing; the sweep achieves the same
-                    # fixed point by tracking churn (join/leave/refresh)
-                    # only.
-                    self._account_traffic(value)
+                old = self.levels[slots]
+                new = desired[changed]
+                self.levels[slots] = new
+                self.level_changes += slots.size
+                # A level change multicasts (traffic) but does not make
+                # pointers stale or absent, and it is deliberately NOT fed
+                # into the controller's rate estimate: letting the
+                # controller count its own adjustments creates a positive
+                # feedback loop (rate up -> levels down -> more changes).
+                # The real protocol avoids this with per-node EWMA
+                # smoothing; the sweep achieves the same fixed point by
+                # tracking churn (join/leave/refresh) only.  One row per
+                # changed node, in slot order.
+                self._rows += chain.from_iterable(zip(
+                    self.ids[slots].tolist(), repeat(_RELEVEL), old.tolist(),
+                    new.tolist(), repeat(0.0),
+                ))
         self.sim.schedule(self.p.relevel_interval_s, self._relevel_tick)
+
+    def _flush(self) -> None:
+        """Apply the pending churn rows, ``CHURN_BLOCK`` at a time, as if
+        each had been applied at its own event (DESIGN.md §4, *Churn rows*).
+        Row i's level-count updates and audience reads share one sort key,
+        ``cell * (3k + 3) + order``: ``3i`` for an update before the read (a
+        join's, a level change's two), ``3i + 1`` for the read, ``3i + 2``
+        for a leave's removal; a per-cell running sum then gives each read
+        its own moment's count."""
+        pending = self._rows
+        if not pending:
+            return
+        self._rows = []
+        p = self.p
+        width = p.max_level + 1
+        leave_delay = p.probe_interval_s / 2.0 + p.probe_timeout_s + self._hop_delay
+        for start in range(0, len(pending), _ROW * CHURN_BLOCK):
+            rows = pending[start : start + _ROW * CHURN_BLOCK]
+            k = len(rows) // _ROW
+            cells = self._cells(np.array(rows[0::_ROW], dtype=np.uint64))
+            kind = np.array(rows[1::_ROW], dtype=np.int8)
+            old = np.array(rows[2::_ROW], dtype=np.int64)
+            new = np.array(rows[3::_ROW], dtype=np.int64)
+            # One entry per (row, level) read, then one per level-count update.
+            adds = (new >= 0).nonzero()[0]
+            drops = (old >= 0).nonzero()[0]
+            reads = k * width
+            cell = np.concatenate(
+                [cells.ravel(), cells[adds, new[adds]], cells[drops, old[drops]]]
+            )
+            order = np.concatenate([
+                np.repeat(3 * np.arange(k) + 1, width),
+                3 * adds,
+                3 * drops + 2 * (kind[drops] == _LEAVE),
+            ])
+            step = np.zeros(cell.size, dtype=np.int64)
+            step[reads : reads + adds.size] = 1
+            step[reads + adds.size :] = -1
+            # A join adds its node to every prefix, a leave removes it.
+            size_step = np.zeros(cell.size, dtype=np.int64)
+            size_step[:reads] = np.repeat((kind == _JOIN).astype(np.int64) - (kind == _LEAVE), width)
+            by_cell = (cell * (3 * k + 3) + order).argsort()
+            cell, step, size_step = cell[by_cell], step[by_cell], size_step[by_cell]
+            starts = np.concatenate(([True], cell[1:] != cell[:-1])).nonzero()[0]
+            # Per cell, the updates up to and including each entry.
+            running = step.cumsum()
+            running -= np.repeat(running[starts] - step[starts], np.diff(starts, append=cell.size))
+            counts = self._level_counts_flat[cell] + running
+            held = cell[starts]
+            self._level_counts_flat[held] += np.add.reduceat(step, starts)
+            self._counts_flat[held] += np.add.reduceat(size_step, starts)
+            if not self._measuring:
+                continue
+            is_read = by_cell < reads
+            audience = np.empty(reads, dtype=np.int64)
+            audience[by_cell[is_read]] = counts[is_read]
+            audience = audience.reshape(k, width)
+            # Same addends, same order: an axis-0 reduce adds the rows one
+            # after another, as k ``+=`` would (``test_axis0_reduce_is_sequential``).
+            charged = kind <= _LEAVE
+            tree = np.where(
+                self._depth_sampled, self._depth_delay,
+                np.array(rows[4::_ROW])[charged, None],
+            )
+            leaves = kind[charged] == _LEAVE
+            delay = np.where(leaves, leave_delay, self._hop_delay)[:, None] + tree
+            charge = delay * audience[charged]
+            for acc, addends in (
+                (self.stale_seconds, charge[leaves]),
+                (self.absent_seconds, charge[~leaves]),
+                (self.bits_in, audience * p.event_bits),
+            ):
+                acc[:] = np.add.reduce(np.vstack([acc, addends]), axis=0)
+            # Each audience member receives the 1000-bit event and acks it;
+            # the sender side spreads the tree's sends over levels by the
+            # calibrated per-level out-degree profile: two adds per event.
+            if self._send_bits is None:
+                sent = audience * p.ack_bits
+            else:
+                sent = np.empty((2 * k, width))
+                sent[0::2] = audience * p.ack_bits
+                sent[1::2] = self._send_bits
+            self.bits_out[:] = np.add.reduce(np.vstack([self.bits_out, sent]), axis=0)
 
     def _measure_tick(self) -> None:
         """Integrate entry-seconds, node-seconds and probe traffic."""
+        self._flush()
         if self._measuring:
             dt = self.p.measure_interval_s
             nodes = np.zeros(self.p.max_level + 1)
@@ -717,10 +762,11 @@ class ScalableSim:
     def _sample_tree(self) -> int:
         """Add one exact tree over a random subject's audience to the
         calibration; returns the audience size (0 below two members)."""
+        self._flush()  # rows queued so far are charged with the delays of before
         bits = self.p.id_bits
         # Random live subject.
-        values = list(self._slot_of.keys())
-        subject = values[int(self._rng_misc.integers(0, len(values)))]
+        i = int(self._rng_misc.integers(0, len(self._slot_of)))
+        subject = next(islice(self._slot_of, i, None))
         subject_u = np.uint64(subject)
         mask = self.alive.copy()
         # Audience: alive nodes whose eigenstring is a prefix of subject.
@@ -836,9 +882,11 @@ class ScalableSim:
         # Warm-up: run without accounting so the level distribution and
         # the rate estimator reach steady state first.
         self.sim.run(until=self.p.warmup_s)
+        self._flush()
         self._measuring = True
         self._measure_t0 = self.sim.now
         self.sim.run(until=self.p.warmup_s + self.p.duration_s)
+        self._flush()
         return self._report()
 
     # -- reporting ----------------------------------------------------------------

@@ -196,6 +196,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             ScalableParams(**{field: value})
 
+    def test_lifetime_dist_rate_must_be_the_params_rate(self):
+        """A distribution at another rate used to win silently: the run
+        churned at ``d.lifetime_rate`` under params that said otherwise."""
+        params = ScalableParams(n_target=100, lifetime_rate=0.5, use_transit_stub=False)
+        with pytest.raises(ValueError, match=r"lifetime_rate=0\.25.*lifetime_rate=0\.5"):
+            ScalableSim(params, lifetime_dist=ExponentialLifetime(lifetime_rate=0.25))
+        ScalableSim(params, lifetime_dist=ExponentialLifetime(lifetime_rate=0.5))
+
     def test_more_nodes_than_ids_rejected(self):
         """300 distinct ids out of 256: ``run()`` never returned."""
         with pytest.raises(ValueError, match="n_target=300.*id_bits=8"):
@@ -455,7 +463,9 @@ class TestJoinDrawBlocks:
     def test_draw_calls_and_cell_vectors_are_counted(self, monkeypatch):
         """Counted, not timed.  Before blocks: two draw calls per join on
         the bandwidth stream, one on the lifetime stream, and two cell
-        vectors per measured join or leave."""
+        vectors per measured join or leave.  Cells are built by ``_flush``,
+        one row per churn event: summed over flushes, an event built twice
+        shows as a surplus."""
         sim = ScalableSim(ScalableParams(**dict(_CHURNY, warmup_s=0.0, duration_s=250.0)))
         seed_population = sim.seed_population
 
@@ -464,16 +474,18 @@ class TestJoinDrawBlocks:
             sim._rng_bw, sim._rng_life = CountingRng(sim._rng_bw), CountingRng(sim._rng_life)
 
         monkeypatch.setattr(sim, "seed_population", seed_then_count)
-        cell_calls = []
+        cell_rows = []
         cells = sim._cells
-        monkeypatch.setattr(sim, "_cells", lambda value: cell_calls.append(value) or cells(value))
+        monkeypatch.setattr(
+            sim, "_cells", lambda values: cell_rows.append(len(values)) or cells(values)
+        )
         res = sim.run()
         assert res.joins >= 3000
         most = math.ceil(res.joins / JOIN_DRAW_BLOCK) + 1
         assert 0 < sim._rng_bw.calls <= most and 0 < sim._rng_life.calls <= most
         # No warm-up: every event is measured, so every one needs its cells.
         assert res.level_changes > 0
-        assert len(cell_calls) == res.joins + res.leaves + res.refreshes + res.level_changes
+        assert sum(cell_rows) == res.joins + res.leaves + res.refreshes + res.level_changes
 
 
 if __name__ == "__main__":
