@@ -31,7 +31,7 @@ LIVE_MARK = "guard-matrix live site"
 
 class Plant(NamedTuple):
     id: str
-    cls: str  # the bug class: a rule or DetSan component, or a ROADMAP 3(a) class
+    cls: str  # the bug class: a rule or DetSan component, a ROADMAP 3(a) class, or a cost
     path: str
     old: str
     new: str
@@ -140,6 +140,17 @@ PLANTS = [
     P("heap-tie-rearm-keeps-seq", "reordered heap tie", "src/repro/sim/engine.py",
       "        self.seq = seq = sim._seq\n        sim._seq = seq + 1\n        live[seq] = self\n",
       "        seq = self.seq\n        live[seq] = self\n", False),
+    P("cost-hop-helper", "calls / a helper back on the hop", "src/repro/net/transport.py",
+      "        ep = self._endpoints.get(dst)\n",
+      "        ep = self.endpoint(dst) if dst in self._endpoints else None\n", False),
+    P("cost-join-row-objects", "passes / an object per downloaded row", JOIN,
+      "        downloaded = set()\n        for p in pointers:\n",
+      "        downloaded = set()\n        rows = [[p] for p in pointers]\n        for (p,) in rows:\n",
+      False),
+    P("cost-broadcast-second-sort", "calls / a second sort per broadcast",
+      "src/repro/experiments/scalable.py", "    order = ids.argsort()\n    sorted_ids = ids[order]\n",
+      "    order = ids.argsort()\n    order = order[ids[order].argsort(kind=\"stable\")]\n"
+      "    sorted_ids = ids[order]\n", False),
 ]
 
 T = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
@@ -159,9 +170,10 @@ GUARDS: Dict[str, List[List[str]]] = {
                     "tests/integration/test_stream_determinism.py"]],
     "bench": [T + ["tests/integration/test_committed_bench.py"]],
     "live": [T + ["tests/live"]],
+    "costs": [T + ["tests", "-m", "costs"]],  # every row of tests/test_costs.py, once
 }
 _NAMED = [a for runs in GUARDS.values() for argv in runs for a in argv if a[:6] == "tests/"]
-GUARDS["tier-1 rest"] = [T + ["tests"] + [f"--ignore={p}" for p in _NAMED + [
+GUARDS["tier-1 rest"] = [T + ["tests", "-m", "not costs"] + [f"--ignore={p}" for p in _NAMED + [
     "tests/analysis", "tests/test_guard_matrix.py"]]]  # the last one fails on any plant
 #: What the two split guards name in their output: detlint's rules, DetSan's components.
 _NAMES = {"detlint": re.compile(r": ([A-Z]+[0-9]{3}): "),

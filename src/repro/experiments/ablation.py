@@ -303,7 +303,7 @@ def ablate_lifetime_shape(
     ]
     out = []
     for name, dist in dists:
-        result = ScalableSim(base, lifetime_dist=dist).run()
+        result = ScalableSim(base, lifetime_dist=dist.scaled(base.lifetime_rate)).run()
         out.append((name, result.mean_error_rate, result.n_levels()))
     return out
 

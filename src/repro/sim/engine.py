@@ -26,10 +26,10 @@ loop now re-arms its one handle (:meth:`EventHandle.rearm`,
 :meth:`repro.core.context.NodeContext.arm`), and a request passes
 callbacks bound once plus per-request arguments, so over the workload's
 276,000 events the passes fell from 616 / 56 / 5 to 197 / 17 / 1
-(22.3 → 7.1 young passes per 10^4 events; ``tests/sim/test_engine_garbage.py``
-counts them).  A run of this ring makes no cyclic garbage at all: what
-the collector still walks is the per-message young garbage it frees
-anyway.
+(22.3 → 7.1 young passes per 10^4 events; the ``rounds`` rows of
+``tests/test_costs.py`` count them).  A run of this ring makes no cyclic
+garbage at all: what the collector still walks is the per-message young
+garbage it frees anyway.
 
 There is one programming style, callbacks: ``sim.schedule(delay, fn,
 *args)`` and its relatives below.

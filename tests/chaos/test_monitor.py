@@ -6,19 +6,10 @@ import pytest
 
 from repro.chaos import InvariantMonitor, quiescence_bound
 from repro.chaos.scenarios import CHAOS_CONFIG
-from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
+from tests.conftest import fast_config
 
-CONFIG = ProtocolConfig(
-    id_bits=16,
-    probe_interval=5.0,
-    probe_timeout=1.0,
-    probe_misses_to_fail=2,
-    multicast_ack_timeout=1.0,
-    report_timeout=2.0,
-    level_check_interval=1e6,
-    multicast_processing_delay=0.1,
-)
+CONFIG = fast_config(probe_misses_to_fail=2, level_check_interval=1e6)
 
 
 def make_net(n=12, seed=3):

@@ -14,9 +14,9 @@ empty; node E's audience = {A, B, D, E, H}) and verify, on live state:
 import pytest
 
 from repro.core.audience import audience_set
-from repro.core.config import ProtocolConfig
 from repro.core.nodeid import NodeId
 from repro.core.protocol import PeerWindowNetwork
+from tests.conftest import fast_config
 
 #: Figure-1-consistent assignment (see tests/core/test_audience.py).
 FIGURE1 = {
@@ -35,14 +35,9 @@ FIGURE1 = {
 
 @pytest.fixture(scope="module")
 def figure1_net():
-    config = ProtocolConfig(
+    config = fast_config(
         id_bits=4,
-        probe_interval=5.0,
-        probe_timeout=1.0,
-        multicast_ack_timeout=1.0,
-        report_timeout=2.0,
         level_check_interval=1e6,  # freeze levels: this is a static example
-        multicast_processing_delay=0.1,
     )
     net = PeerWindowNetwork(config=config, master_seed=1)
     specs = [

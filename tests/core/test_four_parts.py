@@ -8,22 +8,14 @@ four parts '00', '01', '10', '11'.
 
 import pytest
 
-from repro.core.config import ProtocolConfig
 from repro.core.nodeid import NodeId
 from repro.core.protocol import PeerWindowNetwork
+from tests.conftest import fast_config
 
 
 @pytest.fixture(scope="module")
 def four_part_net():
-    config = ProtocolConfig(
-        id_bits=12,
-        probe_interval=5.0,
-        probe_timeout=1.0,
-        multicast_ack_timeout=1.0,
-        report_timeout=2.0,
-        level_check_interval=1e6,
-        multicast_processing_delay=0.1,
-    )
+    config = fast_config(id_bits=12, level_check_interval=1e6)
     net = PeerWindowNetwork(config=config, master_seed=8)
     rng = net.streams.get("ids")
     specs = []

@@ -9,21 +9,13 @@ members' lists complete.
 
 import pytest
 
-from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
+from tests.conftest import fast_config
 
 
 @pytest.fixture()
 def grown_net():
-    config = ProtocolConfig(
-        id_bits=16,
-        probe_interval=5.0,
-        probe_timeout=1.0,
-        multicast_ack_timeout=1.0,
-        report_timeout=2.0,
-        level_check_interval=30.0,
-        multicast_processing_delay=0.1,
-    )
+    config = fast_config(level_check_interval=30.0)
     net = PeerWindowNetwork(config=config, master_seed=77)
     first = net.add_first_node(1e9)
     net.run(until=5.0)

@@ -6,20 +6,14 @@ and assert the peer lists still converge to (near) truth.
 """
 
 
-from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
+from tests.conftest import fast_config
 
 
 def lossy_network(n=20, loss_rate=0.1, seed=9):
-    config = ProtocolConfig(
-        id_bits=16,
+    config = fast_config(
         probe_interval=4.0,
-        probe_timeout=1.0,
         probe_misses_to_fail=3,  # tolerate lost probes/acks
-        multicast_ack_timeout=1.0,
-        report_timeout=2.0,
-        level_check_interval=10.0,
-        multicast_processing_delay=0.1,
     )
     net = PeerWindowNetwork(config=config, master_seed=seed, loss_rate=loss_rate)
     keys = net.seed_nodes([100_000.0] * n)

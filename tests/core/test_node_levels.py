@@ -1,22 +1,13 @@
 """Autonomic level shifting on the live protocol (§2, §4.3)."""
 
 
-from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
-from tests.conftest import build_network
+from tests.conftest import build_network, fast_config
 
 
 def heterogeneous_network(n=24, seed=2):
     """Half strong (effectively unconstrained), half weak nodes."""
-    config = ProtocolConfig(
-        id_bits=16,
-        probe_interval=5.0,
-        probe_timeout=1.0,
-        multicast_ack_timeout=1.0,
-        report_timeout=2.0,
-        level_check_interval=8.0,
-        multicast_processing_delay=0.1,
-    )
+    config = fast_config(level_check_interval=8.0)
     net = PeerWindowNetwork(config=config, master_seed=seed)
     specs = [1e9] * (n // 2) + [40.0] * (n - n // 2)
     keys = net.seed_nodes(specs, mean_lifetime_s=600.0)
@@ -107,16 +98,7 @@ class TestRuntimeShifts:
 
 class TestWarmup:
     def test_warmup_join_starts_weak_then_raises(self):
-        config = ProtocolConfig(
-            id_bits=16,
-            probe_interval=5.0,
-            probe_timeout=1.0,
-            multicast_ack_timeout=1.0,
-            report_timeout=2.0,
-            level_check_interval=8.0,
-            multicast_processing_delay=0.1,
-            warmup_extra_levels=2,
-        )
+        config = fast_config(level_check_interval=8.0, warmup_extra_levels=2)
         net = PeerWindowNetwork(config=config, master_seed=4)
         keys = net.seed_nodes([1e9] * 16)
         net.run(until=20.0)

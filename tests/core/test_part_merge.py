@@ -7,23 +7,15 @@ drive the whole path.
 """
 
 from repro.analysis.detsan import held_objects
-from repro.core.config import ProtocolConfig
 from repro.core.nodeid import NodeId
 from repro.core.pointer import Pointer
 from repro.core.protocol import PeerWindowNetwork
 from repro.net.message import Message
+from tests.conftest import fast_config
 
 
 def build_two_parts(per_part=8, seed=6, level_check=1e6):
-    config = ProtocolConfig(
-        id_bits=12,
-        probe_interval=5.0,
-        probe_timeout=1.0,
-        multicast_ack_timeout=1.0,
-        report_timeout=2.0,
-        level_check_interval=level_check,
-        multicast_processing_delay=0.1,
-    )
+    config = fast_config(id_bits=12, level_check_interval=level_check)
     net = PeerWindowNetwork(config=config, master_seed=seed)
     rng = net.streams.get("ids")
     specs = []

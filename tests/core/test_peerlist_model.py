@@ -284,7 +284,7 @@ class PeerListVsDict(RuleBasedStateMachine):
 
 TestPeerListVsDict = PeerListVsDict.TestCase
 TestPeerListVsDict.settings = settings(
-    max_examples=80, stateful_step_count=30, deadline=None
+    max_examples=80, stateful_step_count=30, deadline=None, derandomize=True
 )
 
 

@@ -7,16 +7,14 @@ than guarded against.  Counted, not timed: after seeding, the only
 ``Pointer`` objects alive are the top-node and cross-part entries.
 """
 
-import gc
-from array import array
-
 import pytest
 
 from repro.core.errors import NodeIdError
 from repro.core.nodeid import NodeId
 from repro.core.peerlist import PeerList
 from repro.core.pointer import Pointer
-from tests.conftest import seeded_ring
+from tests.conftest import mutable_parts, seeded_ring
+from tests.test_costs import check
 
 BITS = 8
 
@@ -119,19 +117,6 @@ class TestNoCallerHoldsARow:
         assert NodeId(0b1011_0000, BITS) not in pl
 
 
-def _mutable_parts(peer_list):
-    """Identities of every mutable object a peer list is built from."""
-    found = {}
-    for column in vars(peer_list).values():
-        if isinstance(column, (list, dict, array, set)):
-            found[id(column)] = column
-            members = column.values() if isinstance(column, dict) else column
-            for member in members:
-                if isinstance(member, (list, dict, set, Pointer)):
-                    found[id(member)] = member
-    return found
-
-
 def test_two_nodes_seeded_from_one_population_share_only_the_address_table():
     net = seeded_ring(64)
     nodes = net.live_nodes()
@@ -140,7 +125,7 @@ def test_two_nodes_seeded_from_one_population_share_only_the_address_table():
         by_eigenstring.setdefault(node.eigenstring, []).append(node)
     a, b = max(by_eigenstring.values(), key=len)[:2]  # identical lists (property 1)
     assert list(a.peer_list) == list(b.peer_list) and len(a.peer_list) > 1
-    shared = _mutable_parts(a.peer_list).keys() & _mutable_parts(b.peer_list).keys()
+    shared = mutable_parts(a.peer_list).keys() & mutable_parts(b.peer_list).keys()
     # The network's append-only id -> address table, and nothing else ...
     assert shared == {id(a.ctx.addresses)} and a.ctx.addresses is net._addresses
     # ... so a write to one list, its address included, is invisible to
@@ -154,29 +139,6 @@ def test_two_nodes_seeded_from_one_population_share_only_the_address_table():
     assert a.peer_list.get(b.node_id).address == "elsewhere"
 
 
+@pytest.mark.costs
 def test_seeding_a_ring_builds_no_pointer():
-    """283 k peer-list rows and some 44 k top-node rows at n = 2,000, and
-    not one ``Pointer`` outlives seeding: no list holds an object per row,
-    which is what the collector walks and most of what a run weighs."""
-    gc.collect()
-    before = sum(1 for obj in gc.get_objects() if type(obj) is Pointer)
-    net = seeded_ring(2000)
-    gc.collect()
-    pointers = sum(1 for obj in gc.get_objects() if type(obj) is Pointer) - before
-    nodes = net.live_nodes()
-    rows = sum(len(node.peer_list) for node in nodes)
-    held = sum(
-        len(node.top_list)
-        + sum(len(node.cross_parts.for_part(part)) for part in node.cross_parts.parts())
-        for node in nodes
-    )
-    assert rows > 250_000
-    assert rows / 10 < held < rows / 5
-    assert pointers == 0
-    for node in nodes[::40]:
-        assert not any(
-            isinstance(part, Pointer) for part in _mutable_parts(node.peer_list).values()
-        )
-        for column in vars(node.peer_list).values():
-            if isinstance(column, (list, array)):
-                assert len(column) == len(node.peer_list)
+    check("rounds", 2000, "pointers")

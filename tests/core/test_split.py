@@ -1,20 +1,15 @@
 """Split-PeerWindow tests (§4.4): independent parts, cross-part joins."""
 
 
-from repro.core.config import ProtocolConfig
 from repro.core.nodeid import NodeId
 from repro.core.protocol import PeerWindowNetwork
+from tests.conftest import fast_config
 
 
 def split_config():
-    return ProtocolConfig(
+    return fast_config(
         id_bits=12,
-        probe_interval=5.0,
-        probe_timeout=1.0,
-        multicast_ack_timeout=1.0,
-        report_timeout=2.0,
         level_check_interval=1e6,  # freeze the autonomic controller
-        multicast_processing_delay=0.1,
     )
 
 

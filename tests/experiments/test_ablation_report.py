@@ -59,6 +59,16 @@ class TestAblations:
         errors = [e for _, e, _ in rows]
         assert max(errors) < 2.5 * min(errors)
 
+    def test_lifetime_shape_runs_at_the_base_rate(self):
+        """Each shape is built at ``base.lifetime_rate``: at rate 1 the
+        engine refused a base at any other rate."""
+        from repro.experiments.ablation import ablate_lifetime_shape
+
+        base = ScalableParams(n_target=200, duration_s=60.0, warmup_s=20.0, seed=5,
+                              lifetime_rate=0.5)
+        assert [name for name, _, _ in ablate_lifetime_shape(base)] == [
+            "lognormal (paper)", "exponential", "weibull k=0.6"]
+
 
 class TestReport:
     def test_format_cell(self):

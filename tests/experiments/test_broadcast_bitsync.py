@@ -9,7 +9,6 @@ the id trie and the strongest-first rule, so the two must agree element
 for element.
 """
 
-import sys
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.scalable import ScalableParams, ScalableSim, binomial_broadcast
+from tests.test_costs import check
 
 
 def reference_broadcast(ids, levels, root_pos, id_bits):
@@ -163,34 +163,6 @@ class TestRefusals:
         assert_matches_reference(ids, self.levels, 0, 8)
 
 
-def c_calls_in_one_broadcast(n: int, id_bits: int) -> int:
-    """C-level calls (NumPy entry points and builtins) one broadcast makes:
-    a wall-clock-free measure of how many vector steps it takes."""
-    rng = np.random.default_rng(0xB175)
-    ids = np.unique(rng.integers(0, 1 << id_bits, size=n, dtype=np.uint64))
-    levels = rng.integers(0, 4, size=ids.size).astype(np.int32)
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "c_call":
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        depths, _ = binomial_broadcast(ids, levels, 0, id_bits)
-    finally:
-        sys.setprofile(None)
-    assert (depths >= 0).all()
-    return calls
-
-
+@pytest.mark.costs
 def test_cost_is_bits_not_members():
-    """At most ``id_bits`` vector steps of a fixed number of calls each,
-    whatever the audience size (a per-subtree walk grows linearly in n:
-    ~12 calls per member)."""
-    id_bits = 40
-    small = c_calls_in_one_broadcast(1_000, id_bits)
-    large = c_calls_in_one_broadcast(16_000, id_bits)
-    assert large <= 1.5 * small
-    assert large <= 25 * id_bits
+    check("broadcast", 16_000)

@@ -11,7 +11,6 @@ as the reference; everything is compared by bytes.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from repro.experiments.scalable import (
     ScalableParams,
     ScalableSim,
 )
+from tests.test_costs import check
 
 TABLES = ("_counts_flat", "_level_counts_flat")
 ACCUMULATORS = (
@@ -160,28 +160,6 @@ def test_axis0_reduce_is_sequential():
     assert (acc + rows.sum(axis=0)).tobytes() != sequential.tobytes()
 
 
+@pytest.mark.costs
 def test_a_churn_event_costs_at_most_12_python_calls():
-    """Python calls (``sys.setprofile`` "call" events) per join, leave,
-    refresh or level change over a whole run after seeding, counted rather
-    than timed: 18.3 while every event gathered, charged and updated its
-    19 cells through per-event helpers, ≈ 10 with the rows flushed."""
-    sim = ScalableSim(
-        ScalableParams(n_target=5000, warmup_s=0.0, duration_s=600.0, seed=4, lifetime_rate=0.05)
-    )
-    sim.seed_population()
-    calls = 0
-
-    def count(_frame, event, _arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(count)
-    try:
-        res = sim.run()
-    finally:
-        sys.setprofile(None)
-    events = res.joins + res.leaves + res.refreshes + res.level_changes
-    assert events > 10_000
-    per_event = calls / events
-    assert per_event <= 12, f"{per_event:.1f} Python calls per churn event"
+    check("scalable_churn", 5000)

@@ -1,6 +1,5 @@
 """Scalable-engine tests: bookkeeping invariants and physical sanity."""
 
-import gc
 import json
 import math
 from dataclasses import asdict
@@ -22,6 +21,7 @@ from repro.experiments.scalable import (
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.lifetime import ExponentialLifetime
+from tests.test_costs import check
 
 
 def fast_params(**kw):
@@ -315,19 +315,9 @@ class TestBatchSeeding:
         sim._rate_estimate = 0.0  # no rate yet: everybody affords level 0
         assert not sim._affordable_levels(around).any()
 
+    @pytest.mark.costs
     def test_seeding_leaves_no_per_node_entries_or_objects(self):
-        """Counted, not timed (cf. ``tests/sim/test_engine_garbage.py``): the
-        parent left one handle, one bound method and one heap pair per
-        seeded timer — 129,847 pending and ~260 k tracked objects at
-        n = 100,000."""
-        sim = ScalableSim(ScalableParams(n_target=20_000, use_transit_stub=False))
-        gc.collect()
-        before = len(gc.get_objects())
-        sim.seed_population()
-        gc.collect()
-        assert len(gc.get_objects()) - before < 1000
-        assert len(sim.sim) <= 4
-        assert sim.population == 20_000
+        check("scalable_seeding", 20_000)
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_seeded_schedule_is_the_scalar_loop(self, seed):

@@ -1,5 +1,6 @@
 """The scalable engine's tree sample and measure tick against their
-per-level loops, and the sorts one tree sample makes.
+per-level loops.  The sorts one tree sample makes are a row of
+``tests/test_costs.py``.
 
 ``_measure_tick`` and ``_report`` read each level's list sizes from the
 prefix counters (one size per prefix holding a member of that level, times
@@ -10,13 +11,12 @@ engine's earlier form, kept here as the reference).
 """
 
 import copy
-import sys
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.experiments.scalable import ScalableParams, ScalableSim, binomial_broadcast
+from tests.test_costs import check
 
 ACCUMULATORS = (
     "entry_seconds", "node_seconds", "bits_in", "bits_out",
@@ -122,33 +122,6 @@ def test_report_rows_are_the_per_level_slot_sizes(measured_sim):
         )
 
 
-def sort_calls_in_one_sample(sim):
-    """``lexsort`` and ``argsort`` calls during one ``_sample_tree``.  NumPy 2
-    runs ``np.lexsort`` through its Python-level dispatcher (a ``call``
-    event named ``lexsort``); every argsort, function or method, ends in
-    the ``ndarray.argsort`` C method (one ``c_call``)."""
-    c_calls, py_calls = Counter(), Counter()
-
-    def count(frame, event, arg):
-        if event == "c_call":
-            c_calls[getattr(arg, "__name__", "")] += 1
-        elif event == "call":
-            py_calls[frame.f_code.co_name] += 1
-
-    sys.setprofile(count)
-    try:
-        audience = sim._sample_tree()
-    finally:
-        sys.setprofile(None)
-    return audience, c_calls["lexsort"] + py_calls["lexsort"], c_calls["argsort"]
-
-
+@pytest.mark.costs
 def test_one_sample_sorts_once():
-    """One argsort and no lexsort (before the tree took its root from an
-    ``argmin`` and its strength order from the id order, this made two
-    ``lexsort`` calls and failed)."""
-    sim = ScalableSim(ScalableParams(n_target=4_000, seed=2, use_transit_stub=False))
-    sim.seed_population()
-    audience, lexsorts, argsorts = sort_calls_in_one_sample(sim)
-    assert (lexsorts, argsorts) == (0, 1)
-    assert audience > 100
+    check("tree_sample", 4000)

@@ -9,25 +9,17 @@ layer on top.
 import pytest
 
 from repro.apps.guess import GuessSearch
-from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
 from repro.net.transit_stub import TransitStubParams, TransitStubTopology
 from repro.workloads.attached_info import guess_attached_info
 from repro.workloads.churn import ChurnProcess
 from repro.workloads.lifetime import ExponentialLifetime
+from tests.conftest import fast_config
 
 
 @pytest.fixture(scope="module")
 def soak():
-    config = ProtocolConfig(
-        id_bits=16,
-        probe_interval=5.0,
-        probe_timeout=1.0,
-        multicast_ack_timeout=1.0,
-        report_timeout=2.0,
-        level_check_interval=15.0,
-        multicast_processing_delay=0.2,
-    )
+    config = fast_config(level_check_interval=15.0, multicast_processing_delay=0.2)
     topo = TransitStubTopology(TransitStubParams.small(), seed=4)
     net = PeerWindowNetwork(config=config, topology=topo, master_seed=13)
     rng = net.streams.get("app-info")

@@ -20,17 +20,12 @@ regressions:
   (members ended up missing pointers after nothing but joins).
 """
 
-from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
+from tests.conftest import fast_config
 
-CONFIG = ProtocolConfig(
-    id_bits=16,
+CONFIG = fast_config(
     probe_interval=4.0,
-    probe_timeout=1.0,
-    multicast_ack_timeout=1.0,
-    report_timeout=2.0,
     level_check_interval=1e6,  # no autonomic shifts: isolate the join race
-    multicast_processing_delay=0.1,
 )
 
 

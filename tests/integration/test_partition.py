@@ -14,20 +14,15 @@ Two regimes, both pinned here:
 """
 
 
-from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
 from repro.net.message import Message
+from tests.conftest import fast_config
 
 
 def partition_network(n=16, seed=31, refresh_multiple=2.0):
-    config = ProtocolConfig(
-        id_bits=16,
+    config = fast_config(
         probe_interval=4.0,
-        probe_timeout=1.0,
-        multicast_ack_timeout=1.0,
-        report_timeout=2.0,
         level_check_interval=1e6,
-        multicast_processing_delay=0.1,
         refresh_multiple=refresh_multiple,
         expiry_multiple=refresh_multiple * 1.5,
     )
@@ -101,8 +96,7 @@ class TestPartitionAndHeal:
         """A cut shorter than the detection horizon causes no evictions;
         after healing, the error rate returns to zero without any
         recovery machinery."""
-        config = ProtocolConfig(
-            id_bits=16,
+        config = fast_config(
             probe_interval=10.0,
             probe_timeout=2.0,
             # Retries are back-to-back, so the detection horizon is
@@ -111,7 +105,6 @@ class TestPartitionAndHeal:
             multicast_ack_timeout=2.0,
             report_timeout=3.0,
             level_check_interval=1e6,
-            multicast_processing_delay=0.1,
         )
         net = PeerWindowNetwork(config=config, master_seed=5)
         keys = net.seed_nodes([1e9] * 12)
@@ -168,14 +161,10 @@ class TestPartitionRacesInFlightMulticast:
         unacked cross-cut edges are retried after the heal (and redirect
         repairs any child declared unreachable), so every audience
         member still learns the joiner."""
-        config = ProtocolConfig(
-            id_bits=16,
+        config = fast_config(
             probe_interval=10.0,
-            probe_timeout=1.0,
             probe_misses_to_fail=2,  # detection horizon 2 s > the cut
-            multicast_ack_timeout=1.0,
             multicast_attempts=4,
-            report_timeout=2.0,
             level_check_interval=1e6,
             # Slow tree hops so the cut reliably lands mid-multicast.
             multicast_processing_delay=0.3,

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.analysis.detsan import held_objects
-from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
+from tests.conftest import fast_config
 
 
 class PeerWindowMachine(RuleBasedStateMachine):
@@ -30,14 +30,9 @@ class PeerWindowMachine(RuleBasedStateMachine):
 
     @initialize(seed=st.integers(min_value=0, max_value=1000))
     def setup(self, seed):
-        config = ProtocolConfig(
-            id_bits=16,
+        config = fast_config(
             probe_interval=4.0,
-            probe_timeout=1.0,
-            multicast_ack_timeout=1.0,
-            report_timeout=2.0,
             level_check_interval=1e6,  # shifts only when the rule fires
-            multicast_processing_delay=0.1,
         )
         self.net = PeerWindowNetwork(config=config, master_seed=seed)
         self.keys = list(self.net.seed_nodes([1e9] * 10))
@@ -116,6 +111,6 @@ class PeerWindowMachine(RuleBasedStateMachine):
 
 
 PeerWindowMachine.TestCase.settings = settings(
-    max_examples=8, stateful_step_count=12, deadline=None
+    max_examples=8, stateful_step_count=12, deadline=None, derandomize=True
 )
 TestPeerWindowStateful = PeerWindowMachine.TestCase

@@ -3,8 +3,6 @@ the exact bytes, pinned by a golden file; what a sender must refuse; and
 what a datagram weighs."""
 
 import json
-import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +23,7 @@ from repro.kernel.codec import (
 )
 from repro.net.message import Message
 from repro.obs.trace import SpanRef
+from tests.costs import Profile
 
 # -- strategies -------------------------------------------------------------
 
@@ -449,22 +448,6 @@ def test_pointer_rows_keep_a_whole_download_in_one_datagram():
     assert decode_message(wire) == big
 
 
-def _python_calls(fn):
-    """``(code object -> calls)`` of every Python function ``fn`` entered."""
-    calls = Counter()
-
-    def profile(frame, event, _arg):
-        if event == "call":
-            calls[frame.f_code] += 1
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 def test_a_download_costs_a_constant_number_of_codec_calls():
     """One check per pointer list: the codec's own Python calls do not grow
     with the pointers a download carries, and a decoded pointer runs no
@@ -474,12 +457,12 @@ def test_a_download_costs_a_constant_number_of_codec_calls():
     for n in (1, 8, 64):
         msg = download_data(n)
         wire = encode_message(msg)
-        decoded = []
-        calls = _python_calls(lambda: decoded.append(decode_message(encode_message(msg))))
-        assert decoded == [msg]
-        assert {code for code in calls if code in constructors} == set()
+        with Profile(keyed=True) as prof:
+            decoded = decode_message(encode_message(msg))
+        assert decoded == msg
+        assert {code for code in prof.by_code if code in constructors} == set()
         per_size[n] = sum(
-            count for code, count in calls.items() if code.co_filename == codec.__file__
+            count for code, count in prof.by_code.items() if code.co_filename == codec.__file__
         )
         assert decode_message(wire) == msg
     assert 0 < per_size[1] == per_size[8] == per_size[64], per_size

@@ -5,21 +5,14 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
+from tests.conftest import fast_config
 
 
 @pytest.fixture()
 def quiet_net():
     """A network with all periodic traffic pushed beyond the horizon, so
     individual interactions can be metered in isolation."""
-    config = ProtocolConfig(
-        id_bits=16,
-        probe_interval=1e6,
-        probe_timeout=1.0,
-        multicast_ack_timeout=1.0,
-        report_timeout=2.0,
-        level_check_interval=1e6,
-        multicast_processing_delay=0.1,
-    )
+    config = fast_config(probe_interval=1e6, level_check_interval=1e6)
     net = PeerWindowNetwork(config=config, master_seed=21)
     keys = net.seed_nodes([1e9] * 10)
     net.run(until=1.0)

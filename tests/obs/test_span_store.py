@@ -1,19 +1,19 @@
-"""The span store, counted rather than timed.
+"""The span store.
 
 A retained span is a row of per-field columns in its node's
-:class:`~repro.obs.trace.NodeObs`, not an object.  These tests pin what
-that buys and what it relies on: a closed span adds no object the cyclic
-collector tracks and a bounded number of bytes; a disabled view holds no
-columns; every producer writes a span's attrs before the ``end()`` that
-freezes them; and a telemetry tap's rows fold exactly as the same spans
-replayed do.
+:class:`~repro.obs.trace.NodeObs`, not an object.  What that buys — a
+closed span adds no object the cyclic collector tracks and a bounded
+number of bytes; a disabled view holds no columns — is counted in the
+``closed_spans`` and ``disabled_views`` rows of ``tests/test_costs.py``.
+What it relies on is pinned here: every producer writes a span's attrs
+before the ``end()`` that freezes them, and a telemetry tap's rows fold
+exactly as the same spans replayed do.
 """
 
-import gc
-import sys
-import tracemalloc
 from types import MappingProxyType
 from unittest import mock
+
+import pytest
 
 from repro.chaos import BYZANTINE_SCENARIOS
 from repro.chaos.byzantine import ByzantineRunner
@@ -21,65 +21,25 @@ from repro.compare import TournamentConfig, contestant_names, run_tournament
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
 from repro.net.latency import PairwiseLatencyModel
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import TelemetryBus, WindowBucket
 from repro.obs.trace import NodeObs
 from tests.baselines.test_tick_batching import recorded_contestants
-
-#: Probe targets shared by every span, as a detector's peer keys are.
-TARGETS = list(range(1000, 1200))
+from tests.test_costs import check
 
 
-def _probes(obs, n):
-    """``n`` closed ``probe`` spans, one int attr each."""
-    for i in range(n):
-        span = obs.start("probe", float(i), target=TARGETS[i % len(TARGETS)])
-        obs.end(span, i + 0.1, "ok")
-
-
+@pytest.mark.costs
 def test_closed_spans_add_no_tracked_objects():
-    obs = NodeObs("n0", enabled=True)
-    tracked = []
-    for _ in range(2):
-        _probes(obs, 10_000)
-        gc.collect()
-        tracked.append(len(gc.get_objects()))
-    assert obs.span_count() == 20_000
-    assert abs(tracked[1] - tracked[0]) < 50, tracked
+    check("closed_spans", 20_000, "|tracked|")
 
 
+@pytest.mark.costs
 def test_a_closed_probe_costs_at_most_150_bytes():
-    obs = NodeObs("n0", enabled=True)
-    _probes(obs, 1_000)  # the interned key tuple exists from here on
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        _probes(obs, 20_000)
-        gc.collect()
-        per_span = (tracemalloc.get_traced_memory()[0] - before) / 20_000
-    finally:
-        tracemalloc.stop()
-    assert per_span <= 150, f"{per_span:.1f} B per closed probe span"
+    check("closed_spans", 20_000, "bytes/span")
 
 
+@pytest.mark.costs
 def test_a_disabled_view_allocates_only_itself_and_its_registry():
-    def bytes_per(make):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            made = [make() for _ in range(1_000)]
-            per = (tracemalloc.get_traced_memory()[0] - before) / len(made)
-        finally:
-            tracemalloc.stop()
-        return per, made[0]
-
-    per_view, view = bytes_per(lambda: NodeObs("n0"))
-    per_registry, _ = bytes_per(lambda: MetricsRegistry(enabled=False))
-    assert per_view - per_registry <= sys.getsizeof(view) + 16
-    assert view.spans == [] and view.span_count() == 0
-    assert view.open_traces() == []
+    check("disabled_views", 1000)
 
 
 def test_producers_write_attrs_only_before_the_end():

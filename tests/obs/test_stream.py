@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core.config import ProtocolConfig
 from repro.core.protocol import PeerWindowNetwork
 from repro.net.latency import PairwiseLatencyModel
 from repro.obs.analyze import SchemaError
@@ -26,9 +25,9 @@ from repro.obs.stream import (
     telemetry_header_line,
 )
 from repro.obs.trace import NodeObs, Observability
+from tests.conftest import fast_config
 
-CONFIG = ProtocolConfig(
-    id_bits=16,
+CONFIG = fast_config(
     probe_interval=8.0,
     probe_timeout=2.0,
     report_timeout=4.0,

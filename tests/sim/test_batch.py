@@ -8,13 +8,13 @@ the sorted arrays — and requires the same ``(time, seq, callback, args)``
 execution trace, stop points and event counts.
 """
 
-import gc
 import random
 
 import numpy as np
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
+from tests.test_costs import check
 
 #: Few distinct instants, so exact ties are the common case: inside a
 #: batch, across batches and against scalar events.
@@ -186,17 +186,9 @@ class TestOnePendingEntry:
         sim.run()
         assert seen == [0, 2]
 
+    @pytest.mark.costs
     def test_queueing_allocates_nothing_per_entry(self):
-        sim = Simulator()
-        k = 10_000
-        times = np.sort(np.random.default_rng(0).uniform(0.0, 100.0, k))
-        values = list(range(k))
-        gc.collect()
-        before = len(gc.get_objects())
-        batch_of(sim, times, print, values)
-        gc.collect()
-        assert len(gc.get_objects()) - before <= 32  # the closure and its cells
-        assert len(sim) == 1
+        check("timer_batch", 10_000)
 
     def test_an_empty_batch_queues_nothing(self):
         sim = Simulator()
