@@ -1,31 +1,20 @@
-"""Protocol-health benchmark and the bench-trajectory seed matrix.
+"""The protocol-health trajectory: the seed matrix behind BENCH_health.json.
 
-Two jobs share this module:
-
-* pytest-benchmark timings for the health pipeline itself — a full
-  chaos-run-to-verdict cell, and the pure ``analyze_spans`` throughput
-  on an already-collected span log (the part a post-hoc ``repro obs
-  report`` pays for);
-* the fixed ``MATRIX`` of ``(scenario, n_nodes, seed)`` cells that
-  ``scripts/bench_trajectory.py`` replays to regenerate the committed
-  ``BENCH_health.json`` trajectory point.  Every cell is a pure
-  function of its tuple, so the trajectory file is byte-identical
-  across regenerations — a diff in review means protocol behaviour
-  actually moved.
+``scripts/bench_trajectory.py`` replays the fixed ``MATRIX`` of
+``(scenario, n_nodes, seed)`` cells (chaos run -> span analytics -> SLO
+verdicts) to regenerate the committed ``BENCH_health.json``.  Every cell
+is a pure function of its tuple, so the file is byte-identical across
+regenerations — a diff in review means protocol behaviour actually moved.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any, Dict, List, Tuple
 
 from repro.chaos.runner import ChaosRunner
 from repro.chaos.scenarios import SCENARIOS
-from repro.obs.analyze import analyze_spans
 from repro.obs.health import HealthSpec
-
-from .conftest import run_once
 
 #: The trajectory seed matrix: small enough to regenerate in about a
 #: minute, wide enough to cover crash/partition/loss/recovery paths.
@@ -82,29 +71,3 @@ def build_trajectory(
         },
     }
 
-
-def test_bench_health_cell(benchmark):
-    """End-to-end cost of one trajectory cell (run + analyze + judge)."""
-    cell = run_once(benchmark, run_cell, "smoke", 40, 0)
-    assert cell["healthy"], cell["breaches"]
-    assert cell["signals"]["mcast.tree_completeness"] >= 0.99
-
-
-def test_bench_analyze_spans_throughput(benchmark):
-    """Pure analytics throughput on a collected chaos span log."""
-    scenario = SCENARIOS["smoke"]
-    result = ChaosRunner(scenario, n_nodes=40, seed=0, observe=True).run()
-    spans = result.spans
-    report = benchmark(analyze_spans, spans)
-    assert report.spans_total == len(spans)
-    per_span = benchmark.stats.stats.min / max(1, len(spans))
-    print(f"\nanalyze: {len(spans)} spans, {per_span * 1e6:.1f} us/span")
-
-
-def test_committed_trajectory_is_current_schema_and_healthy():
-    """The checked-in BENCH_health.json parses and reports healthy."""
-    with open(TRAJECTORY_PATH, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert doc["schema_version"] == TRAJECTORY_VERSION
-    assert doc["summary"]["cells"] == len(MATRIX)
-    assert doc["summary"]["healthy"] is True

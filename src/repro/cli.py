@@ -29,7 +29,7 @@ from typing import Iterable, List, Optional, Sequence
 from repro.experiments import figures
 from repro.experiments.report import print_table
 from repro.experiments.scalable import ScalableParams
-from repro.experiments.scenario import COMMON_FULL
+from repro.experiments.scenario import COMMON
 
 
 def _table(title: str, headers: Sequence[str], rows: Iterable[Sequence],
@@ -146,7 +146,7 @@ def _judge(title: str, verdicts, csv_path: Optional[str] = None) -> bool:
 
 def _params(args) -> ScalableParams:
     return replace(
-        COMMON_FULL,
+        COMMON,
         n_target=args.nodes,
         duration_s=args.duration,
         warmup_s=args.warmup,

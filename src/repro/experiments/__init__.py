@@ -4,10 +4,10 @@
   the paper's own centralized-bookkeeping trick.
 * :mod:`~repro.experiments.figures` — one entry point per paper figure
   (5-12), returning the rows the figure plots.
-* :mod:`~repro.experiments.scenario` — named parameter presets
-  (``REPRO_FULL=1`` switches benches to paper scale).
+* :mod:`~repro.experiments.scenario` — the paper's parameter presets
+  (the common run and the two sweeps).
 * :mod:`~repro.experiments.ablation` — design-choice ablations.
-* :mod:`~repro.experiments.report` — ASCII table rendering for benches.
+* :mod:`~repro.experiments.report` — ASCII table rendering for the CLI.
 """
 
 from repro.experiments.figures import (
@@ -43,18 +43,12 @@ from repro.experiments.scalable import (
     ScalableSim,
     binomial_broadcast,
 )
-from repro.experiments.scenario import (
-    COMMON_FAST,
-    COMMON_FULL,
-    common_params,
-    full_scale,
-    lifetime_rates,
-    scale_sweep,
-)
+from repro.experiments.scenario import COMMON, LIFETIME_RATES, SCALE_SWEEP
 
 __all__ = [
-    "COMMON_FAST",
-    "COMMON_FULL",
+    "COMMON",
+    "LIFETIME_RATES",
+    "SCALE_SWEEP",
     "LevelRow",
     "ScalableParams",
     "ScalableResult",
@@ -62,7 +56,6 @@ __all__ = [
     "SweepPoint",
     "binomial_broadcast",
     "clear_cache",
-    "common_params",
     "fig10_scalability_error",
     "fig11_adaptivity_levels",
     "fig12_adaptivity_error",
@@ -78,14 +71,11 @@ __all__ = [
     "line_chart",
     "sparkline",
     "format_table",
-    "full_scale",
     "predict_error_rate",
     "predict_level_distribution",
     "predict_n_levels",
     "replicate",
     "summarize_metric",
-    "lifetime_rates",
     "print_table",
     "run_scenario",
-    "scale_sweep",
 ]

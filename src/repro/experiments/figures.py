@@ -4,9 +4,10 @@ Each ``figN()`` returns the rows the corresponding paper figure plots.
 Figures 5-8 come from one *common PeerWindow* run (shared and cached);
 figures 9/10 sweep the system scale; figures 11/12 sweep ``Lifetime_Rate``.
 
-The benches in ``benchmarks/`` call these and print the tables; the
-integration tests assert the paper's qualitative claims on the returned
-rows (who wins, how trends move).
+With no parameters they run the paper's presets
+(:mod:`repro.experiments.scenario`); ``benchmarks/bench_paper.py`` checks
+those runs against the paper's bands, and the integration tests assert
+the paper's qualitative claims at CI scale (who wins, how trends move).
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.scalable import ScalableParams, ScalableResult, ScalableSim
-from repro.experiments.scenario import common_params, lifetime_rates, scale_sweep
-from repro.workloads.lifetime import GnutellaLifetimeDistribution
+from repro.experiments.scenario import COMMON, LIFETIME_RATES, SCALE_SWEEP
 
-# One common-run cache per parameter set, so bench_fig05..08 share a run.
+# One run cache per parameter set, so figures 5-8 share a run.
 _run_cache: Dict[ScalableParams, ScalableResult] = {}
 
 
@@ -26,11 +26,7 @@ def run_scenario(params: ScalableParams) -> ScalableResult:
     """Run (or reuse) the scenario with the given parameters."""
     result = _run_cache.get(params)
     if result is None:
-        sim = ScalableSim(
-            params,
-            lifetime_dist=GnutellaLifetimeDistribution(lifetime_rate=params.lifetime_rate),
-        )
-        result = sim.run()
+        result = ScalableSim(params).run()
         _run_cache[params] = result
     return result
 
@@ -49,7 +45,7 @@ def fig5_node_distribution(params: Optional[ScalableParams] = None) -> List[Tupl
 
     Paper: *"more than half of the nodes running at level 0"*.
     """
-    res = run_scenario(params or common_params())
+    res = run_scenario(params or COMMON)
     return [(r.level, r.population, r.fraction) for r in res.rows if r.population > 0]
 
 
@@ -60,7 +56,7 @@ def fig6_peer_list_sizes(
 
     Paper: sizes halve per level (``N / 2^l``) and max ≈ min within a level.
     """
-    res = run_scenario(params or common_params())
+    res = run_scenario(params or COMMON)
     return [
         (r.level, r.mean_list_size, r.min_list_size, r.max_list_size)
         for r in res.rows
@@ -73,7 +69,7 @@ def fig7_error_rates(params: Optional[ScalableParams] = None) -> List[Tuple[int,
 
     Paper: all levels below 0.5%; stronger levels slightly lower.
     """
-    res = run_scenario(params or common_params())
+    res = run_scenario(params or COMMON)
     return [(r.level, r.error_rate) for r in res.rows if r.population > 0]
 
 
@@ -83,7 +79,7 @@ def fig8_bandwidth(params: Optional[ScalableParams] = None) -> List[Tuple[int, f
     Paper: input ∝ list size (~500 bps per 1000 pointers); output is
     concentrated at levels 0-1.
     """
-    res = run_scenario(params or common_params())
+    res = run_scenario(params or COMMON)
     return [(r.level, r.in_bps, r.out_bps) for r in res.rows if r.population > 0]
 
 
@@ -122,9 +118,9 @@ def fig9_scalability_levels(
     Paper: at 5,000 nodes (almost) everyone runs at level 0; more levels
     appear and populate as N grows.
     """
-    base = base or common_params()
+    base = base or COMMON
     out = []
-    for n in scales if scales is not None else scale_sweep():
+    for n in scales if scales is not None else SCALE_SWEEP:
         params = replace(base, n_target=int(n))
         out.append(_sweep_point(params, float(n)))
     return out
@@ -160,9 +156,9 @@ def fig11_adaptivity_levels(
     ~15% of nodes can hold level 0; longer lifetimes collapse everyone
     toward level 0.
     """
-    base = base or common_params()
+    base = base or COMMON
     out = []
-    for rate in rates if rates is not None else lifetime_rates():
+    for rate in rates if rates is not None else LIFETIME_RATES:
         params = replace(base, lifetime_rate=float(rate))
         out.append(_sweep_point(params, float(rate)))
     return out

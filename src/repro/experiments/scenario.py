@@ -1,51 +1,23 @@
-"""Named experiment scenarios (§5.1-§5.3).
+"""The paper's experiment scenarios (§5.1-§5.3), one preset per axis.
 
-Each scenario is a :class:`~repro.experiments.scalable.ScalableParams`
-preset.  ``FULL`` presets are the paper's own parameters (100,000 nodes);
-``FAST`` presets are scaled down so the complete figure suite runs in
-minutes on a laptop — benchmarks default to FAST and accept an
-environment switch (``REPRO_FULL=1``) to run at paper scale.
+:data:`COMMON` is the common PeerWindow of §5.1 (100,000 nodes, 600 s of
+warm-up, 1,800 s measured, seed 1); :data:`SCALE_SWEEP` is the system
+scale Figs 9/10 sweep and :data:`LIFETIME_RATES` the ``Lifetime_Rate``
+Figs 11/12 sweep.  :mod:`repro.experiments.figures` defaults to them, and
+``benchmarks/bench_paper.py`` checks the figures they produce.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List
+from typing import Tuple
 
 from repro.experiments.scalable import ScalableParams
 
 #: The paper's common PeerWindow (§5.1).
-COMMON_FULL = ScalableParams(n_target=100_000, duration_s=1800.0, warmup_s=600.0)
-
-#: Scaled-down common case for CI-speed runs.
-COMMON_FAST = ScalableParams(n_target=20_000, duration_s=900.0, warmup_s=300.0)
+COMMON = ScalableParams(n_target=100_000, duration_s=1800.0, warmup_s=600.0, seed=1)
 
 #: §5.2 scalability sweep (figure 9/10 x-axis).
-SCALE_SWEEP_FULL: List[int] = [5_000, 10_000, 20_000, 50_000, 100_000]
-SCALE_SWEEP_FAST: List[int] = [2_000, 5_000, 10_000, 20_000]
+SCALE_SWEEP: Tuple[int, ...] = (5_000, 10_000, 20_000, 50_000, 100_000)
 
 #: §5.3 adaptivity sweep (figure 11/12 x-axis).
-LIFETIME_RATES_FULL: List[float] = [0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]
-LIFETIME_RATES_FAST: List[float] = [0.1, 0.5, 1.0, 2.0, 10.0]
-
-
-def full_scale() -> bool:
-    """Whether to run at the paper's 100,000-node scale (REPRO_FULL=1)."""
-    return os.environ.get("REPRO_FULL", "0") not in ("", "0", "false", "no")
-
-
-def common_params(**overrides) -> ScalableParams:
-    base = COMMON_FULL if full_scale() else COMMON_FAST
-    if overrides:
-        from dataclasses import replace
-
-        return replace(base, **overrides)
-    return base
-
-
-def scale_sweep() -> List[int]:
-    return list(SCALE_SWEEP_FULL if full_scale() else SCALE_SWEEP_FAST)
-
-
-def lifetime_rates() -> List[float]:
-    return list(LIFETIME_RATES_FULL if full_scale() else LIFETIME_RATES_FAST)
+LIFETIME_RATES: Tuple[float, ...] = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)

@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.scalable import ScalableParams, ScalableResult, ScalableSim
-from repro.workloads.lifetime import GnutellaLifetimeDistribution
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,7 @@ def replicate(
     collected: Dict[str, List[float]] = {name: [] for name in metrics}
     for seed in seeds:
         p = replace(params, seed=int(seed))
-        result = ScalableSim(
-            p, lifetime_dist=GnutellaLifetimeDistribution(lifetime_rate=p.lifetime_rate)
-        ).run()
+        result = ScalableSim(p).run()
         for name, fn in metrics.items():
             collected[name].append(fn(result))
     return {
@@ -125,12 +122,8 @@ def compare(
     for seed in seeds:
         pa = replace(params_a, seed=int(seed))
         pb = replace(params_b, seed=int(seed))
-        ra = ScalableSim(
-            pa, lifetime_dist=GnutellaLifetimeDistribution(lifetime_rate=pa.lifetime_rate)
-        ).run()
-        rb = ScalableSim(
-            pb, lifetime_dist=GnutellaLifetimeDistribution(lifetime_rate=pb.lifetime_rate)
-        ).run()
+        ra = ScalableSim(pa).run()
+        rb = ScalableSim(pb).run()
         diffs.append(metric(rb) - metric(ra))
     summary = summarize_metric("difference (b - a)", diffs, confidence)
     arr = np.asarray(diffs)

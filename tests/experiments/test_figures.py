@@ -2,8 +2,8 @@
 
 Each test states the paper's qualitative claim and checks the reproduced
 trend.  Absolute scale differs (2k-10k nodes here vs 100k in the paper;
-set REPRO_FULL=1 on the benches for paper scale), but the shapes are
-scale-free.
+``benchmarks/bench_paper.py`` checks the paper-scale runs), but the
+shapes are scale-free.
 """
 
 import pytest

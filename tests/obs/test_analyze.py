@@ -71,6 +71,7 @@ def test_golden_eight_node_tree_reconstruction():
     assert tree.completion_latency == pytest.approx(10.8 - 10.0)
     assert sorted(tree.fanouts()) == [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0]
 
+    assert report.spans_total == 9
     assert report.mcast_spans_total == 8  # redirect is not a tree member
     assert report.tree_completeness == 1.0
     assert report.orphan_hops == 0
