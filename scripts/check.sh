@@ -472,9 +472,9 @@ sys.exit(1 if problems else 0)
 PY
   echo "== scale (scalable engine: 10^6 nodes seeded, <= 4 pending entries, < 700 MB; one tree sample timed) =="
   seeding 1000000 700 || status=1
-  echo "== scale (scalable engine: 10^6 nodes x lifetime_rate 0.01, 60 + 180 sim-s; unjudged: events, host-s, host-us per event, peak RSS) =="
+  echo "== scale (scalable engine: 10^6 nodes x lifetime_rate 0.01, 60 + 180 sim-s; unjudged: events, host-s, host-us per event, peak RSS, collector passes and host-s) =="
   with_timeout 1800 $PY - <<'PY' || status=1
-import resource, time
+import gc, resource, time
 from repro.experiments.scalable import ScalableParams, ScalableSim
 
 # The short-session corner of the stability frontier, printed for the eye:
@@ -484,14 +484,29 @@ sim = ScalableSim(ScalableParams(n_target=1_000_000, lifetime_rate=0.01,
 started = time.perf_counter()
 sim.seed_population()
 seed_s = time.perf_counter() - started
+passes, gc_s, began = [0, 0, 0], [0.0], [0.0]  # of the run, not the seeding
+
+
+def count_pass(phase, info):
+    if phase == "start":
+        passes[info["generation"]] += 1
+        began[0] = time.perf_counter()
+    else:
+        gc_s[0] += time.perf_counter() - began[0]
+
+
+gc.callbacks.append(count_pass)
 started = time.perf_counter()
 res = sim.run()
 host_s = time.perf_counter() - started
+gc.callbacks.remove(count_pass)
 events = sim.sim.events_executed
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 print(f"scale: 10^6 x rate 0.01: seeded in {seed_s:.1f} host-s, then {events:,} events "
       f"in {host_s:.1f} host-s ({host_s / events * 1e6:.1f} host-us per event), "
       f"peak RSS {rss_mb:.0f} MB, mean error rate {res.mean_error_rate:.4f}")
+print(f"scale: 10^6 x rate 0.01: collector passes {passes[0]} young, {passes[1]} middle, "
+      f"{passes[2]} full, {gc_s[0]:.1f} host-s ({gc_s[0] / host_s:.0%} of the run; unjudged)")
 PY
   echo "== scale (six-contestant tournament, n=1,000 x 130 sim-s, one contestant at a time: champion healthy, < 1000 MB) =="
   with_timeout 900 $PY - <<'PY' || status=1

@@ -8,7 +8,7 @@ possible to run the whole experiment in memory"*.
 Representation
 --------------
 
-Nodes live in NumPy slot arrays (id, level, threshold, alive, join time).
+Nodes live in NumPy slot arrays (id, level, threshold, alive).
 Peer lists are **implicit**: the size of an l-level node's list is the
 number of live nodes sharing its l-bit prefix, maintained in per-level
 prefix population counters (``_counts[l]``, one ``int32`` cell per l-bit
@@ -24,7 +24,9 @@ Dynamics
 
 * Joins arrive in a Poisson process at rate ``n_target / mean_lifetime``
   (§5.1); each join samples a lifetime and a bandwidth from the Gnutella
-  distributions and schedules the leave.
+  distributions and schedules the leave.  A join's id, bandwidth and
+  lifetime are drawn ``JOIN_DRAW_BLOCK`` joins ahead, each stream having
+  no other reader after seeding, and the chain of joins re-arms one handle.
 * Each node's level is the §2 cost model's stationary point for the
   *measured* system event rate; a periodic re-level sweep moves nodes
   whose affordable level changed (counted as level-change events, §4.3).
@@ -79,7 +81,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.net.transit_stub import TransitStubParams, TransitStubTopology
-from repro.sim.engine import Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.rng import RandomStreams
 from repro.workloads.bandwidth_dist import (
     GnutellaBandwidthDistribution,
@@ -223,9 +225,9 @@ def binomial_broadcast(
 #: ``int32`` cells, two tables per simulation): 64 MiB each, max_level <= 23.
 COUNTER_TABLE_CELL_BUDGET = 1 << 24
 
-#: Joins whose threshold and lifetime one refill draws ahead (the
-#: ``bandwidth`` and ``lifetime`` streams have no other reader once the
-#: population is seeded).  No result depends on it.
+#: Joins whose threshold, lifetime and id one refill draws ahead (the
+#: ``bandwidth``, ``lifetime`` and ``ids`` streams have no other reader once
+#: the population is seeded).  No result depends on it.
 JOIN_DRAW_BLOCK = 1024
 
 #: Churn rows one ``_flush`` pass takes; it bounds the pass's memory.  No
@@ -234,6 +236,21 @@ CHURN_BLOCK = 4096
 # A churn row: id, kind, old level, new level (-1: none), unsampled-tree delay.
 _JOIN, _LEAVE, _REFRESH, _RELEVEL = range(4)
 _ROW = 5
+
+
+class _UnsampledDelays(dict):
+    """Population -> tree delay to a level no tree sample has reached yet:
+    the log2(N)/2-hop guess, computed at a population's first lookup."""
+
+    def __init__(self, hop_delay: float):
+        super().__init__()
+        self.hop_delay = hop_delay
+
+    def __missing__(self, population: int) -> float:
+        delay = self[population] = (
+            max(1.0, math.log2(max(population, 2)) * 0.5) * self.hop_delay
+        )
+        return delay
 
 
 @dataclass(frozen=True)
@@ -353,6 +370,9 @@ class ScalableResult:
 class ScalableSim:
     """Centralized-bookkeeping PeerWindow simulation (100k-node capable)."""
 
+    #: The one handle the chain of joins re-arms; :meth:`run` makes it.
+    _join: EventHandle
+
     def __init__(
         self,
         params: Optional[ScalableParams] = None,
@@ -384,6 +404,12 @@ class ScalableSim:
         else:
             self.mean_link_latency = 0.5
         self._hop_delay = self.p.processing_delay_s + self.mean_link_latency
+        self._unsampled = _UnsampledDelays(self._hop_delay)
+        # The join process's constants (§5.1, §4.6) and the follow-ups a
+        # join schedules, bound once.
+        self._join_scale = 1.0 / (self.p.n_target / self._mean_lifetime)
+        self._refresh_period = 2.0 * self._mean_lifetime
+        self._leave, self._refresh = self._do_leave, self._do_refresh
 
         # Slot arrays --------------------------------------------------
         cap = int(self.p.n_target * 1.5) + 16
@@ -392,7 +418,6 @@ class ScalableSim:
         self.levels = np.zeros(cap, dtype=np.int16)
         self.thresholds = np.zeros(cap, dtype=np.float64)
         self.alive = np.zeros(cap, dtype=bool)
-        self.join_times = np.zeros(cap, dtype=np.float64)
         self._free: List[int] = list(range(cap - 1, -1, -1))
         self._slot_of: Dict[int, int] = {}  # id value -> slot
 
@@ -448,8 +473,10 @@ class ScalableSim:
         self._rng_bw = self.streams.get("bandwidth")
         self._rng_ids = self.streams.get("ids")
         self._rng_misc = self.streams.get("misc")
-        # (threshold, lifetime) of the joins to come, next one last.
+        # (threshold, lifetime) of the joins to come, and the ``ids``
+        # values still to be taken; next one last.
         self._join_draws: List[Tuple[float, float]] = []
+        self._id_draws: List[int] = []
 
     # -- population mechanics ------------------------------------------------
 
@@ -458,18 +485,31 @@ class ScalableSim:
         return len(self._slot_of)
 
     def _random_id(self) -> int:
-        if len(self._slot_of) >= 1 << self.p.id_bits:
+        """The next ``ids`` value that is not live now.  The values come
+        ``JOIN_DRAW_BLOCK`` at a time, which is that many scalar draws
+        (``test_batch_draw_is_scalar_draws``), and each is checked against
+        the live set when it is taken: the ids are the scalar loop's, only
+        the stream runs ahead, and after seeding nothing else reads it."""
+        taken = self._slot_of
+        if len(taken) >= 1 << self.p.id_bits:
             raise RuntimeError(
                 f"all 2**{self.p.id_bits} ids are live; id_bits is too small "
                 f"for n_target={self.p.n_target}"
             )
+        draws = self._id_draws
         while True:
-            value = int(self._rng_ids.integers(0, 1 << self.p.id_bits, dtype=np.uint64))
-            if value not in self._slot_of:
+            if not draws:
+                draws += self._rng_ids.integers(
+                    0, 1 << self.p.id_bits, size=JOIN_DRAW_BLOCK, dtype=np.uint64
+                ).tolist()[::-1]
+            value = draws.pop()
+            if value not in taken:
                 return value
 
     def _random_ids(self, n: int) -> np.ndarray:
-        """What ``n`` calls of :meth:`_random_id` would return, in order.
+        """The ids ``n`` scalar draws would give, skipping a live or
+        repeated value, in order (what ``n`` calls of :meth:`_random_id`
+        return).
 
         One ``integers(size=k)`` call yields the values of k scalar calls
         (pinned by ``test_batch_draw_is_scalar_draws``), and each round
@@ -516,10 +556,11 @@ class ScalableSim:
 
     # -- event-rate estimator ------------------------------------------------
 
-    def _record_event(self, now: float) -> None:
-        """Count a join, leave or refresh (its row queued) at ``now``."""
+    def _record_event(self) -> None:
+        """Count a join, leave or refresh (its row queued) now."""
         if len(self._rows) >= _ROW * CHURN_BLOCK:
             self._flush()
+        now = self.sim._now  # the clock's own field: one call fewer per event
         times = self._event_times
         times.append(now)
         cutoff = now - self.p.rate_window_s
@@ -531,18 +572,7 @@ class ScalableSim:
 
     # -- simulation events ---------------------------------------------------------
 
-    def _unsampled_delay(self) -> float:
-        """Tree delay to a level no tree sample has reached yet: the
-        log2(N)/2-hop guess at the current population."""
-        return max(1.0, math.log2(max(len(self._slot_of), 2)) * 0.5) * self._hop_delay
-
-    def _schedule_join(self) -> None:
-        rate = self.p.n_target / self._mean_lifetime
-        gap = float(self._rng_misc.exponential(1.0 / rate))
-        self.sim.schedule(gap, self._do_join)
-
     def _do_join(self) -> None:
-        now = self.sim.now
         value = self._random_id()
         if not self._join_draws:
             self._refill_join_draws()
@@ -553,19 +583,20 @@ class ScalableSim:
         self.levels[slot] = level
         self.thresholds[slot] = threshold
         self.alive[slot] = True
-        self.join_times[slot] = now
-        self._slot_of[value] = slot
-        self.sim.schedule(lifetime, self._do_leave, value)
+        slot_of = self._slot_of
+        slot_of[value] = slot
+        self.sim.schedule(lifetime, self._leave, value)
         self.joins += 1
         # Join events create *absent* pointers until delivery.
-        self._rows += (value, _JOIN, -1, level, self._unsampled_delay())
-        self._record_event(now)
+        self._rows += (value, _JOIN, -1, level, self._unsampled[len(slot_of)])
+        self._record_event()
         # §4.6 refresh: only nodes outliving twice the average lifetime
         # ever refresh (most never do).
-        refresh_period = 2.0 * self._mean_lifetime
-        if lifetime > refresh_period:
-            self.sim.schedule(refresh_period, self._do_refresh, value, refresh_period)
-        self._schedule_join()
+        period = self._refresh_period
+        if lifetime > period:
+            self.sim.schedule(period, self._refresh, value, period)
+        # The next join, a Poisson gap from now (§5.1).
+        self._join.rearm(self._rng_misc.exponential(self._join_scale))
 
     def _refill_join_draws(self) -> None:
         """Draw the next ``JOIN_DRAW_BLOCK`` joins' values: what that many
@@ -582,12 +613,14 @@ class ScalableSim:
         if slot is None:
             return
         # Charged while the leaver still counts: its own audience and N.
-        self._rows += (value, _LEAVE, int(self.levels[slot]), -1, self._unsampled_delay())
+        self._rows += (
+            value, _LEAVE, int(self.levels[slot]), -1, self._unsampled[len(self._slot_of)]
+        )
         del self._slot_of[value]
         self.alive[slot] = False
         self._free.append(slot)
         self.leaves += 1
-        self._record_event(self.sim.now)
+        self._record_event()
 
     def _do_refresh(self, value: int, period: float) -> None:
         if value not in self._slot_of:
@@ -595,8 +628,8 @@ class ScalableSim:
         self.refreshes += 1
         # A refresh re-announces existing state: traffic, but no error.
         self._rows += (value, _REFRESH, -1, -1, 0.0)
-        self._record_event(self.sim.now)
-        self.sim.schedule(period, self._do_refresh, value, period)
+        self._record_event()
+        self.sim.schedule(period, self._refresh, value, period)
 
     def _relevel_tick(self) -> None:
         """Autonomic level adjustment sweep (vectorized §4.3).
@@ -837,7 +870,6 @@ class ScalableSim:
         self.levels[at] = levels
         self.thresholds[at] = thresholds
         self.alive[at] = True
-        self.join_times[at] = 0.0
         bits = self.p.id_bits
         own = np.minimum(levels, self.p.max_level)
         for l in range(self.p.max_level + 1):
@@ -849,7 +881,7 @@ class ScalableSim:
         # ``schedule(refresh_period, _do_refresh, value, refresh_period)``:
         # a leave takes the number after all that earlier nodes took, its
         # refresh the next (DESIGN.md §4, Schedule discipline).
-        refresh_period = 2.0 * self._mean_lifetime
+        refresh_period = self._refresh_period
         refreshing = lifetimes > refresh_period
         taken = np.cumsum(refreshing)
         first = self.sim.reserve(n + int(taken[-1]))
@@ -875,7 +907,9 @@ class ScalableSim:
             )
         if not self.population:
             self.seed_population()
-        self._schedule_join()
+        self._join = self.sim.schedule(
+            self._rng_misc.exponential(self._join_scale), self._do_join
+        )
         self.sim.schedule(self.p.relevel_interval_s, self._relevel_tick)
         self.sim.schedule(self.p.measure_interval_s, self._measure_tick)
         self.sim.schedule(1.0, self._tree_sample_tick)

@@ -267,19 +267,21 @@ class TestBatchSeeding:
     @pytest.mark.parametrize("already", [0, 40])
     def test_random_ids_is_random_id_repeated(self, already):
         """With 200 of 256 possible ids wanted, most rounds collide: same
-        ids in the same order, and the stream left at the same draw."""
+        ids in the same order as one scalar draw at a time with the
+        collision skip, and the stream left at the same draw."""
         params = ScalableParams(n_target=200, id_bits=8, max_level=4, seed=5)
-        batch_sim, loop_sim = ScalableSim(params), ScalableSim(params)
-        for sim in (batch_sim, loop_sim):
-            for value in range(already):
-                sim._slot_of[value] = value
-        batch = batch_sim._random_ids(200 - already).tolist()
-        loop = []
-        for _ in range(200 - already):
-            loop.append(loop_sim._random_id())
-            loop_sim._slot_of[loop[-1]] = 0
+        sim = ScalableSim(params)
+        taken = set(range(already))
+        sim._slot_of.update((value, value) for value in taken)
+        batch = sim._random_ids(200 - already).tolist()
+        rng, loop = RandomStreams(params.seed).get("ids"), []
+        while len(loop) < 200 - already:
+            value = int(rng.integers(0, 1 << params.id_bits, dtype=np.uint64))
+            if value not in taken:
+                loop.append(value)
+                taken.add(value)
         assert batch == loop
-        assert batch_sim._rng_ids.integers(1 << 30) == loop_sim._rng_ids.integers(1 << 30)
+        assert sim._rng_ids.integers(1 << 30) == rng.integers(1 << 30)
 
     def test_affordable_levels_is_affordable_level_of_each(self):
         """Every seeded threshold of seeds 0-9 at n = 100,000, and the
@@ -440,8 +442,8 @@ class CountingRng:
 
 
 class TestJoinDrawBlocks:
-    """The ``bandwidth`` and ``lifetime`` streams are read a block of joins
-    ahead, and an event's prefix cells are computed once."""
+    """The ``bandwidth``, ``lifetime`` and ``ids`` streams are read a block
+    of joins ahead, and an event's prefix cells are computed once."""
 
     def test_result_does_not_depend_on_block_length(self, monkeypatch):
         committed = ScalableSim(ScalableParams(**_CHURNY)).run()
@@ -452,16 +454,19 @@ class TestJoinDrawBlocks:
 
     def test_draw_calls_and_cell_vectors_are_counted(self, monkeypatch):
         """Counted, not timed.  Before blocks: two draw calls per join on
-        the bandwidth stream, one on the lifetime stream, and two cell
-        vectors per measured join or leave.  Cells are built by ``_flush``,
-        one row per churn event: summed over flushes, an event built twice
-        shows as a surplus."""
+        the bandwidth stream, one on the lifetime stream, one (or more, on
+        a collision) on the ids stream, and two cell vectors per measured
+        join or leave.  Cells are built by ``_flush``, one row per churn
+        event: summed over flushes, an event built twice shows as a
+        surplus."""
         sim = ScalableSim(ScalableParams(**dict(_CHURNY, warmup_s=0.0, duration_s=250.0)))
         seed_population = sim.seed_population
 
-        def seed_then_count():  # seeding reads both streams too: not counted
+        def seed_then_count():  # seeding reads these streams too: not counted
             seed_population()
-            sim._rng_bw, sim._rng_life = CountingRng(sim._rng_bw), CountingRng(sim._rng_life)
+            sim._rng_bw, sim._rng_life, sim._rng_ids = (
+                CountingRng(rng) for rng in (sim._rng_bw, sim._rng_life, sim._rng_ids)
+            )
 
         monkeypatch.setattr(sim, "seed_population", seed_then_count)
         cell_rows = []
@@ -472,7 +477,8 @@ class TestJoinDrawBlocks:
         res = sim.run()
         assert res.joins >= 3000
         most = math.ceil(res.joins / JOIN_DRAW_BLOCK) + 1
-        assert 0 < sim._rng_bw.calls <= most and 0 < sim._rng_life.calls <= most
+        for rng in (sim._rng_bw, sim._rng_life, sim._rng_ids):
+            assert 0 < rng.calls <= most
         # No warm-up: every event is measured, so every one needs its cells.
         assert res.level_changes > 0
         assert sum(cell_rows) == res.joins + res.leaves + res.refreshes + res.level_changes
