@@ -11,7 +11,9 @@ collects
 pointers.  The worked example: ``L=3600, m=3, i=1000, r=1`` gives a 5 kbps
 modem node ``p = 6000`` pointers — *"the cost of collecting 1,000 pointers
 being less than 1 kbps"* (abstract).  These functions regenerate that
-table and supply the level-assignment rule both engines use.
+table and hold the one level rule (§2, §4.3) both engines and the
+predictor call: the stationary level and the shift decision, each in a
+scalar and an array form.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.errors import ConfigError
+
+#: §2's worked example: a node raises its level once its cost falls below
+#: half its threshold (a 5 kbps modem node raises below 2.5 kbps).
+RAISE_FRACTION = 0.5
 
 
 def non_negative(name: str, value: float) -> float:
@@ -84,20 +92,49 @@ class CostModel:
         system."""
         return self.bandwidth_for_pointers(self.peer_list_size(n_nodes, level))
 
-    def min_affordable_level(self, n_nodes: float, threshold_bps: float) -> int:
-        """The strongest (smallest-value) level whose maintenance cost fits
-        under ``threshold_bps``.  This is the stationary point of the
-        autonomic controller and the level the join estimator converges to.
-        """
-        if threshold_bps <= 0:
-            raise ConfigError("threshold must be positive")
-        if n_nodes <= 0:
-            return 0
-        cost_l0 = self.level_cost(n_nodes, 0)
-        if cost_l0 <= threshold_bps:
-            return 0
-        # cost(l) = cost(0) / 2^l <= W  =>  l >= log2(cost(0)/W)
-        return int(math.ceil(math.log2(cost_l0 / threshold_bps)))
+
+def stationary_level(cost0: float, threshold: float, max_level: int) -> int:
+    """The autonomic controller's stationary point: the smallest level ``l``
+    (at most ``max_level``) whose cost ``cost0 / 2^l`` fits under
+    ``threshold``, with ``cost0 = R·i`` the level-0 cost in bps."""
+    if threshold <= 0:
+        raise ConfigError("threshold must be positive")
+    if cost0 <= threshold:
+        return 0
+    # cost(l) = cost(0) / 2^l <= W  =>  l >= log2(cost(0)/W)
+    return min(math.ceil(math.log2(cost0 / threshold)), max_level)
+
+
+def stationary_levels(cost0: float, thresholds: np.ndarray, max_level: int) -> np.ndarray:
+    """:func:`stationary_level` of each threshold, as ``int16``.  ``np.log2``
+    may differ from ``math.log2`` in the last bit, not in the ceiling."""
+    if not (thresholds > 0).all():
+        raise ConfigError("thresholds must be positive")
+    levels = np.zeros(thresholds.shape, dtype=np.int16)
+    above = cost0 > thresholds
+    levels[above] = np.minimum(np.ceil(np.log2(cost0 / thresholds[above])), max_level)
+    return levels
+
+
+def level_shift(level: int, cost: float, threshold: float, raise_fraction: float) -> int:
+    """The shift decision at a measured ``cost``: +1 lowers (l -> l+1) above
+    ``threshold``, -1 raises (l -> l-1) below ``raise_fraction * threshold``
+    if ``level > 0``, 0 holds.  Stateless: the anti-flap hold is per-node
+    state, :class:`~repro.core.levels.LevelController`'s."""
+    if cost > threshold:
+        return 1
+    if cost < raise_fraction * threshold and level > 0:
+        return -1
+    return 0
+
+
+def level_shifts(
+    levels: np.ndarray, costs: np.ndarray, thresholds: np.ndarray, raise_fraction: float
+) -> np.ndarray:
+    """:func:`level_shift` of each node, as ``int8``."""
+    lower = costs > thresholds
+    raise_ = (costs < raise_fraction * thresholds) & (levels > 0) & ~lower
+    return lower.astype(np.int8) - raise_
 
 
 def estimate_join_level(
@@ -108,7 +145,11 @@ def estimate_join_level(
         ``l_X = ceil( l_T + log2(W_T / W_X) )``, clamped at 0.
 
     ``top_level``/``top_cost_bps`` are reported by the contacted top node
-    (its level and its dynamically measured bandwidth cost).
+    (its level and its dynamically measured bandwidth cost).  Not
+    :func:`stationary_level`: the ``- 1e-9`` guard takes a ``log2`` within
+    1e-9 above an integer (a power-of-two ratio off in its last bits) down
+    to that integer, where the stationary rule takes the next level, so
+    folding the two would move the detailed engine's join levels.
     """
     if top_level < 0:
         raise ConfigError("top_level must be >= 0")

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Tuple
 
+from repro.core.analytic import RAISE_FRACTION
 from repro.core.errors import ConfigError
 
 #: A range: what the error says, and the test (a comparison, which NaN fails).
@@ -165,7 +166,7 @@ class ProtocolConfig:
     refresh_multiple: float = 2.0
     expiry_multiple: float = 3.0
     level_check_interval: float = 60.0
-    raise_fraction: float = 0.5
+    raise_fraction: float = RAISE_FRACTION
     report_timeout: float = 10.0
     warmup_extra_levels: int = 0
     download_grace: float = 30.0

@@ -1,14 +1,11 @@
-"""Autonomic level control (§2, §4.3).
+"""Autonomic level control (§2, §4.3): the per-node controller.
 
 Each node has a user-set upper bandwidth threshold ``W`` and measures its
-actual maintenance cost ``w`` (EWMA of input bandwidth).  The controller:
-
-* **lowers** the level (l -> l+1, peer list halves) when ``w > W`` —
-  the node can no longer afford its level;
-* **raises** the level (l -> l-1, peer list doubles) when
-  ``w < raise_fraction * W`` (the paper's worked example uses 1/2: a
-  modem node at 5 kbps raises when cost drops below 2.5 kbps) — the
-  environment turned stable and the node can collect more.
+actual maintenance cost ``w`` (EWMA of input bandwidth).  Whether a cost
+lowers the level (``w > W``: l -> l+1, the peer list halves), raises it
+(``w < raise_fraction * W``: l -> l-1, the list doubles) or holds is
+:func:`~repro.core.analytic.level_shift`, the one rule both engines use;
+this module keeps only what is per-node state.
 
 Raising requires first downloading the newly-covered pointers from a
 *stronger* node (§4.3); lowering just evicts out-of-prefix pointers.
@@ -24,23 +21,25 @@ provides the static margin.
 from __future__ import annotations
 
 import enum
+
+from repro.core.analytic import level_shift
 from repro.core.config import ProtocolConfig
 
 
 class LevelDecision(enum.Enum):
-    HOLD = "hold"
-    RAISE = "raise"  # l -> l-1, bigger peer list (higher level)
-    LOWER = "lower"  # l -> l+1, smaller peer list (lower level)
+    """A :func:`~repro.core.analytic.level_shift` result: its value is l's change."""
+
+    HOLD = 0
+    RAISE = -1  # l -> l-1, bigger peer list (higher level)
+    LOWER = 1  # l -> l+1, smaller peer list (lower level)
 
 
 class LevelController:
     """Pure decision logic; the node executes the shifts."""
 
     def __init__(self, config: ProtocolConfig, threshold_bps: float):
-        if threshold_bps <= 0:
-            raise ValueError("threshold must be positive")
         self.config = config
-        self.threshold_bps = float(threshold_bps)
+        self.set_threshold(threshold_bps)
         self._last_decision = LevelDecision.HOLD
         self.raises = 0
         self.lowers = 0
@@ -49,21 +48,11 @@ class LevelController:
         """One control step.  ``measured_bps`` is the EWMA input cost."""
         if measured_bps < 0:
             raise ValueError("measured_bps must be >= 0")
-        decision = LevelDecision.HOLD
-        if measured_bps > self.threshold_bps:
-            if level < 10_000:  # no practical upper bound; guard overflow
-                decision = LevelDecision.LOWER
-        elif measured_bps < self.config.raise_fraction * self.threshold_bps:
-            if level > 0:
-                decision = LevelDecision.RAISE
+        decision = LevelDecision(
+            level_shift(level, measured_bps, self.threshold_bps, self.config.raise_fraction)
+        )
         # Anti-flap: never immediately reverse the previous shift.
-        if (
-            decision is LevelDecision.RAISE
-            and self._last_decision is LevelDecision.LOWER
-        ) or (
-            decision is LevelDecision.LOWER
-            and self._last_decision is LevelDecision.RAISE
-        ):
+        if decision.value * self._last_decision.value < 0:
             self._last_decision = LevelDecision.HOLD
             return LevelDecision.HOLD
         self._last_decision = decision

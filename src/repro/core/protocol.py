@@ -194,7 +194,6 @@ class PeerWindowNetwork:
         self,
         specs: Sequence[SeedSpec],
         mean_lifetime_s: float = 3600.0,
-        changes_per_lifetime: float = 3.0,
         forced_level: Optional[int] = None,
     ) -> List[Hashable]:
         """Install an initial population in the protocol's converged state
@@ -204,7 +203,6 @@ class PeerWindowNetwork:
             self,
             specs,
             mean_lifetime_s=mean_lifetime_s,
-            changes_per_lifetime=changes_per_lifetime,
             forced_level=forced_level,
         )
 

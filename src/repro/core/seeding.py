@@ -2,19 +2,19 @@
 
 The paper first *creates* its population, then churns it; this module is
 that creation step for :class:`~repro.core.protocol.PeerWindowNetwork`.
-Levels are assigned with the §2 cost model (the stationary point of the
-autonomic controller), peer lists are built from ground truth, top-node
-lists point at ``t`` random top nodes of each node's part, and top nodes
-get cross-part lists (``merge`` bisects each pointer into its part's run
-of rows) — so the system starts in the consistent state the protocol
-would converge to.
+Levels are assigned with the §2 cost model at its m = 3 (the stationary
+point of the autonomic controller, DESIGN.md §4), peer lists are built
+from ground truth, top-node lists point at ``t`` random top nodes of each
+node's part, and top nodes get cross-part lists (``merge`` bisects each
+pointer into its part's run of rows) — so the system starts in the
+consistent state the protocol would converge to.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.analytic import CostModel
+from repro.core.analytic import CostModel, stationary_level
 from repro.core.errors import JoinError
 from repro.core.nodeid import NodeId, eigenstring
 from repro.core.peerlist import PeerList
@@ -27,18 +27,12 @@ def seed_network(
     net,
     specs: Sequence[SeedSpec],
     mean_lifetime_s: float = 3600.0,
-    changes_per_lifetime: float = 3.0,
     forced_level: Optional[int] = None,
 ) -> List[Any]:
     """Install an initial population into ``net``; returns keys in spec
     order.  (The body of ``PeerWindowNetwork.seed_nodes``.)"""
     if net.nodes:
         raise JoinError("seed_nodes requires an empty network")
-    model = CostModel(
-        mean_lifetime_s=mean_lifetime_s,
-        changes_per_lifetime=changes_per_lifetime,
-        message_bits=net.config.event_message_bits,
-    )
     normalized: List[Dict[str, Any]] = []
     for spec in specs:
         if isinstance(spec, dict):
@@ -48,6 +42,8 @@ def seed_network(
         else:
             normalized.append({"threshold_bps": float(spec)})
     n = len(normalized)
+    model = CostModel(mean_lifetime_s, message_bits=net.config.event_message_bits)
+    cost0 = model.level_cost(n, 0)
     created = []
     for spec in normalized:
         node = net._make_node(
@@ -60,9 +56,8 @@ def seed_network(
         elif "level" in spec:
             node.level = int(spec["level"])
         else:
-            node.level = min(
-                model.min_affordable_level(n, spec["threshold_bps"]),
-                net.config.id_bits,
+            node.level = stationary_level(
+                cost0, spec["threshold_bps"], net.config.id_bits
             )
         created.append(node)
 

@@ -142,18 +142,16 @@ def ablate_target_policy(
     }
 
 
-def ablate_hysteresis(
-    raise_fractions: List[float],
-    base: Optional[ScalableParams] = None,
-) -> List[Tuple[float, int]]:
+def ablate_hysteresis(raise_fractions: List[float]) -> List[Tuple[float, int]]:
     """(raise fraction, level changes) — narrow dead zones flap.
 
-    The scalable engine's sweep hard-codes the 0.5 raise fraction, so this
-    ablation drives the pure :class:`~repro.core.levels.LevelController`
-    against a noisy measured-cost series.
+    The scalable engine's sweep runs at the fixed
+    :data:`~repro.core.analytic.RAISE_FRACTION`, so this ablation drives
+    the pure :class:`~repro.core.levels.LevelController`, whose config
+    field it sweeps, against a noisy measured-cost series.
     """
     from repro.core.config import ProtocolConfig
-    from repro.core.levels import LevelController, LevelDecision
+    from repro.core.levels import LevelController
 
     rng = np.random.default_rng(7)
     out = []
@@ -166,13 +164,9 @@ def ablate_hysteresis(
         # the hostile regime for a controller.
         for _ in range(500):
             cost = 1000.0 / (2.0**level) * 8.0 * float(rng.uniform(0.7, 1.3))
-            decision = ctl.decide(level, cost)
-            if decision is LevelDecision.RAISE:
-                level -= 1
-                changes += 1
-            elif decision is LevelDecision.LOWER:
-                level += 1
-                changes += 1
+            shift = ctl.decide(level, cost).value
+            level += shift
+            changes += shift != 0
         out.append((float(frac), changes))
     return out
 

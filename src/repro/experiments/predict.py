@@ -3,8 +3,9 @@
 The level distribution is fully determined by three inputs — the
 bandwidth-threshold distribution, the system event rate, and the message
 size — because each node's level is the §2 stationary point
-``l = max(0, ceil(log2(R·i / W)))``.  These functions compute the figures
-analytically, giving:
+``l = max(0, ceil(log2(R·i / W)))``, the rule :mod:`repro.core.analytic`
+writes once for both engines and these functions.  They compute the
+figures analytically, giving:
 
 * an independent check of the simulation engines (tests pin them to each
   other);
@@ -21,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.analytic import stationary_level, stationary_levels
 from repro.workloads.bandwidth_dist import (
     GnutellaBandwidthDistribution,
     threshold_from_bandwidth,
@@ -67,9 +69,7 @@ def predict_level_distribution(
     bws = np.asarray(dist.sample(rng, samples))
     thresholds = threshold_from_bandwidth(bws, threshold_fraction, threshold_floor_bps)
     rate = system_event_rate(n_nodes, mean_lifetime_s, changes_per_lifetime)
-    cost0 = rate * event_bits
-    levels = np.ceil(np.log2(np.maximum(cost0 / thresholds, 1.0)))
-    levels = np.clip(levels, 0, max_level).astype(int)
+    levels = stationary_levels(rate * event_bits, thresholds, max_level)
     counts = np.bincount(levels, minlength=max_level + 1)
     return {
         int(l): float(c) / samples for l, c in enumerate(counts) if c > 0
@@ -87,11 +87,7 @@ def predict_n_levels(
     """Number of populated levels: the deepest level is set by the
     threshold floor (the weakest possible node)."""
     rate = system_event_rate(n_nodes, mean_lifetime_s, changes_per_lifetime)
-    cost0 = rate * event_bits
-    if cost0 <= threshold_floor_bps:
-        return 1
-    deepest = math.ceil(math.log2(cost0 / threshold_floor_bps))
-    return min(deepest, max_level) + 1
+    return stationary_level(rate * event_bits, threshold_floor_bps, max_level) + 1
 
 
 def predict_error_rate(

@@ -80,6 +80,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.analytic import (
+    RAISE_FRACTION,
+    level_shifts,
+    stationary_level,
+    stationary_levels,
+)
+from repro.experiments.predict import system_event_rate
 from repro.net.transit_stub import TransitStubParams, TransitStubTopology
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.rng import RandomStreams
@@ -528,27 +535,6 @@ class ScalableSim:
                 values = values[np.sort(first)]
         return values
 
-    def _affordable_level(self, threshold: float) -> int:
-        """§2 stationary level for the measured event rate."""
-        rate = self._rate_estimate
-        if rate <= 0:
-            return 0
-        cost0 = rate * self.p.event_bits
-        if cost0 <= threshold:
-            return 0
-        return min(int(math.ceil(math.log2(cost0 / threshold))), self.p.max_level)
-
-    def _affordable_levels(self, thresholds: np.ndarray) -> np.ndarray:
-        """:meth:`_affordable_level` of each.  ``np.log2`` may differ from
-        ``math.log2`` in the last bit, not in the ceiling (``TestBatchSeeding``)."""
-        cost0 = self._rate_estimate * self.p.event_bits
-        levels = np.zeros(thresholds.size, dtype=np.int16)
-        above = cost0 > thresholds  # false everywhere when the rate is <= 0
-        levels[above] = np.minimum(
-            np.ceil(np.log2(cost0 / thresholds[above])), self.p.max_level
-        )
-        return levels
-
     def _cells(self, values: np.ndarray) -> np.ndarray:
         """Flat-table cells of each id's prefixes: one row per id, one
         column per level l = 0..max_level."""
@@ -577,7 +563,9 @@ class ScalableSim:
         if not self._join_draws:
             self._refill_join_draws()
         threshold, lifetime = self._join_draws.pop()
-        level = self._affordable_level(threshold)
+        level = stationary_level(
+            self._rate_estimate * self.p.event_bits, threshold, self.p.max_level
+        )
         slot = self._free.pop()
         self.ids[slot] = value
         self.levels[slot] = level
@@ -634,29 +622,24 @@ class ScalableSim:
     def _relevel_tick(self) -> None:
         """Autonomic level adjustment sweep (vectorized §4.3).
 
-        Mirrors :class:`~repro.core.levels.LevelController`'s hysteresis:
-        a node lowers (l -> l+1) only when its current cost exceeds its
-        threshold, and raises (l -> l-1) only when the cost falls below
-        half the threshold — the dead zone keeps levels from flapping as
-        the measured rate fluctuates.
+        Each live node's cost at its current level and the measured rate
+        goes through :func:`~repro.core.analytic.level_shifts` at
+        ``RAISE_FRACTION``, clipped to ``[0, max_level]``: the stateless
+        rule, without the detailed engine's anti-flap hold (DESIGN.md §4,
+        *The level rule*).
         """
         rate = self._rate_estimate
         if rate > 0 and self.population:
-            mask = self.alive
-            slots_all = np.flatnonzero(mask)
+            slots_all = np.flatnonzero(self.alive)
             thresholds = self.thresholds[slots_all]
-            current = self.levels[slots_all].astype(np.float64)
-            cost_now = rate * self.p.event_bits / np.exp2(current)
-            lower = cost_now > thresholds
-            raise_ = (cost_now < 0.5 * thresholds) & (current > 0)
-            desired = self.levels[slots_all].astype(np.int16)
-            desired[lower] += 1
-            desired[raise_] -= 1
-            desired = np.clip(desired, 0, self.p.max_level)
-            changed = desired != self.levels[slots_all]
+            levels = self.levels[slots_all]
+            cost_now = rate * self.p.event_bits / np.exp2(levels.astype(np.float64))
+            shifts = level_shifts(levels, cost_now, thresholds, RAISE_FRACTION)
+            desired = np.clip(levels + shifts, 0, self.p.max_level)
+            changed = desired != levels
             if changed.any():
                 slots = slots_all[changed]
-                old = self.levels[slots]
+                old = levels[changed]
                 new = desired[changed]
                 self.levels[slots] = new
                 self.level_changes += slots.size
@@ -852,7 +835,7 @@ class ScalableSim:
             )
         n = self.p.n_target
         # Analytic initial rate: joins + leaves ≈ 2N/L.
-        self._rate_estimate = 2.0 * n / self._mean_lifetime
+        self._rate_estimate = system_event_rate(n, self._mean_lifetime)
         bws = np.asarray(self.bandwidths.sample(self._rng_bw, n))
         thresholds = threshold_from_bandwidth(
             bws, self.p.threshold_fraction, self.p.threshold_floor_bps
@@ -861,7 +844,9 @@ class ScalableSim:
         # nor surges after seeding.
         lifetimes = self.lifetimes.sample_residual(self._rng_life, n)
         values = self._random_ids(n)
-        levels = self._affordable_levels(thresholds)
+        levels = stationary_levels(
+            self._rate_estimate * self.p.event_bits, thresholds, self.p.max_level
+        )
         slots = self._free[: -n - 1 : -1]  # what n pops would return
         del self._free[-n:]
         self._slot_of.update(zip(values.tolist(), slots))

@@ -283,40 +283,6 @@ class TestBatchSeeding:
         assert batch == loop
         assert sim._rng_ids.integers(1 << 30) == rng.integers(1 << 30)
 
-    def test_affordable_levels_is_affordable_level_of_each(self):
-        """Every seeded threshold of seeds 0-9 at n = 100,000, and the
-        thresholds that put ``cost0 / threshold`` on a power of two or on
-        a float beside one — where a ``log2`` off in its last bit would
-        show as a different ceiling."""
-        sim = ScalableSim(ScalableParams(use_transit_stub=False, max_level=18))
-        n = sim.p.n_target
-        sim._rate_estimate = 2.0 * n / sim._mean_lifetime  # what seeding sets
-        cost0 = sim._rate_estimate * sim.p.event_bits
-        ratios = np.array([2.0**k for k in range(-3, 24)])
-        beside = [ratios]
-        for toward in (0.0, np.inf):
-            for _ in range(3):
-                beside.append(np.nextafter(beside[-1], toward))
-            beside.append(ratios)
-        around = cost0 / np.concatenate(beside)
-        around = np.concatenate(
-            [around, np.nextafter(around, 0.0), np.nextafter(around, np.inf), [cost0]]
-        )
-        drawn = [
-            scalable.threshold_from_bandwidth(
-                np.asarray(sim.bandwidths.sample(RandomStreams(seed).get("bandwidth"), n)),
-                sim.p.threshold_fraction, sim.p.threshold_floor_bps,
-            )
-            for seed in range(10)
-        ]
-        for thresholds in [around] + drawn:
-            assert sim._affordable_levels(thresholds).tolist() == [
-                sim._affordable_level(t) for t in thresholds.tolist()
-            ]
-        assert set(sim._affordable_levels(around).tolist()) >= set(range(19))
-        sim._rate_estimate = 0.0  # no rate yet: everybody affords level 0
-        assert not sim._affordable_levels(around).any()
-
     @pytest.mark.costs
     def test_seeding_leaves_no_per_node_entries_or_objects(self):
         check("scalable_seeding", 20_000)

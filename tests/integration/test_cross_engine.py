@@ -9,9 +9,11 @@ bookkeeping produce the same level structure and peer-list sizes.
 import numpy as np
 import pytest
 
-from repro.core.analytic import CostModel
+from repro.core.analytic import CostModel, stationary_level
 from repro.core.config import ProtocolConfig
+from repro.core.levels import LevelController
 from repro.core.protocol import PeerWindowNetwork
+from repro.experiments.predict import system_event_rate
 from repro.experiments.scalable import ScalableParams, ScalableSim
 from repro.workloads.bandwidth_dist import (
     GnutellaBandwidthDistribution,
@@ -36,27 +38,46 @@ class TestLevelAgreement:
         net.seed_nodes([float(t) for t in thresholds], mean_lifetime_s=mean_lifetime)
         detailed_hist = net.level_histogram()
 
-        model = CostModel(mean_lifetime_s=mean_lifetime)
+        cost0 = CostModel(mean_lifetime_s=mean_lifetime).level_cost(n, 0)
         analytic_hist = {}
         for t in thresholds:
-            lvl = model.min_affordable_level(n, float(t))
+            lvl = stationary_level(cost0, float(t), 16)
             analytic_hist[lvl] = analytic_hist.get(lvl, 0) + 1
         assert detailed_hist == dict(sorted(analytic_hist.items()))
 
     def test_scalable_levels_match_analytic_at_seed(self):
-        p = ScalableParams(n_target=2000, duration_s=50.0, warmup_s=10.0, seed=2)
+        p = ScalableParams(n_target=20_000, seed=2, use_transit_stub=False)
         sim = ScalableSim(p)
         sim.seed_population()
         # At seed time the engine uses the analytic rate 2N/L.
-        rate = sim._rate_estimate
-        cost0 = rate * p.event_bits
-        live = sim.alive
-        for slot in np.flatnonzero(live)[:200]:
-            threshold = sim.thresholds[slot]
-            level = int(sim.levels[slot])
-            if level > 0:
-                assert cost0 / (2.0 ** (level - 1)) > threshold  # can't afford stronger
-            assert cost0 / (2.0**level) <= threshold or level == p.max_level
+        cost0 = system_event_rate(p.n_target, sim.lifetimes.mean) * p.event_bits
+        slots = np.flatnonzero(sim.alive)
+        levels = sim.levels[slots].tolist()
+        assert levels == [
+            stationary_level(cost0, t, p.max_level) for t in sim.thresholds[slots].tolist()
+        ]
+        assert len(set(levels)) > 2
+
+    @pytest.mark.parametrize("factor", [0.3, 1.0, 3.0])
+    def test_relevel_sweep_is_the_controller_without_its_hold(self, factor):
+        """One ``_relevel_tick`` moves each live node as a fresh
+        ``LevelController`` (no previous shift to hold against) decides at
+        the node's cost, clipped to ``[0, max_level]``."""
+        p = ScalableParams(n_target=20_000, seed=2, use_transit_stub=False)
+        sim = ScalableSim(p)
+        sim.seed_population()
+        sim._rate_estimate *= factor
+        rate, slots = sim._rate_estimate, np.flatnonzero(sim.alive)
+        before = sim.levels[slots].tolist()
+        expected = []
+        for level, t in zip(before, sim.thresholds[slots].tolist()):
+            decision = LevelController(ProtocolConfig(), t).decide(
+                level, rate * p.event_bits / 2.0**level
+            )
+            expected.append(min(max(level + decision.value, 0), p.max_level))
+        sim._relevel_tick()
+        assert sim.levels[slots].tolist() == expected
+        assert (expected != before) == (factor != 1.0)
 
 
 class TestSizeAgreement:
