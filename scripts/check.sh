@@ -472,7 +472,7 @@ sys.exit(1 if problems else 0)
 PY
   echo "== scale (scalable engine: 10^6 nodes seeded, <= 4 pending entries, < 700 MB; one tree sample timed) =="
   seeding 1000000 700 || status=1
-  echo "== scale (scalable engine: 10^6 nodes x lifetime_rate 0.01, 60 + 180 sim-s; unjudged: events, host-s, host-us per event, peak RSS, collector passes and host-s) =="
+  echo "== scale (scalable engine: 10^6 nodes x lifetime_rate 0.01, 60 + 180 sim-s; unjudged: events, host-s, host-us per event, peak RSS, collector passes and host-s, pending entries, tree-sample host-s) =="
   with_timeout 1800 $PY - <<'PY' || status=1
 import gc, resource, time
 from repro.experiments.scalable import ScalableParams, ScalableSim
@@ -495,6 +495,18 @@ def count_pass(phase, info):
         gc_s[0] += time.perf_counter() - began[0]
 
 
+sample_tree, tree_s = sim._sample_tree, [0.0, 0]
+
+
+def timed_sample():
+    began = time.perf_counter()
+    audience = sample_tree()
+    tree_s[0] += time.perf_counter() - began
+    tree_s[1] += 1
+    return audience
+
+
+sim._sample_tree = timed_sample  # the tick looks it up on the instance
 gc.callbacks.append(count_pass)
 started = time.perf_counter()
 res = sim.run()
@@ -507,6 +519,8 @@ print(f"scale: 10^6 x rate 0.01: seeded in {seed_s:.1f} host-s, then {events:,} 
       f"peak RSS {rss_mb:.0f} MB, mean error rate {res.mean_error_rate:.4f}")
 print(f"scale: 10^6 x rate 0.01: collector passes {passes[0]} young, {passes[1]} middle, "
       f"{passes[2]} full, {gc_s[0]:.1f} host-s ({gc_s[0] / host_s:.0%} of the run; unjudged)")
+print(f"scale: 10^6 x rate 0.01: {len(sim.sim):,} pending entries at the end; {tree_s[1]} tree "
+      f"samples in {tree_s[0]:.1f} host-s ({tree_s[0] / host_s:.0%} of the run; unjudged)")
 PY
   echo "== scale (six-contestant tournament, n=1,000 x 130 sim-s, one contestant at a time: champion healthy, < 1000 MB) =="
   with_timeout 900 $PY - <<'PY' || status=1

@@ -151,6 +151,9 @@ PLANTS = [
       "src/repro/experiments/scalable.py", "    order = ids.argsort()\n    sorted_ids = ids[order]\n",
       "    order = ids.argsort()\n    order = order[ids[order].argsort(kind=\"stable\")]\n"
       "    sorted_ids = ids[order]\n", False),
+    P("cost-leave-handle", "tracked / a handle per pending leave",
+      "src/repro/experiments/scalable.py", "        self._leaves.push(lifetime, value)\n",
+      "        self.sim.schedule(lifetime, self._do_leave, value)\n", False),
     P("policy-level-floor", "the §2 stationary level rounds down", CORE + "analytic.py",
       "    return min(math.ceil(math.log2(cost0 / threshold)), max_level)\n",
       "    return min(math.floor(math.log2(cost0 / threshold)), max_level)\n", False),

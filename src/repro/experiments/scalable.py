@@ -24,9 +24,12 @@ Dynamics
 
 * Joins arrive in a Poisson process at rate ``n_target / mean_lifetime``
   (§5.1); each join samples a lifetime and a bandwidth from the Gnutella
-  distributions and schedules the leave.  A join's id, bandwidth and
-  lifetime are drawn ``JOIN_DRAW_BLOCK`` joins ahead, each stream having
-  no other reader after seeding, and the chain of joins re-arms one handle.
+  distributions and pushes its leave as a row of one timer heap
+  (:meth:`~repro.sim.engine.Simulator.timer_rows`: one pending entry for
+  every leave still to come, and another for the refreshes).  A join's
+  id, bandwidth and lifetime are drawn ``JOIN_DRAW_BLOCK`` joins ahead,
+  each stream having no other reader after seeding, and the chain of
+  joins re-arms one handle.
 * Each node's level is the §2 cost model's stationary point for the
   *measured* system event rate; a periodic re-level sweep moves nodes
   whose affordable level changed (counted as level-change events, §4.3).
@@ -46,21 +49,22 @@ cost (1 s processing + mean underlay latency).  Per-level tree depths and
 sender out-degrees are *measured*, not assumed: the engine periodically
 runs the exact §4.2 binomial dissemination over the real audience of a
 random subject (see :func:`binomial_broadcast`).  That tree is fixed by
-the id trie and the strongest-first rule, so it is built bit-synchronously:
+the id trie and the strongest-first rule, so it is built split by split:
 
 * the audience is sorted by id once, so every id-trie node is a run of
   positions;
-* the groups still waiting at bit ``b`` are the id-trie nodes of depth ``b``
-  with a member left to reach, each held as ``(lo, hi, root)``;
-* one vector step per bit finds every group's split point with one
-  ``searchsorted`` and re-roots each split-off half under its strongest
+* the groups still waiting are the id-trie nodes with a member left to
+  reach, each held as ``(lo, hi, root)``; a group splits at the highest bit
+  where its first and last ids differ;
+* one vector step splits every group, finding its split point with one
+  ``searchsorted`` and re-rooting the split-off half under its strongest
   member;
 * "strongest" is a segmented minimum (one ``reduceat``) over the rank
   ``level * n + position``, which is the ``(level, id)`` order.
 
 Cost: one sort, then at most ``id_bits`` steps over the waiting groups
-(≈ 1.4 n group-steps in all for uniform ids), not over their members:
-about 20 ms for the 66,000-member audiences of the paper-scale run.
+(n - 1 group-steps in all for distinct ids), not over their members:
+about 15 ms for the 66,000-member audiences of the paper-scale run.
 
 Dividing by the integrated entry-seconds (sampled each measurement tick)
 gives exactly the paper's per-level peer-list error rate (figures 7, 10,
@@ -110,11 +114,13 @@ def binomial_broadcast(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run the §4.2 dissemination over an explicit audience.
 
-    Every node holding the event handles bit ``b`` in the same vector step:
-    the members it must still reach that differ from it at ``b`` get the
-    event through their strongest one (lowest level, then lowest id), who
-    serves them from bit ``b + 1`` on.  At most ``id_bits`` steps, each over
-    the id-trie nodes still waiting, not over their members.
+    In one vector step every id-trie node still waiting splits at the
+    highest bit ``b`` where its members' ids differ: the members that differ
+    from its root at ``b`` get the event through their strongest one
+    (lowest level, then lowest id), who serves them from bit ``b + 1`` on.
+    Each step takes at least one bit of every id, so there are at most
+    ``id_bits`` steps, each over the trie nodes still waiting, not over
+    their members: n - 1 splits in all for distinct ids.
 
     Parameters
     ----------
@@ -182,28 +188,31 @@ def binomial_broadcast(
     lo = np.zeros(waiting, dtype=np.intp)
     hi = np.full(waiting, n, dtype=np.intp)
     root = (order == root_pos).nonzero()[0][:waiting]
-    one = np.uint64(1)
-    for b in range(id_bits):
+    for _step in range(id_bits):  # each step takes at least one bit of every id
+        # A node splits at the highest bit where its first and last ids
+        # differ: the bits above it are shared, so it is not carried through
+        # them.  One whose ids are all equal (copies) never splits.
+        differ = sorted_ids[lo] ^ sorted_ids[hi - 1]
+        if not differ.all():
+            keep = differ.nonzero()[0]
+            lo, hi, root, differ = lo[keep], hi[keep], root[keep], differ[keep]
         if lo.size == 0:
             break
-        shift = np.uint64(id_bits - 1 - b)
-        # First position whose id has the root's first b bits and a 1 at b.
-        mid = sorted_ids.searchsorted(((sorted_ids[root] >> shift) | one) << shift)
+        shift = _top_bit(differ)
+        # First position of the half whose ids have a 1 at that bit.
+        mid = sorted_ids.searchsorted((sorted_ids[hi - 1] >> shift) << shift)
         upper = root >= mid
-        split = ((lo < mid) & (mid < hi)).nonzero()[0]
-        target = root.copy()
-        if split.size:
-            # Each splitting node's root sends once, to the strongest member
-            # of the half it is not in, and that member roots the half.  The
-            # halves are in position order, so the segments between them
-            # cover each position at most once.
-            bounds = np.empty(2 * split.size, dtype=np.intp)
-            bounds[0::2] = np.where(upper, lo, mid)[split]
-            bounds[1::2] = np.where(upper, mid, hi)[split]
-            target[split] = np.minimum.reduceat(rank, bounds)[0::2] % n
-            senders = order[root[split]]
-            depths[order[target[split]]] = depths[senders] + 1
-            sender_counts[senders] += 1  # a root has one node: no repeats
+        # Each node's root sends once, to the strongest member of the half
+        # it is not in, and that member roots the half.  The halves are in
+        # position order, so the segments between them cover each position
+        # at most once.
+        bounds = np.empty(2 * lo.size, dtype=np.intp)
+        bounds[0::2] = np.where(upper, lo, mid)
+        bounds[1::2] = np.where(upper, mid, hi)
+        target = np.minimum.reduceat(rank, bounds)[0::2] % n
+        senders = order[root]
+        depths[order[target]] = depths[senders] + 1
+        sender_counts[senders] += 1  # a root has one node: no repeats
         # Both halves of every node, lower first, then only those waiting.
         halves = 2 * lo.size
         lo2 = np.empty(halves, dtype=np.intp)
@@ -218,9 +227,18 @@ def binomial_broadcast(
         lo = lo2[keep]
         hi = hi2[keep]
         root = root2[keep]
-    # A node still waiting holds copies of its root's id: duplicates, which
-    # a well-formed audience does not have.
+    # A node dropped unsplit holds copies of its root's id: duplicates,
+    # which a well-formed audience does not have.
     return depths, sender_counts
+
+
+def _top_bit(values: np.ndarray) -> np.ndarray:
+    """The position of each nonzero ``uint64`` value's highest set bit, exact
+    below ``2**63``: the float64 exponent, less one where the conversion
+    rounded up to the next power of two (``2**k - 1`` for k > 53)."""
+    top = np.frexp(values.astype(np.float64))[1].astype(np.uint64) - np.uint64(1)
+    top -= (values >> top == 0).astype(np.uint64)
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +430,12 @@ class ScalableSim:
             self.mean_link_latency = 0.5
         self._hop_delay = self.p.processing_delay_s + self.mean_link_latency
         self._unsampled = _UnsampledDelays(self._hop_delay)
-        # The join process's constants (§5.1, §4.6) and the follow-ups a
-        # join schedules, bound once.
+        # The join process's constants (§5.1, §4.6), and the follow-ups a
+        # join or refresh queues: rows of two heaps, one pending entry each.
         self._join_scale = 1.0 / (self.p.n_target / self._mean_lifetime)
         self._refresh_period = 2.0 * self._mean_lifetime
-        self._leave, self._refresh = self._do_leave, self._do_refresh
+        self._leaves = self.sim.timer_rows(self._do_leave)
+        self._refreshes = self.sim.timer_rows(self._do_refresh, self._refresh_period)
 
         # Slot arrays --------------------------------------------------
         cap = int(self.p.n_target * 1.5) + 16
@@ -573,7 +592,7 @@ class ScalableSim:
         self.alive[slot] = True
         slot_of = self._slot_of
         slot_of[value] = slot
-        self.sim.schedule(lifetime, self._leave, value)
+        self._leaves.push(lifetime, value)
         self.joins += 1
         # Join events create *absent* pointers until delivery.
         self._rows += (value, _JOIN, -1, level, self._unsampled[len(slot_of)])
@@ -582,7 +601,7 @@ class ScalableSim:
         # ever refresh (most never do).
         period = self._refresh_period
         if lifetime > period:
-            self.sim.schedule(period, self._refresh, value, period)
+            self._refreshes.push(period, value)
         # The next join, a Poisson gap from now (§5.1).
         self._join.rearm(self._rng_misc.exponential(self._join_scale))
 
@@ -617,7 +636,7 @@ class ScalableSim:
         # A refresh re-announces existing state: traffic, but no error.
         self._rows += (value, _REFRESH, -1, -1, 0.0)
         self._record_event()
-        self.sim.schedule(period, self._refresh, value, period)
+        self._refreshes.push(period, value)
 
     def _relevel_tick(self) -> None:
         """Autonomic level adjustment sweep (vectorized §4.3).

@@ -56,6 +56,13 @@ set aside — as one pending entry: one handle that stands for the timer due
 next and re-arms itself as each fires.  100,000 seeded departures are then
 one sort and three flat lists, not 100,000 handles, bound methods and heap
 pairs for the collector to walk (DESIGN.md §4, *Schedule discipline*).
+
+**Rows.**  :meth:`Simulator.timer_rows` is the same for timers that come
+one at a time — a scalable run's leaves and refreshes, pushed as its nodes
+join: each :meth:`TimerRows.push` is a ``(time, seq, value)`` row of one
+heap, numbered as :meth:`schedule` would number it, behind one handle
+armed at the earliest row.  ``step`` and ``schedule`` are untouched: a
+fired row is one ``step`` of that handle.
 """
 
 from __future__ import annotations
@@ -169,6 +176,65 @@ class PeriodicTask:
         return not self._cancelled
 
 
+class TimerRows:
+    """Timers that share a callback, pushed one at a time, as rows of one
+    heap behind **one** pending entry (:meth:`Simulator.timer_rows`).
+
+    ``push(delay, value)`` is the scalar ``schedule(delay, callback, value,
+    *args)``: the row ``(time, seq, value)`` takes the sequence number that
+    call would have, so it runs at the same point of the run, ties
+    included.  One :class:`EventHandle` is armed at the earliest row.  A
+    push that becomes the earliest moves the handle to it (the heap pair it
+    leaves behind is skipped when it surfaces, as a cancelled one is), and
+    firing a row moves the handle to the next row *before* the callback
+    runs, as a batch does.  What a pending row costs is one tuple of a
+    float and two ints, which the collector stops tracking at its first
+    pass — not a handle, an args tuple, a heap pair and a table entry.
+    Rows cannot be cancelled: a callback checks whether it still applies.
+    """
+
+    __slots__ = ("_sim", "_rows", "_head", "_callback", "_args")
+
+    def __init__(self, sim: "Simulator", callback: Callable[..., Any], args: tuple):
+        self._sim = sim
+        self._rows: list = []
+        self._callback = callback
+        self._args = args
+        self._head = EventHandle(0.0, -1, self._fire, (), sim)
+
+    def push(self, delay: float, value: Any) -> None:
+        """Queue ``callback(value, *args)`` ``delay`` seconds from now,
+        refused as :meth:`Simulator.schedule` refuses it."""
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        sim = self._sim
+        now = sim._now
+        time = now + delay
+        if not time >= now:  # a NaN delay
+            raise SimulationError(f"cannot schedule at {time}: NaN, or in the past of {now}")
+        seq = sim._seq
+        sim._seq = seq + 1
+        rows = self._rows
+        heappush(rows, (time, seq, value))
+        if rows[0][1] == seq:  # the earliest row now: the handle moves to it
+            head, live = self._head, sim._live
+            live.pop(head.seq, None)
+            head.time, head.seq = time, seq
+            live[seq] = head
+            heappush(sim._heap, (time, seq))
+
+    def _fire(self) -> None:
+        rows = self._rows
+        value = heappop(rows)[2]
+        if rows:
+            time, seq, _value = rows[0]
+            head, sim = self._head, self._sim
+            head.time, head.seq = time, seq
+            sim._live[seq] = head
+            heappush(sim._heap, (time, seq))
+        self._callback(value, *self._args)
+
+
 class Simulator:
     """A sequential discrete-event simulator.
 
@@ -207,8 +273,10 @@ class Simulator:
 
     def __len__(self) -> int:
         """Number of queued entries, cancelled ones that have not yet
-        surfaced included.  A :meth:`schedule_batch` is one entry however
-        many of its timers are still to fire: this is heap size, not work left."""
+        surfaced included.  A :meth:`schedule_batch` or :meth:`timer_rows`
+        is one entry however many of its timers are still to fire (plus,
+        for rows, the pairs a moved handle left behind): this is heap size,
+        not work left."""
         return len(self._queue)
 
     # -- scheduling ------------------------------------------------------------
@@ -292,6 +360,11 @@ class Simulator:
 
         head = EventHandle(when[0], number[0], fire, (), self)
         queue.push(when[0], number[0], head)
+
+    def timer_rows(self, callback: Callable[..., Any], *args: Any) -> "TimerRows":
+        """An empty :class:`TimerRows`: timers pushed one at a time, each
+        running ``callback(value, *args)``, held as one pending entry."""
+        return TimerRows(self, callback, args)
 
     def every(
         self,

@@ -1,6 +1,6 @@
 """``binomial_broadcast`` against the §4.2 sentence, and its cost.
 
-The engine's kernel advances every subtree one bit at a time.  The
+The engine's kernel advances every subtree to its next split bit at once.  The
 reference here walks one subtree after another, exactly as §4.2 reads:
 *at step b a node holding the event sends it to the strongest audience
 member that shares its first b bits and differs in the next, and that
@@ -15,7 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.scalable import ScalableParams, ScalableSim, binomial_broadcast
+from repro.experiments.scalable import (
+    ScalableParams,
+    ScalableSim,
+    _top_bit,
+    binomial_broadcast,
+)
 from tests.test_costs import check
 
 
@@ -129,6 +134,41 @@ class TestAgainstReference:
         levels = np.zeros(4, dtype=np.int32)
         depths, _ = assert_matches_reference(ids, levels, 0, 8)
         assert (depths == -1).sum() == 1 and depths[1] * depths[2] < 0
+
+
+class TestSplitBit:
+    """A trie node splits at the highest bit where its first and last ids
+    differ.  Above 2**53 a float64 cannot hold ``2**k - 1`` and rounds it up
+    to ``2**k``, one bit too high; the split bit must still be exact."""
+
+    @pytest.mark.parametrize("k", range(1, 64))
+    def test_top_bit_is_exact(self, k):
+        values = [(1 << k) - 1, 1 << (k - 1), (1 << (k - 1)) + 1]
+        top = _top_bit(np.array(values, dtype=np.uint64))
+        assert top.tolist() == [v.bit_length() - 1 for v in values]
+
+    @pytest.mark.parametrize("id_bits", range(54, 63))
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_ids_that_differ_by_all_ones(self, id_bits, repeats):
+        """First and last ids whose XOR is ``2**k - 1``, at the top of the
+        id space and under a shared prefix, with members in between; a copy
+        of an id keeps its -1."""
+        rng = np.random.default_rng(id_bits)
+        spans = [(0, id_bits), (1, id_bits - 1), (0b101, id_bits - 3)]
+        ids = []
+        for prefix, k in spans:
+            low = prefix << k
+            inside = rng.integers(0, 1 << k, size=6, dtype=np.uint64).tolist()
+            ids += [low, low | ((1 << k) - 1), *(low | v for v in inside)]
+        ids = np.unique(np.array(ids, dtype=np.uint64))
+        distinct = ids.size
+        if repeats:
+            ids = np.concatenate((ids, ids[[0, -1, 3]]))
+        levels = rng.integers(0, 4, size=ids.size).astype(np.int32)
+        shuffle = rng.permutation(ids.size)
+        depths, senders = assert_matches_reference(ids[shuffle], levels[shuffle], 0, id_bits)
+        assert (depths >= 0).sum() == distinct
+        assert senders.sum() == distinct - 1
 
 
 class TestRefusals:

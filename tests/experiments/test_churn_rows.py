@@ -162,4 +162,4 @@ def test_axis0_reduce_is_sequential():
 
 @pytest.mark.costs
 def test_a_churn_event_costs_at_most_12_python_calls():
-    check("scalable_churn", 5000)
+    check("scalable_churn", 5000, "calls/event")

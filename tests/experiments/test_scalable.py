@@ -287,6 +287,10 @@ class TestBatchSeeding:
     def test_seeding_leaves_no_per_node_entries_or_objects(self):
         check("scalable_seeding", 20_000)
 
+    @pytest.mark.costs
+    def test_pending_timers_leave_no_per_join_objects(self):
+        check("scalable_churn", 5000, "tracked")
+
     @pytest.mark.parametrize("seed", [0, 5])
     def test_seeded_schedule_is_the_scalar_loop(self, seed):
         """The per-node loop ``seed_population`` used to run, kept here as
