@@ -16,19 +16,17 @@ Run:  python examples/autonomic_adaptation.py
 from repro import PeerWindowNetwork, ProtocolConfig
 from repro.experiments.report import print_table
 from repro.experiments.scalable import ScalableParams
-from repro.experiments.figures import fig11_adaptivity_levels, fig12_adaptivity_error
+from repro.experiments.figures import fig11_adaptivity_levels
 
 
 def sweep() -> None:
     base = ScalableParams(n_target=10_000, duration_s=600.0, warmup_s=200.0, seed=3)
     rates = [0.1, 0.5, 1.0, 5.0]
-    points = fig11_adaptivity_levels(rates, base)
-    errors = dict(fig12_adaptivity_error(rates, base))
     rows = []
-    for p in points:
+    for p in fig11_adaptivity_levels(rates, base):
         fr = dict(p.level_fractions)
         rows.append([p.x, p.n_levels, round(fr.get(0, 0.0), 3),
-                     round(errors[p.x], 5)])
+                     round(p.mean_error_rate, 5)])
     print_table(
         "§5.3 adaptivity — lifetime rate vs levels and error",
         ["Lifetime_Rate", "levels", "frac at L0", "mean error"],

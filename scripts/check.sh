@@ -54,7 +54,7 @@ if [ -n "${1:-}" ]; then
 fi
 
 status=0
-PY="env PYTHONPATH=src python"
+PY="env PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python"
 tmp="$(mktemp -d)"  # check_<name> works in "$dir" = "$tmp/<name>"
 trap 'rm -rf "$tmp"' EXIT
 have_numpy=0

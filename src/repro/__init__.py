@@ -6,9 +6,13 @@ Dong, Zheng — Tsinghua University, ICPP 2005), including every substrate
 the paper depends on: the ONSP-style discrete-event platform
 (:mod:`repro.sim`), the GT-ITM transit-stub underlay (:mod:`repro.net`),
 the Gnutella measurement workloads (:mod:`repro.workloads`), the protocol
-itself (:mod:`repro.core`), comparison baselines (:mod:`repro.baselines`),
-the §3 applications (:mod:`repro.apps`) and the §5 experiment harness
-(:mod:`repro.experiments`).
+itself (:mod:`repro.core`) over a backend-neutral kernel
+(:mod:`repro.kernel`) with a UDP backend (:mod:`repro.live`), comparison
+baselines (:mod:`repro.baselines`) and their tournament
+(:mod:`repro.compare`), the §3 GUESS application (:mod:`repro.apps`) and
+the §5 experiment harness (:mod:`repro.experiments`); around them,
+observability (:mod:`repro.obs`), fault injection (:mod:`repro.chaos`) and
+static analysis (:mod:`repro.analysis`).
 
 Quickstart::
 

@@ -1,44 +1,11 @@
 """Upper applications (§3): what peer lists are *for*.
 
-Each module realizes one of the usage scenarios the paper motivates, on
-top of the public PeerWindow API, exchanging data through pointer
-``attached_info``:
-
 * :mod:`~repro.apps.guess` — GUESS [19] non-forwarding search: answer
-  queries from the local peer list; hit rate grows with list size.
-* :mod:`~repro.apps.backup` — backup partner selection [4][10]: find
-  peers with the *same* OS (Pastiche: shared data) or *different* OS
-  (Lillibridge: diversity against correlated failure).
-* :mod:`~repro.apps.load_balance` — pair overloaded with underloaded
-  nodes [6].
-* :mod:`~repro.apps.bidding` — storage-trading partner scoring [5].
+  queries from the local peer list, whose pointers carry each peer's
+  shared-file count in ``attached_info``; the hit rate grows with list
+  size.
 """
 
-from repro.apps.backup import BackupMatcher
-from repro.apps.bidding import BidMatcher, score_bid
-from repro.apps.compress import BloomFilter, DocumentDirectory
 from repro.apps.guess import GuessSearch
-from repro.apps.load_balance import LoadBalancer, Transfer
-from repro.apps.range_query import (
-    AttributeSummary,
-    RangePredicate,
-    RangeQueryPlanner,
-)
-from repro.apps.selection import level_census, peers_at_level, powerful_peers
 
-__all__ = [
-    "AttributeSummary",
-    "BackupMatcher",
-    "BidMatcher",
-    "BloomFilter",
-    "DocumentDirectory",
-    "GuessSearch",
-    "LoadBalancer",
-    "RangePredicate",
-    "RangeQueryPlanner",
-    "Transfer",
-    "level_census",
-    "peers_at_level",
-    "powerful_peers",
-    "score_bid",
-]
+__all__ = ["GuessSearch"]

@@ -95,14 +95,3 @@ class CompareWorkload:
             return True
         contestant.join()
         return True
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_nodes": self.n_nodes,
-            "duration": self.duration,
-            "ops": [
-                {"time": op.time, "kind": op.kind, "pick": op.pick}
-                for op in self.ops
-            ],
-        }

@@ -408,17 +408,3 @@ class PeerWindowNode:
         elif kind == "bridge-subscribe":
             self.dissemination.on_bridge_subscribe(msg)
         # Unknown kinds and late acks are ignored.
-
-    # ------------------------------------------------------------------
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        ctx = self.ctx
-        idrepr = (
-            ctx.node_id.bitstring()
-            if ctx.node_id.bits <= 16
-            else hex(ctx.node_id.value)
-        )
-        return (
-            f"<PeerWindowNode {ctx.address!r} id={idrepr} level={ctx.level} "
-            f"{'top ' if ctx.is_top else ''}{'alive' if ctx.alive else 'gone'}>"
-        )

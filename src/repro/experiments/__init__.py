@@ -18,9 +18,7 @@ from repro.experiments.figures import (
     fig7_error_rates,
     fig8_bandwidth,
     fig9_scalability_levels,
-    fig10_scalability_error,
     fig11_adaptivity_levels,
-    fig12_adaptivity_error,
     run_scenario,
 )
 from repro.experiments.predict import (
@@ -32,10 +30,9 @@ from repro.experiments.plot import (
     bar_chart,
     level_distribution_chart,
     line_chart,
-    sparkline,
 )
 from repro.experiments.report import format_table, print_table
-from repro.experiments.stats import MetricSummary, compare, replicate, summarize_metric
+from repro.experiments.stats import MetricSummary, replicate, summarize_metric
 from repro.experiments.scalable import (
     LevelRow,
     ScalableParams,
@@ -56,9 +53,7 @@ __all__ = [
     "SweepPoint",
     "binomial_broadcast",
     "clear_cache",
-    "fig10_scalability_error",
     "fig11_adaptivity_levels",
-    "fig12_adaptivity_error",
     "fig5_node_distribution",
     "fig6_peer_list_sizes",
     "fig7_error_rates",
@@ -66,10 +61,8 @@ __all__ = [
     "fig9_scalability_levels",
     "MetricSummary",
     "bar_chart",
-    "compare",
     "level_distribution_chart",
     "line_chart",
-    "sparkline",
     "format_table",
     "predict_error_rate",
     "predict_level_distribution",

@@ -3,6 +3,8 @@
 Each ``figN()`` returns the rows the corresponding paper figure plots.
 Figures 5-8 come from one *common PeerWindow* run (shared and cached);
 figures 9/10 sweep the system scale; figures 11/12 sweep ``Lifetime_Rate``.
+A sweep point carries both figures' readings: its level fractions (9, 11)
+and its ``mean_error_rate`` (10, 12).
 
 With no parameters they run the paper's presets
 (:mod:`repro.experiments.scenario`); ``benchmarks/bench_paper.py`` checks
@@ -113,10 +115,13 @@ def fig9_scalability_levels(
     scales: Optional[Sequence[int]] = None,
     base: Optional[ScalableParams] = None,
 ) -> List[SweepPoint]:
-    """Figure 9: level distribution vs system scale.
+    """Figures 9 and 10: level distribution and mean error rate vs
+    system scale.
 
     Paper: at 5,000 nodes (almost) everyone runs at level 0; more levels
-    appear and populate as N grows.
+    appear and populate as N grows.  The error rate rises with scale,
+    *"but the change is very slight"* (multicast depth grows only
+    logarithmically).
     """
     base = base or COMMON
     out = []
@@ -124,21 +129,6 @@ def fig9_scalability_levels(
         params = replace(base, n_target=int(n))
         out.append(_sweep_point(params, float(n)))
     return out
-
-
-def fig10_scalability_error(
-    scales: Optional[Sequence[int]] = None,
-    base: Optional[ScalableParams] = None,
-) -> List[Tuple[float, float]]:
-    """Figure 10: mean peer-list error rate vs system scale.
-
-    Paper: the error rate rises with scale, *"but the change is very
-    slight"* (multicast depth grows only logarithmically).
-    """
-    return [
-        (p.x, p.mean_error_rate)
-        for p in fig9_scalability_levels(scales, base)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +140,14 @@ def fig11_adaptivity_levels(
     rates: Optional[Sequence[float]] = None,
     base: Optional[ScalableParams] = None,
 ) -> List[SweepPoint]:
-    """Figure 11: level distribution vs ``Lifetime_Rate``.
+    """Figures 11 and 12: level distribution and mean error rate vs
+    ``Lifetime_Rate``.
 
     Paper: at rate 0.1 (13.5-minute lifetimes) ~10 levels appear and only
     ~15% of nodes can hold level 0; longer lifetimes collapse everyone
-    toward level 0.
+    toward level 0.  ``error_rate ≈ multicast_delay / lifetime``, so the
+    error is roughly inversely proportional to the lifetime rate (~10x at
+    rate 0.1; figure 12's log-scale y).
     """
     base = base or COMMON
     out = []
@@ -162,18 +155,3 @@ def fig11_adaptivity_levels(
         params = replace(base, lifetime_rate=float(rate))
         out.append(_sweep_point(params, float(rate)))
     return out
-
-
-def fig12_adaptivity_error(
-    rates: Optional[Sequence[float]] = None,
-    base: Optional[ScalableParams] = None,
-) -> List[Tuple[float, float]]:
-    """Figure 12: mean error rate vs ``Lifetime_Rate`` (log-scale y).
-
-    Paper: ``error_rate ≈ multicast_delay / lifetime``, so the error is
-    roughly inversely proportional to the lifetime rate (~10x at rate 0.1).
-    """
-    return [
-        (p.x, p.mean_error_rate)
-        for p in fig11_adaptivity_levels(rates, base)
-    ]

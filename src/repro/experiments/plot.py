@@ -5,8 +5,7 @@ Pure-text rendering (no plotting dependency, per the offline constraint):
 * :func:`bar_chart` — horizontal bars for categorical rows (level
   distributions, bandwidth by level);
 * :func:`line_chart` — a braille-free ASCII scatter/line for sweeps
-  (error vs scale, error vs lifetime rate), with optional log-y;
-* :func:`sparkline` — one-row trend glyphs for time series.
+  (error vs scale, error vs lifetime rate), with optional log-y.
 
 All return strings (callers print), so tests can assert on geometry.
 """
@@ -16,7 +15,6 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
-_SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
 _BAR_GLYPH = "█"
 
 
@@ -41,22 +39,6 @@ def bar_chart(
         n = int(round(value / peak * width)) if peak > 0 else 0
         lines.append(f"{str(label).rjust(label_w)} | {_BAR_GLYPH * n} {value:g}")
     return "\n".join(lines)
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-row trend: each value mapped to an eighth-block glyph."""
-    values = list(values)
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    span = hi - lo
-    if span == 0:
-        return _SPARK_GLYPHS[0] * len(values)
-    out = []
-    for v in values:
-        idx = int((v - lo) / span * (len(_SPARK_GLYPHS) - 1))
-        out.append(_SPARK_GLYPHS[idx])
-    return "".join(out)
 
 
 def line_chart(

@@ -18,7 +18,7 @@ figures analytically, giving:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -118,19 +118,6 @@ def predict_error_rate(
     return (leave_delay + join_delay) / mean_lifetime_s
 
 
-def predict_input_bps(
-    n_nodes: int,
-    level: int,
-    mean_lifetime_s: float = COMMON_MEAN_LIFETIME_S,
-    event_bits: float = 1000.0,
-    changes_per_lifetime: float = 2.0,
-) -> float:
-    """Predicted event-input bandwidth of a level-``l`` node (figure 8):
-    the share of the system event stream landing in its prefix."""
-    rate = system_event_rate(n_nodes, mean_lifetime_s, changes_per_lifetime)
-    return rate * event_bits / (2.0**level)
-
-
 def predict_bps_per_1000_pointers(
     mean_lifetime_s: float = COMMON_MEAN_LIFETIME_S,
     event_bits: float = 1000.0,
@@ -139,27 +126,3 @@ def predict_bps_per_1000_pointers(
     """Figure 8's headline constant: maintenance input per 1000 pointers
     is scale- and level-free: ``1000 * m * i / L``."""
     return 1000.0 * changes_per_lifetime * event_bits / mean_lifetime_s
-
-
-def predict_figure9(
-    scales: List[int], **kwargs
-) -> List[Tuple[int, Dict[int, float]]]:
-    """Level distributions across a scale sweep."""
-    return [(n, predict_level_distribution(n, **kwargs)) for n in scales]
-
-
-def predict_figure11(
-    rates: List[float], n_nodes: int = 100_000, **kwargs
-) -> List[Tuple[float, Dict[int, float]]]:
-    """Level distributions across a Lifetime_Rate sweep."""
-    out = []
-    for r in rates:
-        out.append(
-            (
-                r,
-                predict_level_distribution(
-                    n_nodes, mean_lifetime_s=COMMON_MEAN_LIFETIME_S * r, **kwargs
-                ),
-            )
-        )
-    return out

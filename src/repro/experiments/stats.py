@@ -7,16 +7,13 @@ replicated results:
 * :func:`replicate` — run a scenario across seeds, collect any metric;
 * :class:`MetricSummary` — mean, standard deviation, and a Student-t
   confidence interval (small replication counts, so normal-approximation
-  intervals would be too tight);
-* :func:`compare` — paired comparison of two configurations across the
-  same seeds (the right way to A/B a protocol knob: common random
-  numbers cancel workload noise).
+  intervals would be too tight).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -101,36 +98,3 @@ def replicate(
         name: summarize_metric(name, values, confidence)
         for name, values in collected.items()
     }
-
-
-def compare(
-    params_a: ScalableParams,
-    params_b: ScalableParams,
-    seeds: Sequence[int],
-    metric: MetricFn,
-    confidence: float = 0.95,
-) -> Tuple[MetricSummary, float]:
-    """Paired A/B comparison under common random numbers.
-
-    Returns the summary of per-seed differences (b - a) and the paired
-    t-test p-value.  A CI excluding zero (equivalently p < 1-confidence)
-    means the knob's effect is real, not workload noise.
-    """
-    if len(seeds) < 2:
-        raise ValueError("paired comparison needs >= 2 seeds")
-    diffs = []
-    for seed in seeds:
-        pa = replace(params_a, seed=int(seed))
-        pb = replace(params_b, seed=int(seed))
-        ra = ScalableSim(pa).run()
-        rb = ScalableSim(pb).run()
-        diffs.append(metric(rb) - metric(ra))
-    summary = summarize_metric("difference (b - a)", diffs, confidence)
-    arr = np.asarray(diffs)
-    if np.allclose(arr, arr[0]):
-        p_value = 0.0 if arr[0] != 0 else 1.0
-    else:
-        from scipy import stats as sps  # deferred as in summarize_metric
-
-        p_value = float(sps.ttest_1samp(arr, 0.0).pvalue)
-    return summary, p_value

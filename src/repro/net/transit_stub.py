@@ -82,17 +82,6 @@ class TransitStubParams:
             * self.stub_nodes_per_stub_domain
         )
 
-    @classmethod
-    def small(cls) -> "TransitStubParams":
-        """A scaled-down topology for unit tests (fast to build)."""
-        return cls(
-            transit_domains=6,
-            transit_nodes_per_domain=2,
-            stub_domains_per_transit=2,
-            stub_nodes_per_stub_domain=2,
-            extra_domain_edges=4,
-        )
-
 
 # A stub-node position: (transit_node_index, stub_domain_index, stub_node_index)
 StubPos = Tuple[int, int, int]

@@ -1,43 +1,16 @@
-"""Attached-info generators for the usage scenarios of §3.
+"""Attached-info generator for the GUESS scenario of §3.
 
 PeerWindow pointers carry *"a piece of attached info that can be specified
-by upper applications"*.  §3 enumerates the applications; these generators
-produce realistic attached-info values for each:
-
-* GUESS [19]: number of shared files (Zipf-like, most peers share little,
-  a few share a lot — the free-riding measurement result).
-* Backup systems [4][10]: operating-system version strings.
-* Load balancing [6]: current load factor.
-* Bidding systems [5]: storage space / availability / asking price.
+by upper applications"*.  GUESS [19] reads each peer's number of shared
+files from it: Zipf-like, most peers share little and a few share a lot —
+the free-riding measurement result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
-
-OS_VERSIONS: List[str] = [
-    "windows-xp",
-    "windows-2000",
-    "windows-98",
-    "linux-2.4",
-    "linux-2.6",
-    "macos-9",
-    "macos-x",
-    "freebsd-4",
-]
-
-#: Rough popularity mix of desktop OSes circa the paper (2005); only the
-#: *diversity*, not the exact shares, matters to the backup scenario.
-OS_WEIGHTS: List[float] = [0.45, 0.15, 0.08, 0.08, 0.10, 0.04, 0.07, 0.03]
-
-
-def sample_os_versions(rng: np.random.Generator, n: int) -> List[str]:
-    probs = np.array(OS_WEIGHTS) / sum(OS_WEIGHTS)
-    idx = rng.choice(len(OS_VERSIONS), size=n, p=probs)
-    return [OS_VERSIONS[i] for i in idx]
 
 
 def sample_shared_files(rng: np.random.Generator, n: int, a: float = 1.6) -> np.ndarray:
@@ -49,48 +22,7 @@ def sample_shared_files(rng: np.random.Generator, n: int, a: float = 1.6) -> np.
     return counts
 
 
-def sample_load(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Load factors in [0, 1+): lognormal around 0.5, occasionally > 1
-    (overloaded nodes that the load balancer must relieve)."""
-    return rng.lognormal(mean=np.log(0.5), sigma=0.6, size=n)
-
-
-@dataclass(frozen=True)
-class BidInfo:
-    """Attached info for the storage-bidding scenario [5]."""
-
-    storage_gb: float
-    availability: float  # fraction of time online, in [0, 1]
-    price_per_gb: float
-
-    def __post_init__(self) -> None:
-        if self.storage_gb < 0 or not 0 <= self.availability <= 1 or self.price_per_gb < 0:
-            raise ValueError("invalid BidInfo fields")
-
-
-def sample_bids(rng: np.random.Generator, n: int) -> List[BidInfo]:
-    storage = rng.lognormal(np.log(20.0), 1.0, size=n)
-    avail = np.clip(rng.beta(4.0, 2.0, size=n), 0.0, 1.0)
-    price = rng.lognormal(np.log(1.0), 0.5, size=n)
-    return [
-        BidInfo(float(s), float(a), float(p))
-        for s, a, p in zip(storage, avail, price)
-    ]
-
-
 def guess_attached_info(rng: np.random.Generator, n: int) -> List[Dict[str, int]]:
     """Per-node attached info dict for the GUESS scenario."""
     files = sample_shared_files(rng, n)
     return [{"shared_files": int(f)} for f in files]
-
-
-def backup_attached_info(rng: np.random.Generator, n: int) -> List[Dict[str, str]]:
-    return [{"os": os} for os in sample_os_versions(rng, n)]
-
-
-def load_attached_info(rng: np.random.Generator, n: int) -> List[Dict[str, float]]:
-    return [{"load": float(x)} for x in sample_load(rng, n)]
-
-
-def bid_attached_info(rng: np.random.Generator, n: int) -> List[Dict[str, object]]:
-    return [{"bid": b} for b in sample_bids(rng, n)]

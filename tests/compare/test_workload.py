@@ -40,12 +40,12 @@ class TestCompareWorkload:
     def test_same_seed_same_script(self):
         a = CompareWorkload(seed=4, n_nodes=40, duration=240.0)
         b = CompareWorkload(seed=4, n_nodes=40, duration=240.0)
-        assert a.to_dict() == b.to_dict()
+        assert a.ops == b.ops
 
     def test_different_seed_different_script(self):
         a = CompareWorkload(seed=4, n_nodes=40, duration=240.0)
         b = CompareWorkload(seed=5, n_nodes=40, duration=240.0)
-        assert a.to_dict() != b.to_dict()
+        assert a.ops != b.ops
 
     def test_ops_sorted_and_inside_the_run(self):
         wl = CompareWorkload(seed=0, n_nodes=40, duration=240.0)

@@ -14,6 +14,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.pointer import Pointer
 from repro.core.protocol import PeerWindowNetwork
 from repro.net.latency import PairwiseLatencyModel
+from repro.net.transit_stub import TransitStubParams
 
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
@@ -29,6 +30,17 @@ def fresh_python(code: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def small_transit_stub() -> TransitStubParams:
+    """A scaled-down GT-ITM underlay (6 transit domains) that builds fast."""
+    return TransitStubParams(
+        transit_domains=6,
+        transit_nodes_per_domain=2,
+        stub_domains_per_transit=2,
+        stub_nodes_per_stub_domain=2,
+        extra_domain_edges=4,
+    )
 
 
 @pytest.fixture

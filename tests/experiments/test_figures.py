@@ -15,9 +15,7 @@ from repro.experiments.figures import (
     fig7_error_rates,
     fig8_bandwidth,
     fig9_scalability_levels,
-    fig10_scalability_error,
     fig11_adaptivity_levels,
-    fig12_adaptivity_error,
 )
 from repro.experiments.scalable import ScalableParams
 
@@ -105,8 +103,8 @@ class TestFig9and10:
         assert dict(points[0].level_fractions).get(0, 0.0) > 0.85
 
     def test_error_rises_slightly_with_scale(self):
-        rows = fig10_scalability_error(scales=[500, 2000, 8000], base=CI_SWEEP)
-        errs = [e for _, e in rows]
+        points = fig9_scalability_levels(scales=[500, 2000, 8000], base=CI_SWEEP)
+        errs = [p.mean_error_rate for p in points]
         assert errs[-1] >= errs[0] * 0.8  # rises or ~flat, never collapses
         # "the change is very slight": within a small factor across 16x N.
         assert errs[-1] < 5 * max(errs[0], 1e-5)
@@ -125,6 +123,7 @@ class TestFig11and12:
     def test_error_inverse_in_lifetime(self):
         """Paper: error ≈ multicast_delay / lifetime — about 10x higher at
         rate 0.1 than at rate 1."""
-        rows = dict(fig12_adaptivity_error(rates=[0.1, 1.0], base=CI_SWEEP))
+        points = fig11_adaptivity_levels(rates=[0.1, 1.0], base=CI_SWEEP)
+        rows = {p.x: p.mean_error_rate for p in points}
         ratio = rows[0.1] / rows[1.0]
         assert 3.0 < ratio < 30.0

@@ -6,7 +6,6 @@ from repro.experiments.plot import (
     bar_chart,
     level_distribution_chart,
     line_chart,
-    sparkline,
 )
 
 
@@ -35,18 +34,6 @@ class TestBarChart:
             bar_chart([("a", -1.0)])
         with pytest.raises(ValueError):
             bar_chart([("a", 1.0)], width=0)
-
-
-class TestSparkline:
-    def test_monotone_ramp(self):
-        out = sparkline([1, 2, 3, 4, 5, 6, 7, 8])
-        assert out == "▁▂▃▄▅▆▇█"
-
-    def test_flat_series(self):
-        assert sparkline([5, 5, 5]) == "▁▁▁"
-
-    def test_empty(self):
-        assert sparkline([]) == ""
 
 
 class TestLineChart:

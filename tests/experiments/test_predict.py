@@ -2,17 +2,16 @@
 
 import pytest
 
+from repro.core.analytic import CostModel
 from repro.experiments.predict import (
     predict_bps_per_1000_pointers,
     predict_error_rate,
-    predict_figure11,
-    predict_figure9,
-    predict_input_bps,
     predict_level_distribution,
     predict_n_levels,
     system_event_rate,
 )
 from repro.experiments.scalable import ScalableParams, ScalableSim
+from repro.workloads.lifetime import COMMON_MEAN_LIFETIME_S
 
 
 class TestClosedForms:
@@ -25,8 +24,8 @@ class TestClosedForms:
         assert dist[0] > 0.5  # figure 5's headline
 
     def test_levels_grow_with_scale(self):
-        rows = predict_figure9([5_000, 100_000])
-        assert len(rows[1][1]) > len(rows[0][1])
+        small, large = (predict_level_distribution(n) for n in (5_000, 100_000))
+        assert len(large) > len(small)
 
     def test_n_levels_matches_distribution_support(self):
         dist = predict_level_distribution(100_000)
@@ -38,8 +37,11 @@ class TestClosedForms:
         assert 9 <= n <= 11
 
     def test_input_bps_halves_per_level(self):
-        a = predict_input_bps(100_000, 0)
-        b = predict_input_bps(100_000, 1)
+        """Figure 8's input at the predictor's m = 2: the event stream's
+        share landing in a level-l prefix."""
+        model = CostModel(mean_lifetime_s=COMMON_MEAN_LIFETIME_S, changes_per_lifetime=2.0)
+        a = model.level_cost(100_000, 0)
+        b = model.level_cost(100_000, 1)
         assert a == pytest.approx(2 * b)
 
     def test_bps_per_1000_pointers_constant(self):
@@ -53,8 +55,11 @@ class TestClosedForms:
         assert fast / slow == pytest.approx(10.0)
 
     def test_figure11_sweep_shape(self):
-        rows = predict_figure11([0.1, 10.0], n_nodes=100_000)
-        assert rows[0][1].get(0, 0.0) < rows[1][1].get(0, 0.0)
+        short, long = (
+            predict_level_distribution(100_000, mean_lifetime_s=COMMON_MEAN_LIFETIME_S * rate)
+            for rate in (0.1, 10.0)
+        )
+        assert short.get(0, 0.0) < long.get(0, 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

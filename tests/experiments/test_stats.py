@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.scalable import ScalableParams
 from repro.experiments.stats import (
     MetricSummary,
-    compare,
     replicate,
     summarize_metric,
 )
@@ -64,32 +63,3 @@ class TestReplicate:
     def test_requires_seeds(self):
         with pytest.raises(ValueError):
             replicate(FAST, seeds=[])
-
-
-class TestCompare:
-    def test_probe_interval_effect_detected(self):
-        """Slower probing must significantly raise the error rate — the
-        paired test should detect it with few seeds."""
-        from dataclasses import replace
-
-        fast_probe = replace(FAST, probe_interval_s=10.0)
-        slow_probe = replace(FAST, probe_interval_s=120.0)
-        summary, p = compare(
-            fast_probe, slow_probe, seeds=[1, 2, 3],
-            metric=lambda r: r.mean_error_rate,
-        )
-        assert summary.mean > 0  # slower probing → more error
-        assert summary.ci_low > 0  # CI excludes zero
-        assert p < 0.05
-
-    def test_null_effect_not_detected(self):
-        """Comparing a configuration to itself finds nothing."""
-        summary, p = compare(
-            FAST, FAST, seeds=[1, 2], metric=lambda r: r.mean_error_rate
-        )
-        assert summary.mean == 0.0
-        assert p == 1.0
-
-    def test_needs_two_seeds(self):
-        with pytest.raises(ValueError):
-            compare(FAST, FAST, seeds=[1], metric=lambda r: 0.0)

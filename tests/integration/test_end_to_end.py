@@ -10,17 +10,17 @@ import pytest
 
 from repro.apps.guess import GuessSearch
 from repro.core.protocol import PeerWindowNetwork
-from repro.net.transit_stub import TransitStubParams, TransitStubTopology
+from repro.net.transit_stub import TransitStubTopology
 from repro.workloads.attached_info import guess_attached_info
 from repro.workloads.churn import ChurnProcess
 from repro.workloads.lifetime import ExponentialLifetime
-from tests.conftest import fast_config
+from tests.conftest import fast_config, small_transit_stub
 
 
 @pytest.fixture(scope="module")
 def soak():
     config = fast_config(level_check_interval=15.0, multicast_processing_delay=0.2)
-    topo = TransitStubTopology(TransitStubParams.small(), seed=4)
+    topo = TransitStubTopology(small_transit_stub(), seed=4)
     net = PeerWindowNetwork(config=config, topology=topo, master_seed=13)
     rng = net.streams.get("app-info")
     infos = guess_attached_info(rng, 400)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.net.transit_stub import TransitStubParams, TransitStubTopology
+from tests.conftest import small_transit_stub
 
 
 class TestDegenerateTopologies:
@@ -47,7 +48,7 @@ class TestDegenerateTopologies:
         assert np.isfinite(topo._transit_hops).all()
 
     def test_latency_sample_empty(self):
-        topo = TransitStubTopology(TransitStubParams.small(), seed=0)
+        topo = TransitStubTopology(small_transit_stub(), seed=0)
         out = topo.latency_sample(0)
         assert out.shape == (0,)
 

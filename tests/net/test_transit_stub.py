@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.net import transit_stub
 from repro.net.transit_stub import TransitStubParams, TransitStubTopology
+from tests.conftest import small_transit_stub
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +19,7 @@ def paper_topo():
 
 @pytest.fixture()
 def small_topo():
-    return TransitStubTopology(TransitStubParams.small(), seed=1)
+    return TransitStubTopology(small_transit_stub(), seed=1)
 
 
 class TestStructure:
@@ -130,8 +131,8 @@ class TestSampling:
         assert 0.1 < float(np.mean(lats)) < 2.0
 
     def test_deterministic_given_seed(self):
-        a = TransitStubTopology(TransitStubParams.small(), seed=42)
-        b = TransitStubTopology(TransitStubParams.small(), seed=42)
+        a = TransitStubTopology(small_transit_stub(), seed=42)
+        b = TransitStubTopology(small_transit_stub(), seed=42)
         assert np.array_equal(a._transit_hops, b._transit_hops)
 
 
@@ -190,4 +191,4 @@ class TestSameGraph:
     def test_unreachable_graph_raises(self, monkeypatch):
         monkeypatch.setattr(transit_stub, "_domain_edges", lambda p, rng: [])
         with pytest.raises(RuntimeError, match="not connected"):
-            TransitStubTopology(TransitStubParams.small(), seed=0)
+            TransitStubTopology(small_transit_stub(), seed=0)
